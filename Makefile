@@ -33,6 +33,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
+# bench/ is a module of its own, so `go build ./... && go test ./...`
+# never compiles it although it imports internal/...; this is the
+# check that a refactor did not break the benchmark.
+.PHONY: bench-check
+bench-check:
+	cd bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 .PHONY: clean
 clean:
 	rm -rf bin

@@ -4,18 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"time"
 
-	"adaptivegossip/internal/core"
-	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/health"
 	"adaptivegossip/internal/membership"
-	"adaptivegossip/internal/runtime"
 )
-
-// NodeSnapshot is a point-in-time view of one node's state.
-type NodeSnapshot = runtime.NodeSnapshot
 
 // Cluster is an in-process broadcast group: one goroutine-driven node
 // per member, connected by a pluggable message fabric — the in-memory
@@ -23,20 +15,9 @@ type NodeSnapshot = runtime.NodeSnapshot
 // WithTransport. It is the quickest way to exercise the protocol and
 // the backbone of the examples.
 type Cluster struct {
-	cfg     Config
+	g       *group
 	names   []NodeID
-	fabric  Transport
-	eps     []Endpoint
-	regs    []*membership.Registry // one per node: detector verdicts are per-observer
-	runners []*runtime.Runner
-	hub     *streamHub
-	obs     *groupObservability
-
-	mu        sync.Mutex
-	started   bool
-	epStarted int // endpoints [0, epStarted) have live receive loops
-	closed    bool
-	done      chan struct{}
+	members []*member
 }
 
 // NewCluster builds an n-node cluster with the given configuration and
@@ -44,136 +25,52 @@ type Cluster struct {
 // WithOnMemberChange, WithNamePrefix). Call Start to begin gossiping
 // and Close to tear everything down.
 func NewCluster(n int, cfg Config, opts ...Option) (*Cluster, error) {
-	o, oerr := applyOptions(facadeCluster, groupOptions{seed: 1, prefix: "node-"}, opts)
-	// Any failure from here on closes a handed-over transport: the
-	// group owns it from the moment WithTransport is applied.
-	var obs *groupObservability
-	fail := func(err error) (*Cluster, error) {
-		if o.fabric != nil {
-			o.fabric.Close()
-		}
-		if obs != nil {
-			obs.close()
-		}
+	g, err := newGroup(facadeCluster, groupOptions{seed: 1, prefix: "node-"}, opts)
+	if err != nil {
 		return nil, err
 	}
-	if oerr != nil {
-		return fail(oerr)
-	}
 	if n < 2 {
-		return fail(fmt.Errorf("adaptivegossip: cluster needs at least 2 nodes, got %d", n))
+		return nil, g.fail(fmt.Errorf("adaptivegossip: cluster needs at least 2 nodes, got %d", n))
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return fail(err)
+		return nil, g.fail(err)
+	}
+	seed := g.opts.seed
+	if err := g.open(cfg, seed); err != nil {
+		return nil, g.fail(err)
 	}
 
-	if o.fabric == nil {
-		fabric, err := NewMemTransport(WithTransportSeed(o.seed))
-		if err != nil {
-			return fail(err)
-		}
-		o.fabric = fabric
-	}
-	fabric := o.fabric
-	if err := applyTransportConfig(fabric, cfg.Transport); err != nil {
-		return fail(err)
-	}
-
-	names := make([]NodeID, n)
-	for i := range names {
-		names[i] = NodeID(fmt.Sprintf("%s%02d", o.prefix, i))
-	}
-	c := &Cluster{
-		cfg:    cfg,
-		names:  names,
-		fabric: fabric,
-		hub:    newStreamHub(),
-		done:   make(chan struct{}),
-	}
-	obs = newGroupObservability(cfg.Observability)
-	c.obs = obs
+	c := &Cluster{g: g, names: memberNames(g.opts.prefix, n)}
+	// With failure detection, each node owns its membership view so a
+	// detector's verdicts evict from (and re-admit to) that node's
+	// gossip targets only. Without it the views never diverge, so all
+	// nodes share one registry.
 	var shared *membership.Registry
 	if !cfg.Failure.Enabled {
-		shared = membership.NewRegistry(names...)
+		shared = membership.NewRegistry(c.names...)
 	}
-
-	for i := range names {
-		name := names[i]
-		deliver := func(ev Event) {
-			d := Delivery{Node: name, Event: ev}
-			c.hub.publish(d)
-			if o.deliver != nil {
-				o.deliver(d)
-			}
-		}
-		// With failure detection, each node owns its membership view so
-		// a detector's verdicts evict from (and re-admit to) that
-		// node's gossip targets only. Without it the views never
-		// diverge, so all nodes share one registry.
+	for i, name := range c.names {
 		reg := shared
-		if cfg.Failure.Enabled {
-			reg = membership.NewRegistry(names...)
+		if reg == nil {
+			reg = membership.NewRegistry(c.names...)
 		}
-		c.regs = append(c.regs, reg)
-		ep, err := fabric.Endpoint(name)
+		m, err := g.newMember(name, cfg, reg,
+			rand.New(rand.NewPCG(uint64(seed), uint64(i)+1)),
+			uint64(seed)*2_654_435_761+uint64(i)+1)
 		if err != nil {
-			return fail(err)
+			return nil, g.fail(err)
 		}
-		c.eps = append(c.eps, ep)
-		obs.attachLinks(ep)
-		node, err := core.NewAdaptiveNode(core.NodeConfig{
-			ID:       name,
-			Gossip:   cfg.gossipParams(),
-			Adaptive: cfg.Adaptive,
-			Core:     cfg.Adaptation,
-			Recovery: cfg.Recovery.params(),
-			Failure:  cfg.Failure.params(),
-			OnMembership: func(peer gossip.NodeID, status gossip.MemberStatus) {
-				switch status {
-				case gossip.MemberConfirmed:
-					reg.Remove(peer)
-				case gossip.MemberAlive:
-					reg.Add(peer)
-				}
-				if o.onMember != nil {
-					o.onMember(name, peer, status)
-				}
-			},
-			Peers:         reg,
-			RNG:           rand.New(rand.NewPCG(uint64(o.seed), uint64(i)+1)),
-			Deliver:       deliver,
-			Metrics:       obs.node,
-			Tracer:        obs.tracer(),
-			Links:         obs.peers,
-			Health:        cfg.Observability.healthParams(),
-			HealthAugment: healthAugment(ep, fabric),
-			Start:         time.Now(),
-		})
-		if err != nil {
-			return fail(err)
-		}
-		r, err := runtime.NewRunner(runtime.Config{
-			Node:      node,
-			Transport: ep,
-			Period:    cfg.Period,
-			PhaseSeed: uint64(o.seed)*2_654_435_761 + uint64(i) + 1,
-			Metrics:   obs.runner,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		c.runners = append(c.runners, r)
+		c.members = append(c.members, m)
 	}
-	if err := obs.bindServer(cfg.Observability.DebugAddr,
-		func() Stats { return c.Stats() }, c.ClusterHealth); err != nil {
-		return fail(err)
+	if err := g.obs.bindServer(cfg.Observability.DebugAddr, c.Stats, c.ClusterHealth); err != nil {
+		return nil, g.fail(err)
 	}
 	return c, nil
 }
 
 // Len reports the cluster size.
-func (c *Cluster) Len() int { return len(c.runners) }
+func (c *Cluster) Len() int { return len(c.members) }
 
 // Nodes returns the member names in index order.
 func (c *Cluster) Nodes() []NodeID {
@@ -185,61 +82,11 @@ func (c *Cluster) Nodes() []NodeID {
 // context passed to Start is watched, so cancelling any of them closes
 // the cluster. A transient endpoint failure may be retried: already
 // started endpoints are not started twice.
-func (c *Cluster) Start(ctx context.Context) error {
-	if ctx == nil {
-		return fmt.Errorf("adaptivegossip: nil context")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("adaptivegossip: cluster closed")
-	}
-	if c.started {
-		watchContext(ctx, c.done, c.Close)
-		return nil
-	}
-	for ; c.epStarted < len(c.eps); c.epStarted++ {
-		if s, ok := c.eps[c.epStarted].(starter); ok {
-			if err := s.Start(); err != nil {
-				return err
-			}
-		}
-	}
-	for _, r := range c.runners {
-		r.Start()
-	}
-	c.started = true
-	watchContext(ctx, c.done, c.Close)
-	return nil
-}
+func (c *Cluster) Start(ctx context.Context) error { return c.g.start(ctx) }
 
 // Close terminates every node, the fabric and every Events stream.
 // Idempotent; later calls return nil.
-func (c *Cluster) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.done)
-	for _, r := range c.runners {
-		r.Stop()
-	}
-	var first error
-	for _, ep := range c.eps {
-		if err := ep.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if err := c.fabric.Close(); err != nil && first == nil {
-		first = err
-	}
-	c.hub.close()
-	c.obs.close()
-	return first
-}
+func (c *Cluster) Close() error { return c.g.close() }
 
 // Events returns a stream of every delivery in the cluster. From
 // subscription onward the stream sees every delivery the WithDeliver
@@ -247,43 +94,43 @@ func (c *Cluster) Close() error {
 // closed. A subscriber that falls more than DefaultEventStreamBuffer
 // behind loses deliveries (counted in Stats.StreamDropped).
 func (c *Cluster) Events(ctx context.Context) <-chan Delivery {
-	return c.hub.subscribe(ctx)
+	return c.g.hub.subscribe(ctx)
 }
 
-func (c *Cluster) runner(i int) (*runtime.Runner, error) {
-	if i < 0 || i >= len(c.runners) {
-		return nil, fmt.Errorf("adaptivegossip: node index %d out of range [0,%d)", i, len(c.runners))
+func (c *Cluster) member(i int) (*member, error) {
+	if err := checkIndex("node", i, len(c.members)); err != nil {
+		return nil, err
 	}
-	return c.runners[i], nil
+	return c.members[i], nil
 }
 
 // Publish broadcasts payload from node i, reporting whether the
 // message was admitted (adaptive nodes rate-limit at the allowance).
 func (c *Cluster) Publish(i int, payload []byte) bool {
-	r, err := c.runner(i)
+	m, err := c.member(i)
 	if err != nil {
 		return false
 	}
-	return r.Publish(payload)
+	return m.publish(payload)
 }
 
 // SetBufferCapacity resizes node i's buffer at runtime — the paper's
 // dynamic-resource scenario.
 func (c *Cluster) SetBufferCapacity(i, capacity int) error {
-	r, err := c.runner(i)
+	m, err := c.member(i)
 	if err != nil {
 		return err
 	}
-	return r.SetBufferCapacity(capacity)
+	return m.setBufferCapacity(capacity)
 }
 
 // Snapshot captures node i's state.
 func (c *Cluster) Snapshot(i int) (NodeSnapshot, error) {
-	r, err := c.runner(i)
+	m, err := c.member(i)
 	if err != nil {
 		return NodeSnapshot{}, err
 	}
-	return r.Snapshot(), nil
+	return m.snapshot(), nil
 }
 
 // Members returns node i's current gossip target set (itself
@@ -291,21 +138,20 @@ func (c *Cluster) Snapshot(i int) (NodeSnapshot, error) {
 // disappear from the node's view and rejoining members return to it;
 // otherwise all nodes share one static view.
 func (c *Cluster) Members(i int) ([]NodeID, error) {
-	if i < 0 || i >= len(c.regs) {
-		return nil, fmt.Errorf("adaptivegossip: node index %d out of range [0,%d)", i, len(c.regs))
+	m, err := c.member(i)
+	if err != nil {
+		return nil, err
 	}
-	return c.regs[i].IDs(), nil
+	return m.reg.IDs(), nil
 }
 
 // Stats aggregates the unified counter snapshot across the cluster.
 func (c *Cluster) Stats() Stats {
 	var st Stats
-	for _, r := range c.runners {
-		st.add(r.Snapshot())
+	for _, m := range c.members {
+		st.add(m.snapshot())
 	}
-	st.StreamDropped = c.hub.droppedCount()
-	st.addWire(c.fabric)
-	st.addPeers(c.obs.peers)
+	c.g.fill(&st)
 	return st
 }
 
@@ -314,13 +160,13 @@ func (c *Cluster) Stats() Stats {
 // freshest digest winning per member. Empty unless
 // Config.Observability.HealthDigests is set.
 func (c *Cluster) ClusterHealth() []MemberHealth {
-	views := make([][]health.MemberHealth, 0, len(c.runners))
-	for _, r := range c.runners {
-		views = append(views, r.ClusterHealth())
+	views := make([][]health.MemberHealth, 0, len(c.members))
+	for _, m := range c.members {
+		views = append(views, m.clusterHealth())
 	}
 	return memberHealthView(mergeMemberHealth(views...))
 }
 
 // DebugAddr returns the bound address of the debug HTTP listener, or
 // "" when Config.Observability.DebugAddr was empty.
-func (c *Cluster) DebugAddr() string { return c.obs.debugAddr() }
+func (c *Cluster) DebugAddr() string { return c.g.obs.debugAddr() }

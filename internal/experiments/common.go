@@ -369,21 +369,16 @@ func Run(cfg Config) (RunResult, error) {
 		var onMembership failure.OnChangeFunc
 		if cfg.FailureDetection {
 			onMembership = func(id gossip.NodeID, status gossip.MemberStatus) {
-				switch status {
-				case gossip.MemberConfirmed:
+				if status == gossip.MemberConfirmed {
 					if since, isDown := downSince[id]; isDown {
 						latencySum += sched.Now().Sub(since)
 						latencyN++
 					} else {
 						falseConfirms++
 					}
-					if cfg.PerNodeViews {
-						ownReg.Remove(id)
-					}
-				case gossip.MemberAlive:
-					if cfg.PerNodeViews {
-						ownReg.Add(id)
-					}
+				}
+				if cfg.PerNodeViews {
+					ownReg.ApplyVerdict(id, status)
 				}
 			}
 		}

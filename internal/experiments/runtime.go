@@ -61,7 +61,13 @@ func RunRuntime(cfg Config) (RunResult, error) {
 		MaxEventIDs: cfg.IDCacheMult * cfg.Buffer,
 		MaxAge:      cfg.MaxAge,
 	}
+	nodes := make([]*core.AdaptiveNode, cfg.N)
 	runners := make([]*runtime.Runner, cfg.N)
+	// inLoop runs fn on node i serialized with its loop; after the
+	// runner stopped fn does not run and reads keep their zero value.
+	inLoop := func(i int, fn func(n *core.AdaptiveNode)) {
+		runners[i].Do(func() { fn(nodes[i]) })
+	}
 	for i := range runners {
 		name := names[i]
 		// Like the simulation driver: with PerNodeViews each node owns
@@ -73,15 +79,7 @@ func RunRuntime(cfg Config) (RunResult, error) {
 		}
 		var onMembership failure.OnChangeFunc
 		if cfg.FailureDetection && cfg.PerNodeViews {
-			reg := ownReg
-			onMembership = func(id gossip.NodeID, status gossip.MemberStatus) {
-				switch status {
-				case gossip.MemberConfirmed:
-					reg.Remove(id)
-				case gossip.MemberAlive:
-					reg.Add(id)
-				}
-			}
+			onMembership = ownReg.ApplyVerdict
 		}
 		node, err := core.NewAdaptiveNode(core.NodeConfig{
 			ID:           name,
@@ -114,7 +112,7 @@ func RunRuntime(cfg Config) (RunResult, error) {
 		if err != nil {
 			return RunResult{}, err
 		}
-		runners[i] = r
+		nodes[i], runners[i] = node, r
 	}
 	for _, r := range runners {
 		r.Start()
@@ -129,14 +127,13 @@ func RunRuntime(cfg Config) (RunResult, error) {
 	perSender := cfg.OfferedRate / float64(cfg.Senders)
 	senders := make([]*workload.TimedSender, 0, cfg.Senders)
 	for i := 0; i < cfg.Senders; i++ {
-		r := runners[i]
 		s, err := workload.StartTimedSender(workload.SenderConfig{
 			Rate:        perSender,
 			PayloadSize: cfg.PayloadSize,
 			Poisson:     cfg.Poisson,
 		}, func(payload []byte) bool {
 			admitted := false
-			r.Do(func(n *core.AdaptiveNode) {
+			inLoop(i, func(n *core.AdaptiveNode) {
 				ev, ok := n.Publish(payload, time.Now())
 				if ok {
 					tracker.Broadcast(ev.ID, time.Now())
@@ -173,7 +170,7 @@ func RunRuntime(cfg Config) (RunResult, error) {
 				case <-ticker.C:
 					now := time.Now()
 					for i := 0; i < cfg.Senders; i++ {
-						allowed.Observe(now, runners[i].Snapshot().AllowedRate)
+						inLoop(i, func(n *core.AdaptiveNode) { allowed.Observe(now, n.AllowedRate()) })
 					}
 				}
 			}
@@ -197,18 +194,20 @@ func RunRuntime(cfg Config) (RunResult, error) {
 					}
 				}
 				for _, idx := range r.Nodes {
-					// Ignore errors from stopped runners during teardown.
-					_ = runners[idx].SetBufferCapacity(r.Capacity)
+					// cfg.Validate already rejected capacities the node would refuse.
+					inLoop(idx, func(n *core.AdaptiveNode) { _ = n.SetBufferCapacity(r.Capacity) })
 				}
 			}
 		}()
 	}
 
 	captureDropped := func() (ageSum, dropped uint64) {
-		for _, r := range runners {
-			st := r.Snapshot().Gossip
-			ageSum += st.DroppedAgeSum
-			dropped += st.DroppedCapacity
+		for i := range runners {
+			inLoop(i, func(n *core.AdaptiveNode) {
+				st := n.GossipStats()
+				ageSum += st.DroppedAgeSum
+				dropped += st.DroppedCapacity
+			})
 		}
 		return
 	}
@@ -246,22 +245,19 @@ func RunRuntime(cfg Config) (RunResult, error) {
 			res.AllowedRate = mean * float64(cfg.Senders)
 		}
 		res.AllowedSeries = scaleGauge(allowed.Series(epoch, end), float64(cfg.Senders))
-		res.MinBuffFinal = runners[0].Snapshot().MinBuff
-		for _, r := range runners[1:] {
-			if mb := r.Snapshot().MinBuff; mb < res.MinBuffFinal {
+	}
+	for i := range runners {
+		inLoop(i, func(n *core.AdaptiveNode) {
+			if mb := n.MinBuffEstimate(); cfg.Adaptive && (i == 0 || mb < res.MinBuffFinal) {
 				res.MinBuffFinal = mb
 			}
-		}
-	}
-	if cfg.Recovery {
-		for _, r := range runners {
-			res.Recovery.Add(r.Snapshot().Recovery)
-		}
-	}
-	if cfg.FailureDetection {
-		for _, r := range runners {
-			res.Failure.Add(r.Snapshot().Failure)
-		}
+			if cfg.Recovery {
+				res.Recovery.Add(n.RecoveryStats())
+			}
+			if cfg.FailureDetection {
+				res.Failure.Add(n.FailureStats())
+			}
+		})
 	}
 	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Bucket, metrics.DefaultAtomicityThreshold)
 	res.Latency = tracker.LatencySnapshot()

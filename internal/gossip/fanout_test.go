@@ -49,9 +49,9 @@ func TestGroupOutgoing(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := GroupOutgoing(tc.outs)
+			got, _ := AppendGroupOutgoing(nil, nil, tc.outs)
 			if !reflect.DeepEqual(got, tc.want) {
-				t.Fatalf("GroupOutgoing mismatch:\n got %+v\nwant %+v", got, tc.want)
+				t.Fatalf("AppendGroupOutgoing mismatch:\n got %+v\nwant %+v", got, tc.want)
 			}
 		})
 	}
@@ -59,7 +59,8 @@ func TestGroupOutgoing(t *testing.T) {
 
 // TestTickOutgoingsShareOneMessage pins the round-emission contract the
 // encode-once wire path depends on: every Outgoing of a Tick points at
-// the same Message, so GroupOutgoing collapses the round to one Fanout.
+// the same Message, so AppendGroupOutgoing collapses the round to one
+// Fanout.
 func TestTickOutgoingsShareOneMessage(t *testing.T) {
 	peers := staticPeers{"a", "b", "c", "d"}
 	n := newTestNode(t, "a", peers)
@@ -68,7 +69,7 @@ func TestTickOutgoingsShareOneMessage(t *testing.T) {
 	if len(outs) != testParams().Fanout {
 		t.Fatalf("got %d outgoings, want %d", len(outs), testParams().Fanout)
 	}
-	fans := GroupOutgoing(outs)
+	fans, _ := AppendGroupOutgoing(nil, nil, outs)
 	if len(fans) != 1 {
 		t.Fatalf("round emission split into %d fanouts, want 1", len(fans))
 	}

@@ -93,22 +93,17 @@ type Fanout struct {
 	Msg     *Message
 }
 
-// GroupOutgoing coalesces consecutive Outgoing entries that share one
-// message into Fanouts, preserving order. Tick addresses its round
+// AppendGroupOutgoing coalesces consecutive Outgoing entries that share
+// one message into Fanouts, preserving order. Tick addresses its round
 // message to all fanout targets back to back, so the per-round gossip
 // collapses to a single Fanout; subsystem control traffic (recovery
 // pulls, failure probes) stays one entry each. Messages are not copied.
-func GroupOutgoing(outs []Outgoing) []Fanout {
-	fans, _ := AppendGroupOutgoing(nil, nil, outs)
-	return fans
-}
-
-// AppendGroupOutgoing is the scratch-reusing form of GroupOutgoing: the
-// coalesced fanouts are appended to fans and the flattened target list
-// to targets, and both are returned for the caller to retain as scratch
-// for the next round (transport.GroupSender does). Each Fanout.Targets
-// is a full-capacity subslice of the returned targets, so entries stay
-// valid even when a later append grows targets into a new array.
+// The coalesced fanouts are appended to fans and the flattened target
+// list to targets, and both are returned for the caller to retain as
+// scratch for the next round (transport.GroupSender does). Each
+// Fanout.Targets is a full-capacity subslice of the returned targets,
+// so entries stay valid even when a later append grows targets into a
+// new array.
 func AppendGroupOutgoing(fans []Fanout, targets []NodeID, outs []Outgoing) ([]Fanout, []NodeID) {
 	start := 0
 	for i := 1; i <= len(outs); i++ {

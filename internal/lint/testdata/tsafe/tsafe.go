@@ -88,7 +88,7 @@ func Drive(n *Node, async *AsyncEndpoint, sync *SyncEndpoint, ep Endpoint, targe
 }
 
 // DriveGuarded performs the runtime check the analyzer looks for, the
-// way transport.SendGroups does.
+// way transport.GroupSender.SendGroups does.
 func DriveGuarded(n *Node, ep Endpoint) {
 	msg := n.Tick()
 	if _, ok := ep.(ScratchSafe); !ok {

@@ -17,7 +17,7 @@ import (
 //   - the receiver is interface-typed: the concrete type is unknown at
 //     the call site, so the enclosing function must contain the runtime
 //     guard — a type assertion (or type switch case) against
-//     ScratchSafe — the way transport.SendGroups does;
+//     ScratchSafe — the way transport.GroupSender.SendGroups does;
 //   - the argument derives from a CopyForSend()/Clone() call: always
 //     safe.
 //
@@ -130,7 +130,7 @@ func checkSends(pass *Pass, markers []*types.Interface, producers map[*types.Fun
 			if implementsScratchSafe(markers, recv) || guarded {
 				return true
 			}
-			pass.Reportf(call.Pos(), "scratch message passed to %s.%s through an interface with no ScratchSafe guard in %s; copy with CopyForSend() first or guard the endpoint with a ScratchSafe type assertion (as transport.SendGroups does)", types.TypeString(recv, types.RelativeTo(pass.Pkg)), sel.Sel.Name, fd.Name.Name)
+			pass.Reportf(call.Pos(), "scratch message passed to %s.%s through an interface with no ScratchSafe guard in %s; copy with CopyForSend() first or guard the endpoint with a ScratchSafe type assertion (as transport.GroupSender.SendGroups does)", types.TypeString(recv, types.RelativeTo(pass.Pkg)), sel.Sel.Name, fd.Name.Name)
 			return true
 		}
 		if implementsScratchSafe(markers, recv) {

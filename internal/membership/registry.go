@@ -63,6 +63,19 @@ func (r *Registry) Remove(id gossip.NodeID) bool {
 	return true
 }
 
+// ApplyVerdict maintains the view from a failure detector's
+// transitions (it has the detector's callback signature): a member
+// confirmed crashed leaves the gossip target set, a member that refuted
+// or rejoined returns to it, and suspicion alone changes nothing.
+func (r *Registry) ApplyVerdict(id gossip.NodeID, status gossip.MemberStatus) {
+	switch status {
+	case gossip.MemberConfirmed:
+		r.Remove(id)
+	case gossip.MemberAlive:
+		r.Add(id)
+	}
+}
+
 // Len reports the number of members.
 func (r *Registry) Len() int {
 	r.mu.RLock()

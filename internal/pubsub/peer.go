@@ -56,12 +56,14 @@ type PeerConfig struct {
 // Peer is one node's pub/sub endpoint: an independent broadcast node
 // per subscribed topic, sharing one buffer budget and one identity.
 //
-// Peer is a single-threaded state machine like the nodes it wraps; a
-// driver (Runner, or a simulation loop) serializes all calls.
+// Peer is a single-threaded state machine like the nodes it wraps (it
+// is a runtime.Machine); a driver (runtime.Runner, or a simulation
+// loop) serializes all calls.
 type Peer struct {
 	cfg    PeerConfig
 	topics map[Topic]*core.AdaptiveNode
-	order  []Topic // stable iteration: subscription order
+	order  []Topic           // stable iteration: subscription order
+	out    []gossip.Outgoing // Tick's result, reused across rounds
 }
 
 // NewPeer validates the configuration and returns an unsubscribed peer.
@@ -174,6 +176,7 @@ func (p *Peer) Unsubscribe(topic Topic) error {
 			break
 		}
 	}
+	p.out = nil // do not pin the departed topic's round message
 	return p.rebalance()
 }
 
@@ -199,43 +202,45 @@ func (p *Peer) Publish(topic Topic, payload []byte, now time.Time) (gossip.Event
 }
 
 // Tick runs one gossip round for every subscribed topic and returns all
-// outgoing messages, each tagged with its topic. The messages alias the
-// per-topic nodes' reused round scratch: they are valid only until the
-// next Tick.
+// outgoing messages, each tagged with its topic. The result slice and
+// the messages (the per-topic nodes' round scratch) are reused: both
+// are valid only until the next Tick.
 //
 //gossip:hotpath
 //gossip:scratch
 func (p *Peer) Tick(now time.Time) []gossip.Outgoing {
-	var out []gossip.Outgoing
+	p.out = p.out[:0]
 	for _, topic := range p.order {
-		node := p.topics[topic]
-		outs := node.Tick(now)
-		if len(outs) == 0 {
-			continue
-		}
-		// All Outgoing of one tick share a single Message.
-		outs[0].Msg.Group = string(topic)
-		out = append(out, outs...)
+		p.out = append(p.out, tagged(p.topics[topic].Tick(now), string(topic))...)
 	}
-	return out
+	return p.out
 }
 
-// Receive routes an incoming gossip message to its topic's node.
-// Messages for topics the peer no longer subscribes to are dropped.
-//
-// Anti-entropy recovery is not wired into the pub/sub layer:
-// PeerConfig offers no recovery knob, so the per-topic nodes never
-// produce control traffic and the discarded Receive return is always
-// nil. Wiring recovery here would require forwarding that return (and
-// Group-tagging the distinct request messages Tick would emit).
+// Receive routes an incoming gossip message to its topic's node and
+// returns whatever that node wants transmitted in response, tagged with
+// the topic (nothing today: PeerConfig offers no recovery or failure
+// knob, so topic nodes emit no control traffic). Messages for topics
+// the peer no longer subscribes to are dropped.
 //
 //gossip:hotpath
-func (p *Peer) Receive(msg *gossip.Message, now time.Time) {
+func (p *Peer) Receive(msg *gossip.Message, now time.Time) []gossip.Outgoing {
 	node, ok := p.topics[Topic(msg.Group)]
 	if !ok {
-		return
+		return nil
 	}
-	node.Receive(msg, now)
+	return tagged(node.Receive(msg, now), msg.Group)
+}
+
+// tagged stamps every message of outs with its topic's group name, so
+// the receiving peer can route it. A round's outgoings share one
+// message; control messages are distinct, hence the loop.
+//
+//gossip:hotpath
+func tagged(outs []gossip.Outgoing, group string) []gossip.Outgoing {
+	for i := range outs {
+		outs[i].Msg.Group = group
+	}
+	return outs
 }
 
 // TopicState is a per-topic snapshot.

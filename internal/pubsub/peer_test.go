@@ -159,6 +159,36 @@ func TestTickTagsMessagesWithTopic(t *testing.T) {
 	}
 }
 
+// TestPeerTickAllocFree pins the pub/sub round path to the contract of
+// the single-group one: once the per-topic round scratch and the peer's
+// result slice are sized, a round over every subscription allocates
+// nothing.
+func TestPeerTickAllocFree(t *testing.T) {
+	p := newPeer(t, "a", 60)
+	reg := membership.NewRegistry("a", "b", "c", "d")
+	for _, topic := range []Topic{"alpha", "beta"} {
+		if err := p.Subscribe(topic, reg); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			p.Publish(topic, []byte("payload"), t0)
+		}
+	}
+	now := t0
+	round := func() {
+		now = now.Add(time.Second)
+		if outs := p.Tick(now); len(outs) != 6 {
+			t.Fatalf("round emitted %d outgoings, want fanout 3 on each of 2 topics", len(outs))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state Peer.Tick allocates %v times per round, want 0", allocs)
+	}
+}
+
 func TestReceiveRoutesByTopic(t *testing.T) {
 	delivered := map[Topic]int{}
 	cfg := peerConfig("b", 60)

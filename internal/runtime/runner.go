@@ -1,9 +1,10 @@
-// Package runtime drives protocol nodes in real time: one goroutine per
-// node owns the (single-threaded) state machine, fed by a gossip
-// ticker, the transport's inbox and a command queue. This is the
+// Package runtime drives protocol state machines in real time: one
+// goroutine per Machine owns the (single-threaded) state, fed by a
+// gossip ticker, the transport's inbox and a command queue. This is the
 // "prototype implementation" half of the paper's evaluation — the same
 // state machine the simulator drives, under real concurrency, timers
-// and a real wire.
+// and a real wire. A single-group member (core.AdaptiveNode) and a
+// pub/sub peer (pubsub.Peer, one node per topic) run on the same loop.
 package runtime
 
 import (
@@ -27,18 +28,26 @@ import (
 // for gossip, which tolerates loss by design — and is counted.
 const DefaultInboxSize = 256
 
+// Machine is the paper's protocol as the loop sees it: an identity and
+// the two handlers of Figure 1 (every T: a gossip round; upon receive:
+// merge). Both return the messages to transmit; the slices may alias
+// scratch that is valid only until the next call.
+type Machine interface {
+	ID() gossip.NodeID
+	Tick(now time.Time) []gossip.Outgoing
+	Receive(msg *gossip.Message, now time.Time) []gossip.Outgoing
+}
+
 // Config assembles a Runner.
 type Config struct {
 	// Node is the protocol state machine the runner owns. The caller
 	// must not touch it after Start; use Do for serialized access.
-	Node *core.AdaptiveNode
+	Node Machine
 	// Transport carries gossip to and from peers. The runner installs
 	// its handler.
 	Transport transport.Transport
 	// Period is the gossip round interval T.
 	Period time.Duration
-	// InboxSize overrides DefaultInboxSize when positive.
-	InboxSize int
 	// PhaseSeed randomizes the initial tick phase in [0, Period) so a
 	// cluster started at once does not tick in lockstep. Zero seeds
 	// from the node id.
@@ -56,17 +65,17 @@ type Stats struct {
 	MessagesMoved uint64
 }
 
-// Runner drives one node. Create with NewRunner, then Start; Stop waits
-// for the loop to exit.
+// Runner drives one Machine. Create with NewRunner, then Start; Stop
+// waits for the loop to exit.
 type Runner struct {
-	node    *core.AdaptiveNode
+	node    Machine
 	tr      transport.Transport
 	period  time.Duration
 	phase   time.Duration
 	metrics *observe.RunnerMetrics // nil = off
 
 	inbox chan *gossip.Message
-	cmds  chan func(*core.AdaptiveNode)
+	cmds  chan func()
 	stop  chan struct{}
 	done  chan struct{}
 
@@ -96,10 +105,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Period <= 0 {
 		return nil, fmt.Errorf("runtime: period must be positive, got %v", cfg.Period)
 	}
-	size := cfg.InboxSize
-	if size <= 0 {
-		size = DefaultInboxSize
-	}
 	seed := cfg.PhaseSeed
 	if seed == 0 {
 		for _, b := range []byte(cfg.Node.ID()) {
@@ -114,17 +119,14 @@ func NewRunner(cfg Config) (*Runner, error) {
 		period:  cfg.Period,
 		phase:   time.Duration(rng.Int64N(int64(cfg.Period))),
 		metrics: cfg.Metrics,
-		inbox:   make(chan *gossip.Message, size),
-		cmds:    make(chan func(*core.AdaptiveNode)),
+		inbox:   make(chan *gossip.Message, DefaultInboxSize),
+		cmds:    make(chan func()),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	r.tr.SetHandler(r.enqueue)
 	return r, nil
 }
-
-// ID returns the owned node's identifier.
-func (r *Runner) ID() gossip.NodeID { return r.node.ID() }
 
 func (r *Runner) enqueue(msg *gossip.Message) {
 	select {
@@ -168,7 +170,7 @@ waitPhase:
 		case msg := <-r.inbox:
 			r.receive(msg)
 		case cmd := <-r.cmds:
-			cmd(r.node)
+			cmd()
 		}
 	}
 
@@ -183,7 +185,7 @@ waitPhase:
 		case msg := <-r.inbox:
 			r.receive(msg)
 		case cmd := <-r.cmds:
-			cmd(r.node)
+			cmd()
 		}
 	}
 }
@@ -222,15 +224,16 @@ func (r *Runner) send(outs []gossip.Outgoing) {
 }
 
 // Do runs fn inside the node loop, serialized with ticks and receives,
-// and waits for it to finish. It reports false if the runner stopped
+// and waits for it to finish: the only way to touch the Machine after
+// Start. It reports false if the runner stopped (or never started)
 // before fn could run.
-func (r *Runner) Do(fn func(*core.AdaptiveNode)) bool {
+func (r *Runner) Do(fn func()) bool {
 	if !r.started.Load() {
 		return false
 	}
 	doneCh := make(chan struct{})
-	wrapped := func(n *core.AdaptiveNode) {
-		fn(n)
+	wrapped := func() {
+		fn()
 		close(doneCh)
 	}
 	select {
@@ -242,30 +245,8 @@ func (r *Runner) Do(fn func(*core.AdaptiveNode)) bool {
 	}
 }
 
-// Publish submits a broadcast through the node's admission control. It
-// reports whether the message was admitted (false also when the runner
-// is stopped).
-func (r *Runner) Publish(payload []byte) bool {
-	admitted := false
-	r.Do(func(n *core.AdaptiveNode) {
-		_, admitted = n.Publish(payload, time.Now())
-	})
-	return admitted
-}
-
-// SetBufferCapacity resizes the node's buffer from outside the loop.
-func (r *Runner) SetBufferCapacity(capacity int) error {
-	err := fmt.Errorf("runtime: runner stopped")
-	ok := r.Do(func(n *core.AdaptiveNode) {
-		err = n.SetBufferCapacity(capacity)
-	})
-	if !ok {
-		return fmt.Errorf("runtime: runner stopped")
-	}
-	return err
-}
-
-// NodeSnapshot is a point-in-time view of the node's adaptation state.
+// NodeSnapshot is a point-in-time view of one single-group member's
+// protocol state, filled by the member's owner inside Do.
 type NodeSnapshot struct {
 	AllowedRate float64
 	AvgAge      float64
@@ -277,45 +258,6 @@ type NodeSnapshot struct {
 	Recovery    recovery.Stats
 	Failure     failure.Stats
 	Health      health.Stats
-}
-
-// Snapshot captures the node state, serialized with the loop. The zero
-// snapshot is returned after Stop.
-func (r *Runner) Snapshot() NodeSnapshot {
-	var snap NodeSnapshot
-	r.Do(func(n *core.AdaptiveNode) {
-		snap = NodeSnapshot{
-			AllowedRate: n.AllowedRate(),
-			AvgAge:      n.AvgAge(),
-			MinBuff:     n.MinBuffEstimate(),
-			BufferLen:   n.BufferLen(),
-			BufferCap:   n.BufferCapacity(),
-			Gossip:      n.GossipStats(),
-			Adaptive:    n.Stats(),
-			Recovery:    n.RecoveryStats(),
-			Failure:     n.FailureStats(),
-			Health:      n.HealthStats(),
-		}
-	})
-	return snap
-}
-
-// ClusterHealth returns the node's converged view of the cluster's
-// health digests, serialized with the loop (nil when dissemination is
-// disabled or the runner has stopped).
-func (r *Runner) ClusterHealth() []health.MemberHealth {
-	var view []health.MemberHealth
-	r.Do(func(n *core.AdaptiveNode) { view = n.ClusterHealth() })
-	return view
-}
-
-// ClusterDeliverHops returns the cluster-merged delivery-hop histogram,
-// serialized with the loop (zero when dissemination is disabled or the
-// runner has stopped).
-func (r *Runner) ClusterDeliverHops() observe.HistogramSnapshot {
-	var snap observe.HistogramSnapshot
-	r.Do(func(n *core.AdaptiveNode) { snap = n.ClusterDeliverHops() })
-	return snap
 }
 
 // Stats returns the runner's counters.

@@ -13,7 +13,38 @@ import (
 	"adaptivegossip/internal/transport"
 )
 
-func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]*Runner, *transport.MemNetwork) {
+// liveNode is a node owned by a runner loop: after Start every access
+// goes through Do, the way the facades' members do it.
+type liveNode struct {
+	*Runner
+	node *core.AdaptiveNode
+}
+
+func (l liveNode) publish(payload []byte) (admitted bool) {
+	l.Do(func() { _, admitted = l.node.Publish(payload, time.Now()) })
+	return admitted
+}
+
+func (l liveNode) setBufferCapacity(capacity int) (err error) {
+	l.Do(func() { err = l.node.SetBufferCapacity(capacity) })
+	return err
+}
+
+// read evaluates get on the node inside the loop.
+func read[T any](l liveNode, get func(n *core.AdaptiveNode) T) (v T) {
+	l.Do(func() { v = get(l.node) })
+	return v
+}
+
+func (l liveNode) delivered() uint64 {
+	return read(l, func(n *core.AdaptiveNode) uint64 { return n.GossipStats().Delivered })
+}
+
+func (l liveNode) minBuff() int {
+	return read(l, (*core.AdaptiveNode).MinBuffEstimate)
+}
+
+func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]liveNode, *transport.MemNetwork) {
 	t.Helper()
 	net, err := transport.NewMemNetwork(WithClusterSeed())
 	if err != nil {
@@ -24,7 +55,7 @@ func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]*R
 		names[i] = gossip.NodeID(fmt.Sprintf("n%02d", i))
 	}
 	reg := membership.NewRegistry(names...)
-	runners := make([]*Runner, n)
+	runners := make([]liveNode, n)
 	for i := range runners {
 		gp := gossip.Params{Fanout: 3, Period: period, MaxEvents: 30, MaxAge: 8}
 		cp := core.DefaultParams()
@@ -49,7 +80,7 @@ func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]*R
 		if err != nil {
 			t.Fatal(err)
 		}
-		runners[i] = r
+		runners[i] = liveNode{Runner: r, node: node}
 	}
 	t.Cleanup(func() {
 		for _, r := range runners {
@@ -93,7 +124,7 @@ func TestRunnerDisseminates(t *testing.T) {
 	for _, r := range runners {
 		r.Start()
 	}
-	if !runners[0].Publish([]byte("hello")) {
+	if !runners[0].publish([]byte("hello")) {
 		t.Fatal("publish rejected on baseline node")
 	}
 	// Wait for dissemination: every node should deliver the event.
@@ -101,7 +132,7 @@ func TestRunnerDisseminates(t *testing.T) {
 	for time.Now().Before(deadline) {
 		all := true
 		for _, r := range runners {
-			if r.Snapshot().Gossip.Delivered < 1 {
+			if r.delivered() < 1 {
 				all = false
 				break
 			}
@@ -112,7 +143,7 @@ func TestRunnerDisseminates(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	for i, r := range runners {
-		t.Logf("node %d: %+v", i, r.Snapshot().Gossip)
+		t.Logf("node %d: %+v", i, read(r, (*core.AdaptiveNode).GossipStats))
 	}
 	t.Fatal("event did not reach every node")
 }
@@ -123,14 +154,14 @@ func TestRunnerStopIsIdempotentAndBeforeStart(t *testing.T) {
 	r.Stop() // before Start: no hang
 	r.Stop()
 	// Do on a never-started runner returns false.
-	if ok := r.Do(func(*core.AdaptiveNode) {}); ok {
+	if ok := r.Do(func() {}); ok {
 		t.Fatal("Do on stopped runner returned true")
 	}
 	r2 := runners[1]
 	r2.Start()
 	r2.Stop()
 	r2.Stop()
-	if ok := r2.Publish(nil); ok {
+	if ok := r2.publish(nil); ok {
 		t.Fatal("publish after stop succeeded")
 	}
 }
@@ -139,20 +170,19 @@ func TestRunnerSnapshotAndCapacity(t *testing.T) {
 	runners, _ := testCluster(t, 2, true, 30*time.Millisecond)
 	r := runners[0]
 	r.Start()
-	snap := r.Snapshot()
-	if snap.BufferCap != 30 {
-		t.Fatalf("snapshot %+v", snap)
+	if got := read(r, (*core.AdaptiveNode).BufferCapacity); got != 30 {
+		t.Fatalf("capacity = %d", got)
 	}
-	if err := r.SetBufferCapacity(12); err != nil {
+	if err := r.setBufferCapacity(12); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Snapshot().BufferCap; got != 12 {
+	if got := read(r, (*core.AdaptiveNode).BufferCapacity); got != 12 {
 		t.Fatalf("capacity = %d after resize", got)
 	}
-	if got := r.Snapshot().MinBuff; got != 12 {
+	if got := r.minBuff(); got != 12 {
 		t.Fatalf("minbuff estimate = %d after resize", got)
 	}
-	if err := r.SetBufferCapacity(-1); err == nil {
+	if err := r.setBufferCapacity(-1); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
 }
@@ -176,14 +206,14 @@ func TestRunnerAdaptiveHeadersFlow(t *testing.T) {
 		r.Start()
 	}
 	// Shrink one node's buffer; the estimate must propagate to others.
-	if err := runners[3].SetBufferCapacity(7); err != nil {
+	if err := runners[3].setBufferCapacity(7); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		reached := 0
 		for _, r := range runners {
-			if r.Snapshot().MinBuff == 7 {
+			if r.minBuff() == 7 {
 				reached++
 			}
 		}
@@ -193,7 +223,7 @@ func TestRunnerAdaptiveHeadersFlow(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	for i, r := range runners {
-		t.Logf("node %d minbuff=%d", i, r.Snapshot().MinBuff)
+		t.Logf("node %d minbuff=%d", i, r.minBuff())
 	}
 	t.Fatal("minBuff estimate did not propagate to all runners")
 }
@@ -204,16 +234,15 @@ func TestRunnerPublishThrottlesWhenAdaptive(t *testing.T) {
 	r.Start()
 	admitted := 0
 	for i := 0; i < 50; i++ {
-		if r.Publish(nil) {
+		if r.publish(nil) {
 			admitted++
 		}
 	}
 	if admitted == 0 || admitted == 50 {
 		t.Fatalf("admitted %d of 50, want partial admission (bucket-limited)", admitted)
 	}
-	snap := r.Snapshot()
-	if snap.Adaptive.Published != uint64(admitted) {
-		t.Fatalf("snapshot %+v vs admitted %d", snap.Adaptive, admitted)
+	if st := read(r, (*core.AdaptiveNode).Stats); st.Published != uint64(admitted) {
+		t.Fatalf("stats %+v vs admitted %d", st, admitted)
 	}
 }
 
@@ -265,7 +294,7 @@ func TestRunnerCopiesForExternalTransports(t *testing.T) {
 	}
 	r.Start()
 	defer r.Stop()
-	if !r.Publish([]byte("retained payload")) {
+	if !(liveNode{Runner: r, node: node}).publish([]byte("retained payload")) {
 		t.Fatal("publish rejected")
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -47,19 +47,7 @@ type ScratchSafe interface {
 	ScratchSafe()
 }
 
-// SendGroups coalesces a batch of outgoings into per-message fanouts
-// (gossip.GroupOutgoing) and transmits each through t via SendMany, so
-// encode-once transports pay the serialization cost once per round. It
-// applies the scratch-safety protocol in one place for every driver:
-// unless t is marked ScratchSafe, each message is copied out of the
-// sender's per-round scratch state (Message.CopyForSend) before it
-// reaches the transport. It returns the total targets sent and failed.
-func SendGroups(t Transport, outs []gossip.Outgoing) (sent, failed int) {
-	var g GroupSender
-	return g.SendGroups(t, outs)
-}
-
-// GroupSender is the amortized form of SendGroups: the grouping scratch
+// GroupSender transmits a driver's outgoings. Its grouping scratch
 // (fanout entries and the flattened target list) is retained across
 // rounds, so a steady-state round groups and transmits with zero
 // allocations. One GroupSender belongs to one sending loop; it is not
@@ -69,9 +57,14 @@ type GroupSender struct {
 	targets []gossip.NodeID
 }
 
-// SendGroups coalesces outs and transmits each fanout through t,
-// exactly like the package-level SendGroups, reusing the receiver's
-// scratch.
+// SendGroups coalesces a batch of outgoings into per-message fanouts
+// (gossip.AppendGroupOutgoing) and transmits each through t via
+// SendMany, so encode-once transports pay the serialization cost once
+// per round. It applies the scratch-safety protocol in one place for
+// every driver: unless t is marked ScratchSafe, each message is copied
+// out of the sender's per-round scratch state (Message.CopyForSend)
+// before it reaches the transport. It returns the total targets sent
+// and failed.
 //
 //gossip:hotpath
 func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, failed int) {

@@ -4,13 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"time"
 
-	"adaptivegossip/internal/core"
-	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
-	"adaptivegossip/internal/runtime"
 )
 
 // Node is a single broadcast group member — the deployment shape of the
@@ -18,19 +13,9 @@ import (
 // gossips over a UDP fabric; plug any Transport with WithTransport.
 // Create with NewNode, launch with Start, tear down with Close.
 type Node struct {
-	id     NodeID
-	fabric Transport
-	ep     Endpoint
-	reg    *membership.Registry
-	runner *runtime.Runner
-	hub    *streamHub
-	obs    *groupObservability
-
-	mu        sync.Mutex
-	started   bool
-	epStarted bool
-	closed    bool
-	done      chan struct{}
+	id NodeID
+	g  *group // a group of one
+	m  *member
 }
 
 // NewNode builds a group member named id with the shared option set
@@ -39,136 +24,49 @@ type Node struct {
 // port; pass NewUDPTransport(WithBind(...)) for a production listen
 // address.
 func NewNode(id string, cfg Config, opts ...Option) (*Node, error) {
-	o, oerr := applyOptions(facadeNode, groupOptions{}, opts)
-	// Any failure from here on closes a handed-over transport: the
-	// group owns it from the moment WithTransport is applied.
-	var obs *groupObservability
-	fail := func(err error) (*Node, error) {
-		if o.fabric != nil {
-			o.fabric.Close()
-		}
-		if obs != nil {
-			obs.close()
-		}
+	g, err := newGroup(facadeNode, groupOptions{}, opts)
+	if err != nil {
 		return nil, err
 	}
-	if oerr != nil {
-		return fail(oerr)
-	}
 	if id == "" {
-		return fail(fmt.Errorf("adaptivegossip: node id is required"))
+		return nil, g.fail(fmt.Errorf("adaptivegossip: node id is required"))
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return fail(err)
+		return nil, g.fail(err)
 	}
-	seed := o.seed
+	seed := g.opts.seed
 	if seed == 0 {
 		for _, b := range []byte(id) {
 			seed = seed*131 + int64(b)
 		}
 		seed++
 	}
-
-	if o.fabric == nil {
-		fabric, err := NewUDPTransport(WithTransportSeed(seed))
-		if err != nil {
-			return fail(err)
-		}
-		o.fabric = fabric
-	}
-	fabric := o.fabric
-	if err := applyTransportConfig(fabric, cfg.Transport); err != nil {
-		return fail(err)
-	}
-	ep, err := fabric.Endpoint(NodeID(id))
-	if err != nil {
-		return fail(err)
+	if err := g.open(cfg, seed); err != nil {
+		return nil, g.fail(err)
 	}
 
 	members := []NodeID{NodeID(id)}
-	if len(o.peers) > 0 {
-		registrar, ok := fabric.(PeerRegistrar)
+	if len(g.opts.peers) > 0 {
+		registrar, ok := g.fabric.(PeerRegistrar)
 		if !ok {
-			return fail(fmt.Errorf("adaptivegossip: WithPeers needs a transport with an address book (PeerRegistrar)"))
+			return nil, g.fail(fmt.Errorf("adaptivegossip: WithPeers needs a transport with an address book (PeerRegistrar)"))
 		}
-		for peer, addr := range o.peers {
+		for peer, addr := range g.opts.peers {
 			if err := registrar.Register(NodeID(peer), addr); err != nil {
-				return fail(err)
+				return nil, g.fail(err)
 			}
 			members = append(members, NodeID(peer))
 		}
 	}
-	reg := membership.NewRegistry(members...)
-
-	n := &Node{
-		id:     NodeID(id),
-		fabric: fabric,
-		ep:     ep,
-		reg:    reg,
-		hub:    newStreamHub(),
-		done:   make(chan struct{}),
-	}
-	obs = newGroupObservability(cfg.Observability)
-	n.obs = obs
-	obs.attachLinks(ep)
-
-	deliver := func(ev Event) {
-		d := Delivery{Node: n.id, Event: ev}
-		n.hub.publish(d)
-		if o.deliver != nil {
-			o.deliver(d)
-		}
-	}
-	// Detector verdicts maintain the node's own gossip target set:
-	// confirmed members stop receiving fanout, members that prove alive
-	// again are re-admitted.
-	onMembership := func(peer gossip.NodeID, status gossip.MemberStatus) {
-		switch status {
-		case gossip.MemberConfirmed:
-			reg.Remove(peer)
-		case gossip.MemberAlive:
-			reg.Add(peer)
-		}
-		if o.onMember != nil {
-			o.onMember(n.id, peer, status)
-		}
-	}
-	node, err := core.NewAdaptiveNode(core.NodeConfig{
-		ID:            n.id,
-		Gossip:        cfg.gossipParams(),
-		Adaptive:      cfg.Adaptive,
-		Core:          cfg.Adaptation,
-		Recovery:      cfg.Recovery.params(),
-		Failure:       cfg.Failure.params(),
-		OnMembership:  onMembership,
-		Peers:         reg,
-		RNG:           rand.New(rand.NewPCG(uint64(seed), uint64(seed)^0xABCDEF)),
-		Deliver:       deliver,
-		Metrics:       obs.node,
-		Tracer:        obs.tracer(),
-		Links:         obs.peers,
-		Health:        cfg.Observability.healthParams(),
-		HealthAugment: healthAugment(ep, fabric),
-		Start:         time.Now(),
-	})
+	m, err := g.newMember(NodeID(id), cfg, membership.NewRegistry(members...),
+		rand.New(rand.NewPCG(uint64(seed), uint64(seed)^0xABCDEF)), uint64(seed)+7)
 	if err != nil {
-		return fail(err)
+		return nil, g.fail(err)
 	}
-	runner, err := runtime.NewRunner(runtime.Config{
-		Node:      node,
-		Transport: ep,
-		Period:    cfg.Period,
-		PhaseSeed: uint64(seed) + 7,
-		Metrics:   obs.runner,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	n.runner = runner
-	if err := obs.bindServer(cfg.Observability.DebugAddr,
-		func() Stats { return n.Stats() }, n.ClusterHealth); err != nil {
-		return fail(err)
+	n := &Node{id: NodeID(id), g: g, m: m}
+	if err := g.obs.bindServer(cfg.Observability.DebugAddr, n.Stats, n.ClusterHealth); err != nil {
+		return nil, g.fail(err)
 	}
 	return n, nil
 }
@@ -179,7 +77,7 @@ func (n *Node) ID() NodeID { return n.id }
 // Addr returns the node's bound wire address (useful with ":0" binds),
 // or "" when the transport has no address to report.
 func (n *Node) Addr() string {
-	if a, ok := n.ep.(udpAddrer); ok {
+	if a, ok := n.g.eps[0].(udpAddrer); ok {
 		return a.Addr().String()
 	}
 	return ""
@@ -193,7 +91,7 @@ func (n *Node) Addr() string {
 // invalid address on a book-keeping transport fails rather than
 // leaving a member unreachable.
 func (n *Node) AddPeer(id, addr string) error {
-	registrar, ok := n.fabric.(PeerRegistrar)
+	registrar, ok := n.g.fabric.(PeerRegistrar)
 	switch {
 	case ok:
 		if err := registrar.Register(NodeID(id), addr); err != nil {
@@ -202,71 +100,31 @@ func (n *Node) AddPeer(id, addr string) error {
 	case addr != "":
 		return fmt.Errorf("adaptivegossip: transport has no address book to register %q with", addr)
 	}
-	n.reg.Add(NodeID(id))
+	n.m.reg.Add(NodeID(id))
 	return nil
 }
 
 // RemovePeer drops a member from the gossip target set.
 func (n *Node) RemovePeer(id string) {
-	n.reg.Remove(NodeID(id))
+	n.m.reg.Remove(NodeID(id))
 }
 
 // Members returns the node's current gossip target set (itself
 // included). With Config.Failure.Enabled, confirmed-crashed members
 // disappear from this list and rejoining members return to it.
 func (n *Node) Members() []NodeID {
-	return n.reg.IDs()
+	return n.m.reg.IDs()
 }
 
 // Start begins gossiping. Cancelling ctx closes the node; a node that
 // has been closed cannot be restarted. Idempotent while open — every
 // context passed to Start is watched, so cancelling any of them closes
 // the node. A transient endpoint failure may be retried.
-func (n *Node) Start(ctx context.Context) error {
-	if ctx == nil {
-		return fmt.Errorf("adaptivegossip: nil context")
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return fmt.Errorf("adaptivegossip: node closed")
-	}
-	if n.started {
-		watchContext(ctx, n.done, n.Close)
-		return nil
-	}
-	if s, ok := n.ep.(starter); ok && !n.epStarted {
-		if err := s.Start(); err != nil {
-			return err
-		}
-	}
-	n.epStarted = true
-	n.runner.Start()
-	n.started = true
-	watchContext(ctx, n.done, n.Close)
-	return nil
-}
+func (n *Node) Start(ctx context.Context) error { return n.g.start(ctx) }
 
 // Close halts gossip, closes the transport and ends every Events
 // stream. Idempotent; later calls return nil.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	close(n.done)
-	n.runner.Stop()
-	err := n.ep.Close()
-	if ferr := n.fabric.Close(); err == nil {
-		err = ferr
-	}
-	n.hub.close()
-	n.obs.close()
-	return err
-}
+func (n *Node) Close() error { return n.g.close() }
 
 // Events returns a stream of this node's deliveries. From
 // subscription onward the stream sees every delivery the WithDeliver
@@ -274,32 +132,26 @@ func (n *Node) Close() error {
 // closed. A subscriber that falls more than DefaultEventStreamBuffer
 // behind loses deliveries (counted in Stats.StreamDropped).
 func (n *Node) Events(ctx context.Context) <-chan Delivery {
-	return n.hub.subscribe(ctx)
+	return n.g.hub.subscribe(ctx)
 }
 
 // Publish broadcasts payload, reporting whether it was admitted by the
 // node's rate allowance.
-func (n *Node) Publish(payload []byte) bool {
-	return n.runner.Publish(payload)
-}
+func (n *Node) Publish(payload []byte) bool { return n.m.publish(payload) }
 
 // SetBufferCapacity resizes the local events buffer at runtime.
 func (n *Node) SetBufferCapacity(capacity int) error {
-	return n.runner.SetBufferCapacity(capacity)
+	return n.m.setBufferCapacity(capacity)
 }
 
 // Snapshot captures the node's protocol state.
-func (n *Node) Snapshot() NodeSnapshot {
-	return n.runner.Snapshot()
-}
+func (n *Node) Snapshot() NodeSnapshot { return n.m.snapshot() }
 
 // Stats returns the unified counter snapshot (Nodes == 1).
 func (n *Node) Stats() Stats {
 	var st Stats
-	st.add(n.runner.Snapshot())
-	st.StreamDropped = n.hub.droppedCount()
-	st.addWire(n.fabric)
-	st.addPeers(n.obs.peers)
+	st.add(n.m.snapshot())
+	n.g.fill(&st)
 	return st
 }
 
@@ -308,26 +160,10 @@ func (n *Node) Stats() Stats {
 // own entry plus one per member it has heard a digest about. Empty
 // unless Config.Observability.HealthDigests is set.
 func (n *Node) ClusterHealth() []MemberHealth {
-	return memberHealthView(n.runner.ClusterHealth())
+	return memberHealthView(n.m.clusterHealth())
 }
 
 // DebugAddr returns the bound address of the debug HTTP listener, or
 // "" when Config.Observability.DebugAddr was empty. Useful with ":0"
 // binds.
-func (n *Node) DebugAddr() string { return n.obs.debugAddr() }
-
-// watchContext closes the group when ctx is cancelled, releasing the
-// watcher when the group closes first.
-func watchContext(ctx context.Context, done <-chan struct{}, closeFn func() error) {
-	stop := ctx.Done()
-	if stop == nil {
-		return
-	}
-	go func() {
-		select {
-		case <-stop:
-			closeFn()
-		case <-done:
-		}
-	}()
-}
+func (n *Node) DebugAddr() string { return n.g.obs.debugAddr() }

@@ -77,6 +77,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 	counter("gossip_confirms_total", func(s Stats) uint64 { return s.Confirms })
 	counter("gossip_stream_dropped_total", func(s Stats) uint64 { return s.StreamDropped })
 	counter("gossip_recv_queue_drops_total", func(s Stats) uint64 { return s.RecvQueueDrops })
+	counter("gossip_inbox_dropped_total", func(s Stats) uint64 { return s.InboxDropped })
 	counter("gossip_wire_sent_total", func(s Stats) uint64 { return s.Wire.Sent })
 	counter("gossip_wire_sent_bytes_total", func(s Stats) uint64 { return s.Wire.SentBytes })
 	counter("gossip_wire_received_total", func(s Stats) uint64 { return s.Wire.Received })

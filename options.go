@@ -53,6 +53,18 @@ func (k facadeKind) String() string {
 	}
 }
 
+// noun names the facade's group in lifecycle errors.
+func (k facadeKind) noun() string {
+	switch k {
+	case facadeNode:
+		return "node"
+	case facadeCluster:
+		return "cluster"
+	default:
+		return "pub/sub group"
+	}
+}
+
 // groupOptions is the option state shared by all three facades.
 type groupOptions struct {
 	kind     facadeKind

@@ -27,124 +27,77 @@ type (
 // mechanism sees. Deliveries carry the Topic in both the WithDeliver
 // callback and the Events stream.
 type PubSub struct {
-	names   []NodeID
-	fabric  Transport
-	eps     []Endpoint
-	runners []*pubsub.Runner
-	hub     *streamHub
-	obs     *groupObservability
+	g     *group
+	names []NodeID
+	peers []*pubsub.Peer // peers[i] is touched only inside g.runners[i].Do
 
-	mu        sync.Mutex
-	started   bool
-	epStarted int // endpoints [0, epStarted) have live receive loops
-	closed    bool
-	done      chan struct{}
-	regs      map[Topic]*membership.Registry
+	mu   sync.Mutex
+	regs map[Topic]*membership.Registry // a topic's members are its subscribers
 }
 
 // NewPubSub builds n peers, each with the given total buffer budget,
 // with the shared option set (WithSeed, WithDeliver, WithTransport,
 // WithNamePrefix). No peer is subscribed to anything initially.
 func NewPubSub(n, bufferBudget int, cfg Config, opts ...Option) (*PubSub, error) {
-	o, oerr := applyOptions(facadePubSub, groupOptions{seed: 1, prefix: "peer-"}, opts)
-	// Any failure from here on closes a handed-over transport: the
-	// group owns it from the moment WithTransport is applied.
-	failEarly := func(err error) (*PubSub, error) {
-		if o.fabric != nil {
-			o.fabric.Close()
-		}
+	g, err := newGroup(facadePubSub, groupOptions{seed: 1, prefix: "peer-"}, opts)
+	if err != nil {
 		return nil, err
 	}
-	if oerr != nil {
-		return failEarly(oerr)
-	}
 	if n < 2 {
-		return failEarly(fmt.Errorf("adaptivegossip: pub/sub group needs at least 2 peers, got %d", n))
+		return nil, g.fail(fmt.Errorf("adaptivegossip: pub/sub group needs at least 2 peers, got %d", n))
 	}
 	cfg = cfg.withDefaults()
 	gp := cfg.gossipParams()
 	gp.MaxEvents = bufferBudget
 	if err := gp.Validate(); err != nil {
-		return failEarly(fmt.Errorf("adaptivegossip: %w", err))
+		return nil, g.fail(fmt.Errorf("adaptivegossip: %w", err))
 	}
-	if o.fabric == nil {
-		fabric, err := NewMemTransport(WithTransportSeed(o.seed + 0x9A9A))
-		if err != nil {
-			return failEarly(err)
-		}
-		o.fabric = fabric
+	gp.MaxEvents = 0 // the budget drives per-topic capacity
+	seed := g.opts.seed
+	if err := g.open(cfg, seed+0x9A9A); err != nil {
+		return nil, g.fail(err)
 	}
-	fabric := o.fabric
-	if err := applyTransportConfig(fabric, cfg.Transport); err != nil {
-		return failEarly(err)
-	}
+
 	c := &PubSub{
-		fabric: fabric,
-		hub:    newStreamHub(),
-		done:   make(chan struct{}),
-		regs:   make(map[Topic]*membership.Registry),
+		g:     g,
+		names: memberNames(g.opts.prefix, n),
+		regs:  make(map[Topic]*membership.Registry),
 	}
-	obs := newGroupObservability(cfg.Observability)
-	c.obs = obs
-	fail := func(err error) (*PubSub, error) {
-		fabric.Close()
-		obs.close()
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		name := NodeID(fmt.Sprintf("%s%02d", o.prefix, i))
-		c.names = append(c.names, name)
-		deliver := func(topic Topic, ev Event) {
-			d := Delivery{Node: name, Topic: topic, Event: ev}
-			c.hub.publish(d)
-			if o.deliver != nil {
-				o.deliver(d)
-			}
+	for i, name := range c.names {
+		ep, err := g.endpoint(name)
+		if err != nil {
+			return nil, g.fail(err)
 		}
-		gpPeer := cfg.gossipParams()
-		gpPeer.MaxEvents = 0 // the budget drives per-topic capacity
 		peer, err := pubsub.NewPeer(pubsub.PeerConfig{
 			ID:           name,
 			BufferBudget: bufferBudget,
-			Gossip:       gpPeer,
+			Gossip:       gp,
 			Adaptive:     cfg.Adaptive,
 			Core:         cfg.Adaptation,
-			RNG:          rand.New(rand.NewPCG(uint64(o.seed), uint64(i)+1)),
-			Deliver:      deliver,
-			Metrics:      obs.node,
-			Tracer:       obs.tracer(),
-			Start:        time.Now(),
+			RNG:          rand.New(rand.NewPCG(uint64(seed), uint64(i)+1)),
+			Deliver: func(topic Topic, ev Event) {
+				g.deliver(Delivery{Node: name, Topic: topic, Event: ev})
+			},
+			Metrics: g.obs.node,
+			Tracer:  g.obs.tracer(),
+			Start:   time.Now(),
 		})
 		if err != nil {
-			return fail(err)
+			return nil, g.fail(err)
 		}
-		ep, err := fabric.Endpoint(name)
-		if err != nil {
-			return fail(err)
+		if _, err := g.run(peer, ep, cfg.Period, uint64(seed)*48271+uint64(i)+1); err != nil {
+			return nil, g.fail(err)
 		}
-		c.eps = append(c.eps, ep)
-		obs.attachLinks(ep)
-		r, err := pubsub.NewRunner(pubsub.RunnerConfig{
-			Peer:      peer,
-			Transport: ep,
-			Period:    cfg.Period,
-			PhaseSeed: uint64(o.seed)*48271 + uint64(i) + 1,
-			Metrics:   obs.runner,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		c.runners = append(c.runners, r)
+		c.peers = append(c.peers, peer)
 	}
-	if err := obs.bindServer(cfg.Observability.DebugAddr,
-		func() Stats { return c.Stats() }, c.ClusterHealth); err != nil {
-		return fail(err)
+	if err := g.obs.bindServer(cfg.Observability.DebugAddr, c.Stats, c.ClusterHealth); err != nil {
+		return nil, g.fail(err)
 	}
 	return c, nil
 }
 
 // Len reports the number of peers.
-func (c *PubSub) Len() int { return len(c.runners) }
+func (c *PubSub) Len() int { return len(c.peers) }
 
 // Peers returns the peer names in index order.
 func (c *PubSub) Peers() []NodeID {
@@ -156,61 +109,11 @@ func (c *PubSub) Peers() []NodeID {
 // passed to Start is watched, so cancelling any of them closes the
 // group. A transient endpoint failure may be retried: already started
 // endpoints are not started twice.
-func (c *PubSub) Start(ctx context.Context) error {
-	if ctx == nil {
-		return fmt.Errorf("adaptivegossip: nil context")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return fmt.Errorf("adaptivegossip: pub/sub group closed")
-	}
-	if c.started {
-		watchContext(ctx, c.done, c.Close)
-		return nil
-	}
-	for ; c.epStarted < len(c.eps); c.epStarted++ {
-		if s, ok := c.eps[c.epStarted].(starter); ok {
-			if err := s.Start(); err != nil {
-				return err
-			}
-		}
-	}
-	for _, r := range c.runners {
-		r.Start()
-	}
-	c.started = true
-	watchContext(ctx, c.done, c.Close)
-	return nil
-}
+func (c *PubSub) Start(ctx context.Context) error { return c.g.start(ctx) }
 
 // Close terminates every peer, the fabric and every Events stream.
 // Idempotent; later calls return nil.
-func (c *PubSub) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.done)
-	for _, r := range c.runners {
-		r.Stop()
-	}
-	var first error
-	for _, ep := range c.eps {
-		if err := ep.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if err := c.fabric.Close(); err != nil && first == nil {
-		first = err
-	}
-	c.hub.close()
-	c.obs.close()
-	return first
-}
+func (c *PubSub) Close() error { return c.g.close() }
 
 // Events returns a stream of every delivery in the group, with Topic
 // set. From subscription onward the stream sees every delivery the
@@ -219,14 +122,18 @@ func (c *PubSub) Close() error {
 // DefaultEventStreamBuffer behind loses deliveries (counted in
 // Stats.StreamDropped).
 func (c *PubSub) Events(ctx context.Context) <-chan Delivery {
-	return c.hub.subscribe(ctx)
+	return c.g.hub.subscribe(ctx)
 }
 
-func (c *PubSub) runner(i int) (*pubsub.Runner, error) {
-	if i < 0 || i >= len(c.runners) {
-		return nil, fmt.Errorf("adaptivegossip: peer index %d out of range [0,%d)", i, len(c.runners))
+// do runs fn on peer i inside the peer's loop and returns its error; it
+// fails when i is out of range or the group is not running.
+func (c *PubSub) do(i int, fn func(p *pubsub.Peer) error) error {
+	if err := checkIndex("peer", i, len(c.peers)); err != nil {
+		return err
 	}
-	return c.runners[i], nil
+	err := errNotRunning
+	c.g.runners[i].Do(func() { err = fn(c.peers[i]) })
+	return err
 }
 
 func (c *PubSub) registry(topic Topic) *membership.Registry {
@@ -243,48 +150,52 @@ func (c *PubSub) registry(topic Topic) *membership.Registry {
 // Subscribe joins peer i to a topic: the peer becomes a gossip target
 // for the topic's other subscribers and re-splits its buffer budget.
 func (c *PubSub) Subscribe(i int, topic Topic) error {
-	r, err := c.runner(i)
-	if err != nil {
-		return err
-	}
-	reg := c.registry(topic)
-	if err := r.Subscribe(topic, reg); err != nil {
-		return err
-	}
-	reg.Add(c.names[i])
-	return nil
+	return c.do(i, func(p *pubsub.Peer) error {
+		reg := c.registry(topic)
+		if err := p.Subscribe(topic, reg); err != nil {
+			return err
+		}
+		reg.Add(c.names[i])
+		return nil
+	})
 }
 
 // Unsubscribe removes peer i from a topic, returning its budget share
 // to the remaining subscriptions.
 func (c *PubSub) Unsubscribe(i int, topic Topic) error {
-	r, err := c.runner(i)
-	if err != nil {
-		return err
-	}
-	if err := r.Unsubscribe(topic); err != nil {
-		return err
-	}
-	c.registry(topic).Remove(c.names[i])
-	return nil
+	return c.do(i, func(p *pubsub.Peer) error {
+		if err := p.Unsubscribe(topic); err != nil {
+			return err
+		}
+		c.registry(topic).Remove(c.names[i])
+		return nil
+	})
 }
 
 // Publish broadcasts payload from peer i on topic, reporting admission.
 func (c *PubSub) Publish(i int, topic Topic, payload []byte) (bool, error) {
-	r, err := c.runner(i)
-	if err != nil {
-		return false, err
-	}
-	return r.Publish(topic, payload)
+	var admitted bool
+	err := c.do(i, func(p *pubsub.Peer) (err error) {
+		_, admitted, err = p.Publish(topic, payload, time.Now())
+		return err
+	})
+	return admitted, err
 }
 
 // State snapshots peer i's subscriptions.
 func (c *PubSub) State(i int) ([]TopicState, error) {
-	r, err := c.runner(i)
-	if err != nil {
+	if err := checkIndex("peer", i, len(c.peers)); err != nil {
 		return nil, err
 	}
-	return r.State(), nil
+	return c.state(i), nil
+}
+
+// state snapshots peer i's subscriptions inside its loop (nil when the
+// group is not running).
+func (c *PubSub) state(i int) []TopicState {
+	var out []TopicState
+	c.g.runners[i].Do(func() { out = c.peers[i].State() })
+	return out
 }
 
 // Stats aggregates the unified counter snapshot across all peers and
@@ -292,8 +203,8 @@ func (c *PubSub) State(i int) ([]TopicState, error) {
 // allowances.
 func (c *PubSub) Stats() Stats {
 	var st Stats
-	for _, r := range c.runners {
-		for _, ts := range r.State() {
+	for i := range c.peers {
+		for _, ts := range c.state(i) {
 			st.addRates(ts.AllowedRate)
 			st.Published += ts.Adaptive.Published
 			st.Delivered += ts.Gossip.Delivered
@@ -302,10 +213,8 @@ func (c *PubSub) Stats() Stats {
 			st.MessagesSent += ts.Gossip.MessagesSent
 		}
 	}
-	st.Nodes = len(c.runners)
-	st.StreamDropped = c.hub.droppedCount()
-	st.addWire(c.fabric)
-	st.addPeers(c.obs.peers)
+	st.Nodes = len(c.peers)
+	c.g.fill(&st)
 	return st
 }
 
@@ -318,4 +227,4 @@ func (c *PubSub) ClusterHealth() []MemberHealth { return nil }
 
 // DebugAddr returns the bound address of the debug HTTP listener, or
 // "" when Config.Observability.DebugAddr was empty.
-func (c *PubSub) DebugAddr() string { return c.obs.debugAddr() }
+func (c *PubSub) DebugAddr() string { return c.g.obs.debugAddr() }

@@ -50,6 +50,11 @@ type Stats struct {
 	// consumers fell behind the wire (UDP fabrics only; see
 	// WithRecvQueue to size the queue).
 	RecvQueueDrops uint64
+	// InboxDropped counts inbound messages discarded because a member's
+	// loop inbox was full — the member's protocol processing (or a
+	// blocking WithDeliver callback) fell behind its endpoint. Summed
+	// over the group's members.
+	InboxDropped uint64
 	// HealthDigestsSent, HealthDigestsReceived and HealthDigestsMerged
 	// count health-digest dissemination activity (zero unless
 	// Config.Observability.HealthDigests).
