@@ -173,6 +173,17 @@ type Message struct {
 	// confirmed transitions) on gossip and probe traffic — the SWIM
 	// dissemination component. Empty when failure detection is off.
 	Updates []MemberUpdate
+
+	// Borrowed marks a message on lease from a transport's receive path
+	// (transport.Inbound): the Message value and its list fields are
+	// reused for the next datagram, and every Event.Payload aliases the
+	// datagram read buffer or decompression scratch, valid only until
+	// the lease is released. A receiver that retains a payload must
+	// clone it first (Node.Receive and the recovery store do, once per
+	// event new to them); node ids are ordinary strings and may be kept.
+	// Never on the wire. Clone clears it; CopyForSend, which shares
+	// payloads, keeps it.
+	Borrowed bool
 }
 
 // BuffCap is one (node, buffer capacity) observation, the unit of the
@@ -221,5 +232,6 @@ func (m *Message) Clone() *Message {
 	for i, e := range c.Events {
 		c.Events[i] = e.Clone()
 	}
+	c.Borrowed = false
 	return c
 }

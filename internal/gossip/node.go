@@ -427,7 +427,9 @@ func (n *Node) traceFirstSends(msg *Message) {
 // Receive processes an incoming gossip message: new events are delivered
 // and buffered, duplicate copies raise stored ages to the maximum seen,
 // and extensions observe the message afterwards (Figure 1 receive block
-// plus the Figure 5 additions).
+// plus the Figure 5 additions). The message is only read, and nothing
+// of it is retained past the call except event payloads — cloned first
+// when the message is Borrowed.
 //
 //gossip:hotpath
 func (n *Node) Receive(msg *Message) {
@@ -449,6 +451,14 @@ func (n *Node) Receive(msg *Message) {
 				n.stats.RedeliveriesAvoid++
 			}
 			continue
+		}
+		if msg.Borrowed {
+			// First sight of the event: take the payload out of the
+			// transport's receive buffer before anything retains it. The
+			// duplicates above — most of what gossip receives — never
+			// get here.
+			//gossip:allocok the one payload copy per delivered event; duplicate copies of an event are dropped above without one
+			ev = ev.Clone()
 		}
 		if n.tracer != nil && n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {
 			n.tracer.Trace(observe.TraceEvent{

@@ -186,6 +186,48 @@ func TestNodeReceiveAllocFree(t *testing.T) {
 	}
 }
 
+// TestReceiveBorrowedAllocsPerNewEvent pins where the receive path's
+// one allocation goes when the message is on lease from a transport: a
+// payload copy per event seen for the first time, none for a message
+// of duplicates — so the copy cost follows deliveries, not the wire's
+// redundancy.
+func TestReceiveBorrowedAllocsPerNewEvent(t *testing.T) {
+	node, _ := steadyNode(t, WithMetrics(&observe.NodeMetrics{}))
+	msg := receiveMessage()
+	msg.Borrowed = true
+	iter := uint64(0)
+	for ; iter < 4; iter++ {
+		rewriteSeqs(msg, iter)
+		node.Receive(msg)
+	}
+	const runs = 100
+	delivered := node.Stats().Delivered
+	allocs := testing.AllocsPerRun(runs, func() {
+		rewriteSeqs(msg, iter)
+		node.Receive(msg)
+		iter++
+	})
+	// AllocsPerRun makes one warm-up call before the counted ones.
+	fresh := float64(node.Stats().Delivered-delivered) / (runs + 1)
+	if fresh < 1 {
+		t.Fatal("the stream delivers nothing new; the bound is vacuous")
+	}
+	if allocs > fresh {
+		t.Fatalf("borrowed Receive allocates %v times for %v first-sight events, want at most one each", allocs, fresh)
+	}
+	if allocs < fresh {
+		t.Fatalf("borrowed Receive allocates %v times for %v first-sight events: some payload was retained without a copy", allocs, fresh)
+	}
+	delivered = node.Stats().Delivered
+	allocs = testing.AllocsPerRun(runs, func() { node.Receive(msg) })
+	if allocs != 0 {
+		t.Fatalf("borrowed Receive of an all-duplicate message allocates %v times, want 0", allocs)
+	}
+	if node.Stats().Delivered != delivered {
+		t.Fatal("the all-duplicate message delivered events")
+	}
+}
+
 func TestBufferAddAllocFree(t *testing.T) {
 	buf, err := NewBuffer(120)
 	if err != nil {

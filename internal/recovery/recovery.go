@@ -156,13 +156,19 @@ func newStore(capacity int) *store {
 func (s *store) len() int { return len(s.entries) }
 
 // add retains ev, evicting the oldest entry when full. It reports
-// whether the event was new and how many entries were evicted.
-func (s *store) add(ev gossip.Event, round uint64) (added bool, evicted int) {
+// whether the event was new and how many entries were evicted. borrowed
+// says ev.Payload aliases a transport receive buffer
+// (gossip.Message.Borrowed): the store then keeps a copy, made only
+// once the event is known to be new to it.
+func (s *store) add(ev gossip.Event, round uint64, borrowed bool) (added bool, evicted int) {
 	if s.capacity <= 0 {
 		return false, 0
 	}
 	if _, ok := s.entries[ev.ID]; ok {
 		return false, 0
+	}
+	if borrowed {
+		ev = ev.Clone()
 	}
 	for len(s.entries) >= s.capacity {
 		s.popOldest()
@@ -270,9 +276,10 @@ func (e *Engine) StoreLen() int { return e.store.len() }
 func (e *Engine) MissingLen() int { return len(e.missing) }
 
 // observe retains an event for retransmission and records its id in
-// the digest source.
-func (e *Engine) observe(ev gossip.Event) {
-	_, evicted := e.store.add(ev, e.round)
+// the digest source. borrowed is the Borrowed flag of the message the
+// event arrived in (false for events out of the node's own buffer).
+func (e *Engine) observe(ev gossip.Event, borrowed bool) {
+	_, evicted := e.store.add(ev, e.round, borrowed)
 	e.stats.StoreEvicted += uint64(evicted)
 	e.digest.Add(ev.ID)
 }
@@ -286,7 +293,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	// The buffer snapshot passes through here every round, which is how
 	// locally-broadcast events (no OnReceive hook) enter the store.
 	for _, ev := range out.Events {
-		e.observe(ev)
+		e.observe(ev, false)
 	}
 	if ids := e.digest.IDs(); len(ids) > 0 {
 		out.Digest = ids
@@ -303,7 +310,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	switch in.Kind {
 	case gossip.KindGossip:
 		for _, ev := range in.Events {
-			e.observe(ev)
+			e.observe(ev, in.Borrowed)
 		}
 		if len(in.Digest) > 0 {
 			e.stats.DigestsReceived++
@@ -319,7 +326,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 				delete(e.missing, ev.ID)
 				e.stats.EventsRecovered++
 			}
-			e.observe(ev)
+			e.observe(ev, in.Borrowed)
 		}
 	}
 }
@@ -329,7 +336,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 // served to a peer that lost every push copy.
 func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
 	for _, ev := range evicted {
-		e.observe(ev)
+		e.observe(ev, false)
 	}
 }
 

@@ -268,7 +268,7 @@ func TestStoreGC(t *testing.T) {
 func TestStoreCapacityBound(t *testing.T) {
 	s := newStore(4)
 	for i := 0; i < 100; i++ {
-		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i))
+		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i), false)
 		if s.len() > 4 {
 			t.Fatalf("store grew to %d, capacity 4", s.len())
 		}
@@ -278,6 +278,34 @@ func TestStoreCapacityBound(t *testing.T) {
 		if _, ok := s.get(gossip.EventID{Origin: "a", Seq: uint64(i)}); !ok {
 			t.Errorf("newest event %d missing from store", i)
 		}
+	}
+}
+
+// TestStoreAddBorrowedAllocFree: the store is one of the two places a
+// received payload is retained, so for an event out of a Borrowed
+// message it keeps a copy — made once, when the event is new to the
+// store, never for the duplicates that are most of what gossip receives.
+func TestStoreAddBorrowedAllocFree(t *testing.T) {
+	s := newStore(8)
+	wire := []byte("payload in the transport's receive buffer")
+	ev := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 1}, Payload: wire}
+	if added, _ := s.add(ev, 1, true); !added {
+		t.Fatal("first add refused")
+	}
+	want := string(wire)
+	for i := range wire {
+		wire[i] = 0xDD // the next datagram lands in the buffer
+	}
+	if got, _ := s.get(ev.ID); string(got.Payload) != want {
+		t.Fatalf("store kept an alias of the receive buffer: %q", got.Payload)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.add(ev, 2, true) }); allocs != 0 {
+		t.Fatalf("re-adding a stored event allocates %v times, want 0", allocs)
+	}
+	owned := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 2}, Payload: []byte("owned")}
+	s.add(owned, 2, false)
+	if got, _ := s.get(owned.ID); &got.Payload[0] != &owned.Payload[0] {
+		t.Fatal("store copied a payload it was told it owns")
 	}
 }
 

@@ -1,0 +1,183 @@
+package runtime
+
+import (
+	"bytes"
+	"encoding/binary"
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/transport"
+)
+
+// checkingMachine is the Machine under the lease tests: Receive verifies
+// that every payload still carries the pattern its event id implies
+// (a buffer recycled under a live lease would not) and can be held shut
+// to back the inbox up.
+type checkingMachine struct {
+	gate     chan struct{} // Receive blocks until closed
+	received atomic.Uint64
+	corrupt  atomic.Uint64
+	borrowed atomic.Uint64
+}
+
+// patternPayload is the payload every test event carries: its sequence
+// number repeated, so a reader can tell any other datagram's bytes.
+func patternPayload(seq uint64) []byte {
+	return bytes.Repeat(binary.BigEndian.AppendUint64(nil, seq), 16)
+}
+
+func (m *checkingMachine) ID() gossip.NodeID                { return "rx" }
+func (m *checkingMachine) Tick(time.Time) []gossip.Outgoing { return nil }
+func (m *checkingMachine) Receive(msg *gossip.Message, _ time.Time) []gossip.Outgoing {
+	<-m.gate
+	m.received.Add(1)
+	if msg.Borrowed {
+		m.borrowed.Add(1)
+	}
+	for _, ev := range msg.Events {
+		if !bytes.Equal(ev.Payload, patternPayload(ev.ID.Seq)) {
+			m.corrupt.Add(1)
+		}
+	}
+	return nil
+}
+
+// TestInboundLeaseUnderOverflowAndClose hammers one UDPTransport →
+// Runner pair through the borrowed receive path: senders blast datagrams
+// while the machine is held shut, so the inbox overflows and the runner
+// releases leases it never processed; then the machine opens and the
+// transport and runner are torn down with traffic still in flight. A
+// lease released twice panics (transport.Inbound.Release), a buffer
+// recycled while its message was still being read shows up as a corrupt
+// payload, and the loops must all exit. Run with -race -count=10.
+func TestInboundLeaseUnderOverflowAndClose(t *testing.T) {
+	before := goruntime.NumGoroutine()
+
+	rx, err := transport.NewUDPTransport("rx", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := &checkingMachine{gate: make(chan struct{})}
+	r, err := NewRunner(Config{Node: machine, Transport: rx, Period: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rx.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+
+	const senders = 3
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var txs []*transport.UDPTransport
+	for s := 0; s < senders; s++ {
+		tx, err := transport.NewUDPTransport(gossip.NodeID([]byte{'t', 'x', byte('0' + s)}), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Register("rx", rx.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for seq := uint64(s) << 32; ; seq += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				msg := &gossip.Message{From: tx.LocalID()}
+				for i := uint64(0); i < 3; i++ {
+					msg.Events = append(msg.Events, gossip.Event{
+						ID: gossip.EventID{Origin: tx.LocalID(), Seq: seq + i}, Payload: patternPayload(seq + i),
+					})
+				}
+				tx.Send("rx", msg) // errors after rx closes are the point of the test
+			}
+		}(s)
+	}
+
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Phase 1: machine shut — the inbox fills and overflows.
+	waitUntil("inbox overflow", func() bool { return r.Stats().InboxDropped > 100 })
+	// Phase 2: machine open — leases are processed and released while
+	// new datagrams keep arriving.
+	close(machine.gate)
+	waitUntil("processed messages", func() bool { return machine.received.Load() > DefaultInboxSize+500 })
+	// Phase 3: tear down mid-traffic, transport and runner at once.
+	var down sync.WaitGroup
+	down.Add(2)
+	go func() { defer down.Done(); rx.Close() }()
+	go func() { defer down.Done(); r.Stop() }()
+	down.Wait()
+	close(stop)
+	wg.Wait()
+	for _, tx := range txs {
+		tx.Close()
+	}
+
+	if n := machine.corrupt.Load(); n != 0 {
+		t.Fatalf("%d payloads were overwritten while their message was on lease", n)
+	}
+	if machine.borrowed.Load() != machine.received.Load() {
+		t.Fatalf("%d of %d messages arrived borrowed; the runner is not on the InboundReceiver path",
+			machine.borrowed.Load(), machine.received.Load())
+	}
+	if st := rx.Stats(); st.DecodeErrors != 0 {
+		t.Fatalf("decode errors on well-formed traffic: %+v", st)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before, %d after teardown:\n%s",
+				before, goruntime.NumGoroutine(), buf[:goruntime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRunnerHandoffAllocFree: queueing a message for the loop and
+// taking it off again — the goroutine hop every received message makes —
+// allocates nothing; the lease travels by value next to the message.
+func TestRunnerHandoffAllocFree(t *testing.T) {
+	net, err := transport.NewMemNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	ep, err := net.Endpoint("rx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	machine := &checkingMachine{gate: make(chan struct{})}
+	close(machine.gate)
+	r, err := NewRunner(Config{Node: machine, Transport: ep, Period: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := &gossip.Message{From: "tx"}
+	allocs := testing.AllocsPerRun(100, func() {
+		r.enqueue(delivery{msg: msg})
+		r.receive(<-r.inbox)
+	})
+	if allocs != 0 {
+		t.Fatalf("the inbox hand-off allocates %v times per message, want 0", allocs)
+	}
+}

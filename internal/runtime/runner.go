@@ -44,7 +44,8 @@ type Config struct {
 	// must not touch it after Start; use Do for serialized access.
 	Node Machine
 	// Transport carries gossip to and from peers. The runner installs
-	// its handler.
+	// its handler — and, on a transport.InboundReceiver, the borrowed
+	// one that replaces it.
 	Transport transport.Transport
 	// Period is the gossip round interval T.
 	Period time.Duration
@@ -74,7 +75,7 @@ type Runner struct {
 	phase   time.Duration
 	metrics *observe.RunnerMetrics // nil = off
 
-	inbox chan *gossip.Message
+	inbox chan delivery
 	cmds  chan func()
 	stop  chan struct{}
 	done  chan struct{}
@@ -91,6 +92,22 @@ type Runner struct {
 	inboxDropped atomic.Uint64
 	sendErrors   atomic.Uint64
 	moved        atomic.Uint64
+}
+
+// delivery is one inbox entry: a message and, when it arrived on the
+// transport's borrowed path, the lease that keeps its memory valid. The
+// lease is released once — after Machine.Receive returns, or at once if
+// the inbox is full. Entries still queued when the loop stops are never
+// released, which only forgoes their reuse.
+type delivery struct {
+	msg   *gossip.Message
+	lease *transport.Inbound
+}
+
+func (d delivery) release() {
+	if d.lease != nil {
+		d.lease.Release()
+	}
 }
 
 // NewRunner wires a runner and installs the transport handler. The
@@ -119,20 +136,26 @@ func NewRunner(cfg Config) (*Runner, error) {
 		period:  cfg.Period,
 		phase:   time.Duration(rng.Int64N(int64(cfg.Period))),
 		metrics: cfg.Metrics,
-		inbox:   make(chan *gossip.Message, DefaultInboxSize),
+		inbox:   make(chan delivery, DefaultInboxSize),
 		cmds:    make(chan func()),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	r.tr.SetHandler(r.enqueue)
+	r.tr.SetHandler(func(msg *gossip.Message) { r.enqueue(delivery{msg: msg}) })
+	if ir, ok := r.tr.(transport.InboundReceiver); ok {
+		ir.SetInboundHandler(func(in *transport.Inbound) {
+			r.enqueue(delivery{msg: in.Message(), lease: in})
+		})
+	}
 	return r, nil
 }
 
-func (r *Runner) enqueue(msg *gossip.Message) {
+func (r *Runner) enqueue(d delivery) {
 	select {
-	case r.inbox <- msg:
+	case r.inbox <- d:
 	default:
 		r.inboxDropped.Add(1)
+		d.release()
 	}
 }
 
@@ -182,8 +205,8 @@ waitPhase:
 			return
 		case <-ticker.C:
 			r.tick()
-		case msg := <-r.inbox:
-			r.receive(msg)
+		case d := <-r.inbox:
+			r.receive(d)
 		case cmd := <-r.cmds:
 			cmd()
 		}
@@ -201,12 +224,15 @@ func (r *Runner) tick() {
 }
 
 // receive processes one inbound message and transmits any recovery
-// control traffic (retransmission responses) it triggered.
+// control traffic (retransmission responses) it triggered, then ends
+// the message's lease: the Machine has copied what it keeps, and the
+// transmit is synchronous (or copied) by the GroupSender contract.
 //
 //gossip:hotpath
-func (r *Runner) receive(msg *gossip.Message) {
+func (r *Runner) receive(d delivery) {
 	now := time.Now()
-	r.send(r.node.Receive(msg, now))
+	r.send(r.node.Receive(d.msg, now))
+	d.release()
 	if r.metrics != nil {
 		r.metrics.ReceiveNanos.ObserveInt(int64(time.Since(now)))
 	}

@@ -498,116 +498,142 @@ func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 
 // Decode parses a message of any supported wire version (5, 4, 3),
 // enforcing the codec limits. The returned message owns all of its
-// memory.
+// memory and may be retained: it is the borrowed parse (decodeInto)
+// into a fresh message and a fresh decompression buffer, with every
+// payload then copied out of data.
 func (c Codec) Decode(data []byte) (*gossip.Message, error) {
-	c = c.limits()
-	r := &reader{data: data}
-	if err := r.need(4); err != nil {
+	m := new(gossip.Message)
+	var scratch []byte
+	if err := c.decodeInto(m, data, nil, &scratch); err != nil {
 		return nil, err
 	}
+	for i := range m.Events {
+		m.Events[i] = m.Events[i].Clone()
+	}
+	m.Borrowed = false
+	return m, nil
+}
+
+// decodeInto is the one parser behind both decode entry points
+// (Decode, Inbound.decode). It overwrites m, reusing the backing arrays
+// of its list fields; reads node ids through ids (nil allocates each);
+// and leaves every Event.Payload aliasing data or — for a compressed
+// event section — *scratch, which is grown as needed. m is marked
+// Borrowed; on error its contents are unspecified.
+func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch *[]byte) error {
+	c = c.limits()
+	r := reader{data: data, ids: ids}
+	if err := r.need(4); err != nil {
+		return err
+	}
 	if data[0] != codecMagic[0] || data[1] != codecMagic[1] || data[2] != codecMagic[2] {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	version := data[3]
 	if version != codecVersion && version != wireV4 && version != wireV3 {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
-	r.off = 4
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
+	if err := r.need(frameHdrBytes); err != nil {
+		return err
+	}
+	flags, kind := data[4], gossip.MessageKind(data[5])
+	r.off = frameHdrBytes
+	if !kind.Valid() {
+		return errMalformed("unknown message kind", uint64(kind))
 	}
 	// Trace context exists only from v4 on; a v3 sender's flag bit 2 is
 	// undefined and ignored.
 	traced := version >= wireV4 && flags&flagTraced != 0
-	m := &gossip.Message{Adaptive: flags&flagAdaptive != 0, Traced: traced}
-	kind, err := r.u8()
-	if err != nil {
-		return nil, err
+	*m = gossip.Message{
+		Kind:     kind,
+		Adaptive: flags&flagAdaptive != 0,
+		Traced:   traced,
+		Borrowed: true,
+		Events:   m.Events[:0],
+		KMin:     m.KMin[:0],
+		Subs:     m.Subs[:0],
+		Unsubs:   m.Unsubs[:0],
+		Digest:   m.Digest[:0],
+		Request:  m.Request[:0],
+		Updates:  m.Updates[:0],
+		Health:   m.Health[:0],
 	}
-	if !gossip.MessageKind(kind).Valid() {
-		return nil, fmt.Errorf("transport: unknown message kind %d", kind)
-	}
-	m.Kind = gossip.MessageKind(kind)
-	if err := c.decodeControlPre(r, m, flags); err != nil {
-		return nil, err
+	if err := c.decodeControlPre(&r, m, flags); err != nil {
+		return err
 	}
 	if version == codecVersion {
-		if err := c.decodeControlPost(r, m, true); err != nil {
-			return nil, err
+		if err := c.decodeControlPost(&r, m, true); err != nil {
+			return err
 		}
-		rows, err := c.readEventSection(r, flags)
+		rows, err := c.readEventSection(&r, flags, scratch)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if r.off != len(data) {
-			return nil, fmt.Errorf("transport: %d trailing bytes", len(data)-r.off)
+			return errMalformed("trailing bytes:", uint64(len(data)-r.off))
 		}
-		if err := c.decodeEventSection(rows, m); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return c.decodeEventSection(rows, m, ids)
 	}
 	// Legacy v4/v3 layout: inline events between the control sections,
 	// health digests (v4 only) last.
-	if err := c.decodeEventsV4(r, m, traced); err != nil {
-		return nil, err
+	if err := c.decodeEventsV4(&r, m, traced); err != nil {
+		return err
 	}
-	if err := c.decodeControlPost(r, m, version == wireV4); err != nil {
-		return nil, err
+	if err := c.decodeControlPost(&r, m, version == wireV4); err != nil {
+		return err
 	}
 	if r.off != len(data) {
-		return nil, fmt.Errorf("transport: %d trailing bytes", len(data)-r.off)
+		return errMalformed("trailing bytes:", uint64(len(data)-r.off))
 	}
-	return m, nil
+	return nil
 }
 
 // readEventSection consumes the v5 event section framing and returns
-// the (decompressed) columnar rows. The advertised raw length is capped
-// both absolutely and relative to the compressed input so a hostile
-// frame cannot turn a small datagram into an unbounded allocation
-// (DEFLATE tops out near 1:1032; anything claiming more is corrupt by
-// definition).
-func (c Codec) readEventSection(r *reader, flags byte) ([]byte, error) {
+// the columnar rows: a subslice of the input for a stored section, the
+// decompressed bytes in *scratch for a compressed one. The advertised
+// raw length is capped both absolutely and relative to the compressed
+// input so a hostile frame cannot turn a small datagram into an
+// unbounded allocation (DEFLATE tops out near 1:1032; anything claiming
+// more is corrupt by definition).
+func (c Codec) readEventSection(r *reader, flags byte, scratch *[]byte) ([]byte, error) {
 	rawLen, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if rawLen > maxEventSectionRaw {
-		return nil, fmt.Errorf("%w: %d-byte event section", ErrTooLarge, rawLen)
+		return nil, errLimit("event section bytes", rawLen)
 	}
 	comp, err := r.u8()
 	if err != nil {
 		return nil, err
 	}
 	if (comp != compressorNone) != (flags&flagCompress != 0) {
-		return nil, fmt.Errorf("transport: compression flag/id mismatch (flag %t, id %d)",
-			flags&flagCompress != 0, comp)
+		return nil, errMalformed("compression flag/id mismatch, compressor id", uint64(comp))
 	}
 	if comp == compressorNone {
-		if err := r.need(int(rawLen)); err != nil {
-			return nil, err
-		}
-		rows := r.data[r.off : r.off+int(rawLen)]
-		r.off += int(rawLen)
-		return rows, nil
+		return r.take(int(rawLen))
 	}
 	wireLen, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if err := r.need(int(wireLen)); err != nil {
+	// A wireLen beyond MaxInt converts negative and fails here, like any
+	// length the input cannot hold.
+	src, err := r.take(int(wireLen))
+	if err != nil {
 		return nil, err
 	}
 	if rawLen > 1040*wireLen+64 {
-		return nil, fmt.Errorf("%w: event section claims %d bytes from %d compressed",
-			ErrTooLarge, rawLen, wireLen)
+		return nil, errLimit("event section bytes claimed from a short compressed section:", rawLen)
 	}
 	d, ok := decompressors[comp]
 	if !ok {
-		return nil, fmt.Errorf("transport: unknown compressor id %d", comp)
+		return nil, errMalformed("unknown compressor id", uint64(comp))
 	}
-	src := r.data[r.off : r.off+int(wireLen)]
-	r.off += int(wireLen)
-	return d.Decompress(make([]byte, 0, rawLen), src, int(rawLen))
+	rows, err := d.Decompress((*scratch)[:0], src, int(rawLen))
+	if err != nil {
+		return nil, err
+	}
+	*scratch = rows
+	return rows, nil
 }

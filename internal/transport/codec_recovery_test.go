@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -272,92 +273,136 @@ func TestCodecQuickRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// FuzzCodecDecode seeds the fuzzer with valid encodings of every kind
-// plus malformed variants; the decoder must never panic and a
-// successful decode must re-encode.
-func FuzzCodecDecode(f *testing.F) {
+// compressedFrame hand-builds a minimal v5 frame whose event section
+// claims to be flate-compressed: rawLen and wireLen as given, body as
+// the section bytes — for envelopes no encoder would write.
+func compressedFrame(tb testing.TB, rawLen, wireLen uint64, body []byte) []byte {
+	tb.Helper()
+	data, err := DefaultCodec().Encode(&gossip.Message{From: "x"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame := append([]byte(nil), data[:len(data)-3]...) // drop the stored empty section
+	frame[4] |= flagCompress
+	frame = binary.AppendUvarint(frame, rawLen)
+	frame = append(frame, compressorFlate)
+	frame = binary.AppendUvarint(frame, wireLen)
+	return append(frame, body...)
+}
+
+// wireLenOverflowFrame is the remote-panic regression input: a ~50-byte
+// frame whose compressed length is MaxInt64, which an `off+n > len`
+// bounds check overflows past.
+func wireLenOverflowFrame(tb testing.TB) []byte {
+	return compressedFrame(tb, 1, 1<<63-1, nil)
+}
+
+// decodeCorpus is every frame shape the decoder accepts or must reject
+// cleanly: valid encodings of every kind and wire version (v5 stored,
+// v5 flate, v4, v3) plus malformed variants of each. It seeds
+// FuzzCodecDecode and drives the borrowed-vs-owning differential test.
+func decodeCorpus(tb testing.TB) [][]byte {
+	tb.Helper()
+	var corpus [][]byte
+	add := func(data []byte) { corpus = append(corpus, data) }
 	c := DefaultCodec()
 	for _, m := range kindSamples() {
 		data, err := c.Encode(m)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(data)
+		add(data)
 		// Malformed seeds: truncated, kind-corrupted, flag-corrupted,
 		// trailing garbage.
-		f.Add(data[:len(data)/2])
+		add(data[:len(data)/2])
 		bad := append([]byte(nil), data...)
 		bad[5] = 0xFF // kind byte
-		f.Add(bad)
+		add(bad)
 		flg := append([]byte(nil), data...)
 		flg[4] ^= 0xFF // flags byte
-		f.Add(flg)
-		f.Add(append(append([]byte(nil), data...), 0xAA))
+		add(flg)
+		add(append(append([]byte(nil), data...), 0xAA))
 	}
 	// Traced (wire v4) seeds: per-event hop counters and health digests
 	// on the wire, plus corrupted variants aimed at the new sections.
 	for _, m := range tracedKindSamples() {
 		data, err := c.Encode(m)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(data)
-		f.Add(data[:len(data)-1]) // truncated inside the health tail
+		add(data)
+		add(data[:len(data)-1]) // truncated inside the health tail
 		tail := append([]byte(nil), data...)
 		tail[len(tail)-9] ^= 0xFF // corrupt a histogram bucket entry
-		f.Add(tail)
+		add(tail)
 	}
-	// Previous-version (v4 and v3) seeds: must still decode.
-	{
-		m := &gossip.Message{From: "v3-sender", Round: 7,
-			Events: []gossip.Event{{ID: gossip.EventID{Origin: "o", Seq: 1}, Age: 2, Payload: []byte("p")}}}
-		c4 := c
-		c4.WireVersion = wireV4
+	// Previous-version (v4 and v3) seeds of every kind: must still
+	// decode. v3 has no trace context or health section.
+	c4 := c
+	c4.WireVersion = wireV4
+	for _, m := range append(kindSamples(), tracedKindSamples()...) {
 		data, err := c4.Encode(m)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(append([]byte(nil), data...))
-		v3 := data[:len(data)-2] // drop the (empty) health section...
-		v3[3] = wireV3           // ...and patch the version byte
-		f.Add(v3)
+		add(data)
+		add(data[:len(data)-3])
 	}
-	// Compressed (v5+flate) seeds: columnar sections compressed on the
-	// wire, plus variants corrupting the compression envelope and the
-	// deflate stream itself.
-	{
-		cz := c
-		cz.Compression = NewFlateCompressor()
-		for _, m := range []*gossip.Message{sampleMessage(), tracedKindSamples()[0]} {
-			data, err := cz.Encode(m)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(append([]byte(nil), data...))
-			f.Add(append([]byte(nil), data[:len(data)-4]...)) // truncated deflate stream
-			bad := append([]byte(nil), data...)
-			bad[len(bad)-1] ^= 0xFF // corrupt the deflate stream tail
-			f.Add(bad)
-			noflag := append([]byte(nil), data...)
-			noflag[4] &^= flagCompress // compressed body, flag cleared
-			f.Add(noflag)
+	for _, m := range kindSamples() {
+		m.Traced, m.Health = false, nil
+		add(encodeV3(tb, c, m))
+	}
+	// Compressed (v5+flate) seeds of every kind: columnar sections
+	// compressed on the wire, plus variants corrupting the compression
+	// envelope and the deflate stream itself.
+	cz := c
+	cz.Compression = NewFlateCompressor()
+	for _, m := range append(kindSamples(), sampleMessage(), tracedKindSamples()[0]) {
+		data, err := cz.Encode(m)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		add(append([]byte(nil), data...))
+		add(append([]byte(nil), data[:len(data)-4]...)) // truncated deflate stream (or stored section)
+		bad := append([]byte(nil), data...)
+		bad[len(bad)-1] ^= 0xFF // corrupt the section tail
+		add(bad)
+		noflag := append([]byte(nil), data...)
+		noflag[4] &^= flagCompress // compressed body, flag cleared
+		add(noflag)
 	}
-	f.Add([]byte{})
-	f.Add([]byte("AGB"))
-	f.Add([]byte{'A', 'G', 'B', 1}) // old version: must be rejected
+	add([]byte{})
+	add([]byte("AGB"))
+	add([]byte{'A', 'G', 'B', 1}) // old version: must be rejected
 	// Spoofed digest count (0xFFFF) in a tiny datagram: the decoder
 	// must fail on truncation without committing large allocations.
-	f.Add([]byte{'A', 'G', 'B', codecVersion, 0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
+	add([]byte{'A', 'G', 'B', codecVersion, 0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
 	// Spoofed health count in a minimal v5 message (the health count is
 	// the 2 bytes before the 3-byte empty event section).
 	if data, err := c.Encode(&gossip.Message{From: "x"}); err == nil {
 		spoof := append([]byte(nil), data[:len(data)-5]...)
 		spoof = append(spoof, 0xFF, 0xFF)
-		f.Add(spoof)
+		add(spoof)
 	}
+	add(wireLenOverflowFrame(tb))
+	return corpus
+}
+
+// FuzzCodecDecode seeds the fuzzer with decodeCorpus. Neither decode
+// entry point may panic; they must accept and reject the same inputs
+// and agree on what they decode (the borrowed result, detached with
+// Clone, equals the owning one); and a successful decode must
+// re-encode. The borrowed side reuses one envelope and one intern table
+// across inputs, as a transport does across datagrams.
+func FuzzCodecDecode(f *testing.F) {
+	c := DefaultCodec()
+	for _, data := range decodeCorpus(f) {
+		f.Add(data)
+	}
+	in, ids := &Inbound{}, newIDTable()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := c.Decode(data)
+		checkBorrowedMatchesOwning(t, c, in, ids, data, m, err)
 		if err != nil {
 			return
 		}

@@ -51,7 +51,7 @@ func TestCodecV4TraceRoundTripAllKinds(t *testing.T) {
 // (empty, 2-byte) health section, so the v3 bytes are recovered
 // exactly — a compatibility oracle that tracks the encoder instead of
 // hand-maintained golden bytes.
-func encodeV3(t *testing.T, c Codec, m *gossip.Message) []byte {
+func encodeV3(t testing.TB, c Codec, m *gossip.Message) []byte {
 	t.Helper()
 	if m.Traced || len(m.Health) > 0 {
 		t.Fatal("encodeV3 needs an untraced, health-free message")

@@ -427,12 +427,12 @@ func FuzzEventSection(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows []byte, traced bool) {
 		c := DefaultCodec()
 		m := &gossip.Message{From: "fuzz", Traced: traced}
-		if err := c.decodeEventSection(rows, m); err != nil {
+		if err := c.decodeEventSection(rows, m, nil); err != nil {
 			return
 		}
 		re := appendEventSection(nil, m)
 		m2 := &gossip.Message{From: "fuzz", Traced: traced}
-		if err := c.decodeEventSection(re, m2); err != nil {
+		if err := c.decodeEventSection(re, m2, nil); err != nil {
 			t.Fatalf("re-encoded section fails decode: %v", err)
 		}
 		if !reflect.DeepEqual(m.Events, m2.Events) {

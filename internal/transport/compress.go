@@ -38,11 +38,36 @@ const (
 	compressorFlate byte = 1
 )
 
-// flateCompressor implements Compressor with stdlib DEFLATE. Writers
-// are pooled (flate.NewWriter allocates ~600 KiB of match tables);
-// readers are cheap enough to construct per call.
+// flateCompressor implements Compressor with stdlib DEFLATE. Both
+// directions are pooled: flate.NewWriter allocates ~600 KiB of match
+// tables, and flate.NewReader a 32 KiB window plus its Huffman tables —
+// per received datagram, that was most of the bytes a compressed group
+// allocated.
 type flateCompressor struct {
 	writers sync.Pool
+	readers sync.Pool
+}
+
+// flateReader is one pooled inflater with the byte source it reads
+// (bytes.Reader is an io.ByteReader, so flate adds no bufio layer).
+type flateReader struct {
+	src   bytes.Reader
+	fr    io.ReadCloser
+	probe [1]byte // end-of-stream read target; a local would escape through the interface call
+}
+
+// reader returns a pooled inflater reset onto src.
+func (f *flateCompressor) reader(src []byte) *flateReader {
+	r, _ := f.readers.Get().(*flateReader)
+	if r == nil {
+		r = &flateReader{}
+		r.fr = flate.NewReader(&r.src)
+	}
+	r.src.Reset(src)
+	// Reset cannot fail for the stdlib inflater; every flate reader is a
+	// Resetter by the package's contract.
+	_ = r.fr.(flate.Resetter).Reset(&r.src, nil)
+	return r
 }
 
 // NewFlateCompressor returns the built-in DEFLATE compressor (wire id
@@ -87,17 +112,18 @@ func (f *flateCompressor) Compress(dst, src []byte) ([]byte, error) {
 }
 
 func (f *flateCompressor) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(src))
-	defer fr.Close()
+	r := f.reader(src)
+	defer f.readers.Put(r)
 	base := len(dst)
+	// Extends in place when dst has the capacity (the compiler elides
+	// the temporary).
 	dst = append(dst, make([]byte, rawLen)...)
-	if _, err := io.ReadFull(fr, dst[base:]); err != nil {
+	if _, err := io.ReadFull(r.fr, dst[base:]); err != nil {
 		return dst[:base], fmt.Errorf("transport: corrupt compressed section: %w", err)
 	}
 	// The stream must end exactly at rawLen: a longer stream means the
 	// advertised raw length lied.
-	var probe [1]byte
-	if n, err := fr.Read(probe[:]); n != 0 || err != io.EOF {
+	if n, err := r.fr.Read(r.probe[:]); n != 0 || err != io.EOF {
 		return dst[:base], fmt.Errorf("transport: compressed section longer than advertised %d bytes", rawLen)
 	}
 	return dst, nil

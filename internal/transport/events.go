@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -105,51 +104,45 @@ func eventSectionSize(m *gossip.Message) int {
 	return n
 }
 
-// decodeEventSection parses the columnar event rows into m.Events,
-// enforcing the codec limits and full validity of every decoded field
-// (a successful decode must re-encode). rows must be exactly the
-// section content; trailing bytes error.
-func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
-	r := &reader{data: rows}
+// decodeEventSection parses the columnar event rows into m.Events
+// (reusing its backing array), enforcing the codec limits and full
+// validity of every decoded field (a successful decode must re-encode).
+// rows must be exactly the section content; trailing bytes error.
+// Origins are interned through ids and every Payload aliases rows.
+func (c Codec) decodeEventSection(rows []byte, m *gossip.Message, ids *idTable) error {
+	r := reader{data: rows, ids: ids}
 	count, err := r.uvarint()
 	if err != nil {
 		return err
 	}
 	if count > uint64(c.MaxEvents) {
-		return fmt.Errorf("%w: %d events", ErrTooLarge, count)
+		return errLimit("events", count)
 	}
-	if count > 0 {
-		// Cap the preallocation by what the remaining input could hold:
-		// each event needs at least 3 bytes of columns (seq, age,
-		// payload length).
-		capN := int(count)
-		if maxN := (len(rows)-r.off)/3 + 1; capN > maxN {
-			capN = maxN
-		}
-		m.Events = make([]gossip.Event, 0, capN)
-	}
+	// Each event needs at least 3 bytes of columns (seq, age, payload
+	// length).
+	m.Events = reserve(m.Events, min(int(count), (len(rows)-r.off)/3+1))
 	for uint64(len(m.Events)) < count {
 		olen, err := r.uvarint()
 		if err != nil {
 			return err
 		}
 		if olen > uint64(c.MaxIDLen) {
-			return fmt.Errorf("%w: origin id %d bytes", ErrTooLarge, olen)
+			return errLimit("origin id bytes", olen)
 		}
-		if err := r.need(int(olen)); err != nil {
+		ob, err := r.take(int(olen))
+		if err != nil {
 			return err
 		}
-		origin := gossip.NodeID(rows[r.off : r.off+int(olen)])
-		r.off += int(olen)
+		origin := gossip.NodeID(ids.intern(ob))
 		runLen, err := r.uvarint()
 		if err != nil {
 			return err
 		}
 		if runLen == 0 {
-			return fmt.Errorf("transport: empty event run")
+			return errEmptyRun
 		}
 		if runLen > count-uint64(len(m.Events)) {
-			return fmt.Errorf("%w: run of %d events", ErrTooLarge, runLen)
+			return errLimit("events in run", runLen)
 		}
 		if runLen > uint64((len(rows)-r.off)/3+1) {
 			return ErrTruncated
@@ -176,14 +169,14 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
 			}
 			if i == 0 {
 				if z > math.MaxInt64 {
-					return fmt.Errorf("%w: event age", ErrTooLarge)
+					return errLimit("event age", z)
 				}
 				age = int64(z)
 			} else {
 				age += unzigzag(z)
 			}
 			if age < 0 {
-				return fmt.Errorf("transport: negative event age %d", age)
+				return errNegativeAge
 			}
 			m.Events[base+i].Age = int(age)
 		}
@@ -194,7 +187,7 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
 					return err
 				}
 				if hop > maxUint16 {
-					return fmt.Errorf("%w: hop count %d", ErrTooLarge, hop)
+					return errLimit("hop count", hop)
 				}
 				m.Events[base+i].Hop = int(hop)
 			}
@@ -205,21 +198,19 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message) error {
 				return err
 			}
 			if plen > uint64(c.MaxPayload) {
-				return fmt.Errorf("%w: payload %d bytes", ErrTooLarge, plen)
+				return errLimit("payload bytes", plen)
 			}
-			if err := r.need(int(plen)); err != nil {
+			payload, err := r.take(int(plen))
+			if err != nil {
 				return err
 			}
 			if plen > 0 {
-				payload := make([]byte, plen)
-				copy(payload, rows[r.off:])
 				m.Events[base+i].Payload = payload
 			}
-			r.off += int(plen)
 		}
 	}
 	if r.off != len(rows) {
-		return fmt.Errorf("transport: %d trailing bytes in event section", len(rows)-r.off)
+		return errMalformed("trailing bytes in event section:", uint64(len(rows)-r.off))
 	}
 	return nil
 }
@@ -261,21 +252,21 @@ func eventsSizeV4(m *gossip.Message) int {
 	return n
 }
 
-// decodeEventsV4 parses the v4 inline event list into m.Events.
+// decodeEventsV4 parses the v4 inline event list into m.Events; like
+// the columnar decoder it interns origins and leaves payloads aliasing
+// the input.
 func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
 	ne, err := r.u32()
 	if err != nil {
 		return err
 	}
 	if int64(ne) > int64(c.MaxEvents) {
-		return fmt.Errorf("%w: %d events", ErrTooLarge, ne)
+		return errLimit("events", uint64(ne))
 	}
-	if ne == 0 {
-		return nil
-	}
-	m.Events = make([]gossip.Event, 0, ne)
+	// ≥18 bytes per event.
+	m.Events = reserve(m.Events, r.boundedCount(int(ne), 18))
 	for i := 0; i < int(ne); i++ {
-		origin, err := r.str(c.MaxIDLen)
+		origin, err := r.id(c.MaxIDLen)
 		if err != nil {
 			return err
 		}
@@ -298,17 +289,15 @@ func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
 			return err
 		}
 		if int64(plen) > int64(c.MaxPayload) {
-			return fmt.Errorf("%w: payload %d bytes", ErrTooLarge, plen)
+			return errLimit("payload bytes", uint64(plen))
 		}
-		if err := r.need(int(plen)); err != nil {
+		payload, err := r.take(int(plen))
+		if err != nil {
 			return err
 		}
-		var payload []byte
-		if plen > 0 {
-			payload = make([]byte, plen)
-			copy(payload, r.data[r.off:])
+		if plen == 0 {
+			payload = nil
 		}
-		r.off += int(plen)
 		m.AppendEvent(gossip.Event{
 			ID:      gossip.EventID{Origin: gossip.NodeID(origin), Seq: seq},
 			Age:     int(age),

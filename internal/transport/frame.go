@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"adaptivegossip/internal/gossip"
@@ -207,17 +208,59 @@ func healthDigestWireSize(d *gossip.HealthDigest) int {
 	return n
 }
 
-// reader is the bounds-checked cursor every decode path shares.
+// reader is the bounds-checked cursor every decode path shares. ids,
+// when non-nil, interns the node ids it reads.
 type reader struct {
 	data []byte
 	off  int
+	ids  *idTable
 }
 
+// Decode rejections format the offending value, which allocates. That
+// is deliberate: a rejected datagram is dropped and counted, so these
+// constructors sit outside the steady-state path the hot-path contract
+// covers.
+
+// Rejections with nothing to format are allocated once.
+var (
+	errVarintOverflow = fmt.Errorf("%w: varint overflow", ErrTooLarge)
+	errEmptyGroup     = errors.New("transport: empty group tag with group flag set")
+	errEmptyRun       = errors.New("transport: empty event run")
+	errNegativeAge    = errors.New("transport: negative event age")
+)
+
+// errLimit reports a field beyond a codec limit.
+//
+//gossip:allocok decode rejection: the datagram is dropped and counted; frames within the limits never get here
+func errLimit(what string, n uint64) error {
+	return fmt.Errorf("%w: %s %d", ErrTooLarge, what, n)
+}
+
+// errMalformed reports a field no encoder writes.
+//
+//gossip:allocok decode rejection: the datagram is dropped and counted; well-formed frames never get here
+func errMalformed(what string, n uint64) error {
+	return fmt.Errorf("transport: %s %d", what, n)
+}
+
+// need reports whether n more bytes are available. The comparison is
+// against the remaining length, never r.off+n, which a hostile length
+// near MaxInt would overflow.
 func (r *reader) need(n int) error {
-	if n < 0 || r.off+n > len(r.data) {
+	if n < 0 || n > len(r.data)-r.off {
 		return ErrTruncated
 	}
 	return nil
+}
+
+// take consumes n bytes, returned as a subslice of the input.
+func (r *reader) take(n int) ([]byte, error) {
+	if err := r.need(n); err != nil {
+		return nil, err
+	}
+	b := r.data[r.off : r.off+n]
+	r.off += n
+	return b, nil
 }
 
 func (r *reader) u8() (byte, error) {
@@ -264,46 +307,65 @@ func (r *reader) uvarint() (uint64, error) {
 		return 0, ErrTruncated
 	}
 	if n < 0 {
-		return 0, fmt.Errorf("%w: varint overflow", ErrTooLarge)
+		return 0, errVarintOverflow
 	}
 	r.off += n
 	return v, nil
 }
 
-func (r *reader) str(maxLen int) (string, error) {
+// id reads one u16-length-prefixed node id (or group tag).
+func (r *reader) id(maxLen int) (string, error) {
 	n, err := r.u16()
 	if err != nil {
 		return "", err
 	}
 	if int(n) > maxLen {
-		return "", fmt.Errorf("%w: id %d bytes", ErrTooLarge, n)
+		return "", errLimit("id bytes", uint64(n))
 	}
-	if err := r.need(int(n)); err != nil {
+	b, err := r.take(int(n))
+	if err != nil {
 		return "", err
 	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
+	return r.ids.intern(b), nil
+}
+
+// reserve returns s emptied, with room for n elements: the reused
+// message's own backing array once it has grown to the working size.
+//
+//gossip:allocok grows a reused list until it fits the traffic, then never again; an owning decode starts from nil lists and pays once per list
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// boundedCount caps a wire-declared element count by what the rest of
+// the input could hold at minBytes per element, so a spoofed count in
+// a small datagram cannot force a large reservation.
+func (r *reader) boundedCount(n, minBytes int) int {
+	if maxN := (len(r.data) - r.off) / minBytes; n > maxN {
+		return maxN
+	}
+	return n
 }
 
 // decodeControlPre parses the leading control fields into m (the
 // counterpart of appendControlPre; the frame header is already
 // consumed and its flags applied to m).
 func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error {
-	from, err := r.str(c.MaxIDLen)
+	from, err := r.id(c.MaxIDLen)
 	if err != nil {
 		return err
 	}
 	m.From = gossip.NodeID(from)
 	if flags&flagGroup != 0 {
-		group, err := r.str(c.MaxIDLen)
-		if err != nil {
+		if m.Group, err = r.id(c.MaxIDLen); err != nil {
 			return err
 		}
-		if group == "" {
-			return fmt.Errorf("transport: empty group tag with group flag set")
+		if m.Group == "" {
+			return errEmptyGroup
 		}
-		m.Group = group
 	}
 	if m.Round, err = r.u64(); err != nil {
 		return err
@@ -322,49 +384,39 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 	if err != nil {
 		return err
 	}
-	if nk > 0 {
-		m.KMin = make([]gossip.BuffCap, 0, nk)
-		for i := 0; i < int(nk); i++ {
-			node, err := r.str(c.MaxIDLen)
-			if err != nil {
-				return err
-			}
-			cp, err := r.u32()
-			if err != nil {
-				return err
-			}
-			m.KMin = append(m.KMin, gossip.BuffCap{Node: gossip.NodeID(node), Cap: int(int32(cp))})
+	// ≥6 bytes per κ-entry, ≥10 per id, ≥11 per update.
+	m.KMin = reserve(m.KMin, r.boundedCount(int(nk), 6))
+	for i := 0; i < int(nk); i++ {
+		node, err := r.id(c.MaxIDLen)
+		if err != nil {
+			return err
 		}
+		cp, err := r.u32()
+		if err != nil {
+			return err
+		}
+		m.KMin = append(m.KMin, gossip.BuffCap{Node: gossip.NodeID(node), Cap: int(int32(cp))})
 	}
-	for _, dst := range []*[]gossip.EventID{&m.Digest, &m.Request} {
+	for _, dst := range [2]*[]gossip.EventID{&m.Digest, &m.Request} {
 		nd, err := r.u16()
 		if err != nil {
 			return err
 		}
-		if nd > 0 {
-			// Cap the preallocation by what the remaining input could
-			// possibly hold (≥10 bytes per id), so a spoofed count in a
-			// tiny datagram cannot force a large allocation.
-			capN := int(nd)
-			if maxN := (len(r.data) - r.off) / 10; capN > maxN {
-				capN = maxN
+		ids := reserve(*dst, r.boundedCount(int(nd), 10))
+		for i := 0; i < int(nd); i++ {
+			origin, err := r.id(c.MaxIDLen)
+			if err != nil {
+				return err
 			}
-			ids := make([]gossip.EventID, 0, capN)
-			for i := 0; i < int(nd); i++ {
-				origin, err := r.str(c.MaxIDLen)
-				if err != nil {
-					return err
-				}
-				seq, err := r.u64()
-				if err != nil {
-					return err
-				}
-				ids = append(ids, gossip.EventID{Origin: gossip.NodeID(origin), Seq: seq})
+			seq, err := r.u64()
+			if err != nil {
+				return err
 			}
-			*dst = ids
+			ids = append(ids, gossip.EventID{Origin: gossip.NodeID(origin), Seq: seq})
 		}
+		*dst = ids
 	}
-	probe, err := r.str(c.MaxIDLen)
+	probe, err := r.id(c.MaxIDLen)
 	if err != nil {
 		return err
 	}
@@ -376,36 +428,28 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 	if err != nil {
 		return err
 	}
-	if nu > 0 {
-		// Preallocation capped by what the remaining input could hold
-		// (≥11 bytes per update), as for the digest lists above.
-		capN := int(nu)
-		if maxN := (len(r.data) - r.off) / 11; capN > maxN {
-			capN = maxN
+	m.Updates = reserve(m.Updates, r.boundedCount(int(nu), 11))
+	for i := 0; i < int(nu); i++ {
+		node, err := r.id(c.MaxIDLen)
+		if err != nil {
+			return err
 		}
-		m.Updates = make([]gossip.MemberUpdate, 0, capN)
-		for i := 0; i < int(nu); i++ {
-			node, err := r.str(c.MaxIDLen)
-			if err != nil {
-				return err
-			}
-			status, err := r.u8()
-			if err != nil {
-				return err
-			}
-			if gossip.MemberStatus(status) > gossip.MemberConfirmed {
-				return fmt.Errorf("transport: unknown member status %d", status)
-			}
-			inc, err := r.u64()
-			if err != nil {
-				return err
-			}
-			m.Updates = append(m.Updates, gossip.MemberUpdate{
-				Node:        gossip.NodeID(node),
-				Status:      gossip.MemberStatus(status),
-				Incarnation: inc,
-			})
+		status, err := r.u8()
+		if err != nil {
+			return err
 		}
+		if gossip.MemberStatus(status) > gossip.MemberConfirmed {
+			return errMalformed("unknown member status", uint64(status))
+		}
+		inc, err := r.u64()
+		if err != nil {
+			return err
+		}
+		m.Updates = append(m.Updates, gossip.MemberUpdate{
+			Node:        gossip.NodeID(node),
+			Status:      gossip.MemberStatus(status),
+			Incarnation: inc,
+		})
 	}
 	return nil
 }
@@ -413,104 +457,95 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 // decodeControlPost parses the trailing control fields (membership and,
 // for wire v4+, the health-digest section) into m.
 func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool) error {
-	for _, dst := range []*[]gossip.NodeID{&m.Subs, &m.Unsubs} {
+	for _, dst := range [2]*[]gossip.NodeID{&m.Subs, &m.Unsubs} {
 		n, err := r.u16()
 		if err != nil {
 			return err
 		}
+		list := reserve(*dst, r.boundedCount(int(n), 2))
 		for i := 0; i < int(n); i++ {
-			s, err := r.str(c.MaxIDLen)
+			s, err := r.id(c.MaxIDLen)
 			if err != nil {
 				return err
 			}
-			*dst = append(*dst, gossip.NodeID(s))
+			list = append(list, gossip.NodeID(s))
 		}
+		*dst = list
 	}
 	if withHealth {
-		var err error
-		if m.Health, err = c.decodeHealth(r); err != nil {
-			return err
-		}
+		return c.decodeHealth(r, m)
 	}
 	return nil
 }
 
-// decodeHealth parses the health-digest section (wire v4+), enforcing
-// the canonical sparse-histogram form so a decoded message re-encodes
-// to identical bytes.
-func (c Codec) decodeHealth(r *reader) ([]gossip.HealthDigest, error) {
+// decodeHealth parses the health-digest section (wire v4+) into
+// m.Health, enforcing the canonical sparse-histogram form so a decoded
+// message re-encodes to identical bytes.
+func (c Codec) decodeHealth(r *reader, m *gossip.Message) error {
 	nh, err := r.u16()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if nh == 0 {
-		return nil, nil
-	}
-	// Preallocation capped by what the remaining input could hold
-	// (≥107 bytes per digest), as for the id lists.
-	capN := int(nh)
-	if maxN := (len(r.data) - r.off) / 107; capN > maxN {
-		capN = maxN
-	}
-	out := make([]gossip.HealthDigest, 0, capN)
+	// ≥107 bytes per digest.
+	m.Health = reserve(m.Health, r.boundedCount(int(nh), 107))
 	for i := 0; i < int(nh); i++ {
-		var d gossip.HealthDigest
-		node, err := r.str(c.MaxIDLen)
+		m.Health = append(m.Health, gossip.HealthDigest{})
+		d := &m.Health[len(m.Health)-1]
+		node, err := r.id(c.MaxIDLen)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.Node = gossip.NodeID(node)
-		for _, dst := range []*uint64{
+		for _, dst := range [...]*uint64{
 			&d.Round, &d.WallMillis,
 			&d.Published, &d.Delivered, &d.DroppedCapacity, &d.DroppedExpired,
 			&d.MessagesSent, &d.MessagesReceived, &d.BytesSent, &d.BytesReceived,
 		} {
 			if *dst, err = r.u64(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		bl, err := r.u32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bc, err := r.u32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d.BufferLen, d.BufferCap = int(int32(bl)), int(int32(bc))
 		if d.DeliverHops.Count, err = r.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		if d.DeliverHops.Sum, err = r.u64(); err != nil {
-			return nil, err
+			return err
 		}
 		nb, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if int(nb) > len(d.DeliverHops.Buckets) {
-			return nil, fmt.Errorf("%w: %d histogram buckets", ErrTooLarge, nb)
+			return errLimit("histogram buckets", uint64(nb))
 		}
 		last := -1
 		for j := 0; j < int(nb); j++ {
 			idx, err := r.u8()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if int(idx) >= len(d.DeliverHops.Buckets) || int(idx) <= last {
-				return nil, fmt.Errorf("transport: bad histogram bucket index %d", idx)
+				return errMalformed("bad histogram bucket index", uint64(idx))
 			}
 			val, err := r.u64()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if val == 0 {
-				return nil, fmt.Errorf("transport: zero histogram bucket encoded")
+				return errMalformed("zero histogram bucket encoded at index", uint64(idx))
 			}
 			d.DeliverHops.Buckets[idx] = val
 			last = int(idx)
 		}
-		out = append(out, d)
 	}
-	return out, nil
+	return nil
 }

@@ -3,7 +3,10 @@ package transport
 import "adaptivegossip/internal/gossip"
 
 // Handler consumes an incoming gossip message. Handlers must be fast or
-// hand off: transports call them from their delivery goroutines.
+// hand off: transports call them from their delivery goroutines. The
+// message is the handler's to keep — it may queue it, retain it and
+// read it from another goroutine later. (Drivers that do not need that
+// take the borrowed path instead; see InboundReceiver.)
 type Handler func(*gossip.Message)
 
 // Transport moves gossip messages between nodes. Implementations:

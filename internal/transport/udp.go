@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,19 +63,14 @@ type UDPStats struct {
 }
 
 // udpConn is the socket surface the transport uses, satisfied by
-// *net.UDPConn; tests inject failing implementations.
+// *net.UDPConn; tests inject failing implementations. Reads go through
+// the AddrPort form: behind an interface ReadFromUDP heap-allocates a
+// *net.UDPAddr per datagram for a source address the loop discards.
 type udpConn interface {
-	ReadFromUDP(b []byte) (int, *net.UDPAddr, error)
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
 	WriteToUDP(b []byte, addr *net.UDPAddr) (int, error)
 	LocalAddr() net.Addr
 	Close() error
-}
-
-// recvPacket is one queued datagram: a pooled buffer and the number of
-// bytes the read filled in.
-type recvPacket struct {
-	buf *[]byte
-	n   int
 }
 
 // sendBufPool recycles encode buffers across sends: with AppendEncode
@@ -87,15 +83,6 @@ var sendBufPool = sync.Pool{
 	},
 }
 
-// recvBufPool recycles datagram read buffers between the read loop and
-// the dispatch goroutine.
-var recvBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 1<<16)
-		return &b
-	},
-}
-
 // UDPTransport carries gossip messages as UDP datagrams — the role the
 // Ethernet LAN plays in the paper's prototype experiments. Peers are
 // registered explicitly in an address book (the examples and cmd tools
@@ -104,16 +91,21 @@ var recvBufPool = sync.Pool{
 // Receives are asynchronous: the read loop only moves datagrams into a
 // bounded dispatch queue, a separate goroutine decodes and runs the
 // handler, and overflow is counted in RecvQueueDrops rather than
-// stalling the socket.
+// stalling the socket. Each datagram is read into a pooled Inbound;
+// with an InboundHandler installed the message is decoded in place and
+// the envelope travels on to the consumer, otherwise the Handler gets
+// an owning Decode and the envelope is recycled at once.
 type UDPTransport struct {
 	id    gossip.NodeID
 	conn  udpConn
 	codec Codec
 	maxDg int
+	ids   *idTable // touched by the dispatch goroutine only
 
 	mu      sync.RWMutex
 	book    map[gossip.NodeID]*net.UDPAddr
 	handler Handler
+	inbound InboundHandler
 
 	lossMu   sync.Mutex
 	lossRate float64
@@ -124,7 +116,7 @@ type UDPTransport struct {
 	// table can be installed after Start without racing the loops.
 	links atomic.Pointer[observe.PeerTable]
 
-	recvQ   chan recvPacket
+	recvQ   chan *Inbound
 	started atomic.Bool
 	closed  atomic.Bool
 	stopCh  chan struct{}
@@ -208,7 +200,7 @@ func WithUDPRecvQueue(depth int) UDPOption {
 		if depth < 1 {
 			return fmt.Errorf("transport: recv queue depth %d must be at least 1", depth)
 		}
-		t.recvQ = make(chan recvPacket, depth)
+		t.recvQ = make(chan *Inbound, depth)
 		return nil
 	}
 }
@@ -238,6 +230,7 @@ func newUDPTransport(id gossip.NodeID, conn udpConn, opts ...UDPOption) (*UDPTra
 		conn:   conn,
 		codec:  DefaultCodec(),
 		maxDg:  DefaultMaxDatagram,
+		ids:    newIDTable(),
 		book:   make(map[gossip.NodeID]*net.UDPAddr),
 		stopCh: make(chan struct{}),
 	}
@@ -248,7 +241,7 @@ func newUDPTransport(id gossip.NodeID, conn udpConn, opts ...UDPOption) (*UDPTra
 		}
 	}
 	if t.recvQ == nil {
-		t.recvQ = make(chan recvPacket, DefaultRecvQueue)
+		t.recvQ = make(chan *Inbound, DefaultRecvQueue)
 	}
 	// Give the codec a stats sink (unless an override codec brought its
 	// own) so the pre-/post-compression byte counters show up in Stats.
@@ -292,10 +285,20 @@ func (t *UDPTransport) peerStats(id gossip.NodeID) *observe.PeerStats {
 	return links.Get(string(id))
 }
 
-// SetHandler installs the receive callback.
+// SetHandler installs the receive callback. The handler owns every
+// message it is given and may retain it.
 func (t *UDPTransport) SetHandler(h Handler) {
 	t.mu.Lock()
 	t.handler = h
+	t.mu.Unlock()
+}
+
+// SetInboundHandler installs the borrowed-receive callback, which from
+// then on is called in place of the SetHandler one; see
+// InboundReceiver.
+func (t *UDPTransport) SetInboundHandler(h InboundHandler) {
+	t.mu.Lock()
+	t.inbound = h
 	t.mu.Unlock()
 }
 
@@ -320,10 +323,10 @@ func (t *UDPTransport) readLoop() {
 	defer close(t.recvQ)
 	backoff := initialReadBackoff
 	for {
-		bp := recvBufPool.Get().(*[]byte)
-		n, _, err := t.conn.ReadFromUDP(*bp)
+		in := leaseInbound()
+		n, _, err := t.conn.ReadFromUDPAddrPort(in.buf)
 		if err != nil {
-			recvBufPool.Put(bp)
+			in.Release()
 			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
@@ -343,11 +346,12 @@ func (t *UDPTransport) readLoop() {
 		backoff = initialReadBackoff
 		t.received.Add(1)
 		t.recvBytes.Add(uint64(n))
+		in.n = n
 		select {
-		case t.recvQ <- recvPacket{buf: bp, n: n}:
+		case t.recvQ <- in:
 		default:
 			t.recvQueueDrops.Add(1)
-			recvBufPool.Put(bp)
+			in.Release()
 		}
 	}
 }
@@ -359,37 +363,54 @@ func (t *UDPTransport) readLoop() {
 // receiving messages into a node being torn down.
 func (t *UDPTransport) dispatchLoop() {
 	defer t.wg.Done()
-	for pkt := range t.recvQ {
+	for in := range t.recvQ {
 		if t.closed.Load() {
 			t.recvQueueDrops.Add(1)
-			recvBufPool.Put(pkt.buf)
+			in.Release()
 			continue
 		}
-		t.dispatch(pkt)
+		t.dispatch(in)
 	}
 }
 
-func (t *UDPTransport) dispatch(pkt recvPacket) {
-	// Decode copies everything it keeps, so the read buffer goes back to
-	// the pool before the handler runs.
-	msg, err := t.codec.Decode((*pkt.buf)[:pkt.n])
-	recvBufPool.Put(pkt.buf)
+// dispatch decodes one datagram and hands it to the consumer. With an
+// InboundHandler the message is decoded in place and the lease passes to
+// the handler; otherwise Decode copies everything the Handler's message
+// keeps, and the envelope is recycled before the handler runs.
+//
+//gossip:hotpath
+func (t *UDPTransport) dispatch(in *Inbound) {
+	t.mu.RLock()
+	h, bh := t.handler, t.inbound
+	t.mu.RUnlock()
+	data := in.buf[:in.n]
+	var msg *gossip.Message
+	var err error
+	if bh != nil {
+		msg, err = in.decode(t.codec, t.ids, data)
+	} else {
+		//gossip:allocok the owning path of SetHandler consumers, who may retain the message; drivers that honour the lease install an InboundHandler
+		msg, err = t.codec.Decode(data)
+	}
 	if err != nil {
 		t.decodeErrors.Add(1)
+		in.Release()
 		return
 	}
 	if ps := t.peerStats(msg.From); ps != nil {
 		ps.MessagesReceived.Inc()
-		ps.BytesReceived.Add(uint64(pkt.n))
+		ps.BytesReceived.Add(uint64(len(data)))
 	}
-	t.mu.RLock()
-	h := t.handler
-	t.mu.RUnlock()
-	if h == nil {
+	switch {
+	case bh != nil:
+		bh(in)
+	case h != nil:
+		in.Release()
+		h(msg)
+	default:
 		t.noHandler.Add(1)
-		return
+		in.Release()
 	}
-	h(msg)
 }
 
 // Send encodes and transmits msg to one peer, splitting into multiple
@@ -578,7 +599,8 @@ func (t *UDPTransport) Close() error {
 func (t *UDPTransport) ScratchSafe() {}
 
 var (
-	_ Transport   = (*UDPTransport)(nil)
-	_ ManySender  = (*UDPTransport)(nil)
-	_ ScratchSafe = (*UDPTransport)(nil)
+	_ Transport       = (*UDPTransport)(nil)
+	_ ManySender      = (*UDPTransport)(nil)
+	_ ScratchSafe     = (*UDPTransport)(nil)
+	_ InboundReceiver = (*UDPTransport)(nil)
 )

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,12 +198,12 @@ type failingConn struct {
 	reads  atomic.Uint64
 }
 
-func (c *failingConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
+func (c *failingConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	c.reads.Add(1)
 	if c.closed.Load() {
-		return 0, nil, net.ErrClosed
+		return 0, netip.AddrPort{}, net.ErrClosed
 	}
-	return 0, nil, errors.New("injected read failure")
+	return 0, netip.AddrPort{}, errors.New("injected read failure")
 }
 
 func (c *failingConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {

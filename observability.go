@@ -83,6 +83,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 	counter("gossip_wire_received_total", func(s Stats) uint64 { return s.Wire.Received })
 	counter("gossip_wire_recv_bytes_total", func(s Stats) uint64 { return s.Wire.RecvBytes })
 	counter("gossip_wire_read_errors_total", func(s Stats) uint64 { return s.Wire.ReadErrors })
+	counter("gossip_wire_decode_errors_total", func(s Stats) uint64 { return s.Wire.DecodeErrors })
 	counter("gossip_wire_split_chunks_total", func(s Stats) uint64 { return s.Wire.SplitChunks })
 	counter("gossip_wire_precompression_bytes_total", func(s Stats) uint64 { return s.Wire.PreCompressionBytes })
 	counter("gossip_wire_postcompression_bytes_total", func(s Stats) uint64 { return s.Wire.PostCompressionBytes })

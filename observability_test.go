@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -33,13 +34,14 @@ func (t *stubWireTransport) WireStats() WireStats { return t.wire }
 
 // TestWireStatsIdenticalAcrossFacades proves the satellite claim: all
 // three facades fold the fabric's wire counters (sent/received
-// messages and bytes, read errors, datagram splits, queue drops) into
+// messages and bytes, read and decode errors, datagram splits, queue
+// drops) into
 // the unified Stats snapshot through the same WireStatser seam, so
 // they report identically for an identical fabric.
 func TestWireStatsIdenticalAcrossFacades(t *testing.T) {
 	want := WireStats{
 		Sent: 101, SentBytes: 20200, Received: 99, RecvBytes: 19800,
-		ReadErrors: 3, SplitChunks: 7, RecvQueueDrops: 5,
+		ReadErrors: 3, DecodeErrors: 11, SplitChunks: 7, RecvQueueDrops: 5,
 	}
 	got := make(map[string]Stats)
 
@@ -71,6 +73,46 @@ func TestWireStatsIdenticalAcrossFacades(t *testing.T) {
 		if st.RecvQueueDrops != want.RecvQueueDrops {
 			t.Errorf("%s facade RecvQueueDrops = %d, want %d", facade, st.RecvQueueDrops, want.RecvQueueDrops)
 		}
+	}
+}
+
+// TestDecodeErrorsReachStats closes the observability hole end to end:
+// a datagram the wire codec rejects at a real UDP socket — here the
+// compressed-length overflow frame that used to panic the dispatch
+// goroutine — is counted in Stats.Wire.DecodeErrors, and the node keeps
+// running.
+func TestDecodeErrorsReachStats(t *testing.T) {
+	node, err := NewNode("victim", fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	if err := node.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// "AGB" v5, compress flag, gossip kind, from "x", zeroed control
+	// fields, then rawLen 1, flate, wireLen MaxInt64.
+	frame := append([]byte{'A', 'G', 'B', 5, 1 << 3, 0, 0, 1, 'x'}, make([]byte, 32)...)
+	frame = append(frame, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
+	for _, datagram := range [][]byte{frame, []byte("not gossip")} {
+		if _, err := conn.Write(datagram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for node.Stats().Wire.DecodeErrors < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Wire.DecodeErrors = %d after two rejected datagrams", node.Stats().Wire.DecodeErrors)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !node.Publish([]byte("still alive")) {
+		t.Fatal("node stopped admitting after the rejected datagrams")
 	}
 }
 

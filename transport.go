@@ -104,6 +104,9 @@ type WireStats struct {
 	RecvBytes uint64
 	// ReadErrors counts failed socket reads.
 	ReadErrors uint64
+	// DecodeErrors counts inbound datagrams the wire codec rejected
+	// (malformed, truncated, over a codec limit) and dropped.
+	DecodeErrors uint64
 	// SplitChunks counts datagram-size splits of oversized messages.
 	SplitChunks uint64
 	// RecvQueueDrops counts inbound messages discarded because the
@@ -545,6 +548,7 @@ func (t *UDPTransport) WireStats() WireStats {
 		Received:             st.Received,
 		RecvBytes:            st.RecvBytes,
 		ReadErrors:           st.ReadErrors,
+		DecodeErrors:         st.DecodeErrors,
 		SplitChunks:          st.SplitChunks,
 		RecvQueueDrops:       st.RecvQueueDrops,
 		PreCompressionBytes:  st.PreCompressionBytes,
