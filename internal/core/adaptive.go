@@ -98,6 +98,11 @@ type AdaptiveNode struct {
 	health   *health.Engine   // nil when health digests are disabled
 	params   Params
 
+	// outs is what Tick and Receive return when a subsystem with control
+	// traffic is on: the substrate's round fanout and the subsystems'
+	// control messages gathered into one reused slice.
+	outs []gossip.Outgoing
+
 	avgTokens float64
 	published uint64
 	throttled uint64
@@ -192,7 +197,9 @@ func (a *AdaptiveNode) Publish(payload []byte, now time.Time) (gossip.Event, boo
 // Tick runs one gossip round at time now: the rate-adaptation step of
 // Figure 5(c) followed by the Figure 1 gossip emission. With recovery
 // enabled, the returned slice also carries this round's anti-entropy
-// pull requests; drivers transmit every entry alike.
+// pull requests; drivers transmit every entry alike. The slice and the
+// messages in it are scratch (gossip.Node.Tick's contract), valid until
+// the next Tick or Receive.
 //
 //gossip:hotpath
 //gossip:scratch
@@ -212,31 +219,45 @@ func (a *AdaptiveNode) Tick(now time.Time) []gossip.Outgoing {
 	if a.adaptor != nil {
 		a.adaptor.onRoundEnd(a.node.Params().MaxAge)
 	}
+	if a.recovery == nil && a.failure == nil {
+		return outs
+	}
+	a.outs = append(a.outs[:0], outs...)
+	return a.withControl()
+}
+
+// withControl appends the subsystems' queued control messages to a.outs
+// and returns it (nil when empty).
+//
+//gossip:scratch
+func (a *AdaptiveNode) withControl() []gossip.Outgoing {
 	if a.recovery != nil {
-		outs = append(outs, a.recovery.TakeOutgoing()...)
+		a.outs = append(a.outs, a.recovery.TakeOutgoing()...)
 	}
 	if a.failure != nil {
-		outs = append(outs, a.failure.TakeOutgoing()...)
+		a.outs = append(a.outs, a.failure.TakeOutgoing()...)
 	}
-	return outs
+	if len(a.outs) == 0 {
+		return nil
+	}
+	return a.outs
 }
 
 // Receive processes an incoming gossip message at time now. The
 // returned messages are subsystem control traffic (recovery
 // retransmission responses, failure-detector acks and relays) that the
 // driver must transmit; it is nil when both subsystems are disabled.
+// Like Tick's, they are scratch, valid until the next Tick or Receive.
 //
 //gossip:hotpath
+//gossip:scratch
 func (a *AdaptiveNode) Receive(msg *gossip.Message, now time.Time) []gossip.Outgoing {
 	a.node.Receive(msg)
-	var outs []gossip.Outgoing
-	if a.recovery != nil {
-		outs = a.recovery.TakeOutgoing()
+	if a.recovery == nil && a.failure == nil {
+		return nil
 	}
-	if a.failure != nil {
-		outs = append(outs, a.failure.TakeOutgoing()...)
-	}
-	return outs
+	a.outs = a.outs[:0]
+	return a.withControl()
 }
 
 // SetBufferCapacity resizes the local events buffer at runtime,

@@ -402,6 +402,7 @@ func Run(cfg Config) (RunResult, error) {
 		}
 		nodes[i] = node
 		network.AttachNode(name, func(m *gossip.Message) []gossip.Outgoing {
+			//gossip:scratchok AttachNode copies every returned message before the fabric holds it
 			return node.Receive(m, sched.Now())
 		})
 	}
@@ -411,7 +412,9 @@ func Run(cfg Config) (RunResult, error) {
 	// (gossip.Node.Tick's lifetime contract), which is safe while
 	// deliveries land before the sender's next tick; with latencies at
 	// or beyond the gossip period the round message must be copied out
-	// of the scratch state once per round.
+	// of the scratch state once per round. Subsystem control messages
+	// (recovery pulls, probes) are scratch of a shorter life — until the
+	// node next receives — and are always copied.
 	cloneSends := cfg.LatencyMax >= cfg.Period
 
 	// Gossip rounds: each node ticks every Period with a random initial
@@ -430,20 +433,19 @@ func Run(cfg Config) (RunResult, error) {
 			}
 			node := nodes[i]
 			outs := node.Tick(sched.Now())
-			var roundMsg, roundCopy *gossip.Message
-			if cloneSends && len(outs) > 0 {
-				// Only the shared round message is node scratch;
-				// subsystem control messages (recovery pulls, probes)
-				// are freshly allocated each drain and need no copy.
-				roundMsg = outs[0].Msg
-				roundCopy = roundMsg.CopyForSend()
-			}
+			var roundCopy *gossip.Message
 			for _, out := range outs {
 				msg := out.Msg
-				if msg == roundMsg {
+				switch {
+				case msg.Kind != gossip.KindGossip:
+					msg = msg.CopyForSend()
+				case cloneSends:
+					if roundCopy == nil {
+						roundCopy = msg.CopyForSend()
+					}
 					msg = roundCopy
 				}
-				//gossip:scratchok cloneSends substitutes roundCopy above whenever delivery latency can outlive the round
+				//gossip:scratchok control messages are copied above, and so is the round message whenever delivery latency can outlive the round
 				network.Send(names[i], out.To, msg)
 			}
 			if cfg.Adaptive && i < cfg.Senders {

@@ -219,7 +219,12 @@ type Engine struct {
 	self   gossip.NodeID
 	params Params
 	peers  gossip.PeerSampler
-	rng    *rand.Rand
+	// sampleInto is peers' append-style fast path, when it has one, and
+	// candidates the slice it fills: a probe then samples without
+	// allocating. The RNG draws are the same either way.
+	sampleInto gossip.PeerAppender
+	candidates []gossip.NodeID
+	rng        *rand.Rand
 
 	onChange OnChangeFunc
 
@@ -234,6 +239,7 @@ type Engine struct {
 
 	probes     map[gossip.NodeID]*probeState
 	probeOrder []*probeState // insertion order for deterministic sweeps
+	freeProbes []*probeState // swept out of probeOrder, for launchProbe to reuse
 
 	relays []relayEntry
 
@@ -243,9 +249,9 @@ type Engine struct {
 	links *observe.PeerTable
 	now   func() time.Time
 
-	queue   []update
-	pending []gossip.Outgoing
-	stats   Stats
+	queue []update
+	out   gossip.Outbox
+	stats Stats
 }
 
 // NewEngine builds a detector for the node self, sampling probe targets
@@ -265,14 +271,16 @@ func NewEngine(self gossip.NodeID, params Params, peers gossip.PeerSampler, rng 
 	if rng == nil {
 		return nil, fmt.Errorf("failure: rng must not be nil")
 	}
+	sampleInto, _ := peers.(gossip.PeerAppender)
 	return &Engine{
-		self:    self,
-		params:  params,
-		peers:   peers,
-		rng:     rng,
-		now:     time.Now,
-		members: make(map[gossip.NodeID]*memberState),
-		probes:  make(map[gossip.NodeID]*probeState),
+		self:       self,
+		params:     params,
+		peers:      peers,
+		sampleInto: sampleInto,
+		rng:        rng,
+		now:        time.Now,
+		members:    make(map[gossip.NodeID]*memberState),
+		probes:     make(map[gossip.NodeID]*probeState),
 	}, nil
 }
 
@@ -324,7 +332,7 @@ func (e *Engine) Rejoin() {
 	e.probeOrder = nil
 	e.relays = nil
 	e.queue = nil
-	e.pending = nil
+	e.out = gossip.Outbox{}
 	e.incarnation++
 	e.queueUpdate(gossip.MemberUpdate{Node: e.self, Status: gossip.MemberAlive, Incarnation: e.incarnation})
 }
@@ -364,13 +372,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	switch in.Kind {
 	case gossip.KindPing:
 		e.stats.AcksSent++
-		e.send(in.From, &gossip.Message{
-			Kind:     gossip.KindPingAck,
-			From:     e.self,
-			Round:    e.round,
-			Probe:    in.Probe,
-			ProbeSeq: in.ProbeSeq,
-		})
+		e.send(in.From, gossip.KindPingAck, in.Probe, in.ProbeSeq)
 	case gossip.KindPingAck:
 		e.stats.AcksReceived++
 		if in.Probe != "" && in.Probe != e.self {
@@ -392,26 +394,34 @@ func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip
 
 // TakeOutgoing drains the queued probe messages (pings, acks and
 // ping-reqs). Drivers call it after every Tick and Receive and transmit
-// the returned messages.
-func (e *Engine) TakeOutgoing() []gossip.Outgoing {
-	if len(e.pending) == 0 {
-		return nil
-	}
-	out := e.pending
-	e.pending = nil
-	return out
-}
+// the returned messages, which are scratch until the node's next Tick or
+// Receive (gossip.Outbox).
+//
+//gossip:scratch
+func (e *Engine) TakeOutgoing() []gossip.Outgoing { return e.out.Take() }
 
 // send queues one control message, piggybacking rumors on probe kinds
 // (not acks: acks are the latency-critical reply path).
-func (e *Engine) send(to gossip.NodeID, msg *gossip.Message) {
+func (e *Engine) send(to gossip.NodeID, kind gossip.MessageKind, probe gossip.NodeID, seq uint64) {
 	if to == "" || to == e.self {
 		return
 	}
-	if msg.Kind == gossip.KindPing || msg.Kind == gossip.KindPingReq {
+	msg := e.out.Message()
+	msg.Kind, msg.From, msg.Round, msg.Probe, msg.ProbeSeq = kind, e.self, e.round, probe, seq
+	if kind == gossip.KindPing || kind == gossip.KindPingReq {
 		e.attachUpdates(msg)
 	}
-	e.pending = append(e.pending, gossip.Outgoing{To: to, Msg: msg})
+	e.out.Queue(to, msg)
+}
+
+// sample draws up to k peers, into the engine's scratch when the sampler
+// can append.
+func (e *Engine) sample(k int) []gossip.NodeID {
+	if e.sampleInto == nil {
+		return e.peers.SamplePeers(e.self, k, e.rng)
+	}
+	e.candidates = e.sampleInto.AppendPeers(e.candidates[:0], e.self, k, e.rng)
+	return e.candidates
 }
 
 // state returns the member entry, creating an alive one when within the
@@ -453,8 +463,7 @@ func (e *Engine) heardFrom(id gossip.NodeID) {
 func (e *Engine) launchProbe() {
 	// Draw a few candidates so an unlucky sample (already probed,
 	// already confirmed) does not waste the round.
-	candidates := e.peers.SamplePeers(e.self, 3, e.rng)
-	for _, target := range candidates {
+	for _, target := range e.sample(3) {
 		if target == e.self {
 			continue
 		}
@@ -465,33 +474,34 @@ func (e *Engine) launchProbe() {
 			continue
 		}
 		e.nextSeq++
-		p := &probeState{target: target, seq: e.nextSeq, sentAt: e.round}
+		var p *probeState
+		if last := len(e.freeProbes) - 1; last >= 0 {
+			p, e.freeProbes = e.freeProbes[last], e.freeProbes[:last]
+		} else {
+			p = new(probeState)
+		}
+		*p = probeState{target: target, seq: e.nextSeq, sentAt: e.round}
 		if e.links != nil {
 			p.sentWall = e.now()
 		}
 		e.probes[target] = p
 		e.probeOrder = append(e.probeOrder, p)
 		e.stats.ProbesSent++
-		e.send(target, &gossip.Message{
-			Kind:     gossip.KindPing,
-			From:     e.self,
-			Round:    e.round,
-			ProbeSeq: p.seq,
-		})
+		e.send(target, gossip.KindPing, "", p.seq)
 		return
 	}
 }
 
 // sweepProbes advances outstanding probes: direct timeout → indirect
-// phase, indirect timeout → suspect.
+// phase, indirect timeout → suspect. A probe that leaves probeOrder is
+// in no other structure any more — resolving one removes it from probes
+// — and goes on the free list.
 func (e *Engine) sweepProbes() {
 	live := e.probeOrder[:0]
 	for _, p := range e.probeOrder {
-		if p.done {
+		if cur, ok := e.probes[p.target]; p.done || !ok || cur != p {
+			e.freeProbes = append(e.freeProbes, p) // resolved, or superseded
 			continue
-		}
-		if cur, ok := e.probes[p.target]; !ok || cur != p {
-			continue // superseded
 		}
 		if !p.indirect && e.round-p.sentAt >= uint64(e.params.ProbeTimeoutRounds) {
 			p.indirect = true
@@ -501,6 +511,7 @@ func (e *Engine) sweepProbes() {
 		if p.indirect && e.round-p.indirectAt >= uint64(e.params.IndirectTimeoutRounds) {
 			delete(e.probes, p.target)
 			e.suspect(p.target)
+			e.freeProbes = append(e.freeProbes, p)
 			continue
 		}
 		live = append(live, p)
@@ -514,9 +525,8 @@ func (e *Engine) sendPingReqs(p *probeState) {
 		return
 	}
 	// Sample extra so filtering out the target still leaves k proxies.
-	candidates := e.peers.SamplePeers(e.self, e.params.IndirectProbes+1, e.rng)
 	sent := 0
-	for _, proxy := range candidates {
+	for _, proxy := range e.sample(e.params.IndirectProbes + 1) {
 		if proxy == p.target || proxy == e.self || sent >= e.params.IndirectProbes {
 			continue
 		}
@@ -525,13 +535,7 @@ func (e *Engine) sendPingReqs(p *probeState) {
 		}
 		sent++
 		e.stats.PingReqsSent++
-		e.send(proxy, &gossip.Message{
-			Kind:     gossip.KindPingReq,
-			From:     e.self,
-			Round:    e.round,
-			Probe:    p.target,
-			ProbeSeq: p.seq,
-		})
+		e.send(proxy, gossip.KindPingReq, p.target, p.seq)
 	}
 }
 
@@ -544,13 +548,7 @@ func (e *Engine) handlePingReq(in *gossip.Message) {
 	if subject == e.self {
 		// Degenerate: we are the subject; answer directly.
 		e.stats.AcksSent++
-		e.send(in.From, &gossip.Message{
-			Kind:     gossip.KindPingAck,
-			From:     e.self,
-			Round:    e.round,
-			Probe:    e.self,
-			ProbeSeq: in.ProbeSeq,
-		})
+		e.send(in.From, gossip.KindPingAck, e.self, in.ProbeSeq)
 		return
 	}
 	e.relays = append(e.relays, relayEntry{
@@ -560,12 +558,7 @@ func (e *Engine) handlePingReq(in *gossip.Message) {
 		round:     e.round,
 	})
 	e.stats.ProbesRelayed++
-	e.send(subject, &gossip.Message{
-		Kind:     gossip.KindPing,
-		From:     e.self,
-		Round:    e.round,
-		ProbeSeq: in.ProbeSeq,
-	})
+	e.send(subject, gossip.KindPing, "", in.ProbeSeq)
 }
 
 // forwardRelayedAck forwards a subject's ack to the requester that
@@ -577,13 +570,7 @@ func (e *Engine) forwardRelayedAck(in *gossip.Message) {
 			continue
 		}
 		e.stats.AcksRelayed++
-		e.send(r.requester, &gossip.Message{
-			Kind:     gossip.KindPingAck,
-			From:     e.self,
-			Round:    e.round,
-			Probe:    r.subject,
-			ProbeSeq: r.seq,
-		})
+		e.send(r.requester, gossip.KindPingAck, r.subject, r.seq)
 		e.relays = append(e.relays[:i], e.relays[i+1:]...)
 		return
 	}

@@ -91,11 +91,16 @@ func (c *IDCache) SetCapacity(capacity int) error {
 // recovery subsystem builds its gossip digests from a small IDCache via
 // this accessor.
 func (c *IDCache) IDs() []EventID {
-	out := make([]EventID, 0, c.size)
+	return c.AppendIDs(make([]EventID, 0, c.size))
+}
+
+// AppendIDs appends the remembered identifiers, oldest to newest, to dst:
+// IDs into a slice the caller reuses.
+func (c *IDCache) AppendIDs(dst []EventID) []EventID {
 	for i := 0; i < c.size; i++ {
-		out = append(out, c.ring[(c.head+i)%c.capacity])
+		dst = append(dst, c.ring[(c.head+i)%c.capacity])
 	}
-	return out
+	return dst
 }
 
 // oldest returns the identifiers from oldest to newest. Test helper.

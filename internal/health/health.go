@@ -201,7 +201,9 @@ func (e *Engine) insertOrderLocked(id gossip.NodeID) {
 
 func (e *Engine) refreshSelfLocked(n *gossip.Node) {
 	s := n.Stats()
-	d := gossip.HealthDigest{
+	// Filled in place: a local digest would escape through the augment
+	// callback, some 700 bytes per refresh.
+	e.own = gossip.HealthDigest{
 		Node:             e.self,
 		Round:            n.Round(),
 		WallMillis:       uint64(e.Now().UnixMilli()),
@@ -215,9 +217,8 @@ func (e *Engine) refreshSelfLocked(n *gossip.Node) {
 		BufferCap:        n.BufferCapacity(),
 	}
 	if e.augment != nil {
-		e.augment(&d)
+		e.augment(&e.own)
 	}
-	e.own = d
 	e.ownSet = true
 }
 

@@ -241,8 +241,14 @@ type Engine struct {
 	missing   map[gossip.EventID]*missingEntry
 	missOrder []gossip.EventID // FIFO of advertisement order; may hold stale ids
 
-	pending []gossip.Outgoing
-	stats   Stats
+	// Per-round scratch, reused: the digest piggybacked on the round
+	// message (valid as long as that message is, see gossip.Node.Tick),
+	// and the request messages of the round being built, one per target.
+	digestScratch []gossip.EventID
+	requests      []gossip.Outgoing
+
+	out   gossip.Outbox
+	stats Stats
 }
 
 // NewEngine builds an engine from params (defaults applied).
@@ -295,8 +301,8 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	for _, ev := range out.Events {
 		e.observe(ev, false)
 	}
-	if ids := e.digest.IDs(); len(ids) > 0 {
-		out.Digest = ids
+	if e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0]); len(e.digestScratch) > 0 {
+		out.Digest = e.digestScratch
 		e.stats.DigestsSent++
 	}
 	e.buildRequests(n)
@@ -361,29 +367,25 @@ func (e *Engine) diffDigest(n *gossip.Node, from gossip.NodeID, digest []gossip.
 
 // serveRequest answers a retransmission request from the store.
 func (e *Engine) serveRequest(n *gossip.Node, in *gossip.Message) {
-	var events []gossip.Event
+	var resp *gossip.Message
 	for _, id := range in.Request {
 		ev, ok := e.store.get(id)
 		if !ok {
 			e.stats.EventsUnserved++
 			continue
 		}
-		events = append(events, ev)
+		if resp == nil {
+			resp = e.out.Message()
+			resp.Kind, resp.From, resp.Round = gossip.KindRecoveryResponse, n.ID(), e.round
+		}
+		resp.Events = append(resp.Events, ev)
 	}
-	if len(events) == 0 {
+	if resp == nil {
 		return
 	}
 	e.stats.ResponsesSent++
-	e.stats.EventsServed += uint64(len(events))
-	e.pending = append(e.pending, gossip.Outgoing{
-		To: in.From,
-		Msg: &gossip.Message{
-			Kind:   gossip.KindRecoveryResponse,
-			From:   n.ID(),
-			Round:  e.round,
-			Events: events,
-		},
-	})
+	e.stats.EventsServed += uint64(len(resp.Events))
+	e.out.Queue(in.From, resp)
 }
 
 // buildRequests walks the missing set in advertisement order and queues
@@ -395,12 +397,8 @@ func (e *Engine) buildRequests(n *gossip.Node) {
 		e.compactMissOrder()
 		return
 	}
-	var (
-		budget   = e.params.RequestBudget
-		targets  []gossip.NodeID
-		batches  = make(map[gossip.NodeID][]gossip.EventID)
-		selected int
-	)
+	budget, selected := e.params.RequestBudget, 0
+	e.requests = e.requests[:0]
 	for _, id := range e.missOrder {
 		if selected >= budget {
 			break
@@ -425,27 +423,32 @@ func (e *Engine) buildRequests(n *gossip.Node) {
 			continue // request outstanding, give the response time to arrive
 		}
 		m.lastReq = e.round
-		if _, known := batches[m.source]; !known {
-			targets = append(targets, m.source)
-		}
-		batches[m.source] = append(batches[m.source], id)
+		req := e.requestTo(n, m.source)
+		req.Request = append(req.Request, id)
 		selected++
 	}
 	e.compactMissOrder()
-	for _, target := range targets {
-		ids := batches[target]
+	for _, req := range e.requests {
 		e.stats.RequestsSent++
-		e.stats.IDsRequested += uint64(len(ids))
-		e.pending = append(e.pending, gossip.Outgoing{
-			To: target,
-			Msg: &gossip.Message{
-				Kind:    gossip.KindRecoveryRequest,
-				From:    n.ID(),
-				Round:   e.round,
-				Request: ids,
-			},
-		})
+		e.stats.IDsRequested += uint64(len(req.Msg.Request))
+		e.out.Queue(req.To, req.Msg)
 	}
+}
+
+// requestTo returns this round's request message for target, starting
+// one (in first-use order, which is the order they are sent in) if there
+// is none yet. A round pulls from a handful of advertisers, so a scan
+// beats a map.
+func (e *Engine) requestTo(n *gossip.Node, target gossip.NodeID) *gossip.Message {
+	for _, req := range e.requests {
+		if req.To == target {
+			return req.Msg
+		}
+	}
+	msg := e.out.Message()
+	msg.Kind, msg.From, msg.Round = gossip.KindRecoveryRequest, n.ID(), e.round
+	e.requests = append(e.requests, gossip.Outgoing{To: target, Msg: msg})
+	return msg
 }
 
 // compactMissOrder drops stale order entries once they dominate.
@@ -464,15 +467,11 @@ func (e *Engine) compactMissOrder() {
 
 // TakeOutgoing drains the queued control messages (requests and
 // responses). Drivers call it after every Tick and Receive and transmit
-// the returned messages.
-func (e *Engine) TakeOutgoing() []gossip.Outgoing {
-	if len(e.pending) == 0 {
-		return nil
-	}
-	out := e.pending
-	e.pending = nil
-	return out
-}
+// the returned messages, which are scratch until the node's next Tick or
+// Receive (gossip.Outbox).
+//
+//gossip:scratch
+func (e *Engine) TakeOutgoing() []gossip.Outgoing { return e.out.Take() }
 
 // DiffDigest reports which of the advertised identifiers the node has
 // not seen. It is the read-only core of the receiver-side digest path,

@@ -159,3 +159,27 @@ func TestNetworkUnroutedAndDetach(t *testing.T) {
 		t.Fatalf("Unrouted after detach = %d", n.Stats().Unrouted)
 	}
 }
+
+// TestAttachNodeCopiesReplies: what a node returns from Receive is its
+// scratch, rewritten when it next receives, while the fabric holds a
+// reply until its delivery instant — so AttachNode must copy. Two pings
+// arrive back to back; both acks are produced from one reused message,
+// and both must arrive as sent.
+func TestAttachNodeCopiesReplies(t *testing.T) {
+	s, n := testNet(t, WithLatency(10*time.Millisecond, 10*time.Millisecond))
+	var box gossip.Outbox
+	n.AttachNode("b", func(in *gossip.Message) []gossip.Outgoing {
+		ack := box.Message()
+		ack.Kind, ack.From, ack.ProbeSeq = gossip.KindPingAck, "b", in.ProbeSeq
+		box.Queue(in.From, ack)
+		return box.Take()
+	})
+	var got []uint64
+	n.Attach("a", func(m *gossip.Message) { got = append(got, m.ProbeSeq) })
+	n.Send("a", "b", &gossip.Message{Kind: gossip.KindPing, From: "a", ProbeSeq: 1})
+	n.Send("a", "b", &gossip.Message{Kind: gossip.KindPing, From: "a", ProbeSeq: 2})
+	s.Drain(10)
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("acks arrived with sequence numbers %v, want [1 2]", got)
+	}
+}

@@ -154,10 +154,10 @@ func (c Codec) Encode(m *gossip.Message) ([]byte, error) {
 // buf and returning the extended slice (like append, the result may
 // share backing storage with buf). When buf has at least EncodedSize(m)
 // spare capacity the call performs no allocation — the hot-path
-// contract the UDP transport's pooled send buffers rely on. Configured
-// compression is the exception: it stages the event section through
-// pooled scratch and the compressor's own state (an explicit
-// CPU-and-allocation for bandwidth trade).
+// contract the UDP transport's pooled send buffers rely on. That holds
+// with compression configured too: the event section is staged through
+// pooled scratch and the built-in compressor pools its own state, so
+// the trade is CPU for bandwidth only.
 //
 //gossip:hotpath
 func (c Codec) AppendEncode(buf []byte, m *gossip.Message) ([]byte, error) {
@@ -176,8 +176,11 @@ func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
 	if c.WireVersion == wireV4 {
 		return c.appendEncodeV4(buf, m)
 	}
-	if c.Compression != nil && c.Compression.ID() != compressorNone {
-		//gossip:allocok compression is an opt-in slow path traded against wire bytes; the zero-alloc contract covers the default stored encode
+	// A message without events has a one-byte section (count = 0), which
+	// no compressor shrinks: pings, acks and recovery requests — most of
+	// what an everything-on member sends — take the stored path below and
+	// never touch the compressor.
+	if c.Compression != nil && c.Compression.ID() != compressorNone && len(m.Events) > 0 {
 		return c.appendEncodeCompressed(buf, m)
 	}
 	buf = appendFrame(buf, codecVersion, m)

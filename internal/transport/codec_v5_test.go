@@ -73,12 +73,9 @@ func TestCodecV5DecodesV4(t *testing.T) {
 	}
 }
 
-// TestCodecCompressedStoredFallback: when compression cannot shrink the
-// section (incompressible random payloads), the encoder stores it raw —
-// so EncodedSize stays an exact bound and the compress flag stays
-// clear.
-func TestCodecCompressedStoredFallback(t *testing.T) {
-	cz := flateCodec()
+// incompressibleMessage carries random payloads, which flate cannot
+// shrink.
+func incompressibleMessage() *gossip.Message {
 	rng := rand.New(rand.NewPCG(7, 7))
 	m := &gossip.Message{From: "stored", Round: 3}
 	for i := 0; i < 10; i++ {
@@ -92,6 +89,16 @@ func TestCodecCompressedStoredFallback(t *testing.T) {
 			Payload: payload,
 		})
 	}
+	return m
+}
+
+// TestCodecCompressedStoredFallback: when compression cannot shrink the
+// section (incompressible random payloads), the encoder stores it raw —
+// so EncodedSize stays an exact bound and the compress flag stays
+// clear.
+func TestCodecCompressedStoredFallback(t *testing.T) {
+	cz := flateCodec()
+	m := incompressibleMessage()
 	data, err := cz.Encode(m)
 	if err != nil {
 		t.Fatal(err)
@@ -439,4 +446,82 @@ func FuzzEventSection(f *testing.F) {
 			t.Fatal("event section is not a canonicalization fixed point")
 		}
 	})
+}
+
+// alwaysCompressEncode is the v5 encoder as it was before event-less
+// messages skipped the compressor: every section goes through Compress
+// and is stored only when that did not shrink it. It is the reference
+// the shortcut is held to.
+func alwaysCompressEncode(t *testing.T, c Codec, m *gossip.Message) []byte {
+	t.Helper()
+	buf := appendFrame(nil, codecVersion, m)
+	buf = appendControlPre(buf, m)
+	buf = appendControlPost(buf, m)
+	raw := appendEventSection(nil, m)
+	buf = appendUvarintHelper(buf, uint64(len(raw)))
+	if c.Compression != nil {
+		comp, err := c.Compression.Compress(nil, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(comp)+uvarintLen(uint64(len(comp))) < len(raw) {
+			buf[4] |= flagCompress
+			buf = append(buf, c.Compression.ID())
+			buf = appendUvarintHelper(buf, uint64(len(comp)))
+			return append(buf, comp...)
+		}
+	}
+	buf = append(buf, compressorNone)
+	return append(buf, raw...)
+}
+
+// TestEncodeSkipIsByteIdentical: for every corpus message — each kind,
+// traced or not, with and without events — and both codec
+// configurations, the encoder's frame is the reference's, byte for byte,
+// and the compression counters move by the same amounts. Event-less
+// messages in particular were always stored after a failed attempt; now
+// they are stored without one.
+func TestEncodeSkipIsByteIdentical(t *testing.T) {
+	msgs := append(kindSamples(), tracedKindSamples()...)
+	msgs = append(msgs, sampleMessage(), incompressibleMessage(), textRound(22, 200), benchMessage())
+	n := len(msgs)
+	for _, m := range msgs[:n] {
+		bare := *m
+		bare.Events = nil
+		msgs = append(msgs, &bare)
+	}
+	var eventless, compressed int
+	for _, c := range []Codec{DefaultCodec(), flateCodec()} {
+		for _, m := range msgs {
+			c.Stats = &CodecStats{}
+			got, err := c.Encode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := alwaysCompressEncode(t, c, m)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("kind %v, %d events, compression %t: frame differs from the always-compress reference:\n got %x\nwant %x",
+					m.Kind, len(m.Events), c.Compression != nil, got, want)
+			}
+			raw := uint64(eventSectionSize(m))
+			post := raw
+			if want[4]&flagCompress != 0 {
+				compressed++
+				wire, _ := uvarint(want[compSectionOffset(m)+uvarintLen(raw)+1:])
+				post = wire
+			}
+			if pre, gotPost := c.Stats.PreCompressionBytes.Load(), c.Stats.PostCompressionBytes.Load(); pre != raw || gotPost != post {
+				t.Fatalf("kind %v, %d events: compression counters %d -> %d, want %d -> %d", m.Kind, len(m.Events), pre, gotPost, raw, post)
+			}
+			if len(m.Events) == 0 {
+				eventless++
+				if got[4]&flagCompress != 0 || raw != 1 {
+					t.Fatalf("kind %v without events: compressed = %t, section %d bytes", m.Kind, got[4]&flagCompress != 0, raw)
+				}
+			}
+		}
+	}
+	if eventless < 20 || compressed < 5 {
+		t.Fatalf("only %d event-less and %d compressed frames compared", eventless, compressed)
+	}
 }

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"compress/flate"
 	"fmt"
-	"io"
+	"slices"
 	"sync"
 )
 
@@ -38,36 +37,22 @@ const (
 	compressorFlate byte = 1
 )
 
-// flateCompressor implements Compressor with stdlib DEFLATE. Both
-// directions are pooled: flate.NewWriter allocates ~600 KiB of match
-// tables, and flate.NewReader a 32 KiB window plus its Huffman tables —
-// per received datagram, that was most of the bytes a compressed group
-// allocated.
+// flateCompressor implements Compressor with DEFLATE: compress/flate's
+// writer at its default level, and this package's own one-shot decoder
+// (inflate.go). Writers are pooled — flate.NewWriter allocates ~600 KiB
+// of match tables — together with the io.Writer they write through, so
+// a Compress call allocates nothing. Decompress keeps no state at all:
+// its tables live on the caller's stack for the length of the call.
 type flateCompressor struct {
-	writers sync.Pool
-	readers sync.Pool
+	writers sync.Pool // of *flateWriter
 }
 
-// flateReader is one pooled inflater with the byte source it reads
-// (bytes.Reader is an io.ByteReader, so flate adds no bufio layer).
-type flateReader struct {
-	src   bytes.Reader
-	fr    io.ReadCloser
-	probe [1]byte // end-of-stream read target; a local would escape through the interface call
-}
-
-// reader returns a pooled inflater reset onto src.
-func (f *flateCompressor) reader(src []byte) *flateReader {
-	r, _ := f.readers.Get().(*flateReader)
-	if r == nil {
-		r = &flateReader{}
-		r.fr = flate.NewReader(&r.src)
-	}
-	r.src.Reset(src)
-	// Reset cannot fail for the stdlib inflater; every flate reader is a
-	// Resetter by the package's contract.
-	_ = r.fr.(flate.Resetter).Reset(&r.src, nil)
-	return r
+// flateWriter is one pooled deflater with the append target it writes
+// to; the target lives beside the writer because flate holds it as an
+// io.Writer, which a stack value would escape through.
+type flateWriter struct {
+	out sliceWriter
+	fw  *flate.Writer
 }
 
 // NewFlateCompressor returns the built-in DEFLATE compressor (wire id
@@ -88,43 +73,35 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 }
 
 func (f *flateCompressor) Compress(dst, src []byte) ([]byte, error) {
-	sw := &sliceWriter{buf: dst}
-	fw, _ := f.writers.Get().(*flate.Writer)
-	if fw == nil {
-		var err error
-		fw, err = flate.NewWriter(sw, flate.DefaultCompression)
-		if err != nil {
-			return dst, err
-		}
+	w, _ := f.writers.Get().(*flateWriter)
+	if w == nil {
+		w = &flateWriter{out: sliceWriter{buf: dst}}
+		// NewWriter fails only for a level out of range.
+		w.fw, _ = flate.NewWriter(&w.out, flate.DefaultCompression)
 	} else {
-		fw.Reset(sw)
+		w.out.buf = dst
+		w.fw.Reset(&w.out)
 	}
-	_, werr := fw.Write(src)
-	cerr := fw.Close()
-	f.writers.Put(fw)
+	_, werr := w.fw.Write(src)
+	cerr := w.fw.Close()
+	out := w.out.buf
+	w.out.buf = nil
+	f.writers.Put(w)
 	if werr != nil {
 		return dst, werr
 	}
 	if cerr != nil {
 		return dst, cerr
 	}
-	return sw.buf, nil
+	return out, nil
 }
 
 func (f *flateCompressor) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
-	r := f.reader(src)
-	defer f.readers.Put(r)
 	base := len(dst)
-	// Extends in place when dst has the capacity (the compiler elides
-	// the temporary).
-	dst = append(dst, make([]byte, rawLen)...)
-	if _, err := io.ReadFull(r.fr, dst[base:]); err != nil {
-		return dst[:base], fmt.Errorf("transport: corrupt compressed section: %w", err)
-	}
-	// The stream must end exactly at rawLen: a longer stream means the
-	// advertised raw length lied.
-	if n, err := r.fr.Read(r.probe[:]); n != 0 || err != io.EOF {
-		return dst[:base], fmt.Errorf("transport: compressed section longer than advertised %d bytes", rawLen)
+	dst = slices.Grow(dst, rawLen)[:base+rawLen]
+	var d inflater
+	if err := d.inflate(dst[base:], src); err != nil {
+		return dst[:base], err
 	}
 	return dst, nil
 }

@@ -110,7 +110,9 @@ func redundantRound(events, origins, payloadLen, digestLen int) *gossip.Message 
 // TestDecodeBorrowedAllocFree is the tentpole's contract: once an
 // envelope and the intern table have seen the group's traffic, decoding
 // a datagram allocates nothing — not per event, not per id, not per
-// payload, and (through the pooled inflater) not per compressed section.
+// payload, and not per compressed section: inflate keeps its tables on
+// the stack, so this holds under the race detector too, which makes a
+// sync.Pool forget a quarter of what it is given.
 func TestDecodeBorrowedAllocFree(t *testing.T) {
 	flate := DefaultCodec()
 	flate.Compression = NewFlateCompressor()
@@ -137,7 +139,7 @@ func TestDecodeBorrowedAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if pooled := tc.codec.Compression != nil; allocs != 0 && !(pooled && raceEnabled) {
+			if allocs != 0 {
 				t.Fatalf("steady-state borrowed decode allocates %v times per datagram, want 0", allocs)
 			}
 			if want := tc.msg; !reflect.DeepEqual(got.Clone(), want) {
@@ -362,6 +364,32 @@ func BenchmarkCodecDecodeBorrowed(b *testing.B) {
 	data, err := c.Encode(msg)
 	if err != nil {
 		b.Fatal(err)
+	}
+	in, ids := &Inbound{}, newIDTable()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := in.decode(c, ids, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(data))/float64(len(msg.Events)), "bytes/event")
+}
+
+// BenchmarkCodecDecodeBorrowedFlate is the same entry point on what an
+// everything-on member receives: a flate frame of 22 events x 200 B of
+// text from 16 origins with a 64-id recovery digest, inflated into the
+// envelope's scratch. benchgate holds it to zero allocations too.
+func BenchmarkCodecDecodeBorrowedFlate(b *testing.B) {
+	c := flateCodec()
+	msg := textRound(22, 200)
+	msg.Digest = redundantRound(0, 16, 0, 64).Digest
+	data, err := c.Encode(msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if data[4]&flagCompress == 0 {
+		b.Fatal("frame did not compress")
 	}
 	in, ids := &Inbound{}, newIDTable()
 	b.ReportAllocs()

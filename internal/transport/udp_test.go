@@ -173,3 +173,72 @@ func TestUDPNoHandlerCounted(t *testing.T) {
 	}
 	t.Fatalf("NoHandler not counted: %+v", b.Stats())
 }
+
+// TestUDPCompressionCountersUnchangedBySkip sends one fixed sequence —
+// round messages with events (one large enough to split), pings, acks, a
+// ping-req and a recovery request — through a flate-configured transport
+// and holds Stats to what the always-compress reference encoder gives
+// for the same datagrams: the event-less messages skip the compressor
+// but still add their one section byte to both compression counters, as
+// the stored fallback did, so the reported compression ratio is where it
+// was.
+func TestUDPCompressionCountersUnchangedBySkip(t *testing.T) {
+	const maxDg = 2048
+	a := newUDP(t, "a", WithMaxDatagram(maxDg), WithUDPCompression(NewFlateCompressor()))
+	targets := []gossip.NodeID{"sink-0", "sink-1", "sink-2"}
+	for _, id := range targets {
+		sink := newUDP(t, id) // bound, never started: the datagrams are only counted
+		if err := a.Register(id, sink.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := textRound(60, 200)
+	sequence := append(kindSamples(), textRound(5, 200), incompressibleMessage(), big, redundantRound(0, 16, 0, 64))
+	if a.codec.EncodedSize(big) <= maxDg {
+		t.Fatal("the large round message does not split")
+	}
+
+	var want UDPStats
+	stored, flate := DefaultCodec(), flateCodec()
+	for _, m := range sequence {
+		// Splitting is decided on the stored encoding, so the stored
+		// codec's chunks say which datagrams the message becomes.
+		chunks, err := stored.EncodeChunks(m, maxDg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, chunk := range chunks {
+			part, err := stored.Decode(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := alwaysCompressEncode(t, flate, part)
+			raw := uint64(eventSectionSize(part))
+			post := raw
+			if frame[4]&flagCompress != 0 {
+				post, _ = uvarint(frame[compSectionOffset(part)+uvarintLen(raw)+1:])
+			}
+			want.PreCompressionBytes += raw
+			want.PostCompressionBytes += post
+			want.Sent += uint64(len(targets))
+			want.SentBytes += uint64(len(targets) * len(frame))
+			if i > 0 {
+				want.SplitChunks += uint64(len(targets))
+			}
+		}
+	}
+
+	for _, m := range sequence {
+		if sent, err := a.SendMany(targets, m); err != nil || sent != len(targets) {
+			t.Fatalf("SendMany kind %v: sent %d, %v", m.Kind, sent, err)
+		}
+	}
+	got := a.Stats()
+	if got.Sent != want.Sent || got.SentBytes != want.SentBytes || got.SplitChunks != want.SplitChunks ||
+		got.PreCompressionBytes != want.PreCompressionBytes || got.PostCompressionBytes != want.PostCompressionBytes {
+		t.Fatalf("stats after the sequence:\n got %+v\nwant %+v", got, want)
+	}
+	if want.SplitChunks == 0 || want.PostCompressionBytes >= want.PreCompressionBytes {
+		t.Fatalf("the sequence exercises nothing: %+v", want)
+	}
+}
