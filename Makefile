@@ -40,6 +40,21 @@ bench:
 bench-check:
 	cd bench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
+# The seeded figure outputs are the refactoring oracle: a change that
+# is not meant to alter protocol behaviour must reproduce
+# cmd/gossipsim/testdata/seed1/*.txt byte for byte (~25 s). A PR that
+# changes behaviour on purpose regenerates them and says why. Figure 4
+# (~20 s more) is compared by hand when a PR touches what it sweeps.
+FIGURES ?= 2 9 recovery churn
+.PHONY: figures-check
+figures-check:
+	$(GO) build -o $(CURDIR)/bin/gossipsim ./cmd/gossipsim
+	@for f in $(FIGURES); do \
+		$(CURDIR)/bin/gossipsim -fast -seed 1 -figure $$f \
+			| cmp - cmd/gossipsim/testdata/seed1/$$f.txt || exit 1; \
+		echo "figure $$f: byte-identical"; \
+	done
+
 .PHONY: clean
 clean:
 	rm -rf bin

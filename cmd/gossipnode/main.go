@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"os"
 	"os/signal"
@@ -121,12 +122,13 @@ func run(args []string) error {
 		fmt.Printf("debug listener on http://%s/debug/vars (also /metrics, /debug/pprof/)\n", da)
 	}
 
-	var sender *workload.TimedSender
+	var sender *workload.Sender
 	if *rate > 0 {
-		sender, err = workload.StartTimedSender(workload.SenderConfig{
+		after := func(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
+		sender, err = workload.StartSender(after, workload.SenderConfig{
 			Rate:        *rate,
 			PayloadSize: *payload,
-		}, node.Publish, 1)
+		}, node.Publish, rand.New(rand.NewPCG(1, 2)))
 		if err != nil {
 			return err
 		}

@@ -321,7 +321,10 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 
 // SimulateRealtime runs the same experiment on the goroutine runtime
 // over the in-memory transport — the paper's prototype-validation mode.
-// Durations are wall-clock; scale them down accordingly.
+// Durations are wall-clock; scale them down accordingly. It is the same
+// experiment body as Simulate on a different clock and fabric, so it
+// honours the Crashes, Restarts and Joins schedules and fills every
+// result field but Network, which counts the simulated fabric.
 func SimulateRealtime(cfg SimConfig) (SimResult, error) {
 	return experiments.RunRuntime(cfg)
 }

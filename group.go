@@ -107,7 +107,7 @@ func (g *group) endpoint(name NodeID) (Endpoint, error) {
 
 // run binds a protocol machine to its endpoint: the member's loop,
 // launched by start.
-func (g *group) run(m runtime.Machine, ep Endpoint, period time.Duration, phaseSeed uint64) (*runtime.Runner, error) {
+func (g *group) run(m gossip.Machine, ep Endpoint, period time.Duration, phaseSeed uint64) (*runtime.Runner, error) {
 	r, err := runtime.NewRunner(runtime.Config{
 		Node:      m,
 		Transport: ep,

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"adaptivegossip/internal/core"
@@ -21,7 +22,8 @@ import (
 	"adaptivegossip/internal/workload"
 )
 
-// Config describes one simulated experiment run.
+// Config describes one experiment run. Run executes it in the simulator
+// and RunRuntime in real time; both honour every field.
 type Config struct {
 	// N is the group size (paper: 60).
 	N int
@@ -79,18 +81,17 @@ type Config struct {
 	// choice).
 	Resizes []workload.Resize
 	// Crashes is the failure schedule: listed nodes become unreachable
-	// at the given offsets (simulation runs only). Crashed nodes still
-	// count in the delivery denominator; size assertions accordingly.
+	// at the given offsets. Crashed nodes still count in the delivery
+	// denominator; size assertions accordingly.
 	Crashes []workload.Crash
 	// Joins is the membership-growth schedule: listed nodes stay idle
-	// and unknown until their join offset (simulation runs only). Like
-	// crashed nodes, late joiners count in the delivery denominator
-	// from the start.
+	// and unknown until their join offset. Like crashed nodes, late
+	// joiners count in the delivery denominator from the start.
 	Joins []workload.Join
 	// Restarts is the rejoin schedule: listed crashed nodes come back
-	// up at the given offsets (simulation runs only). A restarted node
-	// resumes ticking and publishing with a fresh detector state, as a
-	// real process restart would.
+	// up at the given offsets. A restarted node resumes ticking and
+	// publishing with a fresh detector state, as a real process restart
+	// would.
 	Restarts []workload.Restart
 	// PerNodeViews gives every node its own membership registry and
 	// disables the omniscient registry maintenance on crash: dead
@@ -277,44 +278,96 @@ type RunResult struct {
 	Hops observe.HistogramSnapshot
 }
 
-// Run executes one simulated experiment.
-func Run(cfg Config) (RunResult, error) {
+// Run executes one simulated experiment: virtual time, the simulated
+// fabric, deterministic per seed.
+func Run(cfg Config) (RunResult, error) { return run(cfg, newVirtualWorld) }
+
+// truth is what detector verdicts are scored against: which members are
+// really down, and since when. Verdicts arrive on member loops, crashes
+// and restarts on the schedule's; in the wall world those are different
+// goroutines, hence the lock.
+type truth struct {
+	mu            sync.Mutex
+	downSince     map[gossip.NodeID]time.Time
+	latencySum    time.Duration // crash → confirm, over confirms of down members
+	latencyN      int
+	falseConfirms uint64 // confirms of members that were up
+}
+
+func (t *truth) setDown(id gossip.NodeID, down bool, now time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if down {
+		t.downSince[id] = now
+	} else {
+		delete(t.downSince, id)
+	}
+}
+
+func (t *truth) down(id gossip.NodeID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, down := t.downSince[id]
+	return down
+}
+
+func (t *truth) confirmed(id gossip.NodeID, now time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if since, down := t.downSince[id]; down {
+		t.latencySum += now.Sub(since)
+		t.latencyN++
+	} else {
+		t.falseConfirms++
+	}
+}
+
+// sampled is an adaptive sender under observation: after every round
+// its allowed rate goes into the run's gauge (the Figure 9(a) series).
+type sampled struct {
+	*core.AdaptiveNode
+	allowed *metrics.GaugeMeter
+}
+
+//gossip:scratch
+func (s sampled) Tick(now time.Time) []gossip.Outgoing {
+	outs := s.AdaptiveNode.Tick(now)
+	s.allowed.Observe(now, s.AllowedRate())
+	return outs
+}
+
+// run is the one experiment body. Everything that differs between a
+// simulated and a real-time run — the clock, the fabric, what drives a
+// member — is behind w; names, views, nodes, load, schedules, samplers,
+// window edges and the result are assembled here, once.
+func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (RunResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return RunResult{}, err
 	}
 
-	epoch := sim.Epoch
-	sched := sim.NewScheduler(epoch)
-	netOpts := []sim.NetworkOption{}
-	if cfg.LatencyMax > 0 {
-		netOpts = append(netOpts, sim.WithLatency(cfg.LatencyMin, cfg.LatencyMax))
+	names := make([]gossip.NodeID, cfg.N)
+	for i := range names {
+		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
 	}
-	if cfg.Loss > 0 {
-		netOpts = append(netOpts, sim.WithLoss(cfg.Loss))
-	}
-	network, err := sim.NewNetwork(sched, sim.NetworkRNG(cfg.Seed), netOpts...)
+	w, err := newWorld(cfg, names)
 	if err != nil {
 		return RunResult{}, err
 	}
+	defer w.close()
+	epoch := w.now()
 
-	names := make([]gossip.NodeID, cfg.N)
-	nameIdx := make(map[gossip.NodeID]int, cfg.N)
-	for i := range names {
-		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
-		nameIdx[names[i]] = i
-	}
 	// Late joiners stay out of the membership (and idle) until their
 	// scheduled join instant.
-	joinAt := make(map[int]time.Duration, len(cfg.Joins))
+	late := make([]bool, cfg.N)
 	for _, j := range cfg.Joins {
 		for _, idx := range j.Nodes {
-			joinAt[idx] = j.At
+			late[idx] = true
 		}
 	}
 	seedMembers := func(r *membership.Registry) {
 		for i, name := range names {
-			if _, late := joinAt[i]; !late {
+			if !late[i] {
 				r.Add(name)
 			}
 		}
@@ -341,50 +394,35 @@ func Run(cfg Config) (RunResult, error) {
 		return RunResult{}, err
 	}
 	allowed := metrics.NewGaugeMeter(epoch, cfg.Bucket)
+	truth := &truth{downSince: make(map[gossip.NodeID]time.Time, cfg.N)}
 
-	// Ground truth for the detector metrics: which nodes are down, and
-	// since when.
-	downNode := make([]bool, cfg.N)
-	downSince := make(map[gossip.NodeID]time.Time, cfg.N)
-	var (
-		latencySum    time.Duration
-		latencyN      int
-		falseConfirms uint64
-	)
-
-	gp := gossip.Params{
-		Fanout:      cfg.Fanout,
-		Period:      cfg.Period,
-		MaxEvents:   cfg.Buffer,
-		MaxEventIDs: cfg.IDCacheMult * cfg.Buffer,
-		MaxAge:      cfg.MaxAge,
-	}
 	nodes := make([]*core.AdaptiveNode, cfg.N)
 	for i := range nodes {
 		name := names[i]
 		ownReg := regs[i]
 		// Detector verdicts: with per-node views the observer maintains
 		// its own registry; either way, confirms are scored against the
-		// ground-truth down set for latency and false positives.
+		// ground truth for latency and false positives.
 		var onMembership failure.OnChangeFunc
 		if cfg.FailureDetection {
 			onMembership = func(id gossip.NodeID, status gossip.MemberStatus) {
 				if status == gossip.MemberConfirmed {
-					if since, isDown := downSince[id]; isDown {
-						latencySum += sched.Now().Sub(since)
-						latencyN++
-					} else {
-						falseConfirms++
-					}
+					truth.confirmed(id, w.now())
 				}
 				if cfg.PerNodeViews {
 					ownReg.ApplyVerdict(id, status)
 				}
 			}
 		}
-		node, err := core.NewAdaptiveNode(core.NodeConfig{
-			ID:           name,
-			Gossip:       gp,
+		nodes[i], err = core.NewAdaptiveNode(core.NodeConfig{
+			ID: name,
+			Gossip: gossip.Params{
+				Fanout:      cfg.Fanout,
+				Period:      cfg.Period,
+				MaxEvents:   cfg.Buffer,
+				MaxEventIDs: cfg.IDCacheMult * cfg.Buffer,
+				MaxAge:      cfg.MaxAge,
+			},
 			Adaptive:     cfg.Adaptive,
 			Core:         cfg.Core,
 			Recovery:     cfg.recoveryParams(),
@@ -393,138 +431,85 @@ func Run(cfg Config) (RunResult, error) {
 			Peers:        ownReg,
 			RNG:          sim.NodeRNG(cfg.Seed, i),
 			Deliver: func(ev gossip.Event) {
-				tracker.DeliverHop(ev.ID, name, sched.Now(), ev.Age)
+				tracker.DeliverHop(ev.ID, name, w.now(), ev.Age)
 			},
 			Start: epoch,
 		})
 		if err != nil {
 			return RunResult{}, err
 		}
-		nodes[i] = node
-		network.AttachNode(name, func(m *gossip.Message) []gossip.Outgoing {
-			//gossip:scratchok AttachNode copies every returned message before the fabric holds it
-			return node.Receive(m, sched.Now())
-		})
 	}
 
-	// The simulated fabric holds a sent message until its delivery
-	// instant. Gossip rounds reuse the sender's scratch message
-	// (gossip.Node.Tick's lifetime contract), which is safe while
-	// deliveries land before the sender's next tick; with latencies at
-	// or beyond the gossip period the round message must be copied out
-	// of the scratch state once per round. Subsystem control messages
-	// (recovery pulls, probes) are scratch of a shorter life — until the
-	// node next receives — and are always copied.
-	cloneSends := cfg.LatencyMax >= cfg.Period
-
-	// Gossip rounds: each node ticks every Period with a random initial
-	// phase so the cluster does not tick in lockstep. Late joiners'
-	// first tick is deferred to their join instant.
-	startTicks := func(i int) {
-		phaseRNG := sim.PhaseRNG(cfg.Seed, i)
-		var tick func()
-		tick = func() {
-			// A crashed process executes nothing: the timer keeps
-			// running so the node resumes at its old phase on restart,
-			// but the state machine is not driven while down.
-			if downNode[i] {
-				sched.After(cfg.Period, tick)
-				return
-			}
-			node := nodes[i]
-			outs := node.Tick(sched.Now())
-			var roundCopy *gossip.Message
-			for _, out := range outs {
-				msg := out.Msg
-				switch {
-				case msg.Kind != gossip.KindGossip:
-					msg = msg.CopyForSend()
-				case cloneSends:
-					if roundCopy == nil {
-						roundCopy = msg.CopyForSend()
-					}
-					msg = roundCopy
-				}
-				//gossip:scratchok control messages are copied above, and so is the round message whenever delivery latency can outlive the round
-				network.Send(names[i], out.To, msg)
-			}
-			if cfg.Adaptive && i < cfg.Senders {
-				allowed.Observe(sched.Now(), node.AllowedRate())
-			}
-			sched.After(cfg.Period, tick)
-		}
-		phase := time.Duration(phaseRNG.Float64() * float64(cfg.Period))
-		sched.After(phase, tick)
-	}
-
-	// Offered load: senders are indexed by node; late-joining senders
-	// are created at join time.
-	senders := make([]*workload.SimSender, cfg.Senders)
-	perSender := cfg.OfferedRate / float64(cfg.Senders)
+	// Offered load: senders are indexed by node.
+	senders := make([]*workload.Sender, cfg.Senders)
 	startSender := func(i int) error {
 		node := nodes[i]
-		sender, err := workload.StartSimSender(sched, workload.SenderConfig{
-			Rate:        perSender,
-			PayloadSize: cfg.PayloadSize,
-			Poisson:     cfg.Poisson,
-		}, func(payload []byte) bool {
-			ev, ok := node.Publish(payload, sched.Now())
+		publish := func(payload []byte) bool {
+			now := w.now()
+			ev, ok := node.Publish(payload, now)
 			if ok {
-				tracker.Broadcast(ev.ID, sched.Now())
+				tracker.Broadcast(ev.ID, now)
 			}
 			return ok
-		}, sim.WorkloadRNG(cfg.Seed, i))
-		if err != nil {
+		}
+		sender, err := workload.StartSender(w.after, workload.SenderConfig{
+			Rate:        cfg.OfferedRate / float64(cfg.Senders),
+			PayloadSize: cfg.PayloadSize,
+			Poisson:     cfg.Poisson,
+		}, w.publisher(i, publish), sim.WorkloadRNG(cfg.Seed, i))
+		senders[i] = sender
+		return err
+	}
+	// startMember sets member i gossiping — a round every Period from a
+	// random phase, so the group does not tick in lockstep — and, if it
+	// is a sender and has no publisher yet, offering load.
+	startMember := func(i int) error {
+		var m gossip.Machine = nodes[i]
+		if cfg.Adaptive && i < cfg.Senders {
+			m = sampled{nodes[i], allowed}
+		}
+		if err := w.start(i, m); err != nil {
 			return err
 		}
-		senders[i] = sender
+		if i < cfg.Senders && senders[i] == nil {
+			return startSender(i)
+		}
 		return nil
 	}
-	for i := 0; i < cfg.N; i++ {
-		if _, late := joinAt[i]; late {
-			continue
-		}
-		startTicks(i)
-		if i < cfg.Senders {
-			if err := startSender(i); err != nil {
+	for i := range nodes {
+		if !late[i] {
+			if err := startMember(i); err != nil {
 				return RunResult{}, err
 			}
 		}
 	}
-
-	// addMemberAll introduces a member to every view (a no-op beyond the
-	// first call in shared-registry mode, where all regs alias one).
-	addMemberAll := func(name gossip.NodeID) {
-		for _, r := range regs {
-			r.Add(name)
+	// Past set-up a start can only fail the way it would have failed
+	// there (same periods, same sender config), so schedule steps panic.
+	must := func(what string, err error) {
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s: %v", what, err))
 		}
 	}
 
-	// Join schedule: at the join instant a node enters the membership,
-	// starts ticking and starts offering load.
+	// Join schedule: at the join instant a node enters every view (one
+	// shared registry aliases them all), starts ticking and starts
+	// offering load.
 	for _, j := range cfg.Joins {
-		j := j
-		sched.At(epoch.Add(j.At), func() {
+		w.after(j.At, func() {
 			for _, idx := range j.Nodes {
-				addMemberAll(names[idx])
-				startTicks(idx)
-				if idx < cfg.Senders && senders[idx] == nil {
-					if err := startSender(idx); err != nil {
-						panic(fmt.Sprintf("experiments: join: %v", err))
-					}
+				for _, r := range regs {
+					r.Add(names[idx])
 				}
+				must("join", startMember(idx))
 			}
 		})
 	}
 
 	// Buffer-resize schedule.
 	for _, r := range cfg.Resizes {
-		r := r
-		sched.At(epoch.Add(r.At), func() {
+		w.after(r.At, func() {
 			for _, idx := range r.Nodes {
-				if err := nodes[idx].SetBufferCapacity(r.Capacity); err != nil {
-					panic(fmt.Sprintf("experiments: resize: %v", err))
-				}
+				w.do(idx, func() { must("resize", nodes[idx].SetBufferCapacity(r.Capacity)) })
 			}
 		})
 	}
@@ -534,16 +519,14 @@ func Run(cfg Config) (RunResult, error) {
 	// omnisciently updated (the paper's model); with PerNodeViews the
 	// dead member lingers in every view until a detector evicts it.
 	for _, cr := range cfg.Crashes {
-		cr := cr
-		sched.At(epoch.Add(cr.At), func() {
+		w.after(cr.At, func() {
 			for _, idx := range cr.Nodes {
-				network.SetDown(names[idx], true)
-				downNode[idx] = true
-				downSince[names[idx]] = sched.Now()
+				w.setDown(idx, true)
+				truth.setDown(names[idx], true, w.now())
 				if !cfg.PerNodeViews {
 					registry.Remove(names[idx])
 				}
-				if idx < len(senders) && senders[idx] != nil {
+				if idx < cfg.Senders && senders[idx] != nil {
 					senders[idx].Stop()
 				}
 			}
@@ -551,44 +534,44 @@ func Run(cfg Config) (RunResult, error) {
 	}
 
 	// Restart schedule: a crashed node comes back as a fresh process —
-	// reachable again, detector state reset with a bumped incarnation,
-	// its own view re-seeded from the static member list, and its
+	// detector state reset with a bumped incarnation, its own view
+	// re-seeded from the static member list, reachable again, and its
 	// publisher resumed.
 	for _, rs := range cfg.Restarts {
-		rs := rs
-		sched.At(epoch.Add(rs.At), func() {
+		w.after(rs.At, func() {
 			for _, idx := range rs.Nodes {
-				if !downNode[idx] {
+				if !truth.down(names[idx]) {
 					continue
 				}
-				network.SetDown(names[idx], false)
-				downNode[idx] = false
-				delete(downSince, names[idx])
-				nodes[idx].FailureRejoin()
+				nodes[idx].FailureRejoin() // nothing drives a down member: no do needed
 				if cfg.PerNodeViews {
 					seedMembers(regs[idx])
 				} else {
 					registry.Add(names[idx])
 				}
+				w.setDown(idx, false)
+				truth.setDown(names[idx], false, w.now())
 				if idx < cfg.Senders {
-					if err := startSender(idx); err != nil {
-						panic(fmt.Sprintf("experiments: restart: %v", err))
-					}
+					must("restart", startSender(idx))
 				}
 			}
 		})
 	}
 
+	// The measurement window.
+	from := epoch.Add(cfg.Warmup)
+	to := from.Add(cfg.Duration)
+
 	// View accuracy: with per-node views, sample each live node's
-	// registry once per bucket inside the measurement window and score
-	// the fraction of non-self entries that point at live members.
+	// registry once per bucket inside the window and score the fraction
+	// of non-self entries that point at live members.
 	var accSum float64
 	var accN int
 	if cfg.PerNodeViews {
 		var sampleAcc func()
 		sampleAcc = func() {
 			for i, r := range regs {
-				if downNode[i] {
+				if truth.down(names[i]) {
 					continue
 				}
 				live, total := 0, 0
@@ -597,7 +580,7 @@ func Run(cfg Config) (RunResult, error) {
 						continue
 					}
 					total++
-					if !downNode[nameIdx[id]] {
+					if !truth.down(id) {
 						live++
 					}
 				}
@@ -606,43 +589,35 @@ func Run(cfg Config) (RunResult, error) {
 					accN++
 				}
 			}
-			if next := sched.Now().Add(cfg.Bucket); next.Before(epoch.Add(cfg.Warmup + cfg.Duration)) {
-				sched.At(next, sampleAcc)
+			if w.now().Add(cfg.Bucket).Before(to) {
+				w.after(cfg.Bucket, sampleAcc)
 			}
 		}
-		sched.At(epoch.Add(cfg.Warmup), sampleAcc)
+		w.after(cfg.Warmup, sampleAcc)
 	}
 
 	// Capture dropped-age counters at the window edges so the measured
 	// average covers exactly the measurement window.
-	from := epoch.Add(cfg.Warmup)
-	to := from.Add(cfg.Duration)
-	var startAgeSum, startDropped uint64
-	sched.At(from, func() {
-		for _, n := range nodes {
-			st := n.GossipStats()
-			startAgeSum += st.DroppedAgeSum
-			startDropped += st.DroppedCapacity
-		}
-	})
-	var endAgeSum, endDropped uint64
-	sched.At(to, func() {
-		for _, n := range nodes {
-			st := n.GossipStats()
-			endAgeSum += st.DroppedAgeSum
-			endDropped += st.DroppedCapacity
-		}
-	})
-
-	end := to.Add(cfg.Drain)
-	sched.RunUntil(end)
-
-	// Senders stop implicitly: the scheduler simply stops executing.
-	for _, s := range senders {
-		if s != nil {
-			s.Stop()
+	captureDropped := func(ageSum, dropped *uint64) func() {
+		return func() {
+			for i, n := range nodes {
+				w.do(i, func() {
+					st := n.GossipStats()
+					*ageSum += st.DroppedAgeSum
+					*dropped += st.DroppedCapacity
+				})
+			}
 		}
 	}
+	var startAgeSum, startDropped, endAgeSum, endDropped uint64
+	w.after(cfg.Warmup, captureDropped(&startAgeSum, &startDropped))
+	w.after(cfg.Warmup+cfg.Duration, captureDropped(&endAgeSum, &endDropped))
+
+	end := to.Add(cfg.Drain)
+	w.runUntil(end)
+	// Nothing runs past this point — the scheduler has stopped, or every
+	// member loop has — so the nodes can be read directly.
+	w.close()
 
 	res := RunResult{
 		Config:      cfg,
@@ -678,15 +653,15 @@ func Run(cfg Config) (RunResult, error) {
 		for _, n := range nodes {
 			res.Failure.Add(n.FailureStats())
 		}
-		if latencyN > 0 {
-			res.DetectionLatencyRounds = latencySum.Seconds() / float64(latencyN) / cfg.Period.Seconds()
+		if truth.latencyN > 0 {
+			res.DetectionLatencyRounds = truth.latencySum.Seconds() / float64(truth.latencyN) / cfg.Period.Seconds()
 		}
-		res.FalseConfirms = falseConfirms
+		res.FalseConfirms = truth.falseConfirms
 	}
 	if accN > 0 {
 		res.ViewAccuracyPct = 100 * accSum / float64(accN)
 	}
-	res.Network = network.Stats()
+	res.Network = w.stats()
 	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Bucket, metrics.DefaultAtomicityThreshold)
 	res.Latency = tracker.LatencySnapshot()
 	res.Hops = tracker.HopsSnapshot()

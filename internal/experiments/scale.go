@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"adaptivegossip/internal/core"
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
 	"adaptivegossip/internal/sim"
@@ -220,7 +221,10 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 		MaxAge:    cfg.MaxAge,
 	}
 
-	nodes := make([]*gossip.Node, n)
+	// The same node and the same driver as every other experiment; with
+	// Adaptive off and the view as sampler and extension it is lpbcast
+	// over partial views.
+	nodes := make([]*core.AdaptiveNode, n)
 	for i := range nodes {
 		name := names[i]
 		// One stream per node index drives both the protocol and the
@@ -247,12 +251,17 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 				return 1
 			})
 		}
-		node, err := gossip.NewNode(name, params, view, rng,
-			gossip.WithExtensions(view),
-			gossip.WithDeliver(func(ev gossip.Event) {
+		nodes[i], err = core.NewAdaptiveNode(core.NodeConfig{
+			ID:         name,
+			Gossip:     params,
+			Peers:      view,
+			Extensions: []gossip.Extension{view},
+			RNG:        rng,
+			Start:      sim.Epoch,
+			Deliver: func(ev gossip.Event) {
 				idx, ok := evIndex[ev.ID]
 				if !ok {
-					// The origin's own delivery fires inside Broadcast,
+					// The origin's own delivery fires inside Publish,
 					// before the event is registered; it is counted at
 					// registration instead.
 					return
@@ -263,49 +272,15 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 				if rec.count == need99 {
 					rec.t99 = sched.Now().Sub(rec.birth)
 				}
-			}),
-		)
+			},
+		})
 		if err != nil {
 			return ScaleRow{}, err
 		}
-		nodes[i] = node
 	}
-
-	// The WAN model keeps delivery latency under the gossip period, so
-	// round messages may ride the sender's scratch state; mirror the
-	// common-experiment clone guard in case a config stretches links
-	// beyond the period.
-	maxLat := cfg.Intra.Max
-	if cfg.Inter.Max > maxLat {
-		maxLat = cfg.Inter.Max
-	}
-	cloneSends := maxLat >= cfg.Period
-
-	for i := range nodes {
-		i := i
-		name := names[i]
-		node := nodes[i]
-		network.Attach(name, func(m *gossip.Message) { node.Receive(m) })
-		var tick func()
-		tick = func() {
-			outs := node.Tick()
-			var roundMsg, roundCopy *gossip.Message
-			if cloneSends && len(outs) > 0 {
-				roundMsg = outs[0].Msg
-				roundCopy = roundMsg.CopyForSend()
-			}
-			for _, out := range outs {
-				msg := out.Msg
-				if msg == roundMsg {
-					msg = roundCopy
-				}
-				//gossip:scratchok cloneSends substitutes roundCopy above whenever delivery latency can outlive the round
-				network.Send(name, out.To, msg)
-			}
-			sched.After(cfg.Period, tick)
-		}
+	for i, node := range nodes {
 		phase := time.Duration(sim.PhaseRNG(cfg.Seed, i).Float64() * float64(cfg.Period))
-		sched.After(phase, tick)
+		network.Drive(node, cfg.Period, phase)
 	}
 
 	// Publish after the warmup window, from origins spread evenly over
@@ -314,15 +289,14 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 	for j := 0; j < cfg.Messages; j++ {
 		origin := nodes[j*n/cfg.Messages]
 		sched.At(publishAt, func() {
-			payload := make([]byte, cfg.PayloadSize)
-			ev := origin.Broadcast(payload)
+			ev, _ := origin.Publish(make([]byte, cfg.PayloadSize), sched.Now())
 			evIndex[ev.ID] = len(records)
 			records = append(records, evRecord{birth: sched.Now(), count: 1})
 		})
 	}
 
 	started := time.Now()
-	sched.RunUntil(publishAt.Add(time.Duration(cfg.Rounds)*cfg.Period + maxLat))
+	sched.RunUntil(publishAt.Add(time.Duration(cfg.Rounds)*cfg.Period + network.MaxLatency()))
 	wall := time.Since(started)
 
 	row := ScaleRow{N: n, Proximity: proximity, Wall: wall, Events: sched.Executed()}

@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"math/rand/v2"
+	"time"
 
 	"adaptivegossip/internal/observe"
 )
@@ -82,6 +83,18 @@ type DeliverFunc func(e Event)
 type Outgoing struct {
 	To  NodeID
 	Msg *Message
+}
+
+// Machine is the paper's protocol as a driver sees it: an identity and
+// the two handlers of Figure 1 (every T: a gossip round; upon receive:
+// merge). Both return the messages to transmit; the slices and messages
+// may alias scratch that is valid only until the next call. The
+// real-time runtime.Runner and the simulator's sim.Network.Drive run
+// the same Machine: core.AdaptiveNode, pubsub.Peer, or a wrapper.
+type Machine interface {
+	ID() NodeID
+	Tick(now time.Time) []Outgoing
+	Receive(msg *Message, now time.Time) []Outgoing
 }
 
 // Fanout pairs one read-only message with every destination of a round:

@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -66,9 +65,6 @@ func NewDeliveryTracker(members []gossip.NodeID) (*DeliveryTracker, error) {
 	}, nil
 }
 
-// GroupSize reports the number of tracked members.
-func (t *DeliveryTracker) GroupSize() int { return t.n }
-
 func (t *DeliveryTracker) record(id gossip.EventID) *msgRec {
 	rec, ok := t.msgs[id]
 	if !ok {
@@ -79,7 +75,7 @@ func (t *DeliveryTracker) record(id gossip.EventID) *msgRec {
 }
 
 // Broadcast registers the birth of a message. It may be called before
-// or after the first Deliver for the same event (the origin delivers to
+// or after the first DeliverHop for the same event (the origin delivers to
 // itself inside Broadcast in the protocol).
 func (t *DeliveryTracker) Broadcast(id gossip.EventID, now time.Time) {
 	t.mu.Lock()
@@ -89,21 +85,13 @@ func (t *DeliveryTracker) Broadcast(id gossip.EventID, now time.Time) {
 	rec.bornKnown = true
 }
 
-// Deliver records that node delivered the event. Unknown nodes are
-// ignored (e.g. observers outside the tracked group).
-func (t *DeliveryTracker) Deliver(id gossip.EventID, node gossip.NodeID, now time.Time) {
-	t.deliver(id, node, now, -1)
-}
-
-// DeliverHop records a delivery like Deliver and additionally observes
-// the delivery latency (now minus the message's birth, in microseconds)
-// and the event's age — its gossip hop count — into the tracker's
-// pooled distributions. Duplicate deliveries are not observed twice.
+// DeliverHop records that node delivered the event; unknown nodes are
+// ignored (e.g. observers outside the tracked group). With hop >= 0 it
+// also observes the delivery latency (now minus the message's birth, in
+// microseconds) and the event's age — its gossip hop count — into the
+// tracker's pooled distributions. Duplicate deliveries are not observed
+// twice.
 func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now time.Time, hop int) {
-	t.deliver(id, node, now, hop)
-}
-
-func (t *DeliveryTracker) deliver(id gossip.EventID, node gossip.NodeID, now time.Time, hop int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, ok := t.members[node]
@@ -261,25 +249,5 @@ func (t *DeliveryTracker) Series(start, end time.Time, bucket time.Duration, thr
 		}
 		out = append(out, st)
 	}
-	return out
-}
-
-// CoverageHistogram returns the sorted per-message coverage percentages
-// of messages born in [from, to). Useful for distribution plots and
-// tests.
-func (t *DeliveryTracker) CoverageHistogram(from, to time.Time) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]float64, 0, len(t.msgs))
-	for _, rec := range t.msgs {
-		if !from.IsZero() && rec.born.Before(from) {
-			continue
-		}
-		if !to.IsZero() && !rec.born.Before(to) {
-			continue
-		}
-		out = append(out, 100*float64(rec.count)/float64(t.n))
-	}
-	sort.Float64s(out)
 	return out
 }

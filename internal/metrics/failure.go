@@ -86,12 +86,3 @@ func (s *FailureSummary) Merge(o FailureSummary) {
 	s.UpdatesReceived += o.UpdatesReceived
 	s.UpdatesIgnored += o.UpdatesIgnored
 }
-
-// AckRatio is the fraction of probes answered — near 1 in a healthy
-// group, dipping as churn rises (1 when nothing was probed).
-func (s FailureSummary) AckRatio() float64 {
-	if s.ProbesSent == 0 {
-		return 1
-	}
-	return float64(s.AcksReceived) / float64(s.ProbesSent)
-}

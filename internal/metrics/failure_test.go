@@ -19,9 +19,6 @@ func TestFailureSummaryAdd(t *testing.T) {
 	if s.MinRevivals != 1 || s.MaxRevivals != 3 {
 		t.Fatalf("revival spread [%d,%d], want [1,3]", s.MinRevivals, s.MaxRevivals)
 	}
-	if got := s.AckRatio(); got < 0.93 || got > 0.94 {
-		t.Fatalf("AckRatio = %v, want 14/15", got)
-	}
 }
 
 func TestFailureSummaryMerge(t *testing.T) {
@@ -35,12 +32,5 @@ func TestFailureSummaryMerge(t *testing.T) {
 	}
 	if a.MinRevivals != 1 || a.MaxRevivals != 7 {
 		t.Fatalf("merged spread [%d,%d], want [1,7]", a.MinRevivals, a.MaxRevivals)
-	}
-}
-
-func TestFailureSummaryAckRatioEmpty(t *testing.T) {
-	var s FailureSummary
-	if got := s.AckRatio(); got != 1 {
-		t.Fatalf("empty AckRatio = %v, want 1", got)
 	}
 }

@@ -5,88 +5,6 @@ import (
 	"time"
 )
 
-// Point is one bucket of a rate series.
-type Point struct {
-	Start  time.Time
-	PerSec float64
-}
-
-// RateMeter counts events into fixed time buckets and reports rates —
-// the input/output rate measurements of Figs. 6, 7 and 9(a).
-type RateMeter struct {
-	mu     sync.Mutex
-	bucket time.Duration
-	counts map[int64]float64
-	total  float64
-	epoch  time.Time
-}
-
-// NewRateMeter buckets counts at the given granularity relative to
-// epoch.
-func NewRateMeter(epoch time.Time, bucket time.Duration) *RateMeter {
-	if bucket <= 0 {
-		bucket = time.Second
-	}
-	return &RateMeter{bucket: bucket, counts: make(map[int64]float64), epoch: epoch}
-}
-
-func (m *RateMeter) idx(now time.Time) int64 {
-	return int64(now.Sub(m.epoch) / m.bucket)
-}
-
-// Record counts one event at time now.
-func (m *RateMeter) Record(now time.Time) { m.RecordN(now, 1) }
-
-// RecordN counts k events at time now.
-func (m *RateMeter) RecordN(now time.Time, k float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counts[m.idx(now)] += k
-	m.total += k
-}
-
-// Total reports the overall count.
-func (m *RateMeter) Total() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.total
-}
-
-// RatePerSec reports the mean rate over [from, to).
-func (m *RateMeter) RatePerSec(from, to time.Time) float64 {
-	secs := to.Sub(from).Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lo, hi := m.idx(from), m.idx(to)
-	var sum float64
-	for i := lo; i < hi; i++ {
-		sum += m.counts[i]
-	}
-	return sum / secs
-}
-
-// Series returns per-bucket rates over [from, to).
-func (m *RateMeter) Series(from, to time.Time) []Point {
-	if !from.Before(to) {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	lo, hi := m.idx(from), m.idx(to)
-	out := make([]Point, 0, hi-lo)
-	perSec := m.bucket.Seconds()
-	for i := lo; i < hi; i++ {
-		out = append(out, Point{
-			Start:  m.epoch.Add(time.Duration(i) * m.bucket),
-			PerSec: m.counts[i] / perSec,
-		})
-	}
-	return out
-}
-
 // GaugePoint is one bucket of an averaged gauge series.
 type GaugePoint struct {
 	Start time.Time
@@ -103,8 +21,6 @@ type GaugeMeter struct {
 	epoch  time.Time
 	sums   map[int64]float64
 	ns     map[int64]int
-	sum    float64
-	n      int
 }
 
 // NewGaugeMeter buckets samples at the given granularity relative to
@@ -128,25 +44,6 @@ func (g *GaugeMeter) Observe(now time.Time, v float64) {
 	i := int64(now.Sub(g.epoch) / g.bucket)
 	g.sums[i] += v
 	g.ns[i]++
-	g.sum += v
-	g.n++
-}
-
-// Mean reports the all-time sample mean (0 when empty).
-func (g *GaugeMeter) Mean() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.n == 0 {
-		return 0
-	}
-	return g.sum / float64(g.n)
-}
-
-// Count reports the number of samples.
-func (g *GaugeMeter) Count() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
 }
 
 // MeanWindow reports the sample mean over [from, to), and whether any

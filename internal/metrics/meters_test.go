@@ -6,59 +6,11 @@ import (
 	"time"
 )
 
-func TestRateMeterBasics(t *testing.T) {
-	m := NewRateMeter(epoch, time.Second)
-	for i := 0; i < 10; i++ {
-		m.Record(epoch.Add(time.Duration(i) * 100 * time.Millisecond)) // all in bucket 0
-	}
-	m.RecordN(epoch.Add(1500*time.Millisecond), 5) // bucket 1
-	if m.Total() != 15 {
-		t.Fatalf("total = %v", m.Total())
-	}
-	if got := m.RatePerSec(epoch, epoch.Add(2*time.Second)); got != 7.5 {
-		t.Fatalf("rate = %v, want 7.5", got)
-	}
-	series := m.Series(epoch, epoch.Add(3*time.Second))
-	if len(series) != 3 {
-		t.Fatalf("series len %d", len(series))
-	}
-	if series[0].PerSec != 10 || series[1].PerSec != 5 || series[2].PerSec != 0 {
-		t.Fatalf("series %+v", series)
-	}
-}
-
-func TestRateMeterEmptyWindows(t *testing.T) {
-	m := NewRateMeter(epoch, time.Second)
-	if got := m.RatePerSec(epoch, epoch); got != 0 {
-		t.Fatalf("empty window rate %v", got)
-	}
-	if got := m.RatePerSec(epoch.Add(time.Second), epoch); got != 0 {
-		t.Fatalf("inverted window rate %v", got)
-	}
-	if m.Series(epoch, epoch) != nil {
-		t.Fatal("empty series should be nil")
-	}
-}
-
-func TestRateMeterDefaultBucket(t *testing.T) {
-	m := NewRateMeter(epoch, 0)
-	m.Record(epoch)
-	if got := m.RatePerSec(epoch, epoch.Add(time.Second)); got != 1 {
-		t.Fatalf("rate = %v", got)
-	}
-}
-
 func TestGaugeMeterMeans(t *testing.T) {
 	g := NewGaugeMeter(epoch, time.Second)
 	g.Observe(epoch, 2)
 	g.Observe(epoch.Add(100*time.Millisecond), 4)
 	g.Observe(epoch.Add(1100*time.Millisecond), 10)
-	if got := g.Mean(); got < 5.33 || got > 5.34 {
-		t.Fatalf("mean = %v", got)
-	}
-	if g.Count() != 3 {
-		t.Fatalf("count = %d", g.Count())
-	}
 	mean, ok := g.MeanWindow(epoch, epoch.Add(time.Second))
 	if !ok || mean != 3 {
 		t.Fatalf("window mean = %v ok=%v, want 3", mean, ok)
@@ -83,8 +35,8 @@ func TestGaugeMeterMeans(t *testing.T) {
 
 func TestGaugeMeterEmpty(t *testing.T) {
 	g := NewGaugeMeter(epoch, 0)
-	if g.Mean() != 0 {
-		t.Fatal("empty mean nonzero")
+	if _, ok := g.MeanWindow(epoch, epoch.Add(time.Hour)); ok {
+		t.Fatal("empty meter reported samples")
 	}
 	if g.Series(epoch, epoch) != nil {
 		t.Fatal("empty series not nil")
@@ -92,7 +44,6 @@ func TestGaugeMeterEmpty(t *testing.T) {
 }
 
 func TestMetersConcurrent(t *testing.T) {
-	m := NewRateMeter(epoch, time.Second)
 	g := NewGaugeMeter(epoch, time.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -100,13 +51,12 @@ func TestMetersConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				m.Record(epoch)
 				g.Observe(epoch, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if m.Total() != 4000 || g.Count() != 4000 {
-		t.Fatalf("totals %v/%d", m.Total(), g.Count())
+	if series := g.Series(epoch, epoch.Add(time.Second)); len(series) != 1 || series[0].N != 4000 || series[0].Mean != 1 {
+		t.Fatalf("series %+v, want one bucket of 4000 samples", series)
 	}
 }

@@ -57,8 +57,8 @@ type PeerConfig struct {
 // per subscribed topic, sharing one buffer budget and one identity.
 //
 // Peer is a single-threaded state machine like the nodes it wraps (it
-// is a runtime.Machine); a driver (runtime.Runner, or a simulation
-// loop) serializes all calls.
+// is a gossip.Machine); a driver (runtime.Runner, or the simulator's
+// sim.Network.Drive) serializes all calls.
 type Peer struct {
 	cfg    PeerConfig
 	topics map[Topic]*core.AdaptiveNode

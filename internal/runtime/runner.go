@@ -1,10 +1,11 @@
 // Package runtime drives protocol state machines in real time: one
-// goroutine per Machine owns the (single-threaded) state, fed by a
-// gossip ticker, the transport's inbox and a command queue. This is the
-// "prototype implementation" half of the paper's evaluation — the same
-// state machine the simulator drives, under real concurrency, timers
-// and a real wire. A single-group member (core.AdaptiveNode) and a
-// pub/sub peer (pubsub.Peer, one node per topic) run on the same loop.
+// goroutine per gossip.Machine owns the (single-threaded) state, fed by
+// a gossip ticker, the transport's inbox and a command queue. This is
+// the "prototype implementation" half of the paper's evaluation — the
+// same state machine the simulator drives (sim.Network.Drive), under
+// real concurrency, timers and a real wire. A single-group member
+// (core.AdaptiveNode) and a pub/sub peer (pubsub.Peer, one node per
+// topic) run on the same loop.
 package runtime
 
 import (
@@ -28,21 +29,11 @@ import (
 // for gossip, which tolerates loss by design — and is counted.
 const DefaultInboxSize = 256
 
-// Machine is the paper's protocol as the loop sees it: an identity and
-// the two handlers of Figure 1 (every T: a gossip round; upon receive:
-// merge). Both return the messages to transmit; the slices may alias
-// scratch that is valid only until the next call.
-type Machine interface {
-	ID() gossip.NodeID
-	Tick(now time.Time) []gossip.Outgoing
-	Receive(msg *gossip.Message, now time.Time) []gossip.Outgoing
-}
-
 // Config assembles a Runner.
 type Config struct {
 	// Node is the protocol state machine the runner owns. The caller
 	// must not touch it after Start; use Do for serialized access.
-	Node Machine
+	Node gossip.Machine
 	// Transport carries gossip to and from peers. The runner installs
 	// its handler — and, on a transport.InboundReceiver, the borrowed
 	// one that replaces it.
@@ -69,7 +60,7 @@ type Stats struct {
 // Runner drives one Machine. Create with NewRunner, then Start; Stop
 // waits for the loop to exit.
 type Runner struct {
-	node    Machine
+	node    gossip.Machine
 	tr      transport.Transport
 	period  time.Duration
 	phase   time.Duration

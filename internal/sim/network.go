@@ -312,26 +312,86 @@ func (n *Network) SetLinkFilter(filter func(from, to gossip.NodeID) bool) {
 // Stats returns a copy of the traffic counters.
 func (n *Network) Stats() NetworkStats { return n.stats }
 
-// AttachNode registers a node as the delivery handler: incoming messages
-// are fed to receive, and any control messages it returns (recovery
-// requests and responses, failure-detector probes) are routed back
-// through the network. This is the standard way to wire a protocol node
-// into the fabric. The returned messages are the node's scratch, good
-// until it next receives, and the fabric holds a message until its
-// delivery instant: each is copied on the way in.
-func (n *Network) AttachNode(id gossip.NodeID, receive func(*gossip.Message) []gossip.Outgoing) {
-	n.Attach(id, func(m *gossip.Message) {
-		if outs := receive(m); len(outs) > 0 {
-			n.sendCopies(id, outs)
+// MaxLatency is the longest a message can stay in flight: the upper
+// WithLatency bound or the slowest WithTopology class, whichever is
+// larger.
+func (n *Network) MaxLatency() time.Duration {
+	longest := n.latMax
+	if n.topo != nil {
+		for _, row := range n.topo.Classes {
+			for _, c := range row {
+				longest = max(longest, c.Max)
+			}
 		}
-	})
+	}
+	return longest
 }
 
-// sendCopies routes copies of a node's control messages. It is kept out
-// of the delivery closure above, which runs for every message delivered
-// and mostly has nothing to send: with the copy inlined there, sim_paper
-// of gossipbench (no extension on, so no control message at all) ran a
-// tenth slower.
+// Drive runs a protocol machine on the fabric — the simulator's
+// counterpart of runtime.Runner. Messages delivered to m's id are fed to
+// m.Receive; m.Tick runs every period, the first time phase from now;
+// whatever either returns is routed through Send. While the node is down
+// (SetDown) its ticks are skipped but the timer keeps running, so a
+// restarted node resumes at its old phase: a crashed process executes
+// nothing.
+//
+// Drive is the one place the scratch-lifetime rule of gossip.Machine
+// meets a fabric that holds a message until its delivery instant.
+// Control messages (every kind but KindGossip, and everything Receive
+// returns) are scratch until the machine's next call, so each is copied.
+// The round message is scratch until the next Tick, so it rides uncopied
+// while every delivery lands within the period, and is copied once per
+// round when MaxLatency can outlive it.
+func (n *Network) Drive(m gossip.Machine, period, phase time.Duration) {
+	d := &driven{net: n, m: m, id: m.ID(), period: period, copyRounds: n.MaxLatency() >= period}
+	d.idx = n.intern(d.id)
+	d.tickFn = d.tick
+	n.handlers[d.idx] = d.receive
+	n.sched.After(phase, d.tickFn)
+}
+
+// driven is one machine under Drive.
+type driven struct {
+	net        *Network
+	m          gossip.Machine
+	id         gossip.NodeID
+	idx        int32
+	period     time.Duration
+	copyRounds bool
+	tickFn     func() // d.tick, bound once so rescheduling allocates nothing
+}
+
+func (d *driven) tick() {
+	n := d.net
+	if !n.isDown(d.idx) {
+		var round, roundCopy *gossip.Message
+		for _, out := range d.m.Tick(n.sched.Now()) {
+			msg := out.Msg
+			switch {
+			case msg.Kind != gossip.KindGossip:
+				msg = msg.CopyForSend()
+			case d.copyRounds:
+				if msg != round {
+					round, roundCopy = msg, msg.CopyForSend()
+				}
+				msg = roundCopy
+			}
+			n.Send(d.id, out.To, msg)
+		}
+	}
+	n.sched.After(d.period, d.tickFn)
+}
+
+// receive is the delivery handler. It runs for every message delivered
+// and mostly has nothing to send: with the copy loop inlined here,
+// sim_paper of gossipbench (no extension on, so no control message at
+// all) ran a tenth slower.
+func (d *driven) receive(msg *gossip.Message) {
+	if outs := d.m.Receive(msg, d.net.sched.Now()); len(outs) > 0 {
+		d.net.sendCopies(d.id, outs)
+	}
+}
+
 func (n *Network) sendCopies(from gossip.NodeID, outs []gossip.Outgoing) {
 	for _, out := range outs {
 		n.Send(from, out.To, out.Msg.CopyForSend())

@@ -1,17 +1,15 @@
 // Package workload generates the offered load of the paper's
-// experiments: constant-rate or Poisson publishers driven either by the
-// discrete-event scheduler (simulation runs) or by real-time goroutines
-// (prototype runs), plus buffer-resize schedules for the
-// dynamic-resource scenario of §4.
+// experiments: constant-rate or Poisson publishers on whatever clock
+// the caller schedules them with (the discrete-event scheduler in
+// simulation runs, wall-clock timers in prototype runs), plus the
+// buffer-resize and crash/restart/join schedules.
 package workload
 
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
+	"sync/atomic"
 	"time"
-
-	"adaptivegossip/internal/sim"
 )
 
 // PublishFunc submits one message and reports whether it was admitted
@@ -46,55 +44,64 @@ type SenderStats struct {
 	Admitted uint64
 }
 
-// SimSender emits on a discrete-event scheduler.
-type SimSender struct {
+// Sender is one publisher. It has no clock of its own: every emission
+// schedules the next through the after func it was started with — a
+// sim.Scheduler's After in simulation, a time.AfterFunc wrapper in real
+// time — and runs wherever after runs its callbacks. Stop and Stats may
+// be called from any goroutine.
+type Sender struct {
 	cfg     SenderConfig
-	sched   *sim.Scheduler
+	after   func(time.Duration, func())
 	publish PublishFunc
 	rng     *rand.Rand
 	payload []byte
-	stats   SenderStats
-	stopped bool
+	emitFn  func() // s.emit, bound once so re-arming allocates nothing
+
+	stopped  atomic.Bool
+	offered  atomic.Uint64
+	admitted atomic.Uint64
 }
 
-// StartSimSender schedules a publisher on sched. The first emission is
+// StartSender schedules a publisher through after. The first emission is
 // phase-randomized within one inter-arrival interval so a cluster of
 // senders does not emit in lockstep.
-func StartSimSender(sched *sim.Scheduler, cfg SenderConfig, publish PublishFunc, rng *rand.Rand) (*SimSender, error) {
+func StartSender(after func(time.Duration, func()), cfg SenderConfig, publish PublishFunc, rng *rand.Rand) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if sched == nil || publish == nil || rng == nil {
-		return nil, fmt.Errorf("workload: scheduler, publish and rng must not be nil")
+	if after == nil || publish == nil || rng == nil {
+		return nil, fmt.Errorf("workload: after, publish and rng must not be nil")
 	}
-	s := &SimSender{
+	s := &Sender{
 		cfg:     cfg,
-		sched:   sched,
+		after:   after,
 		publish: publish,
 		rng:     rng,
 		payload: make([]byte, cfg.PayloadSize),
 	}
+	s.emitFn = s.emit
 	if cfg.Rate > 0 {
 		interval := time.Duration(float64(time.Second) / cfg.Rate)
-		phase := time.Duration(rng.Float64() * float64(interval))
-		sched.After(phase, s.emit)
+		after(time.Duration(rng.Float64()*float64(interval)), s.emitFn)
 	}
 	return s, nil
 }
 
-// Stop halts future emissions.
-func (s *SimSender) Stop() { s.stopped = true }
+// Stop halts future emissions; one already running finishes. Idempotent.
+func (s *Sender) Stop() { s.stopped.Store(true) }
 
 // Stats returns the offered/admitted counters.
-func (s *SimSender) Stats() SenderStats { return s.stats }
+func (s *Sender) Stats() SenderStats {
+	return SenderStats{Offered: s.offered.Load(), Admitted: s.admitted.Load()}
+}
 
-func (s *SimSender) emit() {
-	if s.stopped {
+func (s *Sender) emit() {
+	if s.stopped.Load() {
 		return
 	}
-	s.stats.Offered++
+	s.offered.Add(1)
 	if s.publish(s.payload) {
-		s.stats.Admitted++
+		s.admitted.Add(1)
 	}
 	var next time.Duration
 	if s.cfg.Poisson {
@@ -105,88 +112,21 @@ func (s *SimSender) emit() {
 	if next <= 0 {
 		next = time.Nanosecond
 	}
-	s.sched.After(next, s.emit)
+	s.after(next, s.emitFn)
 }
 
-// TimedSender emits in real time from its own goroutine; the
-// counterpart of SimSender for prototype (runtime) experiments.
-type TimedSender struct {
-	cfg     SenderConfig
-	publish PublishFunc
-	rng     *rand.Rand
-	payload []byte
-
-	mu    sync.Mutex
-	stats SenderStats
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// StartTimedSender launches the publisher goroutine. Call Stop to halt
-// it; Stop waits for the goroutine to exit.
-func StartTimedSender(cfg SenderConfig, publish PublishFunc, seed uint64) (*TimedSender, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// checkStep is the check every schedule step shares: a non-negative
+// offset and node indexes inside the group.
+func checkStep(what string, at time.Duration, nodes []int, groupSize int) error {
+	if at < 0 {
+		return fmt.Errorf("workload: %s offset must be non-negative, got %v", what, at)
 	}
-	if publish == nil {
-		return nil, fmt.Errorf("workload: publish must not be nil")
-	}
-	s := &TimedSender{
-		cfg:     cfg,
-		publish: publish,
-		rng:     rand.New(rand.NewPCG(seed, seed^0xDEADBEEF)),
-		payload: make([]byte, cfg.PayloadSize),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go s.loop()
-	return s, nil
-}
-
-func (s *TimedSender) loop() {
-	defer close(s.done)
-	if s.cfg.Rate <= 0 {
-		<-s.stop
-		return
-	}
-	interval := func() time.Duration {
-		if s.cfg.Poisson {
-			return time.Duration(s.rng.ExpFloat64() / s.cfg.Rate * float64(time.Second))
-		}
-		return time.Duration(float64(time.Second) / s.cfg.Rate)
-	}
-	timer := time.NewTimer(time.Duration(s.rng.Float64() * float64(interval())))
-	defer timer.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-timer.C:
-			admitted := s.publish(s.payload)
-			s.mu.Lock()
-			s.stats.Offered++
-			if admitted {
-				s.stats.Admitted++
-			}
-			s.mu.Unlock()
-			timer.Reset(interval())
+	for _, idx := range nodes {
+		if idx < 0 || idx >= groupSize {
+			return fmt.Errorf("workload: %s node index %d out of range [0,%d)", what, idx, groupSize)
 		}
 	}
-}
-
-// Stop halts the publisher and waits for its goroutine.
-func (s *TimedSender) Stop() {
-	s.once.Do(func() { close(s.stop) })
-	<-s.done
-}
-
-// Stats returns the offered/admitted counters.
-func (s *TimedSender) Stats() SenderStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return nil
 }
 
 // Resize is one step of a buffer-resize schedule: at offset At from the
@@ -201,16 +141,11 @@ type Resize struct {
 
 // Validate reports the first schedule error given the group size.
 func (r Resize) Validate(groupSize int) error {
-	if r.At < 0 {
-		return fmt.Errorf("workload: resize offset must be non-negative, got %v", r.At)
+	if err := checkStep("resize", r.At, r.Nodes, groupSize); err != nil {
+		return err
 	}
 	if r.Capacity <= 0 {
 		return fmt.Errorf("workload: resize capacity must be positive, got %d", r.Capacity)
-	}
-	for _, idx := range r.Nodes {
-		if idx < 0 || idx >= groupSize {
-			return fmt.Errorf("workload: resize node index %d out of range [0,%d)", idx, groupSize)
-		}
 	}
 	return nil
 }
@@ -227,15 +162,7 @@ type Crash struct {
 
 // Validate reports the first schedule error given the group size.
 func (c Crash) Validate(groupSize int) error {
-	if c.At < 0 {
-		return fmt.Errorf("workload: crash offset must be non-negative, got %v", c.At)
-	}
-	for _, idx := range c.Nodes {
-		if idx < 0 || idx >= groupSize {
-			return fmt.Errorf("workload: crash node index %d out of range [0,%d)", idx, groupSize)
-		}
-	}
-	return nil
+	return checkStep("crash", c.At, c.Nodes, groupSize)
 }
 
 // Restart is one step of a churn schedule: at offset At the nodes with
@@ -250,15 +177,7 @@ type Restart struct {
 
 // Validate reports the first schedule error given the group size.
 func (r Restart) Validate(groupSize int) error {
-	if r.At < 0 {
-		return fmt.Errorf("workload: restart offset must be non-negative, got %v", r.At)
-	}
-	for _, idx := range r.Nodes {
-		if idx < 0 || idx >= groupSize {
-			return fmt.Errorf("workload: restart node index %d out of range [0,%d)", idx, groupSize)
-		}
-	}
-	return nil
+	return checkStep("restart", r.At, r.Nodes, groupSize)
 }
 
 // ChurnTrace generates a deterministic crash/restart schedule: churn
@@ -314,15 +233,7 @@ type Join struct {
 
 // Validate reports the first schedule error given the group size.
 func (j Join) Validate(groupSize int) error {
-	if j.At < 0 {
-		return fmt.Errorf("workload: join offset must be non-negative, got %v", j.At)
-	}
-	for _, idx := range j.Nodes {
-		if idx < 0 || idx >= groupSize {
-			return fmt.Errorf("workload: join node index %d out of range [0,%d)", idx, groupSize)
-		}
-	}
-	return nil
+	return checkStep("join", j.At, j.Nodes, groupSize)
 }
 
 // FirstFraction returns the indexes of the first fraction×n nodes — the

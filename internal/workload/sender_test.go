@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,150 +20,233 @@ func TestSenderConfigValidate(t *testing.T) {
 	}
 }
 
-func TestSimSenderEmitsAtRate(t *testing.T) {
+// clock is the Sender's one dependency as a test sees it: after to
+// schedule on, pass to let time go by (running what falls due). Every
+// sender case runs on both: the discrete-event scheduler, where counts
+// are exact, and wall-clock timers, where they are bounded loosely
+// because a loaded machine fires timers late.
+type clock struct {
+	name  string
+	after func(time.Duration, func())
+	pass  func(time.Duration)
+}
+
+func simClock() clock {
 	sched := sim.NewScheduler(sim.Epoch)
-	var got int
-	s, err := StartSimSender(sched, SenderConfig{Rate: 10, PayloadSize: 4},
-		func(p []byte) bool {
-			if len(p) != 4 {
-				t.Fatalf("payload size %d", len(p))
+	return clock{"sim", func(d time.Duration, fn func()) { sched.After(d, fn) }, sched.RunFor}
+}
+
+func wallClock() clock {
+	return clock{"wall", func(d time.Duration, fn func()) { time.AfterFunc(d, fn) }, time.Sleep}
+}
+
+// settle stops s and lets an emission already under way finish (wall
+// timers run on their own goroutines), so counters can be compared.
+func settle(c clock, s *Sender) {
+	s.Stop()
+	c.pass(20 * time.Millisecond)
+}
+
+func TestSimSenderEmitsAtRate(t *testing.T) {
+	for _, tc := range []struct {
+		clock  clock
+		rate   float64
+		run    time.Duration
+		lo, hi int64 // ≈100 emissions, ±1 for phase on the exact clock
+	}{
+		{simClock(), 10, 10 * time.Second, 98, 101},
+		{wallClock(), 200, 500 * time.Millisecond, 30, 101},
+	} {
+		t.Run(tc.clock.name, func(t *testing.T) {
+			var got atomic.Int64
+			s, err := StartSender(tc.clock.after, SenderConfig{Rate: tc.rate, PayloadSize: 4},
+				func(p []byte) bool {
+					if len(p) != 4 {
+						t.Errorf("payload size %d", len(p))
+					}
+					got.Add(1)
+					return true
+				}, sim.DeriveRNG(1, 1))
+			if err != nil {
+				t.Fatal(err)
 			}
-			got++
-			return true
-		}, sim.DeriveRNG(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(sim.Epoch.Add(10 * time.Second))
-	// 10 msg/s for 10s ⇒ ~100 emissions (±1 for phase).
-	if got < 98 || got > 101 {
-		t.Fatalf("emitted %d, want ≈100", got)
-	}
-	st := s.Stats()
-	if st.Offered != uint64(got) || st.Admitted != uint64(got) {
-		t.Fatalf("stats %+v", st)
+			tc.clock.pass(tc.run)
+			settle(tc.clock, s)
+			if n := got.Load(); n < tc.lo || n > tc.hi {
+				t.Fatalf("emitted %d, want %d..%d", n, tc.lo, tc.hi)
+			}
+			st := s.Stats()
+			if n := uint64(got.Load()); st.Offered != n || st.Admitted != n {
+				t.Fatalf("stats %+v after %d emissions", st, n)
+			}
+		})
 	}
 }
 
 func TestSimSenderCountsRejections(t *testing.T) {
-	sched := sim.NewScheduler(sim.Epoch)
-	admit := false
-	s, err := StartSimSender(sched, SenderConfig{Rate: 5},
-		func([]byte) bool {
-			admit = !admit
-			return admit
-		}, sim.DeriveRNG(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(sim.Epoch.Add(10 * time.Second))
-	st := s.Stats()
-	if st.Offered == 0 || st.Admitted*2 < st.Offered-1 || st.Admitted*2 > st.Offered+1 {
-		t.Fatalf("stats %+v, want ≈half admitted", st)
+	for _, tc := range []struct {
+		clock clock
+		rate  float64
+		run   time.Duration
+	}{
+		{simClock(), 5, 10 * time.Second},
+		{wallClock(), 100, 300 * time.Millisecond},
+	} {
+		t.Run(tc.clock.name, func(t *testing.T) {
+			admit := false // emissions are sequential: each arms the next
+			s, err := StartSender(tc.clock.after, SenderConfig{Rate: tc.rate},
+				func([]byte) bool {
+					admit = !admit
+					return admit
+				}, sim.DeriveRNG(2, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.clock.pass(tc.run)
+			settle(tc.clock, s)
+			st := s.Stats()
+			if st.Offered == 0 || st.Admitted*2 < st.Offered-1 || st.Admitted*2 > st.Offered+1 {
+				t.Fatalf("stats %+v, want ≈half admitted", st)
+			}
+		})
 	}
 }
 
 func TestSimSenderPoissonApproximatesRate(t *testing.T) {
-	sched := sim.NewScheduler(sim.Epoch)
-	var got int
-	_, err := StartSimSender(sched, SenderConfig{Rate: 20, Poisson: true},
-		func([]byte) bool { got++; return true }, sim.DeriveRNG(3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(sim.Epoch.Add(60 * time.Second))
-	// 20 msg/s × 60 s = 1200 expected; Poisson std ≈ 35.
-	if got < 1050 || got > 1350 {
-		t.Fatalf("emitted %d, want ≈1200", got)
+	for _, tc := range []struct {
+		clock  clock
+		rate   float64
+		run    time.Duration
+		lo, hi uint64
+	}{
+		// 20 msg/s × 60 s = 1200 expected; Poisson std ≈ 35.
+		{simClock(), 20, 60 * time.Second, 1050, 1350},
+		// 100 expected, std 10; late timers only lower the count.
+		{wallClock(), 200, 500 * time.Millisecond, 25, 140},
+	} {
+		t.Run(tc.clock.name, func(t *testing.T) {
+			s, err := StartSender(tc.clock.after, SenderConfig{Rate: tc.rate, Poisson: true},
+				func([]byte) bool { return true }, sim.DeriveRNG(3, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.clock.pass(tc.run)
+			settle(tc.clock, s)
+			if got := s.Stats().Offered; got < tc.lo || got > tc.hi {
+				t.Fatalf("emitted %d, want %d..%d", got, tc.lo, tc.hi)
+			}
+		})
 	}
 }
 
 func TestSimSenderStop(t *testing.T) {
-	sched := sim.NewScheduler(sim.Epoch)
-	var got int
-	s, err := StartSimSender(sched, SenderConfig{Rate: 10},
-		func([]byte) bool { got++; return true }, sim.DeriveRNG(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RunUntil(sim.Epoch.Add(time.Second))
-	s.Stop()
-	before := got
-	sched.RunUntil(sim.Epoch.Add(10 * time.Second))
-	if got != before {
-		t.Fatalf("sender emitted after Stop: %d -> %d", before, got)
+	for _, tc := range []struct {
+		clock clock
+		rate  float64
+		run   time.Duration
+	}{
+		{simClock(), 10, time.Second},
+		{wallClock(), 200, 100 * time.Millisecond},
+	} {
+		t.Run(tc.clock.name, func(t *testing.T) {
+			s, err := StartSender(tc.clock.after, SenderConfig{Rate: tc.rate},
+				func([]byte) bool { return true }, sim.DeriveRNG(4, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.clock.pass(tc.run)
+			settle(tc.clock, s)
+			before := s.Stats().Offered
+			if before == 0 {
+				t.Fatal("nothing emitted before Stop")
+			}
+			tc.clock.pass(9 * tc.run)
+			if after := s.Stats().Offered; after != before {
+				t.Fatalf("sender emitted after Stop: %d -> %d", before, after)
+			}
+		})
 	}
 }
 
 func TestSimSenderZeroRateNeverEmits(t *testing.T) {
-	sched := sim.NewScheduler(sim.Epoch)
-	_, err := StartSimSender(sched, SenderConfig{Rate: 0},
-		func([]byte) bool { t.Fatal("emitted"); return true }, sim.DeriveRNG(5, 5))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		clock clock
+		run   time.Duration
+	}{
+		{simClock(), time.Minute},
+		{wallClock(), 20 * time.Millisecond},
+	} {
+		t.Run(tc.clock.name, func(t *testing.T) {
+			s, err := StartSender(tc.clock.after, SenderConfig{Rate: 0},
+				func([]byte) bool { t.Error("zero-rate sender emitted"); return true }, sim.DeriveRNG(5, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.clock.pass(tc.run)
+			s.Stop()
+		})
 	}
-	sched.RunUntil(sim.Epoch.Add(time.Minute))
 }
 
 func TestSimSenderValidation(t *testing.T) {
-	sched := sim.NewScheduler(sim.Epoch)
-	if _, err := StartSimSender(nil, SenderConfig{Rate: 1}, func([]byte) bool { return true }, sim.DeriveRNG(1, 1)); err == nil {
-		t.Fatal("nil scheduler accepted")
+	after, publish, rng := simClock().after, func([]byte) bool { return true }, sim.DeriveRNG(1, 1)
+	if _, err := StartSender(nil, SenderConfig{Rate: 1}, publish, rng); err == nil {
+		t.Fatal("nil after accepted")
 	}
-	if _, err := StartSimSender(sched, SenderConfig{Rate: 1}, nil, sim.DeriveRNG(1, 1)); err == nil {
+	if _, err := StartSender(after, SenderConfig{Rate: 1}, nil, rng); err == nil {
 		t.Fatal("nil publish accepted")
 	}
-	if _, err := StartSimSender(sched, SenderConfig{Rate: -2}, func([]byte) bool { return true }, sim.DeriveRNG(1, 1)); err == nil {
+	if _, err := StartSender(after, SenderConfig{Rate: 1}, publish, nil); err == nil {
+		t.Fatal("nil rng accepted")
+	}
+	if _, err := StartSender(after, SenderConfig{Rate: -2}, publish, rng); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
 
+// TestTimedSenderEmitsAndStops: the caller's side of a running sender —
+// wait for emissions, read Stats and Stop (twice) from a goroutine that
+// is not the one emitting.
 func TestTimedSenderEmitsAndStops(t *testing.T) {
-	got := make(chan struct{}, 1000)
-	s, err := StartTimedSender(SenderConfig{Rate: 200},
-		func([]byte) bool {
-			select {
-			case got <- struct{}{}:
-			default:
+	for _, c := range []clock{simClock(), wallClock()} {
+		t.Run(c.name, func(t *testing.T) {
+			got := make(chan struct{}, 1000)
+			s, err := StartSender(c.after, SenderConfig{Rate: 200},
+				func([]byte) bool {
+					select {
+					case got <- struct{}{}:
+					default:
+					}
+					return true
+				}, sim.DeriveRNG(7, 7))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return true
-		}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(3 * time.Second)
-	for i := 0; i < 5; i++ {
-		select {
-		case <-got:
-		case <-deadline:
-			t.Fatal("sender too slow")
-		}
-	}
-	s.Stop()
-	s.Stop() // idempotent
-	st := s.Stats()
-	if st.Offered < 5 || st.Admitted < 5 {
-		t.Fatalf("stats %+v", st)
+			for deadline := time.Now().Add(3 * time.Second); len(got) < 5; c.pass(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("sender too slow")
+				}
+				_ = s.Stats() // concurrent with the emitting goroutine on the wall clock
+			}
+			s.Stop()
+			s.Stop() // idempotent
+			if st := s.Stats(); st.Offered < 5 || st.Admitted < 5 {
+				t.Fatalf("stats %+v", st)
+			}
+		})
 	}
 }
 
+// TestTimedSenderValidation: a real-time caller's after is a
+// time.AfterFunc wrapper; the checks are the same ones.
 func TestTimedSenderValidation(t *testing.T) {
-	if _, err := StartTimedSender(SenderConfig{Rate: 1}, nil, 1); err == nil {
+	after, rng := wallClock().after, sim.DeriveRNG(1, 1)
+	if _, err := StartSender(after, SenderConfig{Rate: 1}, nil, rng); err == nil {
 		t.Fatal("nil publish accepted")
 	}
-	if _, err := StartTimedSender(SenderConfig{Rate: -1}, func([]byte) bool { return true }, 1); err == nil {
+	if _, err := StartSender(after, SenderConfig{Rate: -1}, func([]byte) bool { return true }, rng); err == nil {
 		t.Fatal("bad config accepted")
 	}
-	// Zero rate: starts and stops cleanly without emitting.
-	s, err := StartTimedSender(SenderConfig{Rate: 0}, func([]byte) bool {
-		t.Error("zero-rate sender emitted")
-		return true
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	s.Stop()
 }
 
 func TestResizeValidate(t *testing.T) {
