@@ -186,10 +186,32 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 // reporting whether it was admitted (false also when the group is not
 // running).
 func (m *member) publish(payload []byte) bool {
-	admitted := false
-	m.runner.Do(func() { _, admitted = m.node.Publish(payload, time.Now()) })
+	p := publishes.Get().(*publishRequest)
+	p.node, p.payload, p.admitted = m.node, payload, false
+	m.runner.Do(p.run)
+	admitted := p.admitted
+	p.node, p.payload = nil, nil
+	publishes.Put(p)
 	return admitted
 }
+
+// publishRequest carries one publish into a member's loop and its
+// verdict back. Pooled, with run bound to the object once, so an offered
+// publish — admitted or refused — allocates nothing: a closure over the
+// payload would be one heap object per call. Do has returned before the
+// request is recycled, and a Do that reports false never runs it.
+type publishRequest struct {
+	node     *core.AdaptiveNode
+	payload  []byte
+	admitted bool
+	run      func()
+}
+
+var publishes = sync.Pool{New: func() any {
+	p := &publishRequest{}
+	p.run = func() { _, p.admitted = p.node.Publish(p.payload, time.Now()) }
+	return p
+}}
 
 // setBufferCapacity resizes the node's buffer from outside the loop.
 func (m *member) setBufferCapacity(capacity int) error {

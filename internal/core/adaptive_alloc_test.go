@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
 	"testing"
@@ -132,5 +134,207 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 	st := node.RecoveryStats()
 	if hs := node.HealthStats(); st.DigestsSent == 0 || st.DigestsReceived == 0 || hs.DigestsMerged == 0 || node.FailureStats().UpdatesReceived == 0 {
 		t.Fatalf("subsystems idle: recovery %+v, health %+v, failure %+v", st, hs, node.FailureStats())
+	}
+}
+
+// patternPayload fills dst with the payload a test event of this
+// sequence number carries, so a reader can tell another event's bytes —
+// or a scribble — from the right ones.
+func patternPayload(dst []byte, seq uint64) []byte {
+	for i := 0; i+8 <= len(dst); i += 8 {
+		binary.BigEndian.PutUint64(dst[i:], seq)
+	}
+	return dst
+}
+
+// TestObserveSharesNodePayloadAllocFree: with recovery on, an event out
+// of a Borrowed message is copied out of the datagram once. The node
+// makes the copy when it meets the event; the recovery store, meeting
+// the same event a moment later, takes the node's copy (one backing
+// array under buffer and store) and makes its own only when the node
+// does not buffer the event. So a message costs one allocation per
+// event new to the member and none per duplicate — and whatever the
+// store serves later never aliases the datagram.
+func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
+	const bufferCap, perMsg, payloadLen = 8, 4, 32
+	node, err := NewAdaptiveNode(NodeConfig{
+		ID:       "rx",
+		Gossip:   gossip.Params{Fanout: 1, Period: time.Second, MaxEvents: bufferCap, MaxEventIDs: 1 << 14, MaxAge: 10},
+		Recovery: recovery.Params{Enabled: true, StoreCapacity: 2 * bufferCap},
+		Peers:    membership.NewRegistry("rx", "tx"),
+		RNG:      rand.New(rand.NewPCG(18, 18)),
+		Start:    start,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// datagram stands for the transport's receive buffer: every borrowed
+	// payload aliases it, and the next message overwrites it.
+	datagram := make([]byte, 3*bufferCap*payloadLen)
+	msg := &gossip.Message{From: "tx", Borrowed: true}
+	next := uint64(0)
+	fill := func(seqs ...uint64) {
+		msg.Events = msg.Events[:0]
+		for i, seq := range seqs {
+			msg.Events = append(msg.Events, gossip.Event{
+				ID:      gossip.EventID{Origin: "tx", Seq: seq},
+				Payload: patternPayload(datagram[i*payloadLen:(i+1)*payloadLen], seq),
+			})
+		}
+	}
+	seqs := make([]uint64, 0, 3*bufferCap)
+	receiveNew := func(k int) {
+		seqs = seqs[:0]
+		for ; len(seqs) < k; next++ {
+			seqs = append(seqs, next)
+		}
+		fill(seqs...)
+		node.Receive(msg, start)
+	}
+	scribble := func() {
+		for i := range datagram {
+			datagram[i] = 0xDD
+		}
+	}
+	request := &gossip.Message{Kind: gossip.KindRecoveryRequest, From: "tx", Request: make([]gossip.EventID, 1)}
+	serve := func(seq uint64) (gossip.Event, bool) {
+		request.Request[0] = gossip.EventID{Origin: "tx", Seq: seq}
+		for _, out := range node.Receive(request, start) {
+			if out.Msg.Kind == gossip.KindRecoveryResponse {
+				//gossip:scratchok an Event by value; its payload belongs to the store, not to the response scratch
+				return out.Msg.Events[0], true
+			}
+		}
+		return gossip.Event{}, false
+	}
+	want := make([]byte, payloadLen)
+	intact := func(what string, seq uint64, ev gossip.Event) {
+		t.Helper()
+		if !bytes.Equal(ev.Payload, patternPayload(want, seq)) {
+			t.Fatalf("%s: event %d serves %x after the datagram was overwritten", what, seq, ev.Payload)
+		}
+	}
+
+	for i := 0; i < 50; i++ { // buffer, store and their scratch at working size
+		receiveNew(perMsg)
+	}
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() { receiveNew(perMsg) }); allocs != perMsg {
+		t.Fatalf("a borrowed message of %d new events allocates %v times, want one payload copy each", perMsg, allocs)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { node.Receive(msg, start) }); allocs != 0 {
+		t.Fatalf("a borrowed message of duplicates allocates %v times, want 0", allocs)
+	}
+	last := append([]uint64(nil), seqs...)
+	scribble()
+	for _, seq := range last {
+		held, ok := node.Gossip().Buffered(gossip.EventID{Origin: "tx", Seq: seq})
+		served, stored := serve(seq)
+		if !ok || !stored {
+			t.Fatalf("event %d: buffered %v, stored %v, want both", seq, ok, stored)
+		}
+		if &served.Payload[0] != &held.Payload[0] {
+			t.Fatalf("event %d: the store holds its own payload copy beside the buffer's", seq)
+		}
+		intact("shared", seq, served)
+	}
+
+	// Edge: a message larger than the buffer. Its first events are
+	// capacity-evicted inside the same Receive and reach the store
+	// through OnEvicted, already owned; the rest are shared as above.
+	if allocs := testing.AllocsPerRun(10, func() { receiveNew(bufferCap + perMsg) }); allocs != bufferCap+perMsg {
+		t.Fatalf("a borrowed message of %d new events, %d of them evicted on arrival, allocates %v times, want one each",
+			bufferCap+perMsg, perMsg, allocs)
+	}
+	last = append(last[:0], seqs...)
+	scribble()
+	for i, seq := range last {
+		_, buffered := node.Gossip().Buffered(gossip.EventID{Origin: "tx", Seq: seq})
+		if buffered != (i >= perMsg) {
+			t.Fatalf("event %d of the oversized message: buffered = %v", i, buffered)
+		}
+		served, stored := serve(seq)
+		if !stored {
+			t.Fatalf("event %d of the oversized message never reached the store", i)
+		}
+		intact("evicted on arrival", seq, served)
+	}
+
+	// Edge: an event the node has seen but no longer buffers, and the
+	// store no longer holds either. The node drops it as a duplicate
+	// without a copy, so the store must make one: there is nothing to
+	// share, and the datagram is not its to keep.
+	old := uint64(0)
+	if _, stored := serve(old); stored {
+		t.Fatal("the stream's first event is still stored; the edge is not exercised")
+	}
+	delivered := node.GossipStats().Delivered
+	allocs := testing.AllocsPerRun(5, func() {
+		fill(old)
+		node.Receive(msg, start)
+		old++
+	})
+	if allocs != 1 {
+		t.Fatalf("a duplicate the store lost allocates %v times, want its one copy", allocs)
+	}
+	if node.GossipStats().Delivered != delivered {
+		t.Fatal("the forgotten events were delivered again")
+	}
+	scribble()
+	for seq := uint64(0); seq < old; seq++ {
+		served, stored := serve(seq)
+		if !stored {
+			t.Fatalf("duplicate %d was not re-stored", seq)
+		}
+		intact("duplicate to the node", seq, served)
+	}
+}
+
+// TestAdaptorOverflowScanAllocFree: while the buffer holds more than the
+// group-minimum estimate, every Receive runs the Figure 5(b) scan for
+// the events that would overflow a buffer of that size. The scan
+// appends into the adaptor's scratch, so the congested regime — the one
+// the mechanism exists for — allocates no more than the idle one.
+func TestAdaptorOverflowScanAllocFree(t *testing.T) {
+	const perMsg = 4
+	node, err := NewAdaptiveNode(NodeConfig{
+		ID:       "rx",
+		Gossip:   gossip.Params{Fanout: 1, Period: time.Second, MaxEvents: 120, MaxAge: 10},
+		Adaptive: true,
+		Core:     DefaultParams(),
+		Peers:    membership.NewRegistry("rx", "tx"),
+		RNG:      rand.New(rand.NewPCG(18, 18)),
+		Start:    start,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A member with a quarter of this one's buffer is in the group.
+	msg := &gossip.Message{From: "tx", Adaptive: true, MinBuff: 30, Events: make([]gossip.Event, perMsg)}
+	next := uint64(0)
+	receiveNew := func() {
+		for i := range msg.Events {
+			msg.Events[i] = gossip.Event{ID: gossip.EventID{Origin: "tx", Seq: next}, Age: int(next % 7)}
+			next++
+		}
+		node.Receive(msg, start)
+	}
+	for i := 0; i < 200; i++ { // buffer full, lost set and scratch at working size
+		receiveNew()
+	}
+	if got := node.MinBuffEstimate(); got != 30 {
+		t.Fatalf("minBuff estimate = %d, want the advertised 30", got)
+	}
+	const runs = 100
+	samples := node.adaptor.CongestionSamples()
+	if allocs := testing.AllocsPerRun(runs, receiveNew); allocs != 0 {
+		t.Fatalf("a Receive that runs the overflow scan allocates %v times, want 0", allocs)
+	}
+	if got := node.adaptor.CongestionSamples() - samples; got < perMsg*runs {
+		t.Fatalf("%d congestion samples over %d receives of %d new events: the scan is not running", got, runs, perMsg)
+	}
+	if pinned := node.adaptor.overflow[:cap(node.adaptor.overflow)]; len(pinned) == 0 || pinned[0].ID != (gossip.EventID{}) {
+		t.Fatalf("the scan's scratch keeps %d events between receives (first %v); it must hold none", len(pinned), pinned[0].ID)
 	}
 }

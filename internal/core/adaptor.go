@@ -26,6 +26,11 @@ type Adaptor struct {
 	// scalarHdr is reused scratch for promoting a rank-1 scalar header
 	// to a single-entry κ-min observation without a per-receive slice.
 	scalarHdr [1]MinEntry
+
+	// overflow is reused scratch for the Figure 5(b) scan, which runs on
+	// every receive while the buffer exceeds the minBuff estimate. Empty
+	// between receives, so it pins no payload of a departed event.
+	overflow []gossip.Event
 }
 
 // NewAdaptor builds the estimator stack for a node with the given id
@@ -130,10 +135,10 @@ func (a *Adaptor) OnReceive(n *gossip.Node, in *Message) {
 			a.min.Observe(in.SamplePeriod, in.MinBuff)
 		}
 	}
-	overflow := n.BufferLen() - a.cong.LostLen() - a.MinBuff()
-	if overflow > 0 {
-		//gossip:allocok congestion path: the scan runs only while the buffer exceeds the group-minimum estimate
-		a.cong.ObserveOverflow(n.OldestUncounted(overflow, a.cong.Counted))
+	if overflow := n.BufferLen() - a.cong.LostLen() - a.MinBuff(); overflow > 0 {
+		a.overflow = n.AppendOldestUncounted(a.overflow[:0], overflow, a.cong.Counted)
+		a.cong.ObserveOverflow(a.overflow)
+		clear(a.overflow)
 	}
 }
 

@@ -52,7 +52,7 @@ func (c *CongestionEstimator) Samples() uint64 { return c.samples }
 func (c *CongestionEstimator) LostLen() int { return len(c.lost) }
 
 // Counted reports whether the event already contributed to avgAge. It
-// is the predicate handed to Buffer.OldestUncounted.
+// is the predicate handed to Buffer.AppendOldestUncounted.
 func (c *CongestionEstimator) Counted(id gossip.EventID) bool {
 	_, ok := c.lost[id]
 	return ok
@@ -60,6 +60,7 @@ func (c *CongestionEstimator) Counted(id gossip.EventID) bool {
 
 // ObserveOverflow feeds the events that overflow the virtual
 // minBuff-sized buffer into the moving average and marks them counted.
+// It only reads events; the caller keeps the slice.
 func (c *CongestionEstimator) ObserveOverflow(events []gossip.Event) {
 	for _, ev := range events {
 		c.avgAge = c.alpha*c.avgAge + (1-c.alpha)*float64(ev.Age)

@@ -76,6 +76,16 @@ func (b *Buffer) Age(id EventID) (int, bool) {
 	return b.slab[slot].ev.Age, true
 }
 
+// Get returns the buffered event (payload shared, read-only) and whether
+// it is present.
+func (b *Buffer) Get(id EventID) (Event, bool) {
+	slot, ok := b.index[id]
+	if !ok {
+		return Event{}, false
+	}
+	return b.slab[slot].ev, true
+}
+
 // insertPos returns the index at which an entry with the given age and
 // insertion sequence keeps the order slice sorted. Among equal ages
 // newer insertions sort earlier, so the slice tail is always the
@@ -281,24 +291,23 @@ func (b *Buffer) Snapshot() []Event {
 	return b.AppendSnapshot(make([]Event, 0, len(b.order)))
 }
 
-// OldestUncounted returns up to limit events, oldest first, for which
-// counted reports false. It implements the scan used by the congestion
-// estimator (paper Figure 5(b)): the events that would overflow a buffer
-// of the group-minimum size, excluding those already accounted for in
-// the estimator's lost set.
-func (b *Buffer) OldestUncounted(limit int, counted func(EventID) bool) []Event {
-	if limit <= 0 {
-		return nil
-	}
-	out := make([]Event, 0, limit)
-	for i := len(b.order) - 1; i >= 0 && len(out) < limit; i-- {
+// AppendOldestUncounted appends to dst up to limit events, oldest first,
+// for which counted reports false, and returns the extended slice. It
+// implements the scan used by the congestion estimator (paper Figure
+// 5(b)): the events that would overflow a buffer of the group-minimum
+// size, excluding those already accounted for in the estimator's lost
+// set. The scan runs on every receive while the buffer is over that
+// size, so callers append into reused scratch. Payload slices are shared.
+func (b *Buffer) AppendOldestUncounted(dst []Event, limit int, counted func(EventID) bool) []Event {
+	for i := len(b.order) - 1; i >= 0 && limit > 0; i-- {
 		ev := b.slab[b.order[i]].ev
 		if counted != nil && counted(ev.ID) {
 			continue
 		}
-		out = append(out, ev)
+		dst = append(dst, ev)
+		limit--
 	}
-	return out
+	return dst
 }
 
 // checkInvariants validates ordering, index and free-list consistency.

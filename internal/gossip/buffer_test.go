@@ -197,18 +197,22 @@ func TestBufferOldestUncounted(t *testing.T) {
 	counted := map[EventID]struct{}{
 		{Origin: "a", Seq: 5}: {}, // the oldest is already counted
 	}
-	got := b.OldestUncounted(2, func(id EventID) bool {
+	scratch := make([]Event, 0, 8)
+	got := b.AppendOldestUncounted(scratch, 2, func(id EventID) bool {
 		_, ok := counted[id]
 		return ok
 	})
 	if len(got) != 2 || got[0].Age != 4 || got[1].Age != 3 {
-		t.Fatalf("OldestUncounted = %v, want ages [4 3]", got)
+		t.Fatalf("AppendOldestUncounted = %v, want ages [4 3]", got)
 	}
-	if got := b.OldestUncounted(0, nil); got != nil {
-		t.Fatalf("limit 0 should return nil, got %v", got)
+	if &got[0] != &scratch[:1][0] {
+		t.Fatal("the scan did not append into the caller's scratch")
 	}
-	if got := b.OldestUncounted(100, nil); len(got) != 6 {
-		t.Fatalf("limit beyond len should return all, got %d", len(got))
+	if got := b.AppendOldestUncounted(got, 0, nil); len(got) != 2 {
+		t.Fatalf("limit 0 should append nothing, got %d events", len(got))
+	}
+	if got := b.AppendOldestUncounted(got[:1], 100, nil); len(got) != 7 || got[0].Age != 4 || got[1].Age != 5 {
+		t.Fatalf("limit beyond len should append all after dst's own, got %v", got)
 	}
 }
 

@@ -294,10 +294,17 @@ func (n *Node) BufferLen() int { return n.buf.Len() }
 // BufferCapacity reports the local events buffer bound |events|max.
 func (n *Node) BufferCapacity() int { return n.buf.Capacity() }
 
-// OldestUncounted exposes the buffer scan used by the congestion
-// estimator; see Buffer.OldestUncounted.
-func (n *Node) OldestUncounted(limit int, counted func(EventID) bool) []Event {
-	return n.buf.OldestUncounted(limit, counted)
+// Buffered returns the event as the buffer holds it — the node's own
+// copy of the payload, read-only — and whether it is buffered. The
+// recovery store takes its payload from here, so a received event is
+// copied out of the transport's receive buffer once, not once per
+// retainer.
+func (n *Node) Buffered(id EventID) (Event, bool) { return n.buf.Get(id) }
+
+// AppendOldestUncounted exposes the buffer scan used by the congestion
+// estimator; see Buffer.AppendOldestUncounted.
+func (n *Node) AppendOldestUncounted(dst []Event, limit int, counted func(EventID) bool) []Event {
+	return n.buf.AppendOldestUncounted(dst, limit, counted)
 }
 
 // SetBufferCapacity changes |events|max at runtime — the dynamic
@@ -470,7 +477,7 @@ func (n *Node) Receive(msg *Message) {
 			// transport's receive buffer before anything retains it. The
 			// duplicates above — most of what gossip receives — never
 			// get here.
-			//gossip:allocok the one payload copy per delivered event; duplicate copies of an event are dropped above without one
+			//gossip:allocok the one payload copy per delivered event, shared by the buffer, the recovery store (Buffered) and every subscriber; duplicate copies of an event are dropped above without one
 			ev = ev.Clone()
 		}
 		if n.tracer != nil && n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {

@@ -158,9 +158,12 @@ func (s *store) len() int { return len(s.entries) }
 // add retains ev, evicting the oldest entry when full. It reports
 // whether the event was new and how many entries were evicted. borrowed
 // says ev.Payload aliases a transport receive buffer
-// (gossip.Message.Borrowed): the store then keeps a copy, made only
-// once the event is known to be new to it.
-func (s *store) add(ev gossip.Event, round uint64, borrowed bool) (added bool, evicted int) {
+// (gossip.Message.Borrowed): once the event is known to be new to the
+// store, the store takes the payload n's buffer holds — the copy
+// gossip.Node.Receive made when it met the event, shared from then on —
+// and makes its own only when n no longer buffers the event (a duplicate
+// to the node whose store entry was GC'd).
+func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node) (added bool, evicted int) {
 	if s.capacity <= 0 {
 		return false, 0
 	}
@@ -168,7 +171,11 @@ func (s *store) add(ev gossip.Event, round uint64, borrowed bool) (added bool, e
 		return false, 0
 	}
 	if borrowed {
-		ev = ev.Clone()
+		if held, ok := n.Buffered(ev.ID); ok {
+			ev.Payload = held.Payload
+		} else {
+			ev = ev.Clone()
+		}
 	}
 	for len(s.entries) >= s.capacity {
 		s.popOldest()
@@ -284,8 +291,8 @@ func (e *Engine) MissingLen() int { return len(e.missing) }
 // observe retains an event for retransmission and records its id in
 // the digest source. borrowed is the Borrowed flag of the message the
 // event arrived in (false for events out of the node's own buffer).
-func (e *Engine) observe(ev gossip.Event, borrowed bool) {
-	_, evicted := e.store.add(ev, e.round, borrowed)
+func (e *Engine) observe(n *gossip.Node, ev gossip.Event, borrowed bool) {
+	_, evicted := e.store.add(ev, e.round, borrowed, n)
 	e.stats.StoreEvicted += uint64(evicted)
 	e.digest.Add(ev.ID)
 }
@@ -299,7 +306,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	// The buffer snapshot passes through here every round, which is how
 	// locally-broadcast events (no OnReceive hook) enter the store.
 	for _, ev := range out.Events {
-		e.observe(ev, false)
+		e.observe(n, ev, false)
 	}
 	if e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0]); len(e.digestScratch) > 0 {
 		out.Digest = e.digestScratch
@@ -316,7 +323,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	switch in.Kind {
 	case gossip.KindGossip:
 		for _, ev := range in.Events {
-			e.observe(ev, in.Borrowed)
+			e.observe(n, ev, in.Borrowed)
 		}
 		if len(in.Digest) > 0 {
 			e.stats.DigestsReceived++
@@ -332,7 +339,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 				delete(e.missing, ev.ID)
 				e.stats.EventsRecovered++
 			}
-			e.observe(ev, in.Borrowed)
+			e.observe(n, ev, in.Borrowed)
 		}
 	}
 }
@@ -342,7 +349,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 // served to a peer that lost every push copy.
 func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
 	for _, ev := range evicted {
-		e.observe(ev, false)
+		e.observe(n, ev, false)
 	}
 }
 

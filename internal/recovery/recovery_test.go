@@ -268,7 +268,7 @@ func TestStoreGC(t *testing.T) {
 func TestStoreCapacityBound(t *testing.T) {
 	s := newStore(4)
 	for i := 0; i < 100; i++ {
-		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i), false)
+		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i), false, nil)
 		if s.len() > 4 {
 			t.Fatalf("store grew to %d, capacity 4", s.len())
 		}
@@ -281,29 +281,42 @@ func TestStoreCapacityBound(t *testing.T) {
 	}
 }
 
-// TestStoreAddBorrowedAllocFree: the store is one of the two places a
-// received payload is retained, so for an event out of a Borrowed
-// message it keeps a copy — made once, when the event is new to the
-// store, never for the duplicates that are most of what gossip receives.
+// TestStoreAddBorrowedAllocFree: the store retains received payloads
+// beside the node's buffer, so for an event out of a Borrowed message it
+// never keeps the datagram's bytes: it shares the copy the node's buffer
+// holds, and copies for itself — once, when the event is new to the
+// store, never for the duplicates that are most of what gossip receives —
+// only when the node no longer buffers the event.
 func TestStoreAddBorrowedAllocFree(t *testing.T) {
 	s := newStore(8)
+	n := newTestNode(t, "rx", membership.NewRegistry("rx", "a"), newTestEngine(t, Params{}))
 	wire := []byte("payload in the transport's receive buffer")
-	ev := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 1}, Payload: wire}
-	if added, _ := s.add(ev, 1, true); !added {
-		t.Fatal("first add refused")
-	}
 	want := string(wire)
+
+	// The node buffers event 1 (its own copy); event 2 it does not hold.
+	held := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 1}, Payload: []byte(want)}
+	n.Receive(&gossip.Message{From: "a", Events: []gossip.Event{held}})
+	shared := gossip.Event{ID: held.ID, Payload: wire}
+	absent := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 2}, Payload: wire}
+	for _, ev := range []gossip.Event{shared, absent} {
+		if added, _ := s.add(ev, 1, true, n); !added {
+			t.Fatal("first add refused")
+		}
+	}
 	for i := range wire {
 		wire[i] = 0xDD // the next datagram lands in the buffer
 	}
-	if got, _ := s.get(ev.ID); string(got.Payload) != want {
+	if got, _ := s.get(shared.ID); &got.Payload[0] != &held.Payload[0] {
+		t.Fatalf("store did not take the node's copy of a buffered event: %q", got.Payload)
+	}
+	if got, _ := s.get(absent.ID); string(got.Payload) != want {
 		t.Fatalf("store kept an alias of the receive buffer: %q", got.Payload)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.add(ev, 2, true) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { s.add(absent, 2, true, n) }); allocs != 0 {
 		t.Fatalf("re-adding a stored event allocates %v times, want 0", allocs)
 	}
-	owned := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 2}, Payload: []byte("owned")}
-	s.add(owned, 2, false)
+	owned := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 3}, Payload: []byte("owned")}
+	s.add(owned, 2, false, nil)
 	if got, _ := s.get(owned.ID); &got.Payload[0] != &owned.Payload[0] {
 		t.Fatal("store copied a payload it was told it owns")
 	}

@@ -67,7 +67,7 @@ type Runner struct {
 	metrics *observe.RunnerMetrics // nil = off
 
 	inbox chan delivery
-	cmds  chan func()
+	cmds  chan *request
 	stop  chan struct{}
 	done  chan struct{}
 
@@ -128,7 +128,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		phase:   time.Duration(rng.Int64N(int64(cfg.Period))),
 		metrics: cfg.Metrics,
 		inbox:   make(chan delivery, DefaultInboxSize),
-		cmds:    make(chan func()),
+		cmds:    make(chan *request),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -183,8 +183,8 @@ waitPhase:
 			return
 		case msg := <-r.inbox:
 			r.receive(msg)
-		case cmd := <-r.cmds:
-			cmd()
+		case req := <-r.cmds:
+			req.run()
 		}
 	}
 
@@ -198,8 +198,8 @@ waitPhase:
 			r.tick()
 		case d := <-r.inbox:
 			r.receive(d)
-		case cmd := <-r.cmds:
-			cmd()
+		case req := <-r.cmds:
+			req.run()
 		}
 	}
 }
@@ -248,18 +248,37 @@ func (r *Runner) Do(fn func()) bool {
 	if !r.started.Load() {
 		return false
 	}
-	doneCh := make(chan struct{})
-	wrapped := func() {
-		fn()
-		close(doneCh)
-	}
+	req := requests.Get().(*request)
+	req.fn = fn
 	select {
-	case r.cmds <- wrapped:
-		<-doneCh
+	case r.cmds <- req:
+		<-req.done
+		req.fn = nil
+		requests.Put(req)
 		return true
 	case <-r.done:
+		// Never handed over; dropped rather than recycled, so the pool
+		// holds only requests whose completion was received.
 		return false
 	}
+}
+
+// request is one Do call on its way into a loop: the function and the
+// channel its caller waits on. Requests are pooled across runners, so a
+// steady stream of Do calls allocates nothing. done has capacity 1 and is
+// never closed: the loop's completion send cannot block, and the request
+// is reusable once the caller has received it.
+type request struct {
+	fn   func()
+	done chan struct{}
+}
+
+var requests = sync.Pool{New: func() any { return &request{done: make(chan struct{}, 1)} }}
+
+// run executes the request on the loop goroutine and wakes its caller.
+func (req *request) run() {
+	req.fn()
+	req.done <- struct{}{}
 }
 
 // NodeSnapshot is a point-in-time view of one single-group member's

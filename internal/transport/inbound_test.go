@@ -258,7 +258,8 @@ func TestDecodeMemoryBound(t *testing.T) {
 // lists zeroed — what the next datagram does to them. Everything the
 // node retained must still be what was encoded: the payloads it
 // delivered, the ones its next round gossips, the ones its recovery
-// store serves, and the advertised ids it now pulls.
+// store serves — the same bytes the buffer gossips, one copy under both —
+// and the advertised ids it now pulls.
 func TestBorrowedMessageSurvivesScribble(t *testing.T) {
 	flate := DefaultCodec()
 	flate.Compression = NewFlateCompressor()
@@ -329,6 +330,10 @@ func TestBorrowedMessageSurvivesScribble(t *testing.T) {
 				t.Fatal("Tick produced no gossip")
 			}
 			check("next round's gossip", outs[0].Msg.Events)
+			buffered := make(map[gossip.EventID]*byte)
+			for _, ev := range outs[0].Msg.Events {
+				buffered[ev.ID] = &ev.Payload[0]
+			}
 			var pulled []gossip.EventID
 			for _, out := range outs {
 				if out.Msg.Kind == gossip.KindRecoveryRequest && out.To == sent.From {
@@ -350,6 +355,11 @@ func TestBorrowedMessageSurvivesScribble(t *testing.T) {
 				}
 			}
 			check("recovery response", served)
+			for _, ev := range served {
+				if &ev.Payload[0] != buffered[ev.ID] {
+					t.Fatalf("event %s: the recovery store serves a second copy of the payload the buffer holds", ev.ID)
+				}
+			}
 		})
 	}
 }

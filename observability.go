@@ -68,6 +68,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 		srv.PublishCounter(name, func() uint64 { return get(stats()) })
 	}
 	counter("gossip_published_total", func(s Stats) uint64 { return s.Published })
+	counter("gossip_publish_throttled_total", func(s Stats) uint64 { return s.Throttled })
 	counter("gossip_delivered_total", func(s Stats) uint64 { return s.Delivered })
 	counter("gossip_dropped_capacity_total", func(s Stats) uint64 { return s.DroppedCapacity })
 	counter("gossip_dropped_expired_total", func(s Stats) uint64 { return s.DroppedExpired })

@@ -37,34 +37,70 @@ func (t *stubWireTransport) WireStats() WireStats { return t.wire }
 // messages and bytes, read and decode errors, datagram splits, queue
 // drops) into
 // the unified Stats snapshot through the same WireStatser seam, so
-// they report identically for an identical fabric.
+// they report identically for an identical fabric. The admission
+// counters obey the same identity on every facade: each offered publish
+// is counted once, as Published or as Throttled, matching the verdict
+// its caller got.
 func TestWireStatsIdenticalAcrossFacades(t *testing.T) {
 	want := WireStats{
 		Sent: 101, SentBytes: 20200, Received: 99, RecvBytes: 19800,
 		ReadErrors: 3, DecodeErrors: 11, SplitChunks: 7, RecvQueueDrops: 5,
 	}
+	const offered = 20 // the default bucket holds 2.5 tokens at 1 msg/s
+	type running interface {
+		Start(context.Context) error
+		Stats() Stats
+		Close() error
+	}
+	// offer starts the facade, publishes past the bucket and returns
+	// the snapshot with the number of offers admitted.
+	offer := func(g running, publish func() bool) (Stats, int) {
+		t.Helper()
+		defer g.Close()
+		if err := g.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		admitted := 0
+		for i := 0; i < offered; i++ {
+			if publish() {
+				admitted++
+			}
+		}
+		return g.Stats(), admitted
+	}
 	got := make(map[string]Stats)
+	admitted := make(map[string]int)
 
 	node, err := NewNode("wire-a", fastConfig(), WithTransport(&stubWireTransport{wire: want}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["node"] = node.Stats()
-	node.Close()
+	got["node"], admitted["node"] = offer(node, func() bool { return node.Publish([]byte("x")) })
 
 	cluster, err := NewCluster(3, fastConfig(), WithTransport(&stubWireTransport{wire: want}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["cluster"] = cluster.Stats()
-	cluster.Close()
+	got["cluster"], admitted["cluster"] = offer(cluster, func() bool { return cluster.Publish(1, []byte("x")) })
 
 	ps, err := NewPubSub(3, 60, fastConfig(), WithTransport(&stubWireTransport{wire: want}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["pubsub"] = ps.Stats()
-	ps.Close()
+	subscribed := false // Subscribe runs on the peer's loop, so after Start
+	got["pubsub"], admitted["pubsub"] = offer(ps, func() bool {
+		if !subscribed {
+			if err := ps.Subscribe(1, "t"); err != nil {
+				t.Fatal(err)
+			}
+			subscribed = true
+		}
+		ok, err := ps.Publish(1, "t", []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	})
 
 	for facade, st := range got {
 		if st.Wire != want {
@@ -72,6 +108,13 @@ func TestWireStatsIdenticalAcrossFacades(t *testing.T) {
 		}
 		if st.RecvQueueDrops != want.RecvQueueDrops {
 			t.Errorf("%s facade RecvQueueDrops = %d, want %d", facade, st.RecvQueueDrops, want.RecvQueueDrops)
+		}
+		if n := admitted[facade]; n == 0 || n == offered {
+			t.Errorf("%s facade admitted %d of %d offers; the bucket was not crossed", facade, n, offered)
+		}
+		if st.Published != uint64(admitted[facade]) || st.Throttled != uint64(offered-admitted[facade]) {
+			t.Errorf("%s facade reports %d published + %d throttled for %d admitted of %d offered",
+				facade, st.Published, st.Throttled, admitted[facade], offered)
 		}
 	}
 }
@@ -246,6 +289,7 @@ func TestClusterDebugEndpoint(t *testing.T) {
 	metrics := debugGet(t, "http://"+addr+"/metrics")
 	for _, want := range []string{
 		"# TYPE gossip_delivered_total counter",
+		"# TYPE gossip_publish_throttled_total counter",
 		"# TYPE gossip_allowed_rate_min gauge",
 		"# TYPE gossip_deliver_hops histogram",
 		`gossip_deliver_hops_bucket{le="+Inf"}`,

@@ -20,7 +20,17 @@ type Delivery struct {
 // that member's protocol processing (never concurrent with each other),
 // while different members' callbacks may run concurrently. Callbacks
 // must be fast and must not block — for a pull-based consumer use the
-// Events stream instead.
+// Events stream instead. In particular a callback must not call back
+// into the member it runs on: Publish, Stats, Snapshot,
+// SetBufferCapacity and ClusterHealth (and a PubSub peer's Subscribe,
+// Unsubscribe and State) wait for that member's loop — the goroutine
+// the callback is running on — and never return; Stats and
+// ClusterHealth of a Cluster or PubSub visit every member, so no
+// callback may call them. Hand such work to another goroutine.
+//
+// Event.Payload is shared, not copied per observer: the same bytes sit
+// in the member's buffer and recovery store and reach every callback
+// and Events subscriber. Treat it as read-only.
 type DeliverFunc func(d Delivery)
 
 // MemberChangeFunc observes failure-detector transitions (requires

@@ -207,6 +207,7 @@ func (c *PubSub) Stats() Stats {
 		for _, ts := range c.state(i) {
 			st.addRates(ts.AllowedRate)
 			st.Published += ts.Adaptive.Published
+			st.Throttled += ts.Adaptive.Throttled
 			st.Delivered += ts.Gossip.Delivered
 			st.DroppedCapacity += ts.Gossip.DroppedCapacity
 			st.DroppedExpired += ts.Gossip.DroppedExpired

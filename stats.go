@@ -22,6 +22,10 @@ type Stats struct {
 	Nodes int
 	// Published counts admitted local broadcasts.
 	Published uint64
+	// Throttled counts local broadcasts the token bucket refused — the
+	// Publish calls that returned false while the group was running.
+	// Summed over the group's members; zero unless Config.Adaptive.
+	Throttled uint64
 	// Delivered counts events delivered to the application.
 	Delivered uint64
 	// DroppedCapacity counts events evicted by buffer pressure.
@@ -267,6 +271,7 @@ func (s *Stats) addWire(fabric Transport) {
 func (s *Stats) add(snap runtime.NodeSnapshot) {
 	s.addRates(snap.AllowedRate)
 	s.Published += snap.Adaptive.Published
+	s.Throttled += snap.Adaptive.Throttled
 	s.Delivered += snap.Gossip.Delivered
 	s.DroppedCapacity += snap.Gossip.DroppedCapacity
 	s.DroppedExpired += snap.Gossip.DroppedExpired
