@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -31,9 +32,17 @@ func TestScaleProximityAcceptance(t *testing.T) {
 	if raceEnabled {
 		t.Skip("n=10,000 sweep skipped under the race detector: the cost is simulation volume, and the sweep's worker-pool concurrency is raced by TestScaleDeterministic")
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	rows, err := RunScale(scaleTestConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	// 20,000 members' eventIds sets once cost 4.77 GB preallocated at
+	// their maximum; a set now costs what it holds (8 ids here).
+	if total := after.TotalAlloc - before.TotalAlloc; total >= 1<<30 {
+		t.Errorf("the two n=10,000 arms allocated %d MB, want under 1 GB", total>>20)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("RunScale returned %d rows, want 2", len(rows))

@@ -21,11 +21,13 @@ import (
 // of the group.
 const DefaultAtomicityThreshold = 0.95
 
+// msgRec is one message's record. It lives by value in the tracker's
+// slab; its delivery bitset is the slab index's words of the tracker's
+// bits.
 type msgRec struct {
 	born      time.Time
+	count     int32
 	bornKnown bool
-	delivered []uint64 // bitset over member indexes
-	count     int
 }
 
 // DeliveryTracker records which members delivered which broadcast
@@ -34,12 +36,25 @@ type msgRec struct {
 // distributions — per-delivery latency (microseconds since the
 // message's birth) and hop count — using the same alloc-free
 // histogram type the live runtime's debug endpoint serves.
+//
+// Tracking allocates nothing per event: records and bitsets live in
+// two slabs that grow by doubling, and a member's broadcasts — which
+// gossip.Node numbers 0, 1, 2, … — are found through a dense slice per
+// origin, indexed by seq. A map holds only the records the dense
+// index cannot: origins outside the member list, and seqs far beyond
+// every record so far.
 type DeliveryTracker struct {
 	mu      sync.Mutex
 	members map[gossip.NodeID]int
 	n       int
 	words   int
-	msgs    map[gossip.EventID]*msgRec
+
+	recs   []msgRec
+	bits   []uint64                 // words per record, parallel to recs
+	bySeq  [][]int32                // member origin → seq → slab index + 1, 0 for none
+	spare  []int32                  // uncut tail of the block bySeq's slices come from
+	cut    int                      // int32s cut from blocks so far
+	others map[gossip.EventID]int32 // what bySeq cannot index
 
 	latency observe.Histogram // microseconds birth → delivery
 	hops    observe.Histogram // event age at delivery
@@ -61,17 +76,75 @@ func NewDeliveryTracker(members []gossip.NodeID) (*DeliveryTracker, error) {
 		members: idx,
 		n:       len(idx),
 		words:   (len(idx) + 63) / 64,
-		msgs:    make(map[gossip.EventID]*msgRec),
+		bySeq:   make([][]int32, len(idx)),
 	}, nil
 }
 
-func (t *DeliveryTracker) record(id gossip.EventID) *msgRec {
-	rec, ok := t.msgs[id]
-	if !ok {
-		rec = &msgRec{delivered: make([]uint64, t.words)}
-		t.msgs[id] = rec
+// record returns the slab index of id's record, creating the record at
+// first sight. A record stays where its id was first indexed, so the
+// map is consulted first.
+func (t *DeliveryTracker) record(id gossip.EventID) int {
+	if r, ok := t.others[id]; ok {
+		return int(r)
 	}
-	return rec
+	if o, ok := t.members[id.Origin]; ok {
+		if slot := t.seqSlot(o, id.Seq); slot != nil {
+			if *slot == 0 {
+				*slot = t.newRecord() + 1
+			}
+			return int(*slot - 1)
+		}
+	}
+	if t.others == nil {
+		t.others = make(map[gossip.EventID]int32)
+	}
+	r := t.newRecord()
+	t.others[id] = r
+	return int(r)
+}
+
+// seqSlot returns the dense index entry of member origin o's event seq,
+// growing o's slice by doubling to reach it, or nil for a seq so far
+// ahead of every record that indexing it densely would waste memory.
+// The grown slices are cut from blocks that double too, so the index
+// costs a handful of allocations however many origins there are.
+func (t *DeliveryTracker) seqSlot(o int, seq uint64) *int32 {
+	idx := t.bySeq[o]
+	if seq < uint64(len(idx)) {
+		return &idx[seq]
+	}
+	if seq >= 2*uint64(len(t.recs))+64 {
+		return nil
+	}
+	n := max(2*len(idx), 16)
+	for uint64(n) <= seq {
+		n *= 2
+	}
+	if len(t.spare) < n {
+		t.spare = make([]int32, max(n, t.cut, 1024))
+	}
+	grown := t.spare[:n:n]
+	t.spare = t.spare[n:]
+	t.cut += n
+	copy(grown, idx)
+	t.bySeq[o] = grown
+	return &grown[seq]
+}
+
+// newRecord appends a zero record and bitset to the slabs and returns
+// its index. The slabs double when full.
+func (t *DeliveryTracker) newRecord() int32 {
+	if len(t.recs) == cap(t.recs) {
+		c := max(2*cap(t.recs), 64)
+		recs := make([]msgRec, len(t.recs), c)
+		copy(recs, t.recs)
+		bits := make([]uint64, len(t.bits), c*t.words)
+		copy(bits, t.bits)
+		t.recs, t.bits = recs, bits
+	}
+	t.recs = t.recs[:len(t.recs)+1]
+	t.bits = t.bits[:len(t.bits)+t.words]
+	return int32(len(t.recs) - 1)
 }
 
 // Broadcast registers the birth of a message. It may be called before
@@ -80,7 +153,7 @@ func (t *DeliveryTracker) record(id gossip.EventID) *msgRec {
 func (t *DeliveryTracker) Broadcast(id gossip.EventID, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec := t.record(id)
+	rec := &t.recs[t.record(id)]
 	rec.born = now
 	rec.bornKnown = true
 }
@@ -98,15 +171,16 @@ func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now 
 	if !ok {
 		return
 	}
-	rec := t.record(id)
+	r := t.record(id)
+	rec := &t.recs[r]
 	if !rec.bornKnown && (rec.count == 0 || now.Before(rec.born)) {
 		rec.born = now // best-effort birth time until Broadcast arrives
 	}
-	w, b := i/64, uint(i%64)
-	if rec.delivered[w]&(1<<b) != 0 {
+	w, b := r*t.words+i/64, uint(i%64)
+	if t.bits[w]&(1<<b) != 0 {
 		return
 	}
-	rec.delivered[w] |= 1 << b
+	t.bits[w] |= 1 << b
 	rec.count++
 	if hop >= 0 {
 		t.latency.ObserveInt(now.Sub(rec.born).Microseconds())
@@ -154,8 +228,8 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 
 	var (
 		// receivers accumulates integer delivery counts so the mean is
-		// exact and independent of map iteration order — float
-		// accumulation here would make otherwise-deterministic
+		// exact and independent of the order records are visited in —
+		// float accumulation here would make otherwise-deterministic
 		// simulations diverge in the last ulp.
 		receivers int
 		atomics   int
@@ -167,22 +241,21 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 	if need > t.n {
 		need = t.n
 	}
-	for _, rec := range t.msgs {
+	for _, rec := range t.recs {
 		if !from.IsZero() && rec.born.Before(from) {
 			continue
 		}
 		if !to.IsZero() && !rec.born.Before(to) {
 			continue
 		}
+		got := int(rec.count)
 		count++
-		receivers += rec.count
-		if rec.count < minCount {
-			minCount = rec.count
-		}
-		if rec.count >= need {
+		receivers += got
+		minCount = min(minCount, got)
+		if got >= need {
 			atomics++
 		}
-		if rec.count == t.n {
+		if got == t.n {
 			full++
 		}
 	}
@@ -229,14 +302,14 @@ func (t *DeliveryTracker) Series(start, end time.Time, bucket time.Duration, thr
 	if need > t.n {
 		need = t.n
 	}
-	for _, rec := range t.msgs {
+	for _, rec := range t.recs {
 		if rec.born.Before(start) || !rec.born.Before(end) {
 			continue
 		}
 		b := int(rec.born.Sub(start) / bucket)
 		accs[b].msgs++
-		accs[b].receivers += rec.count
-		if rec.count >= need {
+		accs[b].receivers += int(rec.count)
+		if int(rec.count) >= need {
 			accs[b].atomics++
 		}
 	}

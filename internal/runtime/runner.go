@@ -169,9 +169,11 @@ func (r *Runner) Stop() {
 
 func (r *Runner) loop() {
 	defer close(r.done)
-	// Random initial phase desynchronizes cluster-wide ticks. Inbox and
-	// command traffic is serviced while waiting — it must not cut the
-	// phase short, or a cluster started under load ticks in lockstep.
+	// Random initial phase desynchronizes cluster-wide ticks: the first
+	// round runs at phase, as in sim.Network.Drive, and one every period
+	// after it. Inbox and command traffic is serviced while waiting — it
+	// must not cut the phase short, or a cluster started under load
+	// ticks in lockstep.
 	phase := time.NewTimer(r.phase)
 	defer phase.Stop()
 waitPhase:
@@ -188,6 +190,7 @@ waitPhase:
 		}
 	}
 
+	r.tick()
 	ticker := time.NewTicker(r.period)
 	defer ticker.Stop()
 	for {

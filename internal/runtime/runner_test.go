@@ -338,3 +338,59 @@ func TestRunnerCopiesForExternalTransports(t *testing.T) {
 		t.Fatalf("%d distinct messages for %d distinct rounds — scratch pointer leaked", len(distinct), len(roundsSeen))
 	}
 }
+
+// tickClock is a Machine that only records when it ticks.
+type tickClock struct {
+	mu    sync.Mutex
+	ticks []time.Time
+}
+
+func (m *tickClock) ID() gossip.NodeID { return "clock" }
+
+func (m *tickClock) Tick(now time.Time) []gossip.Outgoing {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ticks = append(m.ticks, now)
+	return nil
+}
+
+func (m *tickClock) Receive(*gossip.Message, time.Time) []gossip.Outgoing { return nil }
+
+func (m *tickClock) recorded() []time.Time {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]time.Time(nil), m.ticks...)
+}
+
+// TestRunnerFirstTickAtPhase pins the real-time half of the schedule
+// sim.Network.Drive keeps: the first round at the member's phase, not a
+// period after it, then one round per period.
+func TestRunnerFirstTickAtPhase(t *testing.T) {
+	const period = 200 * time.Millisecond
+	m := &tickClock{}
+	r, err := NewRunner(Config{Node: m, Transport: &externalAsyncTransport{}, Period: period, PhaseSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	r.Start()
+	defer r.Stop()
+	const rounds = 4
+	deadline := start.Add(r.phase + rounds*period + 5*time.Second)
+	for len(m.recorded()) < rounds {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d ticks by the deadline", len(m.recorded()))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	r.Stop()
+	ticks := m.recorded()
+	if first := ticks[0].Sub(start); first < r.phase || first >= r.phase+period/2 {
+		t.Fatalf("first tick %v after Start, want at the phase %v (period %v)", first, r.phase, period)
+	}
+	for i := 1; i < len(ticks); i++ {
+		if gap := ticks[i].Sub(ticks[i-1]); gap < period/2 || gap > 3*period/2 {
+			t.Fatalf("ticks %d and %d are %v apart, want one period %v", i-1, i, gap, period)
+		}
+	}
+}
