@@ -806,6 +806,50 @@ func TestClusterFailureDetectionHealthy(t *testing.T) {
 	}
 }
 
+// TestDefaultSuspicionTimeoutSparesLiveMembers: with the detector's
+// suspicion timeout left at zero, a 16-member loopback-UDP group at a
+// 20 ms period with every extension on and 20% injected loss confirms
+// no live member. Five rounds — the detector's own default — are 100 ms
+// at that period, and such a group buries live members dozens of times
+// in three seconds; the facade derives the timeout from wall time
+// instead.
+func TestDefaultSuspicionTimeoutSparesLiveMembers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 16-member UDP group for three seconds")
+	}
+	cfg := DefaultConfig()
+	cfg.Period = 20 * time.Millisecond
+	cfg.BufferCapacity = 120
+	cfg.MaxAge = 10
+	cfg.Recovery.Enabled = true
+	cfg.Failure.Enabled = true
+	cfg.Observability.HealthDigests = true
+	cfg.Transport.Compression = "flate"
+	fabric, err := NewUDPTransport(WithTransportSeed(29), WithLoss(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := NewCluster(16, cfg, WithTransport(fabric), WithSeed(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 200)
+	for end := time.Now().Add(3 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		cluster.Publish(int(time.Now().UnixNano()%16), payload)
+	}
+	st := cluster.Stats()
+	if st.ProbesSent == 0 {
+		t.Fatal("detector enabled but no probes sent")
+	}
+	if st.Confirms != 0 {
+		t.Fatalf("%d confirmations of live members under the default suspicion timeout", st.Confirms)
+	}
+}
+
 // TestUDPNodeMembersEviction: the node facade evicts a stopped peer
 // from the survivor's member list after detection and reports the
 // transitions through WithOnMemberChange.

@@ -1,29 +1,17 @@
 // Command gossiplint runs the adaptivegossip static-analysis suite
 // (internal/lint) over the module: hotpathalloc, scratchretain,
-// atomicfield, transportsafe, and the //gossip: directive validator.
-//
-// Standalone (whole-module, full cross-package precision):
+// typedatomics, transportsafe, and the //gossip: directive validator.
 //
 //	gossiplint [packages]        # defaults to ./...
 //
-// As a vet tool (per-compilation-unit, driven by cmd/go):
-//
-//	go vet -vettool=$(pwd)/bin/gossiplint ./...
-//
-// In vettool mode the driver hands the tool one compilation unit at a
-// time, so cross-package analyses degrade to package-local precision;
-// //gossip:scratch producer identities are propagated between units
-// through vet's .vetx fact files so scratch-lifetime checks still see
-// producers declared in dependencies. CI gates on the standalone mode,
-// which sees the whole module at once.
+// The whole module is loaded and type-checked at once, so every
+// analyzer sees across package boundaries.
 //
 // Exit status: 0 clean, 1 usage or internal error, 2 diagnostics found.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -35,52 +23,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gossiplint: ")
-
-	// The cmd/go vet driver speaks a three-verb protocol: a -V=full
-	// version handshake (the output's buildID= field keys the build
-	// cache), a -flags query describing the tool's own flags, and then
-	// one invocation per compilation unit with a JSON config file as
-	// the sole argument.
-	args := os.Args[1:]
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			printVersion()
-			return
-		case args[0] == "-flags" || args[0] == "--flags":
-			fmt.Println("[]") // gossiplint takes no analyzer flags
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(runUnit(args[0]))
-		}
-	}
-	os.Exit(runStandalone(args))
+	os.Exit(run(os.Args[1:]))
 }
 
-// printVersion answers -V=full in the format cmd/go's buildID parser
-// accepts for development tools: the last field carries a content hash
-// of this executable, so rebuilding the linter invalidates cached vet
-// results.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("gossiplint version devel comments-go-here buildID=%02x\n", h.Sum(nil))
-}
-
-// runStandalone loads the whole module rooted at the working directory
-// and applies every analyzer with full cross-package visibility.
-func runStandalone(patterns []string) int {
+// run loads the module rooted at the working directory and applies
+// every analyzer with full cross-package visibility.
+func run(patterns []string) int {
 	dir, err := os.Getwd()
 	if err != nil {
 		log.Print(err)

@@ -64,29 +64,6 @@ func asExitError(err error, target **exec.ExitError) bool {
 	return ok
 }
 
-func TestVersionHandshake(t *testing.T) {
-	out, err := exec.Command(binPath, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	line := strings.TrimSpace(string(out))
-	// cmd/go's buildID parser needs "<name> version devel ... buildID=<hex>".
-	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[1] != "version" || !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Fatalf("-V=full output %q does not satisfy cmd/go's parser", line)
-	}
-}
-
-func TestFlagsQuery(t *testing.T) {
-	out, err := exec.Command(binPath, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	if got := strings.TrimSpace(string(out)); got != "[]" {
-		t.Fatalf("-flags = %q, want []", got)
-	}
-}
-
 func TestStandaloneFindsSeededViolation(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": "module vetfixture\n\ngo 1.24\n",
@@ -133,63 +110,5 @@ func Tick(buf []int, n int) []int {
 	}
 	if len(strings.TrimSpace(string(out))) != 0 {
 		t.Fatalf("expected no output on a clean module, got:\n%s", out)
-	}
-}
-
-// TestGoVetVettool drives the real cmd/go vet driver end to end: the
-// -V=full handshake, the -flags query, per-unit .cfg invocations, and
-// fact propagation (the //gossip:scratch producer lives in a dependency
-// package of the one with the violation, so the finding only appears if
-// producer identities flow between compilation units via .vetx files).
-func TestGoVetVettool(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod": "module vetfixture\n\ngo 1.24\n",
-		"inner/inner.go": `package inner
-
-type Message struct{ Events []int }
-
-func (m *Message) CopyForSend() *Message {
-	c := *m
-	c.Events = append([]int(nil), m.Events...)
-	return &c
-}
-
-type Node struct{ scratch Message }
-
-// Tick hands out per-round scratch.
-//
-//gossip:scratch
-func (n *Node) Tick() *Message { return &n.scratch }
-`,
-		"drive.go": `package vetfixture
-
-import "vetfixture/inner"
-
-var last *inner.Message
-
-func Drive(n *inner.Node) {
-	last = n.Tick()
-}
-
-func DriveSafe(n *inner.Node) {
-	last = n.Tick().CopyForSend()
-}
-`,
-	})
-	cmd := exec.Command("go", "vet", "-vettool="+binPath, "./...")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool succeeded, want scratchretain failure; output:\n%s", out)
-	}
-	text := string(out)
-	if !strings.Contains(text, "scratch value stored in package variable last") || !strings.Contains(text, "(scratchretain)") {
-		t.Fatalf("missing cross-unit scratchretain diagnostic:\n%s", text)
-	}
-	if !strings.Contains(text, "drive.go:8:") {
-		t.Fatalf("diagnostic not positioned at drive.go:8 (the retaining store):\n%s", text)
-	}
-	if strings.Contains(text, "drive.go:12:") {
-		t.Fatalf("CopyForSend store was wrongly flagged:\n%s", text)
 	}
 }

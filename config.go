@@ -84,18 +84,34 @@ type FailureConfig struct {
 	// Zero means the subsystem default (every round).
 	ProbePeriod int
 	// SuspicionTimeout is how many rounds a suspect may refute before
-	// being confirmed crashed. Zero means the subsystem default.
+	// being confirmed crashed. Zero derives it from wall time: enough
+	// rounds to span 2.5 s, and never fewer than the subsystem's default
+	// of 5 (which is what a period of 500 ms or more gets).
 	SuspicionTimeout int
 	// IndirectProbes is k, the number of proxies asked to probe an
 	// unresponsive target. Zero means the subsystem default.
 	IndirectProbes int
 }
 
-func (c FailureConfig) params() failure.Params {
+// suspicionTime is the refutation window a zero SuspicionTimeout stands
+// for. The subsystem's 5 rounds are 25 s at the paper's 5 s period but
+// 100 ms at 20 ms, shorter than a scheduler stall on a busy host, and a
+// loopback-UDP group confirmed live members within seconds with it.
+// 2.5 s is what the gossipbench workload with every extension on (50
+// rounds of 50 ms) runs with and never falsely confirms.
+const suspicionTime = 2500 * time.Millisecond
+
+// params maps the facade knobs onto the detector's configuration for a
+// group gossiping every period (positive).
+func (c FailureConfig) params(period time.Duration) failure.Params {
+	timeout := c.SuspicionTimeout
+	if timeout == 0 {
+		timeout = max(failure.DefaultSuspicionTimeoutRounds, int((suspicionTime+period-1)/period))
+	}
 	return failure.Params{
 		Enabled:                c.Enabled,
 		ProbePeriodRounds:      c.ProbePeriod,
-		SuspicionTimeoutRounds: c.SuspicionTimeout,
+		SuspicionTimeoutRounds: timeout,
 		IndirectProbes:         c.IndirectProbes,
 	}
 }
@@ -292,7 +308,7 @@ func (c Config) Validate() error {
 		}
 	}
 	if c.Failure.Enabled {
-		if err := c.Failure.params().Validate(); err != nil {
+		if err := c.Failure.params(c.Period).Validate(); err != nil {
 			return fmt.Errorf("adaptivegossip: %w", err)
 		}
 	}

@@ -155,7 +155,7 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 		Adaptive: cfg.Adaptive,
 		Core:     cfg.Adaptation,
 		Recovery: cfg.Recovery.params(),
-		Failure:  cfg.Failure.params(),
+		Failure:  cfg.Failure.params(cfg.Period),
 		OnMembership: func(peer gossip.NodeID, status gossip.MemberStatus) {
 			reg.ApplyVerdict(peer, status)
 			if onMember != nil {

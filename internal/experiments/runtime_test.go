@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptivegossip/internal/race"
 	"adaptivegossip/internal/workload"
 )
 
@@ -160,7 +161,7 @@ func TestRunRuntimeChurnSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if took := time.Since(started); took > 2*time.Second && !raceEnabled {
+	if took := time.Since(started); took > 2*time.Second && !race.Enabled {
 		t.Errorf("run took %v, want under two seconds", took)
 	}
 	t.Logf("confirms %d (false %d), detection latency %.1f rounds, view accuracy %.1f%%, receivers %.1f%%",

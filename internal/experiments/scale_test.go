@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"adaptivegossip/internal/race"
 )
 
 // scaleTestConfig trims the default sweep so the acceptance run fits a
@@ -29,7 +31,7 @@ func TestScaleProximityAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=10,000 sweep skipped in -short mode")
 	}
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("n=10,000 sweep skipped under the race detector: the cost is simulation volume, and the sweep's worker-pool concurrency is raced by TestScaleDeterministic")
 	}
 	var before, after runtime.MemStats

@@ -37,23 +37,26 @@ func DefaultWirecostConfig() WirecostConfig {
 	}
 }
 
+// v4BytesPerRoundFanout8 is the wire cost of one DefaultWirecostConfig
+// round at fanout 8 in the retired row-wise wire v4 (every event
+// repeating its origin and fixed-width seq/age), measured over loopback
+// UDP before v4 was removed and frozen in BENCH_6.json. It is the
+// baseline the columnar and compressed arms are judged against.
+const v4BytesPerRoundFanout8 = 56392
+
 // WirecostRow is one fanout point of the sweep. It compares the
 // encode-once SendMany path against the per-peer-encode baseline (the
-// allocation axis) and the three wire generations against each other
-// (the bytes axis): legacy row-wise v4 frames, columnar
-// delta-encoded v5 frames, and v5 with flate payload compression.
+// allocation axis) and the stored and flate-compressed encodings of the
+// columnar wire format against each other (the bytes axis).
 type WirecostRow struct {
 	Fanout int
-	// BytesPerRound is the v5 columnar wire cost of one round — the
-	// format the default codec speaks.
+	// BytesPerRound is the stored (uncompressed) wire cost of one round
+	// — the format the default codec speaks.
 	BytesPerRound float64
-	// V4BytesPerRound is the same round encoded row-wise as wire v4:
-	// every event repeats its origin and carries fixed-width seq/age.
-	V4BytesPerRound float64
-	// CompressedBytesPerRound is the same round as v5 with the flate
+	// CompressedBytesPerRound is the same round with the flate
 	// compressor on the event section.
 	CompressedBytesPerRound float64
-	// Allocations per round, sender side (v5 path).
+	// Allocations per round, sender side (stored path).
 	EncodeOnceAllocs float64
 	PerPeerAllocs    float64
 }
@@ -70,20 +73,20 @@ func (r WirecostRow) AllocRatio() float64 {
 }
 
 // CompressionRatio reports how many times fewer bytes one round costs
-// as compressed v5 compared to the v4 baseline.
+// compressed than stored.
 func (r WirecostRow) CompressionRatio() float64 {
 	den := r.CompressedBytesPerRound
 	if den < 1 {
 		den = 1
 	}
-	return r.V4BytesPerRound / den
+	return r.BytesPerRound / den
 }
 
 // RunWirecost measures per-round send cost versus fanout over real
 // loopback UDP sockets. The receiver sockets are bound but never read —
 // the measurement isolates the sender's encode+write work, which is the
-// hot path the encode-once fanout optimizes. Three sender sockets carry
-// the same round: one per wire arm (v4, v5, v5+flate), so the byte
+// hot path the encode-once fanout optimizes. Two sender sockets carry
+// the same round, one stored and one flate-compressed, so the byte
 // columns come from real datagram writes, not size arithmetic.
 func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 	if len(cfg.Fanouts) == 0 || cfg.Events < 0 || cfg.Payload < 0 || cfg.Rounds < 1 {
@@ -104,14 +107,6 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 		return nil, err
 	}
 	defer sender.Close()
-	v4Codec := transport.DefaultCodec()
-	v4Codec.WireVersion = 4
-	senderV4, err := transport.NewUDPTransport("wirecost-sender", "127.0.0.1:0",
-		transport.WithUDPCodec(v4Codec))
-	if err != nil {
-		return nil, err
-	}
-	defer senderV4.Close()
 	senderComp, err := transport.NewUDPTransport("wirecost-sender", "127.0.0.1:0",
 		transport.WithUDPCompression(transport.NewFlateCompressor()))
 	if err != nil {
@@ -127,7 +122,7 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 			return nil, err
 		}
 		defer ep.Close()
-		for _, s := range []*transport.UDPTransport{sender, senderV4, senderComp} {
+		for _, s := range []*transport.UDPTransport{sender, senderComp} {
 			if err := s.Register(id, ep.Addr().String()); err != nil {
 				return nil, err
 			}
@@ -136,17 +131,6 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 	}
 
 	msg := wirecostMessage(cfg.Events, cfg.Payload)
-	// bytesPerRound drives one arm's sender for the configured rounds
-	// and reads the cost off its wire counter.
-	bytesPerRound := func(s *transport.UDPTransport, tos []gossip.NodeID) (float64, error) {
-		before := s.Stats().SentBytes
-		for r := 0; r < cfg.Rounds; r++ {
-			if _, err := s.SendMany(tos, msg); err != nil {
-				return 0, err
-			}
-		}
-		return float64(s.Stats().SentBytes-before) / float64(cfg.Rounds), nil
-	}
 	rows := make([]WirecostRow, 0, len(cfg.Fanouts))
 	for _, fanout := range cfg.Fanouts {
 		tos := targets[:fanout]
@@ -158,15 +142,14 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 		})
 		after := sender.Stats()
 		// AllocsPerRun invokes the round once extra as warmup.
-		v5Bytes := float64(after.SentBytes-before.SentBytes) / float64(cfg.Rounds+1)
-		v4Bytes, err := bytesPerRound(senderV4, tos)
-		if err != nil {
-			return nil, err
+		storedBytes := float64(after.SentBytes-before.SentBytes) / float64(cfg.Rounds+1)
+		compBefore := senderComp.Stats().SentBytes
+		for r := 0; r < cfg.Rounds; r++ {
+			if _, err := senderComp.SendMany(tos, msg); err != nil {
+				return nil, err
+			}
 		}
-		compBytes, err := bytesPerRound(senderComp, tos)
-		if err != nil {
-			return nil, err
-		}
+		compBytes := float64(senderComp.Stats().SentBytes-compBefore) / float64(cfg.Rounds)
 		// Baseline: one Send per target — each call re-encodes the
 		// identical message, the pre-SendMany wire path.
 		perPeer := testing.AllocsPerRun(cfg.Rounds, func() {
@@ -178,8 +161,7 @@ func RunWirecost(cfg WirecostConfig) ([]WirecostRow, error) {
 		})
 		rows = append(rows, WirecostRow{
 			Fanout:                  fanout,
-			BytesPerRound:           v5Bytes,
-			V4BytesPerRound:         v4Bytes,
+			BytesPerRound:           storedBytes,
 			CompressedBytesPerRound: compBytes,
 			EncodeOnceAllocs:        encodeOnce,
 			PerPeerAllocs:           perPeer,
@@ -214,10 +196,12 @@ func wirecostMessage(events, payload int) *gossip.Message {
 func RenderWirecost(w io.Writer, cfg WirecostConfig, rows []WirecostRow) {
 	fmt.Fprintf(w, "# Wirecost — per-round send cost vs fanout (loopback UDP, %d events × %d B)\n",
 		cfg.Events, cfg.Payload)
-	fmt.Fprintln(w, "# fanout  v4-bytes/rnd  v5-bytes/rnd  v5+flate/rnd  v4/flate  allocs/round(encode-once)  allocs/round(per-peer)  ratio")
+	fmt.Fprintf(w, "# retired wire v4 baseline: %d bytes/round at fanout 8 for 30 events × 200 B (BENCH_6.json)\n",
+		v4BytesPerRoundFanout8)
+	fmt.Fprintln(w, "# fanout  stored-bytes/rnd  flate-bytes/rnd  stored/flate  allocs/round(encode-once)  allocs/round(per-peer)  ratio")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%8d  %12.0f  %12.0f  %12.0f  %7.1fx  %25.1f  %22.1f  %5.1fx\n",
-			r.Fanout, r.V4BytesPerRound, r.BytesPerRound, r.CompressedBytesPerRound,
+		fmt.Fprintf(w, "%8d  %16.0f  %15.0f  %11.1fx  %25.1f  %22.1f  %5.1fx\n",
+			r.Fanout, r.BytesPerRound, r.CompressedBytesPerRound,
 			r.CompressionRatio(), r.EncodeOnceAllocs, r.PerPeerAllocs, r.AllocRatio())
 	}
 }

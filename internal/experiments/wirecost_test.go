@@ -19,7 +19,8 @@ func TestRunWirecostValidation(t *testing.T) {
 // grows, while the per-peer baseline scales with it — at fanout 8 by at
 // least the tentpole's 4× bound.
 func TestRunWirecostEncodeIndependentOfFanout(t *testing.T) {
-	cfg := WirecostConfig{Fanouts: []int{1, 8}, Events: 20, Payload: 100, Rounds: 50}
+	cfg := DefaultWirecostConfig()
+	cfg.Fanouts, cfg.Rounds = []int{1, 8}, 50
 	rows, err := RunWirecost(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -41,15 +42,15 @@ func TestRunWirecostEncodeIndependentOfFanout(t *testing.T) {
 	if eight.AllocRatio() < 4 {
 		t.Fatalf("encode-once only %vx cheaper at fanout 8, want >= 4x", eight.AllocRatio())
 	}
-	// Wire-generation comparison at fanout 8: columnar v5 never costs
-	// more than row-wise v4, and compressed v5 meets the tentpole's 3×
-	// reduction against the v4 baseline.
-	if eight.BytesPerRound > eight.V4BytesPerRound {
-		t.Fatalf("v5 costs more than v4: %v vs %v bytes/round", eight.BytesPerRound, eight.V4BytesPerRound)
+	// Wire-format comparison at fanout 8 against the retired row-wise v4
+	// baseline for this same round: the columnar stored form never costs
+	// more, and the compressed form is at least 3× smaller.
+	if eight.BytesPerRound > v4BytesPerRoundFanout8 {
+		t.Fatalf("stored columnar round costs more than v4: %v vs %d bytes/round", eight.BytesPerRound, v4BytesPerRoundFanout8)
 	}
-	if 3*eight.CompressedBytesPerRound > eight.V4BytesPerRound {
-		t.Fatalf("v5+flate only %.1fx smaller than v4 at fanout 8, want >= 3x (%v vs %v bytes/round)",
-			eight.CompressionRatio(), eight.CompressedBytesPerRound, eight.V4BytesPerRound)
+	if 3*eight.CompressedBytesPerRound > v4BytesPerRoundFanout8 {
+		t.Fatalf("flate round only %.1fx smaller than v4 at fanout 8, want >= 3x (%v vs %d bytes/round)",
+			v4BytesPerRoundFanout8/eight.CompressedBytesPerRound, eight.CompressedBytesPerRound, v4BytesPerRoundFanout8)
 	}
 
 	var sb strings.Builder

@@ -49,8 +49,8 @@ type Event struct {
 
 	// Hop counts wire traversals from the origin: 0 at the origin,
 	// incremented once each time a copy is received from another node.
-	// When the sender propagates wire trace context (Message.Traced,
-	// wire v4) the count is exact across real transports; otherwise
+	// When the sender propagates wire trace context (Message.Traced)
+	// the count is exact across real transports; otherwise
 	// receivers fall back to Hop = Age, the pre-trace approximation.
 	// Unlike Age, Hop is never advanced while the event sits in a
 	// buffer, so traces distinguish "travelled far" from "lived long".

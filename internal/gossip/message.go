@@ -151,7 +151,7 @@ type Message struct {
 	Request []EventID
 
 	// Traced reports that the sender propagates wire trace context:
-	// each event's Hop counter rides the wire (wire v4's trace flag),
+	// each event's Hop counter rides the wire (the frame's trace flag),
 	// so receivers stitch exact causal hop paths instead of the age
 	// approximation. Senders set it when a rumor tracer is attached.
 	Traced bool

@@ -457,7 +457,7 @@ func (n *Node) Receive(msg *Message) {
 	n.stats.EventsReceived += uint64(len(msg.Events))
 	for _, ev := range msg.Events {
 		// ev is a value copy: adjust its hop count for this arrival.
-		// Senders propagating trace context (wire v4) carry exact hop
+		// Senders propagating trace context carry exact hop
 		// counts — one more traversal landed the copy here; otherwise
 		// fall back to the age approximation.
 		if msg.Traced {

@@ -8,6 +8,7 @@ import (
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
 	"adaptivegossip/internal/observe"
+	"adaptivegossip/internal/race"
 )
 
 func testNode(t *testing.T, id gossip.NodeID, exts ...gossip.Extension) *gossip.Node {
@@ -181,7 +182,7 @@ func TestEngineStaleness(t *testing.T) {
 // coverage, and coverage must be monotonically non-decreasing.
 func TestConvergenceLargeCluster(t *testing.T) {
 	n := 1000
-	if testing.Short() || raceEnabled {
+	if testing.Short() || race.Enabled {
 		n = 200
 	}
 	res, err := RunConvergence(n, 4, 64, 100, 7)

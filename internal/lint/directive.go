@@ -15,7 +15,6 @@ const (
 	DirHotPath   = "hotpath"   // function: no allocation in it or its in-module callees
 	DirScratch   = "scratch"   // function: reference-typed results are per-round scratch
 	DirAllocOK   = "allocok"   // function or statement: allocation here is a known cold branch
-	DirAtomicOK  = "atomicok"  // function or statement: plain access to an atomic field is deliberate
 	DirScratchOK = "scratchok" // function or statement: this scratch flow is protected by a protocol the analyzer cannot see
 )
 
@@ -23,7 +22,6 @@ var knownDirectives = map[string]bool{
 	DirHotPath:   true,
 	DirScratch:   true,
 	DirAllocOK:   true,
-	DirAtomicOK:  true,
 	DirScratchOK: true,
 }
 
@@ -32,7 +30,6 @@ var knownDirectives = map[string]bool{
 // stale one.
 var needsReason = map[string]bool{
 	DirAllocOK:   true,
-	DirAtomicOK:  true,
 	DirScratchOK: true,
 }
 
@@ -47,7 +44,7 @@ var declOnly = map[string]bool{
 // declaration (Fn) or to a statement (Stmt).
 type Directive struct {
 	Name string
-	Arg  string // trailing free text: the reason for allocok/atomicok
+	Arg  string // trailing free text: the reason for allocok/scratchok
 	Pos  token.Pos
 	Fn   *ast.FuncDecl
 	Stmt ast.Stmt
@@ -102,7 +99,7 @@ func (ds *DirectiveSet) Suppressed(name string, fn *ast.FuncDecl, node ast.Node)
 
 // ParseDirectives extracts and validates the //gossip: directives of a
 // package's files. Placement is strict: hotpath and scratch belong in a
-// function declaration's doc comment; allocok and atomicok belong there
+// function declaration's doc comment; allocok and scratchok belong there
 // or on (or immediately above) the statement they exempt.
 func ParseDirectives(fset *token.FileSet, files []*ast.File) *DirectiveSet {
 	ds := &DirectiveSet{ByFunc: map[*ast.FuncDecl][]*Directive{}}
@@ -143,8 +140,8 @@ func parseFileDirectives(fset *token.FileSet, file *ast.File, ds *DirectiveSet) 
 			if !knownDirectives[name] {
 				ds.Problems = append(ds.Problems, Problem{
 					Pos: c.Pos(),
-					Message: fmt.Sprintf("unknown gossip directive %q (known: %s, %s, %s, %s, %s)",
-						name, DirHotPath, DirScratch, DirAllocOK, DirAtomicOK, DirScratchOK),
+					Message: fmt.Sprintf("unknown gossip directive %q (known: %s, %s, %s, %s)",
+						name, DirHotPath, DirScratch, DirAllocOK, DirScratchOK),
 				})
 				continue
 			}

@@ -38,17 +38,6 @@ var HotPathAlloc = &Analyzer{
 }
 
 func runHotPathAlloc(pass *Pass) error {
-	if pass.Module == nil {
-		// Single-unit (vettool) mode: degrade to the annotated functions
-		// of this package plus same-package transitive callees.
-		m := &Module{Fset: pass.Fset, Pkgs: map[string]*Package{pass.Pkg.Path(): {
-			Path: pass.Pkg.Path(), Fset: pass.Fset, Files: pass.Files,
-			Pkg: pass.Pkg, Info: pass.Info, Directives: pass.Directives,
-		}}, Paths: []string{pass.Pkg.Path()}}
-		ha := analyzeHot(m)
-		ha.report(pass)
-		return nil
-	}
 	hotCacheMu(pass.Module).report(pass)
 	return nil
 }

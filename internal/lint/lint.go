@@ -11,8 +11,8 @@
 // Diagnostic) with one deliberate difference: a Pass can see the whole
 // loaded module (Pass.Module), because the contracts being checked are
 // inherently cross-package (a hot function in internal/runtime calls
-// into internal/gossip; a field written plainly in one package may be
-// read atomically in another) and the stdlib has no facts mechanism.
+// into internal/gossip; a scratch producer in internal/gossip is
+// consumed in internal/runtime) and the stdlib has no facts mechanism.
 //
 // Analyzers are driven by directive comments, which are part of the
 // project contract (see API_STABILITY.md):
@@ -23,14 +23,12 @@
 //	                        is a known cold branch; allocation is fine
 //	//gossip:scratch        this function's pointer/slice results are
 //	                        per-round scratch, valid until the next Tick
-//	//gossip:atomicok reason this statement's plain access to an
-//	                        atomically-used field is deliberate
 //	//gossip:scratchok reason this statement's scratch flow is protected
 //	                        by a protocol the analyzer cannot see
 //
-// The suite: hotpathalloc, scratchretain, atomicfield, transportsafe,
+// The suite: hotpathalloc, scratchretain, typedatomics, transportsafe,
 // plus the directive validator itself. cmd/gossiplint is the
-// multichecker front end (standalone and `go vet -vettool`).
+// whole-module front end.
 package lint
 
 import (
@@ -71,16 +69,7 @@ type Pass struct {
 	Directives *DirectiveSet
 
 	// Module is the whole loaded module, for cross-package analyses.
-	// Nil in single-package (vettool) mode; analyzers must degrade to
-	// package-local precision when it is.
 	Module *Module
-
-	// FactProducers carries //gossip:scratch producers from dependency
-	// compilation units in vettool mode, keyed by types.Func.FullName()
-	// (the only stable cross-unit identity available without a real
-	// facts mechanism). Nil in whole-module mode, where Module already
-	// exposes every producer.
-	FactProducers map[string]bool
 
 	diags *[]Diagnostic
 }
@@ -147,31 +136,7 @@ func Run(m *Module, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	SortDiagnostics(m.Fset, diags)
-	return dedupe(diags), nil
-}
-
-// RunPackage applies each analyzer to a single compilation unit with no
-// module context (vettool mode). factProducers carries //gossip:scratch
-// identities imported from dependency units.
-func RunPackage(p *Package, analyzers []*Analyzer, factProducers map[string]bool) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:      a,
-			Fset:          p.Fset,
-			Files:         p.Files,
-			Pkg:           p.Pkg,
-			Info:          p.Info,
-			Directives:    p.Directives,
-			FactProducers: factProducers,
-			diags:         &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, p.Path, err)
-		}
-	}
-	SortDiagnostics(p.Fset, diags)
-	return dedupe(diags), nil
+	return diags, nil
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, analyzer.
@@ -191,27 +156,13 @@ func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 	})
 }
 
-// dedupe removes identical diagnostics: module-level analyzers that
-// scan cross-package state (atomicfield) can rediscover the same
-// finding from several packages.
-func dedupe(diags []Diagnostic) []Diagnostic {
-	out := diags[:0]
-	for i, d := range diags {
-		if i > 0 && d == diags[i-1] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 // All returns the full gossiplint suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DirectiveAnalyzer,
 		HotPathAlloc,
 		ScratchRetain,
-		AtomicField,
+		TypedAtomics,
 		TransportSafe,
 	}
 }

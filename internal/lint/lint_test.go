@@ -15,16 +15,14 @@ import (
 // analyzer must catch — and legal patterns it must not flag. Every
 // expectation is a `// want` comment in the fixture itself.
 
+// The hotpath fixture also seeds the typed-atomics rule: a raw
+// atomic.AddUint64 on a hot counter is the case it exists for.
 func TestHotPathAllocFixture(t *testing.T) {
-	linttest.Run(t, "testdata/hotpath", lint.HotPathAlloc)
+	linttest.Run(t, "testdata/hotpath", lint.HotPathAlloc, lint.TypedAtomics)
 }
 
 func TestScratchRetainFixture(t *testing.T) {
 	linttest.Run(t, "testdata/scratch", lint.ScratchRetain)
-}
-
-func TestAtomicFieldFixture(t *testing.T) {
-	linttest.Run(t, "testdata/atomicf", lint.AtomicField)
 }
 
 func TestTransportSafeFixture(t *testing.T) {

@@ -128,13 +128,15 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	return listed, nil
 }
 
-// CheckFiles type-checks one package from the given source files using
-// imp to resolve imports, returning the lint view of the package. It is
-// shared by the module loader and the vettool single-unit mode.
-func CheckFiles(fset *token.FileSet, imp types.Importer, path string, filenames []string) (*Package, error) {
+// checkPackage type-checks one listed package from source using imp to
+// resolve imports, returning the lint view of the package.
+func checkPackage(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Package, error) {
+	if len(p.GoFiles) == 0 {
+		return nil, fmt.Errorf("gossiplint: %s: no Go files", p.ImportPath)
+	}
 	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("gossiplint: %v", err)
 		}
@@ -150,29 +152,18 @@ func CheckFiles(fset *token.FileSet, imp types.Importer, path string, filenames 
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	tpkg, err := conf.Check(path, fset, files, info)
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("gossiplint: type-checking %s: %v", path, err)
+		return nil, fmt.Errorf("gossiplint: type-checking %s: %v", p.ImportPath, err)
 	}
 	return &Package{
-		Path:       path,
+		Path:       p.ImportPath,
 		Fset:       fset,
 		Files:      files,
 		Pkg:        tpkg,
 		Info:       info,
 		Directives: ParseDirectives(fset, files),
 	}, nil
-}
-
-func checkPackage(fset *token.FileSet, imp types.Importer, p *listedPackage) (*Package, error) {
-	if len(p.GoFiles) == 0 {
-		return nil, fmt.Errorf("gossiplint: %s: no Go files", p.ImportPath)
-	}
-	filenames := make([]string, len(p.GoFiles))
-	for i, f := range p.GoFiles {
-		filenames[i] = filepath.Join(p.Dir, f)
-	}
-	return CheckFiles(fset, imp, p.ImportPath, filenames)
 }
 
 // moduleImporter resolves imports preferring packages already

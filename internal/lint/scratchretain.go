@@ -27,9 +27,8 @@ var ScratchRetain = &Analyzer{
 }
 
 func runScratchRetain(pass *Pass) error {
-	m := passModule(pass)
-	producers := scratchProducers(m)
-	if len(producers) == 0 && len(pass.FactProducers) == 0 {
+	producers := scratchProducers(pass.Module)
+	if len(producers) == 0 {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -48,7 +47,7 @@ func runScratchRetain(pass *Pass) error {
 }
 
 func checkRetention(pass *Pass, producers map[*types.Func]bool, fd *ast.FuncDecl) {
-	t := newTaint(pass.Info, producers, pass.FactProducers, fd)
+	t := newTaint(pass.Info, producers, fd)
 	hasTaint := len(t.objs) > 0
 	// Even with no tainted locals, a direct store of a producer call's
 	// result (s.f = n.Tick()) must be caught; t.expr handles that.

@@ -13,12 +13,11 @@ import (
 // `make lint`; the AllocsPerRun benchmarks remain the dynamic backstop
 // for the static hot-path claims.
 //
-// On the atomics side this test also records an audit result: non-test
-// code in this module (internal/observe and internal/health included)
-// uses typed atomics — atomic.Uint64 and friends — exclusively, so the
-// mixed atomic/plain access and 32-bit alignment hazards atomicfield
-// hunts are structurally absent today. The analyzer keeps it that way
-// for any future raw sync/atomic use.
+// On the atomics side it enforces what was first an audit result:
+// non-test code in this module uses typed atomics — atomic.Uint64 and
+// friends — exclusively, so mixed atomic/plain access and 32-bit
+// misalignment of a 64-bit word cannot be written. typedatomics fails
+// the sweep on any sync/atomic package-level function.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list; skipped in -short mode")

@@ -36,55 +36,18 @@ func scratchProducers(m *Module) map[*types.Func]bool {
 
 var producerCache = map[*Module]map[*types.Func]bool{}
 
-// LocalProducerNames returns the FullName of every //gossip:scratch
-// function declared in p, for export as facts between vettool
-// compilation units.
-func LocalProducerNames(p *Package) []string {
-	var names []string
-	for fn := range p.Directives.ByFunc {
-		if _, ok := p.Directives.FuncDirective(fn, DirScratch); !ok {
-			continue
-		}
-		if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-			names = append(names, obj.Origin().FullName())
-		}
-	}
-	return names
-}
-
-// passModule returns the whole-module view, or a single-package wrapper
-// when running in vettool mode (one compilation unit at a time).
-func passModule(pass *Pass) *Module {
-	if pass.Module != nil {
-		return pass.Module
-	}
-	path := pass.Pkg.Path()
-	return &Module{
-		Path: path,
-		Fset: pass.Fset,
-		Pkgs: map[string]*Package{path: {
-			Path: path, Fset: pass.Fset, Files: pass.Files,
-			Pkg: pass.Pkg, Info: pass.Info, Directives: pass.Directives,
-		}},
-		Paths: []string{path},
-	}
-}
-
 // taint tracks, within one function, which local variables hold
 // per-round scratch (values produced — directly or via assignment
 // chains — by //gossip:scratch functions).
 type taint struct {
 	info      *types.Info
 	producers map[*types.Func]bool
-	// names holds producer identities imported as facts from other
-	// compilation units (vettool mode), keyed by FullName.
-	names map[string]bool
-	objs  map[types.Object]bool
+	objs      map[types.Object]bool
 }
 
 // newTaint runs a flow-insensitive fixpoint over fd's assignments.
-func newTaint(info *types.Info, producers map[*types.Func]bool, names map[string]bool, fd *ast.FuncDecl) *taint {
-	t := &taint{info: info, producers: producers, names: names, objs: map[types.Object]bool{}}
+func newTaint(info *types.Info, producers map[*types.Func]bool, fd *ast.FuncDecl) *taint {
+	t := &taint{info: info, producers: producers, objs: map[types.Object]bool{}}
 	if fd.Body == nil {
 		return t
 	}
@@ -193,12 +156,8 @@ func (t *taint) expr(e ast.Expr) bool {
 		if sel, ok := ast.Unparen(node.Fun).(*ast.SelectorExpr); ok && cleansingMethods[sel.Sel.Name] {
 			return false
 		}
-		if callee := staticCallee(t.info, node); callee != nil {
-			if t.producers[callee] || t.names[callee.FullName()] {
-				return true
-			}
-		}
-		return false
+		callee := staticCallee(t.info, node)
+		return callee != nil && t.producers[callee]
 	}
 	return false
 }

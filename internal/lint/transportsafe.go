@@ -38,12 +38,11 @@ var sendMethods = map[string]bool{
 }
 
 func runTransportSafe(pass *Pass) error {
-	m := passModule(pass)
-	producers := scratchProducers(m)
-	if len(producers) == 0 && len(pass.FactProducers) == 0 {
+	producers := scratchProducers(pass.Module)
+	if len(producers) == 0 {
 		return nil
 	}
-	markers := scratchSafeMarkers(m)
+	markers := scratchSafeMarkers(pass.Module)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -96,7 +95,7 @@ func implementsScratchSafe(markers []*types.Interface, t types.Type) bool {
 }
 
 func checkSends(pass *Pass, markers []*types.Interface, producers map[*types.Func]bool, fd *ast.FuncDecl) {
-	t := newTaint(pass.Info, producers, pass.FactProducers, fd)
+	t := newTaint(pass.Info, producers, fd)
 	guarded := hasScratchSafeGuard(pass, markers, fd)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

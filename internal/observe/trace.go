@@ -49,7 +49,7 @@ func (s TraceStage) String() string {
 // where the transition happened; From is the sending node for
 // StageReceive/StageDeliver when known (empty at the origin's own
 // stages); Hop is the rumor's hop count at the transition — exact when
-// the sender propagated wire trace context (wire v4), otherwise the
+// the sender propagated wire trace context, otherwise the
 // event's age (ages advance once per round at every holder, so the age
 // approximates the hop count); Round is the observing node's gossip
 // round. Reason is set for StageDrop ("capacity", "expired", "resize").

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/race"
 	"adaptivegossip/internal/transport"
 )
 
@@ -213,7 +214,7 @@ func TestRunnerDoAllocFree(t *testing.T) {
 		t.Fatalf("fn ran %d times for 202 Do calls", ran)
 	}
 	// Under the race detector sync.Pool drops a quarter of what is Put.
-	if allocs != 0 && !raceEnabled {
+	if allocs != 0 && !race.Enabled {
 		t.Fatalf("Do allocates %v times per call, want 0", allocs)
 	}
 }

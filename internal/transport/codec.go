@@ -58,16 +58,8 @@ import (
 //	        bytes            columnar event rows (events.go), stored or
 //	                         compressed per comp
 //
-// Version 2 added the kind byte and the digest/request id lists (the
-// anti-entropy recovery traffic). Version 3 added the probe kinds and
-// the probe/probeSeq/updates fields (SWIM-style failure detection).
-// Version 4 added the per-event trace context (the traced flag and hop
-// counters) and the trailing health-digest section. Version 5 moved the
-// event list behind the control fields into a length-prefixed section,
-// re-encoded it columnar (origins written once per run, seqs and ages
-// zigzag-delta varints — events.go) and added the compression seam
-// (compress.go). Version 4 and 3 payloads still decode; older versions
-// are rejected.
+// Version 5 is the only version encoded or accepted: a frame carrying
+// any other version byte is rejected with ErrBadMagic.
 
 // Codec encodes and decodes gossip messages with hard limits that bound
 // the memory a hostile or corrupt datagram can make the decoder commit.
@@ -79,13 +71,8 @@ type Codec struct {
 	// MaxEvents bounds the events per message accepted when decoding.
 	MaxEvents int
 
-	// WireVersion selects the encoding version: 0 (the default) and 5
-	// encode the current columnar format, 4 the legacy inline format
-	// (for interop experiments and the wirecost comparison arm).
-	// Decoding always accepts every supported version.
-	WireVersion int
 	// Compression, when non-nil, compresses the event section of every
-	// encoded v5 frame (falling back to stored form when compression
+	// encoded frame (falling back to stored form when compression
 	// does not pay). Decoding is independent: compressed frames from
 	// peers decode regardless of this setting.
 	Compression Compressor
@@ -95,7 +82,7 @@ type Codec struct {
 }
 
 // CodecStats counts event-section bytes before and after compression,
-// accumulated atomically across every v5 encode through the codec.
+// accumulated atomically across every encode through the codec.
 // Equal counters mean compression is off (or never paid for itself).
 type CodecStats struct {
 	PreCompressionBytes  atomic.Uint64
@@ -173,9 +160,6 @@ func (c Codec) AppendEncode(buf []byte, m *gossip.Message) ([]byte, error) {
 //
 //gossip:hotpath
 func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
-	if c.WireVersion == wireV4 {
-		return c.appendEncodeV4(buf, m)
-	}
 	// A message without events has a one-byte section (count = 0), which
 	// no compressor shrinks: pings, acks and recovery requests — most of
 	// what an everything-on member sends — take the stored path below and
@@ -197,19 +181,7 @@ func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
 	return buf
 }
 
-// appendEncodeV4 writes the legacy v4 layout: inline fixed-width event
-// list between the control sections, no compression seam.
-//
-//gossip:hotpath
-func (c Codec) appendEncodeV4(buf []byte, m *gossip.Message) []byte {
-	buf = appendFrame(buf, wireV4, m)
-	buf = appendControlPre(buf, m)
-	buf = appendEventsV4(buf, m)
-	buf = appendControlPost(buf, m)
-	return buf
-}
-
-// appendEncodeCompressed writes a v5 frame with the event section run
+// appendEncodeCompressed writes a frame with the event section run
 // through the configured compressor, storing the section raw when
 // compression does not pay — which keeps the uncompressed EncodedSize
 // an upper bound for buffer sizing either way. The compress flag is
@@ -253,9 +225,6 @@ func (c Codec) appendEncodeCompressed(buf []byte, m *gossip.Message) []byte {
 func (c Codec) validateForEncode(m *gossip.Message) error {
 	if m == nil {
 		return fmt.Errorf("transport: nil message")
-	}
-	if c.WireVersion != 0 && c.WireVersion != codecVersion && c.WireVersion != wireV4 {
-		return fmt.Errorf("transport: unsupported encode wire version %d", c.WireVersion)
 	}
 	if len(m.From) > c.MaxIDLen || len(m.From) > maxUint16 {
 		return fmt.Errorf("%w: from id %d bytes", ErrTooLarge, len(m.From))
@@ -301,9 +270,9 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 		if ev.Age < 0 {
 			return fmt.Errorf("transport: negative age %d", ev.Age)
 		}
-		// Hop rides the wire only on traced messages (a u16 in the v4
-		// layout). Rejecting (rather than clamping) out-of-range hops
-		// keeps the encoding exact: decode(encode(m)) == m.
+		// Hop rides the wire only on traced messages. Rejecting (rather
+		// than clamping) out-of-range hops keeps the encoding exact:
+		// decode(encode(m)) == m.
 		if m.Traced && (ev.Hop < 0 || ev.Hop > maxUint16) {
 			return fmt.Errorf("%w: hop count %d", ErrTooLarge, ev.Hop)
 		}
@@ -340,9 +309,6 @@ func (c Codec) EncodedSize(m *gossip.Message) int { return c.encodedSize(m) }
 
 // encodedSize returns the (uncompressed) encoding size of m.
 func (c Codec) encodedSize(m *gossip.Message) int {
-	if c.WireVersion == wireV4 {
-		return frameHdrBytes + controlPreSize(m) + eventsSizeV4(m) + controlPostSize(m)
-	}
 	raw := eventSectionSize(m)
 	return frameHdrBytes + controlPreSize(m) + controlPostSize(m) +
 		uvarintLen(uint64(raw)) + 1 + raw
@@ -353,7 +319,6 @@ func (c Codec) encodedSize(m *gossip.Message) int {
 // columnar marginal cost of an event depends on the run it extends, so
 // the sizer carries the run state instead of recomputing the section).
 type chunkSizer struct {
-	v4     bool
 	traced bool
 	header int // frame + control sections
 	raw    int // event rows, excluding the leading count
@@ -364,7 +329,6 @@ type chunkSizer struct {
 
 func (c Codec) newChunkSizer(hdr *gossip.Message) chunkSizer {
 	return chunkSizer{
-		v4:     c.WireVersion == wireV4,
 		traced: hdr.Traced,
 		header: frameHdrBytes + controlPreSize(hdr) + controlPostSize(hdr),
 	}
@@ -374,9 +338,6 @@ func (c Codec) newChunkSizer(hdr *gossip.Message) chunkSizer {
 // state (for the compressed configuration: its stored-form upper
 // bound, which is what datagram budgeting must use).
 func (s *chunkSizer) size() int {
-	if s.v4 {
-		return s.header + 4 + s.raw
-	}
 	content := uvarintLen(uint64(s.count)) + s.raw
 	return s.header + uvarintLen(uint64(content)) + 1 + content
 }
@@ -384,23 +345,18 @@ func (s *chunkSizer) size() int {
 // add appends ev to the chunk's size state.
 func (s *chunkSizer) add(ev gossip.Event) {
 	s.raw += s.marginal(ev)
-	if !s.v4 {
-		if s.count > 0 && s.prev.ID.Origin == ev.ID.Origin {
-			s.runLen++
-		} else {
-			s.runLen = 1
-		}
-		s.prev = ev
+	if s.count > 0 && s.prev.ID.Origin == ev.ID.Origin {
+		s.runLen++
+	} else {
+		s.runLen = 1
 	}
+	s.prev = ev
 	s.count++
 }
 
 // marginal returns the row bytes appending ev would add, given the
 // current run state (count growth is handled in size).
 func (s *chunkSizer) marginal(ev gossip.Event) int {
-	if s.v4 {
-		return eventWireSizeV4(ev, s.traced)
-	}
 	var d int
 	if s.count > 0 && s.prev.ID.Origin == ev.ID.Origin {
 		d += uvarintLen(uint64(s.runLen+1)) - uvarintLen(uint64(s.runLen))
@@ -499,11 +455,10 @@ func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 	return append(chunks, enc), nil
 }
 
-// Decode parses a message of any supported wire version (5, 4, 3),
-// enforcing the codec limits. The returned message owns all of its
-// memory and may be retained: it is the borrowed parse (decodeInto)
-// into a fresh message and a fresh decompression buffer, with every
-// payload then copied out of data.
+// Decode parses a message, enforcing the codec limits. The returned
+// message owns all of its memory and may be retained: it is the
+// borrowed parse (decodeInto) into a fresh message and a fresh
+// decompression buffer, with every payload then copied out of data.
 func (c Codec) Decode(data []byte) (*gossip.Message, error) {
 	m := new(gossip.Message)
 	var scratch []byte
@@ -532,8 +487,7 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 	if data[0] != codecMagic[0] || data[1] != codecMagic[1] || data[2] != codecMagic[2] {
 		return ErrBadMagic
 	}
-	version := data[3]
-	if version != codecVersion && version != wireV4 && version != wireV3 {
+	if data[3] != codecVersion {
 		return ErrBadMagic
 	}
 	if err := r.need(frameHdrBytes); err != nil {
@@ -544,13 +498,10 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 	if !kind.Valid() {
 		return errMalformed("unknown message kind", uint64(kind))
 	}
-	// Trace context exists only from v4 on; a v3 sender's flag bit 2 is
-	// undefined and ignored.
-	traced := version >= wireV4 && flags&flagTraced != 0
 	*m = gossip.Message{
 		Kind:     kind,
 		Adaptive: flags&flagAdaptive != 0,
-		Traced:   traced,
+		Traced:   flags&flagTraced != 0,
 		Borrowed: true,
 		Events:   m.Events[:0],
 		KMin:     m.KMin[:0],
@@ -564,34 +515,20 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 	if err := c.decodeControlPre(&r, m, flags); err != nil {
 		return err
 	}
-	if version == codecVersion {
-		if err := c.decodeControlPost(&r, m, true); err != nil {
-			return err
-		}
-		rows, err := c.readEventSection(&r, flags, scratch)
-		if err != nil {
-			return err
-		}
-		if r.off != len(data) {
-			return errMalformed("trailing bytes:", uint64(len(data)-r.off))
-		}
-		return c.decodeEventSection(rows, m, ids)
-	}
-	// Legacy v4/v3 layout: inline events between the control sections,
-	// health digests (v4 only) last.
-	if err := c.decodeEventsV4(&r, m, traced); err != nil {
+	if err := c.decodeControlPost(&r, m); err != nil {
 		return err
 	}
-	if err := c.decodeControlPost(&r, m, version == wireV4); err != nil {
+	rows, err := c.readEventSection(&r, flags, scratch)
+	if err != nil {
 		return err
 	}
 	if r.off != len(data) {
 		return errMalformed("trailing bytes:", uint64(len(data)-r.off))
 	}
-	return nil
+	return c.decodeEventSection(rows, m, ids)
 }
 
-// readEventSection consumes the v5 event section framing and returns
+// readEventSection consumes the event section framing and returns
 // the columnar rows: a subslice of the input for a stored section, the
 // decompressed bytes in *scratch for a compressed one. The advertised
 // raw length is capped both absolutely and relative to the compressed

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/race"
 )
 
 func TestAppendEncodeMatchesEncode(t *testing.T) {
@@ -102,7 +103,7 @@ func TestAppendEncodeCompressedAllocFree(t *testing.T) {
 		})
 		// The race detector makes sync.Pool drop a quarter of what is Put;
 		// each drop costs the next encode a new deflater.
-		if allocs != 0 && !(raceEnabled && len(msg.Events) > 0) {
+		if allocs != 0 && !(race.Enabled && len(msg.Events) > 0) {
 			t.Errorf("%s: AppendEncode with flate allocates %v times per message, want 0", name, allocs)
 		}
 	}

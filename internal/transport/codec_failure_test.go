@@ -9,7 +9,7 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// TestCodecRoundTripFailureFields: the v3 probe fields survive a full
+// TestCodecRoundTripFailureFields: the probe fields survive a full
 // round trip on every kind that carries them.
 func TestCodecRoundTripFailureFields(t *testing.T) {
 	c := DefaultCodec()

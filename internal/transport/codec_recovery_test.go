@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"reflect"
@@ -298,9 +299,11 @@ func wireLenOverflowFrame(tb testing.TB) []byte {
 }
 
 // decodeCorpus is every frame shape the decoder accepts or must reject
-// cleanly: valid encodings of every kind and wire version (v5 stored,
-// v5 flate, v4, v3) plus malformed variants of each. It seeds
-// FuzzCodecDecode and drives the borrowed-vs-owning differential test.
+// cleanly: valid encodings of every kind (stored and flate-compressed),
+// malformed variants of each, and every v5 frame among them relabelled
+// as wire v3 and v4 (retired versions the decoder rejects).
+// It seeds FuzzCodecDecode and drives the borrowed-vs-owning
+// differential test.
 func decodeCorpus(tb testing.TB) [][]byte {
 	tb.Helper()
 	var corpus [][]byte
@@ -323,8 +326,8 @@ func decodeCorpus(tb testing.TB) [][]byte {
 		add(flg)
 		add(append(append([]byte(nil), data...), 0xAA))
 	}
-	// Traced (wire v4) seeds: per-event hop counters and health digests
-	// on the wire, plus corrupted variants aimed at the new sections.
+	// Traced seeds: per-event hop counters and health digests on the
+	// wire, plus corrupted variants aimed at those sections.
 	for _, m := range tracedKindSamples() {
 		data, err := c.Encode(m)
 		if err != nil {
@@ -336,23 +339,7 @@ func decodeCorpus(tb testing.TB) [][]byte {
 		tail[len(tail)-9] ^= 0xFF // corrupt a histogram bucket entry
 		add(tail)
 	}
-	// Previous-version (v4 and v3) seeds of every kind: must still
-	// decode. v3 has no trace context or health section.
-	c4 := c
-	c4.WireVersion = wireV4
-	for _, m := range append(kindSamples(), tracedKindSamples()...) {
-		data, err := c4.Encode(m)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		add(data)
-		add(data[:len(data)-3])
-	}
-	for _, m := range kindSamples() {
-		m.Traced, m.Health = false, nil
-		add(encodeV3(tb, c, m))
-	}
-	// Compressed (v5+flate) seeds of every kind: columnar sections
+	// Compressed (flate) seeds of every kind: columnar sections
 	// compressed on the wire, plus variants corrupting the compression
 	// envelope and the deflate stream itself.
 	cz := c
@@ -385,7 +372,25 @@ func decodeCorpus(tb testing.TB) [][]byte {
 		add(spoof)
 	}
 	add(wireLenOverflowFrame(tb))
-	return corpus
+	return append(corpus, retiredVersions(corpus)...)
+}
+
+// retiredVersions relabels every wire-v5 frame of corpus as wire v3 and
+// as wire v4. The decoder accepts v5 only, so each must be rejected with
+// ErrBadMagic.
+func retiredVersions(corpus [][]byte) [][]byte {
+	var out [][]byte
+	for _, data := range corpus {
+		if !bytes.HasPrefix(data, []byte{'A', 'G', 'B', codecVersion}) {
+			continue
+		}
+		for _, v := range []byte{3, 4} {
+			old := append([]byte(nil), data...)
+			old[3] = v
+			out = append(out, old)
+		}
+	}
+	return out
 }
 
 // FuzzCodecDecode seeds the fuzzer with decodeCorpus. Neither decode

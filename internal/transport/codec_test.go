@@ -2,10 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -182,6 +184,46 @@ func TestCodecRejectsBadMagicAndVersion(t *testing.T) {
 	}
 	if _, err := c.Decode(nil); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestRetiredVersionsRejected: v5 is the only wire version. Every
+// v5 corpus frame relabelled as v3 or v4 is refused with ErrBadMagic by
+// both decode entry points, and a UDP transport counts it as a decode
+// error instead of delivering it.
+func TestRetiredVersionsRejected(t *testing.T) {
+	frames := retiredVersions(decodeCorpus(t))
+	if len(frames) < 100 {
+		t.Fatalf("only %d retired-version frames; the corpus lost its v5 seeds", len(frames))
+	}
+	c := DefaultCodec()
+	in, ids := &Inbound{}, newIDTable()
+	for _, data := range frames {
+		if _, err := c.Decode(data); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("Decode of a v%d frame: %v, want ErrBadMagic", data[3], err)
+		}
+		if _, err := in.decode(c, ids, data); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("Inbound.decode of a v%d frame: %v, want ErrBadMagic", data[3], err)
+		}
+	}
+
+	b := newUDP(t, "b")
+	b.SetHandler(func(m *gossip.Message) { t.Errorf("retired-version frame delivered: %+v", m) })
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	a := newUDP(t, "a")
+	for i, data := range frames {
+		if _, err := a.conn.WriteToUDP(data, b.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for b.Stats().DecodeErrors < uint64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d of %d not counted as a decode error: %+v", i, len(frames), b.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

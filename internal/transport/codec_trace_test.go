@@ -10,7 +10,7 @@ import (
 )
 
 // tracedKindSamples returns one traced representative per wire kind:
-// kindSamples with the v4 trace context (hop counters) and a health
+// kindSamples with the trace context (hop counters) and a health
 // piggyback applied.
 func tracedKindSamples() []*gossip.Message {
 	msgs := kindSamples()
@@ -41,67 +41,6 @@ func TestCodecV4TraceRoundTripAllKinds(t *testing.T) {
 		}
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("kind %v traced round trip mismatch:\n in: %#v\nout: %#v", m.Kind, m, got)
-		}
-	}
-}
-
-// encodeV3 renders the wire-v3 encoding of an untraced, health-free
-// message via the codec's legacy v4 encoder: the v4 encoding of such a
-// message differs from v3 only by the version byte and the trailing
-// (empty, 2-byte) health section, so the v3 bytes are recovered
-// exactly — a compatibility oracle that tracks the encoder instead of
-// hand-maintained golden bytes.
-func encodeV3(t testing.TB, c Codec, m *gossip.Message) []byte {
-	t.Helper()
-	if m.Traced || len(m.Health) > 0 {
-		t.Fatal("encodeV3 needs an untraced, health-free message")
-	}
-	c4 := c
-	c4.WireVersion = wireV4
-	data, err := c4.Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = data[:len(data)-2]
-	data[3] = wireV3
-	return data
-}
-
-// TestCodecV3StillDecodes: every kind's v3 encoding decodes under the
-// v4 codec, with no trace context and no health attributed.
-func TestCodecV3StillDecodes(t *testing.T) {
-	c := DefaultCodec()
-	for _, m := range kindSamples() {
-		m.Traced = false
-		m.Health = nil
-		for j := range m.Events {
-			m.Events[j].Hop = 0
-		}
-		data := encodeV3(t, c, m)
-		got, err := c.Decode(data)
-		if err != nil {
-			t.Fatalf("kind %v: v3 decode: %v", m.Kind, err)
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("kind %v v3 decode mismatch:\n in: %#v\nout: %#v", m.Kind, m, got)
-		}
-		if got.Traced || got.Health != nil {
-			t.Errorf("kind %v v3 decode invented v4 fields: %+v", m.Kind, got)
-		}
-	}
-}
-
-// TestCodecV3RejectsTruncations: the v3 acceptance path keeps the
-// everywhere-truncation guarantee.
-func TestCodecV3RejectsTruncations(t *testing.T) {
-	c := DefaultCodec()
-	m := kindSamples()[0]
-	m.Traced = false
-	m.Health = nil
-	data := encodeV3(t, c, m)
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := c.Decode(data[:cut]); err == nil {
-			t.Fatalf("v3 truncation at %d/%d accepted", cut, len(data))
 		}
 	}
 }
@@ -208,7 +147,7 @@ func TestCodecRejectsNonCanonicalHealth(t *testing.T) {
 	}
 }
 
-// TestCodecDecodeEncodeIdentityOnWire: for traced v4 bytes, the decoded
+// TestCodecDecodeEncodeIdentityOnWire: for traced wire bytes, the decoded
 // message re-encodes to the identical byte string — the stronger wire
 // identity the canonical health form buys.
 func TestCodecDecodeEncodeIdentityOnWire(t *testing.T) {

@@ -48,31 +48,6 @@ func TestCodecV5CompressedRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// TestCodecV5DecodesV4 pins cross-version interop: frames produced by
-// the legacy v4 encoder decode byte-identically through the current
-// codec.
-func TestCodecV5DecodesV4(t *testing.T) {
-	c4 := DefaultCodec()
-	c4.WireVersion = wireV4
-	c := DefaultCodec()
-	for _, m := range append(kindSamples(), tracedKindSamples()...) {
-		data, err := c4.Encode(m)
-		if err != nil {
-			t.Fatalf("kind %v: v4 encode: %v", m.Kind, err)
-		}
-		if data[3] != wireV4 {
-			t.Fatalf("kind %v: version byte = %d, want %d", m.Kind, data[3], wireV4)
-		}
-		got, err := c.Decode(data)
-		if err != nil {
-			t.Fatalf("kind %v: decode v4 frame: %v", m.Kind, err)
-		}
-		if !reflect.DeepEqual(m, got) {
-			t.Errorf("kind %v v4->v5 mismatch:\n in: %#v\nout: %#v", m.Kind, m, got)
-		}
-	}
-}
-
 // incompressibleMessage carries random payloads, which flate cannot
 // shrink.
 func incompressibleMessage() *gossip.Message {
@@ -319,15 +294,13 @@ func chunkPropertyMessage(traced bool) *gossip.Message {
 func TestEncodeChunksBoundaryProperty(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		codec  Codec
 		traced bool
 	}{
-		{"v5", DefaultCodec(), false},
-		{"v5-traced", DefaultCodec(), true},
-		{"v4", func() Codec { c := DefaultCodec(); c.WireVersion = wireV4; return c }(), false},
+		{"v5", false},
+		{"v5-traced", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := tc.codec
+			c := DefaultCodec()
 			m := chunkPropertyMessage(tc.traced)
 			full := c.EncodedSize(m)
 			multi := 0

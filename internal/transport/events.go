@@ -8,7 +8,7 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// Event-section layer (wire v5): events are encoded columnar, grouped
+// Event-section layer: events are encoded columnar, grouped
 // into runs of consecutive same-origin events so each sender id is
 // written once per run while the original event order is preserved
 // exactly (decode must reproduce the input order — the simulator's
@@ -26,8 +26,7 @@ import (
 //	    per event: payload uvarint len + bytes
 //
 // A 120-event buffer snapshot from one origin thus writes the origin id
-// once and mostly 1-byte seq/age deltas, against v4's 14+ bytes of
-// fixed-width headers per event.
+// once and mostly 1-byte seq/age deltas.
 
 // uvarintLen returns the encoded size of v as an unsigned varint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -211,99 +210,6 @@ func (c Codec) decodeEventSection(rows []byte, m *gossip.Message, ids *idTable) 
 	}
 	if r.off != len(rows) {
 		return errMalformed("trailing bytes in event section:", uint64(len(rows)-r.off))
-	}
-	return nil
-}
-
-// Legacy (wire v4) inline event list: fixed-width headers per event,
-// kept for cross-version interop and the wirecost comparison arm.
-
-// appendEventsV4 writes the v4 inline event list.
-func appendEventsV4(buf []byte, m *gossip.Message) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Events)))
-	for _, ev := range m.Events {
-		buf = appendString(buf, string(ev.ID.Origin))
-		buf = binary.BigEndian.AppendUint64(buf, ev.ID.Seq)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(ev.Age))
-		if m.Traced {
-			buf = binary.BigEndian.AppendUint16(buf, uint16(ev.Hop))
-		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(ev.Payload)))
-		buf = append(buf, ev.Payload...)
-	}
-	return buf
-}
-
-// eventWireSizeV4 is the v4 inline wire size of one event.
-func eventWireSizeV4(ev gossip.Event, traced bool) int {
-	n := 2 + len(ev.ID.Origin) + 8 + 4 + 4 + len(ev.Payload)
-	if traced {
-		n += 2
-	}
-	return n
-}
-
-// eventsSizeV4 is the v4 inline wire size of the whole event list.
-func eventsSizeV4(m *gossip.Message) int {
-	n := 4
-	for _, ev := range m.Events {
-		n += eventWireSizeV4(ev, m.Traced)
-	}
-	return n
-}
-
-// decodeEventsV4 parses the v4 inline event list into m.Events; like
-// the columnar decoder it interns origins and leaves payloads aliasing
-// the input.
-func (c Codec) decodeEventsV4(r *reader, m *gossip.Message, traced bool) error {
-	ne, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if int64(ne) > int64(c.MaxEvents) {
-		return errLimit("events", uint64(ne))
-	}
-	// ≥18 bytes per event.
-	m.Events = reserve(m.Events, r.boundedCount(int(ne), 18))
-	for i := 0; i < int(ne); i++ {
-		origin, err := r.id(c.MaxIDLen)
-		if err != nil {
-			return err
-		}
-		seq, err := r.u64()
-		if err != nil {
-			return err
-		}
-		age, err := r.u32()
-		if err != nil {
-			return err
-		}
-		var hop uint16
-		if traced {
-			if hop, err = r.u16(); err != nil {
-				return err
-			}
-		}
-		plen, err := r.u32()
-		if err != nil {
-			return err
-		}
-		if int64(plen) > int64(c.MaxPayload) {
-			return errLimit("payload bytes", uint64(plen))
-		}
-		payload, err := r.take(int(plen))
-		if err != nil {
-			return err
-		}
-		if plen == 0 {
-			payload = nil
-		}
-		m.AppendEvent(gossip.Event{
-			ID:      gossip.EventID{Origin: gossip.NodeID(origin), Seq: seq},
-			Age:     int(age),
-			Hop:     int(hop),
-			Payload: payload,
-		})
 	}
 	return nil
 }

@@ -8,18 +8,15 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// Frame constants shared by every wire version. The frame header is the
-// fixed prefix of a datagram: magic, version, flags and the message
-// kind; everything after it is version-dependent (see codec.go for the
-// full layout and version history).
+// Frame constants. The frame header is the fixed prefix of a datagram:
+// magic, version, flags and the message kind (see codec.go for the full
+// layout).
 const (
-	codecVersion  = 5 // current wire version (columnar events, compression seam)
-	wireV4        = 4 // previous layout: fixed-width inline event list
-	wireV3        = 3 // v4 minus trace context and health digests
+	codecVersion  = 5 // the one wire version (columnar events, compression seam)
 	flagAdaptive  = 1 << 0
 	flagGroup     = 1 << 1
 	flagTraced    = 1 << 2
-	flagCompress  = 1 << 3 // v5: the event section is compressed
+	flagCompress  = 1 << 3 // the event section is compressed
 	maxUint16     = 1<<16 - 1
 	frameHdrBytes = 3 + 1 + 1 + 1 // magic + version + flags + kind
 )
@@ -53,10 +50,9 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 	return buf
 }
 
-// appendControlPre writes the leading control fields shared by every
-// wire version: addressing, round, adaptation header, κ-entries, the
-// recovery id lists and the failure-detection fields. In v4 the inline
-// event list follows; in v5 the trailing control fields do.
+// appendControlPre writes the leading control fields: addressing,
+// round, adaptation header, κ-entries, the recovery id lists and the
+// failure-detection fields. The trailing control fields follow.
 //
 //gossip:hotpath
 func appendControlPre(buf []byte, m *gossip.Message) []byte {
@@ -454,9 +450,9 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error 
 	return nil
 }
 
-// decodeControlPost parses the trailing control fields (membership and,
-// for wire v4+, the health-digest section) into m.
-func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool) error {
+// decodeControlPost parses the trailing control fields (membership and
+// the health-digest section) into m.
+func (c Codec) decodeControlPost(r *reader, m *gossip.Message) error {
 	for _, dst := range [2]*[]gossip.NodeID{&m.Subs, &m.Unsubs} {
 		n, err := r.u16()
 		if err != nil {
@@ -472,13 +468,10 @@ func (c Codec) decodeControlPost(r *reader, m *gossip.Message, withHealth bool) 
 		}
 		*dst = list
 	}
-	if withHealth {
-		return c.decodeHealth(r, m)
-	}
-	return nil
+	return c.decodeHealth(r, m)
 }
 
-// decodeHealth parses the health-digest section (wire v4+) into
+// decodeHealth parses the health-digest section into
 // m.Health, enforcing the canonical sparse-histogram form so a decoded
 // message re-encodes to identical bytes.
 func (c Codec) decodeHealth(r *reader, m *gossip.Message) error {

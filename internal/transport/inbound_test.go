@@ -37,8 +37,8 @@ func checkBorrowedMatchesOwning(t *testing.T, c Codec, in *Inbound, ids *idTable
 }
 
 // TestBorrowedDecodeMatchesOwning runs the differential oracle over the
-// whole corpus — every kind in every wire version, stored and
-// compressed, and every malformed variant — through one reused envelope
+// whole corpus — every kind, stored and compressed, every malformed
+// variant and every retired-version relabelling — through one reused envelope
 // and intern table, twice, so each frame is also decoded into state left
 // behind by every other.
 func TestBorrowedDecodeMatchesOwning(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adaptivegossip/internal/race"
 )
 
 // TestPublishAllocFree: an offered publish costs the caller's side
@@ -60,7 +62,7 @@ func TestPublishAllocFree(t *testing.T) {
 					}
 				})
 				// Under the race detector sync.Pool drops a quarter of what is Put.
-				if allocs != 0 && !raceEnabled {
+				if allocs != 0 && !race.Enabled {
 					t.Fatalf("a Publish that is %s allocates %v times, want 0", verdict, allocs)
 				}
 				offered := warmup + runs + 1
