@@ -2,8 +2,9 @@ GO ?= go
 
 # The local entry point mirrors CI's static-analysis gate: formatting,
 # the standard vet suite, and gossiplint (the project's own analyzers
-# for the hot-path, scratch-lifetime, typed-atomics and transport-copy
-# contracts) over the whole module.
+# for the hot-path and typed-atomics contracts and the //gossip:
+# directives) over the whole module. The scratch-lifetime contract is
+# held by tests; CI's "scratch contracts" step names them.
 .PHONY: lint
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

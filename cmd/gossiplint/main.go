@@ -1,6 +1,6 @@
 // Command gossiplint runs the adaptivegossip static-analysis suite
-// (internal/lint) over the module: hotpathalloc, scratchretain,
-// typedatomics, transportsafe, and the //gossip: directive validator.
+// (internal/lint) over the module: hotpathalloc, typedatomics and the
+// //gossip: directive validator.
 //
 //	gossiplint [packages]        # defaults to ./...
 //

@@ -25,25 +25,31 @@ func TestTransportConfigValidate(t *testing.T) {
 	}
 }
 
+// TestWithCompressionOption: Config.Transport.Compression is the one way
+// to pick a compressor. Unknown names are refused, the UDP fabric takes
+// flate, and the explicit "none" is fine on the memory fabric.
 func TestWithCompressionOption(t *testing.T) {
-	if _, err := NewUDPTransport(WithCompression("bogus")); err == nil {
-		t.Fatal("unknown compressor name accepted by WithCompression")
+	cfg := fastConfig()
+	cfg.Transport.Compression = "bogus"
+	if _, err := NewCluster(3, cfg); err == nil {
+		t.Fatal("unknown compressor name accepted by Config.Transport.Compression")
 	}
-	tr, err := NewUDPTransport(WithCompression("flate"))
+	cfg.Transport.Compression = "flate"
+	udp, err := NewUDPTransport()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Close()
-	// The memory fabric never serializes: real compression is a
-	// configuration error, the explicit "none" is fine.
-	if _, err := NewMemTransport(WithCompression("flate")); err == nil {
-		t.Fatal("memory transport accepted flate compression")
-	}
-	mem, err := NewMemTransport(WithCompression("none"))
+	node, err := NewNode("x", cfg, WithTransport(udp))
 	if err != nil {
-		t.Fatalf("memory transport rejected compression %q: %v", "none", err)
+		t.Fatalf("UDP fabric rejected flate: %v", err)
 	}
-	mem.Close()
+	node.Close()
+	cfg.Transport.Compression = "none"
+	cluster, err := NewCluster(3, cfg)
+	if err != nil {
+		t.Fatalf("memory fabric rejected compression %q: %v", "none", err)
+	}
+	cluster.Close()
 }
 
 // TestConfigCompressionNeedsSeam: asking for compression on a fabric

@@ -3,7 +3,9 @@ package adaptivegossip
 import (
 	"context"
 	"errors"
+	"regexp"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,5 +311,83 @@ func TestInboxOverflowIsCounted(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestEventStreamShedsWhenSubscriberStalls: an Events subscriber that is
+// never read fills its DefaultEventStreamBuffer-deep channel; after that
+// the hub drops and counts (Stats and /metrics) instead of blocking the
+// member loops, WithDeliver keeps firing, and Close still returns with
+// every goroutine gone.
+func TestEventStreamShedsWhenSubscriberStalls(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := fastConfig()
+	cfg.Period = 2 * time.Millisecond
+	cfg.Adaptive = false // every offer is admitted
+	cfg.Observability.DebugAddr = "127.0.0.1:0"
+	var delivered atomic.Uint64
+	cluster, err := NewCluster(3, cfg, WithSeed(27), WithDeliver(func(Delivery) { delivered.Add(1) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_ = cluster.Events(ctx) // subscribed, never read
+	if err := cluster.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// A publisher keeps offering load; a Publish that never returns is a
+	// member loop stuck behind the stalled stream, caught by the deadline.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cluster.Publish(i%3, []byte("x"))
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	deliverAtLeast := func(n uint64) {
+		t.Helper()
+		if !waitUntil(20*time.Second, func() bool { return delivered.Load() >= n }) {
+			t.Fatalf("only %d of %d deliveries: a member loop is stuck behind the stalled stream", delivered.Load(), n)
+		}
+	}
+	deliverAtLeast(DefaultEventStreamBuffer + 256)
+	shed := cluster.Stats().StreamDropped
+	if shed == 0 {
+		t.Fatalf("Stats.StreamDropped = 0 after %d deliveries to a stalled subscriber", delivered.Load())
+	}
+	metrics := debugGet(t, "http://"+cluster.DebugAddr()+"/metrics")
+	if !regexp.MustCompile(`(?m)^gossip_stream_dropped_total [1-9]`).MatchString(metrics) {
+		t.Fatalf("/metrics does not count the shed deliveries:\n%s", metrics)
+	}
+	// The subscriber is still stalled: deliveries keep flowing and the
+	// hub keeps counting what it sheds.
+	deliverAtLeast(delivered.Load() + 256)
+	if got := cluster.Stats().StreamDropped; got <= shed {
+		t.Fatalf("Stats.StreamDropped stayed at %d while the subscriber stalled", got)
+	}
+	close(stop)
+	<-stopped
+
+	closed := make(chan error, 1)
+	go func() { closed <- cluster.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return with a stalled Events subscriber")
+	}
+	if !waitUntil(5*time.Second, func() bool { return runtime.NumGoroutine() <= before }) {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before, %d after Close:\n%s",
+			before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 	}
 }

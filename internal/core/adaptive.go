@@ -202,7 +202,6 @@ func (a *AdaptiveNode) Publish(payload []byte, now time.Time) (gossip.Event, boo
 // the next Tick or Receive.
 //
 //gossip:hotpath
-//gossip:scratch
 func (a *AdaptiveNode) Tick(now time.Time) []gossip.Outgoing {
 	if a.adaptor != nil {
 		// avgTokens: EMA of bucket occupancy, sampled once per round.
@@ -227,9 +226,7 @@ func (a *AdaptiveNode) Tick(now time.Time) []gossip.Outgoing {
 }
 
 // withControl appends the subsystems' queued control messages to a.outs
-// and returns it (nil when empty).
-//
-//gossip:scratch
+// and returns it (nil when empty), valid until the next Tick or Receive.
 func (a *AdaptiveNode) withControl() []gossip.Outgoing {
 	if a.recovery != nil {
 		a.outs = append(a.outs, a.recovery.TakeOutgoing()...)
@@ -250,7 +247,6 @@ func (a *AdaptiveNode) withControl() []gossip.Outgoing {
 // Like Tick's, they are scratch, valid until the next Tick or Receive.
 //
 //gossip:hotpath
-//gossip:scratch
 func (a *AdaptiveNode) Receive(msg *gossip.Message, now time.Time) []gossip.Outgoing {
 	a.node.Receive(msg)
 	if a.recovery == nil && a.failure == nil {

@@ -202,7 +202,8 @@ func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 		request.Request[0] = gossip.EventID{Origin: "tx", Seq: seq}
 		for _, out := range node.Receive(request, start) {
 			if out.Msg.Kind == gossip.KindRecoveryResponse {
-				//gossip:scratchok an Event by value; its payload belongs to the store, not to the response scratch
+				// An Event by value: its payload belongs to the store,
+				// not to the response scratch.
 				return out.Msg.Events[0], true
 			}
 		}

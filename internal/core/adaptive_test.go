@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/membership"
 )
 
 var start = time.Unix(0, 0).UTC()
@@ -346,5 +347,40 @@ func TestAdaptiveGroupConvergesUnderOverload(t *testing.T) {
 	}
 	if aggregate < 0.5 {
 		t.Fatalf("aggregate allowed rate %v collapsed to the floor", aggregate)
+	}
+}
+
+// BenchmarkAdaptorOnReceive measures the adaptation hook on the
+// receive path (minBuff fold + congestion scan).
+func BenchmarkAdaptorOnReceive(b *testing.B) {
+	reg := membership.NewRegistry("a", "b")
+	cp := DefaultParams()
+	node, err := NewAdaptiveNode(NodeConfig{
+		ID:       "a",
+		Gossip:   gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: 120, MaxAge: 10},
+		Adaptive: true,
+		Core:     cp,
+		Peers:    reg,
+		RNG:      rand.New(rand.NewPCG(7, 8)),
+		Start:    time.Unix(0, 0),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		events := make([]gossip.Event, 40)
+		for j := range events {
+			events[j] = gossip.Event{
+				ID:  gossip.EventID{Origin: "b", Seq: uint64(i*40 + j)},
+				Age: j % 10,
+			}
+		}
+		node.Receive(&gossip.Message{
+			From: "b", Adaptive: true, SamplePeriod: uint64(i / 6), MinBuff: 90,
+			Events: events,
+		}, now)
+		now = now.Add(10 * time.Millisecond)
 	}
 }

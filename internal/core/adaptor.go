@@ -100,7 +100,8 @@ func (a *Adaptor) OnTick(n *gossip.Node, out *Message) {
 		a.kmin.OnRound()
 		period, entries := a.kmin.Header()
 		out.SamplePeriod = period
-		//gossip:scratchok out is the node's reused round message, encoded or cloned before the next tick refreshes the header
+		// out is the node's reused round message, encoded or cloned
+		// before the next tick refreshes the header.
 		out.KMin = entries
 		// The scalar header remains meaningful for rank-1 receivers.
 		if len(entries) > 0 {

@@ -117,8 +117,6 @@ func (e *KMinEstimator) OnRound() bool {
 // Header returns the current period and the κ-smallest entries to
 // piggyback. The returned slice is reused scratch: it is valid until the
 // next Header call and must be copied (or encoded) before then.
-//
-//gossip:scratch
 func (e *KMinEstimator) Header() (uint64, []MinEntry) {
 	slot := e.window[int(e.period)%len(e.window)]
 	entries := e.hdrScratch[:0]

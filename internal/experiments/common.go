@@ -329,7 +329,8 @@ type sampled struct {
 	allowed *metrics.GaugeMeter
 }
 
-//gossip:scratch
+// Tick returns AdaptiveNode.Tick's messages, valid until the next Tick
+// or Receive.
 func (s sampled) Tick(now time.Time) []gossip.Outgoing {
 	outs := s.AdaptiveNode.Tick(now)
 	s.allowed.Observe(now, s.AllowedRate())

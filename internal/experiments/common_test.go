@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptivegossip/internal/race"
 	"adaptivegossip/internal/workload"
 )
 
@@ -202,5 +203,33 @@ func TestRunSeedsAverages(t *testing.T) {
 	}
 	if _, err := RunSeeds(Config{}, 1); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestAdaptiveAdmitRatioCBRVsPoisson pins finding 2(a) at the paper's
+// setting: the adaptive controller admits most of a constant-rate load
+// (asserted), and the logged Poisson rows at the same mean show how much
+// less it admits of bursty arrivals, and at what allowed rate. Admit
+// ratio is InputRate / OfferedRate.
+func TestAdaptiveAdmitRatioCBRVsPoisson(t *testing.T) {
+	if race.Enabled {
+		t.Skip("four single-goroutine paper-length runs: the race detector only multiplies their cost")
+	}
+	for _, offered := range []float64{10, 20} {
+		for _, poisson := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Adaptive = true
+			cfg.OfferedRate = offered
+			cfg.Poisson = poisson
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			admit := res.InputRate / res.OfferedRate
+			t.Logf("offered %v msg/s, Poisson %v: admits %.3f at allowed rate %.2f", offered, poisson, admit, res.AllowedRate)
+			if !poisson && admit < 0.85 {
+				t.Errorf("offered %v msg/s: CBR admit ratio %.3f, want >= 0.85", offered, admit)
+			}
+		}
 	}
 }

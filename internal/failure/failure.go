@@ -396,8 +396,6 @@ func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip
 // ping-reqs). Drivers call it after every Tick and Receive and transmit
 // the returned messages, which are scratch until the node's next Tick or
 // Receive (gossip.Outbox).
-//
-//gossip:scratch
 func (e *Engine) TakeOutgoing() []gossip.Outgoing { return e.out.Take() }
 
 // send queues one control message, piggybacking rumors on probe kinds

@@ -274,9 +274,8 @@ func (b *Buffer) SetCapacity(capacity int) ([]Event, error) {
 // AppendSnapshot appends copies of all buffered events to dst, youngest
 // first, and returns the extended slice. Payload slices are shared
 // (events are read-only by convention). Appending into a reused scratch
-// slice makes the per-round snapshot allocation-free.
-//
-//gossip:scratch
+// slice makes the per-round snapshot allocation-free; the result lives
+// as long as the caller keeps dst unchanged.
 func (b *Buffer) AppendSnapshot(dst []Event) []Event {
 	for _, slot := range b.order {
 		dst = append(dst, b.slab[slot].ev)
@@ -287,7 +286,6 @@ func (b *Buffer) AppendSnapshot(dst []Event) []Event {
 // Snapshot returns copies of all buffered events, youngest first.
 // Payload slices are shared (events are read-only by convention).
 func (b *Buffer) Snapshot() []Event {
-	//gossip:scratchok the backing array is freshly allocated here, nothing aliases reused scratch
 	return b.AppendSnapshot(make([]Event, 0, len(b.order)))
 }
 

@@ -369,7 +369,6 @@ func (n *Node) Broadcast(payload []byte) Event {
 // The driver is responsible for calling Tick every Period.
 //
 //gossip:hotpath
-//gossip:scratch
 func (n *Node) Tick() []Outgoing {
 	n.round++
 	n.buf.IncrementAges()

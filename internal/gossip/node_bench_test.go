@@ -249,3 +249,15 @@ func TestBufferAddAllocFree(t *testing.T) {
 		t.Fatalf("steady-state Add allocates %v times per insert, want 0", allocs)
 	}
 }
+
+// BenchmarkIDCacheAdd measures the dedup cache at steady state.
+func BenchmarkIDCacheAdd(b *testing.B) {
+	c, err := NewIDCache(3600)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(EventID{Origin: "bench", Seq: uint64(i)})
+	}
+}

@@ -34,9 +34,8 @@ func (b *Outbox) Queue(to NodeID, msg *Message) {
 	b.queued = append(b.queued, Outgoing{To: to, Msg: msg})
 }
 
-// Take drains the queue (nil when empty).
-//
-//gossip:scratch
+// Take drains the queue (nil when empty). The result is valid until the
+// next Message call, no sooner than the node's next Tick or Receive.
 func (b *Outbox) Take() []Outgoing {
 	b.used = 0
 	if len(b.queued) == 0 {

@@ -4,47 +4,25 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
 // Directive names recognized by the suite. Anything else after
 // "//gossip:" is a diagnosable typo — silent no-ops are how annotation
-// regimes rot.
-const (
-	DirHotPath   = "hotpath"   // function: no allocation in it or its in-module callees
-	DirScratch   = "scratch"   // function: reference-typed results are per-round scratch
-	DirAllocOK   = "allocok"   // function or statement: allocation here is a known cold branch
-	DirScratchOK = "scratchok" // function or statement: this scratch flow is protected by a protocol the analyzer cannot see
-)
-
-var knownDirectives = map[string]bool{
-	DirHotPath:   true,
-	DirScratch:   true,
-	DirAllocOK:   true,
-	DirScratchOK: true,
-}
-
-// needsReason marks suppression directives whose free-text justification
+// regimes rot. hotpath must sit in a function declaration's doc
+// comment; allocok may also annotate a statement, and its justification
 // is mandatory: an unexplained exemption is indistinguishable from a
 // stale one.
-var needsReason = map[string]bool{
-	DirAllocOK:   true,
-	DirScratchOK: true,
-}
-
-// declOnly marks directives that must sit in a function declaration's
-// doc comment; the rest may also annotate individual statements.
-var declOnly = map[string]bool{
-	DirHotPath: true,
-	DirScratch: true,
-}
+const (
+	DirHotPath = "hotpath" // function: no allocation in it or its in-module callees
+	DirAllocOK = "allocok" // function or statement: allocation here is a known cold branch
+)
 
 // Directive is one parsed //gossip: comment, attached to a function
 // declaration (Fn) or to a statement (Stmt).
 type Directive struct {
 	Name string
-	Arg  string // trailing free text: the reason for allocok/scratchok
+	Arg  string // trailing free text: the reason for allocok
 	Pos  token.Pos
 	Fn   *ast.FuncDecl
 	Stmt ast.Stmt
@@ -98,9 +76,9 @@ func (ds *DirectiveSet) Suppressed(name string, fn *ast.FuncDecl, node ast.Node)
 }
 
 // ParseDirectives extracts and validates the //gossip: directives of a
-// package's files. Placement is strict: hotpath and scratch belong in a
-// function declaration's doc comment; allocok and scratchok belong there
-// or on (or immediately above) the statement they exempt.
+// package's files. Placement is strict: hotpath belongs in a function
+// declaration's doc comment; allocok belongs there or on (or immediately
+// above) the statement it exempts.
 func ParseDirectives(fset *token.FileSet, files []*ast.File) *DirectiveSet {
 	ds := &DirectiveSet{ByFunc: map[*ast.FuncDecl][]*Directive{}}
 	for _, file := range files {
@@ -137,15 +115,15 @@ func parseFileDirectives(fset *token.FileSet, file *ast.File, ds *DirectiveSet) 
 			if !ok {
 				continue
 			}
-			if !knownDirectives[name] {
+			if name != DirHotPath && name != DirAllocOK {
 				ds.Problems = append(ds.Problems, Problem{
 					Pos: c.Pos(),
-					Message: fmt.Sprintf("unknown gossip directive %q (known: %s, %s, %s, %s)",
-						name, DirHotPath, DirScratch, DirAllocOK, DirScratchOK),
+					Message: fmt.Sprintf("unknown gossip directive %q (known: %s, %s)",
+						name, DirHotPath, DirAllocOK),
 				})
 				continue
 			}
-			if needsReason[name] && arg == "" {
+			if name == DirAllocOK && arg == "" {
 				ds.Problems = append(ds.Problems, Problem{
 					Pos:     c.Pos(),
 					Message: fmt.Sprintf("//gossip:%s needs a justification: //gossip:%s <why this exemption is sound>", name, name),
@@ -171,7 +149,7 @@ func parseFileDirectives(fset *token.FileSet, file *ast.File, ds *DirectiveSet) 
 				})
 				continue
 			}
-			if declOnly[name] {
+			if name == DirHotPath {
 				ds.Problems = append(ds.Problems, Problem{
 					Pos:     c.Pos(),
 					Message: fmt.Sprintf("//gossip:%s must be part of a function declaration's doc comment", name),
@@ -192,7 +170,7 @@ func parseFileDirectives(fset *token.FileSet, file *ast.File, ds *DirectiveSet) 
 }
 
 func stmtHint(name string) string {
-	if declOnly[name] {
+	if name == DirHotPath {
 		return ""
 	}
 	return " or a statement"
@@ -256,30 +234,10 @@ func runDirective(pass *Pass) error {
 	// Semantic validation of well-placed directives.
 	for fn, dirs := range pass.Directives.ByFunc {
 		for _, d := range dirs {
-			if d.Name == DirScratch && !hasReferenceResult(pass, fn) {
-				pass.Reportf(d.Pos, "//gossip:scratch on %s, which returns no pointer-, slice- or map-typed results to be scratch", fn.Name.Name)
-			}
 			if d.Name == DirHotPath && fn.Body == nil {
 				pass.Reportf(d.Pos, "//gossip:hotpath on %s, which has no body to check", fn.Name.Name)
 			}
 		}
 	}
 	return nil
-}
-
-func hasReferenceResult(pass *Pass, fn *ast.FuncDecl) bool {
-	if fn.Type.Results == nil {
-		return false
-	}
-	for _, field := range fn.Type.Results.List {
-		t := pass.Info.TypeOf(field.Type)
-		if t == nil {
-			continue
-		}
-		switch t.Underlying().(type) {
-		case *types.Pointer, *types.Slice, *types.Map:
-			return true
-		}
-	}
-	return false
 }

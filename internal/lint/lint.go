@@ -1,8 +1,8 @@
 // Package lint is gossiplint: a suite of static analyzers that enforce
-// the repository's hot-path, scratch-lifetime and atomics contracts at
-// compile time — the invariants PRs 4–7 established dynamically
-// (AllocsPerRun tests, -race runs, retention audits) become machine
-// checks that every future refactor must pass.
+// the repository's hot-path and atomics contracts at compile time. The
+// hot-path rule reaches branches no AllocsPerRun contract executes; the
+// scratch-lifetime rule is held by tests on the paths that carry
+// scratch (see API_STABILITY.md), not here.
 //
 // The package is a self-contained go/analysis-style framework built on
 // the standard library alone (go/ast, go/types, go list): the build
@@ -11,8 +11,7 @@
 // Diagnostic) with one deliberate difference: a Pass can see the whole
 // loaded module (Pass.Module), because the contracts being checked are
 // inherently cross-package (a hot function in internal/runtime calls
-// into internal/gossip; a scratch producer in internal/gossip is
-// consumed in internal/runtime) and the stdlib has no facts mechanism.
+// into internal/gossip) and the stdlib has no facts mechanism.
 //
 // Analyzers are driven by directive comments, which are part of the
 // project contract (see API_STABILITY.md):
@@ -21,14 +20,9 @@
 //	                        anything it (transitively) calls in-module
 //	//gossip:allocok reason the next statement (or this whole function)
 //	                        is a known cold branch; allocation is fine
-//	//gossip:scratch        this function's pointer/slice results are
-//	                        per-round scratch, valid until the next Tick
-//	//gossip:scratchok reason this statement's scratch flow is protected
-//	                        by a protocol the analyzer cannot see
 //
-// The suite: hotpathalloc, scratchretain, typedatomics, transportsafe,
-// plus the directive validator itself. cmd/gossiplint is the
-// whole-module front end.
+// The suite: hotpathalloc, typedatomics, plus the directive validator
+// itself. cmd/gossiplint is the whole-module front end.
 package lint
 
 import (
@@ -161,8 +155,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		DirectiveAnalyzer,
 		HotPathAlloc,
-		ScratchRetain,
 		TypedAtomics,
-		TransportSafe,
 	}
 }

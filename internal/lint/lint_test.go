@@ -21,14 +21,6 @@ func TestHotPathAllocFixture(t *testing.T) {
 	linttest.Run(t, "testdata/hotpath", lint.HotPathAlloc, lint.TypedAtomics)
 }
 
-func TestScratchRetainFixture(t *testing.T) {
-	linttest.Run(t, "testdata/scratch", lint.ScratchRetain)
-}
-
-func TestTransportSafeFixture(t *testing.T) {
-	linttest.Run(t, "testdata/tsafe", lint.TransportSafe)
-}
-
 func TestDirectiveFixture(t *testing.T) {
 	linttest.Run(t, "testdata/directives", lint.DirectiveAnalyzer)
 }
@@ -49,14 +41,13 @@ func TestParseDirectivesUnit(t *testing.T) {
 // Tick is hot.
 //
 //gossip:hotpath
-//gossip:scratch
 func Tick() []int {
 	//gossip:allocok cold branch
 	x := make([]int, 4)
 	return x
 }
 `,
-			attached: 3,
+			attached: 2,
 		},
 		{
 			name:     "unknown name",
@@ -74,9 +65,11 @@ func Tick() []int {
 			problems: []string{"cannot annotate a type declaration"},
 		},
 		{
+			// The scratch-lifetime directive was retired (tests hold that
+			// rule now), so a leftover annotation is a typo like any other.
 			name:     "scratch on var",
-			src:      "package p\n\n//gossip:scratch\nvar V int\n",
-			problems: []string{"cannot annotate a var declaration"},
+			src:      "package p\n\n//gossip:" + "scratch\nvar V int\n",
+			problems: []string{`unknown gossip directive "scratch"`},
 		},
 		{
 			name:     "hotpath inside body",
@@ -96,8 +89,8 @@ func Tick() []int {
 		},
 		{
 			name:     "suppression without justification",
-			src:      "package p\n\nfunc F() {\n\t//gossip:scratchok\n\t_ = 1\n}\n",
-			problems: []string{"//gossip:scratchok needs a justification"},
+			src:      "package p\n\nfunc F() {\n\t//gossip:allocok\n\t_ = 1\n}\n",
+			problems: []string{"//gossip:allocok needs a justification"},
 		},
 	}
 	for _, tc := range cases {

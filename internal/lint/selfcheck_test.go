@@ -8,8 +8,8 @@ import (
 )
 
 // TestModuleIsClean runs every gossiplint analyzer over the real module,
-// so `go test ./...` fails the moment a hot-path, scratch-lifetime or
-// atomics contract regression lands. It is the same sweep CI runs via
+// so `go test ./...` fails the moment a hot-path or atomics contract
+// regression lands. It is the same sweep CI runs via
 // `make lint`; the AllocsPerRun benchmarks remain the dynamic backstop
 // for the static hot-path claims.
 //

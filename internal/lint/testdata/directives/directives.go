@@ -15,10 +15,9 @@ type Buffer struct {
 //gossip:hotpth // want `unknown gossip directive "hotpth"`
 func Frob() {}
 
-// Tick is fine: a real, well-placed pair of directives. No diagnostics.
+// Tick is fine: a real, well-placed directive. No diagnostics.
 //
 //gossip:hotpath
-//gossip:scratch
 func (b *Buffer) Tick() []int {
 	return b.events
 }
@@ -29,16 +28,11 @@ func (b *Buffer) Tick() []int {
 //gossip:hotpath // want `duplicate //gossip:hotpath directive on Reset`
 func Reset() {}
 
-// Count returns no pointer, slice or map: nothing can be scratch.
-//
-//gossip:scratch // want `returns no pointer-, slice- or map-typed results`
-func Count() int { return 0 }
-
-//gossip:scratch // want `cannot annotate a var declaration`
+//gossip:allocok not a function // want `cannot annotate a var declaration`
 var counter int
 
 func floating() {
-	//gossip:scratch // want `must be part of a function declaration's doc comment`
+	//gossip:hotpath // want `must be part of a function declaration's doc comment`
 	_ = counter
 
 	//gossip:allocok covers the next statement: fine, no diagnostic

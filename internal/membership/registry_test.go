@@ -201,3 +201,18 @@ func TestRegistryConcurrentJoinLeaveSample(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRegistrySample measures fanout target selection from a
+// 60-member registry.
+func BenchmarkRegistrySample(b *testing.B) {
+	ids := make([]gossip.NodeID, 60)
+	for i := range ids {
+		ids[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
+	}
+	reg := NewRegistry(ids...)
+	rng := rand.New(rand.NewPCG(5, 6))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg.SamplePeers("n000", 4, rng)
+	}
+}

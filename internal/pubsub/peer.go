@@ -207,7 +207,6 @@ func (p *Peer) Publish(topic Topic, payload []byte, now time.Time) (gossip.Event
 // are valid only until the next Tick.
 //
 //gossip:hotpath
-//gossip:scratch
 func (p *Peer) Tick(now time.Time) []gossip.Outgoing {
 	p.out = p.out[:0]
 	for _, topic := range p.order {

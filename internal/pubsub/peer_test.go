@@ -323,3 +323,43 @@ func TestMultiTopicClusterIsolationAndAdaptation(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPubSubFanInOut measures the pub/sub peer's tick+receive
+// path with three subscribed topics.
+func BenchmarkPubSubFanInOut(b *testing.B) {
+	reg := membership.NewRegistry("a", "b", "c", "d")
+	cp := core.DefaultParams()
+	peer, err := NewPeer(PeerConfig{
+		ID:           "a",
+		BufferBudget: 90,
+		Gossip:       gossip.Params{Fanout: 3, Period: time.Second, MaxAge: 10},
+		Adaptive:     true,
+		Core:         cp,
+		RNG:          rand.New(rand.NewPCG(11, 12)),
+		Start:        time.Unix(0, 0),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	topics := []Topic{"t1", "t2", "t3"}
+	for _, topic := range topics {
+		if err := peer.Subscribe(topic, reg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	now := time.Unix(0, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(time.Second)
+		topic := topics[i%len(topics)]
+		events := make([]gossip.Event, 20)
+		for j := range events {
+			events[j] = gossip.Event{
+				ID:  gossip.EventID{Origin: "b", Seq: uint64(i*20 + j)},
+				Age: j % 8,
+			}
+		}
+		peer.Receive(&gossip.Message{From: "b", Group: string(topic), Events: events}, now)
+		peer.Tick(now)
+	}
+}

@@ -131,3 +131,17 @@ func TestBucketConservation(t *testing.T) {
 		t.Fatalf("takes %d far below budget %v", takes, budget)
 	}
 }
+
+// BenchmarkTokenBucket measures the admission fast path.
+func BenchmarkTokenBucket(b *testing.B) {
+	bucket, err := NewBucket(5, 1e9, time.Unix(0, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Unix(0, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(time.Microsecond)
+		bucket.TryTake(now)
+	}
+}

@@ -476,8 +476,6 @@ func (e *Engine) compactMissOrder() {
 // responses). Drivers call it after every Tick and Receive and transmit
 // the returned messages, which are scratch until the node's next Tick or
 // Receive (gossip.Outbox).
-//
-//gossip:scratch
 func (e *Engine) TakeOutgoing() []gossip.Outgoing { return e.out.Take() }
 
 // DiffDigest reports which of the advertised identifiers the node has

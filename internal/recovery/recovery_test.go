@@ -380,3 +380,31 @@ func TestDiffDigest(t *testing.T) {
 		t.Errorf("DiffDigest = %v, want [%v]", missing, want)
 	}
 }
+
+// BenchmarkRecoveryDigestDiff measures the receiver-side hot path of
+// the anti-entropy subsystem: diffing an incoming digest against the
+// node's seen set. Half the digest is known, half missing — the
+// steady-state shape under loss.
+func BenchmarkRecoveryDigestDiff(b *testing.B) {
+	reg := membership.NewRegistry("a", "b")
+	node, err := gossip.NewNode("a",
+		gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: 120, MaxAge: 10},
+		reg, rand.New(rand.NewPCG(21, 22)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	digest := make([]gossip.EventID, DefaultDigestLen)
+	for i := range digest {
+		digest[i] = gossip.EventID{Origin: "b", Seq: uint64(i)}
+		if i%2 == 0 {
+			node.Receive(&gossip.Message{From: "b", Events: []gossip.Event{{ID: digest[i]}}})
+		}
+	}
+	b.ReportMetric(float64(len(digest)), "ids/op")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if missing := DiffDigest(node, digest); len(missing) != len(digest)/2 {
+			b.Fatalf("expected %d missing, got %d", len(digest)/2, len(missing))
+		}
+	}
+}

@@ -5,12 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"adaptivegossip/internal/core"
 	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/membership"
 )
 
-// The benchmarks below are CI-gated against BENCH_7.json by benchgate:
-// ns/op regressions beyond tolerance and ANY allocation on the
-// steady-state schedule/execute and send/deliver paths fail the build.
+// BenchmarkSchedulerStep and BenchmarkNetworkSend are CI-gated against
+// BENCH_7.json by benchgate: ns/op regressions beyond tolerance and ANY
+// allocation on the steady-state schedule/execute and send/deliver
+// paths fail the build.
 // The slab reaches steady state once the free list is primed, so each
 // benchmark warms up before resetting the timer.
 
@@ -142,4 +145,54 @@ func TestNetworkSendAllocFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkSimulatedRound measures one full simulated gossip round of
+// the paper's 60-node configuration (all ticks + deliveries).
+func BenchmarkSimulatedRound(b *testing.B) {
+	sched := NewScheduler(Epoch)
+	network, err := NewNetwork(sched, DeriveRNG(1, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 60
+	names := make([]gossip.NodeID, n)
+	for i := range names {
+		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
+	}
+	reg := membership.NewRegistry(names...)
+	nodes := make([]*core.AdaptiveNode, n)
+	for i := range nodes {
+		node, err := core.NewAdaptiveNode(core.NodeConfig{
+			ID:       names[i],
+			Gossip:   gossip.Params{Fanout: 4, Period: 5 * time.Second, MaxEvents: 120, MaxAge: 10},
+			Adaptive: true,
+			Core:     core.DefaultParams(),
+			Peers:    reg,
+			RNG:      DeriveRNG(2, uint64(i)),
+			Start:    Epoch,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes[i] = node
+		network.Attach(names[i], func(m *gossip.Message) { node.Receive(m, sched.Now()) })
+	}
+	// Pre-load some traffic.
+	for i := 0; i < 150; i++ {
+		nodes[i%n].Publish(nil, sched.Now())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, node := range nodes {
+			for _, out := range node.Tick(sched.Now()) {
+				// RunFor below drains every delivery before any node's
+				// next Tick refreshes its round message.
+				network.Send(names[j], out.To, out.Msg)
+			}
+		}
+		sched.RunFor(5 * time.Second)
+		nodes[i%n].Publish(nil, sched.Now())
+	}
+	b.ReportMetric(n, "nodes")
 }

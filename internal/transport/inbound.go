@@ -72,8 +72,6 @@ func leaseInbound() *Inbound {
 }
 
 // Message returns the leased message, valid until Release.
-//
-//gossip:scratch
 func (in *Inbound) Message() *gossip.Message { return &in.msg }
 
 // Release ends the lease and recycles the envelope. Releasing twice is
@@ -104,10 +102,10 @@ func (in *Inbound) retained() int {
 // decode parses data — the envelope's own read buffer on the transport
 // path — into the envelope's message, allocating nothing once the
 // envelope and ids have seen the group's traffic. The message is
-// Borrowed: its payloads alias data or the envelope's scratch.
+// Borrowed: its payloads alias data or the envelope's scratch, and it is
+// valid until Release.
 //
 //gossip:hotpath
-//gossip:scratch
 func (in *Inbound) decode(c Codec, ids *idTable, data []byte) (*gossip.Message, error) {
 	if err := c.decodeInto(&in.msg, data, ids, &in.scratch); err != nil {
 		return nil, err

@@ -181,3 +181,37 @@ func TestMemNetworkNoHandlerCounts(t *testing.T) {
 	net.Close()
 	t.Fatalf("NoHandler = %d, want 1", net.Stats().NoHandler)
 }
+
+// TestMemSendManyCopiesScratch: the fabric delivers after a delay, by
+// which time the sender has rewritten its per-round scratch message
+// (the next Tick). Each receiver must still see the message as it was
+// when SendMany was called.
+func TestMemSendManyCopiesScratch(t *testing.T) {
+	net, err := NewMemNetwork(WithMemLatency(20*time.Millisecond, 20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	a, _ := net.Endpoint("a")
+	got := make(chan *gossip.Message, 2)
+	for _, id := range []gossip.NodeID{"b", "c"} {
+		ep, _ := net.Endpoint(id)
+		ep.SetHandler(func(m *gossip.Message) { got <- m })
+	}
+	scratch := &gossip.Message{From: "a", Round: 1, Events: []gossip.Event{{ID: gossip.EventID{Origin: "a", Seq: 1}}}}
+	if n, err := a.SendMany([]gossip.NodeID{"b", "c"}, scratch); n != 2 || err != nil {
+		t.Fatalf("SendMany = %d, %v", n, err)
+	}
+	scratch.Round = 2
+	scratch.Events[0].ID.Seq = 2
+	for i := 0; i < 2; i++ {
+		select {
+		case m := <-got:
+			if m.Round != 1 || m.Events[0].ID.Seq != 1 {
+				t.Fatalf("receiver saw the sender's next round: round %d, seq %d", m.Round, m.Events[0].ID.Seq)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("delivery timed out")
+		}
+	}
+}

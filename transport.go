@@ -38,8 +38,7 @@ type (
 	// dst; Decompress appends exactly rawLen decompressed bytes,
 	// erroring on any mismatch. Implementations must be safe for
 	// concurrent use. Select the built-in implementations by name
-	// through Config.Transport.Compression or WithCompression ("none",
-	// "flate").
+	// through Config.Transport.Compression ("none", "flate").
 	Compressor = transport.Compressor
 )
 
@@ -131,19 +130,17 @@ type WireStatser interface {
 // transports. Options that do not apply to a given fabric are rejected
 // by its constructor, not silently ignored.
 type transportConfig struct {
-	seed           int64
-	seedSet        bool
-	latencyMin     time.Duration
-	latencyMax     time.Duration
-	latencySet     bool
-	loss           float64
-	lossSet        bool
-	bind           string
-	maxDatagram    int
-	recvQueue      int
-	compression    string
-	compressor     transport.Compressor
-	compressionSet bool
+	seed        int64
+	seedSet     bool
+	latencyMin  time.Duration
+	latencyMax  time.Duration
+	latencySet  bool
+	loss        float64
+	lossSet     bool
+	bind        string
+	maxDatagram int
+	recvQueue   int
+	compressor  transport.Compressor // set by Config.Transport.Compression
 }
 
 // TransportOption configures a built-in transport fabric
@@ -228,32 +225,13 @@ func WithRecvQueue(depth int) TransportOption {
 	}
 }
 
-// WithCompression selects the payload compression applied to the event
-// section of every encoded message (wire v5): "none" (or "") leaves
-// frames uncompressed, "flate" runs them through DEFLATE, stored
-// uncompressed whenever compression would not shrink the section.
-// Decoding is unaffected — compressed frames from peers are always
-// accepted. Serializing fabrics only (the built-in UDP transport).
-func WithCompression(name string) TransportOption {
-	return func(c *transportConfig) error {
-		comp, err := transport.CompressorByName(name)
-		if err != nil {
-			return fmt.Errorf("adaptivegossip: %w", err)
-		}
-		c.compression = name
-		c.compressor = comp
-		c.compressionSet = true
-		return nil
-	}
-}
-
 // compressionSetter is the internal seam through which the facades push
 // Config.Transport.Compression into a fabric after construction. Both
 // built-in transports implement it; custom fabrics that cannot accept
 // the knob surface a configuration error instead of silently sending
 // uncompressed.
 type compressionSetter interface {
-	setCompression(name string) error
+	setCompression(name string, comp transport.Compressor) error
 }
 
 // applyTransportConfig pushes the Config.Transport knobs into a fabric
@@ -272,7 +250,7 @@ func applyTransportConfig(fabric Transport, tc TransportConfig) error {
 	if !ok {
 		return fmt.Errorf("adaptivegossip: Config.Transport.Compression %q needs a transport with a compression seam (the built-in UDP fabric); %T has none", tc.Compression, fabric)
 	}
-	return cs.setCompression(tc.Compression)
+	return cs.setCompression(tc.Compression, comp)
 }
 
 func buildTransportConfig(opts []TransportOption) (transportConfig, error) {
@@ -308,9 +286,6 @@ func NewMemTransport(opts ...TransportOption) (*MemTransport, error) {
 	}
 	if c.recvQueue != 0 {
 		return nil, fmt.Errorf("adaptivegossip: WithRecvQueue does not apply to the memory transport")
-	}
-	if c.compressor != nil {
-		return nil, fmt.Errorf("adaptivegossip: WithCompression(%q) does not apply to the memory transport (it never serializes)", c.compression)
 	}
 	memOpts := []transport.MemOption{}
 	if c.seedSet {
@@ -356,17 +331,11 @@ func (t *MemTransport) Close() error {
 	return nil
 }
 
-// setCompression validates the Config.Transport.Compression knob: the
-// memory fabric never serializes, so only "none" is accepted.
-func (t *MemTransport) setCompression(name string) error {
-	comp, err := transport.CompressorByName(name)
-	if err != nil {
-		return fmt.Errorf("adaptivegossip: %w", err)
-	}
-	if comp != nil {
-		return fmt.Errorf("adaptivegossip: Config.Transport.Compression %q does not apply to the memory transport (it never serializes)", name)
-	}
-	return nil
+// setCompression rejects the Config.Transport.Compression knob: the
+// memory fabric never serializes, so only "none" (which never reaches
+// the seam) applies.
+func (t *MemTransport) setCompression(name string, _ transport.Compressor) error {
+	return fmt.Errorf("adaptivegossip: Config.Transport.Compression %q does not apply to the memory transport (it never serializes)", name)
 }
 
 var (
@@ -573,14 +542,9 @@ func (t *UDPTransport) Close() error {
 // setCompression applies the Config.Transport.Compression knob to every
 // endpoint created after the call (the facades apply it before any
 // endpoints exist).
-func (t *UDPTransport) setCompression(name string) error {
-	comp, err := transport.CompressorByName(name)
-	if err != nil {
-		return fmt.Errorf("adaptivegossip: %w", err)
-	}
+func (t *UDPTransport) setCompression(_ string, comp transport.Compressor) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.cfg.compression = name
 	t.cfg.compressor = comp
 	return nil
 }
