@@ -200,7 +200,9 @@ type Config struct {
 	// means the default.
 	BufferCapacity int
 	// IDCacheCapacity bounds the duplicate-suppression set. Zero
-	// derives it from BufferCapacity.
+	// derives it from BufferCapacity. It may equal BufferCapacity: a
+	// buffered event is never delivered twice, whatever the set has
+	// forgotten.
 	IDCacheCapacity int
 	// MaxAge is the age purge bound k. Zero means the default.
 	MaxAge int

@@ -276,6 +276,9 @@ type RunResult struct {
 	// Hops is the pooled hop-count (event age at delivery) distribution
 	// over the same deliveries.
 	Hops observe.HistogramSnapshot
+	// DuplicateDeliveries counts repeated (event, member) deliveries over
+	// the whole run: 0 is exactly once, and RunSeeds refuses any other.
+	DuplicateDeliveries uint64
 }
 
 // Run executes one simulated experiment: virtual time, the simulated
@@ -666,6 +669,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Bucket, metrics.DefaultAtomicityThreshold)
 	res.Latency = tracker.LatencySnapshot()
 	res.Hops = tracker.HopsSnapshot()
+	res.DuplicateDeliveries = tracker.Duplicates()
 	return res, nil
 }
 
@@ -699,6 +703,9 @@ func RunSeeds(cfg Config, seeds int) (RunResult, error) {
 		res, err := Run(c)
 		if err != nil {
 			return err
+		}
+		if res.DuplicateDeliveries > 0 {
+			return fmt.Errorf("experiments: seed %d: %d events delivered twice to one member", c.Seed, res.DuplicateDeliveries)
 		}
 		results[s] = res
 		return nil

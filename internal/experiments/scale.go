@@ -139,6 +139,8 @@ type ScaleRow struct {
 	Events       uint64
 	EventsPerSec float64
 	Wall         time.Duration
+	// DuplicateDeliveries counts repeated (event, member) deliveries.
+	DuplicateDeliveries int
 }
 
 // Mode names the sampling arm.
@@ -195,13 +197,15 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 		}
 	}
 
-	// Delivery accounting: per-event coverage counts and the instant
-	// 99% of the group first held the event.
+	// Delivery accounting: per-event coverage counts, which members
+	// have the event, and the instant 99% of the group first held it.
 	type evRecord struct {
 		birth time.Time
 		count int
+		got   []bool
 		t99   time.Duration
 	}
+	duplicates := 0
 	records := make([]evRecord, 0, cfg.Messages)
 	evIndex := make(map[gossip.EventID]int, cfg.Messages)
 	need99 := (99*n + 99) / 100 // ceil(0.99 n)
@@ -267,6 +271,11 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 					return
 				}
 				rec := &records[idx]
+				if rec.got[i] {
+					duplicates++
+					return
+				}
+				rec.got[i] = true
 				rec.count++
 				latencies = append(latencies, sched.Now().Sub(rec.birth))
 				if rec.count == need99 {
@@ -287,11 +296,12 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 	// the group (and therefore over the regions).
 	publishAt := sim.Epoch.Add(time.Duration(cfg.WarmupRounds) * cfg.Period)
 	for j := 0; j < cfg.Messages; j++ {
-		origin := nodes[j*n/cfg.Messages]
+		o := j * n / cfg.Messages
 		sched.At(publishAt, func() {
-			ev, _ := origin.Publish(make([]byte, cfg.PayloadSize), sched.Now())
+			ev, _ := nodes[o].Publish(make([]byte, cfg.PayloadSize), sched.Now())
 			evIndex[ev.ID] = len(records)
-			records = append(records, evRecord{birth: sched.Now(), count: 1})
+			records = append(records, evRecord{birth: sched.Now(), count: 1, got: make([]bool, n)})
+			records[len(records)-1].got[o] = true
 		})
 	}
 
@@ -299,7 +309,7 @@ func runScaleArm(cfg ScaleConfig, n int, proximity bool) (ScaleRow, error) {
 	sched.RunUntil(publishAt.Add(time.Duration(cfg.Rounds)*cfg.Period + network.MaxLatency()))
 	wall := time.Since(started)
 
-	row := ScaleRow{N: n, Proximity: proximity, Wall: wall, Events: sched.Executed()}
+	row := ScaleRow{N: n, Proximity: proximity, Wall: wall, Events: sched.Executed(), DuplicateDeliveries: duplicates}
 	if wall > 0 {
 		row.EventsPerSec = float64(row.Events) / wall.Seconds()
 	}

@@ -72,6 +72,9 @@ func TestScaleProximityAcceptance(t *testing.T) {
 		if math.IsInf(r.RoundsTo99, 1) {
 			t.Errorf("%s never reached 99%% of the group", r.Mode())
 		}
+		if r.DuplicateDeliveries != 0 {
+			t.Errorf("%s delivered %d events twice to one member, want exactly once", r.Mode(), r.DuplicateDeliveries)
+		}
 		if r.Events == 0 || r.EventsPerSec <= 0 {
 			t.Errorf("%s executed-event accounting empty: events=%d rate=%f", r.Mode(), r.Events, r.EventsPerSec)
 		}

@@ -2,6 +2,8 @@ package gossip
 
 import (
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 )
 
@@ -16,9 +18,13 @@ import (
 // entries.
 //
 // Storage is a value slab: entries live by value in a flat slice whose
-// slots are recycled through a free list, and ordering is a separate
-// slice of slot indices. After the slab reaches capacity, the steady
-// state — insert, evict, reposition, expire — allocates nothing.
+// slots are recycled through a free list; ordering is a separate slice
+// of slot indices; and an idTable of slots, keyed by the seeded hash
+// IDCache uses and keeping each entry's hash beside its slot, finds an
+// entry by id. Slab, order, free list, table and eviction scratch are
+// sized for capacity+1 entries (Add holds one over capacity before it
+// evicts) when the buffer is made and when SetCapacity grows it, never
+// else, so insert, evict, reposition and expire allocate nothing.
 //
 // The eviction slices returned by Add, DropExpired and SetCapacity
 // share one scratch backing array: they are valid only until the next
@@ -31,7 +37,8 @@ type Buffer struct {
 	slab     []bufEntry // value storage; slots recycled via free
 	order    []int      // slab indices sorted by (age asc, insertion seq desc)
 	free     []int      // recycled slab slots
-	index    map[EventID]int
+	index    idTable    // finds a slab slot by id
+	seed     maphash.Seed
 	nextSeq  uint64
 	scratch  []Event // reused backing for eviction returns
 }
@@ -43,16 +50,32 @@ type bufEntry struct {
 
 // NewBuffer returns an empty buffer with the given capacity.
 // The capacity must be positive.
-func NewBuffer(capacity int) (*Buffer, error) {
+func NewBuffer(capacity int) (*Buffer, error) { return newBuffer(capacity, maphash.MakeSeed()) }
+
+// newBuffer returns an empty buffer hashing ids with seed.
+func newBuffer(capacity int, seed maphash.Seed) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("gossip: buffer capacity must be positive, got %d", capacity)
 	}
-	return &Buffer{
-		capacity: capacity,
-		slab:     make([]bufEntry, 0, capacity),
-		order:    make([]int, 0, capacity),
-		index:    make(map[EventID]int, capacity),
-	}, nil
+	b := &Buffer{capacity: capacity, seed: seed}
+	b.reserve(capacity)
+	return b, nil
+}
+
+// reserve sizes storage for capacity+1 entries unless it has room.
+func (b *Buffer) reserve(capacity int) {
+	n := capacity + 1
+	if n <= len(b.index.hashes) {
+		return
+	}
+	b.slab = slices.Grow(b.slab, n-len(b.slab))
+	b.order = slices.Grow(b.order, n-len(b.order))
+	b.free = slices.Grow(b.free, n-len(b.free))
+	b.scratch = slices.Grow(b.scratch, n-len(b.scratch))
+	b.index.resize(n)
+	for _, slot := range b.order {
+		b.index.link(slot, b.index.hashes[slot])
+	}
 }
 
 // Len reports the number of buffered events.
@@ -62,28 +85,36 @@ func (b *Buffer) Len() int { return len(b.order) }
 func (b *Buffer) Capacity() int { return b.capacity }
 
 // Contains reports whether an event with the given ID is buffered.
-func (b *Buffer) Contains(id EventID) bool {
-	_, ok := b.index[id]
-	return ok
-}
+func (b *Buffer) Contains(id EventID) bool { return b.find(id, b.hash(id)) >= 0 }
 
 // Age returns the buffered age of the event and whether it is present.
 func (b *Buffer) Age(id EventID) (int, bool) {
-	slot, ok := b.index[id]
-	if !ok {
-		return 0, false
-	}
-	return b.slab[slot].ev.Age, true
+	ev, ok := b.Get(id)
+	return ev.Age, ok
 }
 
 // Get returns the buffered event (payload shared, read-only) and whether
 // it is present.
 func (b *Buffer) Get(id EventID) (Event, bool) {
-	slot, ok := b.index[id]
-	if !ok {
+	slot := b.find(id, b.hash(id))
+	if slot < 0 {
 		return Event{}, false
 	}
 	return b.slab[slot].ev, true
+}
+
+// hash returns id's hash under the buffer's seed.
+func (b *Buffer) hash(id EventID) uint32 { return hashID(b.seed, id) }
+
+// find returns the slab slot of the event id, which hashes to h, or -1
+// when it is not buffered.
+func (b *Buffer) find(id EventID, h uint32) int {
+	for p, s := b.index.next(h&b.index.mask, h); p >= 0; p, s = b.index.next(s, h) {
+		if b.slab[p].ev.ID == id {
+			return p
+		}
+	}
+	return -1
 }
 
 // insertPos returns the index at which an entry with the given age and
@@ -157,14 +188,20 @@ func (b *Buffer) alloc(ev Event) int {
 // duplicates through RaiseAge. The returned slice is only valid until
 // the next mutating call.
 func (b *Buffer) Add(ev Event) ([]Event, error) {
-	if _, ok := b.index[ev.ID]; ok {
+	h := b.hash(ev.ID)
+	if b.find(ev.ID, h) >= 0 {
 		//gossip:allocok programming-error path; callers route duplicates through RaiseAge
 		return nil, fmt.Errorf("gossip: duplicate add of event %s", ev.ID)
 	}
+	return b.put(ev, h), nil
+}
+
+// put is Add for an event the caller has just failed to find.
+func (b *Buffer) put(ev Event, h uint32) []Event {
 	slot := b.alloc(ev)
 	b.insert(slot)
-	b.index[ev.ID] = slot
-	return b.evictOverCapacity(), nil
+	b.index.link(slot, h)
+	return b.evictOverCapacity()
 }
 
 // evictOverCapacity removes entries from the order tail until the
@@ -175,7 +212,7 @@ func (b *Buffer) evictOverCapacity() []Event {
 	evicted := b.takeScratch()
 	for len(b.order) > b.capacity {
 		victim := b.removeAt(len(b.order) - 1)
-		delete(b.index, b.slab[victim].ev.ID)
+		b.index.unlink(victim)
 		evicted = append(evicted, b.slab[victim].ev)
 		b.freeSlot(victim)
 	}
@@ -190,20 +227,23 @@ func (b *Buffer) evictOverCapacity() []Event {
 // and the given age (Figure 1's duplicate handling). It reports whether
 // the event was present.
 func (b *Buffer) RaiseAge(id EventID, age int) bool {
-	slot, ok := b.index[id]
-	if !ok {
-		return false
+	slot := b.find(id, b.hash(id))
+	if slot >= 0 {
+		b.raiseAt(slot, age)
 	}
+	return slot >= 0
+}
+
+// raiseAt is RaiseAge for the event at a known slab slot.
+func (b *Buffer) raiseAt(slot, age int) {
 	if age <= b.slab[slot].ev.Age {
-		return true
+		return
 	}
 	// Reposition: remove and reinsert with the original insertion seq so
 	// residency-based tie-breaking is preserved.
-	pos := b.findPos(slot)
-	b.removeAt(pos)
+	b.removeAt(b.findPos(slot))
 	b.slab[slot].ev.Age = age
 	b.insert(slot)
-	return true
 }
 
 // findPos locates the order position of a known slab slot via binary
@@ -251,7 +291,7 @@ func (b *Buffer) DropExpired(maxAge int) []Event {
 	for i := len(b.order) - 1; i >= cut; i-- {
 		slot := b.order[i]
 		expired = append(expired, b.slab[slot].ev)
-		delete(b.index, b.slab[slot].ev.ID)
+		b.index.unlink(slot)
 		b.freeSlot(slot)
 	}
 	b.order = b.order[:cut]
@@ -268,6 +308,7 @@ func (b *Buffer) SetCapacity(capacity int) ([]Event, error) {
 		return nil, fmt.Errorf("gossip: buffer capacity must be positive, got %d", capacity)
 	}
 	b.capacity = capacity
+	b.reserve(capacity)
 	return b.evictOverCapacity(), nil
 }
 
@@ -306,49 +347,4 @@ func (b *Buffer) AppendOldestUncounted(dst []Event, limit int, counted func(Even
 		limit--
 	}
 	return dst
-}
-
-// checkInvariants validates ordering, index and free-list consistency.
-// It is used by tests only.
-func (b *Buffer) checkInvariants() error {
-	if len(b.order) > b.capacity {
-		return fmt.Errorf("len %d exceeds capacity %d", len(b.order), b.capacity)
-	}
-	if len(b.order) != len(b.index) {
-		return fmt.Errorf("entries %d != index %d", len(b.order), len(b.index))
-	}
-	if len(b.order)+len(b.free) != len(b.slab) {
-		return fmt.Errorf("order %d + free %d != slab %d", len(b.order), len(b.free), len(b.slab))
-	}
-	for i := 1; i < len(b.order); i++ {
-		prev, cur := &b.slab[b.order[i-1]], &b.slab[b.order[i]]
-		if prev.ev.Age > cur.ev.Age {
-			return fmt.Errorf("age order violated at %d: %d > %d", i, prev.ev.Age, cur.ev.Age)
-		}
-		if prev.ev.Age == cur.ev.Age && prev.seq < cur.seq {
-			return fmt.Errorf("tie order violated at %d", i)
-		}
-	}
-	for id, slot := range b.index {
-		if slot < 0 || slot >= len(b.slab) {
-			return fmt.Errorf("index key %s maps to out-of-range slot %d", id, slot)
-		}
-		if b.slab[slot].ev.ID != id {
-			return fmt.Errorf("index key %s maps to event %s", id, b.slab[slot].ev.ID)
-		}
-	}
-	seen := make(map[int]bool, len(b.slab))
-	for _, slot := range b.order {
-		if seen[slot] {
-			return fmt.Errorf("slot %d linked twice in order", slot)
-		}
-		seen[slot] = true
-	}
-	for _, slot := range b.free {
-		if seen[slot] {
-			return fmt.Errorf("slot %d both live and free", slot)
-		}
-		seen[slot] = true
-	}
-	return nil
 }

@@ -128,84 +128,129 @@ func sameEvents(a, b []Event) bool {
 
 // TestBufferMatchesModel drives the slab Buffer and the naive reference
 // with identical random operation sequences and asserts identical
-// eviction order and snapshots after every step.
+// eviction order, snapshots and lookups after every step.
 func TestBufferMatchesModel(t *testing.T) {
-	for seedIdx, seed := range []uint64{1, 2, 3, 17, 99} {
-		rng := rand.New(rand.NewPCG(seed, seed*7+3))
-		const capacity = 12
-		buf, err := NewBuffer(capacity)
-		if err != nil {
-			t.Fatal(err)
+	for _, seed := range []uint64{1, 2, 3, 17, 99} {
+		var next uint64
+		checkAgainstModel(t, seed, func(*Buffer) EventID {
+			next++
+			return EventID{Origin: "m", Seq: next - 1}
+		})
+	}
+}
+
+// TestBufferCollidingIDs runs the model check on ids whose hashes share
+// their low 8 bits: every table the buffer sizes has at most 128 slots,
+// so all buffered ids sit in one probe run, and every eviction, expiry,
+// age raise and resize moves entries through backward-shift deletion.
+func TestBufferCollidingIDs(t *testing.T) {
+	for _, seed := range []uint64{5, 6} {
+		var next uint64
+		checkAgainstModel(t, seed, func(b *Buffer) EventID {
+			for {
+				id := EventID{Origin: "c", Seq: next}
+				next++
+				if b.hash(id)&0xff == 0x5a {
+					return id
+				}
+			}
+		})
+	}
+}
+
+// checkAgainstModel drives a buffer and the reference with one random
+// operation sequence, adding the ids newID returns.
+func checkAgainstModel(t *testing.T, seed uint64, newID func(*Buffer) EventID) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, seed*7+3))
+	const capacity = 12
+	buf, err := NewBuffer(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefBuffer(capacity)
+	var known []EventID // every id ever inserted, for RaiseAge draws
+
+	for step := 0; step < 3000; step++ {
+		var opName string
+		var got, want []Event
+		switch op := rng.IntN(100); {
+		case op < 55: // Add
+			ev := Event{ID: newID(buf), Age: rng.IntN(8)}
+			known = append(known, ev.ID)
+			opName = fmt.Sprintf("Add(%s age=%d)", ev.ID, ev.Age)
+			var err error
+			got, err = buf.Add(ev)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %s: %v", seed, step, opName, err)
+			}
+			want, _ = ref.add(ev)
+		case op < 75: // RaiseAge on a known id (present or long gone)
+			if len(known) == 0 {
+				continue
+			}
+			id := known[rng.IntN(len(known))]
+			age := rng.IntN(12)
+			opName = fmt.Sprintf("RaiseAge(%s, %d)", id, age)
+			if g, w := buf.RaiseAge(id, age), ref.raiseAge(id, age); g != w {
+				t.Fatalf("seed %d step %d: %s: present=%v, model says %v", seed, step, opName, g, w)
+			}
+		case op < 85: // IncrementAges
+			opName = "IncrementAges"
+			buf.IncrementAges()
+			ref.incrementAges()
+		case op < 95: // DropExpired
+			maxAge := 2 + rng.IntN(8)
+			opName = fmt.Sprintf("DropExpired(%d)", maxAge)
+			got = buf.DropExpired(maxAge)
+			want = ref.dropExpired(maxAge)
+		default: // SetCapacity: shrinks, and grows past every size so far
+			capacity := 1 + rng.IntN(40)
+			opName = fmt.Sprintf("SetCapacity(%d)", capacity)
+			var err error
+			got, err = buf.SetCapacity(capacity)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %s: %v", seed, step, opName, err)
+			}
+			want = ref.setCapacity(capacity)
 		}
-		ref := newRefBuffer(capacity)
-		var nextSeq uint64
-		var known []EventID // every id ever inserted, for RaiseAge draws
 
-		for step := 0; step < 3000; step++ {
-			var opName string
-			var got, want []Event
-			switch op := rng.IntN(100); {
-			case op < 55: // Add
-				ev := Event{
-					ID:  EventID{Origin: "m", Seq: nextSeq},
-					Age: rng.IntN(8),
-				}
-				nextSeq++
-				known = append(known, ev.ID)
-				opName = fmt.Sprintf("Add(%s age=%d)", ev.ID, ev.Age)
-				var err error
-				got, err = buf.Add(ev)
-				if err != nil {
-					t.Fatalf("seed %d step %d: %s: %v", seedIdx, step, opName, err)
-				}
-				want, _ = ref.add(ev)
-			case op < 75: // RaiseAge on a known id (present or long gone)
-				if len(known) == 0 {
-					continue
-				}
-				id := known[rng.IntN(len(known))]
-				age := rng.IntN(12)
-				opName = fmt.Sprintf("RaiseAge(%s, %d)", id, age)
-				if g, w := buf.RaiseAge(id, age), ref.raiseAge(id, age); g != w {
-					t.Fatalf("seed %d step %d: %s: present=%v, model says %v", seedIdx, step, opName, g, w)
-				}
-			case op < 85: // IncrementAges
-				opName = "IncrementAges"
-				buf.IncrementAges()
-				ref.incrementAges()
-			case op < 95: // DropExpired
-				maxAge := 2 + rng.IntN(8)
-				opName = fmt.Sprintf("DropExpired(%d)", maxAge)
-				got = buf.DropExpired(maxAge)
-				want = ref.dropExpired(maxAge)
-			default: // SetCapacity
-				capacity := 4 + rng.IntN(16)
-				opName = fmt.Sprintf("SetCapacity(%d)", capacity)
-				var err error
-				got, err = buf.SetCapacity(capacity)
-				if err != nil {
-					t.Fatalf("seed %d step %d: %s: %v", seedIdx, step, opName, err)
-				}
-				want = ref.setCapacity(capacity)
+		if !sameEvents(got, want) {
+			t.Fatalf("seed %d step %d: %s: eviction order diverged:\n slab: %v\nmodel: %v",
+				seed, step, opName, got, want)
+		}
+		if snap, wantSnap := buf.Snapshot(), ref.snapshot(); !sameEvents(snap, wantSnap) {
+			t.Fatalf("seed %d step %d: %s: snapshot diverged:\n slab: %v\nmodel: %v",
+				seed, step, opName, snap, wantSnap)
+		}
+		if appended := buf.AppendSnapshot(nil); !sameEvents(appended, buf.Snapshot()) {
+			t.Fatalf("seed %d step %d: AppendSnapshot != Snapshot", seed, step)
+		}
+		if buf.Len() != len(ref.entries) {
+			t.Fatalf("seed %d step %d: Len = %d, model has %d", seed, step, buf.Len(), len(ref.entries))
+		}
+		// Lookups: every live id, and a sample of the ids that left.
+		for _, e := range ref.entries {
+			ev, ok := buf.Get(e.ev.ID)
+			age, aok := buf.Age(e.ev.ID)
+			if !ok || !aok || !buf.Contains(e.ev.ID) || ev.ID != e.ev.ID || ev.Age != e.ev.Age || age != e.ev.Age {
+				t.Fatalf("seed %d step %d: %s: live %s (age %d) looked up as %v/%v/%v, age %d",
+					seed, step, opName, e.ev.ID, e.ev.Age, ok, aok, buf.Contains(e.ev.ID), age)
 			}
-
-			if !sameEvents(got, want) {
-				t.Fatalf("seed %d step %d: %s: eviction order diverged:\n slab: %v\nmodel: %v",
-					seedIdx, step, opName, got, want)
+		}
+		for i := 0; i < 8 && len(known) > 0; i++ {
+			id := known[rng.IntN(len(known))]
+			if ref.find(id) >= 0 {
+				continue
 			}
-			if snap, wantSnap := buf.Snapshot(), ref.snapshot(); !sameEvents(snap, wantSnap) {
-				t.Fatalf("seed %d step %d: %s: snapshot diverged:\n slab: %v\nmodel: %v",
-					seedIdx, step, opName, snap, wantSnap)
+			_, ok := buf.Get(id)
+			_, aok := buf.Age(id)
+			if ok || aok || buf.Contains(id) {
+				t.Fatalf("seed %d step %d: %s: departed %s still found", seed, step, opName, id)
 			}
-			if appended := buf.AppendSnapshot(nil); !sameEvents(appended, buf.Snapshot()) {
-				t.Fatalf("seed %d step %d: AppendSnapshot != Snapshot", seedIdx, step)
-			}
-			if buf.Len() != len(ref.entries) {
-				t.Fatalf("seed %d step %d: Len = %d, model has %d", seedIdx, step, buf.Len(), len(ref.entries))
-			}
-			if err := buf.checkInvariants(); err != nil {
-				t.Fatalf("seed %d step %d: %s: invariants: %v", seedIdx, step, opName, err)
-			}
+		}
+		if err := buf.checkInvariants(); err != nil {
+			t.Fatalf("seed %d step %d: %s: invariants: %v", seed, step, opName, err)
 		}
 	}
 }

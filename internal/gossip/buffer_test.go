@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -278,4 +279,62 @@ func TestBufferRandomOpsInvariants(t *testing.T) {
 		}
 		prev = e.Age
 	}
+}
+
+// checkInvariants validates ordering, index and free-list consistency:
+// every live slot is found through the index, which holds nothing else.
+func (b *Buffer) checkInvariants() error {
+	if len(b.order) > b.capacity {
+		return fmt.Errorf("len %d exceeds capacity %d", len(b.order), b.capacity)
+	}
+	if len(b.order)+len(b.free) != len(b.slab) {
+		return fmt.Errorf("order %d + free %d != slab %d", len(b.order), len(b.free), len(b.slab))
+	}
+	if len(b.slab) > len(b.index.hashes) || b.capacity >= len(b.index.hashes) {
+		return fmt.Errorf("slab %d, capacity %d: the index has %d positions", len(b.slab), b.capacity, len(b.index.hashes))
+	}
+	for i := 1; i < len(b.order); i++ {
+		prev, cur := &b.slab[b.order[i-1]], &b.slab[b.order[i]]
+		if prev.ev.Age > cur.ev.Age {
+			return fmt.Errorf("age order violated at %d: %d > %d", i, prev.ev.Age, cur.ev.Age)
+		}
+		if prev.ev.Age == cur.ev.Age && prev.seq < cur.seq {
+			return fmt.Errorf("tie order violated at %d", i)
+		}
+	}
+	seen := make(map[int]bool, len(b.slab))
+	for _, slot := range b.order {
+		if seen[slot] {
+			return fmt.Errorf("slot %d linked twice in order", slot)
+		}
+		seen[slot] = true
+		id := b.slab[slot].ev.ID
+		h := b.hash(id)
+		if b.index.hashes[slot] != h {
+			return fmt.Errorf("slot %d stores hash %#x for %s, want %#x", slot, b.index.hashes[slot], id, h)
+		}
+		if got := b.find(id, h); got != slot {
+			return fmt.Errorf("event %s at slot %d is found at slot %d", id, slot, got)
+		}
+	}
+	linked := 0
+	for _, e := range b.index.slots {
+		if e == 0 {
+			continue
+		}
+		linked++
+		if !seen[int(e-1)] {
+			return fmt.Errorf("index holds slot %d, which is not live", e-1)
+		}
+	}
+	if linked != len(b.order) {
+		return fmt.Errorf("index holds %d slots, %d are live", linked, len(b.order))
+	}
+	for _, slot := range b.free {
+		if seen[slot] {
+			return fmt.Errorf("slot %d both live and free", slot)
+		}
+		seen[slot] = true
+	}
+	return nil
 }

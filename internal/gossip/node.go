@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand/v2"
 	"time"
 
@@ -242,21 +243,23 @@ func NewNode(id NodeID, params Params, peers PeerSampler, rng *rand.Rand, opts .
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("gossip: node %s: invalid params: %w", id, err)
 	}
-	buf, err := NewBuffer(params.MaxEvents)
+	seed := maphash.MakeSeed()
+	buf, err := newBuffer(params.MaxEvents, seed)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: node %s: %w", id, err)
 	}
-	seen, err := NewIDCache(params.MaxEventIDs)
+	seen, err := newIDCache(params.MaxEventIDs, seed)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: node %s: %w", id, err)
 	}
 	n := &Node{
-		id:     id,
-		params: params,
-		buf:    buf,
-		seen:   seen,
-		peers:  peers,
-		rng:    rng,
+		id:            id,
+		params:        params,
+		buf:           buf,
+		seen:          seen,
+		peers:         peers,
+		rng:           rng,
+		scratchEvents: make([]Event, 0, params.MaxEvents),
 	}
 	if pa, ok := peers.(PeerAppender); ok {
 		n.sampleInto = pa
@@ -282,11 +285,14 @@ func (n *Node) Round() uint64 { return n.round }
 // Stats returns a copy of the activity counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// Seen reports whether the event identifier is in the eventIds
-// duplicate-suppression set — i.e. the node has delivered (or
-// originated) the event within the cache's memory horizon. The recovery
-// subsystem diffs incoming digests against this set.
-func (n *Node) Seen(id EventID) bool { return n.seen.Contains(id) }
+// Seen reports whether the node holds the event or remembers it: it is
+// buffered, or in the eventIds duplicate-suppression set — i.e. the
+// node has delivered (or originated) it within the cache's memory
+// horizon. The recovery subsystem diffs incoming digests against this.
+func (n *Node) Seen(id EventID) bool {
+	h := n.buf.hash(id)
+	return n.buf.find(id, h) >= 0 || n.seen.contains(id, h)
+}
 
 // BufferLen reports the current number of buffered events.
 func (n *Node) BufferLen() int { return n.buf.Len() }
@@ -347,7 +353,12 @@ func (n *Node) Broadcast(payload []byte) Event {
 		n.traceAwait[ev.ID] = struct{}{}
 	}
 	n.deliverLocal(ev)
-	n.store(ev)
+	evicted, err := n.buf.Add(ev)
+	if err != nil {
+		// The member restarted under its old id and got its events back.
+		panic(err)
+	}
+	n.dropped(evicted)
 	return ev
 }
 
@@ -450,6 +461,10 @@ func (n *Node) traceFirstSends(msg *Message) {
 // of it is retained past the call except event payloads — cloned first
 // when the message is Borrowed.
 //
+// Each id is hashed once. The buffer answers first — a buffered event
+// is a duplicate even if eventIds forgot it — and eventIds only for an
+// id the buffer lacks.
+//
 //gossip:hotpath
 func (n *Node) Receive(msg *Message) {
 	n.stats.MessagesReceived++
@@ -464,11 +479,15 @@ func (n *Node) Receive(msg *Message) {
 		} else {
 			ev.Hop = ev.Age
 		}
-		if !n.seen.Add(ev.ID) {
+		h := n.buf.hash(ev.ID)
+		if slot := n.buf.find(ev.ID, h); slot >= 0 {
 			n.stats.Duplicates++
-			if !n.buf.RaiseAge(ev.ID, ev.Age) {
-				n.stats.RedeliveriesAvoid++
-			}
+			n.buf.raiseAt(slot, ev.Age)
+			continue
+		}
+		if !n.seen.add(ev.ID, h) {
+			n.stats.Duplicates++
+			n.stats.RedeliveriesAvoid++
 			continue
 		}
 		if msg.Borrowed {
@@ -486,7 +505,7 @@ func (n *Node) Receive(msg *Message) {
 				From: string(msg.From), Hop: ev.Hop, Round: n.round,
 			})
 			n.deliverLocal(ev)
-			n.store(ev)
+			n.dropped(n.buf.put(ev, h))
 			n.tracer.Trace(observe.TraceEvent{
 				Origin: string(ev.ID.Origin), Seq: ev.ID.Seq,
 				Stage: observe.StageDeliver, Node: string(n.id),
@@ -495,7 +514,7 @@ func (n *Node) Receive(msg *Message) {
 			continue
 		}
 		n.deliverLocal(ev)
-		n.store(ev)
+		n.dropped(n.buf.put(ev, h))
 	}
 	for _, ext := range n.exts {
 		ext.OnReceive(n, msg)
@@ -515,13 +534,8 @@ func (n *Node) deliverLocal(ev Event) {
 	}
 }
 
-func (n *Node) store(ev Event) {
-	evicted, err := n.buf.Add(ev)
-	if err != nil {
-		// Unreachable: the eventIds check precedes every Add. Surface
-		// loudly in development rather than corrupting state.
-		panic(err)
-	}
+// dropped accounts for the events an insert pushed out of the buffer.
+func (n *Node) dropped(evicted []Event) {
 	if len(evicted) > 0 {
 		n.stats.DroppedCapacity += uint64(len(evicted))
 		for _, e := range evicted {

@@ -120,6 +120,24 @@ func BenchmarkNodeReceive(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeReceiveDuplicates measures a 120-event message every
+// event of which is already buffered: the copies a member keeps getting
+// of what it holds, answered by the buffer alone.
+func BenchmarkNodeReceiveDuplicates(b *testing.B) {
+	node, _ := steadyNode(b)
+	msg := &Message{From: "peer", Events: node.buf.Snapshot()}
+	delivered := node.Stats().Delivered
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node.Receive(msg)
+	}
+	b.StopTimer()
+	if len(msg.Events) != benchParams().MaxEvents || node.Stats().Delivered != delivered {
+		b.Fatalf("%d events, %d delivered: want a full buffer's worth of duplicates", len(msg.Events), node.Stats().Delivered-delivered)
+	}
+}
+
 // BenchmarkBufferAdd measures the events-buffer insert path at
 // steady-state occupancy (every insert evicts).
 func BenchmarkBufferAdd(b *testing.B) {
@@ -228,25 +246,39 @@ func TestReceiveBorrowedAllocsPerNewEvent(t *testing.T) {
 	}
 }
 
+// TestBufferAddAllocFree counts from an empty buffer, so the runs
+// include the first inserts, the first one that holds capacity+1
+// entries before it evicts, age raises that reposition, and expiry:
+// storage is sized when the buffer is made, and nothing grows later.
 func TestBufferAddAllocFree(t *testing.T) {
-	buf, err := NewBuffer(120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := uint64(0)
-	add := func() {
-		ev := Event{ID: EventID{Origin: "bench", Seq: seq}, Age: int(seq % 10)}
-		seq++
-		if _, err := buf.Add(ev); err != nil {
+	var bufs []*Buffer // AllocsPerRun calls once before it counts
+	for range 2 {
+		buf, err := NewBuffer(120)
+		if err != nil {
 			t.Fatal(err)
 		}
+		bufs = append(bufs, buf)
 	}
-	for i := 0; i < 300; i++ { // reach steady-state eviction
-		add()
+	var buf *Buffer
+	steps := func() {
+		buf, bufs = bufs[0], bufs[1:]
+		for seq := uint64(0); seq < 400; seq++ {
+			ev := Event{ID: EventID{Origin: "bench", Seq: seq}, Age: int(seq % 10)}
+			if _, err := buf.Add(ev); err != nil {
+				t.Fatal(err)
+			}
+			buf.RaiseAge(EventID{Origin: "bench", Seq: seq / 2}, int(seq%12))
+			if seq%40 == 39 {
+				buf.IncrementAges()
+				buf.DropExpired(10)
+			}
+		}
 	}
-	allocs := testing.AllocsPerRun(100, add)
-	if allocs != 0 {
-		t.Fatalf("steady-state Add allocates %v times per insert, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1, steps); allocs != 0 {
+		t.Fatalf("400 steps of Add/RaiseAge/DropExpired allocate %v times, want 0", allocs)
+	}
+	if buf.Len() != buf.Capacity() || buf.checkInvariants() != nil {
+		t.Fatalf("the buffer holds %d of %d events (%v): the steps never reached eviction", buf.Len(), buf.Capacity(), buf.checkInvariants())
 	}
 }
 

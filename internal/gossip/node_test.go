@@ -153,6 +153,62 @@ func TestReceiveDeliversOnceAndSuppressesDuplicates(t *testing.T) {
 	}
 }
 
+// TestBufferedEventIsNeverRedelivered: eventIds forgets ids in arrival
+// order, the buffer evicts by age, so a young event can outlive its
+// eventIds entry when older events arrive after it. A later copy of it
+// is still a duplicate. Both routes there are covered: an eventIds set
+// no larger than the buffer, and a buffer grown past it.
+func TestBufferedEventIsNeverRedelivered(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		maxIDs, grow  int
+		olderArrivals int
+	}{
+		{name: "MaxEventIDs == MaxEvents", maxIDs: 4, olderArrivals: 4},
+		{name: "SetBufferCapacity past MaxEventIDs", maxIDs: 8, grow: 16, olderArrivals: 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("the member panicked: %v", r)
+				}
+			}()
+			p := testParams()
+			p.MaxEvents, p.MaxEventIDs = 4, tc.maxIDs
+			deliveries := map[EventID]int{}
+			n, err := NewNode("a", p, staticPeers{"a", "b"}, rand.New(rand.NewPCG(1, 1)),
+				WithDeliver(func(e Event) { deliveries[e.ID]++ }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.grow > 0 {
+				if err := n.SetBufferCapacity(tc.grow); err != nil {
+					t.Fatal(err)
+				}
+			}
+			own := n.Broadcast(nil)
+			older := make([]Event, tc.olderArrivals)
+			for i := range older {
+				older[i] = mkEvent("b", uint64(i), 3)
+			}
+			n.Receive(&Message{From: "b", Events: older})
+			if n.seen.Contains(own.ID) || !n.buf.Contains(own.ID) {
+				t.Fatal("set-up: want the own event buffered and gone from eventIds")
+			}
+			if !n.Seen(own.ID) {
+				t.Error("Seen denies an event the member buffers")
+			}
+			n.Receive(&Message{From: "b", Events: []Event{{ID: own.ID, Age: 2}}})
+			if deliveries[own.ID] != 1 {
+				t.Fatalf("the own event was delivered %d times, want once", deliveries[own.ID])
+			}
+			if age, _ := n.buf.Age(own.ID); age != 2 {
+				t.Fatalf("the duplicate left the buffered age at %d, want it raised to 2", age)
+			}
+		})
+	}
+}
+
 func TestReceiveRaisesAgeOfDuplicates(t *testing.T) {
 	n := newTestNode(t, "b", staticPeers{"a", "b"})
 	n.Receive(&Message{From: "a", Events: []Event{mkEvent("a", 0, 1)}})

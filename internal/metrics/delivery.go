@@ -56,8 +56,9 @@ type DeliveryTracker struct {
 	cut    int                      // int32s cut from blocks so far
 	others map[gossip.EventID]int32 // what bySeq cannot index
 
-	latency observe.Histogram // microseconds birth → delivery
-	hops    observe.Histogram // event age at delivery
+	latency    observe.Histogram // microseconds birth → delivery
+	hops       observe.Histogram // event age at delivery
+	duplicates uint64            // deliveries of an event to a member that had it
 }
 
 // NewDeliveryTracker tracks deliveries across the given group.
@@ -162,8 +163,8 @@ func (t *DeliveryTracker) Broadcast(id gossip.EventID, now time.Time) {
 // ignored (e.g. observers outside the tracked group). With hop >= 0 it
 // also observes the delivery latency (now minus the message's birth, in
 // microseconds) and the event's age — its gossip hop count — into the
-// tracker's pooled distributions. Duplicate deliveries are not observed
-// twice.
+// tracker's pooled distributions. A repeated delivery of the event to
+// the same member is observed nowhere but in Duplicates.
 func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now time.Time, hop int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -178,6 +179,7 @@ func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now 
 	}
 	w, b := r*t.words+i/64, uint(i%64)
 	if t.bits[w]&(1<<b) != 0 {
+		t.duplicates++
 		return
 	}
 	t.bits[w] |= 1 << b
@@ -186,6 +188,13 @@ func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now 
 		t.latency.ObserveInt(now.Sub(rec.born).Microseconds())
 		t.hops.ObserveInt(int64(hop))
 	}
+}
+
+// Duplicates counts repeated (event, member) deliveries.
+func (t *DeliveryTracker) Duplicates() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.duplicates
 }
 
 // LatencySnapshot captures the pooled birth→delivery latency

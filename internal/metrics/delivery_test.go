@@ -93,6 +93,9 @@ func TestDeliveryTrackerDuplicateAndUnknownDeliveries(t *testing.T) {
 	if got.MeanReceiversPct != 25 {
 		t.Fatalf("mean = %v, want 25", got.MeanReceiversPct)
 	}
+	if d := tr.Duplicates(); d != 1 {
+		t.Fatalf("Duplicates = %d, want the one repeated delivery (strangers are not members)", d)
+	}
 }
 
 func TestDeliveryTrackerHorizonFiltering(t *testing.T) {
