@@ -435,7 +435,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 			Peers:        ownReg,
 			RNG:          sim.NodeRNG(cfg.Seed, i),
 			Deliver: func(ev gossip.Event) {
-				tracker.DeliverHop(ev.ID, name, w.now(), ev.Age)
+				tracker.DeliverHop(ev.ID, i, w.now(), ev.Age)
 			},
 			Start: epoch,
 		})

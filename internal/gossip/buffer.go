@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
 )
+
+// maxBufferAge bounds max age, and so the buckets (512 KiB at most).
+const maxBufferAge = 1 << 16
 
 // Buffer is the bounded events store of Figure 1.
 //
@@ -13,15 +15,21 @@ import (
 // over capacity the oldest event is discarded: highest age first and,
 // among equal ages, the entry that has been resident longest — the
 // paper's "remove oldest element from events" with age as the discard
-// criterion. Ages advance in lockstep each round, which preserves the
-// ordering, so only insertions and duplicate age updates reposition
-// entries.
+// criterion.
 //
-// Storage is a value slab: entries live by value in a flat slice whose
-// slots are recycled through a free list; ordering is a separate slice
-// of slot indices; and an idTable of slots, keyed by the seeded hash
-// IDCache uses and keeping each entry's hash beside its slot, finds an
-// entry by id. Slab, order, free list, table and eviction scratch are
+// The order lives in maxAge+2 age buckets, each an intrusive doubly
+// linked list through the slab, newest insertion first. Bucket a holds
+// the events of age a; the last holds every age above maxAge, ordered
+// by (age, insertion): what the next DropExpired purges. Add and
+// RaiseAge clamp ages to [0, maxAge+1], so a forged age can neither
+// outlive that purge nor overflow, and an insert or a raise links into
+// a known bucket without searching. IncrementAges shifts the buckets up
+// and splices the maxAge one in front of the last; the eviction victim
+// is the tail of the highest non-empty bucket, found from a hint.
+//
+// Entries live by value in a slab whose slots are recycled through a
+// free list; an idTable of slots, keyed by the seeded hash IDCache uses,
+// finds an entry by id. Slab, free list, table and eviction scratch are
 // sized for capacity+1 entries (Add holds one over capacity before it
 // evicts) when the buffer is made and when SetCapacity grows it, never
 // else, so insert, evict, reposition and expire allocate nothing.
@@ -34,8 +42,10 @@ import (
 // access.
 type Buffer struct {
 	capacity int
+	maxAge   int
 	slab     []bufEntry // value storage; slots recycled via free
-	order    []int      // slab indices sorted by (age asc, insertion seq desc)
+	buckets  []bucket   // by age; the last holds every age above maxAge
+	top      int        // no bucket above this one holds an entry
 	free     []int      // recycled slab slots
 	index    idTable    // finds a slab slot by id
 	seed     maphash.Seed
@@ -44,20 +54,31 @@ type Buffer struct {
 }
 
 type bufEntry struct {
-	ev  Event
-	seq uint64 // insertion order; lower = resident longer
+	ev         Event
+	seq        uint64 // insertion order; lower = resident longer
+	prev, next int32  // neighbours in the entry's bucket, -1 at its ends
 }
 
-// NewBuffer returns an empty buffer with the given capacity.
-// The capacity must be positive.
-func NewBuffer(capacity int) (*Buffer, error) { return newBuffer(capacity, maphash.MakeSeed()) }
+// bucket is the head (newest) and tail (oldest) slot of an age
+// bucket's list, -1 when it is empty.
+type bucket struct{ head, tail int32 }
+
+// NewBuffer returns an empty buffer with the given capacity whose
+// events expire past maxAge. The capacity must be positive and maxAge
+// in [1, 65536].
+func NewBuffer(capacity, maxAge int) (*Buffer, error) {
+	return newBuffer(capacity, maxAge, maphash.MakeSeed())
+}
 
 // newBuffer returns an empty buffer hashing ids with seed.
-func newBuffer(capacity int, seed maphash.Seed) (*Buffer, error) {
+func newBuffer(capacity, maxAge int, seed maphash.Seed) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("gossip: buffer capacity must be positive, got %d", capacity)
 	}
-	b := &Buffer{capacity: capacity, seed: seed}
+	if maxAge <= 0 || maxAge > maxBufferAge {
+		return nil, fmt.Errorf("gossip: max age must be in [1, %d], got %d", maxBufferAge, maxAge)
+	}
+	b := &Buffer{capacity: capacity, maxAge: maxAge, seed: seed, buckets: slices.Repeat([]bucket{{-1, -1}}, maxAge+2)}
 	b.reserve(capacity)
 	return b, nil
 }
@@ -69,17 +90,18 @@ func (b *Buffer) reserve(capacity int) {
 		return
 	}
 	b.slab = slices.Grow(b.slab, n-len(b.slab))
-	b.order = slices.Grow(b.order, n-len(b.order))
 	b.free = slices.Grow(b.free, n-len(b.free))
 	b.scratch = slices.Grow(b.scratch, n-len(b.scratch))
 	b.index.resize(n)
-	for _, slot := range b.order {
-		b.index.link(slot, b.index.hashes[slot])
+	for _, bk := range b.buckets {
+		for s := bk.head; s >= 0; s = b.slab[s].next {
+			b.index.link(int(s), b.index.hashes[s])
+		}
 	}
 }
 
 // Len reports the number of buffered events.
-func (b *Buffer) Len() int { return len(b.order) }
+func (b *Buffer) Len() int { return len(b.slab) - len(b.free) }
 
 // Capacity reports the maximum number of buffered events.
 func (b *Buffer) Capacity() int { return b.capacity }
@@ -117,38 +139,57 @@ func (b *Buffer) find(id EventID, h uint32) int {
 	return -1
 }
 
-// insertPos returns the index at which an entry with the given age and
-// insertion sequence keeps the order slice sorted. Among equal ages
-// newer insertions sort earlier, so the slice tail is always the
-// eviction victim.
-func (b *Buffer) insertPos(age int, seq uint64) int {
-	return sort.Search(len(b.order), func(i int) bool {
-		e := &b.slab[b.order[i]]
-		if e.ev.Age != age {
-			return e.ev.Age > age
-		}
-		return e.seq < seq
-	})
+// bucketOf returns the index of the bucket holding an entry of the
+// given (stored, so non-negative) age.
+func (b *Buffer) bucketOf(age int) int { return min(age, b.maxAge+1) }
+
+// link enters the slab slot into its age bucket: before the first entry
+// that is older or was inserted earlier. A stored age is never below
+// the others of its bucket (the last bucket's are raised to maxAge+1 at
+// least), so a new insertion links at the head at once and a raised
+// entry after the newer ones of its new age.
+func (b *Buffer) link(slot int) {
+	e := &b.slab[slot]
+	k := b.bucketOf(e.ev.Age)
+	b.top = max(b.top, k)
+	bk := &b.buckets[k]
+	prev, next := int32(-1), bk.head
+	for next >= 0 && b.slab[next].ev.Age == e.ev.Age && b.slab[next].seq > e.seq {
+		prev, next = next, b.slab[next].next
+	}
+	e.prev, e.next = prev, next
+	if prev >= 0 {
+		b.slab[prev].next = int32(slot)
+	} else {
+		bk.head = int32(slot)
+	}
+	if next >= 0 {
+		b.slab[next].prev = int32(slot)
+	} else {
+		bk.tail = int32(slot)
+	}
 }
 
-// insert places the slab slot into the order slice at its sorted
-// position.
-func (b *Buffer) insert(slot int) {
-	pos := b.insertPos(b.slab[slot].ev.Age, b.slab[slot].seq)
-	b.order = append(b.order, 0)
-	copy(b.order[pos+1:], b.order[pos:])
-	b.order[pos] = slot
+// unlink removes the slab slot from its age bucket. The slot is NOT
+// freed; the caller either links it again (reposition) or releases it
+// with freeSlot.
+func (b *Buffer) unlink(slot int) {
+	e := &b.slab[slot]
+	bk := &b.buckets[b.bucketOf(e.ev.Age)]
+	if e.prev >= 0 {
+		b.slab[e.prev].next = e.next
+	} else {
+		bk.head = e.next
+	}
+	if e.next >= 0 {
+		b.slab[e.next].prev = e.prev
+	} else {
+		bk.tail = e.prev
+	}
 }
 
-// removeAt unlinks the order position and returns its slab slot. The
-// slot is NOT freed; the caller either reinserts it (reposition) or
-// releases it with freeSlot.
-func (b *Buffer) removeAt(pos int) int {
-	slot := b.order[pos]
-	copy(b.order[pos:], b.order[pos+1:])
-	b.order = b.order[:len(b.order)-1]
-	return slot
-}
+// clampAge bounds an age to what the buckets hold.
+func (b *Buffer) clampAge(age int) int { return min(max(age, 0), b.maxAge+1) }
 
 // freeSlot recycles a slab slot, dropping payload references so the
 // slab does not pin dead event payloads.
@@ -183,10 +224,11 @@ func (b *Buffer) alloc(ev Event) int {
 }
 
 // Add inserts a new event and returns the events evicted to make room,
-// oldest first. Adding an event whose ID is already buffered is a
-// programming error and reported as such; callers are expected to route
-// duplicates through RaiseAge. The returned slice is only valid until
-// the next mutating call.
+// oldest first. An age above the buffer's max age is stored as max
+// age + 1, a negative one as 0. Adding an event whose ID is already
+// buffered is a programming error and reported as such; callers are
+// expected to route duplicates through RaiseAge. The returned slice is
+// only valid until the next mutating call.
 func (b *Buffer) Add(ev Event) ([]Event, error) {
 	h := b.hash(ev.ID)
 	if b.find(ev.ID, h) >= 0 {
@@ -198,24 +240,40 @@ func (b *Buffer) Add(ev Event) ([]Event, error) {
 
 // put is Add for an event the caller has just failed to find.
 func (b *Buffer) put(ev Event, h uint32) []Event {
+	ev.Age = b.clampAge(ev.Age)
 	slot := b.alloc(ev)
-	b.insert(slot)
+	b.link(slot)
 	b.index.link(slot, h)
 	return b.evictOverCapacity()
 }
 
-// evictOverCapacity removes entries from the order tail until the
-// buffer fits its capacity, maintaining index, free list and scratch.
-// It returns the evicted events oldest first, nil when none (Add and
-// SetCapacity share this bookkeeping).
+// evictOverCapacity removes the oldest entries until the buffer fits
+// its capacity. It returns the evicted events oldest first, nil when
+// none (Add and SetCapacity share this bookkeeping).
 func (b *Buffer) evictOverCapacity() []Event {
 	evicted := b.takeScratch()
-	for len(b.order) > b.capacity {
-		victim := b.removeAt(len(b.order) - 1)
-		b.index.unlink(victim)
-		evicted = append(evicted, b.slab[victim].ev)
-		b.freeSlot(victim)
+	for b.Len() > b.capacity {
+		if b.buckets[b.top].tail < 0 {
+			b.top--
+			continue
+		}
+		evicted = b.remove(int(b.buckets[b.top].tail), evicted)
 	}
+	return b.keepScratch(evicted)
+}
+
+// remove takes the slab slot out of its bucket, the index and the slab,
+// and appends its event to evicted.
+func (b *Buffer) remove(slot int, evicted []Event) []Event {
+	b.unlink(slot)
+	b.index.unlink(slot)
+	evicted = append(evicted, b.slab[slot].ev)
+	b.freeSlot(slot)
+	return evicted
+}
+
+// keepScratch keeps evicted as the scratch and returns it, nil when empty.
+func (b *Buffer) keepScratch(evicted []Event) []Event {
 	b.scratch = evicted
 	if len(evicted) == 0 {
 		return nil
@@ -224,8 +282,8 @@ func (b *Buffer) evictOverCapacity() []Event {
 }
 
 // RaiseAge updates a buffered event's age to the maximum of its current
-// and the given age (Figure 1's duplicate handling). It reports whether
-// the event was present.
+// and the given age (Figure 1's duplicate handling), the given age
+// clamped as Add clamps it. It reports whether the event was present.
 func (b *Buffer) RaiseAge(id EventID, age int) bool {
 	slot := b.find(id, b.hash(id))
 	if slot >= 0 {
@@ -236,67 +294,51 @@ func (b *Buffer) RaiseAge(id EventID, age int) bool {
 
 // raiseAt is RaiseAge for the event at a known slab slot.
 func (b *Buffer) raiseAt(slot, age int) {
+	age = b.clampAge(age)
 	if age <= b.slab[slot].ev.Age {
 		return
 	}
-	// Reposition: remove and reinsert with the original insertion seq so
-	// residency-based tie-breaking is preserved.
-	b.removeAt(b.findPos(slot))
+	// Reposition into the new age's bucket, keeping the original
+	// insertion seq so residency-based tie-breaking is preserved.
+	b.unlink(slot)
 	b.slab[slot].ev.Age = age
-	b.insert(slot)
-}
-
-// findPos locates the order position of a known slab slot via binary
-// search on its (age, seq) key.
-func (b *Buffer) findPos(slot int) int {
-	pos := b.insertPos(b.slab[slot].ev.Age, b.slab[slot].seq)
-	// insertPos returns the position the slot occupies, because the
-	// predicate is false exactly for entries ordered before (age, seq)
-	// and the entry itself compares equal.
-	if pos < len(b.order) && b.order[pos] == slot {
-		return pos
-	}
-	// Defensive linear fallback; unreachable if invariants hold.
-	for i, cand := range b.order {
-		if cand == slot {
-			return i
-		}
-	}
-	//gossip:allocok invariant-violation panic, unreachable if index and order agree
-	panic(fmt.Sprintf("gossip: buffer index desynchronized for event %s", b.slab[slot].ev.ID))
+	b.link(slot)
 }
 
 // IncrementAges advances every buffered event's age by one, as done at
-// the start of each gossip round (Figure 1). Ordering is preserved.
+// the start of each gossip round (Figure 1). Ordering is preserved: the
+// buckets shift up by one, and the maxAge bucket's events, now expired
+// and younger than every event already past maxAge, go in front of the
+// last bucket.
 func (b *Buffer) IncrementAges() {
-	for _, slot := range b.order {
-		b.slab[slot].ev.Age++
+	for i := range b.slab {
+		b.slab[i].ev.Age++ // free slots too: alloc overwrites them whole
 	}
+	old, last := b.buckets[b.maxAge], &b.buckets[b.maxAge+1]
+	if old.tail >= 0 {
+		b.slab[old.tail].next = last.head
+		if last.head >= 0 {
+			b.slab[last.head].prev = old.tail
+		} else {
+			last.tail = old.tail
+		}
+		last.head = old.head
+	}
+	copy(b.buckets[1:b.maxAge+1], b.buckets[:b.maxAge])
+	b.buckets[0] = bucket{-1, -1}
+	b.top = min(b.top+1, b.maxAge+1)
 }
 
 // DropExpired removes and returns all events with age strictly greater
-// than maxAge, oldest first. The returned slice is only valid until the
-// next mutating call.
-func (b *Buffer) DropExpired(maxAge int) []Event {
-	// Entries are age-ascending, so expired entries form the tail.
-	cut := sort.Search(len(b.order), func(i int) bool {
-		return b.slab[b.order[i]].ev.Age > maxAge
-	})
-	if cut == len(b.order) {
-		b.scratch = b.takeScratch()
-		return nil
-	}
+// than the buffer's max age, oldest first. The returned slice is only
+// valid until the next mutating call.
+func (b *Buffer) DropExpired() []Event {
 	expired := b.takeScratch()
-	// Oldest first: walk the tail backwards.
-	for i := len(b.order) - 1; i >= cut; i-- {
-		slot := b.order[i]
-		expired = append(expired, b.slab[slot].ev)
-		b.index.unlink(slot)
-		b.freeSlot(slot)
+	for last := &b.buckets[b.maxAge+1]; last.tail >= 0; {
+		expired = b.remove(int(last.tail), expired)
 	}
-	b.order = b.order[:cut]
-	b.scratch = expired
-	return expired
+	b.top = min(b.top, b.maxAge)
+	return b.keepScratch(expired)
 }
 
 // SetCapacity changes the buffer capacity, evicting oldest events first
@@ -318,8 +360,10 @@ func (b *Buffer) SetCapacity(capacity int) ([]Event, error) {
 // slice makes the per-round snapshot allocation-free; the result lives
 // as long as the caller keeps dst unchanged.
 func (b *Buffer) AppendSnapshot(dst []Event) []Event {
-	for _, slot := range b.order {
-		dst = append(dst, b.slab[slot].ev)
+	for _, bk := range b.buckets {
+		for s := bk.head; s >= 0; s = b.slab[s].next {
+			dst = append(dst, b.slab[s].ev)
+		}
 	}
 	return dst
 }
@@ -327,7 +371,7 @@ func (b *Buffer) AppendSnapshot(dst []Event) []Event {
 // Snapshot returns copies of all buffered events, youngest first.
 // Payload slices are shared (events are read-only by convention).
 func (b *Buffer) Snapshot() []Event {
-	return b.AppendSnapshot(make([]Event, 0, len(b.order)))
+	return b.AppendSnapshot(make([]Event, 0, b.Len()))
 }
 
 // AppendOldestUncounted appends to dst up to limit events, oldest first,
@@ -338,13 +382,15 @@ func (b *Buffer) Snapshot() []Event {
 // set. The scan runs on every receive while the buffer is over that
 // size, so callers append into reused scratch. Payload slices are shared.
 func (b *Buffer) AppendOldestUncounted(dst []Event, limit int, counted func(EventID) bool) []Event {
-	for i := len(b.order) - 1; i >= 0 && limit > 0; i-- {
-		ev := b.slab[b.order[i]].ev
-		if counted != nil && counted(ev.ID) {
-			continue
+	for k := len(b.buckets) - 1; k >= 0 && limit > 0; k-- {
+		for s := b.buckets[k].tail; s >= 0 && limit > 0; s = b.slab[s].prev {
+			ev := b.slab[s].ev
+			if counted != nil && counted(ev.ID) {
+				continue
+			}
+			dst = append(dst, ev)
+			limit--
 		}
-		dst = append(dst, ev)
-		limit--
 	}
 	return dst
 }

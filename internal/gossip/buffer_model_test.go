@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -13,6 +14,7 @@ import (
 // obvious.
 type refBuffer struct {
 	capacity int
+	maxAge   int
 	entries  []refEntry
 	nextSeq  uint64
 }
@@ -22,9 +24,12 @@ type refEntry struct {
 	seq uint64
 }
 
-func newRefBuffer(capacity int) *refBuffer {
-	return &refBuffer{capacity: capacity}
+func newRefBuffer(capacity, maxAge int) *refBuffer {
+	return &refBuffer{capacity: capacity, maxAge: maxAge}
 }
+
+// clamp is the age Buffer stores for a given one.
+func (r *refBuffer) clamp(age int) int { return min(max(age, 0), r.maxAge+1) }
 
 func (r *refBuffer) sort() {
 	sort.SliceStable(r.entries, func(i, j int) bool {
@@ -59,6 +64,7 @@ func (r *refBuffer) add(ev Event) ([]Event, bool) {
 	if r.find(ev.ID) >= 0 {
 		return nil, false
 	}
+	ev.Age = r.clamp(ev.Age)
 	r.entries = append(r.entries, refEntry{ev: ev, seq: r.nextSeq})
 	r.nextSeq++
 	r.sort()
@@ -70,7 +76,7 @@ func (r *refBuffer) raiseAge(id EventID, age int) bool {
 	if i < 0 {
 		return false
 	}
-	if age > r.entries[i].ev.Age {
+	if age := r.clamp(age); age > r.entries[i].ev.Age {
 		r.entries[i].ev.Age = age
 		r.sort()
 	}
@@ -83,17 +89,17 @@ func (r *refBuffer) incrementAges() {
 	}
 }
 
-func (r *refBuffer) dropExpired(maxAge int) []Event {
+func (r *refBuffer) dropExpired() []Event {
 	var expired []Event
 	// Sorted age-ascending: the expired tail, oldest first.
 	for i := len(r.entries) - 1; i >= 0; i-- {
-		if r.entries[i].ev.Age > maxAge {
+		if r.entries[i].ev.Age > r.maxAge {
 			expired = append(expired, r.entries[i].ev)
 		}
 	}
 	kept := r.entries[:0]
 	for _, e := range r.entries {
-		if e.ev.Age <= maxAge {
+		if e.ev.Age <= r.maxAge {
 			kept = append(kept, e)
 		}
 	}
@@ -127,8 +133,10 @@ func sameEvents(a, b []Event) bool {
 }
 
 // TestBufferMatchesModel drives the slab Buffer and the naive reference
-// with identical random operation sequences and asserts identical
-// eviction order, snapshots and lookups after every step.
+// with identical random operation sequences — adds, raises, aging,
+// expiry and resizes interleaved, with ages past max age up to
+// math.MaxInt — and asserts identical eviction order, snapshots and
+// lookups after every step.
 func TestBufferMatchesModel(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 17, 99} {
 		var next uint64
@@ -164,19 +172,27 @@ func checkAgainstModel(t *testing.T, seed uint64, newID func(*Buffer) EventID) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed*7+3))
 	const capacity = 12
-	buf, err := NewBuffer(capacity)
+	maxAge := 2 + rng.IntN(8)
+	buf, err := NewBuffer(capacity, maxAge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefBuffer(capacity)
+	ref := newRefBuffer(capacity, maxAge)
 	var known []EventID // every id ever inserted, for RaiseAge draws
+	// drawAge draws mostly around max age, now and then a forged age.
+	drawAge := func() int {
+		if rng.IntN(20) == 0 {
+			return math.MaxInt - rng.IntN(2)
+		}
+		return rng.IntN(maxAge + 4)
+	}
 
 	for step := 0; step < 3000; step++ {
 		var opName string
 		var got, want []Event
 		switch op := rng.IntN(100); {
 		case op < 55: // Add
-			ev := Event{ID: newID(buf), Age: rng.IntN(8)}
+			ev := Event{ID: newID(buf), Age: drawAge()}
 			known = append(known, ev.ID)
 			opName = fmt.Sprintf("Add(%s age=%d)", ev.ID, ev.Age)
 			var err error
@@ -190,7 +206,7 @@ func checkAgainstModel(t *testing.T, seed uint64, newID func(*Buffer) EventID) {
 				continue
 			}
 			id := known[rng.IntN(len(known))]
-			age := rng.IntN(12)
+			age := drawAge()
 			opName = fmt.Sprintf("RaiseAge(%s, %d)", id, age)
 			if g, w := buf.RaiseAge(id, age), ref.raiseAge(id, age); g != w {
 				t.Fatalf("seed %d step %d: %s: present=%v, model says %v", seed, step, opName, g, w)
@@ -200,10 +216,9 @@ func checkAgainstModel(t *testing.T, seed uint64, newID func(*Buffer) EventID) {
 			buf.IncrementAges()
 			ref.incrementAges()
 		case op < 95: // DropExpired
-			maxAge := 2 + rng.IntN(8)
-			opName = fmt.Sprintf("DropExpired(%d)", maxAge)
-			got = buf.DropExpired(maxAge)
-			want = ref.dropExpired(maxAge)
+			opName = "DropExpired"
+			got = buf.DropExpired()
+			want = ref.dropExpired()
 		default: // SetCapacity: shrinks, and grows past every size so far
 			capacity := 1 + rng.IntN(40)
 			opName = fmt.Sprintf("SetCapacity(%d)", capacity)

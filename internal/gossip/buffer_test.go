@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -10,11 +11,15 @@ func mkEvent(origin string, seq uint64, age int) Event {
 	return Event{ID: EventID{Origin: NodeID(origin), Seq: seq}, Age: age}
 }
 
+// testMaxAge is the max age of the buffers mustBuffer makes: above
+// every age the tests below store, so none is clamped.
+const testMaxAge = 30
+
 func mustBuffer(t *testing.T, capacity int) *Buffer {
 	t.Helper()
-	b, err := NewBuffer(capacity)
+	b, err := NewBuffer(capacity, testMaxAge)
 	if err != nil {
-		t.Fatalf("NewBuffer(%d): %v", capacity, err)
+		t.Fatalf("NewBuffer(%d, %d): %v", capacity, testMaxAge, err)
 	}
 	return b
 }
@@ -30,8 +35,13 @@ func mustAdd(t *testing.T, b *Buffer, ev Event) []Event {
 
 func TestNewBufferRejectsNonPositiveCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -1, -100} {
-		if _, err := NewBuffer(capacity); err == nil {
+		if _, err := NewBuffer(capacity, testMaxAge); err == nil {
 			t.Errorf("NewBuffer(%d): want error, got nil", capacity)
+		}
+	}
+	for _, maxAge := range []int{0, -1, maxBufferAge + 1} {
+		if _, err := NewBuffer(4, maxAge); err == nil {
+			t.Errorf("NewBuffer(4, %d): want error, got nil", maxAge)
 		}
 	}
 }
@@ -143,24 +153,54 @@ func TestBufferIncrementAges(t *testing.T) {
 }
 
 func TestBufferDropExpired(t *testing.T) {
-	b := mustBuffer(t, 8)
-	mustAdd(t, b, mkEvent("a", 1, 2))
-	mustAdd(t, b, mkEvent("a", 2, 11))
-	mustAdd(t, b, mkEvent("a", 3, 15))
-	mustAdd(t, b, mkEvent("a", 4, 10))
-
-	expired := b.DropExpired(10)
-	if len(expired) != 2 {
-		t.Fatalf("expired %d events, want 2", len(expired))
+	b, err := NewBuffer(8, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if expired[0].Age < expired[1].Age {
-		t.Fatalf("expired not oldest-first: %v", expired)
+	mustAdd(t, b, mkEvent("a", 1, 2))
+	mustAdd(t, b, mkEvent("a", 2, 9))
+	mustAdd(t, b, mkEvent("a", 3, 10))
+	mustAdd(t, b, mkEvent("a", 4, 15)) // stored as 11
+	b.IncrementAges()
+
+	expired := b.DropExpired()
+	if len(expired) != 2 || expired[0].ID.Seq != 4 || expired[1].ID.Seq != 3 {
+		t.Fatalf("expired %v, want seqs 4 and 3, oldest first", expired)
+	}
+	if expired[0].Age != 12 {
+		t.Fatalf("the forged age expired as %d, want it clamped to 11 and aged once", expired[0].Age)
 	}
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
-	if b.DropExpired(10) != nil {
+	if b.DropExpired() != nil {
 		t.Fatal("second DropExpired should remove nothing")
+	}
+}
+
+// TestBufferClampsAges: an age above max age is stored as max age + 1
+// on Add and RaiseAge alike, and a negative one as 0, so no stored age
+// survives the next purge or overflows when ages advance.
+func TestBufferClampsAges(t *testing.T) {
+	b, err := NewBuffer(8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, b, mkEvent("a", 1, math.MaxInt))
+	mustAdd(t, b, mkEvent("a", 2, 3))
+	mustAdd(t, b, mkEvent("a", 3, -5))
+	b.RaiseAge(EventID{Origin: "a", Seq: 2}, math.MaxInt)
+	for seq, want := range map[uint64]int{1: 11, 2: 11, 3: 0} {
+		if age, _ := b.Age(EventID{Origin: "a", Seq: seq}); age != want {
+			t.Fatalf("event %d stored at age %d, want %d", seq, age, want)
+		}
+	}
+	if err := b.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	b.IncrementAges()
+	if expired := b.DropExpired(); len(expired) != 2 || expired[0].Age != 12 || expired[1].Age != 12 {
+		t.Fatalf("expired %v, want both forged ages at 12", expired)
 	}
 }
 
@@ -254,7 +294,7 @@ func TestBufferRandomOpsInvariants(t *testing.T) {
 		case 3:
 			b.IncrementAges()
 		case 4:
-			for _, e := range b.DropExpired(25) {
+			for _, e := range b.DropExpired() {
 				delete(live, e.ID)
 			}
 		}
@@ -281,41 +321,64 @@ func TestBufferRandomOpsInvariants(t *testing.T) {
 	}
 }
 
-// checkInvariants validates ordering, index and free-list consistency:
-// every live slot is found through the index, which holds nothing else.
+// checkInvariants validates the bucket lists, index and free list:
+// prev and next agree with each other and with every bucket's head and
+// tail; each entry sits in bucket min(age, maxAge+1), in (age asc,
+// insertion desc) order, and no bucket above the top hint holds one;
+// the linked entries are Len, disjoint from the
+// free list and together with it the slab; and every live slot is found
+// through the index, which holds nothing else.
 func (b *Buffer) checkInvariants() error {
-	if len(b.order) > b.capacity {
-		return fmt.Errorf("len %d exceeds capacity %d", len(b.order), b.capacity)
+	if b.Len() > b.capacity {
+		return fmt.Errorf("len %d exceeds capacity %d", b.Len(), b.capacity)
 	}
-	if len(b.order)+len(b.free) != len(b.slab) {
-		return fmt.Errorf("order %d + free %d != slab %d", len(b.order), len(b.free), len(b.slab))
+	if len(b.buckets) != b.maxAge+2 {
+		return fmt.Errorf("%d buckets for max age %d", len(b.buckets), b.maxAge)
 	}
 	if len(b.slab) > len(b.index.hashes) || b.capacity >= len(b.index.hashes) {
 		return fmt.Errorf("slab %d, capacity %d: the index has %d positions", len(b.slab), b.capacity, len(b.index.hashes))
 	}
-	for i := 1; i < len(b.order); i++ {
-		prev, cur := &b.slab[b.order[i-1]], &b.slab[b.order[i]]
-		if prev.ev.Age > cur.ev.Age {
-			return fmt.Errorf("age order violated at %d: %d > %d", i, prev.ev.Age, cur.ev.Age)
+	seen := make(map[int]bool, len(b.slab))
+	for k, bk := range b.buckets {
+		if k > b.top && bk.head >= 0 {
+			return fmt.Errorf("bucket %d holds entries above the top hint %d", k, b.top)
 		}
-		if prev.ev.Age == cur.ev.Age && prev.seq < cur.seq {
-			return fmt.Errorf("tie order violated at %d", i)
+		prev := int32(-1)
+		for s := bk.head; s >= 0; prev, s = s, b.slab[s].next {
+			slot := int(s)
+			if slot >= len(b.slab) || seen[slot] {
+				return fmt.Errorf("bucket %d: slot %d out of range or linked twice", k, slot)
+			}
+			seen[slot] = true
+			e := &b.slab[slot]
+			if e.prev != prev {
+				return fmt.Errorf("bucket %d: slot %d has prev %d, want %d", k, slot, e.prev, prev)
+			}
+			if e.ev.Age < 0 || min(e.ev.Age, b.maxAge+1) != k {
+				return fmt.Errorf("slot %d of age %d sits in bucket %d", slot, e.ev.Age, k)
+			}
+			if prev >= 0 {
+				p := &b.slab[prev]
+				if p.ev.Age > e.ev.Age || p.ev.Age == e.ev.Age && p.seq < e.seq {
+					return fmt.Errorf("bucket %d: slot %d (age %d, seq %d) after slot %d (age %d, seq %d)",
+						k, slot, e.ev.Age, e.seq, prev, p.ev.Age, p.seq)
+				}
+			}
+			id := e.ev.ID
+			h := b.hash(id)
+			if b.index.hashes[slot] != h {
+				return fmt.Errorf("slot %d stores hash %#x for %s, want %#x", slot, b.index.hashes[slot], id, h)
+			}
+			if got := b.find(id, h); got != slot {
+				return fmt.Errorf("event %s at slot %d is found at slot %d", id, slot, got)
+			}
+		}
+		if bk.tail != prev {
+			return fmt.Errorf("bucket %d: tail %d, list ends at %d", k, bk.tail, prev)
 		}
 	}
-	seen := make(map[int]bool, len(b.slab))
-	for _, slot := range b.order {
-		if seen[slot] {
-			return fmt.Errorf("slot %d linked twice in order", slot)
-		}
-		seen[slot] = true
-		id := b.slab[slot].ev.ID
-		h := b.hash(id)
-		if b.index.hashes[slot] != h {
-			return fmt.Errorf("slot %d stores hash %#x for %s, want %#x", slot, b.index.hashes[slot], id, h)
-		}
-		if got := b.find(id, h); got != slot {
-			return fmt.Errorf("event %s at slot %d is found at slot %d", id, slot, got)
-		}
+	if len(seen) != b.Len() {
+		return fmt.Errorf("buckets link %d slots, Len is %d", len(seen), b.Len())
 	}
 	linked := 0
 	for _, e := range b.index.slots {
@@ -327,14 +390,17 @@ func (b *Buffer) checkInvariants() error {
 			return fmt.Errorf("index holds slot %d, which is not live", e-1)
 		}
 	}
-	if linked != len(b.order) {
-		return fmt.Errorf("index holds %d slots, %d are live", linked, len(b.order))
+	if linked != b.Len() {
+		return fmt.Errorf("index holds %d slots, %d are live", linked, b.Len())
 	}
 	for _, slot := range b.free {
 		if seen[slot] {
 			return fmt.Errorf("slot %d both live and free", slot)
 		}
 		seen[slot] = true
+	}
+	if len(seen) != len(b.slab) {
+		return fmt.Errorf("live and free slots cover %d of %d", len(seen), len(b.slab))
 	}
 	return nil
 }

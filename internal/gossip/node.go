@@ -244,7 +244,7 @@ func NewNode(id NodeID, params Params, peers PeerSampler, rng *rand.Rand, opts .
 		return nil, fmt.Errorf("gossip: node %s: invalid params: %w", id, err)
 	}
 	seed := maphash.MakeSeed()
-	buf, err := newBuffer(params.MaxEvents, seed)
+	buf, err := newBuffer(params.MaxEvents, params.MaxAge, seed)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: node %s: %w", id, err)
 	}
@@ -383,7 +383,7 @@ func (n *Node) Broadcast(payload []byte) Event {
 func (n *Node) Tick() []Outgoing {
 	n.round++
 	n.buf.IncrementAges()
-	if expired := n.buf.DropExpired(n.params.MaxAge); len(expired) > 0 {
+	if expired := n.buf.DropExpired(); len(expired) > 0 {
 		n.stats.DroppedExpired += uint64(len(expired))
 		n.notifyEvicted(expired, EvictExpired)
 	}

@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -138,10 +139,45 @@ func BenchmarkNodeReceiveDuplicates(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeReceiveRaises measures a 120-event message of buffered
+// ids, each one age older than the member's copy: every event is a
+// duplicate whose age raise repositions it in the buffer. A raise
+// changes nothing but ages and order, so the buffer's entries and
+// buckets are restored between messages with the timer stopped.
+func BenchmarkNodeReceiveRaises(b *testing.B) {
+	node, _ := steadyNode(b)
+	msg := &Message{From: "peer", Events: node.buf.Snapshot()}
+	for i := range msg.Events {
+		msg.Events[i].Age++
+	}
+	slab, buckets := slices.Clone(node.buf.slab), slices.Clone(node.buf.buckets)
+	delivered := node.Stats().Delivered
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node.Receive(msg)
+		b.StopTimer()
+		if i == 0 {
+			for _, ev := range msg.Events {
+				if age, _ := node.buf.Age(ev.ID); age != ev.Age {
+					b.Fatalf("event %s at age %d after a copy at age %d", ev.ID, age, ev.Age)
+				}
+			}
+		}
+		copy(node.buf.slab, slab)
+		copy(node.buf.buckets, buckets)
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if len(msg.Events) != benchParams().MaxEvents || node.Stats().Delivered != delivered {
+		b.Fatalf("%d events, %d delivered: want a full buffer's worth of raises", len(msg.Events), node.Stats().Delivered-delivered)
+	}
+}
+
 // BenchmarkBufferAdd measures the events-buffer insert path at
 // steady-state occupancy (every insert evicts).
 func BenchmarkBufferAdd(b *testing.B) {
-	buf, err := NewBuffer(120)
+	buf, err := NewBuffer(120, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +289,7 @@ func TestReceiveBorrowedAllocsPerNewEvent(t *testing.T) {
 func TestBufferAddAllocFree(t *testing.T) {
 	var bufs []*Buffer // AllocsPerRun calls once before it counts
 	for range 2 {
-		buf, err := NewBuffer(120)
+		buf, err := NewBuffer(120, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +306,7 @@ func TestBufferAddAllocFree(t *testing.T) {
 			buf.RaiseAge(EventID{Origin: "bench", Seq: seq / 2}, int(seq%12))
 			if seq%40 == 39 {
 				buf.IncrementAges()
-				buf.DropExpired(10)
+				buf.DropExpired()
 			}
 		}
 	}

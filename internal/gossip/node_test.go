@@ -219,7 +219,12 @@ func TestReceiveRaisesAgeOfDuplicates(t *testing.T) {
 }
 
 func TestReceiveCapacityEvictionUpdatesStats(t *testing.T) {
-	n := newTestNode(t, "b", staticPeers{"a", "b"})
+	p := testParams()
+	p.MaxAge = 10 // above every age sent, so none is clamped
+	n, err := NewNode("b", p, staticPeers{"a", "b"}, rand.New(rand.NewPCG(42, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Capacity is 8: send 10 events with distinct ages.
 	events := make([]Event, 10)
 	for i := range events {

@@ -20,7 +20,8 @@ func TestQuickBufferInvariants(t *testing.T) {
 	}
 	f := func(capacity uint8, ops []op) bool {
 		capn := int(capacity)%64 + 1
-		b, err := NewBuffer(capn)
+		maxAge := int(capacity)%25 + 5
+		b, err := NewBuffer(capn, maxAge)
 		if err != nil {
 			return false
 		}
@@ -45,7 +46,7 @@ func TestQuickBufferInvariants(t *testing.T) {
 			case 3:
 				b.IncrementAges()
 			case 4:
-				for _, e := range b.DropExpired(int(o.Age%30) + 5) {
+				for _, e := range b.DropExpired() {
 					delete(live, e.ID)
 				}
 			case 5:
@@ -82,7 +83,7 @@ func TestQuickBufferEvictionIsOldestFirst(t *testing.T) {
 		if len(ages) == 0 {
 			return true
 		}
-		b, err := NewBuffer(len(ages))
+		b, err := NewBuffer(len(ages), 30)
 		if err != nil {
 			return false
 		}

@@ -34,8 +34,8 @@ type msgRec struct {
 // events and derives the paper's reliability measures. Deliveries
 // reported through DeliverHop additionally feed two pooled
 // distributions — per-delivery latency (microseconds since the
-// message's birth) and hop count — using the same alloc-free
-// histogram type the live runtime's debug endpoint serves.
+// message's birth) and hop count — counted under the tracker's lock in
+// the bucket layout the live runtime's debug endpoint serves.
 //
 // Tracking allocates nothing per event: records and bitsets live in
 // two slabs that grow by doubling, and a member's broadcasts — which
@@ -56,9 +56,9 @@ type DeliveryTracker struct {
 	cut    int                      // int32s cut from blocks so far
 	others map[gossip.EventID]int32 // what bySeq cannot index
 
-	latency    observe.Histogram // microseconds birth → delivery
-	hops       observe.Histogram // event age at delivery
-	duplicates uint64            // deliveries of an event to a member that had it
+	latency    observe.HistogramSnapshot // microseconds birth → delivery
+	hops       observe.HistogramSnapshot // event age at delivery
+	duplicates uint64                    // deliveries of an event to a member that had it
 }
 
 // NewDeliveryTracker tracks deliveries across the given group.
@@ -159,19 +159,19 @@ func (t *DeliveryTracker) Broadcast(id gossip.EventID, now time.Time) {
 	rec.bornKnown = true
 }
 
-// DeliverHop records that node delivered the event; unknown nodes are
-// ignored (e.g. observers outside the tracked group). With hop >= 0 it
-// also observes the delivery latency (now minus the message's birth, in
+// DeliverHop records that the member at index i of the tracker's member
+// list delivered the event; an index outside the list is ignored (e.g.
+// an observer outside the tracked group). With hop >= 0 it also
+// observes the delivery latency (now minus the message's birth, in
 // microseconds) and the event's age — its gossip hop count — into the
 // tracker's pooled distributions. A repeated delivery of the event to
 // the same member is observed nowhere but in Duplicates.
-func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now time.Time, hop int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i, ok := t.members[node]
-	if !ok {
+func (t *DeliveryTracker) DeliverHop(id gossip.EventID, i int, now time.Time, hop int) {
+	if i < 0 || i >= t.n {
 		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := t.record(id)
 	rec := &t.recs[r]
 	if !rec.bornKnown && (rec.count == 0 || now.Before(rec.born)) {
@@ -185,8 +185,8 @@ func (t *DeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, now 
 	t.bits[w] |= 1 << b
 	rec.count++
 	if hop >= 0 {
-		t.latency.ObserveInt(now.Sub(rec.born).Microseconds())
-		t.hops.ObserveInt(int64(hop))
+		t.latency.Add(uint64(max(now.Sub(rec.born).Microseconds(), 0)))
+		t.hops.Add(uint64(hop))
 	}
 }
 
@@ -200,13 +200,17 @@ func (t *DeliveryTracker) Duplicates() uint64 {
 // LatencySnapshot captures the pooled birth→delivery latency
 // distribution (microseconds) over all DeliverHop-reported deliveries.
 func (t *DeliveryTracker) LatencySnapshot() observe.HistogramSnapshot {
-	return t.latency.Snapshot()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.latency
 }
 
 // HopsSnapshot captures the pooled hop-count distribution over all
 // DeliverHop-reported deliveries.
 func (t *DeliveryTracker) HopsSnapshot() observe.HistogramSnapshot {
-	return t.hops.Snapshot()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.hops
 }
 
 // Summary are the aggregate reliability measures over a set of

@@ -15,7 +15,8 @@ import (
 
 // The DeliveryTracker this package had before its records moved into
 // slabs, verbatim but for its names: TestDeliveryTrackerMatchesReference
-// holds the slab tracker to its answers.
+// holds the slab tracker to its answers. The reference still names
+// members; the tracker takes their index in the member list.
 
 type refMsgRec struct {
 	born      time.Time
@@ -241,15 +242,19 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pick := func() gossip.NodeID {
+		// pick draws a member or a stranger, and the index the tracker
+		// knows it by: a stranger's is outside the member list.
+		pick := func() (gossip.NodeID, int) {
 			if rng.IntN(8) == 0 {
-				return strangers[rng.IntN(len(strangers))]
+				k := rng.IntN(len(strangers))
+				return strangers[k], []int{-1, len(group), len(group) + 7}[k]
 			}
-			return group[rng.IntN(len(group))]
+			i := rng.IntN(len(group))
+			return group[i], i
 		}
 		next := map[gossip.NodeID]uint64{}
 		for op := 0; op < 4000; op++ {
-			origin := pick()
+			origin, _ := pick()
 			var seq uint64
 			switch k := rng.IntN(10); {
 			case k < 5: // the origin's next broadcast
@@ -269,8 +274,9 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 				want.Broadcast(eid, now)
 				continue
 			}
-			node, hop := pick(), rng.IntN(12)-1
-			got.DeliverHop(eid, node, now, hop)
+			node, i := pick()
+			hop := rng.IntN(12) - 1
+			got.DeliverHop(eid, i, now, hop)
 			want.DeliverHop(eid, node, now, hop)
 		}
 		for _, w := range []struct {
@@ -316,7 +322,7 @@ func TestDeliverHopAllocFree(t *testing.T) {
 	tr.Broadcast(known, epoch)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.DeliverHop(known, group[i%len(group)], epoch.Add(time.Second), 1)
+		tr.DeliverHop(known, i%len(group), epoch.Add(time.Second), 1)
 		i++
 	})
 	if allocs != 0 {
@@ -329,9 +335,9 @@ func TestDeliverHopAllocFree(t *testing.T) {
 	for k := 0; k < events; k++ {
 		o := k % len(group)
 		eid := gossip.EventID{Origin: group[o], Seq: uint64(k/len(group)) + 1}
-		tr.DeliverHop(eid, group[o], epoch, 0)
+		tr.DeliverHop(eid, o, epoch, 0)
 		tr.Broadcast(eid, epoch)
-		tr.DeliverHop(eid, group[(o+1)%len(group)], epoch.Add(time.Second), 1)
+		tr.DeliverHop(eid, (o+1)%len(group), epoch.Add(time.Second), 1)
 	}
 	runtime.ReadMemStats(&after)
 	if objs := after.Mallocs - before.Mallocs; objs >= 64 {

@@ -42,7 +42,7 @@ func TestDeliveryTrackerCoverage(t *testing.T) {
 	for seq, count := range map[uint64]int{0: 10, 1: 9, 2: 5} {
 		tr.Broadcast(eid(seq), epoch)
 		for i := 0; i < count; i++ {
-			tr.DeliverHop(eid(seq), group[i], epoch.Add(time.Second), -1)
+			tr.DeliverHop(eid(seq), i, epoch.Add(time.Second), -1)
 		}
 	}
 	sum := tr.Results(time.Time{}, time.Time{}, 0.95)
@@ -71,12 +71,12 @@ func TestDeliveryTrackerThresholdBoundary(t *testing.T) {
 	// Exactly 19/20 = 95%: NOT strictly more than 95%.
 	tr.Broadcast(eid(0), epoch)
 	for i := 0; i < 19; i++ {
-		tr.DeliverHop(eid(0), group[i], epoch, -1)
+		tr.DeliverHop(eid(0), i, epoch, -1)
 	}
 	if got := tr.Results(time.Time{}, time.Time{}, 0.95).AtomicityPct; got != 0 {
 		t.Fatalf("19/20 counted as atomic: %v", got)
 	}
-	tr.DeliverHop(eid(0), group[19], epoch, -1)
+	tr.DeliverHop(eid(0), 19, epoch, -1)
 	if got := tr.Results(time.Time{}, time.Time{}, 0.95).AtomicityPct; got != 100 {
 		t.Fatalf("20/20 not atomic: %v", got)
 	}
@@ -86,9 +86,10 @@ func TestDeliveryTrackerDuplicateAndUnknownDeliveries(t *testing.T) {
 	group := members(4)
 	tr, _ := NewDeliveryTracker(group)
 	tr.Broadcast(eid(0), epoch)
-	tr.DeliverHop(eid(0), group[1], epoch, -1)
-	tr.DeliverHop(eid(0), group[1], epoch, -1) // duplicate
-	tr.DeliverHop(eid(0), "stranger", epoch, -1)
+	tr.DeliverHop(eid(0), 1, epoch, -1)
+	tr.DeliverHop(eid(0), 1, epoch, -1)          // duplicate
+	tr.DeliverHop(eid(0), len(group), epoch, -1) // not a member
+	tr.DeliverHop(eid(0), -1, epoch, -1)
 	got := tr.Results(time.Time{}, time.Time{}, 0)
 	if got.MeanReceiversPct != 25 {
 		t.Fatalf("mean = %v, want 25", got.MeanReceiversPct)
@@ -103,8 +104,8 @@ func TestDeliveryTrackerHorizonFiltering(t *testing.T) {
 	tr, _ := NewDeliveryTracker(group)
 	tr.Broadcast(eid(0), epoch.Add(1*time.Second))
 	tr.Broadcast(eid(1), epoch.Add(10*time.Second))
-	tr.DeliverHop(eid(0), group[0], epoch, -1)
-	tr.DeliverHop(eid(1), group[0], epoch, -1)
+	tr.DeliverHop(eid(0), 0, epoch, -1)
+	tr.DeliverHop(eid(1), 0, epoch, -1)
 	got := tr.Results(time.Time{}, epoch.Add(5*time.Second), 0)
 	if got.Messages != 1 {
 		t.Fatalf("horizon filter kept %d messages, want 1", got.Messages)
@@ -119,7 +120,7 @@ func TestDeliveryTrackerDeliverBeforeBroadcast(t *testing.T) {
 	group := members(2)
 	tr, _ := NewDeliveryTracker(group)
 	// Origin's local delivery can reach the tracker before Broadcast.
-	tr.DeliverHop(eid(0), group[0], epoch.Add(time.Second), -1)
+	tr.DeliverHop(eid(0), 0, epoch.Add(time.Second), -1)
 	tr.Broadcast(eid(0), epoch)
 	got := tr.Results(time.Time{}, time.Time{}, 0)
 	if got.Messages != 1 || got.MeanReceiversPct != 50 {
@@ -133,12 +134,12 @@ func TestDeliveryTrackerSeries(t *testing.T) {
 	// Bucket 0: one fully delivered message. Bucket 1: one message at
 	// 50%. Bucket 2: empty.
 	tr.Broadcast(eid(0), epoch)
-	for _, m := range group {
-		tr.DeliverHop(eid(0), m, epoch, -1)
+	for i := range group {
+		tr.DeliverHop(eid(0), i, epoch, -1)
 	}
 	tr.Broadcast(eid(1), epoch.Add(11*time.Second))
-	tr.DeliverHop(eid(1), group[0], epoch.Add(11*time.Second), -1)
-	tr.DeliverHop(eid(1), group[1], epoch.Add(11*time.Second), -1)
+	tr.DeliverHop(eid(1), 0, epoch.Add(11*time.Second), -1)
+	tr.DeliverHop(eid(1), 1, epoch.Add(11*time.Second), -1)
 
 	series := tr.Series(epoch, epoch.Add(30*time.Second), 10*time.Second, 0.95)
 	if len(series) != 4 {
@@ -169,7 +170,7 @@ func TestDeliveryTrackerConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				id := gossip.EventID{Origin: group[g], Seq: uint64(i)}
 				tr.Broadcast(id, epoch)
-				tr.DeliverHop(id, group[(g+i)%8], epoch, -1)
+				tr.DeliverHop(id, (g+i)%8, epoch, -1)
 			}
 		}(g)
 	}
@@ -186,12 +187,12 @@ func TestDeliverHopDistributions(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Broadcast(eid(1), epoch)
-	tr.DeliverHop(eid(1), group[0], epoch, 0)                     // origin: latency 0, hop 0
-	tr.DeliverHop(eid(1), group[1], epoch.Add(8*time.Second), 2)  // 8s, 2 hops
-	tr.DeliverHop(eid(1), group[1], epoch.Add(9*time.Second), 3)  // duplicate: ignored
-	tr.DeliverHop(eid(1), "stranger", epoch.Add(time.Second), 1)  // unknown: ignored
-	tr.DeliverHop(eid(1), group[2], epoch.Add(2*time.Second), -1) // hop-less: counted, not observed
-	tr.DeliverHop(eid(1), group[3], epoch.Add(16*time.Second), 4)
+	tr.DeliverHop(eid(1), 0, epoch, 0)                     // origin: latency 0, hop 0
+	tr.DeliverHop(eid(1), 1, epoch.Add(8*time.Second), 2)  // 8s, 2 hops
+	tr.DeliverHop(eid(1), 1, epoch.Add(9*time.Second), 3)  // duplicate: ignored
+	tr.DeliverHop(eid(1), 4, epoch.Add(time.Second), 1)    // unknown: ignored
+	tr.DeliverHop(eid(1), 2, epoch.Add(2*time.Second), -1) // hop-less: counted, not observed
+	tr.DeliverHop(eid(1), 3, epoch.Add(16*time.Second), 4)
 
 	lat, hops := tr.LatencySnapshot(), tr.HopsSnapshot()
 	if lat.Count != 3 || hops.Count != 3 {

@@ -127,6 +127,14 @@ type HistogramSnapshot struct {
 	Buckets [NumBuckets]uint64
 }
 
+// Add records one value: Histogram.Observe for a single owner that
+// serializes its own updates, without the atomics.
+func (s *HistogramSnapshot) Add(v uint64) {
+	s.Count++
+	s.Sum += v
+	s.Buckets[bucketIndex(v)]++
+}
+
 // Merge folds another snapshot into this one (pooling observations).
 func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	s.Count += o.Count
