@@ -41,7 +41,10 @@ func NewCluster(n int, cfg Config, opts ...Option) (*Cluster, error) {
 		return nil, g.fail(err)
 	}
 
-	c := &Cluster{g: g, names: memberNames(g.opts.prefix, n)}
+	c := &Cluster{g: g, names: make([]NodeID, n)}
+	for i := range c.names {
+		c.names[i] = NodeID(fmt.Sprintf("%s%02d", g.opts.prefix, i))
+	}
 	// With failure detection, each node owns its membership view so a
 	// detector's verdicts evict from (and re-admit to) that node's
 	// gossip targets only. Without it the views never diverge, so all
@@ -98,8 +101,8 @@ func (c *Cluster) Events(ctx context.Context) <-chan Delivery {
 }
 
 func (c *Cluster) member(i int) (*member, error) {
-	if err := checkIndex("node", i, len(c.members)); err != nil {
-		return nil, err
+	if i < 0 || i >= len(c.members) {
+		return nil, fmt.Errorf("adaptivegossip: node index %d out of range [0,%d)", i, len(c.members))
 	}
 	return c.members[i], nil
 }

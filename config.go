@@ -180,7 +180,7 @@ func (c ObservabilityConfig) healthParams() health.Params {
 	}
 }
 
-// Config configures a broadcast node, cluster or pub/sub group. Knobs
+// Config configures a broadcast node or cluster. Knobs
 // are grouped per mechanism: the base protocol's parameters live at the
 // top level; each subsystem (Adaptation, Recovery, Failure) owns a
 // nested sub-config.

@@ -7,10 +7,11 @@
 //
 // # One construction path
 //
-// The protocol is one state machine deployed in three shapes, and all
-// three facades construct the same way: a Config (nested per-mechanism
-// sub-configs), a shared functional-option set (WithSeed, WithDeliver,
-// WithTransport, WithOnMemberChange, ...) and a pluggable Transport.
+// The protocol is one state machine deployed in two shapes — a Node (a
+// group of one) and a Cluster (a group of n) — and both facades
+// construct the same way: a Config (nested per-mechanism sub-configs), a
+// shared functional-option set (WithSeed, WithDeliver, WithTransport,
+// WithOnMemberChange, ...) and a pluggable Transport.
 //
 // An in-process cluster with adaptation enabled:
 //
@@ -47,11 +48,11 @@
 // Deliveries surface two ways: the WithDeliver callback (invoked on
 // the delivering member's gossip goroutine — fast, non-blocking
 // observers) and the Events stream, a context-cancellable channel of
-// Delivery{Node, Topic, Event} for pull-based consumers. Both observe
+// Delivery{Node, Event} for pull-based consumers. Both observe
 // the same delivery feed; a stream subscriber sees every delivery from
 // the moment it subscribes unless it falls more than
 // DefaultEventStreamBuffer behind (drops are counted in
-// Stats.StreamDropped). All facades also expose a unified Stats
+// Stats.StreamDropped). Both facades also expose a unified Stats
 // snapshot with the same shape.
 //
 // # Loss recovery

@@ -83,44 +83,6 @@ func ExampleNewNode() {
 	// Output: beta received "over the wire"
 }
 
-// ExampleNewPubSub runs a topic-based group: every peer subscribes to
-// a topic, one publishes, and the delivery stream reports the topic
-// with each delivery.
-func ExampleNewPubSub() {
-	group, err := adaptivegossip.NewPubSub(3, 30, exampleConfig(),
-		adaptivegossip.WithSeed(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer group.Close()
-	ctx := context.Background()
-	events := group.Events(ctx)
-	if err := group.Start(ctx); err != nil {
-		log.Fatal(err)
-	}
-
-	for i := 0; i < group.Len(); i++ {
-		if err := group.Subscribe(i, "market-data"); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if _, err := group.Publish(0, "market-data", []byte("tick")); err != nil {
-		log.Fatal(err)
-	}
-
-	reached := map[adaptivegossip.NodeID]bool{}
-	var topic adaptivegossip.Topic
-	for d := range events {
-		topic = d.Topic
-		reached[d.Node] = true
-		if len(reached) == group.Len() {
-			break
-		}
-	}
-	fmt.Printf("topic %q delivered to %d peers\n", topic, len(reached))
-	// Output: topic "market-data" delivered to 3 peers
-}
-
 // ExampleNewMemTransport plugs the in-memory fabric in explicitly —
 // with loss injection, forcing the anti-entropy subsystem to repair
 // the gaps.

@@ -18,12 +18,11 @@ import (
 // NodeSnapshot is a point-in-time view of one node's state.
 type NodeSnapshot = runtime.NodeSnapshot
 
-// group is the one assembly and the one lifecycle behind every facade:
-// a Node is a group of one member, a Cluster a group of n, a PubSub a
-// group of n pub/sub peers. It owns the fabric (from the moment
-// WithTransport is applied), one endpoint and one runner per member,
-// the Events hub and the instrumentation, and it is the only place
-// that starts, watches and tears them down.
+// group is the one assembly and the one lifecycle behind both facades:
+// a Node is a group of one member, a Cluster a group of n. It owns the
+// fabric (from the moment WithTransport is applied), one endpoint and
+// one runner per member, the Events hub and the instrumentation, and it
+// is the only place that starts, watches and tears them down.
 type group struct {
 	opts    groupOptions
 	fabric  Transport
@@ -93,35 +92,6 @@ func (g *group) open(cfg Config, fabricSeed int64) error {
 	return nil
 }
 
-// endpoint attaches one more member to the fabric and to the group's
-// link telemetry.
-func (g *group) endpoint(name NodeID) (Endpoint, error) {
-	ep, err := g.fabric.Endpoint(name)
-	if err != nil {
-		return nil, err
-	}
-	g.eps = append(g.eps, ep)
-	g.obs.attachLinks(ep)
-	return ep, nil
-}
-
-// run binds a protocol machine to its endpoint: the member's loop,
-// launched by start.
-func (g *group) run(m gossip.Machine, ep Endpoint, period time.Duration, phaseSeed uint64) (*runtime.Runner, error) {
-	r, err := runtime.NewRunner(runtime.Config{
-		Node:      m,
-		Transport: ep,
-		Period:    period,
-		PhaseSeed: phaseSeed,
-		Metrics:   g.obs.runner,
-	})
-	if err != nil {
-		return nil, err
-	}
-	g.runners = append(g.runners, r)
-	return r, nil
-}
-
 // deliver feeds one delivery to the Events streams and the WithDeliver
 // callback. It runs on the delivering member's loop goroutine.
 func (g *group) deliver(d Delivery) {
@@ -131,23 +101,26 @@ func (g *group) deliver(d Delivery) {
 	}
 }
 
-// member is one single-group protocol node and the loop that owns it.
-// After start the node is touched only inside runner.Do.
+// member is one protocol node and the loop that owns it. After start
+// the node is touched only inside runner.Do.
 type member struct {
 	reg    *membership.Registry
 	node   *core.AdaptiveNode
 	runner *runtime.Runner
 }
 
-// newMember assembles a single-group member on the group's fabric. reg
-// is the member's gossip target set; detector verdicts maintain it
+// newMember attaches one more member to the group's fabric and link
+// telemetry and binds its node to a runner, launched by start. reg is
+// the member's gossip target set; detector verdicts maintain it
 // (confirmed members stop receiving fanout, members that prove alive
 // again are re-admitted) before WithOnMemberChange sees them.
 func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng *rand.Rand, phaseSeed uint64) (*member, error) {
-	ep, err := g.endpoint(name)
+	ep, err := g.fabric.Endpoint(name)
 	if err != nil {
 		return nil, err
 	}
+	g.eps = append(g.eps, ep)
+	g.obs.attachLinks(ep)
 	onMember := g.opts.onMember
 	node, err := core.NewAdaptiveNode(core.NodeConfig{
 		ID:       name,
@@ -175,10 +148,17 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 	if err != nil {
 		return nil, err
 	}
-	r, err := g.run(node, ep, cfg.Period, phaseSeed)
+	r, err := runtime.NewRunner(runtime.Config{
+		Node:      node,
+		Transport: ep,
+		Period:    cfg.Period,
+		PhaseSeed: phaseSeed,
+		Metrics:   g.obs.runner,
+	})
 	if err != nil {
 		return nil, err
 	}
+	g.runners = append(g.runners, r)
 	return &member{reg: reg, node: node, runner: r}, nil
 }
 
@@ -309,7 +289,7 @@ func (g *group) close() error {
 	return first
 }
 
-// fill adds the counters every facade reports the same way: loop inbox
+// fill adds the counters both facades report the same way: loop inbox
 // overflow, Events stream drops, the fabric's wire counters and the
 // per-peer link rows.
 func (g *group) fill(st *Stats) {
@@ -319,23 +299,6 @@ func (g *group) fill(st *Stats) {
 	st.StreamDropped = g.hub.droppedCount()
 	st.addWire(g.fabric)
 	st.addPeers(g.obs.peers)
-}
-
-// memberNames generates the names of an n-member group.
-func memberNames(prefix string, n int) []NodeID {
-	names := make([]NodeID, n)
-	for i := range names {
-		names[i] = NodeID(fmt.Sprintf("%s%02d", prefix, i))
-	}
-	return names
-}
-
-// checkIndex validates a member index of an n-member group.
-func checkIndex(what string, i, n int) error {
-	if i < 0 || i >= n {
-		return fmt.Errorf("adaptivegossip: %s index %d out of range [0,%d)", what, i, n)
-	}
-	return nil
 }
 
 // watchContext closes the group when ctx is cancelled, releasing the

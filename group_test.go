@@ -12,11 +12,10 @@ import (
 	gossipruntime "adaptivegossip/internal/runtime"
 )
 
-// The three facades share one lifecycle (group.start / group.close),
-// so its contract is checked once, over every facade on both built-in
-// fabrics.
+// Both facades share one lifecycle (group.start / group.close), so its
+// contract is checked once, over each facade on both built-in fabrics.
 
-// facade is what the lifecycle table needs of Node, Cluster and PubSub.
+// facade is what the lifecycle table needs of Node and Cluster.
 type facade interface {
 	Start(ctx context.Context) error
 	Close() error
@@ -33,9 +32,6 @@ var lifecycleFacades = []struct {
 	}},
 	{"Cluster", 3, func(tr Transport, cfg Config) (facade, error) {
 		return NewCluster(3, cfg, WithTransport(tr))
-	}},
-	{"PubSub", 3, func(tr Transport, cfg Config) (facade, error) {
-		return NewPubSub(3, 40, cfg, WithTransport(tr))
 	}},
 }
 
@@ -216,102 +212,59 @@ func TestGroupLifecycle(t *testing.T) {
 // TestInboxOverflowIsCounted: a member whose WithDeliver callback
 // blocks stops draining its loop inbox; once more than
 // DefaultInboxSize messages have arrived the overflow is dropped,
-// counted, and visible in Stats on every facade that can block a
-// member from outside — and the group still closes.
+// counted, and visible in Stats — and the group still closes.
 func TestInboxOverflowIsCounted(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Period = time.Millisecond
-	type statsFacade interface {
-		facade
-		Stats() Stats
-	}
-	cases := []struct {
-		name string
-		// build returns the group, the member whose deliveries block,
-		// and a publish from the other member (valid after Start).
-		build func(tr Transport, deliver DeliverFunc) (g statsFacade, blocked NodeID, publish func() error, err error)
-	}{
-		{"Cluster", func(tr Transport, deliver DeliverFunc) (statsFacade, NodeID, func() error, error) {
-			c, err := NewCluster(2, cfg, WithTransport(tr), WithDeliver(deliver))
-			if err != nil {
-				return nil, "", nil, err
+	t.Run("Cluster", func(t *testing.T) {
+		fabric, err := NewMemTransport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const blocked NodeID = "node-00"
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		c, err := NewCluster(2, cfg, WithTransport(fabric), WithDeliver(func(d Delivery) {
+			if d.Node == blocked {
+				close(entered)
+				<-release
 			}
-			publish := func() error {
-				if !c.Publish(1, []byte("x")) {
-					return errors.New("publish rejected")
-				}
-				return nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Publish(1, []byte("x")) {
+			t.Fatal("publish rejected")
+		}
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("event never reached the member that blocks")
+		}
+		// The blocked member neither ticks nor drains; its one peer keeps
+		// sending it a round message every period. The fabric's own counter
+		// is readable without entering a loop.
+		sentAtBlock := fabric.WireStats().Sent
+		want := sentAtBlock + uint64(gossipruntime.DefaultInboxSize) + 64
+		deadline := time.Now().Add(20 * time.Second)
+		for fabric.WireStats().Sent < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("fabric moved only %d messages", fabric.WireStats().Sent-sentAtBlock)
 			}
-			return c, c.Nodes()[0], publish, nil
-		}},
-		{"PubSub", func(tr Transport, deliver DeliverFunc) (statsFacade, NodeID, func() error, error) {
-			p, err := NewPubSub(2, 40, cfg, WithTransport(tr), WithDeliver(deliver))
-			if err != nil {
-				return nil, "", nil, err
-			}
-			publish := func() error {
-				for i := 0; i < 2; i++ {
-					if err := p.Subscribe(i, "t"); err != nil {
-						return err
-					}
-				}
-				_, err := p.Publish(1, "t", []byte("x"))
-				return err
-			}
-			return p, p.Peers()[0], publish, nil
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fabric, err := NewMemTransport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var blocked NodeID
-			entered := make(chan struct{})
-			release := make(chan struct{})
-			g, blocked, publish, err := tc.build(fabric, func(d Delivery) {
-				if d.Node == blocked {
-					close(entered)
-					<-release
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer g.Close()
-			if err := g.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := publish(); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case <-entered:
-			case <-time.After(10 * time.Second):
-				t.Fatal("event never reached the member that blocks")
-			}
-			// The blocked member neither ticks nor drains; its one
-			// peer keeps sending it a round message every period. The
-			// fabric's own counter is readable without entering a loop.
-			sentAtBlock := fabric.WireStats().Sent
-			want := sentAtBlock + uint64(gossipruntime.DefaultInboxSize) + 64
-			deadline := time.Now().Add(20 * time.Second)
-			for fabric.WireStats().Sent < want {
-				if time.Now().After(deadline) {
-					t.Fatalf("fabric moved only %d messages", fabric.WireStats().Sent-sentAtBlock)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			close(release)
-			if got := g.Stats().InboxDropped; got == 0 {
-				t.Fatal("Stats.InboxDropped = 0 after the inbox overflowed")
-			}
-			if err := g.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+			time.Sleep(5 * time.Millisecond)
+		}
+		close(release)
+		if got := c.Stats().InboxDropped; got == 0 {
+			t.Fatal("Stats.InboxDropped = 0 after the inbox overflowed")
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestEventStreamShedsWhenSubscriberStalls: an Events subscriber that is

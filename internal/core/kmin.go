@@ -82,7 +82,7 @@ func (e *KMinEstimator) SetLocalCapacity(capacity int) error {
 		return fmt.Errorf("core: local capacity must be positive, got %d", capacity)
 	}
 	e.localCap = capacity
-	slot := e.window[int(e.period)%len(e.window)]
+	slot := e.window[e.slot(e.period)]
 	if old, ok := slot[e.self]; !ok || capacity < old {
 		slot[e.self] = capacity
 	}
@@ -92,7 +92,13 @@ func (e *KMinEstimator) SetLocalCapacity(capacity int) error {
 func (e *KMinEstimator) advance() {
 	e.period++
 	e.rounds = 0
-	e.resetSlot(int(e.period) % len(e.window))
+	e.resetSlot(e.slot(e.period))
+}
+
+// slot maps a period to its window index, the modulo taken on the
+// uint64 as in MinBuffEstimator.slot.
+func (e *KMinEstimator) slot(period uint64) int {
+	return int(period % uint64(len(e.window)))
 }
 
 // resetSlot reinitializes a window slot to {self: localCap}, reusing the
@@ -118,7 +124,7 @@ func (e *KMinEstimator) OnRound() bool {
 // piggyback. The returned slice is reused scratch: it is valid until the
 // next Header call and must be copied (or encoded) before then.
 func (e *KMinEstimator) Header() (uint64, []MinEntry) {
-	slot := e.window[int(e.period)%len(e.window)]
+	slot := e.window[e.slot(e.period)]
 	entries := e.hdrScratch[:0]
 	for n, c := range slot {
 		entries = append(entries, MinEntry{Node: n, Cap: c})
@@ -160,7 +166,7 @@ func (e *KMinEstimator) Observe(period uint64, entries []MinEntry) {
 	} else if e.period-period >= w {
 		return
 	}
-	slot := e.window[int(period)%len(e.window)]
+	slot := e.window[e.slot(period)]
 	for _, ent := range entries {
 		if ent.Cap <= 0 {
 			continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"adaptivegossip/internal/gossip"
@@ -144,5 +145,37 @@ func TestKMinSetLocalCapacity(t *testing.T) {
 	}
 	if err := e.SetLocalCapacity(0); err == nil {
 		t.Fatal("SetLocalCapacity(0): want error")
+	}
+}
+
+// TestKMinHostilePeriod is TestMinBuffHostilePeriod for the κ-smallest
+// estimator, whose window is indexed by period the same way.
+func TestKMinHostilePeriod(t *testing.T) {
+	for _, window := range []int{2, 3} {
+		for _, period := range []uint64{1 << 63, math.MaxUint64} {
+			e, err := NewKMinEstimator("s", 3, 0, window, 6, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Observe(period, []MinEntry{{Node: "a", Cap: 20}, {Node: "b", Cap: 25}, {Node: "c", Cap: 27}})
+			if s, entries := e.Header(); s != period || len(entries) != 3 || entries[0].Cap != 20 {
+				t.Fatalf("W=%d, s=%d: header = (%d, %v), want period %d and the 3 smallest", window, period, s, entries, period)
+			}
+			if got := e.Estimate(); got != 27 {
+				t.Fatalf("W=%d, s=%d: estimate = %d, want 27", window, period, got)
+			}
+			if err := e.SetLocalCapacity(10); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.Estimate(); got != 25 {
+				t.Fatalf("W=%d, s=%d: estimate = %d after the shrink, want 25", window, period, got)
+			}
+			for range 6 {
+				e.OnRound()
+			}
+			if s, entries := e.Header(); s != period+1 || len(entries) != 1 || entries[0].Cap != 10 {
+				t.Fatalf("W=%d, s=%d: header after a period = (%d, %v), want (%d, [s:10])", window, period, s, entries, period+1)
+			}
+		}
 	}
 }

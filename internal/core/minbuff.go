@@ -67,7 +67,7 @@ func (e *MinBuffEstimator) SetLocalCapacity(capacity int) error {
 		return fmt.Errorf("core: local capacity must be positive, got %d", capacity)
 	}
 	e.localCap = capacity
-	slot := int(e.period) % len(e.window)
+	slot := e.slot(e.period)
 	if capacity < e.window[slot] {
 		e.window[slot] = capacity
 	}
@@ -78,7 +78,14 @@ func (e *MinBuffEstimator) advance() {
 	e.period++
 	e.advances++
 	e.rounds = 0
-	e.window[int(e.period)%len(e.window)] = e.localCap
+	e.window[e.slot(e.period)] = e.localCap
+}
+
+// slot maps a period to its window index. The modulo is taken on the
+// uint64: a received period at or above 2⁶³ converted to int first
+// would index the window at a negative slot.
+func (e *MinBuffEstimator) slot(period uint64) int {
+	return int(period % uint64(len(e.window)))
 }
 
 // OnRound accounts one gossip round and reports whether a new sample
@@ -94,7 +101,7 @@ func (e *MinBuffEstimator) OnRound() bool {
 
 // Header returns the (s, minBuff) pair to piggyback on outgoing gossip.
 func (e *MinBuffEstimator) Header() (period uint64, minBuff int) {
-	return e.period, e.window[int(e.period)%len(e.window)]
+	return e.period, e.window[e.slot(e.period)]
 }
 
 // Observe folds a received header into the local state. Headers from
@@ -124,7 +131,7 @@ func (e *MinBuffEstimator) Observe(period uint64, minBuff int) {
 	} else if e.period-period >= w {
 		return // stale beyond the window
 	}
-	slot := int(period) % len(e.window)
+	slot := e.slot(period)
 	if minBuff < e.window[slot] {
 		e.window[slot] = minBuff
 	}

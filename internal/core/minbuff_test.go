@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func newEst(t *testing.T, window, perRounds, localCap int) *MinBuffEstimator {
 	t.Helper()
@@ -183,6 +186,37 @@ func TestMinBuffGroupConvergence(t *testing.T) {
 	for i, e := range ests {
 		if got := e.Estimate(); got != 45 {
 			t.Fatalf("node %d estimate = %d, want global min 45", i, got)
+		}
+	}
+}
+
+// TestMinBuffHostilePeriod: a header from a period at or above 2⁶³ —
+// one datagram from any peer, where int(period) % W is negative — is
+// followed like any other jump past the window, and every method keeps
+// working as the period wraps.
+func TestMinBuffHostilePeriod(t *testing.T) {
+	for _, window := range []int{2, 3} {
+		for _, period := range []uint64{1 << 63, math.MaxUint64} {
+			e := newEst(t, window, 6, 30)
+			e.Observe(period, 20)
+			if s, mb := e.Header(); s != period || mb != 20 {
+				t.Fatalf("W=%d, s=%d: header = (%d, %d), want (%d, 20)", window, period, s, mb, period)
+			}
+			if got := e.Estimate(); got != 20 {
+				t.Fatalf("W=%d, s=%d: estimate = %d, want 20", window, period, got)
+			}
+			if err := e.SetLocalCapacity(10); err != nil {
+				t.Fatal(err)
+			}
+			for range 6 {
+				e.OnRound()
+			}
+			if s, mb := e.Header(); s != period+1 || mb != 10 {
+				t.Fatalf("W=%d, s=%d: header after a period = (%d, %d), want (%d, 10)", window, period, s, mb, period+1)
+			}
+			if got := e.Estimate(); got != 10 {
+				t.Fatalf("W=%d, s=%d: estimate = %d, want 10", window, period, got)
+			}
 		}
 	}
 }

@@ -112,10 +112,6 @@ type Message struct {
 	Kind MessageKind
 	// From is the sending node.
 	From NodeID
-	// Group tags the broadcast group (topic) this gossip belongs to.
-	// Empty for single-group deployments; the pub/sub layer routes by
-	// it (the paper's motivating multi-group scenario).
-	Group string
 	// Round is the sender's local round counter. Diagnostic only.
 	Round uint64
 

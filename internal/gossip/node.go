@@ -91,7 +91,7 @@ type Outgoing struct {
 // merge). Both return the messages to transmit; the slices and messages
 // may alias scratch that is valid only until the next call. The
 // real-time runtime.Runner and the simulator's sim.Network.Drive run
-// the same Machine: core.AdaptiveNode, pubsub.Peer, or a wrapper.
+// the same Machine: core.AdaptiveNode or a wrapper.
 type Machine interface {
 	ID() NodeID
 	Tick(now time.Time) []Outgoing

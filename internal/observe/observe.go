@@ -192,9 +192,8 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 
 // NodeMetrics is the per-node instrumentation block the gossip state
 // machine updates in its hot path. All fields are alloc-free atomics;
-// one NodeMetrics may be shared by several state machines (e.g. the
-// per-topic nodes of a pub/sub peer), in which case the histograms
-// pool their observations.
+// one NodeMetrics may be shared by several state machines (the members
+// of a Cluster), in which case the histograms pool their observations.
 type NodeMetrics struct {
 	// DeliverHops distributes the age (≈ hop count) at which events
 	// were delivered — the dissemination-depth distribution related

@@ -3,9 +3,7 @@
 // a gossip ticker, the transport's inbox and a command queue. This is
 // the "prototype implementation" half of the paper's evaluation — the
 // same state machine the simulator drives (sim.Network.Drive), under
-// real concurrency, timers and a real wire. A single-group member
-// (core.AdaptiveNode) and a pub/sub peer (pubsub.Peer, one node per
-// topic) run on the same loop.
+// real concurrency, timers and a real wire.
 package runtime
 
 import (

@@ -23,13 +23,13 @@ import (
 //	magic   [3]byte "AGB"
 //	version u8      = 5
 //	flags   u8      bit0: adaptation header present
-//	                bit1: group tag present
 //	                bit2: trace context present
-//	                bit3: event section compressed (v5)
+//	                bit3: event section compressed
+//	                (any other bit set, including bit1 — the retired
+//	                group tag — rejects the frame)
 //	kind    u8      message kind (gossip | recovery request/response |
 //	                ping | ping-ack | ping-req)
 //	from    u16 len + bytes
-//	[if group] group u16 len + bytes
 //	round   u64
 //	[if adaptive] samplePeriod u64, minBuff i32
 //	kmin    u16 count, each: node u16 len + bytes, cap i32
@@ -229,9 +229,6 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 	if len(m.From) > c.MaxIDLen || len(m.From) > maxUint16 {
 		return fmt.Errorf("%w: from id %d bytes", ErrTooLarge, len(m.From))
 	}
-	if len(m.Group) > c.MaxIDLen {
-		return fmt.Errorf("%w: group tag %d bytes", ErrTooLarge, len(m.Group))
-	}
 	if len(m.Events) > c.MaxEvents {
 		return fmt.Errorf("%w: %d events", ErrTooLarge, len(m.Events))
 	}
@@ -416,7 +413,7 @@ func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: %d-byte message header cannot fit a %d-byte datagram",
 			ErrTooLarge, hb, maxSize)
 	}
-	rest := gossip.Message{Kind: m.Kind, From: m.From, Group: m.Group, Round: m.Round,
+	rest := gossip.Message{Kind: m.Kind, From: m.From, Round: m.Round,
 		Adaptive: m.Adaptive, SamplePeriod: m.SamplePeriod, MinBuff: m.MinBuff,
 		Traced: m.Traced}
 
@@ -495,6 +492,9 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 	}
 	flags, kind := data[4], gossip.MessageKind(data[5])
 	r.off = frameHdrBytes
+	if flags&^flagsKnown != 0 {
+		return errMalformed("unknown frame flags", uint64(flags))
+	}
 	if !kind.Valid() {
 		return errMalformed("unknown message kind", uint64(kind))
 	}
@@ -512,7 +512,7 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 		Updates:  m.Updates[:0],
 		Health:   m.Health[:0],
 	}
-	if err := c.decodeControlPre(&r, m, flags); err != nil {
+	if err := c.decodeControlPre(&r, m); err != nil {
 		return err
 	}
 	if err := c.decodeControlPost(&r, m); err != nil {

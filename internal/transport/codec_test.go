@@ -15,7 +15,6 @@ import (
 func sampleMessage() *gossip.Message {
 	return &gossip.Message{
 		From:         "node-1",
-		Group:        "topic-a",
 		Round:        42,
 		Adaptive:     true,
 		SamplePeriod: 7,
@@ -66,7 +65,7 @@ func sampleHealthDigest(node gossip.NodeID) gossip.HealthDigest {
 }
 
 func msgEqual(a, b *gossip.Message) bool {
-	if a.From != b.From || a.Group != b.Group || a.Round != b.Round || a.Adaptive != b.Adaptive ||
+	if a.From != b.From || a.Round != b.Round || a.Adaptive != b.Adaptive ||
 		a.Traced != b.Traced {
 		return false
 	}
@@ -206,9 +205,15 @@ func TestRetiredVersionsRejected(t *testing.T) {
 			t.Fatalf("Inbound.decode of a v%d frame: %v, want ErrBadMagic", data[3], err)
 		}
 	}
+	checkCountedAsDecodeErrors(t, frames)
+}
 
+// checkCountedAsDecodeErrors sends each frame to a UDP transport and
+// requires it to be counted as a decode error, never delivered.
+func checkCountedAsDecodeErrors(t *testing.T, frames [][]byte) {
+	t.Helper()
 	b := newUDP(t, "b")
-	b.SetHandler(func(m *gossip.Message) { t.Errorf("retired-version frame delivered: %+v", m) })
+	b.SetHandler(func(m *gossip.Message) { t.Errorf("rejected frame delivered: %+v", m) })
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +230,38 @@ func TestRetiredVersionsRejected(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+}
+
+// TestUnknownFlagsRejected: a frame with a flag bit no encoder sets —
+// bit 1, the retired group tag, or any of bits 4–7 — is refused by both
+// decode entry points, and a UDP transport counts it as a decode error
+// instead of delivering it.
+func TestUnknownFlagsRejected(t *testing.T) {
+	c := DefaultCodec()
+	in, ids := &Inbound{}, newIDTable()
+	var frames [][]byte
+	for _, data := range decodeCorpus(t) {
+		if _, err := c.Decode(data); err != nil {
+			continue
+		}
+		for _, bit := range []byte{1 << 1, 1 << 4, 1 << 5, 1 << 6, 1 << 7} {
+			bad := append([]byte(nil), data...)
+			bad[4] |= bit
+			if _, err := c.Decode(bad); err == nil {
+				t.Fatalf("Decode accepted flags %#08b", bad[4])
+			}
+			if _, err := in.decode(c, ids, bad); err == nil {
+				t.Fatalf("Inbound.decode accepted flags %#08b", bad[4])
+			}
+			if len(frames) < 5 {
+				frames = append(frames, bad)
+			}
+		}
+	}
+	if len(frames) < 5 {
+		t.Fatal("the corpus has no frame that decodes")
+	}
+	checkCountedAsDecodeErrors(t, frames)
 }
 
 func TestCodecRejectsTruncationsEverywhere(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 const (
 	codecVersion  = 5 // the one wire version (columnar events, compression seam)
 	flagAdaptive  = 1 << 0
-	flagGroup     = 1 << 1
 	flagTraced    = 1 << 2
 	flagCompress  = 1 << 3 // the event section is compressed
+	flagsKnown    = flagAdaptive | flagTraced | flagCompress
 	maxUint16     = 1<<16 - 1
 	frameHdrBytes = 3 + 1 + 1 + 1 // magic + version + flags + kind
 )
@@ -39,9 +39,6 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 	if m.Adaptive {
 		flags |= flagAdaptive
 	}
-	if m.Group != "" {
-		flags |= flagGroup
-	}
 	if m.Traced {
 		flags |= flagTraced
 	}
@@ -57,9 +54,6 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 //gossip:hotpath
 func appendControlPre(buf []byte, m *gossip.Message) []byte {
 	buf = appendString(buf, string(m.From))
-	if m.Group != "" {
-		buf = appendString(buf, m.Group)
-	}
 	buf = binary.BigEndian.AppendUint64(buf, m.Round)
 	if m.Adaptive {
 		buf = binary.BigEndian.AppendUint64(buf, m.SamplePeriod)
@@ -150,9 +144,6 @@ func appendHealthDigest(buf []byte, d *gossip.HealthDigest) []byte {
 // fields written by appendControlPre.
 func controlPreSize(m *gossip.Message) int {
 	n := 2 + len(m.From) + 8
-	if m.Group != "" {
-		n += 2 + len(m.Group)
-	}
 	if m.Adaptive {
 		n += 8 + 4
 	}
@@ -220,7 +211,6 @@ type reader struct {
 // Rejections with nothing to format are allocated once.
 var (
 	errVarintOverflow = fmt.Errorf("%w: varint overflow", ErrTooLarge)
-	errEmptyGroup     = errors.New("transport: empty group tag with group flag set")
 	errEmptyRun       = errors.New("transport: empty event run")
 	errNegativeAge    = errors.New("transport: negative event age")
 )
@@ -309,7 +299,7 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// id reads one u16-length-prefixed node id (or group tag).
+// id reads one u16-length-prefixed node id.
 func (r *reader) id(maxLen int) (string, error) {
 	n, err := r.u16()
 	if err != nil {
@@ -349,20 +339,12 @@ func (r *reader) boundedCount(n, minBytes int) int {
 // decodeControlPre parses the leading control fields into m (the
 // counterpart of appendControlPre; the frame header is already
 // consumed and its flags applied to m).
-func (c Codec) decodeControlPre(r *reader, m *gossip.Message, flags byte) error {
+func (c Codec) decodeControlPre(r *reader, m *gossip.Message) error {
 	from, err := r.id(c.MaxIDLen)
 	if err != nil {
 		return err
 	}
 	m.From = gossip.NodeID(from)
-	if flags&flagGroup != 0 {
-		if m.Group, err = r.id(c.MaxIDLen); err != nil {
-			return err
-		}
-		if m.Group == "" {
-			return errEmptyGroup
-		}
-	}
 	if m.Round, err = r.u64(); err != nil {
 		return err
 	}

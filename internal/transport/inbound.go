@@ -121,7 +121,7 @@ const (
 	maxInternedBytes = 64 << 10
 )
 
-// idTable interns the node ids (and group tags) one transport decodes,
+// idTable interns the node ids one transport decodes,
 // so a datagram naming sixteen known origins allocates no strings. It
 // belongs to the transport's single decoding goroutine and is not safe
 // for concurrent use. A nil table allocates every id.

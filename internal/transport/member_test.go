@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"adaptivegossip/internal/core"
+	"adaptivegossip/internal/failure"
 	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/health"
+	"adaptivegossip/internal/recovery"
 )
 
 // twoPeers samples the same two peers every round.
@@ -19,58 +23,112 @@ func (twoPeers) SamplePeers(gossip.NodeID, int, *rand.Rand) []gossip.NodeID {
 // memberParams are the small member the tests below feed decoded frames.
 var memberParams = gossip.Params{Fanout: 2, Period: time.Second, MaxEvents: 8, MaxAge: 5}
 
-// newMember returns a member holding three events of its own.
-func newMember(tb testing.TB) *gossip.Node {
+// member is an everything-on adaptive node — adaptation, recovery,
+// failure detection and health digests — and the clock that drives it.
+type member struct {
+	*core.AdaptiveNode
+	now time.Time
+}
+
+// newMember returns a member holding three events of its own, adapting
+// to the rank-th smallest buffer (1: the paper's minimum).
+func newMember(tb testing.TB, rank int) *member {
 	tb.Helper()
-	n, err := gossip.NewNode("member", memberParams, twoPeers{}, rand.New(rand.NewPCG(1, 2)))
+	cp := core.DefaultParams()
+	cp.MinBuffRank = rank
+	cp.TokenBucketMax = 3
+	m := &member{now: time.Unix(1_700_000_000, 0)}
+	n, err := core.NewAdaptiveNode(core.NodeConfig{
+		ID:       "member",
+		Gossip:   memberParams,
+		Adaptive: true,
+		Core:     cp,
+		Recovery: recovery.Params{Enabled: true},
+		Failure:  failure.Params{Enabled: true},
+		Health:   health.Params{Enabled: true},
+		Peers:    twoPeers{},
+		RNG:      rand.New(rand.NewPCG(1, 2)),
+		Start:    m.now,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	m.AdaptiveNode = n
 	for range 3 {
-		n.Broadcast([]byte("own"))
+		if _, ok := n.Publish([]byte("own"), m.now); !ok {
+			tb.Fatal("the member's own publish was refused")
+		}
 	}
-	return n
+	return m
 }
 
-// forgedAgeFrame encodes a gossip message carrying one event, id, at
-// age math.MaxInt64: the largest age the decoder accepts.
-func forgedAgeFrame(tb testing.TB, id gossip.EventID) []byte {
+// encodeFrame encodes m with the default codec.
+func encodeFrame(tb testing.TB, m *gossip.Message) []byte {
 	tb.Helper()
-	data, err := DefaultCodec().Encode(&gossip.Message{
-		From:   "mallory",
-		Events: []gossip.Event{{ID: id, Age: math.MaxInt64, Payload: []byte("x")}},
-	})
+	data, err := DefaultCodec().Encode(m)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return data
 }
 
-// checkRoundsEncode runs rounds Ticks on n and requires every round
-// message to encode and decode, with every age in [0, MaxAge] and no
-// more events than the buffer holds.
-func checkRoundsEncode(t *testing.T, n *gossip.Node, rounds int) {
+// forgedAgeFrame encodes a gossip message carrying one event, id, at
+// age math.MaxInt64: the largest age the decoder accepts.
+func forgedAgeFrame(tb testing.TB, id gossip.EventID) []byte {
+	return encodeFrame(tb, &gossip.Message{
+		From:   "mallory",
+		Events: []gossip.Event{{ID: id, Age: math.MaxInt64, Payload: []byte("x")}},
+	})
+}
+
+// hostilePeriodFrame encodes an adaptation header from sample period
+// math.MaxUint64: the largest period the decoder accepts.
+func hostilePeriodFrame(tb testing.TB) []byte {
+	return encodeFrame(tb, &gossip.Message{
+		From: "mallory", Adaptive: true, SamplePeriod: math.MaxUint64, MinBuff: 4,
+	})
+}
+
+// checkEncodes requires every message in outs to encode and decode,
+// with every age in [0, MaxAge] and no more events than the buffer
+// holds.
+func checkEncodes(t *testing.T, outs []gossip.Outgoing, what string) {
 	t.Helper()
 	c := DefaultCodec()
-	for r := 0; r < rounds; r++ {
-		for _, out := range n.Tick() {
-			data, err := c.AppendEncode(nil, out.Msg)
-			if err != nil {
-				t.Fatalf("round %d: the member's message fails to encode: %v", r, err)
-			}
-			m, err := c.Decode(data)
-			if err != nil {
-				t.Fatalf("round %d: the member's message fails to decode: %v", r, err)
-			}
-			if len(m.Events) > memberParams.MaxEvents {
-				t.Fatalf("round %d: %d events from a buffer of %d", r, len(m.Events), memberParams.MaxEvents)
-			}
-			for _, ev := range m.Events {
-				if ev.Age < 0 || ev.Age > memberParams.MaxAge {
-					t.Fatalf("round %d: event %s sent at age %d, outside [0, %d]", r, ev.ID, ev.Age, memberParams.MaxAge)
-				}
+	for _, out := range outs {
+		data, err := c.AppendEncode(nil, out.Msg)
+		if err != nil {
+			t.Fatalf("%s: the member's message fails to encode: %v", what, err)
+		}
+		m, err := c.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: the member's message fails to decode: %v", what, err)
+		}
+		if len(m.Events) > memberParams.MaxEvents {
+			t.Fatalf("%s: %d events from a buffer of %d", what, len(m.Events), memberParams.MaxEvents)
+		}
+		for _, ev := range m.Events {
+			if ev.Age < 0 || ev.Age > memberParams.MaxAge {
+				t.Fatalf("%s: event %s sent at age %d, outside [0, %d]", what, ev.ID, ev.Age, memberParams.MaxAge)
 			}
 		}
+	}
+}
+
+// receive feeds the member one decoded frame; whatever it sends in
+// reply must encode.
+func (m *member) receive(t *testing.T, msg *gossip.Message) {
+	t.Helper()
+	checkEncodes(t, m.Receive(msg, m.now), "reply")
+}
+
+// checkRoundsEncode runs rounds Ticks, one period apart, and requires
+// every message they send to encode.
+func (m *member) checkRoundsEncode(t *testing.T, rounds int) {
+	t.Helper()
+	for range rounds {
+		m.now = m.now.Add(memberParams.Period)
+		checkEncodes(t, m.Tick(m.now), "round")
 	}
 }
 
@@ -89,43 +147,63 @@ func TestForgedAgeDoesNotSilenceMember(t *testing.T) {
 		{"duplicate raise", gossip.EventID{Origin: "member", Seq: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newMember(t)
+			n := newMember(t, 1)
 			m, err := DefaultCodec().Decode(forgedAgeFrame(t, tc.id))
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Receive(m)
-			expired := n.Stats().DroppedExpired
-			checkRoundsEncode(t, n, 1)
-			if got := n.Stats().DroppedExpired - expired; got != 1 {
+			n.receive(t, m)
+			expired := n.GossipStats().DroppedExpired
+			n.checkRoundsEncode(t, 1)
+			if got := n.GossipStats().DroppedExpired - expired; got != 1 {
 				t.Fatalf("the Tick after the forged age expired %d events, want 1", got)
 			}
-			if _, ok := n.Buffered(tc.id); ok {
+			if _, ok := n.Gossip().Buffered(tc.id); ok {
 				t.Fatalf("%s is still buffered after it expired", tc.id)
 			}
-			checkRoundsEncode(t, n, 2)
+			n.checkRoundsEncode(t, 2)
 		})
 	}
 }
 
-// FuzzMemberRoundTrip: whatever a member accepts, it can send. The input
-// is decoded and fed to a member holding events of its own; each of the
-// next three rounds' messages must encode and decode, with every age in
-// [0, MaxAge] and no more events than the buffer holds.
+// TestHostileSamplePeriodDoesNotCrashMember: an adaptive member that
+// decodes an adaptation header from period math.MaxUint64, where
+// int(period) % W is -1, survives it under the paper's minimum and under
+// κ = 3, follows the period it was handed, and keeps sending.
+func TestHostileSamplePeriodDoesNotCrashMember(t *testing.T) {
+	for _, rank := range []int{1, 3} {
+		n := newMember(t, rank)
+		m, err := DefaultCodec().Decode(hostilePeriodFrame(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.receive(t, m)
+		if got := n.SamplePeriod(); got != math.MaxUint64 {
+			t.Fatalf("κ=%d: sample period %d after the header, want %d", rank, got, uint64(math.MaxUint64))
+		}
+		n.checkRoundsEncode(t, 3)
+	}
+}
+
+// FuzzMemberRoundTrip: whatever an everything-on member accepts, it
+// survives, and what it sends in reply and in its next three rounds
+// encodes and decodes, with every age in [0, MaxAge] and no more events
+// than the buffer holds.
 func FuzzMemberRoundTrip(f *testing.F) {
 	for _, data := range decodeCorpus(f) {
 		f.Add(data)
 	}
 	f.Add(forgedAgeFrame(f, gossip.EventID{Origin: "mallory", Seq: 7}))
 	f.Add(forgedAgeFrame(f, gossip.EventID{Origin: "member", Seq: 1}))
+	f.Add(hostilePeriodFrame(f))
 	c := DefaultCodec()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := c.Decode(data)
 		if err != nil {
 			return
 		}
-		n := newMember(t)
-		n.Receive(m)
-		checkRoundsEncode(t, n, 3)
+		n := newMember(t, 3)
+		n.receive(t, m)
+		n.checkRoundsEncode(t, 3)
 	})
 }

@@ -3,14 +3,10 @@ package adaptivegossip
 import "fmt"
 
 // Delivery is one delivered broadcast, as observed by both the
-// WithDeliver callback and the Events stream. Topic is empty outside
-// the pub/sub facade.
+// WithDeliver callback and the Events stream.
 type Delivery struct {
 	// Node is the group member that delivered the event.
 	Node NodeID
-	// Topic is the pub/sub topic the event was published on (empty for
-	// single-group nodes and clusters).
-	Topic Topic
 	// Event is the delivered broadcast.
 	Event Event
 }
@@ -22,11 +18,10 @@ type Delivery struct {
 // must be fast and must not block — for a pull-based consumer use the
 // Events stream instead. In particular a callback must not call back
 // into the member it runs on: Publish, Stats, Snapshot,
-// SetBufferCapacity and ClusterHealth (and a PubSub peer's Subscribe,
-// Unsubscribe and State) wait for that member's loop — the goroutine
-// the callback is running on — and never return; Stats and
-// ClusterHealth of a Cluster or PubSub visit every member, so no
-// callback may call them. Hand such work to another goroutine.
+// SetBufferCapacity and ClusterHealth wait for that member's loop — the
+// goroutine the callback is running on — and never return; Stats and
+// ClusterHealth of a Cluster visit every member, so no callback may call
+// them. Hand such work to another goroutine.
 //
 // Event.Payload is shared, not copied per observer: the same bytes sit
 // in the member's buffer and recovery store and reach every callback
@@ -49,33 +44,24 @@ type facadeKind int
 const (
 	facadeNode facadeKind = iota
 	facadeCluster
-	facadePubSub
 )
 
 func (k facadeKind) String() string {
-	switch k {
-	case facadeNode:
+	if k == facadeNode {
 		return "NewNode"
-	case facadeCluster:
-		return "NewCluster"
-	default:
-		return "NewPubSub"
 	}
+	return "NewCluster"
 }
 
 // noun names the facade's group in lifecycle errors.
 func (k facadeKind) noun() string {
-	switch k {
-	case facadeNode:
+	if k == facadeNode {
 		return "node"
-	case facadeCluster:
-		return "cluster"
-	default:
-		return "pub/sub group"
 	}
+	return "cluster"
 }
 
-// groupOptions is the option state shared by all three facades.
+// groupOptions is the option state shared by both facades.
 type groupOptions struct {
 	kind     facadeKind
 	seed     int64
@@ -87,9 +73,9 @@ type groupOptions struct {
 }
 
 // Option configures a group constructor. The same option set serves
-// NewNode, NewCluster and NewPubSub; options that make no sense for a
-// facade (WithPeers outside NewNode, WithNamePrefix on NewNode, ...)
-// return a construction error.
+// NewNode and NewCluster; an option that makes no sense for a facade
+// (WithPeers on NewCluster, WithNamePrefix on NewNode) returns a
+// construction error.
 type Option func(*groupOptions) error
 
 // WithSeed fixes the group's protocol randomness (gossip target
@@ -117,7 +103,7 @@ func WithDeliver(fn DeliverFunc) Option {
 // built-ins (NewMemTransport, NewUDPTransport) or any custom Transport.
 // The group takes ownership immediately: the fabric is closed on Close
 // and also when the constructor fails. Default: a UDP fabric for
-// NewNode, a memory fabric for NewCluster and NewPubSub.
+// NewNode, a memory fabric for NewCluster.
 func WithTransport(tr Transport) Option {
 	return func(o *groupOptions) error {
 		if tr == nil {
@@ -129,21 +115,16 @@ func WithTransport(tr Transport) Option {
 }
 
 // WithOnMemberChange observes failure-detector transitions. Requires
-// Config.Failure.Enabled; not available on NewPubSub (the pub/sub layer
-// has no detector).
+// Config.Failure.Enabled.
 func WithOnMemberChange(fn MemberChangeFunc) Option {
 	return func(o *groupOptions) error {
-		if o.kind == facadePubSub {
-			return fmt.Errorf("adaptivegossip: WithOnMemberChange does not apply to %s", o.kind)
-		}
 		o.onMember = fn
 		return nil
 	}
 }
 
-// WithNamePrefix sets the generated member-name prefix ("node-" for
-// clusters, "peer-" for pub/sub). Not available on NewNode, whose name
-// is explicit.
+// WithNamePrefix sets the generated member-name prefix of a cluster
+// (default "node-"). Not available on NewNode, whose name is explicit.
 func WithNamePrefix(prefix string) Option {
 	return func(o *groupOptions) error {
 		if o.kind == facadeNode {

@@ -10,8 +10,8 @@ import (
 	"adaptivegossip/internal/transport"
 )
 
-// Stats is the unified counter snapshot shared by all three facades:
-// Node.Stats, Cluster.Stats and PubSub.Stats return the same shape, so
+// Stats is the unified counter snapshot shared by both facades:
+// Node.Stats and Cluster.Stats return the same shape, so
 // monitoring code works against any deployment of the protocol. Rates
 // are aggregated per member (Nodes = 1 for a single Node); the
 // Min/Max/Sum triple summarizes the adaptation allowances across the
@@ -70,10 +70,10 @@ type Stats struct {
 	// does not implement WireStatser.
 	Wire WireStats
 	// Peers is the per-peer link telemetry: what the group sent toward
-	// and received from each remote peer, sorted by peer id. All three
-	// facades fill it, so per-link monitoring works against any
-	// deployment shape; in multi-member groups (Cluster, PubSub) the
-	// members' observations of each peer pool into one row.
+	// and received from each remote peer, sorted by peer id. Both
+	// facades fill it, so per-link monitoring works against either
+	// deployment shape; in a Cluster the members' observations of each
+	// peer pool into one row.
 	Peers []PeerLinkStats
 }
 
@@ -136,8 +136,8 @@ func peerLinkStats(snaps []observe.PeerSnapshot) []PeerLinkStats {
 }
 
 // MemberHealth is one member's entry in the converged cluster health
-// view (Node.ClusterHealth, Cluster.ClusterHealth, PubSub.ClusterHealth
-// and the /debug/gossip/cluster endpoint): the member's self-reported
+// view (Node.ClusterHealth, Cluster.ClusterHealth and the
+// /debug/gossip/cluster endpoint): the member's self-reported
 // digest — counters, buffer occupancy and a delivery hop-count summary
 // — plus how stale the local copy of it is. The JSON field names are
 // the endpoint's wire contract.
@@ -267,9 +267,18 @@ func (s *Stats) addWire(fabric Transport) {
 	s.RecvQueueDrops = w.RecvQueueDrops
 }
 
-// add folds one member's runtime snapshot into the aggregate.
+// add folds one member's runtime snapshot into the aggregate: its
+// allowance into the Min/Max/Sum triple, a bump of Nodes, and its
+// counters.
 func (s *Stats) add(snap runtime.NodeSnapshot) {
-	s.addRates(snap.AllowedRate)
+	if s.Nodes == 0 || snap.AllowedRate < s.MinAllowedRate {
+		s.MinAllowedRate = snap.AllowedRate
+	}
+	if s.Nodes == 0 || snap.AllowedRate > s.MaxAllowedRate {
+		s.MaxAllowedRate = snap.AllowedRate
+	}
+	s.SumAllowedRate += snap.AllowedRate
+	s.Nodes++
 	s.Published += snap.Adaptive.Published
 	s.Throttled += snap.Adaptive.Throttled
 	s.Delivered += snap.Gossip.Delivered
@@ -288,17 +297,4 @@ func (s *Stats) add(snap runtime.NodeSnapshot) {
 // peer table snapshot.
 func (s *Stats) addPeers(table *observe.PeerTable) {
 	s.Peers = peerLinkStats(table.Snapshot())
-}
-
-// addRates folds one member's allowance into the Min/Max/Sum triple and
-// bumps Nodes.
-func (s *Stats) addRates(allowed float64) {
-	if s.Nodes == 0 || allowed < s.MinAllowedRate {
-		s.MinAllowedRate = allowed
-	}
-	if s.Nodes == 0 || allowed > s.MaxAllowedRate {
-		s.MaxAllowedRate = allowed
-	}
-	s.SumAllowedRate += allowed
-	s.Nodes++
 }

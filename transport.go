@@ -52,7 +52,7 @@ func SendMany(ep Endpoint, targets []NodeID, msg *Message) (int, error) {
 }
 
 // Transport is the pluggable message fabric behind every group facade:
-// NewNode, NewCluster and NewPubSub ask it for one Endpoint per local
+// NewNode and NewCluster ask it for one Endpoint per local
 // member. Bring any fabric — TCP, QUIC, a test mock — by implementing
 // this interface and passing it via WithTransport.
 //
@@ -266,7 +266,7 @@ func buildTransportConfig(opts []TransportOption) (transportConfig, error) {
 // MemTransport is the in-process message fabric: goroutine delivery
 // with optional latency and loss injection, replacing the paper's
 // Ethernet LAN for in-process groups. It is the default transport of
-// NewCluster and NewPubSub.
+// NewCluster.
 type MemTransport struct {
 	net *transport.MemNetwork
 }
