@@ -3,12 +3,17 @@ package adaptivegossip
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/transport"
 )
 
 // waitUntil polls cond every 10ms until it holds or the deadline
@@ -130,6 +135,72 @@ func TestPeerStatsAcrossFacades(t *testing.T) {
 		return false
 	}) {
 		t.Fatalf("beta never attributed inbound traffic to alpha: %+v", b.Stats().Peers)
+	}
+}
+
+// TestForgedSendersLeaveRowsForRealPeers: sender ids on the wire are not
+// authenticated, and the per-peer table never evicts a row. Datagrams
+// from 2,000 invented ids — more than the table holds — must not take
+// the row of a member added afterwards.
+func TestForgedSendersLeaveRowsForRealPeers(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := fastConfig()
+	a, err := NewNode("alpha", cfg, WithSeed(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("udp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const forged = 2000
+	codec := transport.DefaultCodec()
+	for i := 1; i <= forged; i++ {
+		frame, err := codec.Encode(&gossip.Message{From: gossip.NodeID(fmt.Sprintf("forged-%04d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		// Paced, so the socket and the receive queue take every frame.
+		if i%100 == 0 && !waitUntil(5*time.Second, func() bool { return a.Stats().Wire.Received >= uint64(i) }) {
+			t.Fatalf("alpha read %d of %d forged frames", a.Stats().Wire.Received, i)
+		}
+	}
+
+	b, err := NewNode("beta", cfg, WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.AddPeer("beta", b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddPeer("alpha", a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(5*time.Second, func() bool {
+		for _, p := range a.Stats().Peers {
+			if p.Peer == "beta" && p.MessagesSent > 0 && p.MessagesReceived > 0 {
+				return true
+			}
+		}
+		return false
+	}) {
+		t.Fatalf("alpha has no live row for beta after %d forged senders (%d rows)", forged, len(a.Stats().Peers))
+	}
+	if st := a.Stats(); len(st.Peers) != 1 || st.Wire.DecodeErrors != 0 || st.RecvQueueDrops != 0 {
+		t.Fatalf("%d peer rows (want beta's alone), %d decode errors, %d queue drops", len(st.Peers), st.Wire.DecodeErrors, st.RecvQueueDrops)
 	}
 }
 

@@ -54,7 +54,6 @@ func run(args []string) error {
 		n        = fs.Int("n", 60, "group size")
 		fast     = fs.Bool("fast", false, "shorter windows (quick look, noisier)")
 		scale    = fs.Float64("rtscale", 100, "real-time speedup for -figure 9rt")
-		plots    = fs.Bool("plot", false, "draw terminal plots after each table")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"max simulation runs in flight (1 = sequential; output is identical at any value)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -65,7 +64,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	drawPlots = *plots
 	collected = nil
 	experiments.SetParallelism(*parallel)
 	if *metricsOut != "" {
@@ -182,9 +180,6 @@ func run(args []string) error {
 	}
 }
 
-// drawPlots adds terminal plots after each table (-plot).
-var drawPlots bool
-
 // metricsEntry is one figure series' distribution digest in the
 // -metrics-out JSON file. Latency values are microseconds.
 type metricsEntry struct {
@@ -217,17 +212,6 @@ func writeMetrics(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func maybePlot(draw func() error) error {
-	if !drawPlots {
-		return nil
-	}
-	if err := draw(); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
 func figure2(base experiments.Config, seeds int) error {
 	rows, err := experiments.RunFigure2(base, []float64{10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60}, seeds)
 	if err != nil {
@@ -237,7 +221,7 @@ func figure2(base experiments.Config, seeds int) error {
 	recordMetrics("2", "lpbcast", lat, hops)
 	experiments.RenderFigure2(os.Stdout, rows)
 	fmt.Println()
-	return maybePlot(func() error { return experiments.PlotFigure2(os.Stdout, rows) })
+	return nil
 }
 
 func figure4(base experiments.Config, buffers []int, seeds int) ([]experiments.Figure4Row, error) {
@@ -247,9 +231,6 @@ func figure4(base experiments.Config, buffers []int, seeds int) ([]experiments.F
 	}
 	experiments.RenderFigure4(os.Stdout, rows)
 	fmt.Println()
-	if err := maybePlot(func() error { return experiments.PlotFigure4(os.Stdout, rows) }); err != nil {
-		return nil, err
-	}
 	return rows, nil
 }
 
@@ -270,7 +251,7 @@ func figure6WithRows(base experiments.Config, buffers []int, fig4 []experiments.
 	recordMetrics("6", "adaptive", lat, hops)
 	experiments.RenderFigure6(os.Stdout, rows)
 	fmt.Println()
-	return maybePlot(func() error { return experiments.PlotFigure6(os.Stdout, rows) })
+	return nil
 }
 
 func figures78(base experiments.Config, buffers []int, seeds int, which string) error {
@@ -288,9 +269,6 @@ func figures78(base experiments.Config, buffers []int, seeds int, which string) 
 	if which == "8" || which == "7+8" {
 		experiments.RenderFigure8(os.Stdout, rows8)
 		fmt.Println()
-		if err := maybePlot(func() error { return experiments.PlotFigure8(os.Stdout, rows8) }); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -314,7 +292,7 @@ func figure9WithFit(base experiments.Config, fig4 []experiments.Figure4Row) erro
 	recordMetrics("9", "lpbcast", res.Baseline.Latency, res.Baseline.Hops)
 	experiments.RenderFigure9(os.Stdout, res)
 	fmt.Println()
-	return maybePlot(func() error { return experiments.PlotFigure9(os.Stdout, res) })
+	return nil
 }
 
 func figure9rt(base experiments.Config, buffers []int, seeds int, scale float64) error {

@@ -200,8 +200,6 @@ func (a *AdaptiveNode) Publish(payload []byte, now time.Time) (gossip.Event, boo
 // pull requests; drivers transmit every entry alike. The slice and the
 // messages in it are scratch (gossip.Node.Tick's contract), valid until
 // the next Tick or Receive.
-//
-//gossip:hotpath
 func (a *AdaptiveNode) Tick(now time.Time) []gossip.Outgoing {
 	if a.adaptor != nil {
 		// avgTokens: EMA of bucket occupancy, sampled once per round.
@@ -210,7 +208,6 @@ func (a *AdaptiveNode) Tick(now time.Time) []gossip.Outgoing {
 		a.ctrl.Adjust(a.adaptor.AvgAge(), a.avgTokens, a.bucket.Max())
 		if err := a.bucket.SetRate(a.ctrl.Rate(), now); err != nil {
 			// Unreachable: the controller clamps to positive rates.
-			//gossip:allocok unreachable-rate panic
 			panic(fmt.Sprintf("core: %v", err))
 		}
 	}
@@ -245,8 +242,6 @@ func (a *AdaptiveNode) withControl() []gossip.Outgoing {
 // retransmission responses, failure-detector acks and relays) that the
 // driver must transmit; it is nil when both subsystems are disabled.
 // Like Tick's, they are scratch, valid until the next Tick or Receive.
-//
-//gossip:hotpath
 func (a *AdaptiveNode) Receive(msg *gossip.Message, now time.Time) []gossip.Outgoing {
 	a.node.Receive(msg)
 	if a.recovery == nil && a.failure == nil {

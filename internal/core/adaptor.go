@@ -92,8 +92,6 @@ func (a *Adaptor) SetLocalCapacity(capacity int) error {
 
 // OnTick advances the sample-period clock and stamps the adaptation
 // header (Figure 5(a), "add information to gossip message").
-//
-//gossip:hotpath
 func (a *Adaptor) OnTick(n *gossip.Node, out *Message) {
 	out.Adaptive = true
 	if a.kmin != nil {
@@ -121,8 +119,6 @@ type Message = gossip.Message
 // OnReceive folds the incoming header into the minBuff estimate and
 // updates the congestion estimate from the post-receive buffer state
 // (Figure 5(a) "compute new known minimum" + Figure 5(b)).
-//
-//gossip:hotpath
 func (a *Adaptor) OnReceive(n *gossip.Node, in *Message) {
 	if in.Adaptive {
 		if a.kmin != nil {

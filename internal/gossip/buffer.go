@@ -232,7 +232,6 @@ func (b *Buffer) alloc(ev Event) int {
 func (b *Buffer) Add(ev Event) ([]Event, error) {
 	h := b.hash(ev.ID)
 	if b.find(ev.ID, h) >= 0 {
-		//gossip:allocok programming-error path; callers route duplicates through RaiseAge
 		return nil, fmt.Errorf("gossip: duplicate add of event %s", ev.ID)
 	}
 	return b.put(ev, h), nil

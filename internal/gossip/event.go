@@ -62,8 +62,6 @@ type Event struct {
 // of the columnar wire encoding (wire v5 writes each origin once per
 // run) and of datagram fragmentation (EncodeChunks cuts on run
 // boundaries). start must be a valid index.
-//
-//gossip:hotpath
 func NextEventRun(events []Event, start int) int {
 	origin := events[start].ID.Origin
 	end := start + 1

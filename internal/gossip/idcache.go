@@ -78,7 +78,7 @@ func (c *IDCache) add(id EventID, h uint32) bool {
 		return false
 	}
 	if c.size == len(c.ring) && c.size < c.capacity {
-		//gossip:allocok once per cache at its first id and once at its 65th: warm-up
+		// Warm-up: once at the cache's first id and once at its 65th.
 		c.grow()
 	}
 	var pos int

@@ -54,7 +54,6 @@ func (r EvictReason) String() string {
 	case EvictResize:
 		return "resize"
 	default:
-		//gossip:allocok only reachable with an invalid reason value
 		return fmt.Sprintf("EvictReason(%d)", int(r))
 	}
 }
@@ -334,8 +333,6 @@ func (n *Node) SetBufferCapacity(capacity int) error {
 // concern, see internal/ratelimit and internal/core).
 //
 // The payload is retained and must not be modified afterwards.
-//
-//gossip:hotpath
 func (n *Node) Broadcast(payload []byte) Event {
 	ev := Event{
 		ID:      EventID{Origin: n.id, Seq: n.nextSeq},
@@ -378,8 +375,6 @@ func (n *Node) Broadcast(payload []byte) Event {
 // synchronously.
 //
 // The driver is responsible for calling Tick every Period.
-//
-//gossip:hotpath
 func (n *Node) Tick() []Outgoing {
 	n.round++
 	n.buf.IncrementAges()
@@ -464,8 +459,6 @@ func (n *Node) traceFirstSends(msg *Message) {
 // Each id is hashed once. The buffer answers first — a buffered event
 // is a duplicate even if eventIds forgot it — and eventIds only for an
 // id the buffer lacks.
-//
-//gossip:hotpath
 func (n *Node) Receive(msg *Message) {
 	n.stats.MessagesReceived++
 	n.stats.EventsReceived += uint64(len(msg.Events))
@@ -494,8 +487,8 @@ func (n *Node) Receive(msg *Message) {
 			// First sight of the event: take the payload out of the
 			// transport's receive buffer before anything retains it. The
 			// duplicates above — most of what gossip receives — never
-			// get here.
-			//gossip:allocok the one payload copy per delivered event, shared by the buffer, the recovery store (Buffered) and every subscriber; duplicate copies of an event are dropped above without one
+			// get here. The buffer, the recovery store (Buffered) and every
+			// subscriber share this one copy.
 			ev = ev.Clone()
 		}
 		if n.tracer != nil && n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {

@@ -120,8 +120,6 @@ func New(self gossip.NodeID, p Params, augment AugmentFunc) *Engine {
 // digest budget — self first, then a round-robin window over the known
 // members — onto the outgoing message. Steady-state it allocates
 // nothing: digests append into the message's reused Health scratch.
-//
-//gossip:hotpath
 func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	if !e.params.Enabled {
 		return
@@ -150,8 +148,6 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 // node the freshest digest wins (higher origin Round); digests about
 // the receiver itself, empty ones, and ones past the MaxMembers bound
 // are ignored.
-//
-//gossip:hotpath
 func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	if !e.params.Enabled || len(in.Health) == 0 {
 		return
@@ -179,7 +175,6 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 			e.stats.DigestsIgnored++
 			continue
 		}
-		//gossip:allocok one-time per newly discovered member, bounded by MaxMembers
 		e.members[d.Node] = &memberEntry{digest: *d, updated: e.round}
 		e.insertOrderLocked(d.Node)
 		e.stats.DigestsMerged++

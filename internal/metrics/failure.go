@@ -11,21 +11,8 @@ import (
 type FailureSummary struct {
 	// Nodes is the number of aggregated nodes.
 	Nodes int
-	// Totals across the group.
-	ProbesSent       uint64
-	AcksReceived     uint64
-	AcksSent         uint64
-	PingReqsSent     uint64
-	PingReqsReceived uint64
-	ProbesRelayed    uint64
-	AcksRelayed      uint64
-	Suspects         uint64
-	Confirms         uint64
-	Refutations      uint64
-	Revivals         uint64
-	UpdatesSent      uint64
-	UpdatesReceived  uint64
-	UpdatesIgnored   uint64
+	// Stats holds the totals across the group.
+	failure.Stats
 	// MinRevivals/MaxRevivals bound the per-node revival counts — a
 	// skew diagnostic (false positives should be rare everywhere, not
 	// concentrated on one unlucky observer).
@@ -35,27 +22,7 @@ type FailureSummary struct {
 
 // Add folds one node's counters into the summary.
 func (s *FailureSummary) Add(st failure.Stats) {
-	if s.Nodes == 0 || st.Revivals < s.MinRevivals {
-		s.MinRevivals = st.Revivals
-	}
-	if st.Revivals > s.MaxRevivals {
-		s.MaxRevivals = st.Revivals
-	}
-	s.Nodes++
-	s.ProbesSent += st.ProbesSent
-	s.AcksReceived += st.AcksReceived
-	s.AcksSent += st.AcksSent
-	s.PingReqsSent += st.PingReqsSent
-	s.PingReqsReceived += st.PingReqsReceived
-	s.ProbesRelayed += st.ProbesRelayed
-	s.AcksRelayed += st.AcksRelayed
-	s.Suspects += st.Suspects
-	s.Confirms += st.Confirms
-	s.Refutations += st.Refutations
-	s.Revivals += st.Revivals
-	s.UpdatesSent += st.UpdatesSent
-	s.UpdatesReceived += st.UpdatesReceived
-	s.UpdatesIgnored += st.UpdatesIgnored
+	s.Merge(FailureSummary{Nodes: 1, Stats: st, MinRevivals: st.Revivals, MaxRevivals: st.Revivals})
 }
 
 // Merge folds another summary into s — e.g. pooling the runs of a seed

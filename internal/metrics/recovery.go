@@ -11,19 +11,8 @@ import (
 type RecoverySummary struct {
 	// Nodes is the number of aggregated nodes.
 	Nodes int
-	// Totals across the group.
-	DigestsSent       uint64
-	DigestsReceived   uint64
-	RequestsSent      uint64
-	IDsRequested      uint64
-	RequestsReceived  uint64
-	ResponsesSent     uint64
-	ResponsesReceived uint64
-	EventsServed      uint64
-	EventsUnserved    uint64
-	EventsRecovered   uint64
-	MissingGaveUp     uint64
-	MissingOverflow   uint64
+	// Stats holds the totals across the group.
+	recovery.Stats
 	// MinRecovered/MaxRecovered bound the per-node recovered counts —
 	// a skew diagnostic (uniform loss should repair uniformly).
 	MinRecovered uint64
@@ -32,25 +21,7 @@ type RecoverySummary struct {
 
 // Add folds one node's counters into the summary.
 func (s *RecoverySummary) Add(st recovery.Stats) {
-	if s.Nodes == 0 || st.EventsRecovered < s.MinRecovered {
-		s.MinRecovered = st.EventsRecovered
-	}
-	if st.EventsRecovered > s.MaxRecovered {
-		s.MaxRecovered = st.EventsRecovered
-	}
-	s.Nodes++
-	s.DigestsSent += st.DigestsSent
-	s.DigestsReceived += st.DigestsReceived
-	s.RequestsSent += st.RequestsSent
-	s.IDsRequested += st.IDsRequested
-	s.RequestsReceived += st.RequestsReceived
-	s.ResponsesSent += st.ResponsesSent
-	s.ResponsesReceived += st.ResponsesReceived
-	s.EventsServed += st.EventsServed
-	s.EventsUnserved += st.EventsUnserved
-	s.EventsRecovered += st.EventsRecovered
-	s.MissingGaveUp += st.MissingGaveUp
-	s.MissingOverflow += st.MissingOverflow
+	s.Merge(RecoverySummary{Nodes: 1, Stats: st, MinRecovered: st.EventsRecovered, MaxRecovered: st.EventsRecovered})
 }
 
 // Merge folds another summary into s — e.g. pooling the runs of a
@@ -79,6 +50,7 @@ func (s *RecoverySummary) Merge(o RecoverySummary) {
 	s.EventsRecovered += o.EventsRecovered
 	s.MissingGaveUp += o.MissingGaveUp
 	s.MissingOverflow += o.MissingOverflow
+	s.StoreEvicted += o.StoreEvicted
 }
 
 // ServeRatio is the fraction of requested identifiers the group could

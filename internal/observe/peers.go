@@ -100,8 +100,6 @@ func (t *PeerTable) Get(peer string) *PeerStats {
 
 // insert is the cold path of Get: admit the peer under the write lock,
 // re-checking both existence and the capacity bound.
-//
-//gossip:allocok first-contact admission of a new peer, bounded by the table capacity
 func (t *PeerTable) insert(peer string) *PeerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -73,7 +73,6 @@ func (b *Bucket) Rate() float64 { return b.rate }
 // the old rate up to now.
 func (b *Bucket) SetRate(rate float64, now time.Time) error {
 	if rate < 0 {
-		//gossip:allocok invalid-argument error path; hot callers clamp to positive rates
 		return fmt.Errorf("ratelimit: rate must be non-negative, got %v", rate)
 	}
 	b.advance(now)

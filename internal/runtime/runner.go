@@ -205,7 +205,6 @@ waitPhase:
 	}
 }
 
-//gossip:hotpath
 func (r *Runner) tick() {
 	r.ticks.Add(1)
 	now := time.Now()
@@ -219,8 +218,6 @@ func (r *Runner) tick() {
 // control traffic (retransmission responses) it triggered, then ends
 // the message's lease: the Machine has copied what it keeps, and the
 // transmit is synchronous (or copied) by the GroupSender contract.
-//
-//gossip:hotpath
 func (r *Runner) receive(d delivery) {
 	now := time.Now()
 	r.send(r.node.Receive(d.msg, now))

@@ -145,8 +145,6 @@ func (c Codec) Encode(m *gossip.Message) ([]byte, error) {
 // with compression configured too: the event section is staged through
 // pooled scratch and the built-in compressor pools its own state, so
 // the trade is CPU for bandwidth only.
-//
-//gossip:hotpath
 func (c Codec) AppendEncode(buf []byte, m *gossip.Message) ([]byte, error) {
 	c = c.limits()
 	if err := c.validateForEncode(m); err != nil {
@@ -157,8 +155,6 @@ func (c Codec) AppendEncode(buf []byte, m *gossip.Message) ([]byte, error) {
 
 // appendEncode writes the wire encoding of an already-validated
 // message.
-//
-//gossip:hotpath
 func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
 	// A message without events has a one-byte section (count = 0), which
 	// no compressor shrinks: pings, acks and recovery requests — most of
@@ -221,7 +217,6 @@ func (c Codec) appendEncodeCompressed(buf []byte, m *gossip.Message) []byte {
 	return buf
 }
 
-//gossip:allocok allocates only when a limit check fails, which aborts the send; valid messages take no error branch
 func (c Codec) validateForEncode(m *gossip.Message) error {
 	if m == nil {
 		return fmt.Errorf("transport: nil message")

@@ -41,8 +41,6 @@ func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }
 // appendEventSection writes the columnar event rows of m (the section
 // *content*; the compression framing around it is written by the
 // codec). Events are validated already.
-//
-//gossip:hotpath
 func appendEventSection(buf []byte, m *gossip.Message) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(m.Events)))
 	for start := 0; start < len(m.Events); {

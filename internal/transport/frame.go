@@ -30,8 +30,6 @@ func appendString(buf []byte, s string) []byte {
 
 // appendFrame writes the fixed frame header: magic, wire version and
 // the flag byte derived from the message, then the kind.
-//
-//gossip:hotpath
 func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 	buf = append(buf, codecMagic[:]...)
 	buf = append(buf, version)
@@ -50,8 +48,6 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 // appendControlPre writes the leading control fields: addressing,
 // round, adaptation header, κ-entries, the recovery id lists and the
 // failure-detection fields. The trailing control fields follow.
-//
-//gossip:hotpath
 func appendControlPre(buf []byte, m *gossip.Message) []byte {
 	buf = appendString(buf, string(m.From))
 	buf = binary.BigEndian.AppendUint64(buf, m.Round)
@@ -84,8 +80,6 @@ func appendControlPre(buf []byte, m *gossip.Message) []byte {
 
 // appendControlPost writes the trailing control fields: membership
 // churn and the health-digest piggyback.
-//
-//gossip:hotpath
 func appendControlPost(buf []byte, m *gossip.Message) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Subs)))
 	for _, s := range m.Subs {
@@ -105,8 +99,6 @@ func appendControlPost(buf []byte, m *gossip.Message) []byte {
 // appendHealthDigest writes one health digest: fixed counters, then the
 // delivery-hops histogram in sparse canonical form (only non-zero
 // buckets, indexes ascending).
-//
-//gossip:hotpath
 func appendHealthDigest(buf []byte, d *gossip.HealthDigest) []byte {
 	buf = appendString(buf, string(d.Node))
 	buf = binary.BigEndian.AppendUint64(buf, d.Round)
@@ -216,15 +208,11 @@ var (
 )
 
 // errLimit reports a field beyond a codec limit.
-//
-//gossip:allocok decode rejection: the datagram is dropped and counted; frames within the limits never get here
 func errLimit(what string, n uint64) error {
 	return fmt.Errorf("%w: %s %d", ErrTooLarge, what, n)
 }
 
 // errMalformed reports a field no encoder writes.
-//
-//gossip:allocok decode rejection: the datagram is dropped and counted; well-formed frames never get here
 func errMalformed(what string, n uint64) error {
 	return fmt.Errorf("transport: %s %d", what, n)
 }
@@ -317,8 +305,8 @@ func (r *reader) id(maxLen int) (string, error) {
 
 // reserve returns s emptied, with room for n elements: the reused
 // message's own backing array once it has grown to the working size.
-//
-//gossip:allocok grows a reused list until it fits the traffic, then never again; an owning decode starts from nil lists and pays once per list
+// A list grows until it fits the traffic, then never again; an owning
+// decode starts from nil lists and pays once per list.
 func reserve[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, 0, n)

@@ -104,8 +104,6 @@ func (in *Inbound) retained() int {
 // envelope and ids have seen the group's traffic. The message is
 // Borrowed: its payloads alias data or the envelope's scratch, and it is
 // valid until Release.
-//
-//gossip:hotpath
 func (in *Inbound) decode(c Codec, ids *idTable, data []byte) (*gossip.Message, error) {
 	if err := c.decodeInto(&in.msg, data, ids, &in.scratch); err != nil {
 		return nil, err
@@ -140,12 +138,13 @@ func (t *idTable) intern(b []byte) string {
 		return ""
 	}
 	if t != nil {
-		//gossip:allocok a map lookup keyed by string(b) does not allocate; the compiler elides the conversion
+		// A lookup keyed by string(b) does not allocate: the compiler
+		// elides the conversion.
 		if s, ok := t.ids[string(b)]; ok {
 			return s
 		}
 	}
-	//gossip:allocok first sight of an id, a full table, or an owning decode without one: one string, as every id cost before interning
+	// First sight of an id, a full table, or an owning decode without one: one string.
 	s := string(b)
 	if t != nil && len(t.ids) < maxInternedIDs && t.bytes+len(s) <= maxInternedBytes {
 		t.ids[s] = s

@@ -12,6 +12,7 @@ import (
 	"adaptivegossip/internal/core"
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
+	"adaptivegossip/internal/observe"
 	"adaptivegossip/internal/recovery"
 )
 
@@ -112,7 +113,9 @@ func redundantRound(events, origins, payloadLen, digestLen int) *gossip.Message 
 // a datagram allocates nothing — not per event, not per id, not per
 // payload, and not per compressed section: inflate keeps its tables on
 // the stack, so this holds under the race detector too, which makes a
-// sync.Pool forget a quarter of what it is given.
+// sync.Pool forget a quarter of what it is given. The same holds for
+// the UDP transport's dispatch of the datagram, which adds the sender's
+// telemetry row and the hand-off to an InboundHandler.
 func TestDecodeBorrowedAllocFree(t *testing.T) {
 	flate := DefaultCodec()
 	flate.Compression = NewFlateCompressor()
@@ -144,6 +147,30 @@ func TestDecodeBorrowedAllocFree(t *testing.T) {
 			}
 			if want := tc.msg; !reflect.DeepEqual(got.Clone(), want) {
 				t.Fatalf("alloc-free decode produced the wrong message:\n got %#v\nwant %#v", got.Clone(), want)
+			}
+
+			links := observe.NewPeerTable(0)
+			tr, err := NewUDPTransport("rx", "127.0.0.1:0", WithUDPPeerTable(links))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			if err := tr.Register(tc.msg.From, "127.0.0.1:9"); err != nil {
+				t.Fatal(err)
+			}
+			var handed *Inbound
+			tr.SetInboundHandler(func(in *Inbound) { handed = in })
+			env := leaseInbound()
+			defer env.Release()
+			env.n = copy(env.buf, frame)
+			if allocs := testing.AllocsPerRun(200, func() { tr.dispatch(env) }); allocs != 0 {
+				t.Fatalf("steady-state dispatch allocates %v times per datagram, want 0", allocs)
+			}
+			if handed != env || !reflect.DeepEqual(handed.Message().Clone(), tc.msg) {
+				t.Fatal("dispatch did not hand the decoded envelope to the InboundHandler")
+			}
+			if got := links.Get(string(tc.msg.From)).MessagesReceived.Load(); got != 201 {
+				t.Fatalf("the sender's row counts %d of 201 datagrams", got)
 			}
 		})
 	}

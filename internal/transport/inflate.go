@@ -368,8 +368,6 @@ func (d *inflater) readCodes(b *bitReader) error {
 
 // huffmanBlock decodes one compressed block to dst[op:] and returns the
 // new output position. Back-references copy from dst itself.
-//
-//gossip:hotpath
 func (b *bitReader) huffmanBlock(lit, dist *huffman, dst []byte, op int) (int, error) {
 	// The reader's state lives in locals for the duration, and refill and
 	// symbol are written out again below: the compiler keeps locals in

@@ -10,7 +10,8 @@ import (
 
 // TestUDPPeerTelemetry: per-peer counters on both ends of a UDP
 // exchange — messages and bytes by peer on the sender, attribution by
-// decoded From on the receiver, fan-out counted per SendMany target.
+// decoded From on the receiver (for senders in its address book only),
+// fan-out counted per SendMany target.
 func TestUDPPeerTelemetry(t *testing.T) {
 	aLinks := observe.NewPeerTable(16)
 	bLinks := observe.NewPeerTable(16)
@@ -30,6 +31,9 @@ func TestUDPPeerTelemetry(t *testing.T) {
 	}
 
 	msg := sampleMessage()
+	if err := b.Register(msg.From, a.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
 	if n, err := a.SendMany([]gossip.NodeID{"b"}, msg); err != nil || n != 1 {
 		t.Fatalf("SendMany = %d, %v", n, err)
 	}
@@ -51,6 +55,18 @@ func TestUDPPeerTelemetry(t *testing.T) {
 	if bs.MessagesReceived.Load() != 1 || bs.BytesReceived.Load() != as.BytesSent.Load() {
 		t.Fatalf("receiver peer stats: recv=%d bytes=%d (sender sent %d)",
 			bs.MessagesReceived.Load(), bs.BytesReceived.Load(), as.BytesSent.Load())
+	}
+	// A sender id the receiver does not know gets no row.
+	if err := a.Send("b", &gossip.Message{From: "stranger"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(3 * time.Second):
+		t.Fatal("UDP delivery timed out")
+	}
+	if n := bLinks.Len(); n != 1 {
+		t.Fatalf("receiver keeps %d peer rows, want the registered sender's alone", n)
 	}
 
 	// Unknown peers surface as per-peer send errors.

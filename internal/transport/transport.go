@@ -68,8 +68,6 @@ type GroupSender struct {
 // out of the sender's per-round scratch state (Message.CopyForSend)
 // before it reaches the transport. It returns the total targets sent
 // and failed.
-//
-//gossip:hotpath
 func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, failed int) {
 	// Drop last round's message pointers before reuse so the scratch
 	// does not pin control messages past their round.
@@ -81,7 +79,6 @@ func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, fai
 	for _, f := range g.fans {
 		msg := f.Msg
 		if !scratchSafe {
-			//gossip:allocok documented slow path: non-ScratchSafe transports get a copy, decoupling them from scratch reuse
 			msg = msg.CopyForSend()
 		}
 		n, _ := SendMany(t, f.Targets, msg)

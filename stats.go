@@ -89,7 +89,8 @@ type PeerLinkStats struct {
 	MessagesSent uint64
 	BytesSent    uint64
 	// MessagesReceived and BytesReceived count traffic from the peer,
-	// attributed by the decoded sender id.
+	// attributed by the decoded sender id; the UDP fabric counts only
+	// senders in its address book, since ids are unauthenticated.
 	MessagesReceived uint64
 	BytesReceived    uint64
 	// FanoutSends counts times the peer was chosen as a gossip fan-out
