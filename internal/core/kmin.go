@@ -148,8 +148,12 @@ func sortEntries(entries []MinEntry) {
 }
 
 // Observe merges a received header into the local state, with the same
-// period synchronization rules as MinBuffEstimator.
+// period synchronization rules as MinBuffEstimator: a header from a
+// period above maxPeriod is dropped.
 func (e *KMinEstimator) Observe(period uint64, entries []MinEntry) {
+	if period > maxPeriod {
+		return
+	}
 	w := uint64(len(e.window))
 	if period > e.period {
 		if period-e.period >= w {

@@ -149,32 +149,28 @@ func TestKMinSetLocalCapacity(t *testing.T) {
 }
 
 // TestKMinHostilePeriod is TestMinBuffHostilePeriod for the κ-smallest
-// estimator, whose window is indexed by period the same way.
+// estimator, at κ = 1 and κ = 3.
 func TestKMinHostilePeriod(t *testing.T) {
-	for _, window := range []int{2, 3} {
-		for _, period := range []uint64{1 << 63, math.MaxUint64} {
-			e, err := NewKMinEstimator("s", 3, 0, window, 6, 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Observe(period, []MinEntry{{Node: "a", Cap: 20}, {Node: "b", Cap: 25}, {Node: "c", Cap: 27}})
-			if s, entries := e.Header(); s != period || len(entries) != 3 || entries[0].Cap != 20 {
-				t.Fatalf("W=%d, s=%d: header = (%d, %v), want period %d and the 3 smallest", window, period, s, entries, period)
-			}
-			if got := e.Estimate(); got != 27 {
-				t.Fatalf("W=%d, s=%d: estimate = %d, want 27", window, period, got)
-			}
-			if err := e.SetLocalCapacity(10); err != nil {
-				t.Fatal(err)
-			}
-			if got := e.Estimate(); got != 25 {
-				t.Fatalf("W=%d, s=%d: estimate = %d after the shrink, want 25", window, period, got)
-			}
-			for range 6 {
-				e.OnRound()
-			}
-			if s, entries := e.Header(); s != period+1 || len(entries) != 1 || entries[0].Cap != 10 {
-				t.Fatalf("W=%d, s=%d: header after a period = (%d, %v), want (%d, [s:10])", window, period, s, entries, period+1)
+	for _, rank := range []int{1, 3} {
+		for _, window := range []int{2, 3} {
+			for _, period := range []uint64{1 << 63, math.MaxUint64} {
+				e, err := NewKMinEstimator("s", rank, 0, window, 6, 30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Observe(1, []MinEntry{{Node: "a", Cap: 25}, {Node: "b", Cap: 26}, {Node: "c", Cap: 27}})
+				before := e.Estimate()
+				e.Observe(period, []MinEntry{{Node: "m", Cap: 4}, {Node: "n", Cap: 4}, {Node: "o", Cap: 4}})
+				if s, _ := e.Header(); s != 1 {
+					t.Fatalf("κ=%d, W=%d: period %d after a header from period %d, want 1", rank, window, s, period)
+				}
+				if got := e.Estimate(); got != before {
+					t.Fatalf("κ=%d, W=%d, s=%d: estimate = %d, want %d", rank, window, period, got, before)
+				}
+				e.Observe(1, []MinEntry{{Node: "d", Cap: 10}, {Node: "f", Cap: 11}, {Node: "g", Cap: 12}})
+				if got, want := e.Estimate(), 9+rank; got != want {
+					t.Fatalf("κ=%d, W=%d, s=%d: estimate = %d after an honest header, want %d", rank, window, period, got, want)
+				}
 			}
 		}
 	}

@@ -104,12 +104,20 @@ func (e *MinBuffEstimator) Header() (period uint64, minBuff int) {
 	return e.period, e.window[e.slot(e.period)]
 }
 
+// maxPeriod is the last sample period a header may carry. A member
+// starts at 0 and counts one period per SamplePeriodRounds rounds, so
+// no honest header comes near it; a higher one is forged, and
+// following it would let the counter wrap past 2⁶⁴ onto the slot it
+// just wrote.
+const maxPeriod = 1<<63 - 1
+
 // Observe folds a received header into the local state. Headers from
 // later periods fast-forward the period counter (loose clock sync);
 // headers within the window update the corresponding period's minimum;
-// older headers are ignored.
+// older headers are ignored, and so are headers from a period above
+// maxPeriod.
 func (e *MinBuffEstimator) Observe(period uint64, minBuff int) {
-	if minBuff <= 0 {
+	if minBuff <= 0 || period > maxPeriod {
 		return // defensive: a corrupt header must not poison the estimate
 	}
 	w := uint64(len(e.window))

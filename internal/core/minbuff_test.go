@@ -191,31 +191,24 @@ func TestMinBuffGroupConvergence(t *testing.T) {
 }
 
 // TestMinBuffHostilePeriod: a header from a period at or above 2⁶³ —
-// one datagram from any peer, where int(period) % W is negative — is
-// followed like any other jump past the window, and every method keeps
-// working as the period wraps.
+// one datagram from any peer; no honest member counts that far — is
+// dropped. The member keeps its period, and the next honest header
+// still lowers the estimate.
 func TestMinBuffHostilePeriod(t *testing.T) {
 	for _, window := range []int{2, 3} {
 		for _, period := range []uint64{1 << 63, math.MaxUint64} {
 			e := newEst(t, window, 6, 30)
-			e.Observe(period, 20)
-			if s, mb := e.Header(); s != period || mb != 20 {
-				t.Fatalf("W=%d, s=%d: header = (%d, %d), want (%d, 20)", window, period, s, mb, period)
+			e.Observe(1, 25)
+			e.Observe(period, 4)
+			if s, mb := e.Header(); s != 1 || mb != 25 {
+				t.Fatalf("W=%d: header = (%d, %d) after a header from period %d, want (1, 25)", window, s, mb, period)
 			}
+			if got := e.Estimate(); got != 25 {
+				t.Fatalf("W=%d, s=%d: estimate = %d, want 25", window, period, got)
+			}
+			e.Observe(1, 20)
 			if got := e.Estimate(); got != 20 {
-				t.Fatalf("W=%d, s=%d: estimate = %d, want 20", window, period, got)
-			}
-			if err := e.SetLocalCapacity(10); err != nil {
-				t.Fatal(err)
-			}
-			for range 6 {
-				e.OnRound()
-			}
-			if s, mb := e.Header(); s != period+1 || mb != 10 {
-				t.Fatalf("W=%d, s=%d: header after a period = (%d, %d), want (%d, 10)", window, period, s, mb, period+1)
-			}
-			if got := e.Estimate(); got != 10 {
-				t.Fatalf("W=%d, s=%d: estimate = %d, want 10", window, period, got)
+				t.Fatalf("W=%d, s=%d: estimate = %d after an honest header of 20, want 20", window, period, got)
 			}
 		}
 	}

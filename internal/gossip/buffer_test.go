@@ -386,8 +386,12 @@ func (b *Buffer) checkInvariants() error {
 			continue
 		}
 		linked++
-		if !seen[int(e-1)] {
-			return fmt.Errorf("index holds slot %d, which is not live", e-1)
+		slot := int(e&b.index.pos) - 1
+		if !seen[slot] {
+			return fmt.Errorf("index holds slot %d, which is not live", slot)
+		}
+		if e&^b.index.pos != b.index.hashes[slot]&^b.index.pos {
+			return fmt.Errorf("slot %d is tagged %#x, its hash %#x", slot, e&^b.index.pos, b.index.hashes[slot])
 		}
 	}
 	if linked != b.Len() {

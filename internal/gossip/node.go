@@ -370,8 +370,8 @@ func (n *Node) Broadcast(payload []byte) Event {
 // the same node. Drivers must finish delivering (or copy, see
 // Message.Clone) before then. The in-process fabrics honor this: the
 // simulator delivers within the sending round whenever network latency
-// is below the gossip period (internal/experiments clones otherwise),
-// the memory transport clones on send, and the UDP transport encodes
+// is below the gossip period (sim.Network.Drive copies otherwise), the
+// memory transport clones on send, and the UDP transport encodes
 // synchronously.
 //
 // The driver is responsible for calling Tick every Period.
@@ -456,9 +456,10 @@ func (n *Node) traceFirstSends(msg *Message) {
 // of it is retained past the call except event payloads — cloned first
 // when the message is Borrowed.
 //
-// Each id is hashed once. The buffer answers first — a buffered event
-// is a duplicate even if eventIds forgot it — and eventIds only for an
-// id the buffer lacks.
+// Each id is hashed once, from its origin's hash, which eventIds also
+// keys its origin table with. The buffer answers first — a buffered
+// event is a duplicate even if eventIds forgot it — and eventIds only
+// for an id the buffer lacks.
 func (n *Node) Receive(msg *Message) {
 	n.stats.MessagesReceived++
 	n.stats.EventsReceived += uint64(len(msg.Events))
@@ -472,13 +473,14 @@ func (n *Node) Receive(msg *Message) {
 		} else {
 			ev.Hop = ev.Age
 		}
-		h := n.buf.hash(ev.ID)
+		oh := originHash(n.buf.seed, ev.ID.Origin)
+		h := idHash(oh, ev.ID.Seq)
 		if slot := n.buf.find(ev.ID, h); slot >= 0 {
 			n.stats.Duplicates++
 			n.buf.raiseAt(slot, ev.Age)
 			continue
 		}
-		if !n.seen.add(ev.ID, h) {
+		if !n.seen.add(ev.ID, oh, h) {
 			n.stats.Duplicates++
 			n.stats.RedeliveriesAvoid++
 			continue

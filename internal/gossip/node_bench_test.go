@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -324,8 +325,59 @@ func BenchmarkIDCacheAdd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Add(EventID{Origin: "bench", Seq: uint64(i)})
+	}
+}
+
+// BenchmarkIDCacheContainsCold probes 512 full caches of the paper's
+// 1,800 ids, from 60 origins each, at random: about 21 MB of caches, so
+// nearly every probe misses the CPU caches, as the eventIds lookups of
+// a large group's members do. Half the probes ask for a remembered id,
+// half for an id of a known origin the cache never saw.
+func BenchmarkIDCacheContainsCold(b *testing.B) {
+	const caches, capacity, origins = 512, 1800, 60
+	names := make([]NodeID, origins)
+	for i := range names {
+		names[i] = NodeID(fmt.Sprintf("member-%02d", i))
+	}
+	cs := make([]*IDCache, caches)
+	for i := range cs {
+		c, err := NewIDCache(capacity)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for seq := range uint64(capacity) {
+			c.Add(EventID{Origin: names[seq%origins], Seq: seq})
+		}
+		cs[i] = c
+	}
+	type probe struct {
+		c  *IDCache
+		id EventID
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	probes := make([]probe, 1<<16)
+	for i := range probes {
+		seq := uint64(rng.IntN(capacity))
+		if i%2 == 1 {
+			seq += capacity // never added
+		}
+		probes[i] = probe{cs[rng.IntN(caches)], EventID{Origin: names[seq%origins], Seq: seq}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	found := 0
+	for i := 0; i < b.N; i++ {
+		p := &probes[i&(len(probes)-1)]
+		if p.c.Contains(p.id) {
+			found++
+		}
+	}
+	b.StopTimer()
+	if found != (b.N+1)/2 {
+		b.Fatalf("%d of %d probes found, want the even ones", found, b.N)
 	}
 }
