@@ -17,6 +17,14 @@
 // benchgate exits 0 when every gated benchmark present in the input
 // passes, 1 on regression, 2 on usage errors (unreadable baseline, too
 // few samples, no gated benchmarks in the input).
+//
+// With -compare it gates nothing: it reads the bench output of the
+// parent commit and of a change (alternating runs of the same
+// benchmarks) and prints a markdown table of each benchmark's median
+// ns/op on both sides, the delta, and a two-sided Mann–Whitney U
+// p-value, exact for at most 10 samples a side:
+//
+//	benchgate -compare parent.txt change.txt
 package main
 
 import (
@@ -43,6 +51,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 	var (
 		baselinePath = "BENCH_5.json"
 		inputPath    = ""
+		comparePaths []string
 		tolerance    = 2.0
 		minCount     = 5
 	)
@@ -60,6 +69,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 			baselinePath, err = flagArg()
 		case "-input":
 			inputPath, err = flagArg()
+		case "-compare":
+			var parent, change string
+			if parent, err = flagArg(); err == nil {
+				change, err = flagArg()
+			}
+			if err != nil {
+				err = fmt.Errorf("-compare needs two files: parent.txt change.txt")
+			}
+			comparePaths = []string{parent, change}
 		case "-tolerance":
 			var v string
 			if v, err = flagArg(); err == nil {
@@ -82,6 +100,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (int, error) {
 	}
 	if minCount < 2 {
 		return 2, fmt.Errorf("min-count %d must be >= 2 for a variance estimate", minCount)
+	}
+	if comparePaths != nil {
+		if err := compare(comparePaths[0], comparePaths[1], stdout); err != nil {
+			return 2, err
+		}
+		return 0, nil
 	}
 
 	baselines, err := loadBaselines(baselinePath)
@@ -170,6 +194,7 @@ func loadBaselines(path string) (map[string]baseline, error) {
 // sample is one benchmark line's measurements.
 type sample struct {
 	NsPerOp     float64
+	BytesPerOp  float64
 	AllocsPerOp float64
 	HasAllocs   bool
 }
@@ -203,6 +228,8 @@ func parseBenchOutput(r io.Reader) (map[string][]sample, error) {
 			case "ns/op":
 				s.NsPerOp = v
 				ok = true
+			case "B/op":
+				s.BytesPerOp = v
 			case "allocs/op":
 				s.AllocsPerOp = v
 				s.HasAllocs = true

@@ -126,32 +126,68 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports all configuration errors.
+// Validate reports all configuration errors. An error, and the boxing
+// of its arguments, is built only for a failing check, so a valid
+// Params allocates nothing. The float checks negate each comparison so
+// that NaN fails them.
 func (p Params) Validate() error {
 	var errs []error
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			errs = append(errs, fmt.Errorf(format, args...))
-		}
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	check(p.SamplePeriodRounds > 0, "sample period must be positive rounds, got %d", p.SamplePeriodRounds)
-	check(p.Window > 0, "window must be positive, got %d", p.Window)
-	check(p.Alpha >= 0 && p.Alpha < 1, "alpha must be in [0,1), got %v", p.Alpha)
-	check(p.TargetAge > 0, "target age must be positive, got %v", p.TargetAge)
-	check(p.LowAge > 0 && p.LowAge <= p.TargetAge, "low-age mark %v must be in (0, target %v]", p.LowAge, p.TargetAge)
-	check(p.HighAge >= p.TargetAge, "high-age mark %v must be at least target %v", p.HighAge, p.TargetAge)
-	check(p.HighAge > p.LowAge, "high-age mark %v must exceed low-age mark %v", p.HighAge, p.LowAge)
-	check(p.DecreaseFactor > 0 && p.DecreaseFactor < 1, "decrease factor must be in (0,1), got %v", p.DecreaseFactor)
-	check(p.IncreaseFactor > 0, "increase factor must be positive, got %v", p.IncreaseFactor)
-	check(p.IncreaseProb > 0 && p.IncreaseProb <= 1, "increase probability must be in (0,1], got %v", p.IncreaseProb)
-	check(p.InitialRate > 0, "initial rate must be positive, got %v", p.InitialRate)
-	check(p.MinRate > 0, "min rate must be positive, got %v", p.MinRate)
-	check(p.MaxRate >= p.MinRate, "max rate %v must be at least min rate %v", p.MaxRate, p.MinRate)
-	check(p.TokenBucketMax >= 1, "token bucket max must be at least 1, got %v", p.TokenBucketMax)
-	check(p.HighTokensFrac > 0 && p.HighTokensFrac <= 1, "high tokens fraction must be in (0,1], got %v", p.HighTokensFrac)
-	check(p.LowTokensFrac >= 0 && p.LowTokensFrac <= p.HighTokensFrac,
-		"low tokens fraction %v must be in [0, high %v]", p.LowTokensFrac, p.HighTokensFrac)
-	check(p.MinBuffRank >= 1, "min-buffer rank must be at least 1, got %d", p.MinBuffRank)
-	check(p.MinBuffFloor >= 0, "min-buffer floor must be non-negative, got %d", p.MinBuffFloor)
+	if p.SamplePeriodRounds <= 0 {
+		fail("sample period must be positive rounds, got %d", p.SamplePeriodRounds)
+	}
+	if p.Window <= 0 {
+		fail("window must be positive, got %d", p.Window)
+	}
+	if !(p.Alpha >= 0) || !(p.Alpha < 1) {
+		fail("alpha must be in [0,1), got %v", p.Alpha)
+	}
+	if !(p.TargetAge > 0) {
+		fail("target age must be positive, got %v", p.TargetAge)
+	}
+	if !(p.LowAge > 0) || !(p.LowAge <= p.TargetAge) {
+		fail("low-age mark %v must be in (0, target %v]", p.LowAge, p.TargetAge)
+	}
+	if !(p.HighAge >= p.TargetAge) {
+		fail("high-age mark %v must be at least target %v", p.HighAge, p.TargetAge)
+	}
+	if !(p.HighAge > p.LowAge) {
+		fail("high-age mark %v must exceed low-age mark %v", p.HighAge, p.LowAge)
+	}
+	if !(p.DecreaseFactor > 0) || !(p.DecreaseFactor < 1) {
+		fail("decrease factor must be in (0,1), got %v", p.DecreaseFactor)
+	}
+	if !(p.IncreaseFactor > 0) {
+		fail("increase factor must be positive, got %v", p.IncreaseFactor)
+	}
+	if !(p.IncreaseProb > 0) || !(p.IncreaseProb <= 1) {
+		fail("increase probability must be in (0,1], got %v", p.IncreaseProb)
+	}
+	if !(p.InitialRate > 0) {
+		fail("initial rate must be positive, got %v", p.InitialRate)
+	}
+	if !(p.MinRate > 0) {
+		fail("min rate must be positive, got %v", p.MinRate)
+	}
+	if !(p.MaxRate >= p.MinRate) {
+		fail("max rate %v must be at least min rate %v", p.MaxRate, p.MinRate)
+	}
+	if !(p.TokenBucketMax >= 1) {
+		fail("token bucket max must be at least 1, got %v", p.TokenBucketMax)
+	}
+	if !(p.HighTokensFrac > 0) || !(p.HighTokensFrac <= 1) {
+		fail("high tokens fraction must be in (0,1], got %v", p.HighTokensFrac)
+	}
+	if !(p.LowTokensFrac >= 0) || !(p.LowTokensFrac <= p.HighTokensFrac) {
+		fail("low tokens fraction %v must be in [0, high %v]", p.LowTokensFrac, p.HighTokensFrac)
+	}
+	if p.MinBuffRank < 1 {
+		fail("min-buffer rank must be at least 1, got %d", p.MinBuffRank)
+	}
+	if p.MinBuffFloor < 0 {
+		fail("min-buffer floor must be non-negative, got %d", p.MinBuffFloor)
+	}
 	return errors.Join(errs...)
 }

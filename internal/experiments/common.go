@@ -359,7 +359,9 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		return RunResult{}, err
 	}
 	defer w.close()
-	epoch := w.now()
+	// The run's epoch is the instant the world was made: the delivery
+	// tracker records times as offsets from it, w.elapsed().
+	epoch := w.now().Add(-w.elapsed())
 
 	// Late joiners stay out of the membership (and idle) until their
 	// scheduled join instant.
@@ -393,7 +395,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 			regs[i] = registry
 		}
 	}
-	tracker, err := metrics.NewDeliveryTracker(names)
+	tracker, err := metrics.NewDeliveryTracker(names, epoch)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -435,7 +437,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 			Peers:        ownReg,
 			RNG:          sim.NodeRNG(cfg.Seed, i),
 			Deliver: func(ev gossip.Event) {
-				tracker.DeliverHop(ev.ID, i, w.now(), ev.Age)
+				tracker.DeliverHop(ev.ID, i, w.elapsed(), ev.Age)
 			},
 			Start: epoch,
 		})
@@ -449,10 +451,10 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	startSender := func(i int) error {
 		node := nodes[i]
 		publish := func(payload []byte) bool {
-			now := w.now()
-			ev, ok := node.Publish(payload, now)
+			at := w.elapsed()
+			ev, ok := node.Publish(payload, epoch.Add(at))
 			if ok {
-				tracker.Broadcast(ev.ID, now)
+				tracker.Broadcast(ev.ID, at)
 			}
 			return ok
 		}

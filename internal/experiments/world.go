@@ -20,6 +20,9 @@ import (
 // included — execute one at a time inside runUntil.
 type world interface {
 	now() time.Time
+	// elapsed is the time passed since the world was made, read without
+	// building a time.Time: the clock the delivery tracker records by.
+	elapsed() time.Duration
 	// after runs fn d from now.
 	after(d time.Duration, fn func())
 	// start sets member i running m: a round every Period from a random
@@ -71,6 +74,7 @@ func newVirtualWorld(cfg Config, names []gossip.NodeID) (world, error) {
 }
 
 func (v *virtual) now() time.Time                   { return v.sched.Now() }
+func (v *virtual) elapsed() time.Duration           { return v.sched.Elapsed() }
 func (v *virtual) after(d time.Duration, fn func()) { v.sched.After(d, fn) }
 func (v *virtual) do(_ int, fn func())              { fn() }
 func (v *virtual) setDown(i int, down bool)         { v.net.SetDown(v.names[i], down) }
@@ -97,6 +101,7 @@ func (v *virtual) publisher(_ int, publish workload.PublishFunc) workload.Publis
 // means nothing else touches the node.
 type wall struct {
 	cfg       Config
+	epoch     time.Time
 	names     []gossip.NodeID
 	net       *transport.MemNetwork
 	machines  []gossip.Machine
@@ -121,6 +126,7 @@ func newWallWorld(cfg Config, names []gossip.NodeID) (world, error) {
 	}
 	return &wall{
 		cfg:       cfg,
+		epoch:     time.Now(),
 		names:     names,
 		net:       net,
 		machines:  make([]gossip.Machine, len(names)),
@@ -132,6 +138,7 @@ func newWallWorld(cfg Config, names []gossip.NodeID) (world, error) {
 }
 
 func (w *wall) now() time.Time          { return time.Now() }
+func (w *wall) elapsed() time.Duration  { return time.Since(w.epoch) }
 func (w *wall) stats() sim.NetworkStats { return sim.NetworkStats{} }
 
 func (w *wall) after(d time.Duration, fn func()) {

@@ -5,6 +5,31 @@
 // age of dropped messages (Figs. 4, 7c). All collectors are safe for
 // concurrent use so the same code instruments both the single-threaded
 // simulator and the goroutine runtime.
+//
+// # The delivery ledger
+//
+// DeliveryTracker keeps one 16-byte record per message — its birth as
+// nanoseconds after the tracker's epoch, its delivery count and whether
+// the birth came from Broadcast — and, at the same index of the same
+// block, a delivered-by bitset of ⌈n/64⌉ words: 24 bytes per message in
+// the paper's 60-member group.
+//
+// Records live in runs of runLen consecutive seqs of one origin, and
+// each member origin has a directory from seq/runLen to its runs, so a
+// record is one directory read away from (origin index, seq). Runs are
+// cut in order from blocks of about blockBytes (a power of two runs
+// each) that are allocated when the previous block is used up and
+// never copied; a run is cut when the first seq it covers is seen. The
+// directories are int32 slices that double, cut from shared blocks
+// that double too, so the whole ledger costs a handful of allocations
+// per block of records.
+//
+// A map holds the records the directories cannot index — origins
+// outside the member list, and seqs so far beyond their origin's
+// directory that indexing them would waste memory — under consecutive
+// seqs of one extra directory. It is consulted first: a record stays
+// where its id was first placed, even once its origin's directory
+// reaches its seq.
 package metrics
 
 import (
@@ -21,48 +46,58 @@ import (
 // of the group.
 const DefaultAtomicityThreshold = 0.95
 
-// msgRec is one message's record. It lives by value in the tracker's
-// slab; its delivery bitset is the slab index's words of the tracker's
-// bits.
+const (
+	runLen     = 32       // records per run: seqs k·runLen … k·runLen+31 of one origin
+	blockBytes = 64 << 10 // target size of a block of records and bitsets
+)
+
+// msgRec is one message's record.
 type msgRec struct {
-	born      time.Time
+	born      int64 // nanoseconds after the tracker's epoch
 	count     int32
 	bornKnown bool
 }
 
+// block is a fixed array of runs: records and their bitsets, words per
+// record, in the same order.
+type block struct {
+	recs []msgRec
+	bits []uint64
+}
+
 // DeliveryTracker records which members delivered which broadcast
-// events and derives the paper's reliability measures. Deliveries
+// events and derives the paper's reliability measures. Times are given
+// as offsets from the epoch the tracker was made with. Deliveries
 // reported through DeliverHop additionally feed two pooled
 // distributions — per-delivery latency (microseconds since the
 // message's birth) and hop count — counted under the tracker's lock in
 // the bucket layout the live runtime's debug endpoint serves.
 //
-// Tracking allocates nothing per event: records and bitsets live in
-// two slabs that grow by doubling, and a member's broadcasts — which
-// gossip.Node numbers 0, 1, 2, … — are found through a dense slice per
-// origin, indexed by seq. A map holds only the records the dense
-// index cannot: origins outside the member list, and seqs far beyond
-// every record so far.
+// Tracking allocates nothing per event; the package comment describes
+// the layout.
 type DeliveryTracker struct {
 	mu      sync.Mutex
+	epoch   time.Time
 	members map[gossip.NodeID]int
 	n       int
 	words   int
 
-	recs   []msgRec
-	bits   []uint64                 // words per record, parallel to recs
-	bySeq  [][]int32                // member origin → seq → slab index + 1, 0 for none
-	spare  []int32                  // uncut tail of the block bySeq's slices come from
-	cut    int                      // int32s cut from blocks so far
-	others map[gossip.EventID]int32 // what bySeq cannot index
+	blocks     []block
+	blockShift uint                      // runs per block = 1 << blockShift
+	runs       int32                     // runs cut so far
+	dirs       [][]int32                 // origin → seq/runLen → run number + 1, 0 for none; dirs[n] for others
+	spare      []int32                   // uncut tail of the block directories are cut from
+	cut        int                       // int32s cut from those blocks so far
+	others     map[gossip.EventID]uint64 // what the member directories cannot index → seq in dirs[n]
 
 	latency    observe.HistogramSnapshot // microseconds birth → delivery
 	hops       observe.HistogramSnapshot // event age at delivery
 	duplicates uint64                    // deliveries of an event to a member that had it
 }
 
-// NewDeliveryTracker tracks deliveries across the given group.
-func NewDeliveryTracker(members []gossip.NodeID) (*DeliveryTracker, error) {
+// NewDeliveryTracker tracks deliveries across the given group, with
+// times given as offsets from epoch.
+func NewDeliveryTracker(members []gossip.NodeID, epoch time.Time) (*DeliveryTracker, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("metrics: member list must not be empty")
 	}
@@ -73,119 +108,127 @@ func NewDeliveryTracker(members []gossip.NodeID) (*DeliveryTracker, error) {
 		}
 		idx[m] = len(idx)
 	}
-	return &DeliveryTracker{
+	t := &DeliveryTracker{
+		epoch:   epoch,
 		members: idx,
 		n:       len(idx),
 		words:   (len(idx) + 63) / 64,
-		bySeq:   make([][]int32, len(idx)),
-	}, nil
+		dirs:    make([][]int32, len(idx)+1),
+	}
+	// A block holds the most runs, a power of two and at least one, that
+	// fit in blockBytes.
+	runBytes := runLen * (16 + 8*t.words)
+	for (2<<t.blockShift)*runBytes <= blockBytes {
+		t.blockShift++
+	}
+	return t, nil
 }
 
-// record returns the slab index of id's record, creating the record at
-// first sight. A record stays where its id was first indexed, so the
-// map is consulted first.
-func (t *DeliveryTracker) record(id gossip.EventID) int {
-	if r, ok := t.others[id]; ok {
-		return int(r)
+// record returns id's record and bitset, creating them at first sight.
+func (t *DeliveryTracker) record(id gossip.EventID) (*msgRec, []uint64) {
+	if seq, ok := t.others[id]; ok {
+		return t.at(t.dir(t.n, seq/runLen), seq)
 	}
 	if o, ok := t.members[id.Origin]; ok {
-		if slot := t.seqSlot(o, id.Seq); slot != nil {
-			if *slot == 0 {
-				*slot = t.newRecord() + 1
-			}
-			return int(*slot - 1)
+		if e := t.dir(o, id.Seq/runLen); e != nil {
+			return t.at(e, id.Seq)
 		}
 	}
 	if t.others == nil {
-		t.others = make(map[gossip.EventID]int32)
+		t.others = make(map[gossip.EventID]uint64)
 	}
-	r := t.newRecord()
-	t.others[id] = r
-	return int(r)
+	seq := uint64(len(t.others))
+	t.others[id] = seq
+	return t.at(t.dir(t.n, seq/runLen), seq)
 }
 
-// seqSlot returns the dense index entry of member origin o's event seq,
-// growing o's slice by doubling to reach it, or nil for a seq so far
-// ahead of every record that indexing it densely would waste memory.
-// The grown slices are cut from blocks that double too, so the index
-// costs a handful of allocations however many origins there are.
-func (t *DeliveryTracker) seqSlot(o int, seq uint64) *int32 {
-	idx := t.bySeq[o]
-	if seq < uint64(len(idx)) {
-		return &idx[seq]
+// dir returns origin o's directory entry for run k, growing the
+// directory by doubling to reach it, or nil for a run so far beyond the
+// directory that indexing it would waste memory. The directory of the
+// map's records grows one run at a time, so it always reaches.
+func (t *DeliveryTracker) dir(o int, k uint64) *int32 {
+	d := t.dirs[o]
+	if k < uint64(len(d)) {
+		return &d[k]
 	}
-	if seq >= 2*uint64(len(t.recs))+64 {
+	if k >= 2*uint64(len(d))+2 {
 		return nil
 	}
-	n := max(2*len(idx), 16)
-	for uint64(n) <= seq {
+	n := max(2*len(d), 4)
+	for uint64(n) <= k {
 		n *= 2
 	}
 	if len(t.spare) < n {
-		t.spare = make([]int32, max(n, t.cut, 1024))
+		t.spare = make([]int32, max(n, t.cut, 256))
 	}
 	grown := t.spare[:n:n]
 	t.spare = t.spare[n:]
 	t.cut += n
-	copy(grown, idx)
-	t.bySeq[o] = grown
-	return &grown[seq]
+	copy(grown, d)
+	t.dirs[o] = grown
+	return &grown[k]
 }
 
-// newRecord appends a zero record and bitset to the slabs and returns
-// its index. The slabs double when full.
-func (t *DeliveryTracker) newRecord() int32 {
-	if len(t.recs) == cap(t.recs) {
-		c := max(2*cap(t.recs), 64)
-		recs := make([]msgRec, len(t.recs), c)
-		copy(recs, t.recs)
-		bits := make([]uint64, len(t.bits), c*t.words)
-		copy(bits, t.bits)
-		t.recs, t.bits = recs, bits
+// at returns seq's record and bitset in the run directory entry e
+// names, cutting the run first if e names none.
+func (t *DeliveryTracker) at(e *int32, seq uint64) (*msgRec, []uint64) {
+	if *e == 0 {
+		if t.runs>>t.blockShift == int32(len(t.blocks)) {
+			recs := runLen << t.blockShift
+			t.blocks = append(t.blocks, block{
+				recs: make([]msgRec, recs),
+				bits: make([]uint64, recs*t.words),
+			})
+		}
+		t.runs++
+		*e = t.runs
 	}
-	t.recs = t.recs[:len(t.recs)+1]
-	t.bits = t.bits[:len(t.bits)+t.words]
-	return int32(len(t.recs) - 1)
+	r := int(*e - 1)
+	b := &t.blocks[r>>t.blockShift]
+	j := (r&(1<<t.blockShift-1))*runLen + int(seq%runLen)
+	return &b.recs[j], b.bits[j*t.words : (j+1)*t.words]
 }
 
-// Broadcast registers the birth of a message. It may be called before
-// or after the first DeliverHop for the same event (the origin delivers to
-// itself inside Broadcast in the protocol).
-func (t *DeliveryTracker) Broadcast(id gossip.EventID, now time.Time) {
+// Broadcast registers the birth of a message, at offset at from the
+// tracker's epoch. It may be called before or after the first
+// DeliverHop for the same event (the origin delivers to itself inside
+// Broadcast in the protocol).
+func (t *DeliveryTracker) Broadcast(id gossip.EventID, at time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec := &t.recs[t.record(id)]
-	rec.born = now
+	rec, _ := t.record(id)
+	rec.born = int64(at)
 	rec.bornKnown = true
 }
 
 // DeliverHop records that the member at index i of the tracker's member
-// list delivered the event; an index outside the list is ignored (e.g.
-// an observer outside the tracked group). With hop >= 0 it also
-// observes the delivery latency (now minus the message's birth, in
-// microseconds) and the event's age — its gossip hop count — into the
-// tracker's pooled distributions. A repeated delivery of the event to
-// the same member is observed nowhere but in Duplicates.
-func (t *DeliveryTracker) DeliverHop(id gossip.EventID, i int, now time.Time, hop int) {
+// list delivered the event at offset at from the tracker's epoch; an
+// index outside the list is ignored (e.g. an observer outside the
+// tracked group). With hop >= 0 it also observes the delivery latency
+// (at minus the message's birth, in microseconds) and the event's age —
+// its gossip hop count — into the tracker's pooled distributions. A
+// repeated delivery of the event to the same member is observed nowhere
+// but in Duplicates.
+func (t *DeliveryTracker) DeliverHop(id gossip.EventID, i int, at time.Duration, hop int) {
 	if i < 0 || i >= t.n {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := t.record(id)
-	rec := &t.recs[r]
-	if !rec.bornKnown && (rec.count == 0 || now.Before(rec.born)) {
+	rec, bits := t.record(id)
+	now := int64(at)
+	if !rec.bornKnown && (rec.count == 0 || now < rec.born) {
 		rec.born = now // best-effort birth time until Broadcast arrives
 	}
-	w, b := r*t.words+i/64, uint(i%64)
-	if t.bits[w]&(1<<b) != 0 {
+	w, b := i/64, uint(i%64)
+	if bits[w]&(1<<b) != 0 {
 		t.duplicates++
 		return
 	}
-	t.bits[w] |= 1 << b
+	bits[w] |= 1 << b
 	rec.count++
 	if hop >= 0 {
-		t.latency.Add(uint64(max(now.Sub(rec.born).Microseconds(), 0)))
+		t.latency.Add(uint64(max(time.Duration(now-rec.born).Microseconds(), 0)))
 		t.hops.Add(uint64(hop))
 	}
 }
@@ -211,6 +254,18 @@ func (t *DeliveryTracker) HopsSnapshot() observe.HistogramSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.hops
+}
+
+// each calls fn with every record. A slot of a run whose seq was never
+// seen is zero: no delivery and no Broadcast.
+func (t *DeliveryTracker) each(fn func(rec msgRec)) {
+	for _, b := range t.blocks {
+		for _, rec := range b.recs {
+			if rec.count != 0 || rec.bornKnown {
+				fn(rec)
+			}
+		}
+	}
 }
 
 // Summary are the aggregate reliability measures over a set of
@@ -254,12 +309,11 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 	if need > t.n {
 		need = t.n
 	}
-	for _, rec := range t.recs {
-		if !from.IsZero() && rec.born.Before(from) {
-			continue
-		}
-		if !to.IsZero() && !rec.born.Before(to) {
-			continue
+	lo, hi := int64(from.Sub(t.epoch)), int64(to.Sub(t.epoch))
+	hasFrom, hasTo := !from.IsZero(), !to.IsZero()
+	t.each(func(rec msgRec) {
+		if hasFrom && rec.born < lo || hasTo && rec.born >= hi {
+			return
 		}
 		got := int(rec.count)
 		count++
@@ -271,7 +325,7 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 		if got == t.n {
 			full++
 		}
-	}
+	})
 	if count == 0 {
 		return Summary{}
 	}
@@ -315,17 +369,18 @@ func (t *DeliveryTracker) Series(start, end time.Time, bucket time.Duration, thr
 	if need > t.n {
 		need = t.n
 	}
-	for _, rec := range t.recs {
-		if rec.born.Before(start) || !rec.born.Before(end) {
-			continue
+	lo, hi := int64(start.Sub(t.epoch)), int64(end.Sub(t.epoch))
+	t.each(func(rec msgRec) {
+		if rec.born < lo || rec.born >= hi {
+			return
 		}
-		b := int(rec.born.Sub(start) / bucket)
+		b := int(time.Duration(rec.born-lo) / bucket)
 		accs[b].msgs++
 		accs[b].receivers += int(rec.count)
 		if int(rec.count) >= need {
 			accs[b].atomics++
 		}
-	}
+	})
 	out := make([]BucketStat, 0, buckets)
 	for i, a := range accs {
 		st := BucketStat{Start: start.Add(time.Duration(i) * bucket), Messages: a.msgs}

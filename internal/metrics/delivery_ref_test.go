@@ -14,9 +14,10 @@ import (
 )
 
 // The DeliveryTracker this package had before its records moved into
-// slabs, verbatim but for its names: TestDeliveryTrackerMatchesReference
-// holds the slab tracker to its answers. The reference still names
-// members; the tracker takes their index in the member list.
+// slabs and blocks, verbatim but for its names:
+// TestDeliveryTrackerMatchesReference holds the tracker to its answers.
+// The reference still names members and keeps times; the tracker takes
+// their index in the member list and offsets from its epoch.
 
 type refMsgRec struct {
 	born      time.Time
@@ -224,24 +225,102 @@ func (t *refDeliveryTracker) Series(start, end time.Time, bucket time.Duration, 
 	return out
 }
 
+// trackerPair drives the tracker and the reference with the same calls
+// and compares everything they report. The tracker's epoch is base, so
+// times before it are negative offsets.
+type trackerPair struct {
+	got   *DeliveryTracker
+	want  *refDeliveryTracker
+	group []gossip.NodeID
+	base  time.Time
+}
+
+func newTrackerPair(t *testing.T, group []gossip.NodeID, base time.Time) *trackerPair {
+	t.Helper()
+	got, err := NewDeliveryTracker(group, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newRefDeliveryTracker(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &trackerPair{got: got, want: want, group: group, base: base}
+}
+
+func (p *trackerPair) broadcast(id gossip.EventID, now time.Time) {
+	p.got.Broadcast(id, now.Sub(p.base))
+	p.want.Broadcast(id, now)
+}
+
+// deliver reports member i's delivery; an index outside the group is a
+// stranger, which the reference knows by a name it does not track.
+func (p *trackerPair) deliver(id gossip.EventID, i int, now time.Time, hop int) {
+	node := gossip.NodeID("stranger")
+	if i >= 0 && i < len(p.group) {
+		node = p.group[i]
+	}
+	p.got.DeliverHop(id, i, now.Sub(p.base), hop)
+	p.want.DeliverHop(id, node, now, hop)
+}
+
+func (p *trackerPair) check(t *testing.T, label string) {
+	t.Helper()
+	for _, w := range []struct {
+		from, to  time.Time
+		threshold float64
+	}{
+		{time.Time{}, time.Time{}, 0},
+		{epoch.Add(20 * time.Second), epoch.Add(70 * time.Second), 0.5},
+		{time.Time{}, epoch.Add(50 * time.Second), 0.02},
+		{epoch.Add(30 * time.Second), time.Time{}, 1},
+		{p.base.Add(-time.Second), p.base.Add(time.Second), 0},
+		{time.Time{}, p.base, 0},
+		{p.base, time.Time{}, 0.9},
+	} {
+		if g, r := p.got.Results(w.from, w.to, w.threshold), p.want.Results(w.from, w.to, w.threshold); g != r {
+			t.Fatalf("%s: Results(%v, %v, %v) = %+v, reference %+v", label, w.from, w.to, w.threshold, g, r)
+		}
+	}
+	for _, bucket := range []time.Duration{7 * time.Second, time.Minute} {
+		for _, start := range []time.Time{epoch, p.base.Add(-13 * time.Second)} {
+			g := p.got.Series(start, start.Add(60*time.Second), bucket, 0)
+			r := p.want.Series(start, start.Add(60*time.Second), bucket, 0)
+			if !slices.Equal(g, r) {
+				t.Fatalf("%s: Series(%v, %v) = %+v, reference %+v", label, start, bucket, g, r)
+			}
+		}
+	}
+	if p.got.LatencySnapshot() != p.want.LatencySnapshot() {
+		t.Fatalf("%s: latency distribution differs from the reference", label)
+	}
+	if p.got.HopsSnapshot() != p.want.HopsSnapshot() {
+		t.Fatalf("%s: hop distribution differs from the reference", label)
+	}
+}
+
 // TestDeliveryTrackerMatchesReference feeds the tracker and the
-// reference the same random calls — deliveries before the broadcast,
+// reference the same calls and requires the same summaries, series and
+// distributions. Random calls: deliveries before the broadcast,
 // duplicate deliveries, origins and nodes outside the group, seqs
-// repeated, out of order and far apart, birth times out of order — and
-// requires the same summaries, series and distributions.
+// repeated, out of order and far apart, birth and delivery times out of
+// order and before the tracker's epoch, groups on both sides of the
+// bitset's word edges. Times fall on 100 ms steps, so many messages are
+// born exactly on a window's edges. Scripted calls: seqs on both sides of every run
+// and block boundary, and far seqs that the map holds and that their
+// origin's directory later reaches.
 func TestDeliveryTrackerMatchesReference(t *testing.T) {
+	sizes := []int{1, 2, 63, 64, 65, 130}
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0xde11))
-		group := members(1 + rng.IntN(130))
+		n := 1 + rng.IntN(130)
+		if seed <= uint64(len(sizes)) {
+			n = sizes[seed-1]
+		}
+		group := members(n)
+		base := epoch.Add(time.Duration(rng.IntN(60)) * time.Second)
+		p := newTrackerPair(t, group, base)
 		strangers := []gossip.NodeID{"x0", "x1", "x2"}
-		got, err := NewDeliveryTracker(group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := newRefDeliveryTracker(group)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// pick draws a member or a stranger, and the index the tracker
 		// knows it by: a stranger's is outside the member list.
 		pick := func() (gossip.NodeID, int) {
@@ -268,61 +347,84 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 				seq = 1<<40 + uint64(rng.IntN(4))
 			}
 			eid := gossip.EventID{Origin: origin, Seq: seq}
-			now := epoch.Add(time.Duration(rng.IntN(100_000)) * time.Millisecond)
+			now := epoch.Add(time.Duration(rng.IntN(1000)) * 100 * time.Millisecond)
 			if rng.IntN(4) == 0 {
-				got.Broadcast(eid, now)
-				want.Broadcast(eid, now)
+				p.broadcast(eid, now)
 				continue
 			}
-			node, i := pick()
-			hop := rng.IntN(12) - 1
-			got.DeliverHop(eid, i, now, hop)
-			want.DeliverHop(eid, node, now, hop)
+			_, i := pick()
+			p.deliver(eid, i, now, rng.IntN(12)-1)
 		}
-		for _, w := range []struct {
-			from, to  time.Time
-			threshold float64
-		}{
-			{time.Time{}, time.Time{}, 0},
-			{epoch.Add(20 * time.Second), epoch.Add(70 * time.Second), 0.5},
-			{time.Time{}, epoch.Add(50 * time.Second), 0.02},
-			{epoch.Add(30 * time.Second), time.Time{}, 1},
-		} {
-			if g, r := got.Results(w.from, w.to, w.threshold), want.Results(w.from, w.to, w.threshold); g != r {
-				t.Fatalf("seed %d: Results(%v, %v, %v) = %+v, reference %+v", seed, w.from, w.to, w.threshold, g, r)
+		p.check(t, fmt.Sprintf("seed %d, n %d", seed, n))
+	}
+
+	for _, n := range sizes[2:] {
+		group := members(n)
+		p := newTrackerPair(t, group, epoch.Add(40*time.Second))
+		rng := rand.New(rand.NewPCG(uint64(n), 0xb10c))
+		runsPerBlock := 1 << p.got.blockShift
+		at := func() time.Time { return epoch.Add(time.Duration(rng.IntN(1000)) * 100 * time.Millisecond) }
+		deliver := func(origin int, seq uint64) {
+			id := gossip.EventID{Origin: group[origin], Seq: seq}
+			for range 3 {
+				p.deliver(id, rng.IntN(n), at(), rng.IntN(12)-1)
 			}
 		}
-		for _, bucket := range []time.Duration{7 * time.Second, time.Minute} {
-			g := got.Series(epoch, epoch.Add(100*time.Second), bucket, 0)
-			r := want.Series(epoch, epoch.Add(100*time.Second), bucket, 0)
-			if !slices.Equal(g, r) {
-				t.Fatalf("seed %d: Series(%v) = %+v, reference %+v", seed, bucket, g, r)
+		// Far seqs of origin 1: beyond every directory when first seen,
+		// so the map holds them, and reached by origin 1's directory
+		// below. A far seq of origin 0 the directory never reaches.
+		far := []uint64{5*runLen + 3, 9 * runLen, 40*runLen - 1}
+		for _, seq := range far {
+			p.broadcast(gossip.EventID{Origin: group[1], Seq: seq}, at())
+			deliver(1, seq)
+		}
+		deliver(0, 1<<33)
+		// Origins 0 and 1 broadcast in turn across three blocks of runs,
+		// so their runs alternate within every block; every seq next to
+		// a run boundary is delivered as it is born.
+		for seq := uint64(0); seq < uint64(3*runsPerBlock*runLen/2); seq++ {
+			for o := range 2 {
+				p.broadcast(gossip.EventID{Origin: group[o], Seq: seq}, at())
+				if r := seq % runLen; r == 0 || r == 1 || r == runLen-1 {
+					deliver(o, seq)
+				}
 			}
 		}
-		if got.LatencySnapshot() != want.LatencySnapshot() {
-			t.Fatalf("seed %d: latency distribution differs from the reference", seed)
+		for _, seq := range far {
+			deliver(1, seq)
 		}
-		if got.HopsSnapshot() != want.HopsSnapshot() {
-			t.Fatalf("seed %d: hop distribution differs from the reference", seed)
+		// Every run and block boundary, from both sides, after the fact.
+		for k := uint64(1); k < uint64(3*runsPerBlock/2); k++ {
+			for o := range 2 {
+				deliver(o, k*runLen-1)
+				deliver(o, k*runLen)
+			}
 		}
+		if len(p.got.blocks) < 3 {
+			t.Fatalf("n %d: the scripted calls filled %d blocks, want at least 3", n, len(p.got.blocks))
+		}
+		if got := len(p.got.others); got != len(far)+1 {
+			t.Fatalf("n %d: the map holds %d records, want the %d far seqs", n, got, len(far)+1)
+		}
+		p.check(t, fmt.Sprintf("boundaries, n %d", n))
 	}
 }
 
 // TestDeliverHopAllocFree: recording a delivery of a known event
-// allocates nothing, and new events cost only the slabs' and the
-// index's doublings — a few dozen objects for 10,000 events, not two
-// per event.
+// allocates nothing, and new events cost only the blocks of records
+// and the directories' doublings — a few dozen objects and well under
+// 40 bytes per event for 10,000 events, not two objects per event.
 func TestDeliverHopAllocFree(t *testing.T) {
 	group := members(60)
-	tr, err := NewDeliveryTracker(group)
+	tr, err := NewDeliveryTracker(group, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	known := gossip.EventID{Origin: group[0], Seq: 0}
-	tr.Broadcast(known, epoch)
+	tr.Broadcast(known, 0)
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.DeliverHop(known, i%len(group), epoch.Add(time.Second), 1)
+		tr.DeliverHop(known, i%len(group), time.Second, 1)
 		i++
 	})
 	if allocs != 0 {
@@ -335,15 +437,75 @@ func TestDeliverHopAllocFree(t *testing.T) {
 	for k := 0; k < events; k++ {
 		o := k % len(group)
 		eid := gossip.EventID{Origin: group[o], Seq: uint64(k/len(group)) + 1}
-		tr.DeliverHop(eid, o, epoch, 0)
-		tr.Broadcast(eid, epoch)
-		tr.DeliverHop(eid, (o+1)%len(group), epoch.Add(time.Second), 1)
+		tr.DeliverHop(eid, o, 0, 0)
+		tr.Broadcast(eid, 0)
+		tr.DeliverHop(eid, (o+1)%len(group), time.Second, 1)
 	}
 	runtime.ReadMemStats(&after)
 	if objs := after.Mallocs - before.Mallocs; objs >= 64 {
 		t.Fatalf("tracking %d new events from %d origins allocated %d objects, want fewer than 64", events, len(group), objs)
 	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 400_000 {
+		t.Fatalf("tracking %d new events from %d origins allocated %d bytes, want at most 400,000", events, len(group), bytes)
+	}
 	if got := tr.Results(time.Time{}, time.Time{}, 0).Messages; got != events+1 {
 		t.Fatalf("messages = %d, want %d", got, events+1)
 	}
+}
+
+// BenchmarkDeliverHop records deliveries in the paper's 60-member group
+// over a part's worth of events (60 origins × 256 seqs, all broadcast
+// up front). known: each op delivers an event to a member that has not
+// had it yet, cycling through every (event, member) pair. new: each op
+// is the first sight of an event, which creates its record; the tracker
+// is rebuilt, off the clock, once every event is known.
+func BenchmarkDeliverHop(b *testing.B) {
+	group := members(60)
+	const seqs = 256
+	events := make([]gossip.EventID, 0, len(group)*seqs)
+	for seq := range uint64(seqs) {
+		for _, o := range group {
+			events = append(events, gossip.EventID{Origin: o, Seq: seq})
+		}
+	}
+	fresh := func(broadcast bool) *DeliveryTracker {
+		tr, err := NewDeliveryTracker(group, epoch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if broadcast {
+			for _, id := range events {
+				tr.Broadcast(id, 0)
+			}
+		}
+		return tr
+	}
+	b.Run("known", func(b *testing.B) {
+		tr := fresh(true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for k := 0; k < b.N; k++ {
+			pair := k % (len(events) * len(group))
+			if k > 0 && pair == 0 {
+				b.StopTimer()
+				tr = fresh(true)
+				b.StartTimer()
+			}
+			tr.DeliverHop(events[pair%len(events)], pair/len(events), time.Second, 2)
+		}
+	})
+	b.Run("new", func(b *testing.B) {
+		tr := fresh(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for k := 0; k < b.N; k++ {
+			e := k % len(events)
+			if k > 0 && e == 0 {
+				b.StopTimer()
+				tr = fresh(false)
+				b.StartTimer()
+			}
+			tr.DeliverHop(events[e], e%len(group), time.Second, 2)
+		}
+	})
 }

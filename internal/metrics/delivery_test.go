@@ -24,25 +24,25 @@ func eid(seq uint64) gossip.EventID {
 }
 
 func TestNewDeliveryTrackerValidation(t *testing.T) {
-	if _, err := NewDeliveryTracker(nil); err == nil {
+	if _, err := NewDeliveryTracker(nil, epoch); err == nil {
 		t.Fatal("empty members accepted")
 	}
-	if _, err := NewDeliveryTracker([]gossip.NodeID{"a", "a"}); err == nil {
+	if _, err := NewDeliveryTracker([]gossip.NodeID{"a", "a"}, epoch); err == nil {
 		t.Fatal("duplicate members accepted")
 	}
 }
 
 func TestDeliveryTrackerCoverage(t *testing.T) {
 	group := members(10)
-	tr, err := NewDeliveryTracker(group)
+	tr, err := NewDeliveryTracker(group, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Message 0: all 10 members. Message 1: 9 members. Message 2: 5.
 	for seq, count := range map[uint64]int{0: 10, 1: 9, 2: 5} {
-		tr.Broadcast(eid(seq), epoch)
+		tr.Broadcast(eid(seq), 0)
 		for i := 0; i < count; i++ {
-			tr.DeliverHop(eid(seq), i, epoch.Add(time.Second), -1)
+			tr.DeliverHop(eid(seq), i, time.Second, -1)
 		}
 	}
 	sum := tr.Results(time.Time{}, time.Time{}, 0.95)
@@ -67,16 +67,16 @@ func TestDeliveryTrackerCoverage(t *testing.T) {
 
 func TestDeliveryTrackerThresholdBoundary(t *testing.T) {
 	group := members(20)
-	tr, _ := NewDeliveryTracker(group)
+	tr, _ := NewDeliveryTracker(group, epoch)
 	// Exactly 19/20 = 95%: NOT strictly more than 95%.
-	tr.Broadcast(eid(0), epoch)
+	tr.Broadcast(eid(0), 0)
 	for i := 0; i < 19; i++ {
-		tr.DeliverHop(eid(0), i, epoch, -1)
+		tr.DeliverHop(eid(0), i, 0, -1)
 	}
 	if got := tr.Results(time.Time{}, time.Time{}, 0.95).AtomicityPct; got != 0 {
 		t.Fatalf("19/20 counted as atomic: %v", got)
 	}
-	tr.DeliverHop(eid(0), 19, epoch, -1)
+	tr.DeliverHop(eid(0), 19, 0, -1)
 	if got := tr.Results(time.Time{}, time.Time{}, 0.95).AtomicityPct; got != 100 {
 		t.Fatalf("20/20 not atomic: %v", got)
 	}
@@ -84,12 +84,12 @@ func TestDeliveryTrackerThresholdBoundary(t *testing.T) {
 
 func TestDeliveryTrackerDuplicateAndUnknownDeliveries(t *testing.T) {
 	group := members(4)
-	tr, _ := NewDeliveryTracker(group)
-	tr.Broadcast(eid(0), epoch)
-	tr.DeliverHop(eid(0), 1, epoch, -1)
-	tr.DeliverHop(eid(0), 1, epoch, -1)          // duplicate
-	tr.DeliverHop(eid(0), len(group), epoch, -1) // not a member
-	tr.DeliverHop(eid(0), -1, epoch, -1)
+	tr, _ := NewDeliveryTracker(group, epoch)
+	tr.Broadcast(eid(0), 0)
+	tr.DeliverHop(eid(0), 1, 0, -1)
+	tr.DeliverHop(eid(0), 1, 0, -1)          // duplicate
+	tr.DeliverHop(eid(0), len(group), 0, -1) // not a member
+	tr.DeliverHop(eid(0), -1, 0, -1)
 	got := tr.Results(time.Time{}, time.Time{}, 0)
 	if got.MeanReceiversPct != 25 {
 		t.Fatalf("mean = %v, want 25", got.MeanReceiversPct)
@@ -101,11 +101,11 @@ func TestDeliveryTrackerDuplicateAndUnknownDeliveries(t *testing.T) {
 
 func TestDeliveryTrackerHorizonFiltering(t *testing.T) {
 	group := members(2)
-	tr, _ := NewDeliveryTracker(group)
-	tr.Broadcast(eid(0), epoch.Add(1*time.Second))
-	tr.Broadcast(eid(1), epoch.Add(10*time.Second))
-	tr.DeliverHop(eid(0), 0, epoch, -1)
-	tr.DeliverHop(eid(1), 0, epoch, -1)
+	tr, _ := NewDeliveryTracker(group, epoch)
+	tr.Broadcast(eid(0), 1*time.Second)
+	tr.Broadcast(eid(1), 10*time.Second)
+	tr.DeliverHop(eid(0), 0, 0, -1)
+	tr.DeliverHop(eid(1), 0, 0, -1)
 	got := tr.Results(time.Time{}, epoch.Add(5*time.Second), 0)
 	if got.Messages != 1 {
 		t.Fatalf("horizon filter kept %d messages, want 1", got.Messages)
@@ -118,10 +118,10 @@ func TestDeliveryTrackerHorizonFiltering(t *testing.T) {
 
 func TestDeliveryTrackerDeliverBeforeBroadcast(t *testing.T) {
 	group := members(2)
-	tr, _ := NewDeliveryTracker(group)
+	tr, _ := NewDeliveryTracker(group, epoch)
 	// Origin's local delivery can reach the tracker before Broadcast.
-	tr.DeliverHop(eid(0), 0, epoch.Add(time.Second), -1)
-	tr.Broadcast(eid(0), epoch)
+	tr.DeliverHop(eid(0), 0, time.Second, -1)
+	tr.Broadcast(eid(0), 0)
 	got := tr.Results(time.Time{}, time.Time{}, 0)
 	if got.Messages != 1 || got.MeanReceiversPct != 50 {
 		t.Fatalf("got %+v", got)
@@ -130,16 +130,16 @@ func TestDeliveryTrackerDeliverBeforeBroadcast(t *testing.T) {
 
 func TestDeliveryTrackerSeries(t *testing.T) {
 	group := members(4)
-	tr, _ := NewDeliveryTracker(group)
+	tr, _ := NewDeliveryTracker(group, epoch)
 	// Bucket 0: one fully delivered message. Bucket 1: one message at
 	// 50%. Bucket 2: empty.
-	tr.Broadcast(eid(0), epoch)
+	tr.Broadcast(eid(0), 0)
 	for i := range group {
-		tr.DeliverHop(eid(0), i, epoch, -1)
+		tr.DeliverHop(eid(0), i, 0, -1)
 	}
-	tr.Broadcast(eid(1), epoch.Add(11*time.Second))
-	tr.DeliverHop(eid(1), 0, epoch.Add(11*time.Second), -1)
-	tr.DeliverHop(eid(1), 1, epoch.Add(11*time.Second), -1)
+	tr.Broadcast(eid(1), 11*time.Second)
+	tr.DeliverHop(eid(1), 0, 11*time.Second, -1)
+	tr.DeliverHop(eid(1), 1, 11*time.Second, -1)
 
 	series := tr.Series(epoch, epoch.Add(30*time.Second), 10*time.Second, 0.95)
 	if len(series) != 4 {
@@ -161,7 +161,7 @@ func TestDeliveryTrackerSeries(t *testing.T) {
 
 func TestDeliveryTrackerConcurrent(t *testing.T) {
 	group := members(8)
-	tr, _ := NewDeliveryTracker(group)
+	tr, _ := NewDeliveryTracker(group, epoch)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -169,8 +169,8 @@ func TestDeliveryTrackerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := gossip.EventID{Origin: group[g], Seq: uint64(i)}
-				tr.Broadcast(id, epoch)
-				tr.DeliverHop(id, (g+i)%8, epoch, -1)
+				tr.Broadcast(id, 0)
+				tr.DeliverHop(id, (g+i)%8, 0, -1)
 			}
 		}(g)
 	}
@@ -182,17 +182,17 @@ func TestDeliveryTrackerConcurrent(t *testing.T) {
 
 func TestDeliverHopDistributions(t *testing.T) {
 	group := members(4)
-	tr, err := NewDeliveryTracker(group)
+	tr, err := NewDeliveryTracker(group, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Broadcast(eid(1), epoch)
-	tr.DeliverHop(eid(1), 0, epoch, 0)                     // origin: latency 0, hop 0
-	tr.DeliverHop(eid(1), 1, epoch.Add(8*time.Second), 2)  // 8s, 2 hops
-	tr.DeliverHop(eid(1), 1, epoch.Add(9*time.Second), 3)  // duplicate: ignored
-	tr.DeliverHop(eid(1), 4, epoch.Add(time.Second), 1)    // unknown: ignored
-	tr.DeliverHop(eid(1), 2, epoch.Add(2*time.Second), -1) // hop-less: counted, not observed
-	tr.DeliverHop(eid(1), 3, epoch.Add(16*time.Second), 4)
+	tr.Broadcast(eid(1), 0)
+	tr.DeliverHop(eid(1), 0, 0, 0)              // origin: latency 0, hop 0
+	tr.DeliverHop(eid(1), 1, 8*time.Second, 2)  // 8s, 2 hops
+	tr.DeliverHop(eid(1), 1, 9*time.Second, 3)  // duplicate: ignored
+	tr.DeliverHop(eid(1), 4, time.Second, 1)    // unknown: ignored
+	tr.DeliverHop(eid(1), 2, 2*time.Second, -1) // hop-less: counted, not observed
+	tr.DeliverHop(eid(1), 3, 16*time.Second, 4)
 
 	lat, hops := tr.LatencySnapshot(), tr.HopsSnapshot()
 	if lat.Count != 3 || hops.Count != 3 {

@@ -100,6 +100,10 @@ func NewScheduler(start time.Time) *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.base.Add(time.Duration(s.now)) }
 
+// Elapsed returns the virtual time passed since the scheduler's start,
+// without building a time.Time.
+func (s *Scheduler) Elapsed() time.Duration { return time.Duration(s.now) }
+
 // Len reports the number of pending events. Cancelled events are
 // released at Cancel time and never count.
 func (s *Scheduler) Len() int { return len(s.heap) }

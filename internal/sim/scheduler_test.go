@@ -18,6 +18,9 @@ func TestSchedulerOrdering(t *testing.T) {
 	if got := s.Now(); !got.Equal(Epoch.Add(3 * time.Second)) {
 		t.Fatalf("now = %v", got)
 	}
+	if got := s.Elapsed(); got != 3*time.Second {
+		t.Fatalf("elapsed = %v, want 3s", got)
+	}
 }
 
 func TestSchedulerFIFOWithinInstant(t *testing.T) {
