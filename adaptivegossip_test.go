@@ -124,11 +124,15 @@ func TestClusterDisseminates(t *testing.T) {
 	}
 }
 
-// disseminationScenario runs the same workload against a cluster over
-// any transport fabric: every node publishes once, every event must
-// reach every node exactly once.
-func disseminationScenario(t *testing.T, fabric Transport) {
-	t.Helper()
+// TestClusterOverUDPTransport runs a cluster over a UDP fabric handed
+// in through WithTransport, exercising the pluggable Transport seam end
+// to end: every node publishes once, every event must reach every node
+// exactly once.
+func TestClusterOverUDPTransport(t *testing.T) {
+	fabric, err := NewUDPTransport(WithTransportSeed(17))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const nodes = 6
 	var mu sync.Mutex
 	perEvent := map[EventID]int{}
@@ -183,26 +187,6 @@ func disseminationScenario(t *testing.T, fabric Transport) {
 			t.Fatalf("event %v delivered %d times across %d nodes", id, count, nodes)
 		}
 	}
-}
-
-// TestClusterOverMemoryAndUDPTransports is the tentpole acceptance
-// check: the identical cluster scenario runs over both built-in public
-// transports, exercising the pluggable Transport seam end to end.
-func TestClusterOverMemoryAndUDPTransports(t *testing.T) {
-	t.Run("memory", func(t *testing.T) {
-		fabric, err := NewMemTransport(WithTransportSeed(17))
-		if err != nil {
-			t.Fatal(err)
-		}
-		disseminationScenario(t, fabric)
-	})
-	t.Run("udp", func(t *testing.T) {
-		fabric, err := NewUDPTransport(WithTransportSeed(17))
-		if err != nil {
-			t.Fatal(err)
-		}
-		disseminationScenario(t, fabric)
-	})
 }
 
 // TestEventsStreamMatchesCallback asserts the acceptance criterion
@@ -336,7 +320,7 @@ func TestClusterRecoversUnderLoss(t *testing.T) {
 	cfg.Recovery.Enabled = true
 
 	// Loss injection now lives on the transport, not the cluster.
-	fabric, err := NewMemTransport(WithTransportSeed(11), WithLoss(0.3))
+	fabric, err := NewUDPTransport(WithTransportSeed(11), WithLoss(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +385,7 @@ func TestClusterValidation(t *testing.T) {
 	// A transport handed over via WithTransport is owned by the group
 	// even when construction fails: the fabric must be closed, not
 	// leaked back to the caller.
-	tr, err := NewMemTransport()
+	tr, err := NewUDPTransport()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +395,7 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := tr.Endpoint("probe"); err == nil {
 		t.Fatal("fabric still open after failed construction")
 	}
-	tr, err = NewMemTransport()
+	tr, err = NewUDPTransport()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,20 +409,14 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestTransportOptionValidation(t *testing.T) {
-	if _, err := NewMemTransport(WithLoss(2)); err == nil {
+	if _, err := NewUDPTransport(WithLoss(2)); err == nil {
 		t.Fatal("invalid loss accepted")
 	}
-	if _, err := NewMemTransport(WithLatency(5, 1)); err == nil {
-		t.Fatal("invalid latency accepted")
+	if _, err := NewUDPTransport(WithBind("")); err == nil {
+		t.Fatal("empty bind address accepted")
 	}
-	if _, err := NewMemTransport(WithBind("127.0.0.1:0")); err == nil {
-		t.Fatal("WithBind accepted by memory transport")
-	}
-	if _, err := NewMemTransport(WithMaxDatagram(4096)); err == nil {
-		t.Fatal("WithMaxDatagram accepted by memory transport")
-	}
-	if _, err := NewUDPTransport(WithLatency(0, time.Millisecond)); err == nil {
-		t.Fatal("WithLatency accepted by UDP transport")
+	if _, err := NewUDPTransport(WithRecvQueue(0)); err == nil {
+		t.Fatal("empty receive queue accepted")
 	}
 	if _, err := NewUDPTransport(WithMaxDatagram(16)); err == nil {
 		t.Fatal("tiny max datagram accepted")
@@ -669,12 +647,8 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode("x", Config{}, WithNamePrefix("n-")); err == nil {
 		t.Fatal("WithNamePrefix accepted by NewNode")
 	}
-	// WithPeers needs an address book; the memory fabric has none.
-	mem, err := NewMemTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNode("x", Config{}, WithTransport(mem),
+	// WithPeers needs an address book; a custom fabric may have none.
+	if _, err := NewNode("x", Config{}, WithTransport(&stubWireTransport{}),
 		WithPeers(map[string]string{"y": "127.0.0.1:1"})); err == nil {
 		t.Fatal("WithPeers accepted on a transport without an address book")
 	}
@@ -698,13 +672,9 @@ func TestNodeAddPeerValidatesAddresses(t *testing.T) {
 		t.Fatalf("failed AddPeer still grew the member set: %v", udp.Members())
 	}
 
-	// The memory fabric routes by id: no address book, so a non-empty
-	// address is an error and "" is the way to add members.
-	mem, err := NewMemTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewNode("mem-node", Config{}, WithTransport(mem))
+	// A custom fabric that routes by id has no address book, so a
+	// non-empty address is an error and "" is the way to add members.
+	node, err := NewNode("id-routed", Config{}, WithTransport(&stubWireTransport{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -761,7 +731,7 @@ func TestSimulateRealtimeFacade(t *testing.T) {
 }
 
 // TestClusterFailureDetectionHealthy exercises the public detector
-// knob end to end: in a healthy in-memory cluster the detector probes
+// knob end to end: in a healthy loopback cluster the detector probes
 // continuously but must never bury a live member, and dissemination
 // keeps working with the probe traffic in the mix.
 func TestClusterFailureDetectionHealthy(t *testing.T) {

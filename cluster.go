@@ -10,10 +10,10 @@ import (
 )
 
 // Cluster is an in-process broadcast group: one goroutine-driven node
-// per member, connected by a pluggable message fabric — the in-memory
-// fabric by default, real loopback UDP (or any custom Transport) via
-// WithTransport. It is the quickest way to exercise the protocol and
-// the backbone of the examples.
+// per member, connected by a pluggable message fabric — real loopback
+// UDP by default, any custom Transport via WithTransport. It is the
+// quickest way to exercise the protocol and the backbone of the
+// examples.
 type Cluster struct {
 	g       *group
 	names   []NodeID

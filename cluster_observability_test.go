@@ -41,13 +41,12 @@ func peersSorted(t *testing.T, facade string, peers []PeerLinkStats) {
 // TestPeerStatsAcrossFacades: both facades fill Stats.Peers through
 // the same peer-table seam — sorted rows, per-peer send/receive and
 // fan-out counters — so per-link monitoring code is deployment
-// agnostic. The in-process fabric moves no wire bytes, so the byte
-// counters stay zero there.
+// agnostic.
 func TestPeerStatsAcrossFacades(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Cluster over the memory fabric.
+	// Cluster over the default loopback UDP fabric.
 	cluster, err := NewCluster(3, fastConfig(), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +62,8 @@ func TestPeerStatsAcrossFacades(t *testing.T) {
 			return false
 		}
 		for _, p := range st.Peers {
-			if p.MessagesSent == 0 || p.FanoutSends == 0 || p.MessagesReceived == 0 {
+			if p.MessagesSent == 0 || p.FanoutSends == 0 || p.MessagesReceived == 0 ||
+				p.BytesSent == 0 || p.BytesReceived == 0 {
 				return false
 			}
 		}
@@ -71,13 +71,7 @@ func TestPeerStatsAcrossFacades(t *testing.T) {
 	}) {
 		t.Fatalf("cluster peer telemetry never populated: %+v", cluster.Stats().Peers)
 	}
-	st := cluster.Stats()
-	peersSorted(t, "cluster", st.Peers)
-	for _, p := range st.Peers {
-		if p.BytesSent != 0 || p.BytesReceived != 0 {
-			t.Fatalf("memory fabric reported wire bytes for %s: %+v", p.Peer, p)
-		}
-	}
+	peersSorted(t, "cluster", cluster.Stats().Peers)
 
 	// Node pair over real UDP: byte counters must move.
 	cfg := fastConfig()
@@ -199,8 +193,8 @@ func TestForgedSendersLeaveRowsForRealPeers(t *testing.T) {
 	}) {
 		t.Fatalf("alpha has no live row for beta after %d forged senders (%d rows)", forged, len(a.Stats().Peers))
 	}
-	if st := a.Stats(); len(st.Peers) != 1 || st.Wire.DecodeErrors != 0 || st.RecvQueueDrops != 0 {
-		t.Fatalf("%d peer rows (want beta's alone), %d decode errors, %d queue drops", len(st.Peers), st.Wire.DecodeErrors, st.RecvQueueDrops)
+	if st := a.Stats(); len(st.Peers) != 1 || st.Wire.DecodeErrors != 0 || st.Wire.RecvQueueDrops != 0 {
+		t.Fatalf("%d peer rows (want beta's alone), %d decode errors, %d queue drops", len(st.Peers), st.Wire.DecodeErrors, st.Wire.RecvQueueDrops)
 	}
 }
 

@@ -306,7 +306,7 @@ func figure9rt(base experiments.Config, buffers []int, seeds int, scale float64)
 func figure9rtWithFit(base experiments.Config, fig4 []experiments.Figure4Row, scale float64) error {
 	cfg := experiments.DefaultFigure9Config(base)
 	cfg.IdealFor = experiments.Figure4Fit(fig4)
-	fmt.Printf("# Figure 9 (real-time prototype run, %d goroutine nodes, scale ×%.0f)\n", base.N, scale)
+	fmt.Printf("# Figure 9 (real-time prototype run, %d nodes over loopback UDP, scale ×%.0f)\n", base.N, scale)
 	res, err := experiments.RunFigure9Runtime(cfg, scale)
 	if err != nil {
 		return err

@@ -27,7 +27,7 @@ func TestTransportConfigValidate(t *testing.T) {
 
 // TestWithCompressionOption: Config.Transport.Compression is the one way
 // to pick a compressor. Unknown names are refused, the UDP fabric takes
-// flate, and the explicit "none" is fine on the memory fabric.
+// flate, and the explicit "none" is fine on a custom fabric.
 func TestWithCompressionOption(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Transport.Compression = "bogus"
@@ -44,48 +44,46 @@ func TestWithCompressionOption(t *testing.T) {
 		t.Fatalf("UDP fabric rejected flate: %v", err)
 	}
 	node.Close()
-	cfg.Transport.Compression = "none"
 	cluster, err := NewCluster(3, cfg)
 	if err != nil {
-		t.Fatalf("memory fabric rejected compression %q: %v", "none", err)
+		t.Fatalf("default fabric rejected flate: %v", err)
+	}
+	cluster.Close()
+	cfg.Transport.Compression = "none"
+	cluster, err = NewCluster(3, cfg, WithTransport(&fakeSeamlessTransport{}))
+	if err != nil {
+		t.Fatalf("custom fabric rejected compression %q: %v", "none", err)
 	}
 	cluster.Close()
 }
 
-// TestConfigCompressionNeedsSeam: asking for compression on a fabric
-// that cannot serialize (memory) or that has no seam (custom) must fail
-// construction, never silently send uncompressed.
+// TestConfigCompressionNeedsSeam: asking a custom fabric for
+// compression — only the built-in UDP fabric compresses — must fail
+// construction of either facade, never silently send uncompressed, and
+// the rejected fabric is closed.
 func TestConfigCompressionNeedsSeam(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Transport.Compression = "flate"
-	if _, err := NewCluster(3, cfg); err == nil ||
-		!strings.Contains(err.Error(), "memory transport") {
-		t.Fatalf("cluster over memory fabric accepted compression: %v", err)
-	}
-	mem, err := NewMemTransport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNode("x", cfg, WithTransport(mem)); err == nil ||
-		!strings.Contains(err.Error(), "memory transport") {
-		t.Fatalf("node over memory fabric accepted compression: %v", err)
-	}
-	custom := &fakeSeamlessTransport{}
-	if _, err := NewCluster(3, cfg, WithTransport(custom)); err == nil ||
-		!strings.Contains(err.Error(), "compression seam") {
-		t.Fatalf("custom fabric without a seam accepted compression: %v", err)
-	}
-	if !custom.closed.Load() {
-		t.Fatal("rejected custom fabric was not closed")
+	for facade, build := range map[string]func(Transport) error{
+		"cluster": func(tr Transport) error { _, err := NewCluster(3, cfg, WithTransport(tr)); return err },
+		"node":    func(tr Transport) error { _, err := NewNode("x", cfg, WithTransport(tr)); return err },
+	} {
+		custom := &fakeSeamlessTransport{}
+		if err := build(custom); err == nil || !strings.Contains(err.Error(), "built-in UDP fabric") {
+			t.Fatalf("%s over a custom fabric accepted compression: %v", facade, err)
+		}
+		if !custom.closed.Load() {
+			t.Fatalf("custom fabric rejected by the %s was not closed", facade)
+		}
 	}
 }
 
-// fakeSeamlessTransport is a minimal custom Transport with no
-// compression seam.
+// fakeSeamlessTransport is a minimal custom Transport that cannot
+// compress; its endpoints discard what they are sent.
 type fakeSeamlessTransport struct{ closed atomic.Bool }
 
 func (f *fakeSeamlessTransport) Endpoint(id NodeID) (Endpoint, error) {
-	return nil, nil
+	return &stubWireEndpoint{id: id}, nil
 }
 func (f *fakeSeamlessTransport) Close() error {
 	f.closed.Store(true)

@@ -228,11 +228,10 @@ type Config struct {
 type TransportConfig struct {
 	// Compression names the payload compression applied to the event
 	// section of every encoded message (wire v5): "" or "none" for
-	// uncompressed frames, "flate" for DEFLATE. Requires a fabric that
-	// serializes and exposes the compression seam — the built-in UDP
-	// transport; the memory fabric and seam-less custom fabrics reject
-	// real compression at construction. Decoding always accepts
-	// compressed frames regardless of this setting.
+	// uncompressed frames, "flate" for DEFLATE. Requires the built-in
+	// UDP transport; custom fabrics reject real compression at
+	// construction. Decoding always accepts compressed frames regardless
+	// of this setting.
 	Compression string
 }
 
@@ -338,11 +337,13 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 }
 
 // SimulateRealtime runs the same experiment on the goroutine runtime
-// over the in-memory transport — the paper's prototype-validation mode.
-// Durations are wall-clock; scale them down accordingly. It is the same
+// over loopback UDP — the paper's prototype-validation mode. Durations
+// are wall-clock; scale them down accordingly. It is the same
 // experiment body as Simulate on a different clock and fabric, so it
-// honours the Crashes, Restarts and Joins schedules and fills every
-// result field but Network, which counts the simulated fabric.
+// honours the Crashes, Restarts and Joins schedules and Loss (injected
+// on send), and fills every result field but Network, which counts the
+// simulated fabric. LatencyMin and LatencyMax are rejected: latency
+// injection is simulator-only.
 func SimulateRealtime(cfg SimConfig) (SimResult, error) {
 	return experiments.RunRuntime(cfg)
 }

@@ -36,12 +36,11 @@
 //
 // # Transports
 //
-// Transport is a public seam: the built-in fabrics are NewMemTransport
-// (in-process, with WithLoss/WithLatency injection) and NewUDPTransport
-// (real datagrams, with WithBind/WithLoss/WithMaxDatagram); any custom
-// fabric — TCP, QUIC, a deterministic mock — plugs in by implementing
-// the two-method Transport interface. The same cluster scenario runs
-// unchanged over memory and UDP.
+// Transport is a public seam: the built-in fabric is NewUDPTransport
+// (real datagrams, with WithBind/WithLoss/WithMaxDatagram), the
+// default of both facades; any custom fabric — TCP, QUIC, a
+// deterministic mock — plugs in by implementing the two-method
+// Transport interface.
 //
 // # Delivery streams and callbacks
 //

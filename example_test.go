@@ -83,45 +83,6 @@ func ExampleNewNode() {
 	// Output: beta received "over the wire"
 }
 
-// ExampleNewMemTransport plugs the in-memory fabric in explicitly —
-// with loss injection, forcing the anti-entropy subsystem to repair
-// the gaps.
-func ExampleNewMemTransport() {
-	fabric, err := adaptivegossip.NewMemTransport(
-		adaptivegossip.WithTransportSeed(7),
-		adaptivegossip.WithLoss(0.2),
-		adaptivegossip.WithLatency(0, time.Millisecond),
-	)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := exampleConfig()
-	cfg.Recovery.Enabled = true
-	cluster, err := adaptivegossip.NewCluster(4, cfg,
-		adaptivegossip.WithSeed(7),
-		adaptivegossip.WithTransport(fabric)) // the cluster now owns it
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cluster.Close()
-	ctx := context.Background()
-	events := cluster.Events(ctx)
-	if err := cluster.Start(ctx); err != nil {
-		log.Fatal(err)
-	}
-
-	cluster.Publish(0, []byte("survives loss"))
-	reached := map[adaptivegossip.NodeID]bool{}
-	for d := range events {
-		reached[d.Node] = true
-		if len(reached) == cluster.Len() {
-			break
-		}
-	}
-	fmt.Printf("delivered to %d nodes despite 20%% loss\n", len(reached))
-	// Output: delivered to 4 nodes despite 20% loss
-}
-
 // ExampleNewUDPTransport binds a production-style listen address
 // explicitly and hands the fabric to a node.
 func ExampleNewUDPTransport() {

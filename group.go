@@ -66,24 +66,16 @@ func (g *group) fail(err error) error {
 	return err
 }
 
-// open settles the fabric — the facade's default (UDP for a Node, the
-// memory fabric otherwise, seeded with fabricSeed) unless WithTransport
-// supplied one — and builds the instrumentation.
+// open settles the fabric — the loopback UDP fabric seeded with
+// fabricSeed unless WithTransport supplied one — and builds the
+// instrumentation.
 func (g *group) open(cfg Config, fabricSeed int64) error {
 	if g.fabric == nil {
-		if g.opts.kind == facadeNode {
-			udp, err := NewUDPTransport(WithTransportSeed(fabricSeed))
-			if err != nil {
-				return err
-			}
-			g.fabric = udp
-		} else {
-			mem, err := NewMemTransport(WithTransportSeed(fabricSeed))
-			if err != nil {
-				return err
-			}
-			g.fabric = mem
+		udp, err := NewUDPTransport(WithTransportSeed(fabricSeed))
+		if err != nil {
+			return err
 		}
+		g.fabric = udp
 	}
 	if err := applyTransportConfig(g.fabric, cfg.Transport); err != nil {
 		return err
@@ -142,7 +134,7 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 		Tracer:        g.obs.tracer(),
 		Links:         g.obs.peers,
 		Health:        cfg.Observability.healthParams(),
-		HealthAugment: healthAugment(ep, g.fabric),
+		HealthAugment: healthAugment(ep),
 		Start:         time.Now(),
 	})
 	if err != nil {

@@ -23,7 +23,8 @@ import (
 )
 
 // Config describes one experiment run. Run executes it in the simulator
-// and RunRuntime in real time; both honour every field.
+// and RunRuntime in real time; both honour every field but
+// LatencyMin/LatencyMax, which RunRuntime rejects.
 type Config struct {
 	// N is the group size (paper: 60).
 	N int
@@ -63,7 +64,8 @@ type Config struct {
 	Drain time.Duration
 	// Seed drives all randomness.
 	Seed int64
-	// LatencyMin/LatencyMax bound network delay (uniform).
+	// LatencyMin/LatencyMax bound network delay (uniform). Simulator
+	// only.
 	LatencyMin time.Duration
 	LatencyMax time.Duration
 	// Loss is the iid message loss probability.

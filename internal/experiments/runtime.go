@@ -7,11 +7,13 @@ import (
 
 // RunRuntime executes the same experiment as Run — the same body, every
 // schedule and every result field included — on the real-time goroutine
-// runtime over the in-memory transport: the "prototype implementation"
-// half of the paper's evaluation. All durations in cfg are wall-clock
-// here, so callers scale the paper's 5-second period down (e.g. to 50ms)
-// to keep runs short; the protocol depends on rounds, not on wall
-// seconds. RunResult.Network stays zero: it counts the simulated fabric.
+// runtime over loopback UDP: the "prototype implementation" half of the
+// paper's evaluation. All durations in cfg are wall-clock here, so
+// callers scale the paper's 5-second period down (e.g. to 50ms) to keep
+// runs short; the protocol depends on rounds, not on wall seconds. Loss
+// drops datagrams on send; LatencyMin/LatencyMax are rejected, since
+// latency injection is simulator-only. RunResult.Network stays zero: it
+// counts the simulated fabric.
 func RunRuntime(cfg Config) (RunResult, error) { return run(cfg, newWallWorld) }
 
 // RunFigure9Runtime replays the dynamic-buffer scenario on the

@@ -3,9 +3,11 @@ package experiments
 import (
 	goruntime "runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/race"
 	"adaptivegossip/internal/workload"
 )
@@ -64,6 +66,72 @@ func TestRunRuntimeInvalidConfig(t *testing.T) {
 	cfg.N = 0
 	if _, err := RunRuntime(cfg); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	cfg = runtimeConfig()
+	cfg.LatencyMax = time.Millisecond
+	if _, err := RunRuntime(cfg); err == nil || !strings.Contains(err.Error(), "simulator-only") {
+		t.Fatalf("latency injection in real time: err = %v, want a simulator-only error", err)
+	}
+}
+
+// pinger sends a message to peer every round and counts what it
+// receives.
+type pinger struct {
+	id, peer gossip.NodeID
+	received atomic.Uint64
+}
+
+func (p *pinger) ID() gossip.NodeID { return p.id }
+func (p *pinger) Tick(time.Time) []gossip.Outgoing {
+	return []gossip.Outgoing{{To: p.peer, Msg: &gossip.Message{From: p.id}}}
+}
+func (p *pinger) Receive(*gossip.Message, time.Time) []gossip.Outgoing {
+	p.received.Add(1)
+	return nil
+}
+
+// TestWallWorldCrashKeepsEndpoint: a member set down receives nothing
+// while its endpoint drops what is sent to it (counted as NoHandler),
+// and after setDown(i, false) it receives again at the same address.
+func TestWallWorldCrashKeepsEndpoint(t *testing.T) {
+	cfg := Config{Period: 5 * time.Millisecond, Seed: 1}
+	ww, err := newWallWorld(cfg, []gossip.NodeID{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ww.(*wall)
+	defer w.close()
+	a, b := &pinger{id: "a", peer: "b"}, &pinger{id: "b", peer: "a"}
+	for i, m := range []gossip.Machine{a, b} {
+		if err := w.start(i, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("b to receive", func() bool { return b.received.Load() > 0 })
+
+	ep, addr := w.endpoints[1], w.endpoints[1].Addr().String()
+	w.setDown(1, true)
+	down := b.received.Load()
+	dropped := ep.Stats().NoHandler
+	waitFor("a's rounds to reach the crashed endpoint", func() bool { return ep.Stats().NoHandler >= dropped+5 })
+	if got := b.received.Load(); got != down {
+		t.Fatalf("a crashed member received %d messages", got-down)
+	}
+
+	w.setDown(1, false)
+	waitFor("b to receive after the restart", func() bool { return b.received.Load() > down })
+	if w.endpoints[1] != ep || ep.Addr().String() != addr {
+		t.Fatalf("restarted at %v, want the endpoint bound at %s", w.endpoints[1].Addr(), addr)
 	}
 }
 

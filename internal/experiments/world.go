@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -92,20 +93,20 @@ func (v *virtual) publisher(_ int, publish workload.PublishFunc) workload.Publis
 	return publish
 }
 
-// wall is the prototype: wall-clock timers, the in-memory transport and
-// one runtime.Runner goroutine per member. All Config durations are real
-// time here. after callbacks are handed to the goroutine inside runUntil,
-// so run's schedule state needs no lock, and that goroutine is the only
-// caller of do, setDown and start: a member's runner is either the one
-// this goroutine last stored or nil (not started, or down), and nil
-// means nothing else touches the node.
+// wall is the prototype: wall-clock timers, one loopback UDP endpoint
+// and one runtime.Runner goroutine per member. All Config durations are
+// real time here. after callbacks are handed to the goroutine inside
+// runUntil, so run's schedule state needs no lock, and that goroutine
+// is the only caller of do, setDown and start: a member's runner is
+// either the one this goroutine last stored or nil (not started, or
+// down), and nil means nothing else touches the node.
 type wall struct {
 	cfg       Config
 	epoch     time.Time
 	names     []gossip.NodeID
-	net       *transport.MemNetwork
+	net       *transport.UDPNetwork
 	machines  []gossip.Machine
-	endpoints []*transport.MemEndpoint
+	endpoints []*transport.UDPTransport
 	runners   []*runtime.Runner
 	due       chan func()
 	closed    chan struct{}
@@ -113,24 +114,16 @@ type wall struct {
 }
 
 func newWallWorld(cfg Config, names []gossip.NodeID) (world, error) {
-	opts := []transport.MemOption{transport.WithMemSeed(uint64(cfg.Seed) + 1)}
-	if cfg.LatencyMax > 0 {
-		opts = append(opts, transport.WithMemLatency(cfg.LatencyMin, cfg.LatencyMax))
-	}
-	if cfg.Loss > 0 {
-		opts = append(opts, transport.WithMemLoss(cfg.Loss))
-	}
-	net, err := transport.NewMemNetwork(opts...)
-	if err != nil {
-		return nil, err
+	if cfg.LatencyMin > 0 || cfg.LatencyMax > 0 {
+		return nil, fmt.Errorf("experiments: LatencyMin/LatencyMax: latency injection is simulator-only; the real-time world runs over loopback UDP")
 	}
 	return &wall{
 		cfg:       cfg,
 		epoch:     time.Now(),
 		names:     names,
-		net:       net,
+		net:       transport.NewUDPNetwork(transport.UDPNetworkConfig{Seed: uint64(cfg.Seed) + 1, Loss: cfg.Loss}),
 		machines:  make([]gossip.Machine, len(names)),
-		endpoints: make([]*transport.MemEndpoint, len(names)),
+		endpoints: make([]*transport.UDPTransport, len(names)),
 		runners:   make([]*runtime.Runner, len(names)),
 		due:       make(chan func()),
 		closed:    make(chan struct{}),
@@ -163,10 +156,20 @@ func (w *wall) runUntil(t time.Time) {
 	}
 }
 
+// start binds member i's endpoint on first use — every endpoint joins
+// the mesh, so members started later are reachable at once — and runs
+// a fresh runner over it.
 func (w *wall) start(i int, m gossip.Machine) error {
-	ep, err := w.net.Endpoint(w.names[i])
-	if err != nil {
-		return err
+	ep := w.endpoints[i]
+	if ep == nil {
+		var err error
+		if ep, err = w.net.Endpoint(w.names[i]); err != nil {
+			return err
+		}
+		if err := ep.Start(); err != nil {
+			return err
+		}
+		w.endpoints[i] = ep
 	}
 	r, err := runtime.NewRunner(runtime.Config{
 		Node:      m,
@@ -175,10 +178,9 @@ func (w *wall) start(i int, m gossip.Machine) error {
 		PhaseSeed: uint64(w.cfg.Seed)*1_000_003 + uint64(i) + 1,
 	})
 	if err != nil {
-		ep.Close()
 		return err
 	}
-	w.machines[i], w.endpoints[i], w.runners[i] = m, ep, r
+	w.machines[i], w.runners[i] = m, r
 	r.Start()
 	return nil
 }
@@ -191,9 +193,12 @@ func (w *wall) do(i int, fn func()) {
 	}
 }
 
-// setDown crashes a member by stopping its runner and closing its
-// endpoint (sends to it now fail), and revives it with a fresh endpoint
-// and runner over the same machine, as a restarted process would get.
+// setDown crashes a member by detaching its endpoint's handlers (what
+// arrives is counted as NoHandler and dropped) and stopping its runner,
+// and revives it with a fresh runner over the same machine and
+// endpoint, as a restarted process would get. The socket stays bound
+// while the member is down, so its address is never handed to anyone
+// else.
 func (w *wall) setDown(i int, down bool) {
 	if !down {
 		if err := w.start(i, w.machines[i]); err != nil {
@@ -202,8 +207,9 @@ func (w *wall) setDown(i int, down bool) {
 		return
 	}
 	if r := w.runners[i]; r != nil {
+		w.endpoints[i].SetHandler(nil)
+		w.endpoints[i].SetInboundHandler(nil)
 		r.Stop()
-		w.endpoints[i].Close()
 		w.runners[i] = nil
 	}
 }

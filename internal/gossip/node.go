@@ -368,11 +368,10 @@ func (n *Node) Broadcast(payload []byte) Event {
 // entries share, and every slice reachable from that Message are
 // scratch state owned by the node, valid only until the next Tick on
 // the same node. Drivers must finish delivering (or copy, see
-// Message.Clone) before then. The in-process fabrics honor this: the
+// Message.Clone) before then. The built-in fabrics honor this: the
 // simulator delivers within the sending round whenever network latency
-// is below the gossip period (sim.Network.Drive copies otherwise), the
-// memory transport clones on send, and the UDP transport encodes
-// synchronously.
+// is below the gossip period (sim.Network.Drive copies otherwise), and
+// the UDP transport encodes synchronously.
 //
 // The driver is responsible for calling Tick every Period.
 func (n *Node) Tick() []Outgoing {

@@ -225,15 +225,11 @@ func TestRunnerHandoffAllocFree(t *testing.T) {
 // on a started runner that is otherwise idle (AllocsPerRun counts the
 // whole process), with fn built once as the callers that matter do.
 func TestRunnerDoAllocFree(t *testing.T) {
-	net, err := transport.NewMemNetwork()
+	ep, err := transport.NewUDPTransport("rx", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
-	ep, err := net.Endpoint("rx")
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer ep.Close()
 	r, err := NewRunner(Config{Node: &checkingMachine{}, Transport: ep, Period: time.Hour})
 	if err != nil {
 		t.Fatal(err)

@@ -44,12 +44,9 @@ func (l liveNode) minBuff() int {
 	return read(l, (*core.AdaptiveNode).MinBuffEstimate)
 }
 
-func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]liveNode, *transport.MemNetwork) {
+func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) []liveNode {
 	t.Helper()
-	net, err := transport.NewMemNetwork(WithClusterSeed())
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := transport.NewUDPNetwork(transport.UDPNetworkConfig{})
 	names := make([]gossip.NodeID, n)
 	for i := range names {
 		names[i] = gossip.NodeID(fmt.Sprintf("n%02d", i))
@@ -76,6 +73,9 @@ func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]li
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ep.Start(); err != nil {
+			t.Fatal(err)
+		}
 		r, err := NewRunner(Config{Node: node, Transport: ep, Period: period})
 		if err != nil {
 			t.Fatal(err)
@@ -88,16 +88,15 @@ func testCluster(t *testing.T, n int, adaptive bool, period time.Duration) ([]li
 		}
 		net.Close()
 	})
-	return runners, net
+	return runners
 }
 
-// WithClusterSeed keeps the fabric deterministic where possible.
-func WithClusterSeed() transport.MemOption { return transport.WithMemSeed(1234) }
-
 func TestNewRunnerValidation(t *testing.T) {
-	net, _ := transport.NewMemNetwork()
-	defer net.Close()
-	ep, _ := net.Endpoint("a")
+	ep, err := transport.NewUDPTransport("a", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
 	reg := membership.NewRegistry("a", "b")
 	node, err := core.NewAdaptiveNode(core.NodeConfig{
 		ID:     "a",
@@ -120,7 +119,7 @@ func TestNewRunnerValidation(t *testing.T) {
 }
 
 func TestRunnerDisseminates(t *testing.T) {
-	runners, _ := testCluster(t, 8, false, 25*time.Millisecond)
+	runners := testCluster(t, 8, false, 25*time.Millisecond)
 	for _, r := range runners {
 		r.Start()
 	}
@@ -149,7 +148,7 @@ func TestRunnerDisseminates(t *testing.T) {
 }
 
 func TestRunnerStopIsIdempotentAndBeforeStart(t *testing.T) {
-	runners, _ := testCluster(t, 2, false, 50*time.Millisecond)
+	runners := testCluster(t, 2, false, 50*time.Millisecond)
 	r := runners[0]
 	r.Stop() // before Start: no hang
 	r.Stop()
@@ -167,7 +166,7 @@ func TestRunnerStopIsIdempotentAndBeforeStart(t *testing.T) {
 }
 
 func TestRunnerSnapshotAndCapacity(t *testing.T) {
-	runners, _ := testCluster(t, 2, true, 30*time.Millisecond)
+	runners := testCluster(t, 2, true, 30*time.Millisecond)
 	r := runners[0]
 	r.Start()
 	if got := read(r, (*core.AdaptiveNode).BufferCapacity); got != 30 {
@@ -188,7 +187,7 @@ func TestRunnerSnapshotAndCapacity(t *testing.T) {
 }
 
 func TestRunnerTicksHappen(t *testing.T) {
-	runners, _ := testCluster(t, 3, false, 20*time.Millisecond)
+	runners := testCluster(t, 3, false, 20*time.Millisecond)
 	for _, r := range runners {
 		r.Start()
 	}
@@ -201,7 +200,7 @@ func TestRunnerTicksHappen(t *testing.T) {
 }
 
 func TestRunnerAdaptiveHeadersFlow(t *testing.T) {
-	runners, _ := testCluster(t, 6, true, 20*time.Millisecond)
+	runners := testCluster(t, 6, true, 20*time.Millisecond)
 	for _, r := range runners {
 		r.Start()
 	}
@@ -229,7 +228,7 @@ func TestRunnerAdaptiveHeadersFlow(t *testing.T) {
 }
 
 func TestRunnerPublishThrottlesWhenAdaptive(t *testing.T) {
-	runners, _ := testCluster(t, 2, true, 30*time.Millisecond)
+	runners := testCluster(t, 2, true, 30*time.Millisecond)
 	r := runners[0]
 	r.Start()
 	admitted := 0

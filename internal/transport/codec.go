@@ -1,8 +1,8 @@
 // Package transport carries gossip messages between nodes: a versioned
-// binary wire codec, an in-memory network with injectable latency and
-// loss (the fabric for in-process clusters), and a UDP transport with
-// datagram splitting (the fabric for real deployments, standing in for
-// the paper's 60-workstation Ethernet testbed).
+// binary wire codec and a UDP transport with datagram splitting and
+// injectable send loss, meshed into in-process groups by UDPNetwork
+// (the one real-time fabric, standing in for the paper's
+// 60-workstation Ethernet testbed).
 package transport
 
 import (

@@ -98,69 +98,3 @@ func TestUDPPeerTelemetryLossDrops(t *testing.T) {
 		t.Fatalf("loss not attributed: drops=%d sent=%d", ps.Drops.Load(), ps.MessagesSent.Load())
 	}
 }
-
-// TestMemPeerTelemetry: the in-process fabric attributes the same
-// counter families, with byte counters staying zero (no wire).
-func TestMemPeerTelemetry(t *testing.T) {
-	net, err := NewMemNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	a, _ := net.Endpoint("a")
-	b, _ := net.Endpoint("b")
-	aLinks := observe.NewPeerTable(16)
-	bLinks := observe.NewPeerTable(16)
-	a.SetLinks(aLinks)
-	b.SetLinks(bLinks)
-	got := make(chan *gossip.Message, 4)
-	b.SetHandler(func(m *gossip.Message) { got <- m })
-
-	msg := &gossip.Message{From: "a", Round: 1}
-	if n, err := a.SendMany([]gossip.NodeID{"b"}, msg); err != nil || n != 1 {
-		t.Fatalf("SendMany = %d, %v", n, err)
-	}
-	select {
-	case <-got:
-	case <-time.After(3 * time.Second):
-		t.Fatal("mem delivery timed out")
-	}
-
-	as := aLinks.Get("b")
-	if as.MessagesSent.Load() != 1 || as.FanoutSends.Load() != 1 || as.BytesSent.Load() != 0 {
-		t.Fatalf("sender peer stats: %d sent, %d fanout, %d bytes",
-			as.MessagesSent.Load(), as.FanoutSends.Load(), as.BytesSent.Load())
-	}
-	if bs := bLinks.Get("a"); bs.MessagesReceived.Load() != 1 {
-		t.Fatalf("receiver attribution missing: %d", bs.MessagesReceived.Load())
-	}
-
-	if err := a.Send("ghost", msg); err == nil {
-		t.Fatal("unknown endpoint accepted")
-	}
-	if g := aLinks.Get("ghost"); g.SendErrors.Load() != 1 {
-		t.Fatalf("ghost send errors = %d, want 1", g.SendErrors.Load())
-	}
-}
-
-// TestMemPeerTelemetryLoss: fabric loss lands in the sender's per-peer
-// drop counter.
-func TestMemPeerTelemetryLoss(t *testing.T) {
-	net, err := NewMemNetwork(WithMemLoss(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	a, _ := net.Endpoint("a")
-	if _, err := net.Endpoint("b"); err != nil {
-		t.Fatal(err)
-	}
-	links := observe.NewPeerTable(16)
-	a.SetLinks(links)
-	if err := a.Send("b", &gossip.Message{From: "a"}); err != nil {
-		t.Fatal(err)
-	}
-	if ps := links.Get("b"); ps.Drops.Load() != 1 || ps.MessagesSent.Load() != 0 {
-		t.Fatalf("loss not attributed: drops=%d sent=%d", ps.Drops.Load(), ps.MessagesSent.Load())
-	}
-}

@@ -9,9 +9,8 @@ import "adaptivegossip/internal/gossip"
 // take the borrowed path instead; see InboundReceiver.)
 type Handler func(*gossip.Message)
 
-// Transport moves gossip messages between nodes. Implementations:
-// MemEndpoint (in-process fabric with latency/loss injection) and
-// UDPTransport (real datagrams).
+// Transport moves gossip messages between nodes. The built-in
+// implementation is UDPTransport (real datagrams).
 type Transport interface {
 	// LocalID returns the node this endpoint belongs to.
 	LocalID() gossip.NodeID
@@ -29,21 +28,20 @@ type Transport interface {
 // ManySender is the optional fanout fast path of a Transport: one
 // message addressed to many peers in a single call, letting the
 // implementation pay the encode cost once instead of once per target
-// (both built-in transports implement it). Delivery is best effort per
-// target — a failing target does not stop the others. SendMany returns
-// how many targets were sent to and the first error encountered.
+// (UDPTransport implements it). Delivery is best effort per target — a
+// failing target does not stop the others. SendMany returns how many
+// targets were sent to and the first error encountered.
 type ManySender interface {
 	SendMany(targets []gossip.NodeID, msg *gossip.Message) (int, error)
 }
 
 // ScratchSafe marks Transport implementations that never retain a sent
 // *Message (or any slice reachable from it) past the return of
-// Send/SendMany — the UDP transport encodes synchronously, the memory
-// fabric copies on entry. Drivers hand their reused per-round scratch
-// message (see gossip.Node.Tick's lifetime contract) directly to
-// ScratchSafe transports and copy it first for any other
-// implementation, so external Endpoints that queue messages for
-// asynchronous delivery keep working unchanged.
+// Send/SendMany — the UDP transport encodes synchronously. Drivers
+// hand their reused per-round scratch message (see gossip.Node.Tick's
+// lifetime contract) directly to ScratchSafe transports and copy it
+// first for any other implementation, so external Endpoints that queue
+// messages for asynchronous delivery keep working unchanged.
 type ScratchSafe interface {
 	// ScratchSafe is a marker; implementations promise the retention
 	// property documented on the interface.

@@ -34,19 +34,29 @@ const (
 
 // UDPStats counts UDP transport activity.
 type UDPStats struct {
+	// Sent and SentBytes count datagrams written to the socket and
+	// their bytes.
 	Sent      uint64
 	SentBytes uint64
 	// SplitChunks counts continuation fragments actually written to the
 	// wire: a message sent in n datagrams adds n-1, single-datagram
 	// sends add nothing, and fragments dropped by injected loss are not
 	// counted.
-	SplitChunks  uint64
-	Received     uint64
-	RecvBytes    uint64
+	SplitChunks uint64
+	// Received and RecvBytes count datagrams read from the socket and
+	// their bytes.
+	Received  uint64
+	RecvBytes uint64
+	// DecodeErrors counts datagrams the wire codec rejected (malformed,
+	// truncated, over a codec limit) and dropped.
 	DecodeErrors uint64
-	NoHandler    uint64
-	SendErrors   uint64
-	LossDropped  uint64 // datagrams dropped by injected send loss
+	// NoHandler counts datagrams dropped because no handler was
+	// installed.
+	NoHandler uint64
+	// SendErrors counts failed sends: unknown peers, encode and socket
+	// write errors.
+	SendErrors  uint64
+	LossDropped uint64 // datagrams dropped by injected send loss
 	// ReadErrors counts transient socket read failures (the read loop
 	// backs off and retries; net.ErrClosed terminates it instead).
 	ReadErrors uint64

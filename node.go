@@ -85,9 +85,9 @@ func (n *Node) Addr() string {
 
 // AddPeer registers a member discovered after startup: its address is
 // registered with the transport's address book and the member joins
-// the gossip target set. On transports without an address book
-// (PeerRegistrar) — such as the memory fabric, which routes by id —
-// pass addr == ""; a non-empty address there is an error, and an
+// the gossip target set. On custom transports without an address book
+// (PeerRegistrar), which route by id, pass addr == ""; a non-empty
+// address there is an error, and an
 // invalid address on a book-keeping transport fails rather than
 // leaving a member unreachable.
 func (n *Node) AddPeer(id, addr string) error {

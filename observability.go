@@ -19,7 +19,7 @@ type groupObservability struct {
 }
 
 // linkSetter is implemented by endpoints that can attribute their
-// traffic to a per-peer telemetry table (both built-in fabrics). The
+// traffic to a per-peer telemetry table (the built-in UDP fabric). The
 // install is an atomic pointer store on the endpoint, so facades may
 // attach the table after the endpoint exists, even mid-traffic.
 type linkSetter interface{ SetLinks(*observe.PeerTable) }
@@ -77,7 +77,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 	counter("gossip_probes_sent_total", func(s Stats) uint64 { return s.ProbesSent })
 	counter("gossip_confirms_total", func(s Stats) uint64 { return s.Confirms })
 	counter("gossip_stream_dropped_total", func(s Stats) uint64 { return s.StreamDropped })
-	counter("gossip_recv_queue_drops_total", func(s Stats) uint64 { return s.RecvQueueDrops })
+	counter("gossip_recv_queue_drops_total", func(s Stats) uint64 { return s.Wire.RecvQueueDrops })
 	counter("gossip_inbox_dropped_total", func(s Stats) uint64 { return s.InboxDropped })
 	counter("gossip_wire_sent_total", func(s Stats) uint64 { return s.Wire.Sent })
 	counter("gossip_wire_sent_bytes_total", func(s Stats) uint64 { return s.Wire.SentBytes })

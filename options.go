@@ -99,11 +99,10 @@ func WithDeliver(fn DeliverFunc) Option {
 	}
 }
 
-// WithTransport plugs a message fabric into the group: one of the
-// built-ins (NewMemTransport, NewUDPTransport) or any custom Transport.
-// The group takes ownership immediately: the fabric is closed on Close
-// and also when the constructor fails. Default: a UDP fabric for
-// NewNode, a memory fabric for NewCluster.
+// WithTransport plugs a message fabric into the group: the built-in
+// NewUDPTransport or any custom Transport. The group takes ownership
+// immediately: the fabric is closed on Close and also when the
+// constructor fails. Default: a loopback UDP fabric.
 func WithTransport(tr Transport) Option {
 	return func(o *groupOptions) error {
 		if tr == nil {

@@ -18,64 +18,54 @@ import (
 // hop into the member's loop. The event itself is the payload the
 // caller handed over. Measured on a started group that is otherwise
 // idle (an hour-long period: AllocsPerRun counts the whole process),
-// on both built-in fabrics, every extension on.
+// over the UDP fabric, every extension on.
 func TestPublishAllocFree(t *testing.T) {
-	fabrics := map[string]func() (Transport, error){
-		"memory": func() (Transport, error) { return NewMemTransport() },
-		"udp":    func() (Transport, error) { return NewUDPTransport() },
-	}
-	for fabricName, newFabric := range fabrics {
-		for _, verdict := range []string{"admitted", "refused"} {
-			t.Run(fabricName+"/"+verdict, func(t *testing.T) {
-				cfg := fastConfig()
-				cfg.Recovery.Enabled = true
-				cfg.Failure.Enabled = true
-				cfg.Observability.HealthDigests = true
-				cfg.Period = time.Hour
-				cfg.Adaptive = verdict == "refused"
-				fabric, err := newFabric()
-				if err != nil {
-					t.Fatal(err)
+	for _, verdict := range []string{"admitted", "refused"} {
+		t.Run("udp/"+verdict, func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.Recovery.Enabled = true
+			cfg.Failure.Enabled = true
+			cfg.Observability.HealthDigests = true
+			cfg.Period = time.Hour
+			cfg.Adaptive = verdict == "refused"
+			cluster, err := NewCluster(2, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			if err := cluster.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			payload := []byte("offered")
+			// Warm-up: the pooled requests exist, the bucket is empty
+			// (refused) or buffer, id cache and recovery store are past
+			// their capacities and evicting (admitted).
+			const warmup, runs = 4096, 200
+			admitted := 0
+			for i := 0; i < warmup; i++ {
+				if cluster.Publish(0, payload) {
+					admitted++
 				}
-				cluster, err := NewCluster(2, cfg, WithTransport(fabric))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cluster.Close()
-				if err := cluster.Start(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				payload := []byte("offered")
-				// Warm-up: the pooled requests exist, the bucket is empty
-				// (refused) or buffer, id cache and recovery store are past
-				// their capacities and evicting (admitted).
-				const warmup, runs = 4096, 200
-				admitted := 0
-				for i := 0; i < warmup; i++ {
-					if cluster.Publish(0, payload) {
-						admitted++
-					}
-				}
-				allocs := testing.AllocsPerRun(runs, func() {
-					if cluster.Publish(0, payload) {
-						admitted++
-					}
-				})
-				// Under the race detector sync.Pool drops a quarter of what is Put.
-				if allocs != 0 && !race.Enabled {
-					t.Fatalf("a Publish that is %s allocates %v times, want 0", verdict, allocs)
-				}
-				offered := warmup + runs + 1
-				st := cluster.Stats()
-				if st.Published != uint64(admitted) || st.Throttled != uint64(offered-admitted) {
-					t.Fatalf("Stats reports %d published + %d throttled for %d admitted of %d offered",
-						st.Published, st.Throttled, admitted, offered)
-				}
-				if verdict == "refused" && admitted > offered/2 || verdict == "admitted" && admitted != offered {
-					t.Fatalf("%d of %d publishes admitted; the %s path is not what was measured", admitted, offered, verdict)
+			}
+			allocs := testing.AllocsPerRun(runs, func() {
+				if cluster.Publish(0, payload) {
+					admitted++
 				}
 			})
-		}
+			// Under the race detector sync.Pool drops a quarter of what is Put.
+			if allocs != 0 && !race.Enabled {
+				t.Fatalf("a Publish that is %s allocates %v times, want 0", verdict, allocs)
+			}
+			offered := warmup + runs + 1
+			st := cluster.Stats()
+			if st.Published != uint64(admitted) || st.Throttled != uint64(offered-admitted) {
+				t.Fatalf("Stats reports %d published + %d throttled for %d admitted of %d offered",
+					st.Published, st.Throttled, admitted, offered)
+			}
+			if verdict == "refused" && admitted > offered/2 || verdict == "admitted" && admitted != offered {
+				t.Fatalf("%d of %d publishes admitted; the %s path is not what was measured", admitted, offered, verdict)
+			}
+		})
 	}
 }
 

@@ -49,11 +49,6 @@ type Stats struct {
 	// StreamDropped counts deliveries lost to Events subscribers that
 	// fell more than DefaultEventStreamBuffer behind.
 	StreamDropped uint64
-	// RecvQueueDrops counts inbound datagrams the transport discarded
-	// because its receive dispatch queue was full — the group's
-	// consumers fell behind the wire (UDP fabrics only; see
-	// WithRecvQueue to size the queue).
-	RecvQueueDrops uint64
 	// InboxDropped counts inbound messages discarded because a member's
 	// loop inbox was full — the member's protocol processing (or a
 	// blocking WithDeliver callback) fell behind its endpoint. Summed
@@ -65,9 +60,11 @@ type Stats struct {
 	HealthDigestsSent     uint64
 	HealthDigestsReceived uint64
 	HealthDigestsMerged   uint64
-	// Wire carries the transport fabric's counters (messages, bytes,
-	// read errors, datagram splits). Zero when the group's Transport
-	// does not implement WireStatser.
+	// Wire carries the transport fabric's counters: messages and bytes
+	// moved, datagram splits, and every discard on the wire (send
+	// errors, injected loss, read and decode errors, receive-queue
+	// overflow, datagrams with no handler). Zero when the group's
+	// Transport does not implement WireStatser.
 	Wire WireStats
 	// Peers is the per-peer link telemetry: what the group sent toward
 	// and received from each remote peer, sorted by peer id. Both
@@ -235,37 +232,27 @@ func mergeMemberHealth(views ...[]health.MemberHealth) []health.MemberHealth {
 }
 
 // healthAugment builds the AugmentFunc that stamps a member's own
-// digest with its wire byte counters: per-member from the endpoint on
-// fabrics that serialize (UDP), falling back to the shared fabric's
-// totals. It runs on the member's node loop against atomic counters.
-func healthAugment(ep Endpoint, fabric Transport) health.AugmentFunc {
-	type epStatser interface{ Stats() transport.UDPStats }
+// digest with its endpoint's wire byte counters; nil for endpoints that
+// keep none. It runs on the member's node loop against atomic counters.
+func healthAugment(ep Endpoint) health.AugmentFunc {
+	es, ok := ep.(interface{ Stats() transport.UDPStats })
+	if !ok {
+		return nil
+	}
 	return func(d *gossip.HealthDigest) {
-		if es, ok := ep.(epStatser); ok {
-			st := es.Stats()
-			d.BytesSent, d.BytesReceived = st.SentBytes, st.RecvBytes
-			return
-		}
-		if ws, ok := fabric.(WireStatser); ok {
-			w := ws.WireStats()
-			d.BytesSent, d.BytesReceived = w.SentBytes, w.RecvBytes
-		}
+		st := es.Stats()
+		d.BytesSent, d.BytesReceived = st.SentBytes, st.RecvBytes
 	}
 }
 
 // addWire folds the fabric's wire counters into the snapshot. Each
 // counter is read exactly once by the fabric's WireStats method (an
 // atomic load or one mutex-guarded copy per counter), so the snapshot
-// is internally consistent even while senders and receivers race; the
-// RecvQueueDrops top-level field is filled from the same single read.
+// is internally consistent even while senders and receivers race.
 func (s *Stats) addWire(fabric Transport) {
-	ws, ok := fabric.(WireStatser)
-	if !ok {
-		return
+	if ws, ok := fabric.(WireStatser); ok {
+		s.Wire = ws.WireStats()
 	}
-	w := ws.WireStats()
-	s.Wire = w
-	s.RecvQueueDrops = w.RecvQueueDrops
 }
 
 // add folds one member's runtime snapshot into the aggregate: its
