@@ -124,15 +124,11 @@ func TestClusterDisseminates(t *testing.T) {
 	}
 }
 
-// TestClusterOverUDPTransport runs a cluster over a UDP fabric handed
-// in through WithTransport, exercising the pluggable Transport seam end
-// to end: every node publishes once, every event must reach every node
-// exactly once.
-func TestClusterOverUDPTransport(t *testing.T) {
-	fabric, err := NewUDPTransport(WithTransportSeed(17))
-	if err != nil {
-		t.Fatal(err)
-	}
+// disseminationScenario runs a cluster over a fabric handed in through
+// WithTransport: every node publishes once, every event must reach
+// every node exactly once.
+func disseminationScenario(t *testing.T, fabric Transport) {
+	t.Helper()
 	const nodes = 6
 	var mu sync.Mutex
 	perEvent := map[EventID]int{}
@@ -187,6 +183,20 @@ func TestClusterOverUDPTransport(t *testing.T) {
 			t.Fatalf("event %v delivered %d times across %d nodes", id, count, nodes)
 		}
 	}
+}
+
+// TestClusterOverMemoryAndUDPTransports runs the dissemination
+// scenario over the built-in UDP fabric, exercising the pluggable
+// Transport seam end to end. The name dates from when an in-memory
+// fabric was a second arm; UDP is now the only built-in one.
+func TestClusterOverMemoryAndUDPTransports(t *testing.T) {
+	t.Run("udp", func(t *testing.T) {
+		fabric, err := NewUDPTransport(WithTransportSeed(17))
+		if err != nil {
+			t.Fatal(err)
+		}
+		disseminationScenario(t, fabric)
+	})
 }
 
 // TestEventsStreamMatchesCallback asserts the acceptance criterion
