@@ -45,7 +45,7 @@ bench-check:
 # cmd/gossipsim/testdata/seed1/*.txt byte for byte (~25 s). A PR that
 # changes behaviour on purpose regenerates them and says why. Figure 4
 # (~20 s more) is compared by hand when a PR touches what it sweeps.
-FIGURES ?= 2 9 recovery churn
+FIGURES ?= 2 9 recovery churn scale
 .PHONY: figures-check
 figures-check:
 	$(GO) build -o $(CURDIR)/bin/gossipsim ./cmd/gossipsim

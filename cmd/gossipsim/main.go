@@ -401,14 +401,15 @@ func healthdigestSweep(fast bool, seed int64) error {
 
 // scaleSweep runs the large-n scale figure: 1k/5k/10k-node groups over
 // WAN regions, uniform vs proximity-biased peer sampling. -fast trims
-// the grid to {1k, 10k} and shortens the measurement window for the CI
-// smoke budget.
+// the grid to {1k, 10k} and shortens the drain for the CI smoke budget.
+// Each cell's wall time and simulated deliveries per wall second go to
+// stderr, so the table on stdout is a pure function of the seed.
 func scaleSweep(fast bool, seed int64) error {
 	cfg := experiments.DefaultScaleConfig()
-	cfg.Seed = seed
+	cfg.Base.Seed = seed
 	if fast {
 		cfg.Sizes = []int{1000, 10000}
-		cfg.Rounds = 15
+		cfg.Base.Drain = 10 * time.Second
 	}
 	rows, err := experiments.RunScale(cfg)
 	if err != nil {
@@ -416,6 +417,10 @@ func scaleSweep(fast bool, seed int64) error {
 	}
 	experiments.RenderScale(os.Stdout, cfg, rows)
 	fmt.Println()
+	for _, r := range rows {
+		fmt.Fprintf(os.Stderr, "# scale n=%d %s: wall %v, %.0f deliveries/s\n",
+			r.N, r.Mode(), r.Wall.Round(10*time.Millisecond), r.DeliveriesPerSec)
+	}
 	return nil
 }
 

@@ -340,10 +340,12 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 // over loopback UDP — the paper's prototype-validation mode. Durations
 // are wall-clock; scale them down accordingly. It is the same
 // experiment body as Simulate on a different clock and fabric, so it
-// honours the Crashes, Restarts and Joins schedules and Loss (injected
-// on send), and fills every result field but Network, which counts the
-// simulated fabric. LatencyMin and LatencyMax are rejected: latency
-// injection is simulator-only.
+// honours the Crashes, Restarts and Joins schedules, partial views
+// (ViewSize) and Loss (injected on send), and fills every result field
+// but Network, which counts the simulated fabric. A Topology is
+// rejected: latency injection is simulator-only. (Before 1.0, SimConfig
+// traded LatencyMin/LatencyMax for Topology: uniform latency is a
+// one-region topology.)
 func SimulateRealtime(cfg SimConfig) (SimResult, error) {
 	return experiments.RunRuntime(cfg)
 }

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -23,8 +24,8 @@ import (
 )
 
 // Config describes one experiment run. Run executes it in the simulator
-// and RunRuntime in real time; both honour every field but
-// LatencyMin/LatencyMax, which RunRuntime rejects.
+// and RunRuntime in real time; both honour every field but Topology,
+// which RunRuntime rejects.
 type Config struct {
 	// N is the group size (paper: 60).
 	N int
@@ -64,10 +65,19 @@ type Config struct {
 	Drain time.Duration
 	// Seed drives all randomness.
 	Seed int64
-	// LatencyMin/LatencyMax bound network delay (uniform). Simulator
-	// only.
-	LatencyMin time.Duration
-	LatencyMax time.Duration
+	// Topology is the fabric's latency model, simulator only: node i
+	// sits in region i mod Regions, and wire bytes are counted within
+	// and across regions. A one-region topology is uniform latency; the
+	// zero value delivers instantly.
+	Topology sim.Topology
+	// ViewSize, when positive, gives every node an lpbcast partial view
+	// of that many entries (lpbcast's ℓ), seeded with 8 random contacts,
+	// instead of the full membership.
+	ViewSize int
+	// ProximityWeight, when non-zero, is the weight of same-region
+	// peers in partial-view sampling (cross-region peers weigh 1): Haas
+	// et al.'s topology-aware gossip. Zero samples uniformly.
+	ProximityWeight float64
 	// Loss is the iid message loss probability.
 	Loss float64
 	// Recovery enables the digest-based anti-entropy pull-repair
@@ -196,6 +206,23 @@ func (c Config) Validate() error {
 	}
 	if c.Warmup < 0 || c.Drain < 0 {
 		return fmt.Errorf("experiments: warmup/drain must be non-negative")
+	}
+	if c.Topology.Regions != 0 || c.Topology.Classes != nil {
+		if err := c.Topology.Validate(); err != nil {
+			return fmt.Errorf("experiments: %w", err)
+		}
+	}
+	if c.ViewSize < 0 {
+		return fmt.Errorf("experiments: view size must be non-negative, got %d", c.ViewSize)
+	}
+	if c.ViewSize > 0 && (c.PerNodeViews || len(c.Joins) > 0) {
+		return fmt.Errorf("experiments: partial views (ViewSize) do not combine with PerNodeViews or Joins")
+	}
+	if c.ProximityWeight != 0 && c.ProximityWeight < 1 {
+		return fmt.Errorf("experiments: proximity weight %v must be 0 or at least 1", c.ProximityWeight)
+	}
+	if c.ProximityWeight != 0 && (c.ViewSize == 0 || c.Topology.Regions < 2) {
+		return fmt.Errorf("experiments: proximity weight needs partial views and a topology of at least 2 regions")
 	}
 	for _, r := range c.Resizes {
 		if err := r.Validate(c.N); err != nil {
@@ -403,11 +430,28 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	}
 	allowed := metrics.NewGaugeMeter(epoch, cfg.Bucket)
 	truth := &truth{downSince: make(map[gossip.NodeID]time.Time, cfg.N)}
+	var region map[gossip.NodeID]int
+	if cfg.ProximityWeight != 0 {
+		region = make(map[gossip.NodeID]int, cfg.N)
+		for i, name := range names {
+			region[name] = i % cfg.Topology.Regions
+		}
+	}
 
 	nodes := make([]*core.AdaptiveNode, cfg.N)
 	for i := range nodes {
 		name := names[i]
 		ownReg := regs[i]
+		rng := sim.NodeRNG(cfg.Seed, i)
+		var peers gossip.PeerSampler = ownReg
+		var extensions []gossip.Extension
+		if cfg.ViewSize > 0 {
+			view, err := partialView(cfg, names, i, region, rng)
+			if err != nil {
+				return RunResult{}, err
+			}
+			peers, extensions = view, []gossip.Extension{view}
+		}
 		// Detector verdicts: with per-node views the observer maintains
 		// its own registry; either way, confirms are scored against the
 		// ground truth for latency and false positives.
@@ -436,8 +480,9 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 			Recovery:     cfg.recoveryParams(),
 			Failure:      cfg.failureParams(),
 			OnMembership: onMembership,
-			Peers:        ownReg,
-			RNG:          sim.NodeRNG(cfg.Seed, i),
+			Peers:        peers,
+			Extensions:   extensions,
+			RNG:          rng,
 			Deliver: func(ev gossip.Event) {
 				tracker.DeliverHop(ev.ID, i, w.elapsed(), ev.Age)
 			},
@@ -677,6 +722,42 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	return res, nil
 }
 
+// viewContacts is how many random members seed each partial view.
+const viewContacts = 8
+
+// partialView builds member i's lpbcast view. It draws its contacts
+// from rng, the member's own stream, which the protocol then continues;
+// with a proximity weight, peers in the member's region are sampled
+// that much more often.
+func partialView(cfg Config, names []gossip.NodeID, i int, region map[gossip.NodeID]int, rng *rand.Rand) (*membership.PartialView, error) {
+	contacts := make([]gossip.NodeID, 0, viewContacts)
+	for len(contacts) < viewContacts {
+		if c := rng.IntN(len(names)); c != i {
+			contacts = append(contacts, names[c])
+		}
+	}
+	view, err := membership.NewPartialView(names[i], contacts, membership.PartialViewConfig{
+		MaxView:         cfg.ViewSize,
+		MaxSubs:         cfg.ViewSize,
+		MaxUnsubs:       cfg.ViewSize,
+		SubsPerGossip:   4,
+		UnsubsPerGossip: 1,
+	}, rng)
+	if err != nil {
+		return nil, err
+	}
+	if weight := cfg.ProximityWeight; weight != 0 {
+		mine := region[names[i]]
+		view.SetSampleWeights(func(peer gossip.NodeID) float64 {
+			if region[peer] == mine {
+				return weight
+			}
+			return 1
+		})
+	}
+	return view, nil
+}
+
 func scaleGauge(points []metrics.GaugePoint, factor float64) []metrics.GaugePoint {
 	out := make([]metrics.GaugePoint, len(points))
 	for i, p := range points {
@@ -684,6 +765,16 @@ func scaleGauge(points []metrics.GaugePoint, factor float64) []metrics.GaugePoin
 		out[i] = p
 	}
 	return out
+}
+
+// runExactlyOnce is Run, refusing a run in which an event was
+// delivered twice to one member.
+func runExactlyOnce(cfg Config) (RunResult, error) {
+	res, err := Run(cfg)
+	if err == nil && res.DuplicateDeliveries > 0 {
+		err = fmt.Errorf("experiments: n %d, seed %d: %d events delivered twice to one member", cfg.N, cfg.Seed, res.DuplicateDeliveries)
+	}
+	return res, err
 }
 
 // RunSeeds runs cfg with consecutive seeds and averages the scalar
@@ -704,15 +795,9 @@ func RunSeeds(cfg Config, seeds int) (RunResult, error) {
 	err := forEach(seeds, func(s int) error {
 		c := cfg
 		c.Seed = cfg.Seed + int64(s)
-		res, err := Run(c)
-		if err != nil {
-			return err
-		}
-		if res.DuplicateDeliveries > 0 {
-			return fmt.Errorf("experiments: seed %d: %d events delivered twice to one member", c.Seed, res.DuplicateDeliveries)
-		}
-		results[s] = res
-		return nil
+		var err error
+		results[s], err = runExactlyOnce(c)
+		return err
 	})
 	if err != nil {
 		return RunResult{}, err

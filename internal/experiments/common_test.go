@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adaptivegossip/internal/race"
+	"adaptivegossip/internal/sim"
 	"adaptivegossip/internal/workload"
 )
 
@@ -37,6 +38,21 @@ func TestConfigValidate(t *testing.T) {
 		{"bad resize", func(c *Config) {
 			c.Resizes = []workload.Resize{{At: 0, Nodes: []int{99}, Capacity: 5}}
 		}},
+		{"bad topology", func(c *Config) { c.Topology = sim.Topology{Regions: 2} }},
+		{"negative view size", func(c *Config) { c.ViewSize = -1 }},
+		{"views with per-node registries", func(c *Config) { c.ViewSize, c.PerNodeViews = 8, true }},
+		{"views with joins", func(c *Config) {
+			c.ViewSize = 8
+			c.Joins = []workload.Join{{At: time.Second, Nodes: []int{3}}}
+		}},
+		{"proximity weight below 1", func(c *Config) {
+			c.ViewSize, c.Topology, c.ProximityWeight = 8, twoRegions(), 0.5
+		}},
+		{"proximity weight without views", func(c *Config) { c.Topology, c.ProximityWeight = twoRegions(), 8 }},
+		{"proximity weight in one region", func(c *Config) {
+			c.ViewSize, c.ProximityWeight = 8, 8
+			c.Topology = sim.NewTwoTierTopology(1, sim.LatencyClass{Max: time.Millisecond}, sim.LatencyClass{})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,6 +69,18 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().withDefaults().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
+	scale := DefaultScaleConfig().Base
+	scale.N = 100
+	if err := scale.withDefaults().Validate(); err != nil {
+		t.Fatalf("the scale base config at n=100 invalid: %v", err)
+	}
+}
+
+// twoRegions is a two-region topology with millisecond links.
+func twoRegions() sim.Topology {
+	return sim.NewTwoTierTopology(2,
+		sim.LatencyClass{Min: time.Millisecond, Max: 2 * time.Millisecond},
+		sim.LatencyClass{Min: 5 * time.Millisecond, Max: 10 * time.Millisecond})
 }
 
 func TestRunBaselineHealthyAtLowRate(t *testing.T) {
@@ -164,8 +192,8 @@ func TestRunDeterministicForSameSeed(t *testing.T) {
 func TestRunWithLossStillDelivers(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Loss = 0.1
-	cfg.LatencyMin = 5 * time.Millisecond
-	cfg.LatencyMax = 80 * time.Millisecond
+	cfg.Topology = sim.NewTwoTierTopology(1,
+		sim.LatencyClass{Min: 5 * time.Millisecond, Max: 80 * time.Millisecond}, sim.LatencyClass{})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

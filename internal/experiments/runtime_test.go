@@ -9,6 +9,7 @@ import (
 
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/race"
+	"adaptivegossip/internal/sim"
 	"adaptivegossip/internal/workload"
 )
 
@@ -68,9 +69,31 @@ func TestRunRuntimeInvalidConfig(t *testing.T) {
 		t.Fatal("invalid config accepted")
 	}
 	cfg = runtimeConfig()
-	cfg.LatencyMax = time.Millisecond
+	cfg.Topology = sim.NewTwoTierTopology(1, sim.LatencyClass{Max: time.Millisecond}, sim.LatencyClass{})
 	if _, err := RunRuntime(cfg); err == nil || !strings.Contains(err.Error(), "simulator-only") {
 		t.Fatalf("latency injection in real time: err = %v, want a simulator-only error", err)
+	}
+}
+
+// TestRunRuntimePartialViews: the wall world runs lpbcast partial views
+// too — the wire carries their subscriptions — and delivers exactly
+// once.
+func TestRunRuntimePartialViews(t *testing.T) {
+	cfg := runtimeConfig()
+	cfg.N = 12
+	cfg.ViewSize = 6
+	res, err := RunRuntime(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary.Messages < 30 {
+		t.Fatalf("only %d messages measured", res.Summary.Messages)
+	}
+	if res.Summary.MeanReceiversPct < 90 {
+		t.Fatalf("mean receivers %.1f%% over partial views", res.Summary.MeanReceiversPct)
+	}
+	if res.DuplicateDeliveries != 0 {
+		t.Fatalf("%d events delivered twice to one member, want exactly once", res.DuplicateDeliveries)
 	}
 }
 

@@ -61,8 +61,8 @@ type virtual struct {
 func newVirtualWorld(cfg Config, names []gossip.NodeID) (world, error) {
 	sched := sim.NewScheduler(sim.Epoch)
 	var opts []sim.NetworkOption
-	if cfg.LatencyMax > 0 {
-		opts = append(opts, sim.WithLatency(cfg.LatencyMin, cfg.LatencyMax))
+	if cfg.Topology.Regions > 0 {
+		opts = append(opts, sim.WithTopology(cfg.Topology), sim.WithMessageSizer(transport.Codec{}.EncodedSize))
 	}
 	if cfg.Loss > 0 {
 		opts = append(opts, sim.WithLoss(cfg.Loss))
@@ -70,6 +70,13 @@ func newVirtualWorld(cfg Config, names []gossip.NodeID) (world, error) {
 	net, err := sim.NewNetwork(sched, sim.NetworkRNG(cfg.Seed), opts...)
 	if err != nil {
 		return nil, err
+	}
+	if regions := cfg.Topology.Regions; regions > 0 {
+		for i, name := range names {
+			if err := net.SetRegion(name, i%regions); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return &virtual{cfg: cfg, names: names, sched: sched, net: net}, nil
 }
@@ -114,8 +121,8 @@ type wall struct {
 }
 
 func newWallWorld(cfg Config, names []gossip.NodeID) (world, error) {
-	if cfg.LatencyMin > 0 || cfg.LatencyMax > 0 {
-		return nil, fmt.Errorf("experiments: LatencyMin/LatencyMax: latency injection is simulator-only; the real-time world runs over loopback UDP")
+	if cfg.Topology.Regions != 0 {
+		return nil, fmt.Errorf("experiments: Topology: latency injection is simulator-only; the real-time world runs over loopback UDP")
 	}
 	return &wall{
 		cfg:       cfg,

@@ -9,10 +9,11 @@
 // # The delivery ledger
 //
 // DeliveryTracker keeps one 16-byte record per message — its birth as
-// nanoseconds after the tracker's epoch, its delivery count and whether
-// the birth came from Broadcast — and, at the same index of the same
-// block, a delivered-by bitset of ⌈n/64⌉ words: 24 bytes per message in
-// the paper's 60-member group.
+// nanoseconds after the tracker's epoch, its delivery count, whether
+// the birth came from Broadcast, and the millisecond at which the count
+// reached ⌈0.99·n⌉ — and, at the same index of the same block, a
+// delivered-by bitset of ⌈n/64⌉ words: 24 bytes per message in the
+// paper's 60-member group.
 //
 // Records live in runs of runLen consecutive seqs of one origin, and
 // each member origin has a directory from seq/runLen to its runs, so a
@@ -34,6 +35,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -53,9 +55,23 @@ const (
 
 // msgRec is one message's record.
 type msgRec struct {
-	born      int64 // nanoseconds after the tracker's epoch
-	count     int32
-	bornKnown bool
+	born int64 // nanoseconds after the tracker's epoch
+	// count is the number of members that delivered the message, with
+	// bornKnown set once the birth came from Broadcast.
+	count uint32
+	// reach is the offset from the epoch, in milliseconds, of the
+	// delivery that brought count to ⌈0.99·n⌉; it means nothing before.
+	reach int32
+}
+
+const bornKnown = 1 << 31
+
+func (r msgRec) got() int { return int(r.count &^ bornKnown) }
+
+// reachMillis converts an offset from the epoch to msgRec.reach,
+// saturating beyond about 24 days either way.
+func reachMillis(at time.Duration) int32 {
+	return int32(min(max(at/time.Millisecond, math.MinInt32), math.MaxInt32))
 }
 
 // block is a fixed array of runs: records and their bitsets, words per
@@ -80,6 +96,7 @@ type DeliveryTracker struct {
 	epoch   time.Time
 	members map[gossip.NodeID]int
 	n       int
+	need99  int // ⌈0.99·n⌉
 	words   int
 
 	blocks     []block
@@ -112,6 +129,7 @@ func NewDeliveryTracker(members []gossip.NodeID, epoch time.Time) (*DeliveryTrac
 		epoch:   epoch,
 		members: idx,
 		n:       len(idx),
+		need99:  (99*len(idx) + 99) / 100,
 		words:   (len(idx) + 63) / 64,
 		dirs:    make([][]int32, len(idx)+1),
 	}
@@ -198,7 +216,7 @@ func (t *DeliveryTracker) Broadcast(id gossip.EventID, at time.Duration) {
 	defer t.mu.Unlock()
 	rec, _ := t.record(id)
 	rec.born = int64(at)
-	rec.bornKnown = true
+	rec.count |= bornKnown
 }
 
 // DeliverHop records that the member at index i of the tracker's member
@@ -217,7 +235,7 @@ func (t *DeliveryTracker) DeliverHop(id gossip.EventID, i int, at time.Duration,
 	defer t.mu.Unlock()
 	rec, bits := t.record(id)
 	now := int64(at)
-	if !rec.bornKnown && (rec.count == 0 || now < rec.born) {
+	if rec.count == 0 || (rec.count&bornKnown == 0 && now < rec.born) {
 		rec.born = now // best-effort birth time until Broadcast arrives
 	}
 	w, b := i/64, uint(i%64)
@@ -227,6 +245,9 @@ func (t *DeliveryTracker) DeliverHop(id gossip.EventID, i int, at time.Duration,
 	}
 	bits[w] |= 1 << b
 	rec.count++
+	if rec.got() == t.need99 {
+		rec.reach = reachMillis(at)
+	}
 	if hop >= 0 {
 		t.latency.Add(uint64(max(time.Duration(now-rec.born).Microseconds(), 0)))
 		t.hops.Add(uint64(hop))
@@ -261,7 +282,7 @@ func (t *DeliveryTracker) HopsSnapshot() observe.HistogramSnapshot {
 func (t *DeliveryTracker) each(fn func(rec msgRec)) {
 	for _, b := range t.blocks {
 		for _, rec := range b.recs {
-			if rec.count != 0 || rec.bornKnown {
+			if rec.count != 0 {
 				fn(rec)
 			}
 		}
@@ -283,6 +304,11 @@ type Summary struct {
 	FullyDelivered int
 	// MinReceiversPct is the worst per-message coverage.
 	MinReceiversPct float64
+	// MeanTo99 is the mean time, over the messages that got there, from
+	// birth to the delivery that brought a message to ⌈0.99·n⌉ members,
+	// to the millisecond; AllReached99 reports whether every one did.
+	MeanTo99     time.Duration
+	AllReached99 bool
 }
 
 // Results aggregates messages born in [from, to). Zero times mean
@@ -304,6 +330,8 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 		count     int
 		full      int
 		minCount  = t.n
+		reached   int
+		to99      time.Duration
 	)
 	need := int(threshold*float64(t.n)) + 1 // strictly more than threshold
 	if need > t.n {
@@ -315,7 +343,7 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 		if hasFrom && rec.born < lo || hasTo && rec.born >= hi {
 			return
 		}
-		got := int(rec.count)
+		got := rec.got()
 		count++
 		receivers += got
 		minCount = min(minCount, got)
@@ -325,17 +353,26 @@ func (t *DeliveryTracker) Results(from, to time.Time, threshold float64) Summary
 		if got == t.n {
 			full++
 		}
+		if got >= t.need99 {
+			reached++
+			to99 += max(time.Duration(rec.reach)*time.Millisecond-time.Duration(rec.born), 0)
+		}
 	})
 	if count == 0 {
 		return Summary{}
 	}
-	return Summary{
+	s := Summary{
 		Messages:         count,
 		MeanReceiversPct: 100 * float64(receivers) / (float64(t.n) * float64(count)),
 		AtomicityPct:     100 * float64(atomics) / float64(count),
 		FullyDelivered:   full,
 		MinReceiversPct:  100 * float64(minCount) / float64(t.n),
+		AllReached99:     reached == count,
 	}
+	if reached > 0 {
+		s.MeanTo99 = to99 / time.Duration(reached)
+	}
+	return s
 }
 
 // BucketStat is one time-bucket of the atomicity series (Fig. 9b).
@@ -376,8 +413,8 @@ func (t *DeliveryTracker) Series(start, end time.Time, bucket time.Duration, thr
 		}
 		b := int(time.Duration(rec.born-lo) / bucket)
 		accs[b].msgs++
-		accs[b].receivers += int(rec.count)
-		if int(rec.count) >= need {
+		accs[b].receivers += rec.got()
+		if rec.got() >= need {
 			accs[b].atomics++
 		}
 	})

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -14,7 +15,7 @@ import (
 )
 
 // The DeliveryTracker this package had before its records moved into
-// slabs and blocks, verbatim but for its names:
+// slabs and blocks, verbatim but for its names and the time to 99%:
 // TestDeliveryTrackerMatchesReference holds the tracker to its answers.
 // The reference still names members and keeps times; the tracker takes
 // their index in the member list and offsets from its epoch.
@@ -24,6 +25,7 @@ type refMsgRec struct {
 	bornKnown bool
 	delivered []uint64 // bitset over member indexes
 	count     int
+	reached   time.Time // the delivery that brought count to ⌈0.99·n⌉
 }
 
 // refDeliveryTracker records which members delivered which broadcast
@@ -36,6 +38,7 @@ type refDeliveryTracker struct {
 	mu      sync.Mutex
 	members map[gossip.NodeID]int
 	n       int
+	need99  int
 	words   int
 	msgs    map[gossip.EventID]*refMsgRec
 
@@ -58,6 +61,7 @@ func newRefDeliveryTracker(members []gossip.NodeID) (*refDeliveryTracker, error)
 	return &refDeliveryTracker{
 		members: idx,
 		n:       len(idx),
+		need99:  int(math.Ceil(0.99 * float64(len(idx)))),
 		words:   (len(idx) + 63) / 64,
 		msgs:    make(map[gossip.EventID]*refMsgRec),
 	}, nil
@@ -106,6 +110,9 @@ func (t *refDeliveryTracker) DeliverHop(id gossip.EventID, node gossip.NodeID, n
 	}
 	rec.delivered[w] |= 1 << b
 	rec.count++
+	if rec.count == t.need99 {
+		rec.reached = now
+	}
 	if hop >= 0 {
 		t.latency.ObserveInt(now.Sub(rec.born).Microseconds())
 		t.hops.ObserveInt(int64(hop))
@@ -143,6 +150,8 @@ func (t *refDeliveryTracker) Results(from, to time.Time, threshold float64) Summ
 		count     int
 		full      int
 		minCount  = t.n
+		reached   int
+		to99      time.Duration
 	)
 	need := int(threshold*float64(t.n)) + 1 // strictly more than threshold
 	if need > t.n {
@@ -166,17 +175,26 @@ func (t *refDeliveryTracker) Results(from, to time.Time, threshold float64) Summ
 		if rec.count == t.n {
 			full++
 		}
+		if rec.count >= t.need99 {
+			reached++
+			to99 += max(rec.reached.Sub(rec.born), 0)
+		}
 	}
 	if count == 0 {
 		return Summary{}
 	}
-	return Summary{
+	s := Summary{
 		Messages:         count,
 		MeanReceiversPct: 100 * float64(receivers) / (float64(t.n) * float64(count)),
 		AtomicityPct:     100 * float64(atomics) / float64(count),
 		FullyDelivered:   full,
 		MinReceiversPct:  100 * float64(minCount) / float64(t.n),
+		AllReached99:     reached == count,
 	}
+	if reached > 0 {
+		s.MeanTo99 = to99 / time.Duration(reached)
+	}
+	return s
 }
 
 // Series buckets messages by birth time and reports per-bucket
@@ -306,7 +324,8 @@ func (p *trackerPair) check(t *testing.T, label string) {
 // repeated, out of order and far apart, birth and delivery times out of
 // order and before the tracker's epoch, groups on both sides of the
 // bitset's word edges. Times fall on 100 ms steps, so many messages are
-// born exactly on a window's edges. Scripted calls: seqs on both sides of every run
+// born exactly on a window's edges; a few messages reach every member.
+// Scripted calls: seqs on both sides of every run
 // and block boundary, and far seqs that the map holds and that their
 // origin's directory later reaches.
 func TestDeliveryTrackerMatchesReference(t *testing.T) {
@@ -354,6 +373,19 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 			}
 			_, i := pick()
 			p.deliver(eid, i, now, rng.IntN(12)-1)
+		}
+		// A few messages reach every member, in random order and at
+		// random times, so the time to 99% is compared off its zero.
+		for range 4 {
+			origin := group[rng.IntN(n)]
+			id := gossip.EventID{Origin: origin, Seq: next[origin]}
+			next[origin]++
+			if rng.IntN(2) == 0 {
+				p.broadcast(id, epoch.Add(time.Duration(rng.IntN(1000))*100*time.Millisecond))
+			}
+			for _, i := range rng.Perm(n) {
+				p.deliver(id, i, epoch.Add(time.Duration(rng.IntN(1000))*100*time.Millisecond), rng.IntN(12)-1)
+			}
 		}
 		p.check(t, fmt.Sprintf("seed %d, n %d", seed, n))
 	}

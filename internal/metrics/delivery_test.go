@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -210,5 +211,36 @@ func TestDeliverHopDistributions(t *testing.T) {
 	// The hop-less Deliver still counted toward coverage.
 	if got := tr.Results(time.Time{}, time.Time{}, 0).MeanReceiversPct; got != 100 {
 		t.Fatalf("coverage %.1f%%, want 100%%", got)
+	}
+}
+
+// TestMsgRecIs16Bytes pins the ledger's record size: the time to 99%
+// rides in the record without growing it.
+func TestMsgRecIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(msgRec{}); size != 16 {
+		t.Fatalf("msgRec is %d bytes, want 16", size)
+	}
+}
+
+func TestDeliveryTrackerTimeTo99(t *testing.T) {
+	group := members(200) // ⌈0.99·200⌉ = 198
+	tr, _ := NewDeliveryTracker(group, epoch)
+	tr.Broadcast(eid(0), time.Second)
+	tr.Broadcast(eid(1), time.Second)
+	for i := range 198 {
+		tr.DeliverHop(eid(0), i, time.Second+time.Duration(i)*10*time.Millisecond, 1)
+	}
+	for i := range 197 {
+		tr.DeliverHop(eid(1), i, 2*time.Second, 1)
+	}
+	got := tr.Results(time.Time{}, time.Time{}, 0)
+	if got.AllReached99 || got.MeanTo99 != 1970*time.Millisecond {
+		t.Fatalf("one of two messages at 99%% after 1.97s: got all=%v mean=%v", got.AllReached99, got.MeanTo99)
+	}
+	tr.DeliverHop(eid(1), 197, 4*time.Second, 1)
+	tr.DeliverHop(eid(1), 198, 9*time.Second, 1) // past 99%: no effect
+	got = tr.Results(time.Time{}, time.Time{}, 0)
+	if !got.AllReached99 || got.MeanTo99 != (1970+3000)*time.Millisecond/2 {
+		t.Fatalf("both messages at 99%% after 1.97s and 3s: got all=%v mean=%v", got.AllReached99, got.MeanTo99)
 	}
 }
