@@ -22,10 +22,13 @@ import (
 // group. One steady-state round — a Tick, then what a member receives
 // within a period: the ack of its own ping, a ping to answer, a ping-req
 // to relay with the subject's ack to forward, and a round message
-// carrying events it already has, a current adaptation header, a
-// recovery digest, rumors and health digests — allocates nothing. It
-// holds for both minBuff estimators: the paper's minimum and the
-// κ-smallest one (MinBuffRank > 1), whose peers send κ entries. (An
+// carrying events it already has, an adaptation header one period
+// ahead (so every round fast-forwards the member's clock and refills a
+// fresh period), a recovery digest, rumors and health digests —
+// allocates nothing. It holds at κ = 1, the paper's minimum, whose
+// scalar header displaces the member's own entry, and at κ = 3, whose
+// peer sends κ entries, one of them this member's own at a smaller
+// capacity than the member holds. (An
 // event seen for the first time costs its one payload copy; that is
 // TestReceiveBorrowedAllocsPerNewEvent's subject.)
 func TestEverythingOnRoundAllocFree(t *testing.T) {
@@ -42,7 +45,7 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 		minBuff int              // the estimate the round's headers lead to
 	}{
 		{name: "minimum", rank: 1, minBuff: 90},
-		{name: "kmin-3", rank: 3, kmin: []gossip.BuffCap{{Node: ids[3], Cap: 90}, {Node: ids[4], Cap: 100}, {Node: peer, Cap: 110}}, minBuff: 110},
+		{name: "kmin-3", rank: 3, kmin: []gossip.BuffCap{{Node: ids[3], Cap: 90}, {Node: ids[4], Cap: 100}, {Node: self, Cap: 110}}, minBuff: 110},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := DefaultParams()
@@ -120,7 +123,7 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 					}
 				}
 				round.Round++
-				round.SamplePeriod = node.SamplePeriod()
+				round.SamplePeriod = node.SamplePeriod() + 1
 				for i := range round.Events {
 					round.Events[i].Age++
 				}

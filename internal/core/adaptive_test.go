@@ -254,26 +254,44 @@ func TestAdaptiveNodeResizePropagatesToEstimator(t *testing.T) {
 	}
 }
 
+// TestAdaptiveNodeKMinMode: the floor clamps the estimate at every κ,
+// one tiny node does not drag a κ = 2 estimate down, and only κ > 1
+// puts KMin entries on the wire.
 func TestAdaptiveNodeKMinMode(t *testing.T) {
-	cfg := nodeConfig("a", fullPeers{"a", "b"}, true)
-	cfg.Core.MinBuffRank = 2
-	cfg.Core.MinBuffFloor = 3
-	n, err := NewAdaptiveNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One tiny node must not drag the estimate down at κ=2.
-	n.Receive(&gossip.Message{
-		From: "tiny", Adaptive: true, MinBuff: 1,
-		KMin: []MinEntry{{Node: "tiny", Cap: 1}},
-	}, start)
-	if got := n.MinBuffEstimate(); got != 10 {
-		t.Fatalf("κ=2 estimate = %d, want local 10", got)
-	}
-	// Header carries KMin entries.
-	outs := n.Tick(start.Add(time.Second))
-	if len(outs) == 0 || len(outs[0].Msg.KMin) == 0 {
-		t.Fatal("κ-mode header missing KMin entries")
+	for _, tc := range []struct {
+		rank int
+		hdr  *gossip.Message
+		want int
+	}{
+		// κ = 1: the tiny node's scalar header sets the minimum, which
+		// the floor lifts.
+		{rank: 1, hdr: &gossip.Message{From: "tiny", Adaptive: true, MinBuff: 1}, want: 3},
+		// κ = 2: one tiny node does not set the estimate; the local 10 does.
+		{rank: 2, hdr: &gossip.Message{
+			From: "tiny", Adaptive: true, MinBuff: 1,
+			KMin: []MinEntry{{Node: "tiny", Cap: 1}},
+		}, want: 10},
+	} {
+		t.Run(fmt.Sprintf("rank-%d", tc.rank), func(t *testing.T) {
+			cfg := nodeConfig("a", fullPeers{"a", "b"}, true)
+			cfg.Core.MinBuffRank = tc.rank
+			cfg.Core.MinBuffFloor = 3
+			n, err := NewAdaptiveNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Receive(tc.hdr, start)
+			if got := n.MinBuffEstimate(); got != tc.want {
+				t.Fatalf("κ=%d estimate = %d, want %d", tc.rank, got, tc.want)
+			}
+			outs := n.Tick(start.Add(time.Second))
+			if len(outs) == 0 {
+				t.Fatal("no gossip after a tick")
+			}
+			if got := len(outs[0].Msg.KMin); (got > 0) != (tc.rank > 1) {
+				t.Fatalf("κ=%d header carries %d KMin entries", tc.rank, got)
+			}
+		})
 	}
 }
 

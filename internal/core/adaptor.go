@@ -17,14 +17,13 @@ import (
 type Adaptor struct {
 	params Params
 	min    *MinBuffEstimator
-	kmin   *KMinEstimator // non-nil when params.MinBuffRank > 1
 	cong   *CongestionEstimator
 
 	samplesAtTick uint64 // congestion samples seen as of the last tick
 	driftRounds   uint64
 
-	// scalarHdr is reused scratch for promoting a rank-1 scalar header
-	// to a single-entry κ-min observation without a per-receive slice.
+	// scalarHdr is reused scratch for reading a κ = 1 sender's scalar
+	// header as one (sender, capacity) entry without a per-receive slice.
 	scalarHdr [1]MinEntry
 
 	// overflow is reused scratch for the Figure 5(b) scan, which runs on
@@ -43,38 +42,23 @@ func NewAdaptor(id gossip.NodeID, params Params, localCap int) (*Adaptor, error)
 	if err != nil {
 		return nil, err
 	}
-	a := &Adaptor{params: params, cong: cong}
-	if params.MinBuffRank > 1 {
-		a.kmin, err = NewKMinEstimator(id, params.MinBuffRank, params.MinBuffFloor,
-			params.Window, params.SamplePeriodRounds, localCap)
-	} else {
-		a.min, err = NewMinBuffEstimator(params.Window, params.SamplePeriodRounds, localCap)
-	}
+	est, err := NewMinBuffEstimator(id, params.MinBuffRank, params.MinBuffFloor,
+		params.Window, params.SamplePeriodRounds, localCap)
 	if err != nil {
 		return nil, err
 	}
-	return a, nil
+	return &Adaptor{params: params, min: est, cong: cong}, nil
 }
 
 // MinBuff returns the working estimate of the relevant smallest buffer
 // in the group.
-func (a *Adaptor) MinBuff() int {
-	if a.kmin != nil {
-		return a.kmin.Estimate()
-	}
-	return a.min.Estimate()
-}
+func (a *Adaptor) MinBuff() int { return a.min.Estimate() }
 
 // AvgAge returns the congestion estimate.
 func (a *Adaptor) AvgAge() float64 { return a.cong.AvgAge() }
 
 // SamplePeriod returns the current period s.
-func (a *Adaptor) SamplePeriod() uint64 {
-	if a.kmin != nil {
-		return a.kmin.Period()
-	}
-	return a.min.Period()
-}
+func (a *Adaptor) SamplePeriod() uint64 { return a.min.Period() }
 
 // DriftRounds counts rounds in which the frozen-signal drift applied.
 func (a *Adaptor) DriftRounds() uint64 { return a.driftRounds }
@@ -83,34 +67,21 @@ func (a *Adaptor) DriftRounds() uint64 { return a.driftRounds }
 func (a *Adaptor) CongestionSamples() uint64 { return a.cong.Samples() }
 
 // SetLocalCapacity tracks a local buffer resize.
-func (a *Adaptor) SetLocalCapacity(capacity int) error {
-	if a.kmin != nil {
-		return a.kmin.SetLocalCapacity(capacity)
-	}
-	return a.min.SetLocalCapacity(capacity)
-}
+func (a *Adaptor) SetLocalCapacity(capacity int) error { return a.min.SetLocalCapacity(capacity) }
 
 // OnTick advances the sample-period clock and stamps the adaptation
 // header (Figure 5(a), "add information to gossip message").
 func (a *Adaptor) OnTick(n *gossip.Node, out *Message) {
 	out.Adaptive = true
-	if a.kmin != nil {
-		a.kmin.OnRound()
-		period, entries := a.kmin.Header()
-		out.SamplePeriod = period
-		// out is the node's reused round message, encoded or cloned
-		// before the next tick refreshes the header.
-		out.KMin = entries
-		// The scalar header remains meaningful for rank-1 receivers.
-		if len(entries) > 0 {
-			out.MinBuff = entries[0].Cap
-		} else {
-			out.MinBuff = a.kmin.localCap
-		}
-		return
-	}
 	a.min.OnRound()
-	out.SamplePeriod, out.MinBuff = a.min.Header()
+	period, entries := a.min.Header()
+	out.SamplePeriod, out.MinBuff = period, entries[0].Cap
+	// κ = 1 sends the paper's scalar header alone; κ > 1 adds its κ
+	// smallest entries. out is the node's reused round message, encoded
+	// or cloned before the next tick refreshes the header.
+	if a.params.MinBuffRank > 1 {
+		out.KMin = entries
+	}
 }
 
 // Message aliases gossip.Message for hook signatures.
@@ -121,16 +92,12 @@ type Message = gossip.Message
 // (Figure 5(a) "compute new known minimum" + Figure 5(b)).
 func (a *Adaptor) OnReceive(n *gossip.Node, in *Message) {
 	if in.Adaptive {
-		if a.kmin != nil {
-			if len(in.KMin) > 0 {
-				a.kmin.Observe(in.SamplePeriod, in.KMin)
-			} else {
-				a.scalarHdr[0] = MinEntry{Node: in.From, Cap: in.MinBuff}
-				a.kmin.Observe(in.SamplePeriod, a.scalarHdr[:])
-			}
-		} else {
-			a.min.Observe(in.SamplePeriod, in.MinBuff)
+		entries := in.KMin
+		if len(entries) == 0 {
+			a.scalarHdr[0] = MinEntry{Node: in.From, Cap: in.MinBuff}
+			entries = a.scalarHdr[:]
 		}
+		a.min.Observe(in.SamplePeriod, entries)
 	}
 	if overflow := n.BufferLen() - a.cong.LostLen() - a.MinBuff(); overflow > 0 {
 		a.overflow = n.AppendOldestUncounted(a.overflow[:0], overflow, a.cong.Counted)

@@ -9,7 +9,10 @@
 //   - MinBuffEstimator (paper Figure 5(a)): distributed discovery of the
 //     smallest buffer capacity in the group, by folding a running
 //     minimum through the headers of normal data gossip, sampled in
-//     periods so stale minima age out.
+//     periods so stale minima age out. With Params.MinBuffRank κ > 1
+//     it adapts to the κ-th smallest buffer instead, and
+//     Params.MinBuffFloor clamps its estimate from below at every κ:
+//     the generalization the paper sketches in its concluding remarks.
 //   - CongestionEstimator (Figure 5(b)): a purely local moving average
 //     of the age of the messages that would overflow a buffer of the
 //     group-minimum size — the buffer-size-independent congestion
@@ -21,7 +24,5 @@
 //
 // Adaptor packages the three as a gossip.Extension; AdaptiveNode wires
 // an lpbcast node, an Adaptor and the Figure 3 token bucket into the
-// complete adaptive broadcast node. The κ-smallest generalization the
-// paper sketches in its concluding remarks is provided by KMinEstimator
-// (Params.MinBuffRank > 1).
+// complete adaptive broadcast node.
 package core

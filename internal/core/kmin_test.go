@@ -3,16 +3,17 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"adaptivegossip/internal/gossip"
 )
 
-func newKMin(t *testing.T, rank, floor int) *KMinEstimator {
+func newKMin(t *testing.T, rank, floor int) *MinBuffEstimator {
 	t.Helper()
-	e, err := NewKMinEstimator("self", rank, floor, 2, 6, 100)
+	e, err := NewMinBuffEstimator("self", rank, floor, 2, 6, 100)
 	if err != nil {
-		t.Fatalf("NewKMinEstimator: %v", err)
+		t.Fatalf("NewMinBuffEstimator: %v", err)
 	}
 	return e
 }
@@ -26,8 +27,8 @@ func TestKMinValidation(t *testing.T) {
 		{1, 0, 2, 6, 0},
 	}
 	for _, tc := range cases {
-		if _, err := NewKMinEstimator("s", tc.rank, tc.floor, tc.w, tc.p, tc.c); err == nil {
-			t.Errorf("NewKMinEstimator(%+v): want error", tc)
+		if _, err := NewMinBuffEstimator("s", tc.rank, tc.floor, tc.w, tc.p, tc.c); err == nil {
+			t.Errorf("NewMinBuffEstimator(%+v): want error", tc)
 		}
 	}
 }
@@ -81,7 +82,7 @@ func TestKMinHeaderIsSortedAndBounded(t *testing.T) {
 }
 
 func TestKMinPeriodRotation(t *testing.T) {
-	e, err := NewKMinEstimator("self", 1, 0, 2, 3, 100)
+	e, err := NewMinBuffEstimator("self", 1, 0, 2, 3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +128,10 @@ func TestKMinTrimBoundsState(t *testing.T) {
 	}
 	e.Observe(0, entries)
 	slot := e.window[0]
-	if len(slot) > 9 { // keep + self
+	if len(slot) > 2 { // κ
 		t.Fatalf("period state grew to %d entries, want bounded", len(slot))
 	}
-	if _, ok := slot["self"]; !ok {
+	if !slices.ContainsFunc(slot, func(m MinEntry) bool { return m.Node == "self" }) {
 		t.Fatal("self entry trimmed away")
 	}
 }
@@ -149,14 +150,19 @@ func TestKMinSetLocalCapacity(t *testing.T) {
 }
 
 // TestKMinHostilePeriod is TestMinBuffHostilePeriod for the κ-smallest
-// estimator, at κ = 1 and κ = 3.
+// estimator, at κ = 1 and κ = 3. A header with no positive capacity is
+// dropped whole as well: it does not move the period.
 func TestKMinHostilePeriod(t *testing.T) {
 	for _, rank := range []int{1, 3} {
 		for _, window := range []int{2, 3} {
 			for _, period := range []uint64{1 << 63, math.MaxUint64} {
-				e, err := NewKMinEstimator("s", rank, 0, window, 6, 30)
+				e, err := NewMinBuffEstimator("s", rank, 0, window, 6, 30)
 				if err != nil {
 					t.Fatal(err)
+				}
+				e.Observe(5, []MinEntry{{Node: "x", Cap: 0}})
+				if got := e.Period(); got != 0 {
+					t.Fatalf("κ=%d, W=%d: period %d after a header of capacity 0, want 0", rank, window, got)
 				}
 				e.Observe(1, []MinEntry{{Node: "a", Cap: 25}, {Node: "b", Cap: 26}, {Node: "c", Cap: 27}})
 				before := e.Estimate()

@@ -5,13 +5,26 @@ import (
 	"testing"
 )
 
-func newEst(t *testing.T, window, perRounds, localCap int) *MinBuffEstimator {
+// minEst drives the estimator at κ = 1 with the paper's scalar
+// header: each minBuff is one entry from a peer.
+type minEst struct{ *MinBuffEstimator }
+
+func (e minEst) Observe(period uint64, minBuff int) {
+	e.MinBuffEstimator.Observe(period, []MinEntry{{Node: "peer", Cap: minBuff}})
+}
+
+func (e minEst) Header() (uint64, int) {
+	s, entries := e.MinBuffEstimator.Header()
+	return s, entries[0].Cap
+}
+
+func newEst(t *testing.T, window, perRounds, localCap int) minEst {
 	t.Helper()
-	e, err := NewMinBuffEstimator(window, perRounds, localCap)
+	e, err := NewMinBuffEstimator("self", 1, 0, window, perRounds, localCap)
 	if err != nil {
 		t.Fatalf("NewMinBuffEstimator: %v", err)
 	}
-	return e
+	return minEst{e}
 }
 
 func TestMinBuffValidation(t *testing.T) {
@@ -19,7 +32,7 @@ func TestMinBuffValidation(t *testing.T) {
 		{0, 6, 100}, {-1, 6, 100}, {2, 0, 100}, {2, 6, 0}, {2, 6, -5},
 	}
 	for _, tc := range cases {
-		if _, err := NewMinBuffEstimator(tc.w, tc.p, tc.c); err == nil {
+		if _, err := NewMinBuffEstimator("self", 1, 0, tc.w, tc.p, tc.c); err == nil {
 			t.Errorf("NewMinBuffEstimator(%d,%d,%d): want error", tc.w, tc.p, tc.c)
 		}
 	}
@@ -157,7 +170,7 @@ func TestMinBuffSetLocalCapacity(t *testing.T) {
 // period of gossip, as §3.4's choice of Ts intends.
 func TestMinBuffGroupConvergence(t *testing.T) {
 	caps := []int{120, 90, 45, 150, 80}
-	ests := make([]*MinBuffEstimator, len(caps))
+	ests := make([]minEst, len(caps))
 	for i, c := range caps {
 		ests[i] = newEst(t, 2, 6, c)
 	}

@@ -6,6 +6,7 @@ package core
 import (
 	"math/rand"
 	mrand2 "math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,88 +14,92 @@ import (
 )
 
 // TestQuickMinBuffEstimatorModel checks the estimator against a
-// reference model: the estimate equals the minimum of the local
-// capacity and all observations folded into periods still inside the
-// window.
+// reference model that keeps every (node, capacity) pair heard in each
+// period: the estimate is the κ-th smallest node over the periods still
+// inside the window, each node at its smallest, clamped by the floor,
+// and the header is the current period's κ smallest nodes.
 func TestQuickMinBuffEstimatorModel(t *testing.T) {
 	type obs struct {
 		Advance bool
+		Resize  bool
 		Period  uint8
+		Node    uint8
 		Value   uint16
 	}
-	f := func(localCap uint16, window uint8, tape []obs) bool {
+	f := func(localCap uint16, window, rank, floor uint8, tape []obs) bool {
 		lc := int(localCap)%200 + 1
-		w := int(window)%4 + 1
-		e, err := NewMinBuffEstimator(w, 3, lc)
+		w := uint64(window)%4 + 1
+		k := int(rank)%3 + 1
+		fl := 0
+		if floor%2 == 1 {
+			fl = int(floor)%150 + 1
+		}
+		e, err := NewMinBuffEstimator("self", k, fl, int(w), 3, lc)
 		if err != nil {
 			return false
 		}
-		// Reference model: map period → min folded value.
-		model := map[uint64]int{0: lc}
+		model := map[uint64][]MinEntry{0: {{Node: "self", Cap: lc}}}
 		curPeriod := uint64(0)
-		touch := func(p uint64) {
-			if _, ok := model[p]; !ok {
-				model[p] = lc
-			}
-		}
 		for _, o := range tape {
-			if o.Advance {
+			v := int(o.Value) % 300 // 0 is a corrupt header
+			switch {
+			case o.Advance:
 				e.OnRound()
 				e.OnRound()
 				e.OnRound() // exactly one period advance (3 rounds)
 				curPeriod++
-				touch(curPeriod)
-				continue
+				model[curPeriod] = []MinEntry{{Node: "self", Cap: lc}}
+			case o.Resize && v > 0:
+				if e.SetLocalCapacity(v) != nil {
+					return false
+				}
+				lc = v
+				model[curPeriod] = append(model[curPeriod], MinEntry{Node: "self", Cap: lc})
+			default:
+				p := uint64(o.Period % 8)
+				// Five senders, one of them relaying this node's own entry.
+				ent := MinEntry{Node: []gossip.NodeID{"a", "b", "c", "d", "self"}[o.Node%5], Cap: v}
+				e.Observe(p, []MinEntry{ent})
+				if v <= 0 {
+					continue // dropped whole, period included
+				}
+				for ; curPeriod < p; curPeriod++ { // clock sync
+					model[curPeriod+1] = []MinEntry{{Node: "self", Cap: lc}}
+				}
+				if curPeriod-p >= w {
+					continue // too old, ignored
+				}
+				model[p] = append(model[p], ent)
 			}
-			p := uint64(o.Period % 8)
-			v := int(o.Value)%300 + 1
-			e.Observe(p, v)
-			if p > curPeriod {
-				// Clock sync: all periods up to p now exist.
-				if p-curPeriod >= uint64(w) {
-					// Full reset.
-					model = map[uint64]int{}
-					for q := p + 1 - uint64(w); q <= p; q++ {
-						model[q] = lc
-					}
-				} else {
-					for q := curPeriod + 1; q <= p; q++ {
-						touch(q)
+		}
+		// smallest returns each node's smallest capacity over the given
+		// periods, sorted by capacity, then node.
+		smallest := func(periods ...uint64) []MinEntry {
+			best := map[gossip.NodeID]int{}
+			for _, p := range periods {
+				for _, ent := range model[p] {
+					if old, ok := best[ent.Node]; !ok || ent.Cap < old {
+						best[ent.Node] = ent.Cap
 					}
 				}
-				curPeriod = p
 			}
-			if curPeriod >= uint64(w) && p <= curPeriod-uint64(w) {
-				continue // too old, ignored
+			var out []MinEntry
+			for n, c := range best {
+				out = append(out, MinEntry{Node: n, Cap: c})
 			}
-			touch(p)
-			if v < model[p] {
-				model[p] = v
-			}
+			slices.SortFunc(out, compareEntries)
+			return out
 		}
-		// Expected estimate: min over the last w periods (missing
-		// periods contribute localCap because slots reset lazily).
-		want := 1 << 30
-		for q := uint64(0); q < uint64(w); q++ {
-			var p uint64
-			if curPeriod >= q {
-				p = curPeriod - q
-			} else {
-				break
-			}
-			val, ok := model[p]
-			if !ok {
-				val = lc
-			}
-			if val < want {
-				want = val
-			}
+		var inWindow []uint64
+		for q := uint64(0); q < w && q <= curPeriod; q++ {
+			inWindow = append(inWindow, curPeriod-q)
 		}
-		// Ring slots never rotated yet keep their initial localCap.
-		if curPeriod+1 < uint64(w) && lc < want {
-			want = lc
-		}
-		return e.Estimate() == want
+		merged := smallest(inWindow...)
+		want := max(merged[min(k, len(merged))-1].Cap, fl)
+		wantHdr := smallest(curPeriod)
+		wantHdr = wantHdr[:min(k, len(wantHdr))]
+		s, hdr := e.Header()
+		return e.Estimate() == want && s == curPeriod && slices.Equal(hdr, wantHdr)
 	}
 	cfg := &quick.Config{MaxCount: 400, Rand: rand.New(rand.NewSource(51))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -107,12 +112,12 @@ func TestQuickMinBuffEstimatorModel(t *testing.T) {
 func TestQuickMinBuffEstimateBounds(t *testing.T) {
 	f := func(localCap uint8, values []uint16, rounds uint8) bool {
 		lc := int(localCap)%100 + 1
-		e, err := NewMinBuffEstimator(2, 2, lc)
+		e, err := NewMinBuffEstimator("self", 1, 0, 2, 2, lc)
 		if err != nil {
 			return false
 		}
 		for i, v := range values {
-			e.Observe(uint64(i%5), int(v)%200-50) // includes invalid ≤0 values
+			e.Observe(uint64(i%5), []MinEntry{{Node: "peer", Cap: int(v)%200 - 50}}) // includes invalid ≤0 values
 			if i%3 == 0 {
 				e.OnRound()
 			}

@@ -3,6 +3,7 @@ package observe
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -20,22 +21,20 @@ import (
 // construction and serves until Close.
 //
 // Registration is name-keyed; names should be Prometheus-compatible
-// ([a-z0-9_]). Snapshot functions run on the scrape goroutine, so they
-// must be safe to call concurrently with the instrumented code (the
-// facades satisfy this by reading loop-serialized snapshots and atomic
-// instruments).
+// ([a-z0-9_]). Snapshot functions run on the scrape goroutine, once
+// per scrape each, so they must be safe to call concurrently with the
+// instrumented code (the facades satisfy this by reading
+// loop-serialized snapshots and atomic instruments).
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 
-	mu      sync.Mutex
-	vars    map[string]func() any
-	gauges  map[string]func() float64
-	counts  map[string]func() uint64
-	hists   map[string]func() HistogramSnapshot
-	traces  func() []TraceRecord
-	peers   func() []PeerSnapshot
-	cluster func() any
+	mu       sync.Mutex
+	readings map[string]func() Reading
+	hists    map[string]func() HistogramSnapshot
+	traces   func() []TraceRecord
+	peers    func() []PeerSnapshot
+	cluster  func() any
 }
 
 // NewServer binds addr (host:port; ":0" picks a free port) and starts
@@ -46,11 +45,9 @@ func NewServer(addr string) (*Server, error) {
 		return nil, fmt.Errorf("observe: debug listener: %w", err)
 	}
 	s := &Server{
-		ln:     ln,
-		vars:   make(map[string]func() any),
-		gauges: make(map[string]func() float64),
-		counts: make(map[string]func() uint64),
-		hists:  make(map[string]func() HistogramSnapshot),
+		ln:       ln,
+		readings: make(map[string]func() Reading),
+		hists:    make(map[string]func() HistogramSnapshot),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/vars", s.serveVars)
@@ -73,27 +70,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the listener. In-flight scrapes are abandoned.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// PublishVar registers a JSON-marshalable snapshot under name on
+// Reading is one source's instruments read at one instant. Var, when
+// non-nil, is served whole on /debug/vars under the source's name; each
+// counter and gauge is served under its own name on /metrics and
 // /debug/vars.
-func (s *Server) PublishVar(name string, fn func() any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.vars[name] = fn
+type Reading struct {
+	Var      any
+	Counters map[string]uint64
+	Gauges   map[string]float64
 }
 
-// PublishCounter registers a monotonic counter on /metrics (and
-// /debug/vars).
-func (s *Server) PublishCounter(name string, fn func() uint64) {
+// PublishReading registers a source that is read once per scrape, so
+// every instrument it renders comes from the same instant.
+func (s *Server) PublishReading(name string, fn func() Reading) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.counts[name] = fn
-}
-
-// PublishGauge registers a gauge level on /metrics (and /debug/vars).
-func (s *Server) PublishGauge(name string, fn func() float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gauges[name] = fn
+	s.readings[name] = fn
 }
 
 // PublishHistogram registers a histogram on /metrics (and /debug/vars,
@@ -133,13 +125,11 @@ func (s *Server) PublishCluster(fn func() any) {
 
 // registry is a point-in-time copy of the Server's registrations.
 type registry struct {
-	vars    map[string]func() any
-	counts  map[string]func() uint64
-	gauges  map[string]func() float64
-	hists   map[string]func() HistogramSnapshot
-	traces  func() []TraceRecord
-	peers   func() []PeerSnapshot
-	cluster func() any
+	readings map[string]func() Reading
+	hists    map[string]func() HistogramSnapshot
+	traces   func() []TraceRecord
+	peers    func() []PeerSnapshot
+	cluster  func() any
 }
 
 // snapshotRegistry copies the registration maps so scrapes never hold
@@ -147,28 +137,27 @@ type registry struct {
 func (s *Server) snapshotRegistry() registry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := registry{
-		vars:    make(map[string]func() any, len(s.vars)),
-		counts:  make(map[string]func() uint64, len(s.counts)),
-		gauges:  make(map[string]func() float64, len(s.gauges)),
-		hists:   make(map[string]func() HistogramSnapshot, len(s.hists)),
-		traces:  s.traces,
-		peers:   s.peers,
-		cluster: s.cluster,
+	return registry{
+		readings: maps.Clone(s.readings),
+		hists:    maps.Clone(s.hists),
+		traces:   s.traces,
+		peers:    s.peers,
+		cluster:  s.cluster,
 	}
-	for k, v := range s.vars {
-		r.vars[k] = v
+}
+
+// read calls every reading source once and flattens the results.
+func (r registry) read() (vars map[string]any, counts map[string]uint64, gauges map[string]float64) {
+	vars, counts, gauges = map[string]any{}, map[string]uint64{}, map[string]float64{}
+	for name, fn := range r.readings {
+		rd := fn()
+		if rd.Var != nil {
+			vars[name] = rd.Var
+		}
+		maps.Copy(counts, rd.Counters)
+		maps.Copy(gauges, rd.Gauges)
 	}
-	for k, v := range s.counts {
-		r.counts[k] = v
-	}
-	for k, v := range s.gauges {
-		r.gauges[k] = v
-	}
-	for k, v := range s.hists {
-		r.hists[k] = v
-	}
-	return r
+	return vars, counts, gauges
 }
 
 // serveVars renders every registered instrument as one JSON object, in
@@ -177,15 +166,16 @@ func (s *Server) snapshotRegistry() registry {
 // plus the standard "memstats" block.
 func (s *Server) serveVars(w http.ResponseWriter, _ *http.Request) {
 	reg := s.snapshotRegistry()
-	out := make(map[string]any, len(reg.vars)+len(reg.counts)+len(reg.gauges)+len(reg.hists)+2)
-	for name, fn := range reg.vars {
-		out[name] = fn()
+	vars, counts, gauges := reg.read()
+	out := make(map[string]any, len(vars)+len(counts)+len(gauges)+len(reg.hists)+2)
+	for name, v := range vars {
+		out[name] = v
 	}
-	for name, fn := range reg.counts {
-		out[name] = fn()
+	for name, v := range counts {
+		out[name] = v
 	}
-	for name, fn := range reg.gauges {
-		out[name] = fn()
+	for name, v := range gauges {
+		out[name] = v
 	}
 	for name, fn := range reg.hists {
 		snap := fn()
@@ -229,13 +219,14 @@ func (s *Server) serveVars(w http.ResponseWriter, _ *http.Request) {
 // bodies and scrapes diff cleanly.
 func (s *Server) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	reg := s.snapshotRegistry()
+	_, counts, gauges := reg.read()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b strings.Builder
-	for _, name := range sortedKeys(reg.counts) {
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, reg.counts[name]())
+	for _, name := range sortedKeys(counts) {
+		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", name, name, counts[name])
 	}
-	for _, name := range sortedKeys(reg.gauges) {
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", name, name, reg.gauges[name]())
+	for _, name := range sortedKeys(gauges) {
+		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", name, name, gauges[name])
 	}
 	for _, name := range sortedKeys(reg.hists) {
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", name)

@@ -37,14 +37,18 @@ func get(t *testing.T, url string) string {
 
 func TestServerVarsJSON(t *testing.T) {
 	s := startTestServer(t)
-	s.PublishCounter("gossip_delivered_total", func() uint64 { return 17 })
-	s.PublishGauge("gossip_allowed_rate", func() float64 { return 2.5 })
+	s.PublishReading("gossip_stats", func() Reading {
+		return Reading{
+			Var:      map[string]int{"nodes": 3},
+			Counters: map[string]uint64{"gossip_delivered_total": 17},
+			Gauges:   map[string]float64{"gossip_allowed_rate": 2.5},
+		}
+	})
 	var h Histogram
 	for i := 0; i < 32; i++ {
 		h.Observe(uint64(i))
 	}
 	s.PublishHistogram("gossip_delivery_hops", h.Snapshot)
-	s.PublishVar("gossip_stats", func() any { return map[string]int{"nodes": 3} })
 
 	body := get(t, "http://"+s.Addr()+"/debug/vars")
 	var out map[string]any
@@ -67,12 +71,19 @@ func TestServerVarsJSON(t *testing.T) {
 	if _, ok := out["memstats"]; !ok {
 		t.Fatal("memstats block missing from /debug/vars")
 	}
+	if stats, ok := out["gossip_stats"].(map[string]any); !ok || stats["nodes"] != float64(3) {
+		t.Fatalf("reading's var missing or wrong: %v", out["gossip_stats"])
+	}
 }
 
 func TestServerPrometheusText(t *testing.T) {
 	s := startTestServer(t)
-	s.PublishCounter("gossip_messages_sent_total", func() uint64 { return 5 })
-	s.PublishGauge("gossip_allowed_rate_min", func() float64 { return 1.25 })
+	s.PublishReading("gossip_stats", func() Reading {
+		return Reading{
+			Counters: map[string]uint64{"gossip_messages_sent_total": 5},
+			Gauges:   map[string]float64{"gossip_allowed_rate_min": 1.25},
+		}
+	})
 	var h Histogram
 	h.Observe(3)
 	h.Observe(300)
@@ -151,7 +162,9 @@ func getWithType(t *testing.T, url string) (string, string) {
 // everywhere else.
 func TestServerContentTypes(t *testing.T) {
 	s := startTestServer(t)
-	s.PublishCounter("gossip_delivered_total", func() uint64 { return 1 })
+	s.PublishReading("gossip_stats", func() Reading {
+		return Reading{Counters: map[string]uint64{"gossip_delivered_total": 1}}
+	})
 	for url, want := range map[string]string{
 		"/metrics":              "text/plain; version=0.0.4; charset=utf-8",
 		"/debug/vars":           "application/json; charset=utf-8",
@@ -170,10 +183,13 @@ func TestServerContentTypes(t *testing.T) {
 // registration order.
 func TestServerMetricsStableOrder(t *testing.T) {
 	s := startTestServer(t)
-	// Register intentionally out of order.
-	s.PublishCounter("gossip_z_total", func() uint64 { return 3 })
-	s.PublishCounter("gossip_a_total", func() uint64 { return 1 })
-	s.PublishCounter("gossip_m_total", func() uint64 { return 2 })
+	// Register intentionally out of order, across two sources.
+	s.PublishReading("z", func() Reading {
+		return Reading{Counters: map[string]uint64{"gossip_z_total": 3, "gossip_a_total": 1}}
+	})
+	s.PublishReading("m", func() Reading {
+		return Reading{Counters: map[string]uint64{"gossip_m_total": 2}}
+	})
 	pt := NewPeerTable(8)
 	pt.Get("zeta").MessagesSent.Inc()
 	pt.Get("alpha").MessagesSent.Inc()

@@ -63,39 +63,46 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 	}
 	g.srv = srv
 
-	srv.PublishVar("gossip_stats", func() any { return stats() })
-	counter := func(name string, get func(Stats) uint64) {
-		srv.PublishCounter(name, func() uint64 { return get(stats()) })
-	}
-	counter("gossip_published_total", func(s Stats) uint64 { return s.Published })
-	counter("gossip_publish_throttled_total", func(s Stats) uint64 { return s.Throttled })
-	counter("gossip_delivered_total", func(s Stats) uint64 { return s.Delivered })
-	counter("gossip_dropped_capacity_total", func(s Stats) uint64 { return s.DroppedCapacity })
-	counter("gossip_dropped_expired_total", func(s Stats) uint64 { return s.DroppedExpired })
-	counter("gossip_messages_sent_total", func(s Stats) uint64 { return s.MessagesSent })
-	counter("gossip_events_recovered_total", func(s Stats) uint64 { return s.EventsRecovered })
-	counter("gossip_probes_sent_total", func(s Stats) uint64 { return s.ProbesSent })
-	counter("gossip_confirms_total", func(s Stats) uint64 { return s.Confirms })
-	counter("gossip_stream_dropped_total", func(s Stats) uint64 { return s.StreamDropped })
-	counter("gossip_recv_queue_drops_total", func(s Stats) uint64 { return s.Wire.RecvQueueDrops })
-	counter("gossip_inbox_dropped_total", func(s Stats) uint64 { return s.InboxDropped })
-	counter("gossip_wire_sent_total", func(s Stats) uint64 { return s.Wire.Sent })
-	counter("gossip_wire_sent_bytes_total", func(s Stats) uint64 { return s.Wire.SentBytes })
-	counter("gossip_wire_received_total", func(s Stats) uint64 { return s.Wire.Received })
-	counter("gossip_wire_recv_bytes_total", func(s Stats) uint64 { return s.Wire.RecvBytes })
-	counter("gossip_wire_read_errors_total", func(s Stats) uint64 { return s.Wire.ReadErrors })
-	counter("gossip_wire_decode_errors_total", func(s Stats) uint64 { return s.Wire.DecodeErrors })
-	counter("gossip_wire_split_chunks_total", func(s Stats) uint64 { return s.Wire.SplitChunks })
-	counter("gossip_wire_precompression_bytes_total", func(s Stats) uint64 { return s.Wire.PreCompressionBytes })
-	counter("gossip_wire_postcompression_bytes_total", func(s Stats) uint64 { return s.Wire.PostCompressionBytes })
-	counter("gossip_health_digests_sent_total", func(s Stats) uint64 { return s.HealthDigestsSent })
-	counter("gossip_health_digests_received_total", func(s Stats) uint64 { return s.HealthDigestsReceived })
-	counter("gossip_health_digests_merged_total", func(s Stats) uint64 { return s.HealthDigestsMerged })
-
-	srv.PublishGauge("gossip_nodes", func() float64 { return float64(stats().Nodes) })
-	srv.PublishGauge("gossip_allowed_rate_min", func() float64 { return stats().MinAllowedRate })
-	srv.PublishGauge("gossip_allowed_rate_max", func() float64 { return stats().MaxAllowedRate })
-	srv.PublishGauge("gossip_allowed_rate_sum", func() float64 { return stats().SumAllowedRate })
+	// One Stats snapshot per scrape: every counter and gauge of a scrape
+	// comes from the same instant, and the member loops are visited once.
+	srv.PublishReading("gossip_stats", func() observe.Reading {
+		s := stats()
+		return observe.Reading{
+			Var: s,
+			Counters: map[string]uint64{
+				"gossip_published_total":                  s.Published,
+				"gossip_publish_throttled_total":          s.Throttled,
+				"gossip_delivered_total":                  s.Delivered,
+				"gossip_dropped_capacity_total":           s.DroppedCapacity,
+				"gossip_dropped_expired_total":            s.DroppedExpired,
+				"gossip_messages_sent_total":              s.MessagesSent,
+				"gossip_events_recovered_total":           s.EventsRecovered,
+				"gossip_probes_sent_total":                s.ProbesSent,
+				"gossip_confirms_total":                   s.Confirms,
+				"gossip_stream_dropped_total":             s.StreamDropped,
+				"gossip_recv_queue_drops_total":           s.Wire.RecvQueueDrops,
+				"gossip_inbox_dropped_total":              s.InboxDropped,
+				"gossip_wire_sent_total":                  s.Wire.Sent,
+				"gossip_wire_sent_bytes_total":            s.Wire.SentBytes,
+				"gossip_wire_received_total":              s.Wire.Received,
+				"gossip_wire_recv_bytes_total":            s.Wire.RecvBytes,
+				"gossip_wire_read_errors_total":           s.Wire.ReadErrors,
+				"gossip_wire_decode_errors_total":         s.Wire.DecodeErrors,
+				"gossip_wire_split_chunks_total":          s.Wire.SplitChunks,
+				"gossip_wire_precompression_bytes_total":  s.Wire.PreCompressionBytes,
+				"gossip_wire_postcompression_bytes_total": s.Wire.PostCompressionBytes,
+				"gossip_health_digests_sent_total":        s.HealthDigestsSent,
+				"gossip_health_digests_received_total":    s.HealthDigestsReceived,
+				"gossip_health_digests_merged_total":      s.HealthDigestsMerged,
+			},
+			Gauges: map[string]float64{
+				"gossip_nodes":            float64(s.Nodes),
+				"gossip_allowed_rate_min": s.MinAllowedRate,
+				"gossip_allowed_rate_max": s.MaxAllowedRate,
+				"gossip_allowed_rate_sum": s.SumAllowedRate,
+			},
+		}
+	})
 
 	srv.PublishHistogram("gossip_deliver_hops", g.node.DeliverHops.Snapshot)
 	srv.PublishHistogram("gossip_drop_age", g.node.DropAge.Snapshot)

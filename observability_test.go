@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -294,6 +295,32 @@ func TestClusterDebugEndpoint(t *testing.T) {
 	for _, want := range []string{"publish", "first-send", "receive", "deliver"} {
 		if !stages[want] {
 			t.Fatalf("rumor lifecycle missing stage %q; saw %v in:\n%s", want, stages, traces)
+		}
+	}
+}
+
+// TestDebugScrapeReadsStatsOnce: one /metrics or /debug/vars scrape
+// reads the group's Stats once, so every counter and gauge it renders
+// comes from the same instant.
+func TestDebugScrapeReadsStatsOnce(t *testing.T) {
+	var calls atomic.Int64
+	stats := func() Stats {
+		calls.Add(1)
+		return Stats{Nodes: 1, Delivered: 7}
+	}
+	g := newGroupObservability(ObservabilityConfig{})
+	if err := g.bindServer("127.0.0.1:0", stats, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer g.close()
+	for _, path := range []string{"/metrics", "/debug/vars"} {
+		before := calls.Load()
+		body := debugGet(t, "http://"+g.debugAddr()+path)
+		if got := calls.Load() - before; got != 1 {
+			t.Fatalf("%s scrape read Stats %d times, want 1", path, got)
+		}
+		if !strings.Contains(body, "gossip_delivered_total") || !strings.Contains(body, "gossip_nodes") {
+			t.Fatalf("%s lacks the Stats families:\n%s", path, body)
 		}
 	}
 }
