@@ -48,6 +48,18 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("bad failure sub-config accepted")
 	}
+	// The node's constructor rejects an eventIds bound above 2²⁶ and an
+	// age above 2¹⁶; Validate does too.
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.IDCacheCapacity = 1 << 33 },
+		func(c *Config) { c.MaxAge = 1 << 17 },
+	} {
+		bad = DefaultConfig()
+		mutate(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("IDCacheCapacity %d, MaxAge %d accepted", bad.IDCacheCapacity, bad.MaxAge)
+		}
+	}
 }
 
 // TestConfigZeroValueNormalized covers the withDefaults migration away

@@ -199,12 +199,13 @@ type Config struct {
 	// BufferCapacity bounds the events buffer (|events|max). Zero
 	// means the default.
 	BufferCapacity int
-	// IDCacheCapacity bounds the duplicate-suppression set. Zero
-	// derives it from BufferCapacity. It may equal BufferCapacity: a
-	// buffered event is never delivered twice, whatever the set has
-	// forgotten.
+	// IDCacheCapacity bounds the duplicate-suppression set, at most
+	// 2²⁶. Zero derives it from BufferCapacity. It may equal
+	// BufferCapacity: a buffered event is never delivered twice,
+	// whatever the set has forgotten.
 	IDCacheCapacity int
-	// MaxAge is the age purge bound k. Zero means the default.
+	// MaxAge is the age purge bound k, at most 65,536. Zero means the
+	// default.
 	MaxAge int
 	// Adaptive enables the paper's adaptation mechanism. Disabled, the
 	// node is plain lpbcast with no input bound.

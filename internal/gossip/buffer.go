@@ -28,8 +28,8 @@ const maxBufferAge = 1 << 16
 // is the tail of the highest non-empty bucket, found from a hint.
 //
 // Entries live by value in a slab whose slots are recycled through a
-// free list; an idTable of slots, keyed by the seeded hash IDCache uses,
-// finds an entry by id. Slab, free list, table and eviction scratch are
+// free list; an idTable of slots, keyed by the seeded id hash, finds an
+// entry by id. Slab, free list, table and eviction scratch are
 // sized for capacity+1 entries (Add holds one over capacity before it
 // evicts) when the buffer is made and when SetCapacity grows it, never
 // else, so insert, evict, reposition and expire allocate nothing.
@@ -126,7 +126,7 @@ func (b *Buffer) Get(id EventID) (Event, bool) {
 }
 
 // hash returns id's hash under the buffer's seed.
-func (b *Buffer) hash(id EventID) uint32 { return hashID(b.seed, id) }
+func (b *Buffer) hash(id EventID) uint32 { return idHash(originHash(b.seed, id.Origin), id.Seq) }
 
 // find returns the slab slot of the event id, which hashes to h, or -1
 // when it is not buffered.

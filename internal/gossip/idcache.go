@@ -3,76 +3,67 @@ package gossip
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 )
 
-// maxIDCacheCapacity is the largest capacity whose ring positions and
-// index table a uint32 can address: the table holds at least twice as
-// many slots as the ring, at most 2^32.
-const maxIDCacheCapacity = math.MaxUint32 / 2
+// maxIDCacheCapacity is the largest capacity a ring entry can address:
+// an entry holds its block's index in the 26 bits above a seq's low 6,
+// and a cache never holds more blocks than ids.
+const maxIDCacheCapacity = 1 << 26
 
-// idCacheBlock is how many ids, and origins, the first Add makes room
+// idCacheFirst is how many ids, and blocks, the first Add makes room
 // for. A member whose cache never outgrows it keeps a few KB instead of
 // its capacity.
-const idCacheBlock = 64
+const idCacheFirst = 64
 
 // IDCache is the bounded eventIds duplicate-suppression set of Figure 1.
 // When full, the oldest identifier is forgotten (FIFO), matching the
 // paper's "remove oldest element from eventIds".
 //
-// The ids live in a ring, 8 bytes each: the low half of the seq and the
-// index of the id's origin in a small origin table. An origin entry
-// holds the name, the high half of its ids' seqs (so an origin whose
-// seqs cross 2³² takes a second entry) and how many of its ids the ring
-// holds; it leaves the table with its last id. One idTable of ring
-// positions finds an id, keeping its hash, another of entries an origin.
+// An origin's seqs are consecutive, so the ids are kept in blocks: a
+// block holds an origin, the upper bits of a seq (seq>>6) and a bitmap
+// of the 64 seqs under them that the cache remembers. One idTable,
+// keyed by the seeded hash of (origin, seq>>6), finds a block: Contains
+// and Add are one probe of it and a bit test. A FIFO ring of 4-byte
+// entries, each block<<6 | seq&63, keeps the order; a block goes back
+// on a free list when its bitmap empties.
 //
 // The footprint follows what the cache holds: nothing until the first
-// Add, a block of idCacheBlock ids and origins, then — once, at the next
-// id — the full capacity: 12 bytes per id with its hash, and at most 16
-// of table. The origin table grows only when more origins than it has
-// room for are live at once, by 28 bytes per entry and at most 16 of
-// table: at worst, every id from an origin of its own, 72 bytes per id.
+// Add, room for idCacheFirst ids and blocks, then — once, at the next
+// id — the full ring, 4 bytes per id. The block table grows only when
+// more blocks than it has room for are live at once, by 36 bytes per
+// block and at most 16 of table. Ids dense per origin share a block per
+// 64 seqs; at worst, every id in a block of its own, 56 bytes per id.
 //
 // IDCache is not safe for concurrent use.
 type IDCache struct {
 	capacity int
-	ring     []cachedID // len(ring) ids are room for; the oldest at head
-	index    idTable    // finds a ring position by id
+	ring     []uint32 // block<<6 | seq&63; len(ring) ids are room for; the oldest at head
 	head     int
 	size     int
 	seed     maphash.Seed
 
-	origins   []originEntry // by index; the free ones chained from free
-	originIdx idTable       // finds an origin entry by (name, high seq half)
-	free      uint32        // index+1 of the first free entry, 0 for none
+	blocks []idBlock // by index; the free ones chained from free
+	index  idTable   // finds a block by (origin, seq>>6)
+	free   uint32    // index+1 of the first free block, 0 for none
 }
 
-// cachedID is a remembered id: the low half of its seq and its origin
-// entry, which holds the high half.
-type cachedID struct{ lo, origin uint32 }
-
-// originEntry is an origin with ids in the ring, or a free entry: one
-// whose count is 0 and whose hi links the free list (index+1 of the
-// next free entry, 0 at its end).
-type originEntry struct {
+// idBlock holds the remembered ids of one origin whose seqs share hi =
+// seq>>6: bit seq&63 of bits is set for each. A free block has no bits,
+// and its hi links the free list (index+1 of the next free block, 0 at
+// its end).
+type idBlock struct {
 	name NodeID
-	hi   uint32 // the high half of the seqs of its ids
-	live uint32 // its ids in the ring
+	hi   uint64
+	bits uint64
 }
-
-// originKey is the origin table's hash of the entry (origin, hi), the
-// origin hashing to oh: seeded, so a peer that sends one origin with
-// many seq halves cannot pile its entries into one probe run.
-func originKey(oh uint64, hi uint32) uint32 { return idHash(oh, uint64(hi)) }
 
 // NewIDCache returns an empty cache with the given capacity.
 func NewIDCache(capacity int) (*IDCache, error) { return newIDCache(capacity, maphash.MakeSeed()) }
 
 // newIDCache returns an empty cache hashing ids with seed.
 func newIDCache(capacity int, seed maphash.Seed) (*IDCache, error) {
-	if capacity <= 0 || uint64(capacity) > maxIDCacheCapacity {
-		return nil, fmt.Errorf("gossip: id cache capacity must be in [1, %d], got %d", uint64(maxIDCacheCapacity), capacity)
+	if capacity <= 0 || capacity > maxIDCacheCapacity {
+		return nil, fmt.Errorf("gossip: id cache capacity must be in [1, %d], got %d", maxIDCacheCapacity, capacity)
 	}
 	return &IDCache{capacity: capacity, seed: seed}, nil
 }
@@ -84,47 +75,29 @@ func (c *IDCache) Len() int { return c.size }
 func (c *IDCache) Capacity() int { return c.capacity }
 
 // Contains reports whether id is remembered.
-func (c *IDCache) Contains(id EventID) bool { return c.contains(id, hashID(c.seed, id)) }
+func (c *IDCache) Contains(id EventID) bool { return c.contains(id, originHash(c.seed, id.Origin)) }
 
-// contains is Contains for an id that hashes to h. It reads the origin
-// table only where an id of the ring matches h's tag and seq's low half.
-func (c *IDCache) contains(id EventID, h uint32) bool {
-	if c.size == 0 {
-		return false
-	}
-	for p, s := c.index.next(h&c.index.mask, h); p >= 0; p, s = c.index.next(s, h) {
-		if e := c.ring[p]; e.lo == uint32(id.Seq) {
-			if o := &c.origins[e.origin]; o.hi == uint32(id.Seq>>32) && o.name == id.Origin {
-				return true
-			}
-		}
-	}
-	return false
+// contains is Contains for an id whose origin hashes to oh.
+func (c *IDCache) contains(id EventID, oh uint64) bool {
+	b := c.find(id, oh)
+	return b >= 0 && c.blocks[b].bits&(1<<(id.Seq&63)) != 0
 }
 
 // Add remembers id and reports whether it was new. Adding a known id is
 // a no-op returning false. When the cache is full the oldest identifier
 // is evicted.
-func (c *IDCache) Add(id EventID) bool {
-	oh := originHash(c.seed, id.Origin)
-	return c.add(id, oh, idHash(oh, id.Seq))
-}
+func (c *IDCache) Add(id EventID) bool { return c.add(id, originHash(c.seed, id.Origin)) }
 
-// add is Add for an id whose origin hashes to oh and which hashes to h.
-// It looks the origin up first: an id whose origin has no entry is new
-// without a probe of the ring's table.
-func (c *IDCache) add(id EventID, oh uint64, h uint32) bool {
-	hi := uint32(id.Seq >> 32)
-	o := c.findOrigin(id.Origin, hi, oh)
-	if o >= 0 {
-		want := cachedID{lo: uint32(id.Seq), origin: uint32(o)}
-		for p, s := c.index.next(h&c.index.mask, h); p >= 0; p, s = c.index.next(s, h) {
-			if c.ring[p] == want {
-				return false
-			}
+// add is Add for an id whose origin hashes to oh.
+func (c *IDCache) add(id EventID, oh uint64) bool {
+	bit := uint64(1) << (id.Seq & 63)
+	b := c.find(id, oh)
+	if b >= 0 {
+		if c.blocks[b].bits&bit != 0 {
+			return false
 		}
-		// Counted before the eviction, which cannot then take o away.
-		c.origins[o].live++
+		// Set before the eviction, which cannot then empty b.
+		c.blocks[b].bits |= bit
 	}
 	if c.size == len(c.ring) && c.size < c.capacity {
 		// Warm-up: once at the cache's first id and once at its 65th.
@@ -133,8 +106,7 @@ func (c *IDCache) add(id EventID, oh uint64, h uint32) bool {
 	var pos int
 	if c.size == c.capacity {
 		pos = c.head
-		c.index.unlink(pos)
-		c.release(c.ring[pos].origin)
+		c.forget(c.ring[pos])
 		c.head++
 		if c.head == len(c.ring) {
 			c.head = 0
@@ -144,11 +116,10 @@ func (c *IDCache) add(id EventID, oh uint64, h uint32) bool {
 		pos = c.size
 		c.size++
 	}
-	if o < 0 {
-		o = c.addOrigin(id.Origin, hi, oh)
+	if b < 0 {
+		b = c.addBlock(id, oh, bit)
 	}
-	c.ring[pos] = cachedID{lo: uint32(id.Seq), origin: uint32(o)}
-	c.index.link(pos, h)
+	c.ring[pos] = uint32(b)<<6 | uint32(id.Seq&63)
 	return true
 }
 
@@ -162,84 +133,85 @@ func (c *IDCache) AppendIDs(dst []EventID) []EventID {
 			p -= len(c.ring)
 		}
 		e := c.ring[p]
-		o := &c.origins[e.origin]
-		dst = append(dst, EventID{Origin: o.name, Seq: uint64(o.hi)<<32 | uint64(e.lo)})
+		k := &c.blocks[e>>6]
+		dst = append(dst, EventID{Origin: k.name, Seq: k.hi<<6 | uint64(e&63)})
 	}
 	return dst
 }
 
-// grow makes room for more ids: the first block at the first Add, the
-// full capacity when the block is full. The cache evicts nothing before
-// it is at capacity, so the ids sit in ring[:size].
+// grow makes room for more ids: idCacheFirst at the first Add, the full
+// capacity when those are taken. The cache evicts nothing before it is
+// at capacity, so the ids sit in ring[:size].
 func (c *IDCache) grow() {
-	n := min(c.capacity, idCacheBlock)
+	n := min(c.capacity, idCacheFirst)
 	if len(c.ring) > 0 {
 		n = c.capacity
 	}
-	ring := make([]cachedID, n)
+	ring := make([]uint32, n)
 	copy(ring, c.ring[:c.size])
 	c.ring = ring
-	c.index.resize(n)
-	for p := 0; p < c.size; p++ {
-		c.index.link(p, c.index.hashes[p])
-	}
 }
 
-// findOrigin returns the entry of (origin, hi), origin hashing to oh,
-// or -1.
-func (c *IDCache) findOrigin(origin NodeID, hi uint32, oh uint64) int {
+// find returns the block of id, whose origin hashes to oh, or -1. The
+// block's hash is the id hash of (origin, seq>>6): seeded, so a peer
+// cannot pile the blocks it sends into one probe run.
+func (c *IDCache) find(id EventID, oh uint64) int {
 	if c.size == 0 {
-		return -1 // no origin is live, and there may be no table yet
+		return -1 // no block is live, and there may be no table yet
 	}
-	h := originKey(oh, hi)
-	for o, s := c.originIdx.next(h&c.originIdx.mask, h); o >= 0; o, s = c.originIdx.next(s, h) {
-		if e := &c.origins[o]; e.hi == hi && e.name == origin {
-			return o
+	hi := id.Seq >> 6
+	h := idHash(oh, hi)
+	for b, s := c.index.next(h&c.index.mask, h); b >= 0; b, s = c.index.next(s, h) {
+		if k := &c.blocks[b]; k.hi == hi && k.name == id.Origin {
+			return b
 		}
 	}
 	return -1
 }
 
-// addOrigin enters (origin, hi), origin hashing to oh and the pair not
-// in the table, with one id, and returns its entry.
-func (c *IDCache) addOrigin(origin NodeID, hi uint32, oh uint64) int {
-	if c.free == 0 && len(c.origins) == cap(c.origins) {
-		c.growOrigins()
+// addBlock enters the block of id, whose origin hashes to oh and which
+// has no block, holding bit alone, and returns it.
+func (c *IDCache) addBlock(id EventID, oh, bit uint64) int {
+	if c.free == 0 && len(c.blocks) == cap(c.blocks) {
+		c.growBlocks()
 	}
-	var o int
+	var b int
 	if c.free != 0 {
-		o = int(c.free - 1)
-		c.free = c.origins[o].hi
+		b = int(c.free - 1)
+		c.free = uint32(c.blocks[b].hi)
 	} else {
-		o = len(c.origins)
-		c.origins = c.origins[:o+1]
+		b = len(c.blocks)
+		c.blocks = c.blocks[:b+1]
 	}
-	c.origins[o] = originEntry{name: origin, hi: hi, live: 1}
-	c.originIdx.link(o, originKey(oh, hi))
-	return o
+	hi := id.Seq >> 6
+	c.blocks[b] = idBlock{name: id.Origin, hi: hi, bits: bit}
+	c.index.link(b, idHash(oh, hi))
+	return b
 }
 
-// release drops one id of origin entry o, and the entry with its last.
-func (c *IDCache) release(o uint32) {
-	e := &c.origins[o]
-	if e.live--; e.live > 0 {
+// forget clears the bit of ring entry e, and frees its block with its
+// last.
+func (c *IDCache) forget(e uint32) {
+	b := e >> 6
+	k := &c.blocks[b]
+	if k.bits &^= 1 << (e & 63); k.bits != 0 {
 		return
 	}
-	c.originIdx.unlink(int(o))
-	*e = originEntry{hi: c.free}
-	c.free = o + 1
+	c.index.unlink(int(b))
+	*k = idBlock{hi: uint64(c.free)}
+	c.free = b + 1
 }
 
-// growOrigins makes room for more origins: idCacheBlock at the first,
-// then twice as many, never more than the capacity. No entry is free,
-// so every entry is live; entries keep their indices.
-func (c *IDCache) growOrigins() {
-	n := min(c.capacity, max(idCacheBlock, 2*cap(c.origins)))
-	origins := make([]originEntry, len(c.origins), n)
-	copy(origins, c.origins)
-	c.origins = origins
-	c.originIdx.resize(n)
-	for o := range c.origins {
-		c.originIdx.link(o, c.originIdx.hashes[o])
+// growBlocks makes room for more blocks: idCacheFirst at the first,
+// then twice as many, never more than the capacity. No block is free,
+// so every block is live; blocks keep their indices.
+func (c *IDCache) growBlocks() {
+	n := min(c.capacity, max(idCacheFirst, 2*cap(c.blocks)))
+	blocks := make([]idBlock, len(c.blocks), n)
+	copy(blocks, c.blocks)
+	c.blocks = blocks
+	c.index.resize(n)
+	for b := range c.blocks {
+		c.index.link(b, c.index.hashes[b])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"slices"
@@ -33,12 +34,8 @@ func TestNewIDCacheRejectsNonPositiveCapacity(t *testing.T) {
 }
 
 func TestNewIDCacheRejectsUnaddressableCapacity(t *testing.T) {
-	var tooBig uint64 = maxIDCacheCapacity + 1
-	if tooBig > math.MaxInt {
-		t.Skip("int cannot express the first unaddressable capacity")
-	}
-	if _, err := NewIDCache(int(tooBig)); err == nil {
-		t.Errorf("NewIDCache(%d): want error", tooBig)
+	if _, err := NewIDCache(maxIDCacheCapacity + 1); err == nil {
+		t.Errorf("NewIDCache(%d): want error", maxIDCacheCapacity+1)
 	}
 }
 
@@ -182,26 +179,27 @@ func (c *refIDCache) AppendIDs(dst []EventID) []EventID {
 
 // TestIDCacheMatchesReference drives the cache and the reference with
 // the same random Add/Contains calls — fresh ids, re-adds of ids long
-// evicted, and patterns aimed at the hash and the origin table: one
-// origin whose seqs step by a power of two, many origins sharing one
-// seq, ids whose hashes are equal in every bit (so they share the tag
-// and the probe run, and only the key tells them apart: ids of two
-// origins with one seq, of one origin with seqs apart in their low or
-// in their high half only, and of one origin in two origin entries
-// whose table hashes are equal), visiting origins whose ids all leave
-// before they come back, and in seed 1 more origins at once than the
-// first block holds — and requires identical answers, lengths and
-// oldest-first listings, and the cache's invariants.
+// evicted, and patterns aimed at the hash and the blocks: one origin
+// whose seqs step by a power of two, or by 64 so that each id has a
+// block of its own, many origins sharing one seq, seqs on both sides of
+// a block's edge and near 2⁶⁴−1, ids whose blocks' hashes are equal in
+// every bit (so they share the tag and the probe run, and only the key
+// tells them apart: blocks of two origins with one seq>>6, and of one
+// origin with seq>>6 apart in its low or in its high bits only),
+// visiting origins whose ids all leave before they come back, and in
+// seed 1 more blocks at once than the first allocation holds — and
+// requires identical answers, lengths and oldest-first listings, and
+// the cache's invariants.
 func TestIDCacheMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x1dcace))
 		capacity := 1 + rng.IntN(4096)
 		if seed%4 == 0 {
-			capacity = 1 + rng.IntN(80) // around the first block's edge
+			capacity = 1 + rng.IntN(80) // around the first allocation's edge
 		}
 		origins := make([]NodeID, 1+rng.IntN(300))
 		if seed == 1 {
-			capacity, origins = 4096, make([]NodeID, 4*idCacheBlock)
+			capacity, origins = 4096, make([]NodeID, 4*idCacheFirst)
 		}
 		for i := range origins {
 			origins[i] = NodeID(fmt.Sprintf("o%03d", i))
@@ -222,10 +220,10 @@ func TestIDCacheMatchesReference(t *testing.T) {
 		}
 		next := make([]uint64, len(origins))
 		var added []EventID
-		var stride, shared, visits uint64
+		var stride, sparse, shared, visits uint64
 		for op := 0; op < 5000; op++ {
 			var eid EventID
-			switch k := rng.IntN(12); {
+			switch k := rng.IntN(16); {
 			case k < 4: // fresh, dense per origin
 				o := rng.IntN(len(origins))
 				eid = EventID{Origin: origins[o], Seq: next[o]}
@@ -235,12 +233,20 @@ func TestIDCacheMatchesReference(t *testing.T) {
 			case k < 7: // one origin, seqs a power of two apart
 				eid = EventID{Origin: origins[0], Seq: stride * step}
 				stride++
-			case k < 8: // many origins, one seq
+			case k < 8: // one origin, a block per id
+				eid = EventID{Origin: "sparse", Seq: sparse << 6}
+				sparse++
+			case k < 9: // many origins, one seq
 				eid = EventID{Origin: origins[shared%uint64(len(origins))], Seq: shared / uint64(len(origins))}
 				shared++
-			case k < 9 && len(colliding) > 0: // one hash, two keys
+			case k < 10: // the last seq of a block or the first of the next
+				edge := uint64(1+rng.IntN(8)) << 6
+				eid = EventID{Origin: origins[rng.IntN(len(origins))], Seq: edge - uint64(rng.IntN(2))}
+			case k < 11: // the top three blocks
+				eid = EventID{Origin: origins[rng.IntN(len(origins))], Seq: math.MaxUint64 - uint64(rng.IntN(3*64))}
+			case k < 12 && len(colliding) > 0: // one hash, two keys
 				eid = colliding[rng.IntN(len(colliding))]
-			case k < 10: // a visitor: one id, then gone for a while
+			case k < 13: // a visitor: one id, then gone for a while
 				eid = EventID{Origin: NodeID(fmt.Sprintf("v%d", visits%5)), Seq: visits}
 				visits++
 			default: // small random space: many hits
@@ -277,36 +283,31 @@ func TestIDCacheMatchesReference(t *testing.T) {
 		if err := got.checkInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if seed == 1 && cap(got.origins) <= idCacheBlock {
-			t.Fatalf("seed 1: the origin table has room for %d origins: it never outgrew its first block", cap(got.origins))
+		if seed == 1 && cap(got.blocks) <= idCacheFirst {
+			t.Fatalf("seed 1: the cache has room for %d blocks: it never outgrew its first allocation", cap(got.blocks))
 		}
 	}
 }
 
-// collidingIDs returns ids whose hashes under seed are equal in every
-// bit, found by the birthday bound: two pairs each of ids of two
-// origins with seq 0 (with a seq-1 id of each, so either origin can be
-// known when the other's id arrives), of ids of origin o whose seqs
-// differ in their low half only and in their high half only, and of
-// ids of o in two origin entries (seq halves) whose origin-table hashes
-// are equal.
+// collidingIDs returns ids whose blocks' hashes under seed are equal in
+// every bit, found by the birthday bound: two pairs each of blocks of
+// two origins with seq>>6 = 0 (two ids in each, so either origin can be
+// known when the other's id arrives), and of blocks of origin o whose
+// seq>>6 differ in their low 32 bits only and in their high bits only.
 func collidingIDs(seed maphash.Seed, o NodeID) []EventID {
 	name := func(i uint64) NodeID { return NodeID(fmt.Sprintf("c%d", i)) }
 	oh := originHash(seed, o)
 	var ids []EventID
-	for _, p := range collisions(func(i uint64) uint32 { return hashID(seed, EventID{Origin: name(i)}) }) {
+	for _, p := range collisions(func(i uint64) uint32 { return idHash(originHash(seed, name(i)), 0) }) {
 		for _, i := range p {
-			ids = append(ids, EventID{Origin: name(i)}, EventID{Origin: name(i), Seq: 1})
+			ids = append(ids, EventID{Origin: name(i)}, EventID{Origin: name(i), Seq: 63})
 		}
 	}
 	for _, p := range collisions(func(k uint64) uint32 { return idHash(oh, k) }) {
-		ids = append(ids, EventID{Origin: o, Seq: p[0]}, EventID{Origin: o, Seq: p[1]})
+		ids = append(ids, EventID{Origin: o, Seq: 5 | p[0]<<6}, EventID{Origin: o, Seq: 5 | p[1]<<6})
 	}
-	for _, p := range collisions(func(k uint64) uint32 { return idHash(oh, 5|k<<32) }) {
-		ids = append(ids, EventID{Origin: o, Seq: 5 | p[0]<<32}, EventID{Origin: o, Seq: 5 | p[1]<<32})
-	}
-	for _, p := range collisions(func(k uint64) uint32 { return originKey(oh, uint32(k)) }) {
-		ids = append(ids, EventID{Origin: o, Seq: 9 | p[0]<<32}, EventID{Origin: o, Seq: 9 | p[1]<<32})
+	for _, p := range collisions(func(k uint64) uint32 { return idHash(oh, 9|k<<32) }) {
+		ids = append(ids, EventID{Origin: o, Seq: 9<<6 | p[0]<<38}, EventID{Origin: o, Seq: 9<<6 | p[1]<<38})
 	}
 	return ids
 }
@@ -325,77 +326,60 @@ func collisions(hash func(uint64) uint32) [][2]uint64 {
 	return pairs
 }
 
-// checkInvariants validates the ring, its table and the origin table:
-// every remembered id stores its hash and is found through the table at
-// its ring position under its tag, and the table holds nothing else;
-// every origin entry is either live — its count equal to its ids in the
-// ring, never zero, its hash its key's, found through the origin table
-// — or free and on the free list; and the origin table holds the live
-// entries alone.
+// checkInvariants validates the ring and the blocks: every remembered
+// id's bit is set in its block and the id is found; every block is
+// either live — as many bits set as the ring has entries in it, never
+// none, its hash its key's, found through the table — or free: empty
+// and on the free list; and the table holds the live blocks alone.
 func (c *IDCache) checkInvariants() error {
 	if c.size > len(c.ring) || c.size > c.capacity || c.size > 0 && c.head >= len(c.ring) || c.size < c.capacity && c.head != 0 {
 		return fmt.Errorf("size %d, head %d: a ring of %d for a capacity of %d", c.size, c.head, len(c.ring), c.capacity)
 	}
-	ids := make([]int, len(c.origins))
-	inRing := make(map[int]bool, c.size)
+	entries := make([]int, len(c.blocks))
 	for i := 0; i < c.size; i++ {
 		p := (c.head + i) % len(c.ring)
 		e := c.ring[p]
-		if int(e.origin) >= len(c.origins) || c.origins[e.origin].live == 0 {
-			return fmt.Errorf("ring position %d names origin entry %d, which is not live", p, e.origin)
+		b := int(e >> 6)
+		if b >= len(c.blocks) || c.blocks[b].bits&(1<<(e&63)) == 0 {
+			return fmt.Errorf("ring position %d names bit %d of block %d, which is not set", p, e&63, b)
 		}
-		ids[e.origin]++
-		inRing[p] = true
-		o := c.origins[e.origin]
-		id := EventID{Origin: o.name, Seq: uint64(o.hi)<<32 | uint64(e.lo)}
-		h := c.index.hashes[p]
-		if want := hashID(c.seed, id); h != want {
-			return fmt.Errorf("ring position %d keeps hash %#x for %s, want %#x", p, h, id, want)
+		entries[b]++
+		k := c.blocks[b]
+		if id := (EventID{Origin: k.name, Seq: k.hi<<6 | uint64(e&63)}); !c.Contains(id) {
+			return fmt.Errorf("%s at ring position %d is not found", id, p)
 		}
-		found := -1
-		for q, s := c.index.next(h&c.index.mask, h); q >= 0 && found < 0; q, s = c.index.next(s, h) {
-			if q == p {
-				found = q
-			}
-		}
-		if found != p || !c.contains(id, h) {
-			return fmt.Errorf("%s at ring position %d is not found there", id, p)
-		}
-	}
-	if err := checkTable(&c.index, inRing); err != nil {
-		return fmt.Errorf("ring table: %w", err)
 	}
 	free := make(map[int]bool)
-	for f := c.free; f != 0; f = c.origins[f-1].hi {
-		o := int(f - 1)
-		if o >= len(c.origins) || free[o] {
-			return fmt.Errorf("free list: entry %d out of range or listed twice", o)
+	for f := c.free; f != 0; f = uint32(c.blocks[f-1].hi) {
+		b := int(f - 1)
+		if b >= len(c.blocks) || free[b] {
+			return fmt.Errorf("free list: block %d out of range or listed twice", b)
 		}
-		free[o] = true
-		if e := c.origins[o]; e.live != 0 || e.name != "" {
-			return fmt.Errorf("free entry %d holds %+v", o, e)
+		free[b] = true
+		if k := c.blocks[b]; k.bits != 0 || k.name != "" {
+			return fmt.Errorf("free block %d holds %+v", b, k)
 		}
 	}
 	live := make(map[int]bool)
-	for o, e := range c.origins {
-		if free[o] {
+	for b, k := range c.blocks {
+		if free[b] {
 			continue
 		}
-		live[o] = true
-		if e.live == 0 || int(e.live) != ids[o] {
-			return fmt.Errorf("origin %q (entry %d) counts %d ids, the ring holds %d", e.name, o, e.live, ids[o])
+		live[b] = true
+		if n := bits.OnesCount64(k.bits); n == 0 || n != entries[b] {
+			return fmt.Errorf("block %q/%d (%d) has %d bits set, the ring %d entries in it", k.name, k.hi, b, n, entries[b])
 		}
-		oh := originHash(c.seed, e.name)
-		if h := c.originIdx.hashes[o]; h != originKey(oh, e.hi) {
-			return fmt.Errorf("origin %q/%d (entry %d) keeps hash %#x, want %#x", e.name, e.hi, o, h, originKey(oh, e.hi))
+		oh := originHash(c.seed, k.name)
+		if h := c.index.hashes[b]; h != idHash(oh, k.hi) {
+			return fmt.Errorf("block %q/%d (%d) keeps hash %#x, want %#x", k.name, k.hi, b, h, idHash(oh, k.hi))
 		}
-		if got := c.findOrigin(e.name, e.hi, oh); got != o {
-			return fmt.Errorf("origin %q/%d at entry %d is found at %d", e.name, e.hi, o, got)
+		if got := c.find(EventID{Origin: k.name, Seq: k.hi << 6}, oh); got != b {
+			return fmt.Errorf("block %q/%d at %d is found at %d", k.name, k.hi, b, got)
 		}
 	}
-	if len(c.origins) > 0 {
-		if err := checkTable(&c.originIdx, live); err != nil {
-			return fmt.Errorf("origin table: %w", err)
+	if len(c.blocks) > 0 {
+		if err := checkTable(&c.index, live); err != nil {
+			return fmt.Errorf("block table: %w", err)
 		}
 	}
 	return nil
@@ -425,9 +409,9 @@ func checkTable(t *idTable, want map[int]bool) error {
 }
 
 // TestIDCacheFootprint pins what a cache costs for what it holds: an
-// empty one almost nothing whatever its capacity, a filled one 12 bytes
-// per id plus a half-full table and its origins, reached in two growth
-// steps — the first block at the first id, the full capacity at the
+// empty one almost nothing whatever its capacity, a filled one of one
+// origin 4 bytes per id plus a block per 64 seqs, reached in two growth
+// steps — the first allocation at the first id, the full ring at the
 // 65th — and nothing allocated after that, however long it keeps
 // evicting.
 func TestIDCacheFootprint(t *testing.T) {
@@ -441,82 +425,91 @@ func TestIDCacheFootprint(t *testing.T) {
 	}
 	start := before.TotalAlloc
 	var grewAt []int
-	for i := 0; i <= idCacheBlock; i++ {
+	for i := 0; i <= idCacheFirst; i++ {
 		room := len(c.ring)
 		c.Add(id("x", uint64(i)))
 		if len(c.ring) != room {
 			grewAt = append(grewAt, i)
 		}
 	}
-	if want := []int{0, idCacheBlock}; !slices.Equal(grewAt, want) {
+	if want := []int{0, idCacheFirst}; !slices.Equal(grewAt, want) {
 		t.Fatalf("the cache grew at ids %v, want only at %v", grewAt, want)
 	}
-	seq := uint64(idCacheBlock + 1)
+	seq := uint64(idCacheFirst + 1)
 	allocs := testing.AllocsPerRun(2*capacity, func() {
 		c.Add(id("x", seq))
 		seq++
 	})
 	if allocs != 0 || c.Len() != capacity {
-		t.Fatalf("after its %dth id the cache allocates %v times per Add (len %d), want 0", idCacheBlock+1, allocs, c.Len())
+		t.Fatalf("after its %dth id the cache allocates %v times per Add (len %d), want 0", idCacheFirst+1, allocs, c.Len())
 	}
 	runtime.ReadMemStats(&after)
-	if total := after.TotalAlloc - start; total > 100<<10 {
-		t.Fatalf("a filled cache of %d ids allocated %d B in all, want at most 100 KB", capacity, total)
+	if total := after.TotalAlloc - start; total > 24<<10 {
+		t.Fatalf("a filled cache of %d ids of one origin allocated %d B in all, want at most 24 KB", capacity, total)
 	}
 }
 
-// TestIDCacheForgedOrigins floods a cache with ids each from a fresh
-// origin, the worst case for the origin table: it grows to one entry
-// per id and no further, and the cache stays within its documented
-// bound of 72 bytes per id — allocating at most twice that on the way,
-// by doubling — and allocates nothing once full, however long the
-// flood goes on. After as many ids again from one honest origin, the
-// forged origins are gone and the table holds one.
+// TestIDCacheForgedOrigins floods a cache with ids each in a block of
+// its own — each from a fresh origin, or all from one origin whose seqs
+// step by 64 — the worst case for the blocks: they grow to one per id
+// and no further, and the cache stays within its documented bound of 72
+// bytes per id — allocating at most twice that on the way, by doubling
+// — and allocates nothing once full, however long the flood goes on.
+// After as many ids again from one honest origin, the flood's blocks
+// are gone and a block per 64 seqs is left.
 func TestIDCacheForgedOrigins(t *testing.T) {
 	const capacity = 1800
 	names := make([]NodeID, 2*capacity)
 	for i := range names {
 		names[i] = NodeID(fmt.Sprintf("forged-%d", i))
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := mustCache(t, capacity)
-	for _, name := range names[:capacity] {
-		c.Add(EventID{Origin: name, Seq: 1})
-	}
-	runtime.ReadMemStats(&after)
-	const bound = 72 * capacity
-	if total := after.TotalAlloc - before.TotalAlloc; total > 2*bound {
-		t.Fatalf("%d forged origins allocated %d B, want at most %d", capacity, total, 2*bound)
-	}
-	footprint := cap(c.ring)*int(unsafe.Sizeof(cachedID{})) + 4*(len(c.index.hashes)+len(c.index.slots)) +
-		cap(c.origins)*int(unsafe.Sizeof(originEntry{})) + 4*(len(c.originIdx.hashes)+len(c.originIdx.slots))
-	if footprint > bound || cap(c.origins) > capacity {
-		t.Fatalf("%d forged origins: footprint %d B (room for %d origins), want at most %d", capacity, footprint, cap(c.origins), bound)
-	}
-	if n := liveOrigins(c); n != capacity {
-		t.Fatalf("%d origins live after %d forged ids, want %d", n, capacity, capacity)
-	}
-	i := capacity
-	if allocs := testing.AllocsPerRun(capacity-1, func() { c.Add(EventID{Origin: names[i], Seq: 1}); i++ }); allocs != 0 {
-		t.Fatalf("a full cache allocates %v times per forged origin, want 0", allocs)
-	}
-	for seq := range uint64(capacity) {
-		c.Add(id("honest", seq))
-	}
-	if n := liveOrigins(c); n != 1 {
-		t.Fatalf("%d origins live after %d ids of one origin, want 1", n, capacity)
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Fatal(err)
+	for _, flood := range []struct {
+		name string
+		id   func(i int) EventID
+	}{
+		{"forged origins", func(i int) EventID { return EventID{Origin: names[i], Seq: 1} }},
+		{"one origin, seqs 64 apart", func(i int) EventID { return EventID{Origin: "sparse", Seq: uint64(i) << 6} }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := mustCache(t, capacity)
+		for i := range capacity {
+			c.Add(flood.id(i))
+		}
+		runtime.ReadMemStats(&after)
+		const bound = 72 * capacity
+		if total := after.TotalAlloc - before.TotalAlloc; total > 2*bound {
+			t.Fatalf("%s: %d ids allocated %d B, want at most %d", flood.name, capacity, total, 2*bound)
+		}
+		footprint := 4*(cap(c.ring)+len(c.index.hashes)+len(c.index.slots)) + cap(c.blocks)*int(unsafe.Sizeof(idBlock{}))
+		if footprint > bound || cap(c.blocks) > capacity {
+			t.Fatalf("%s: footprint %d B (room for %d blocks), want at most %d", flood.name, footprint, cap(c.blocks), bound)
+		}
+		t.Logf("%s: %d B per id", flood.name, footprint/capacity)
+		if n := liveBlocks(c); n != capacity {
+			t.Fatalf("%s: %d blocks live after %d ids, want %d", flood.name, n, capacity, capacity)
+		}
+		i := capacity
+		if allocs := testing.AllocsPerRun(capacity-1, func() { c.Add(flood.id(i)); i++ }); allocs != 0 {
+			t.Fatalf("%s: a full cache allocates %v times per id, want 0", flood.name, allocs)
+		}
+		for seq := range uint64(capacity) {
+			c.Add(id("honest", seq))
+		}
+		if n, want := liveBlocks(c), (capacity+63)/64; n != want {
+			t.Fatalf("%s: %d blocks live after %d ids of one origin, want %d", flood.name, n, capacity, want)
+		}
+		if err := c.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// liveOrigins counts the origin entries with ids in the ring.
-func liveOrigins(c *IDCache) int {
+// liveBlocks counts the blocks with ids in the ring.
+func liveBlocks(c *IDCache) int {
 	n := 0
-	for _, e := range c.origins {
-		if e.live > 0 {
+	for _, k := range c.blocks {
+		if k.bits != 0 {
 			n++
 		}
 	}

@@ -6,15 +6,17 @@ import (
 )
 
 // originHash is the seeded hash of an origin: ids arrive off the wire,
-// so their origins are hashed with a per-node seed. IDCache keys its
-// origin table with it, and idHash derives every id hash from it.
+// so their origins are hashed with a per-node seed. idHash derives
+// every table's keys from it: Buffer's from (origin, seq), IDCache's
+// from (origin, seq>>6). A Node seeds both alike, so Receive hashes
+// each origin once.
 func originHash(seed maphash.Seed, origin NodeID) uint64 {
 	return maphash.String(seed, string(origin))
 }
 
-// idHash is the hash of the id (origin, seq) whose origin hashes to oh:
+// idHash is the hash of the key (origin, seq) whose origin hashes to oh:
 // the seq folded into oh and the sum mixed (splitmix64's finalizer), so
-// ids of one origin spread over the whole table.
+// keys of one origin spread over the whole table.
 func idHash(oh, seq uint64) uint32 {
 	x := oh ^ seq*0x9e3779b97f4a7c15
 	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
@@ -22,20 +24,13 @@ func idHash(oh, seq uint64) uint32 {
 	return uint32(x ^ x>>31)
 }
 
-// hashID is the id hash IDCache and Buffer share. A Node seeds both
-// alike, so one hash serves both lookups, and Receive hashes each
-// origin once (originHash, then idHash).
-func hashID(seed maphash.Seed, id EventID) uint32 {
-	return idHash(originHash(seed, id.Origin), id.Seq)
-}
-
 // idTable is an open-addressed table of positions in its owner's
 // storage (linear probing, load at most ½, backward-shift deletion)
 // keeping the hash of the entry at each position. IDCache indexes its
-// ring and its origin table with one each, Buffer its slab. A slot
-// holds position+1 in its low bits and, above them, the bits of the
-// entry's hash that the position leaves free: a probe reads the slot
-// array alone, and its owner compares keys only where the tag matches.
+// blocks with one, Buffer its slab. A slot holds position+1 in its low
+// bits and, above them, the bits of the entry's hash that the position
+// leaves free: a probe reads the slot array alone, and its owner
+// compares keys only where the tag matches.
 // Homes are hash & mask, so the tags do not move an entry; the hashes
 // serve deletion and relinking alone.
 type idTable struct {

@@ -289,8 +289,8 @@ func (n *Node) Stats() NodeStats { return n.stats }
 // node has delivered (or originated) it within the cache's memory
 // horizon. The recovery subsystem diffs incoming digests against this.
 func (n *Node) Seen(id EventID) bool {
-	h := n.buf.hash(id)
-	return n.buf.find(id, h) >= 0 || n.seen.contains(id, h)
+	oh := originHash(n.buf.seed, id.Origin)
+	return n.buf.find(id, idHash(oh, id.Seq)) >= 0 || n.seen.contains(id, oh)
 }
 
 // BufferLen reports the current number of buffered events.
@@ -455,10 +455,10 @@ func (n *Node) traceFirstSends(msg *Message) {
 // of it is retained past the call except event payloads — cloned first
 // when the message is Borrowed.
 //
-// Each id is hashed once, from its origin's hash, which eventIds also
-// keys its origin table with. The buffer answers first — a buffered
-// event is a duplicate even if eventIds forgot it — and eventIds only
-// for an id the buffer lacks.
+// Each origin is hashed once: the buffer finds an id by the id hash
+// derived from it, eventIds its block by another. The buffer answers
+// first — a buffered event is a duplicate even if eventIds forgot it —
+// and eventIds only for an id the buffer lacks.
 func (n *Node) Receive(msg *Message) {
 	n.stats.MessagesReceived++
 	n.stats.EventsReceived += uint64(len(msg.Events))
@@ -479,7 +479,7 @@ func (n *Node) Receive(msg *Message) {
 			n.buf.raiseAt(slot, ev.Age)
 			continue
 		}
-		if !n.seen.add(ev.ID, oh, h) {
+		if !n.seen.add(ev.ID, oh) {
 			n.stats.Duplicates++
 			n.stats.RedeliveriesAvoid++
 			continue

@@ -332,6 +332,32 @@ func BenchmarkIDCacheAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkIDCacheAddSparse measures the dedup cache at steady state
+// in a large group where every member sends: a 3,600-id cache whose ids
+// come from 1,000 origins in turn, 3.6 per origin in the window, so
+// nearly every block holds a few ids. The cache is full before the
+// timer starts, so every add evicts the oldest id.
+func BenchmarkIDCacheAddSparse(b *testing.B) {
+	const capacity, origins = 3600, 1000
+	names := make([]NodeID, origins)
+	for i := range names {
+		names[i] = NodeID(fmt.Sprintf("member-%03d", i))
+	}
+	c, err := NewIDCache(capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := func(i int) EventID { return EventID{Origin: names[i%origins], Seq: uint64(i / origins)} }
+	for i := range 2 * capacity {
+		c.Add(next(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Add(next(2*capacity + i))
+	}
+}
+
 // BenchmarkIDCacheContainsCold probes 512 full caches of the paper's
 // 1,800 ids, from 60 origins each, at random: about 21 MB of caches, so
 // nearly every probe misses the CPU caches, as the eventIds lookups of

@@ -27,10 +27,11 @@ type Params struct {
 	Period time.Duration
 	// MaxEvents bounds the events buffer (|events|max).
 	MaxEvents int
-	// MaxEventIDs bounds the duplicate-suppression set (|eventIds|max).
-	// Zero means DefaultIDCacheMult × MaxEvents.
+	// MaxEventIDs bounds the duplicate-suppression set (|eventIds|max),
+	// at most 2²⁶. Zero means DefaultIDCacheMult × MaxEvents, clamped to
+	// 2²⁶.
 	MaxEventIDs int
-	// MaxAge is the age k beyond which events are purged.
+	// MaxAge is the age k beyond which events are purged, at most 2¹⁶.
 	MaxAge int
 }
 
@@ -47,7 +48,7 @@ func DefaultParams() Params {
 // withDefaults returns p with zero-valued optional fields filled in.
 func (p Params) withDefaults() Params {
 	if p.MaxEventIDs == 0 {
-		p.MaxEventIDs = DefaultIDCacheMult * p.MaxEvents
+		p.MaxEventIDs = min(DefaultIDCacheMult*min(p.MaxEvents, maxIDCacheCapacity), maxIDCacheCapacity)
 	}
 	return p
 }
@@ -64,14 +65,13 @@ func (p Params) Validate() error {
 	if p.MaxEvents <= 0 {
 		errs = append(errs, fmt.Errorf("max events must be positive, got %d", p.MaxEvents))
 	}
-	if p.MaxEventIDs < 0 {
-		errs = append(errs, fmt.Errorf("max event ids must be non-negative, got %d", p.MaxEventIDs))
+	if p.MaxEventIDs < 0 || p.MaxEventIDs > maxIDCacheCapacity {
+		errs = append(errs, fmt.Errorf("max event ids must be in [0, %d], got %d", maxIDCacheCapacity, p.MaxEventIDs))
+	} else if ids := p.withDefaults().MaxEventIDs; p.MaxEvents > 0 && ids < p.MaxEvents {
+		errs = append(errs, fmt.Errorf("max event ids (%d) must be at least max events (%d)", ids, p.MaxEvents))
 	}
-	if p.MaxEventIDs != 0 && p.MaxEventIDs < p.MaxEvents {
-		errs = append(errs, fmt.Errorf("max event ids (%d) must be at least max events (%d)", p.MaxEventIDs, p.MaxEvents))
-	}
-	if p.MaxAge <= 0 {
-		errs = append(errs, fmt.Errorf("max age must be positive, got %d", p.MaxAge))
+	if p.MaxAge <= 0 || p.MaxAge > maxBufferAge {
+		errs = append(errs, fmt.Errorf("max age must be in [1, %d], got %d", maxBufferAge, p.MaxAge))
 	}
 	return errors.Join(errs...)
 }

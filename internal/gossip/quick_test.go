@@ -112,7 +112,8 @@ func TestQuickBufferEvictionIsOldestFirst(t *testing.T) {
 }
 
 // TestQuickIDCacheModel checks the cache against a straightforward
-// newest-window reference model.
+// newest-window reference model, over ids of two origins in eight
+// blocks each.
 func TestQuickIDCacheModel(t *testing.T) {
 	f := func(capacity uint8, seqs []uint16) bool {
 		capn := int(capacity)%32 + 1
@@ -122,7 +123,7 @@ func TestQuickIDCacheModel(t *testing.T) {
 		}
 		var window []EventID // distinct ids, newest last
 		for _, s := range seqs {
-			id := EventID{Origin: "q", Seq: uint64(s % 64)}
+			id := EventID{Origin: []NodeID{"q", "r"}[s/512%2], Seq: uint64(s % 512)}
 			dup := false
 			for _, w := range window {
 				if w == id {
