@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"adaptivegossip/internal/experiments"
-	"adaptivegossip/internal/health"
 	"adaptivegossip/internal/observe"
 )
 
@@ -376,7 +375,7 @@ func healthdigestSweep(fast bool, seed int64) error {
 	fmt.Println()
 	fmt.Printf("%8s %12s %14s %12s %12s\n", "nodes", "digests/msg", "rounds-full", "mean@5", "mean@10")
 	for _, p := range grid {
-		res, err := health.RunConvergence(p.n, fanout, p.dpm, maxRounds, seed)
+		res, err := experiments.RunConvergence(p.n, fanout, p.dpm, maxRounds, seed)
 		if err != nil {
 			return err
 		}

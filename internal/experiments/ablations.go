@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"adaptivegossip/internal/metrics"
 	"adaptivegossip/internal/workload"
 )
 
@@ -29,7 +28,7 @@ type AblationRow struct {
 
 // allowedStats computes mean/std of the aggregate allowed-rate series
 // within [from, to) offsets.
-func allowedStats(series []metrics.GaugePoint, epochOffsetFrom, epochOffsetTo time.Duration, bucket time.Duration) (mean, std float64) {
+func allowedStats(series []GaugePoint, epochOffsetFrom, epochOffsetTo time.Duration, bucket time.Duration) (mean, std float64) {
 	var xs []float64
 	for i, p := range series {
 		off := time.Duration(i) * bucket

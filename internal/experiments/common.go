@@ -16,7 +16,6 @@ import (
 	"adaptivegossip/internal/failure"
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
-	"adaptivegossip/internal/metrics"
 	"adaptivegossip/internal/observe"
 	"adaptivegossip/internal/recovery"
 	"adaptivegossip/internal/sim"
@@ -252,7 +251,7 @@ func (c Config) Validate() error {
 type RunResult struct {
 	Config Config
 	// Summary holds delivery coverage and atomicity (threshold 95%).
-	Summary metrics.Summary
+	Summary Summary
 	// InputRate is the admitted broadcast rate in msg/s (aggregate).
 	InputRate float64
 	// OutputRate is the average per-receiver goodput in msg/s:
@@ -264,7 +263,8 @@ type RunResult struct {
 	// AvgDroppedAge is the mean age of capacity-dropped events across
 	// all nodes within the window — the §2.3 congestion signal.
 	AvgDroppedAge float64
-	// DroppedEvents counts capacity drops in the window.
+	// DroppedEvents counts capacity drops in the window; RunSeeds
+	// weights each seed's AvgDroppedAge by it.
 	DroppedEvents uint64
 	// AllowedRate is the aggregate allowed sending rate (adaptive runs;
 	// 0 for the baseline).
@@ -273,18 +273,18 @@ type RunResult struct {
 	OfferedRate float64
 	// AllowedSeries is the aggregate allowed rate per bucket over the
 	// whole run (adaptive only).
-	AllowedSeries []metrics.GaugePoint
+	AllowedSeries []GaugePoint
 	// AtomicitySeries is the per-bucket atomicity over the whole run.
-	AtomicitySeries []metrics.BucketStat
+	AtomicitySeries []BucketStat
 	// MinBuffFinal is the minimum over nodes of the final minBuff
 	// estimate (adaptive only) — convergence diagnostic.
 	MinBuffFinal int
-	// Recovery aggregates the anti-entropy counters across all nodes
-	// (zero when the subsystem is disabled).
-	Recovery metrics.RecoverySummary
-	// Failure aggregates the failure-detector counters across all nodes
-	// (zero when the subsystem is disabled).
-	Failure metrics.FailureSummary
+	// Recovery sums the anti-entropy counters across all nodes (zero
+	// when the subsystem is disabled).
+	Recovery recovery.Stats
+	// Failure sums the failure-detector counters across all nodes (zero
+	// when the subsystem is disabled).
+	Failure failure.Stats
 	// ViewAccuracyPct is the mean over samples and live nodes of the
 	// fraction of each node's view that points at live members
 	// (PerNodeViews runs only; 0 otherwise).
@@ -358,7 +358,7 @@ func (t *truth) confirmed(id gossip.NodeID, now time.Time) {
 // its allowed rate goes into the run's gauge (the Figure 9(a) series).
 type sampled struct {
 	*core.AdaptiveNode
-	allowed *metrics.GaugeMeter
+	allowed *gaugeMeter
 }
 
 // Tick returns AdaptiveNode.Tick's messages, valid until the next Tick
@@ -424,11 +424,12 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 			regs[i] = registry
 		}
 	}
-	tracker, err := metrics.NewDeliveryTracker(names, epoch)
-	if err != nil {
-		return RunResult{}, err
-	}
-	allowed := metrics.NewGaugeMeter(epoch, cfg.Bucket)
+	// The measurement window, and the end of the run.
+	from := epoch.Add(cfg.Warmup)
+	to := from.Add(cfg.Duration)
+	end := to.Add(cfg.Drain)
+	tracker := newDeliveryTracker(names, epoch)
+	allowed := newGaugeMeter(epoch, end, cfg.Bucket, float64(cfg.Senders))
 	truth := &truth{downSince: make(map[gossip.NodeID]time.Time, cfg.N)}
 	var region map[gossip.NodeID]int
 	if cfg.ProximityWeight != 0 {
@@ -611,10 +612,6 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		})
 	}
 
-	// The measurement window.
-	from := epoch.Add(cfg.Warmup)
-	to := from.Add(cfg.Duration)
-
 	// View accuracy: with per-node views, sample each live node's
 	// registry once per bucket inside the window and score the fraction
 	// of non-self entries that point at live members.
@@ -666,7 +663,6 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	w.after(cfg.Warmup, captureDropped(&startAgeSum, &startDropped))
 	w.after(cfg.Warmup+cfg.Duration, captureDropped(&endAgeSum, &endDropped))
 
-	end := to.Add(cfg.Drain)
 	w.runUntil(end)
 	// Nothing runs past this point — the scheduler has stopped, or every
 	// member loop has — so the nodes can be read directly.
@@ -675,7 +671,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	res := RunResult{
 		Config:      cfg,
 		OfferedRate: cfg.OfferedRate,
-		Summary:     tracker.Results(from, to, metrics.DefaultAtomicityThreshold),
+		Summary:     tracker.Results(from, to),
 	}
 	secs := cfg.Duration.Seconds()
 	res.InputRate = float64(res.Summary.Messages) / secs
@@ -686,10 +682,8 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		res.DroppedEvents = d
 	}
 	if cfg.Adaptive {
-		if mean, ok := allowed.MeanWindow(from, to); ok {
-			res.AllowedRate = mean * float64(cfg.Senders)
-		}
-		res.AllowedSeries = scaleGauge(allowed.Series(epoch, end), float64(cfg.Senders))
+		res.AllowedRate, _ = allowed.MeanWindow(from, to)
+		res.AllowedSeries = allowed.Series()
 		res.MinBuffFinal = nodes[0].MinBuffEstimate()
 		for _, n := range nodes[1:] {
 			if mb := n.MinBuffEstimate(); mb < res.MinBuffFinal {
@@ -715,10 +709,10 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		res.ViewAccuracyPct = 100 * accSum / float64(accN)
 	}
 	res.Network = w.stats()
-	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Bucket, metrics.DefaultAtomicityThreshold)
-	res.Latency = tracker.LatencySnapshot()
-	res.Hops = tracker.HopsSnapshot()
-	res.DuplicateDeliveries = tracker.Duplicates()
+	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Bucket)
+	res.Latency = tracker.latency
+	res.Hops = tracker.hops
+	res.DuplicateDeliveries = tracker.duplicates
 	return res, nil
 }
 
@@ -758,15 +752,6 @@ func partialView(cfg Config, names []gossip.NodeID, i int, region map[gossip.Nod
 	return view, nil
 }
 
-func scaleGauge(points []metrics.GaugePoint, factor float64) []metrics.GaugePoint {
-	out := make([]metrics.GaugePoint, len(points))
-	for i, p := range points {
-		p.Mean *= factor
-		out[i] = p
-	}
-	return out
-}
-
 // runExactlyOnce is Run, refusing a run in which an event was
 // delivered twice to one member.
 func runExactlyOnce(cfg Config) (RunResult, error) {
@@ -777,11 +762,8 @@ func runExactlyOnce(cfg Config) (RunResult, error) {
 	return res, err
 }
 
-// RunSeeds runs cfg with consecutive seeds and averages the scalar
-// results. Series come from the first seed; the recovery and network
-// counter blocks are pooled (summed) across seeds, so ratios derived
-// from them are pooled estimates. The averaged Messages count rounds to
-// nearest.
+// RunSeeds runs cfg with consecutive seeds and folds the results with
+// foldSeeds.
 //
 // Seed replications are independent (each run owns its scheduler,
 // network and RNGs, all derived from its seed), so they execute on the
@@ -802,7 +784,21 @@ func RunSeeds(cfg Config, seeds int) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
+	return foldSeeds(results), nil
+}
+
+// foldSeeds averages the scalar results of a seed sweep. Series come
+// from the first seed; the dropped events and the recovery, failure and
+// network counter blocks are pooled (summed) across seeds, so ratios
+// derived from them are pooled estimates, and the dropped age is the
+// mean over every seed's drops. The averaged Messages count rounds to
+// nearest. One seed folds to its own run.
+func foldSeeds(results []RunResult) RunResult {
 	agg := results[0]
+	if len(results) == 1 {
+		return agg
+	}
+	agedDrops := agg.AvgDroppedAge * float64(agg.DroppedEvents)
 	for _, res := range results[1:] {
 		agg.Summary.MeanReceiversPct += res.Summary.MeanReceiversPct
 		agg.Summary.AtomicityPct += res.Summary.AtomicityPct
@@ -810,10 +806,11 @@ func RunSeeds(cfg Config, seeds int) (RunResult, error) {
 		agg.InputRate += res.InputRate
 		agg.OutputRate += res.OutputRate
 		agg.AtomicRate += res.AtomicRate
-		agg.AvgDroppedAge += res.AvgDroppedAge
+		agedDrops += res.AvgDroppedAge * float64(res.DroppedEvents)
+		agg.DroppedEvents += res.DroppedEvents
 		agg.AllowedRate += res.AllowedRate
-		agg.Recovery.Merge(res.Recovery)
-		agg.Failure.Merge(res.Failure)
+		agg.Recovery.Add(res.Recovery)
+		agg.Failure.Add(res.Failure)
 		agg.ViewAccuracyPct += res.ViewAccuracyPct
 		agg.DetectionLatencyRounds += res.DetectionLatencyRounds
 		agg.FalseConfirms += res.FalseConfirms
@@ -821,6 +818,7 @@ func RunSeeds(cfg Config, seeds int) (RunResult, error) {
 		agg.Latency.Merge(res.Latency)
 		agg.Hops.Merge(res.Hops)
 	}
+	seeds := len(results)
 	k := float64(seeds)
 	agg.Summary.Messages = (agg.Summary.Messages + seeds/2) / seeds
 	agg.Summary.MeanReceiversPct /= k
@@ -828,9 +826,11 @@ func RunSeeds(cfg Config, seeds int) (RunResult, error) {
 	agg.InputRate /= k
 	agg.OutputRate /= k
 	agg.AtomicRate /= k
-	agg.AvgDroppedAge /= k
+	if agg.DroppedEvents > 0 {
+		agg.AvgDroppedAge = agedDrops / float64(agg.DroppedEvents)
+	}
 	agg.AllowedRate /= k
 	agg.ViewAccuracyPct /= k
 	agg.DetectionLatencyRounds /= k
-	return agg, nil
+	return agg
 }

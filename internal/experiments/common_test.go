@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptivegossip/internal/failure"
 	"adaptivegossip/internal/race"
 	"adaptivegossip/internal/sim"
 	"adaptivegossip/internal/workload"
@@ -231,6 +232,35 @@ func TestRunSeedsAverages(t *testing.T) {
 	}
 	if _, err := RunSeeds(Config{}, 1); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestFoldSeedsPoolsDroppedAge: the dropped age is a mean over drops,
+// so a seed without capacity drops does not pull it toward 0, and one
+// seed folds to its own value.
+func TestFoldSeedsPoolsDroppedAge(t *testing.T) {
+	got := foldSeeds([]RunResult{{AvgDroppedAge: 6, DroppedEvents: 10}, {}})
+	if got.AvgDroppedAge != 6 || got.DroppedEvents != 10 {
+		t.Fatalf("age %v over %d drops, want 6 over 10", got.AvgDroppedAge, got.DroppedEvents)
+	}
+	one := RunResult{AvgDroppedAge: 1.0 / 3, DroppedEvents: 7}
+	if got := foldSeeds([]RunResult{one}); got.AvgDroppedAge != one.AvgDroppedAge || got.DroppedEvents != 7 {
+		t.Fatalf("one seed folds to age %v over %d drops, want its own %v over 7", got.AvgDroppedAge, got.DroppedEvents, one.AvgDroppedAge)
+	}
+}
+
+// TestFoldSeedsPoolsFailureStats: the failure-detector counters of a
+// seed sweep are summed, not averaged, so a revival or probe ratio read
+// from the folded result is a pooled estimate over every seed.
+func TestFoldSeedsPoolsFailureStats(t *testing.T) {
+	got := foldSeeds([]RunResult{
+		{Failure: failure.Stats{ProbesSent: 4, AcksReceived: 3, Revivals: 2}},
+		{Failure: failure.Stats{ProbesSent: 6, AcksReceived: 6, Revivals: 7}},
+		{Failure: failure.Stats{Revivals: 1, Confirms: 1}},
+	})
+	want := failure.Stats{ProbesSent: 10, AcksReceived: 9, Revivals: 10, Confirms: 1}
+	if got.Failure != want {
+		t.Fatalf("pooled failure counters %+v, want %+v", got.Failure, want)
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"adaptivegossip/internal/recovery"
 )
 
 // RecoveryRow is one loss-rate point of the anti-entropy experiment:
@@ -90,7 +92,7 @@ func RunRecovery(base Config, losses []float64, seeds int) ([]RecoveryRow, error
 			OnAtomicityPct:  onRes.Summary.AtomicityPct,
 			EventsRecovered: onRes.Recovery.EventsRecovered,
 			IDsRequested:    onRes.Recovery.IDsRequested,
-			ServeRatio:      onRes.Recovery.ServeRatio(),
+			ServeRatio:      serveRatio(onRes.Recovery),
 		}
 		if g := onRes.Network.GossipSent; g > 0 {
 			ctrl := onRes.Network.RecoveryRequestSent + onRes.Network.RecoveryResponseSent
@@ -103,6 +105,16 @@ func RunRecovery(base Config, losses []float64, seeds int) ([]RecoveryRow, error
 		return nil, err
 	}
 	return rows, nil
+}
+
+// serveRatio is the fraction of requested identifiers the group could
+// serve from its retransmission stores (1 when nothing was requested).
+func serveRatio(s recovery.Stats) float64 {
+	total := s.EventsServed + s.EventsUnserved
+	if total == 0 {
+		return 1
+	}
+	return float64(s.EventsServed) / float64(total)
 }
 
 // RenderRecovery prints the loss-sweep table.

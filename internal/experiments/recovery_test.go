@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"adaptivegossip/internal/recovery"
 )
 
 // recoveryTestBase is a reduced-scale config for the loss sweep: small
@@ -62,5 +64,14 @@ func TestRecoveryExperimentDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("recovery experiment not deterministic:\n  first  %+v\n  second %+v", a, b)
+	}
+}
+
+func TestServeRatio(t *testing.T) {
+	if got := serveRatio(recovery.Stats{}); got != 1 {
+		t.Errorf("nothing requested: ServeRatio = %v, want 1", got)
+	}
+	if got, want := serveRatio(recovery.Stats{EventsServed: 9, EventsUnserved: 1}), 9.0/10.0; got != want {
+		t.Errorf("ServeRatio = %v, want %v", got, want)
 	}
 }

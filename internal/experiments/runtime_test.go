@@ -213,9 +213,6 @@ func TestRunRuntimeFailureDetectionSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failure.Nodes != cfg.N {
-		t.Fatalf("failure stats cover %d nodes, want %d", res.Failure.Nodes, cfg.N)
-	}
 	if res.Failure.ProbesSent == 0 {
 		t.Fatal("no probes sent over the goroutine runtime")
 	}
@@ -269,9 +266,6 @@ func TestRunRuntimeChurnSchedules(t *testing.T) {
 	// 35 rounds of a dead member in nine views must cost some accuracy.
 	if res.ViewAccuracyPct == 100 {
 		t.Error("ViewAccuracyPct = 100 although a member was down for most of the window")
-	}
-	if res.Failure.Nodes != cfg.N {
-		t.Errorf("failure stats cover %d nodes, want %d (the restarted and the late member included)", res.Failure.Nodes, cfg.N)
 	}
 	if res.Summary.Messages == 0 {
 		t.Error("no messages measured")

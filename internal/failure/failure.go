@@ -169,6 +169,24 @@ type Stats struct {
 	UpdatesIgnored  uint64 // rumors dropped (stale incarnation or freshness guard)
 }
 
+// Add folds o's counters into s: a group's or a seed sweep's totals.
+func (s *Stats) Add(o Stats) {
+	s.ProbesSent += o.ProbesSent
+	s.AcksReceived += o.AcksReceived
+	s.AcksSent += o.AcksSent
+	s.PingReqsSent += o.PingReqsSent
+	s.PingReqsReceived += o.PingReqsReceived
+	s.ProbesRelayed += o.ProbesRelayed
+	s.AcksRelayed += o.AcksRelayed
+	s.Suspects += o.Suspects
+	s.Confirms += o.Confirms
+	s.Refutations += o.Refutations
+	s.Revivals += o.Revivals
+	s.UpdatesSent += o.UpdatesSent
+	s.UpdatesReceived += o.UpdatesReceived
+	s.UpdatesIgnored += o.UpdatesIgnored
+}
+
 // memberState is the detector's opinion of one remote member.
 type memberState struct {
 	status      gossip.MemberStatus

@@ -2,6 +2,7 @@ package failure
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"adaptivegossip/internal/gossip"
@@ -518,4 +519,22 @@ func TestGroupDetectsCrashedMember(t *testing.T) {
 		}
 	}
 	t.Logf("all survivors confirmed %s within %d rounds after crash", crashed, confirmedAt+1)
+}
+
+// TestStatsAddSumsEveryField gives every counter a distinct value and
+// requires Add to sum each one: a counter added to Stats but not to Add
+// fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range va.NumField() {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := range va.NumField() {
+		if got, want := va.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
+	}
 }

@@ -130,6 +130,23 @@ type Stats struct {
 	StoreEvicted      uint64 // store evictions (capacity and GC)
 }
 
+// Add folds o's counters into s: a group's or a seed sweep's totals.
+func (s *Stats) Add(o Stats) {
+	s.DigestsSent += o.DigestsSent
+	s.DigestsReceived += o.DigestsReceived
+	s.RequestsSent += o.RequestsSent
+	s.IDsRequested += o.IDsRequested
+	s.RequestsReceived += o.RequestsReceived
+	s.ResponsesSent += o.ResponsesSent
+	s.ResponsesReceived += o.ResponsesReceived
+	s.EventsServed += o.EventsServed
+	s.EventsUnserved += o.EventsUnserved
+	s.EventsRecovered += o.EventsRecovered
+	s.MissingGaveUp += o.MissingGaveUp
+	s.MissingOverflow += o.MissingOverflow
+	s.StoreEvicted += o.StoreEvicted
+}
+
 // storeEntry pairs a retained event with the round it was observed.
 type storeEntry struct {
 	ev    gossip.Event

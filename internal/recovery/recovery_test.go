@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -405,6 +406,24 @@ func BenchmarkRecoveryDigestDiff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if missing := DiffDigest(node, digest); len(missing) != len(digest)/2 {
 			b.Fatalf("expected %d missing, got %d", len(digest)/2, len(missing))
+		}
+	}
+}
+
+// TestStatsAddSumsEveryField gives every counter a distinct value and
+// requires Add to sum each one: a counter added to Stats but not to Add
+// fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := range va.NumField() {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := range va.NumField() {
+		if got, want := va.Field(i).Uint(), uint64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
 		}
 	}
 }
