@@ -42,12 +42,11 @@ bench-check:
 
 # The seeded figure outputs are the refactoring oracle: a change that
 # is not meant to alter protocol behaviour must reproduce
-# cmd/gossipsim/testdata/seed1/*.txt byte for byte (~30 s, of which
-# ablations, the one run of the estimator at W ∈ {1, 4}, takes 1-2 s).
+# cmd/gossipsim/testdata/seed1/*.txt byte for byte (~45 s, of which
+# ablations, the one run of the estimator at W ∈ {1, 4}, takes 1-2 s,
+# and figure 4, the critical-age calibration, about 9 s).
 # A PR that changes behaviour on purpose regenerates them and says why.
-# Figure 4 (~20 s more) is compared by hand when a PR touches what it
-# sweeps.
-FIGURES ?= 2 9 recovery churn scale ablations
+FIGURES ?= 2 4 9 recovery churn scale ablations healthdigest
 .PHONY: figures-check
 figures-check:
 	$(GO) build -o $(CURDIR)/bin/gossipsim ./cmd/gossipsim

@@ -37,14 +37,8 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("non-adaptive config rejected: %v", err)
 	}
 	bad = DefaultConfig()
-	bad.Recovery.Enabled = true
-	bad.Recovery.DigestLength = -1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bad recovery sub-config accepted")
-	}
-	bad = DefaultConfig()
 	bad.Failure.Enabled = true
-	bad.Failure.IndirectProbes = -1
+	bad.Failure.SuspicionTimeout = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("bad failure sub-config accepted")
 	}
@@ -437,12 +431,20 @@ func TestTransportOptionValidation(t *testing.T) {
 	if _, err := NewUDPTransport(WithBind("")); err == nil {
 		t.Fatal("empty bind address accepted")
 	}
-	if _, err := NewUDPTransport(WithRecvQueue(0)); err == nil {
-		t.Fatal("empty receive queue accepted")
-	}
 	if _, err := NewUDPTransport(WithMaxDatagram(16)); err == nil {
 		t.Fatal("tiny max datagram accepted")
 	}
+	if _, err := NewUDPTransport(WithMaxDatagram(65508)); err == nil {
+		t.Fatal("max datagram above the largest UDP payload accepted")
+	}
+	largest, err := NewUDPTransport(WithMaxDatagram(65507))
+	if err != nil {
+		t.Fatalf("largest UDP payload rejected as max datagram: %v", err)
+	}
+	if _, err := largest.Endpoint("a"); err != nil {
+		t.Fatalf("endpoint with the largest UDP payload as max datagram: %v", err)
+	}
+	largest.Close()
 
 	// WithBind pins a single listen address: a second endpoint must be
 	// rejected, not silently double-bound.

@@ -8,8 +8,6 @@ import (
 	"adaptivegossip/internal/experiments"
 	"adaptivegossip/internal/failure"
 	"adaptivegossip/internal/gossip"
-	"adaptivegossip/internal/health"
-	"adaptivegossip/internal/recovery"
 	"adaptivegossip/internal/transport"
 )
 
@@ -46,7 +44,7 @@ const (
 // deployments.
 const DefaultPeriod = 250 * time.Millisecond
 
-// RecoveryConfig groups the anti-entropy subsystem's knobs
+// RecoveryConfig configures the anti-entropy subsystem
 // (internal/recovery): with Enabled set, every gossip round piggybacks
 // a digest of recently-seen event IDs and receivers pull events they
 // missed — repairing losses that pure push gossip cannot. Orthogonal to
@@ -54,20 +52,6 @@ const DefaultPeriod = 250 * time.Millisecond
 type RecoveryConfig struct {
 	// Enabled turns the subsystem on.
 	Enabled bool
-	// DigestLength is the number of event IDs advertised per gossip
-	// message. Zero means the subsystem default.
-	DigestLength int
-	// RequestBudget caps the missing events pulled per round. Zero
-	// means the subsystem default.
-	RequestBudget int
-}
-
-func (c RecoveryConfig) params() recovery.Params {
-	return recovery.Params{
-		Enabled:       c.Enabled,
-		DigestLen:     c.DigestLength,
-		RequestBudget: c.RequestBudget,
-	}
 }
 
 // FailureConfig groups the SWIM-style failure detector's knobs
@@ -80,17 +64,11 @@ func (c RecoveryConfig) params() recovery.Params {
 type FailureConfig struct {
 	// Enabled turns the detector on.
 	Enabled bool
-	// ProbePeriod is how often a probe is launched, in gossip rounds.
-	// Zero means the subsystem default (every round).
-	ProbePeriod int
 	// SuspicionTimeout is how many rounds a suspect may refute before
 	// being confirmed crashed. Zero derives it from wall time: enough
 	// rounds to span 2.5 s, and never fewer than the subsystem's default
 	// of 5 (which is what a period of 500 ms or more gets).
 	SuspicionTimeout int
-	// IndirectProbes is k, the number of proxies asked to probe an
-	// unresponsive target. Zero means the subsystem default.
-	IndirectProbes int
 }
 
 // suspicionTime is the refutation window a zero SuspicionTimeout stands
@@ -108,12 +86,7 @@ func (c FailureConfig) params(period time.Duration) failure.Params {
 	if timeout == 0 {
 		timeout = max(failure.DefaultSuspicionTimeoutRounds, int((suspicionTime+period-1)/period))
 	}
-	return failure.Params{
-		Enabled:                c.Enabled,
-		ProbePeriodRounds:      c.ProbePeriod,
-		SuspicionTimeoutRounds: timeout,
-		IndirectProbes:         c.IndirectProbes,
-	}
+	return failure.Params{Enabled: c.Enabled, SuspicionTimeoutRounds: timeout}
 }
 
 // ObservabilityConfig groups the protocol observability layer's knobs:
@@ -134,24 +107,12 @@ type ObservabilityConfig struct {
 	// [0, 1]. Sampling is deterministic per event ID, so every member
 	// of a group traces the same rumors. Zero disables tracing.
 	TraceSampleRate float64
-	// TraceBufferSize bounds the in-memory trace ring; the oldest
-	// records are overwritten when it fills. Zero means the default
-	// (4096 records).
-	TraceBufferSize int
 	// HealthDigests enables gossip-disseminated health digests: each
 	// member periodically folds its counters and delivery-hop histogram
 	// into a compact summary piggybacked on outgoing gossip, so every
 	// member converges to a cluster-wide health view, served at
 	// /debug/gossip/cluster on the debug listener.
 	HealthDigests bool
-	// HealthDigestsPerMessage bounds how many digests ride one gossip
-	// message (the member's own plus relayed ones). Zero means the
-	// subsystem default.
-	HealthDigestsPerMessage int
-	// HealthRefreshRounds is how many gossip rounds pass between
-	// re-snapshots of a member's own digest. Zero means the subsystem
-	// default (every round).
-	HealthRefreshRounds int
 }
 
 // Validate reports the first configuration error.
@@ -159,25 +120,7 @@ func (c ObservabilityConfig) Validate() error {
 	if c.TraceSampleRate < 0 || c.TraceSampleRate > 1 {
 		return fmt.Errorf("adaptivegossip: trace sample rate %v out of [0,1]", c.TraceSampleRate)
 	}
-	if c.TraceBufferSize < 0 {
-		return fmt.Errorf("adaptivegossip: trace buffer size %d must not be negative", c.TraceBufferSize)
-	}
-	if c.HealthDigestsPerMessage < 0 {
-		return fmt.Errorf("adaptivegossip: health digests per message %d must not be negative", c.HealthDigestsPerMessage)
-	}
-	if c.HealthRefreshRounds < 0 {
-		return fmt.Errorf("adaptivegossip: health refresh rounds %d must not be negative", c.HealthRefreshRounds)
-	}
 	return nil
-}
-
-// healthParams maps the facade knobs onto the subsystem configuration.
-func (c ObservabilityConfig) healthParams() health.Params {
-	return health.Params{
-		Enabled:           c.HealthDigests,
-		DigestsPerMessage: c.HealthDigestsPerMessage,
-		RefreshRounds:     c.HealthRefreshRounds,
-	}
 }
 
 // Config configures a broadcast node or cluster. Knobs
@@ -301,11 +244,6 @@ func (c Config) Validate() error {
 	}
 	if c.Adaptive {
 		if err := c.Adaptation.Validate(); err != nil {
-			return fmt.Errorf("adaptivegossip: %w", err)
-		}
-	}
-	if c.Recovery.Enabled {
-		if err := c.Recovery.params().Validate(); err != nil {
 			return fmt.Errorf("adaptivegossip: %w", err)
 		}
 	}

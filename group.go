@@ -12,6 +12,7 @@ import (
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/health"
 	"adaptivegossip/internal/membership"
+	"adaptivegossip/internal/recovery"
 	"adaptivegossip/internal/runtime"
 )
 
@@ -119,7 +120,7 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 		Gossip:   cfg.gossipParams(),
 		Adaptive: cfg.Adaptive,
 		Core:     cfg.Adaptation,
-		Recovery: cfg.Recovery.params(),
+		Recovery: recovery.Params{Enabled: cfg.Recovery.Enabled},
 		Failure:  cfg.Failure.params(cfg.Period),
 		OnMembership: func(peer gossip.NodeID, status gossip.MemberStatus) {
 			reg.ApplyVerdict(peer, status)
@@ -133,7 +134,7 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 		Metrics:       g.obs.node,
 		Tracer:        g.obs.tracer(),
 		Links:         g.obs.peers,
-		Health:        cfg.Observability.healthParams(),
+		Health:        health.Params{Enabled: cfg.Observability.HealthDigests},
 		HealthAugment: healthAugment(ep),
 		Start:         time.Now(),
 	})

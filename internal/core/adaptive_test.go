@@ -193,7 +193,6 @@ func TestAdaptiveNodeCongestionLowersRate(t *testing.T) {
 
 func TestAdaptiveNodeUnusedAllowanceShrinks(t *testing.T) {
 	cfg := nodeConfig("a", fullPeers{"a", "b"}, true)
-	cfg.Core.OptimisticDrift = true
 	n, err := NewAdaptiveNode(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -129,11 +129,9 @@ func (a *Adaptor) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossi
 }
 
 // onRoundEnd applies the optimistic drift when a whole round produced
-// no congestion samples. Called by AdaptiveNode after each Tick.
+// no congestion samples, so an idle system does not stay throttled
+// forever. Called by AdaptiveNode after each Tick.
 func (a *Adaptor) onRoundEnd(maxAge int) {
-	if !a.params.OptimisticDrift {
-		return
-	}
 	if a.cong.Samples() == a.samplesAtTick {
 		a.cong.Drift(float64(maxAge))
 		a.driftRounds++

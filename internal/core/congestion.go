@@ -89,7 +89,7 @@ func (c *CongestionEstimator) Forget(id gossip.EventID) {
 
 // Drift moves avgAge one EMA step toward the given value. Used for
 // optimistic recovery in rounds that produce no overflow samples (see
-// Params.OptimisticDrift).
+// Adaptor.onRoundEnd).
 func (c *CongestionEstimator) Drift(toward float64) {
 	c.avgAge = c.alpha*c.avgAge + (1-c.alpha)*toward
 }

@@ -86,10 +86,6 @@ type Params struct {
 	// LowTokensFrac: avgTokens at or below this fraction marks the
 	// allowance as fully used, a precondition for increases.
 	LowTokensFrac float64
-	// OptimisticDrift controls recovery from a frozen congestion
-	// signal: in rounds with no overflow samples, avgAge drifts toward
-	// the age bound so an idle system does not stay throttled forever.
-	OptimisticDrift bool
 	// DisableTokenCheck removes the avgTokens conditions (ablation A2).
 	DisableTokenCheck bool
 	// MinBuffRank is κ: adapt to the κ-th smallest buffer instead of
@@ -121,7 +117,6 @@ func DefaultParams() Params {
 		TokenBucketMax:     DefaultTokenBucketMax,
 		HighTokensFrac:     DefaultHighTokensFrac,
 		LowTokensFrac:      DefaultLowTokensFrac,
-		OptimisticDrift:    true,
 		MinBuffRank:        1,
 	}
 }

@@ -72,7 +72,7 @@ func RunAblationRandomization(base Config, seeds int) ([]AblationRow, error) {
 		if err != nil {
 			return fmt.Errorf("ablation randomization pr=%v: %w", pr, err)
 		}
-		mean, std := allowedStats(res.AllowedSeries, cfg.Warmup, cfg.Warmup+cfg.Duration, res.Config.Bucket)
+		mean, std := allowedStats(res.AllowedSeries, cfg.Warmup, cfg.Warmup+cfg.Duration, res.Config.Period)
 		rows[i] = AblationRow{
 			Study:        "A1 randomized increase",
 			Variant:      fmt.Sprintf("pr=%.2f", pr),
@@ -111,7 +111,7 @@ func RunAblationTokenCheck(base Config, seeds int) ([]AblationRow, error) {
 		if err != nil {
 			return fmt.Errorf("ablation token check disabled=%v: %w", disabled, err)
 		}
-		mean, std := allowedStats(res.AllowedSeries, cfg.Warmup, cfg.Warmup+cfg.Duration, res.Config.Bucket)
+		mean, std := allowedStats(res.AllowedSeries, cfg.Warmup, cfg.Warmup+cfg.Duration, res.Config.Period)
 		rows[i] = AblationRow{
 			Study:        "A2 avgTokens guard",
 			Variant:      fmt.Sprintf("check=%v", !disabled),
@@ -155,7 +155,7 @@ func RunAblationWindow(base Config, windows []int, seeds int) ([]AblationRow, er
 		}
 		// Measure the recovery half only: how much of the restored
 		// capacity the group reclaims.
-		mean, std := allowedStats(res.AllowedSeries, grow, cfg.Duration, res.Config.Bucket)
+		mean, std := allowedStats(res.AllowedSeries, grow, cfg.Duration, res.Config.Period)
 		rows[i] = AblationRow{
 			Study:        "A3 estimate window",
 			Variant:      fmt.Sprintf("W=%d", w),
@@ -189,7 +189,7 @@ func RunAblationAlpha(base Config, alphas []float64, seeds int) ([]AblationRow, 
 		if err != nil {
 			return fmt.Errorf("ablation alpha=%v: %w", a, err)
 		}
-		mean, std := allowedStats(res.AllowedSeries, cfg.Warmup, cfg.Warmup+cfg.Duration, res.Config.Bucket)
+		mean, std := allowedStats(res.AllowedSeries, cfg.Warmup, cfg.Warmup+cfg.Duration, res.Config.Period)
 		rows[i] = AblationRow{
 			Study:        "A4 EMA weight",
 			Variant:      fmt.Sprintf("alpha=%.2f", a),

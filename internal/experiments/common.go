@@ -31,14 +31,13 @@ type Config struct {
 	// Fanout is F (paper: 4).
 	Fanout int
 	// Period is the gossip period T (paper: 5s; virtual time, so the
-	// value does not affect wall-clock cost).
+	// value does not affect wall-clock cost), and the granularity of the
+	// result series.
 	Period time.Duration
 	// MaxAge is the purge bound k.
 	MaxAge int
 	// Buffer is |events|max at every node.
 	Buffer int
-	// IDCacheMult sizes |eventIds|max as a multiple of Buffer.
-	IDCacheMult int
 	// Senders is the number of publishing nodes (the first Senders
 	// node indexes). Zero means all nodes publish.
 	Senders int
@@ -120,11 +119,6 @@ type Config struct {
 	// FailureSuspicionRounds overrides the suspect→confirm timeout in
 	// rounds (0 = subsystem default).
 	FailureSuspicionRounds int
-	// FailureIndirectProbes overrides k, the indirect probe count (0 =
-	// subsystem default).
-	FailureIndirectProbes int
-	// Bucket is the series granularity. Zero means Period.
-	Bucket time.Duration
 }
 
 // DefaultConfig is the paper's experimental setting (§4): 60 processes,
@@ -136,7 +130,6 @@ func DefaultConfig() Config {
 		Period:      5 * time.Second,
 		MaxAge:      10,
 		Buffer:      120,
-		IDCacheMult: gossip.DefaultIDCacheMult,
 		Senders:     0, // all
 		OfferedRate: 30,
 		PayloadSize: 16,
@@ -159,14 +152,8 @@ func (c Config) withDefaults() Config {
 	if c.Senders <= 0 || c.Senders > c.N {
 		c.Senders = c.N
 	}
-	if c.IDCacheMult <= 0 {
-		c.IDCacheMult = gossip.DefaultIDCacheMult
-	}
 	if c.Drain == 0 {
 		c.Drain = time.Duration(c.MaxAge) * c.Period
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = c.Period
 	}
 	if c.Adaptive && c.Core == (core.Params{}) {
 		c.Core = DefaultExperimentCore(c.OfferedRate / float64(c.Senders))
@@ -188,7 +175,6 @@ func (c Config) failureParams() failure.Params {
 	return failure.Params{
 		Enabled:                c.FailureDetection,
 		SuspicionTimeoutRounds: c.FailureSuspicionRounds,
-		IndirectProbes:         c.FailureIndirectProbes,
 	}
 }
 
@@ -271,10 +257,10 @@ type RunResult struct {
 	AllowedRate float64
 	// OfferedRate echoes the aggregate offered load.
 	OfferedRate float64
-	// AllowedSeries is the aggregate allowed rate per bucket over the
-	// whole run (adaptive only).
+	// AllowedSeries is the aggregate allowed rate per gossip period
+	// over the whole run (adaptive only).
 	AllowedSeries []GaugePoint
-	// AtomicitySeries is the per-bucket atomicity over the whole run.
+	// AtomicitySeries is the per-period atomicity over the whole run.
 	AtomicitySeries []BucketStat
 	// MinBuffFinal is the minimum over nodes of the final minBuff
 	// estimate (adaptive only) — convergence diagnostic.
@@ -429,7 +415,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	to := from.Add(cfg.Duration)
 	end := to.Add(cfg.Drain)
 	tracker := newDeliveryTracker(names, epoch)
-	allowed := newGaugeMeter(epoch, end, cfg.Bucket, float64(cfg.Senders))
+	allowed := newGaugeMeter(epoch, end, cfg.Period, float64(cfg.Senders))
 	truth := &truth{downSince: make(map[gossip.NodeID]time.Time, cfg.N)}
 	var region map[gossip.NodeID]int
 	if cfg.ProximityWeight != 0 {
@@ -470,11 +456,10 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		nodes[i], err = core.NewAdaptiveNode(core.NodeConfig{
 			ID: name,
 			Gossip: gossip.Params{
-				Fanout:      cfg.Fanout,
-				Period:      cfg.Period,
-				MaxEvents:   cfg.Buffer,
-				MaxEventIDs: cfg.IDCacheMult * cfg.Buffer,
-				MaxAge:      cfg.MaxAge,
+				Fanout:    cfg.Fanout,
+				Period:    cfg.Period,
+				MaxEvents: cfg.Buffer,
+				MaxAge:    cfg.MaxAge,
 			},
 			Adaptive:     cfg.Adaptive,
 			Core:         cfg.Core,
@@ -613,7 +598,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	}
 
 	// View accuracy: with per-node views, sample each live node's
-	// registry once per bucket inside the window and score the fraction
+	// registry once per period inside the window and score the fraction
 	// of non-self entries that point at live members.
 	var accSum float64
 	var accN int
@@ -639,8 +624,8 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 					accN++
 				}
 			}
-			if w.now().Add(cfg.Bucket).Before(to) {
-				w.after(cfg.Bucket, sampleAcc)
+			if w.now().Add(cfg.Period).Before(to) {
+				w.after(cfg.Period, sampleAcc)
 			}
 		}
 		w.after(cfg.Warmup, sampleAcc)
@@ -709,7 +694,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		res.ViewAccuracyPct = 100 * accSum / float64(accN)
 	}
 	res.Network = w.stats()
-	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Bucket)
+	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Period)
 	res.Latency = tracker.latency
 	res.Hops = tracker.hops
 	res.DuplicateDeliveries = tracker.duplicates
@@ -730,13 +715,7 @@ func partialView(cfg Config, names []gossip.NodeID, i int, region map[gossip.Nod
 			contacts = append(contacts, names[c])
 		}
 	}
-	view, err := membership.NewPartialView(names[i], contacts, membership.PartialViewConfig{
-		MaxView:         cfg.ViewSize,
-		MaxSubs:         cfg.ViewSize,
-		MaxUnsubs:       cfg.ViewSize,
-		SubsPerGossip:   4,
-		UnsubsPerGossip: 1,
-	}, rng)
+	view, err := membership.NewPartialView(names[i], contacts, cfg.ViewSize, rng)
 	if err != nil {
 		return nil, err
 	}

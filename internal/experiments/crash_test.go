@@ -46,7 +46,7 @@ func TestRunAdaptiveSurvivesCrashOfConstrainedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bucket := res.Config.Bucket
+	bucket := res.Config.Period
 	before, okB := meanAllowedBetween(res, 60*time.Second, 100*time.Second, bucket)
 	after, okA := meanAllowedBetween(res, 150*time.Second, 200*time.Second, bucket)
 	if !okB || !okA {

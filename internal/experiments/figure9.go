@@ -159,10 +159,7 @@ func RunFigure9Sim(cfg Figure9Config) (Figure9Result, error) {
 }
 
 func assembleFigure9(cfg Figure9Config, ad, lp RunResult) Figure9Result {
-	bucket := ad.Config.Bucket
-	if bucket <= 0 {
-		bucket = cfg.Base.Period
-	}
+	bucket := cfg.Base.Period
 	n := len(ad.AtomicitySeries)
 	if len(lp.AtomicitySeries) < n {
 		n = len(lp.AtomicitySeries)

@@ -56,7 +56,7 @@ func TestRunJoinOfConstrainedNodeThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bucket := res.Config.Bucket
+	bucket := res.Config.Period
 	before, okB := meanAllowedBetween(res, 60*time.Second, 120*time.Second, bucket)
 	after, okA := meanAllowedBetween(res, 180*time.Second, 240*time.Second, bucket)
 	if !okB || !okA {

@@ -29,7 +29,6 @@ func RunFigure9Runtime(cfg Figure9Config, scale float64) (Figure9Result, error) 
 	}
 	scaled := cfg
 	scaled.Base.Period = shrink(cfg.Base.Period)
-	scaled.Base.Bucket = shrink(orDuration(cfg.Base.Bucket, cfg.Base.Period))
 	scaled.Base.OfferedRate = cfg.Base.OfferedRate * scale
 	scaled.ChangeAt1 = shrink(cfg.ChangeAt1)
 	scaled.ChangeAt2 = shrink(cfg.ChangeAt2)

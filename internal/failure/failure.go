@@ -10,15 +10,17 @@
 // 2002), adapted to this repository's round-driven extension model:
 //
 //   - Each gossip round (OnTick) the engine probes one random view
-//     member with a ping and expects an ack within ProbeTimeoutRounds.
-//   - On timeout it asks IndirectProbes random proxies to probe the
+//     member with a ping and expects an ack within probeTimeoutRounds.
+//   - On timeout it asks indirectProbes random proxies to probe the
 //     target on its behalf (ping-req), covering path asymmetry.
 //   - If the indirect phase also times out, the target becomes
 //     *suspect*; after SuspicionTimeoutRounds unrefuted, the suspicion
 //     hardens into a *confirm* and the eviction callback fires.
 //   - Status transitions (alive/suspect/confirm) are disseminated as
-//     MemberUpdate rumors piggybacked on outgoing gossip and probes, so
-//     detection costs O(1) extra messages per node per period.
+//     MemberUpdate rumors piggybacked on outgoing gossip and probes (at
+//     most updatesPerMessage a message, each riding updateTransmits
+//     messages), so detection costs O(1) extra messages per node per
+//     period.
 //   - A node that learns it is suspected refutes by incrementing its
 //     incarnation and gossiping a fresh alive update; alive updates
 //     override suspicion only with a strictly higher incarnation.
@@ -30,7 +32,7 @@
 //   - Any message received from a node is proof of life: it cancels
 //     outstanding probes and locally clears suspicion.
 //   - Suspect/confirm rumors about a node heard from within
-//     FreshnessRounds are ignored — a peer we are actively exchanging
+//     freshnessRounds are ignored — a peer we are actively exchanging
 //     gossip with is not dead, whatever a stale rumor says.
 //
 // The Engine is a gossip.Extension plus a queue of outgoing control
@@ -50,102 +52,53 @@ import (
 	"adaptivegossip/internal/observe"
 )
 
-// Defaults for Params, in gossip rounds. With the paper's 5-second
-// period a crash is typically suspected within 2–3 rounds and confirmed
-// within ProbeTimeout+Indirect+Suspicion ≈ 8 rounds (40 s).
+// The detector's constants, in gossip rounds where they are times.
+// With the paper's 5-second period a crash is typically suspected
+// within 2–3 rounds and confirmed within probeTimeoutRounds +
+// indirectTimeoutRounds + SuspicionTimeoutRounds ≈ 8 rounds (40 s).
 const (
-	DefaultProbePeriodRounds      = 1
-	DefaultProbeTimeoutRounds     = 1
-	DefaultIndirectTimeoutRounds  = 2
-	DefaultIndirectProbes         = 3
-	DefaultSuspicionTimeoutRounds = 5
-	DefaultFreshnessRounds        = 2
-	DefaultUpdatesPerMessage      = 8
-	DefaultUpdateTransmits        = 6
-	DefaultMaxMembers             = 4096
+	// probeTimeoutRounds is how long to wait for the direct ack before
+	// falling back to indirect probes.
+	probeTimeoutRounds = 1
+	// indirectTimeoutRounds is how long the indirect phase may run
+	// before the target becomes suspect.
+	indirectTimeoutRounds = 2
+	// indirectProbes is k, the number of proxies asked to ping the
+	// target when the direct probe times out.
+	indirectProbes = 3
+	// freshnessRounds guards against stale rumors: suspect/confirm
+	// updates about a node heard from within this many rounds are
+	// ignored.
+	freshnessRounds = 2
+	// updatesPerMessage bounds the piggybacked rumors per outgoing
+	// message.
+	updatesPerMessage = 8
+	// updateTransmits is how many outgoing messages each queued rumor
+	// rides before it is dropped (SWIM's retransmission multiplier).
+	updateTransmits = 6
+	// maxMembers bounds the per-node member-state table.
+	maxMembers = 4096
 )
 
-// Params configures the failure detector. The zero value of every
-// field except Enabled means "use the default". All timing fields are
-// in gossip rounds (multiples of the protocol period).
+// DefaultSuspicionTimeoutRounds is SuspicionTimeoutRounds' default.
+const DefaultSuspicionTimeoutRounds = 5
+
+// Params configures the failure detector.
 type Params struct {
 	// Enabled turns the subsystem on. A disabled engine is never built;
 	// the flag exists so configurations can carry detector settings
 	// alongside the protocol's.
 	Enabled bool
-	// ProbePeriodRounds is how often a probe is launched: one random
-	// member every this many rounds.
-	ProbePeriodRounds int
-	// ProbeTimeoutRounds is how long to wait for the direct ack before
-	// falling back to indirect probes.
-	ProbeTimeoutRounds int
-	// IndirectTimeoutRounds is how long the indirect phase may run
-	// before the target becomes suspect.
-	IndirectTimeoutRounds int
-	// IndirectProbes is k, the number of proxies asked to ping the
-	// target when the direct probe times out.
-	IndirectProbes int
 	// SuspicionTimeoutRounds is how long a suspect may refute before
-	// the suspicion hardens into a confirm.
+	// the suspicion hardens into a confirm, in gossip rounds. Zero means
+	// DefaultSuspicionTimeoutRounds.
 	SuspicionTimeoutRounds int
-	// FreshnessRounds guards against stale rumors: suspect/confirm
-	// updates about a node heard from within this many rounds are
-	// ignored.
-	FreshnessRounds int
-	// UpdatesPerMessage bounds the piggybacked rumors per outgoing
-	// message.
-	UpdatesPerMessage int
-	// UpdateTransmits is how many outgoing messages each queued rumor
-	// rides before it is dropped (SWIM's retransmission multiplier).
-	UpdateTransmits int
-	// MaxMembers bounds the per-node member-state table.
-	MaxMembers int
-}
-
-// withDefaults fills zero-valued fields.
-func (p Params) withDefaults() Params {
-	if p.ProbePeriodRounds == 0 {
-		p.ProbePeriodRounds = DefaultProbePeriodRounds
-	}
-	if p.ProbeTimeoutRounds == 0 {
-		p.ProbeTimeoutRounds = DefaultProbeTimeoutRounds
-	}
-	if p.IndirectTimeoutRounds == 0 {
-		p.IndirectTimeoutRounds = DefaultIndirectTimeoutRounds
-	}
-	if p.IndirectProbes == 0 {
-		p.IndirectProbes = DefaultIndirectProbes
-	}
-	if p.SuspicionTimeoutRounds == 0 {
-		p.SuspicionTimeoutRounds = DefaultSuspicionTimeoutRounds
-	}
-	if p.FreshnessRounds == 0 {
-		p.FreshnessRounds = DefaultFreshnessRounds
-	}
-	if p.UpdatesPerMessage == 0 {
-		p.UpdatesPerMessage = DefaultUpdatesPerMessage
-	}
-	if p.UpdateTransmits == 0 {
-		p.UpdateTransmits = DefaultUpdateTransmits
-	}
-	if p.MaxMembers == 0 {
-		p.MaxMembers = DefaultMaxMembers
-	}
-	return p
 }
 
 // Validate reports the first configuration error.
 func (p Params) Validate() error {
-	p = p.withDefaults()
-	if p.ProbePeriodRounds < 0 || p.ProbeTimeoutRounds < 0 || p.IndirectTimeoutRounds < 0 ||
-		p.SuspicionTimeoutRounds < 0 || p.FreshnessRounds < 0 {
-		return fmt.Errorf("failure: round counts must be non-negative")
-	}
-	if p.IndirectProbes < 0 {
-		return fmt.Errorf("failure: indirect probe count must be non-negative, got %d", p.IndirectProbes)
-	}
-	if p.UpdatesPerMessage < 0 || p.UpdateTransmits < 0 || p.MaxMembers < 0 {
-		return fmt.Errorf("failure: bounds must be non-negative")
+	if p.SuspicionTimeoutRounds < 0 {
+		return fmt.Errorf("failure: suspicion timeout must be non-negative, got %d rounds", p.SuspicionTimeoutRounds)
 	}
 	return nil
 }
@@ -234,9 +187,10 @@ type OnChangeFunc func(id gossip.NodeID, status gossip.MemberStatus)
 // handling and rumor application from OnReceive) and queues the probe
 // messages drivers must send.
 type Engine struct {
-	self   gossip.NodeID
-	params Params
-	peers  gossip.PeerSampler
+	self gossip.NodeID
+	// suspicionTimeout is Params.SuspicionTimeoutRounds, defaulted.
+	suspicionTimeout uint64
+	peers            gossip.PeerSampler
 	// sampleInto is peers' append-style fast path, when it has one, and
 	// candidates the slice it fills: a probe then samples without
 	// allocating. The RNG draws are the same either way.
@@ -276,9 +230,12 @@ type Engine struct {
 // from peers with randomness from rng (inject a seeded generator for
 // deterministic simulation).
 func NewEngine(self gossip.NodeID, params Params, peers gossip.PeerSampler, rng *rand.Rand) (*Engine, error) {
-	params = params.withDefaults()
 	if err := params.Validate(); err != nil {
 		return nil, err
+	}
+	timeout := params.SuspicionTimeoutRounds
+	if timeout == 0 {
+		timeout = DefaultSuspicionTimeoutRounds
 	}
 	if self == "" {
 		return nil, fmt.Errorf("failure: self id must not be empty")
@@ -291,14 +248,14 @@ func NewEngine(self gossip.NodeID, params Params, peers gossip.PeerSampler, rng 
 	}
 	sampleInto, _ := peers.(gossip.PeerAppender)
 	return &Engine{
-		self:       self,
-		params:     params,
-		peers:      peers,
-		sampleInto: sampleInto,
-		rng:        rng,
-		now:        time.Now,
-		members:    make(map[gossip.NodeID]*memberState),
-		probes:     make(map[gossip.NodeID]*probeState),
+		self:             self,
+		suspicionTimeout: uint64(timeout),
+		peers:            peers,
+		sampleInto:       sampleInto,
+		rng:              rng,
+		now:              time.Now,
+		members:          make(map[gossip.NodeID]*memberState),
+		probes:           make(map[gossip.NodeID]*probeState),
 	}, nil
 }
 
@@ -319,9 +276,6 @@ func (e *Engine) SetClock(fn func() time.Time) {
 		e.now = fn
 	}
 }
-
-// Params returns the engine's effective parameters.
-func (e *Engine) Params() Params { return e.params }
 
 // Stats returns a copy of the activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -363,9 +317,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	e.expireRelays()
 	e.sweepProbes()
 	e.sweepSuspects()
-	if e.params.ProbePeriodRounds > 0 && e.round%uint64(e.params.ProbePeriodRounds) == 0 {
-		e.launchProbe()
-	}
+	e.launchProbe()
 	e.attachUpdates(out)
 }
 
@@ -446,7 +398,7 @@ func (e *Engine) state(id gossip.NodeID) *memberState {
 	if st, ok := e.members[id]; ok {
 		return st
 	}
-	if len(e.members) >= e.params.MaxMembers {
+	if len(e.members) >= maxMembers {
 		return nil
 	}
 	st := &memberState{status: gossip.MemberAlive}
@@ -519,12 +471,12 @@ func (e *Engine) sweepProbes() {
 			e.freeProbes = append(e.freeProbes, p) // resolved, or superseded
 			continue
 		}
-		if !p.indirect && e.round-p.sentAt >= uint64(e.params.ProbeTimeoutRounds) {
+		if !p.indirect && e.round-p.sentAt >= probeTimeoutRounds {
 			p.indirect = true
 			p.indirectAt = e.round
 			e.sendPingReqs(p)
 		}
-		if p.indirect && e.round-p.indirectAt >= uint64(e.params.IndirectTimeoutRounds) {
+		if p.indirect && e.round-p.indirectAt >= indirectTimeoutRounds {
 			delete(e.probes, p.target)
 			e.suspect(p.target)
 			e.freeProbes = append(e.freeProbes, p)
@@ -535,15 +487,12 @@ func (e *Engine) sweepProbes() {
 	e.probeOrder = live
 }
 
-// sendPingReqs asks up to IndirectProbes proxies to probe the target.
+// sendPingReqs asks up to indirectProbes proxies to probe the target.
 func (e *Engine) sendPingReqs(p *probeState) {
-	if e.params.IndirectProbes <= 0 {
-		return
-	}
 	// Sample extra so filtering out the target still leaves k proxies.
 	sent := 0
-	for _, proxy := range e.sample(e.params.IndirectProbes + 1) {
-		if proxy == p.target || proxy == e.self || sent >= e.params.IndirectProbes {
+	for _, proxy := range e.sample(indirectProbes + 1) {
+		if proxy == p.target || proxy == e.self || sent >= indirectProbes {
 			continue
 		}
 		if st, ok := e.members[proxy]; ok && st.status != gossip.MemberAlive {
@@ -594,7 +543,7 @@ func (e *Engine) forwardRelayedAck(in *gossip.Message) {
 
 // expireRelays drops relay entries older than the indirect window.
 func (e *Engine) expireRelays() {
-	horizon := uint64(e.params.IndirectTimeoutRounds + e.params.ProbeTimeoutRounds + 1)
+	const horizon = indirectTimeoutRounds + probeTimeoutRounds + 1
 	live := e.relays[:0]
 	for _, r := range e.relays {
 		if e.round-r.round <= horizon {
@@ -626,7 +575,7 @@ func (e *Engine) sweepSuspects() {
 		if !ok || st.status != gossip.MemberSuspect {
 			continue // refuted or already confirmed
 		}
-		if e.round-st.suspectedAt < uint64(e.params.SuspicionTimeoutRounds) {
+		if e.round-st.suspectedAt < e.suspicionTimeout {
 			live = append(live, id)
 			continue
 		}
@@ -672,7 +621,7 @@ func (e *Engine) applyUpdate(u gossip.MemberUpdate) {
 		apply = u.Incarnation >= st.incarnation && st.status != gossip.MemberConfirmed
 	}
 	if apply && u.Status != gossip.MemberAlive &&
-		e.round-st.lastHeard < uint64(e.params.FreshnessRounds) && st.lastHeard > 0 {
+		e.round-st.lastHeard < freshnessRounds && st.lastHeard > 0 {
 		// Freshness guard: we are actively hearing from this node;
 		// the rumor is stale, whatever its incarnation claims.
 		apply = false
@@ -705,14 +654,14 @@ func (e *Engine) applyUpdate(u gossip.MemberUpdate) {
 func (e *Engine) queueUpdate(u gossip.MemberUpdate) {
 	for i := range e.queue {
 		if e.queue[i].u.Node == u.Node {
-			e.queue[i] = update{u: u, transmits: e.params.UpdateTransmits}
+			e.queue[i] = update{u: u, transmits: updateTransmits}
 			return
 		}
 	}
-	e.queue = append(e.queue, update{u: u, transmits: e.params.UpdateTransmits})
+	e.queue = append(e.queue, update{u: u, transmits: updateTransmits})
 }
 
-// attachUpdates piggybacks up to UpdatesPerMessage queued rumors onto
+// attachUpdates piggybacks up to updatesPerMessage queued rumors onto
 // an outgoing message, consuming their transmission budget. Rumors are
 // taken in queue order; exhausted ones are dropped.
 func (e *Engine) attachUpdates(out *gossip.Message) {
@@ -723,7 +672,7 @@ func (e *Engine) attachUpdates(out *gossip.Message) {
 	live := e.queue[:0]
 	for i := range e.queue {
 		q := e.queue[i]
-		if attached < e.params.UpdatesPerMessage && q.transmits > 0 {
+		if attached < updatesPerMessage && q.transmits > 0 {
 			out.Updates = append(out.Updates, q.u)
 			q.transmits--
 			attached++

@@ -73,9 +73,6 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{}).Validate(); err != nil {
 		t.Fatalf("zero params invalid: %v", err)
 	}
-	if err := (Params{IndirectProbes: -1}).Validate(); err == nil {
-		t.Fatal("negative indirect probes accepted")
-	}
 	if err := (Params{SuspicionTimeoutRounds: -1}).Validate(); err == nil {
 		t.Fatal("negative suspicion timeout accepted")
 	}
@@ -129,15 +126,11 @@ func TestDirectProbeAck(t *testing.T) {
 }
 
 // TestIndirectProbeThenSuspectThenConfirm walks the full SWIM
-// escalation for a silent target.
+// escalation for a silent target: a direct timeout of one round, an
+// indirect phase of two with indirectProbes proxies, then the
+// suspicion timeout.
 func TestIndirectProbeThenSuspectThenConfirm(t *testing.T) {
-	p := Params{
-		Enabled:                true,
-		ProbeTimeoutRounds:     1,
-		IndirectTimeoutRounds:  1,
-		IndirectProbes:         2,
-		SuspicionTimeoutRounds: 2,
-	}
+	p := Params{Enabled: true, SuspicionTimeoutRounds: 2}
 	var transitions []string
 	e := newTestEngine(t, "a", []gossip.NodeID{"b", "c", "d", "x"}, p)
 	e.SetOnChange(func(id gossip.NodeID, st gossip.MemberStatus) {
@@ -154,8 +147,8 @@ func TestIndirectProbeThenSuspectThenConfirm(t *testing.T) {
 	// Round 2: direct timeout → ping-reqs to proxies; plus this round's
 	// new probe of some other member.
 	_, outs = tick(e)
-	if got := kindsOf(outs)[gossip.KindPingReq]; got != p.IndirectProbes {
-		t.Fatalf("round 2: %d ping-reqs, want %d (outs %v)", got, p.IndirectProbes, kindsOf(outs))
+	if got := kindsOf(outs)[gossip.KindPingReq]; got != indirectProbes {
+		t.Fatalf("round 2: %d ping-reqs, want %d (outs %v)", got, indirectProbes, kindsOf(outs))
 	}
 	for _, o := range outs {
 		if o.Msg.Kind == gossip.KindPingReq {
@@ -168,7 +161,12 @@ func TestIndirectProbeThenSuspectThenConfirm(t *testing.T) {
 		}
 	}
 
-	// Round 3: indirect timeout → suspect.
+	// Round 3: the indirect phase still runs; round 4: indirect timeout
+	// → suspect.
+	tick(e)
+	if e.Status(target) != gossip.MemberAlive {
+		t.Fatalf("one round into the indirect phase: %v, want alive", e.Status(target))
+	}
 	tick(e)
 	if e.Status(target) != gossip.MemberSuspect {
 		t.Fatalf("after indirect timeout: %v, want suspect", e.Status(target))
@@ -265,8 +263,8 @@ func TestSelfRefutation(t *testing.T) {
 // TestAliveRumorRefutesSuspicionOnlyWithHigherIncarnation enforces
 // SWIM's ordering.
 func TestAliveRumorRefutesSuspicionOnlyWithHigherIncarnation(t *testing.T) {
-	e := newTestEngine(t, "a", []gossip.NodeID{"b", "c"}, Params{Enabled: true, FreshnessRounds: 1})
-	// Make round > FreshnessRounds so the guard cannot mask precedence.
+	e := newTestEngine(t, "a", []gossip.NodeID{"b", "c"}, Params{Enabled: true})
+	// Make round > freshnessRounds so the guard cannot mask precedence.
 	for i := 0; i < 3; i++ {
 		tick(e)
 	}
@@ -297,9 +295,10 @@ func TestAliveRumorRefutesSuspicionOnlyWithHigherIncarnation(t *testing.T) {
 }
 
 // TestFreshnessGuardIgnoresStaleRumors: suspect/confirm rumors about a
-// node we are actively hearing from are dropped.
+// node we are actively hearing from are dropped, for freshnessRounds
+// rounds after its last message.
 func TestFreshnessGuardIgnoresStaleRumors(t *testing.T) {
-	e := newTestEngine(t, "a", []gossip.NodeID{"b", "c"}, Params{Enabled: true, FreshnessRounds: 3})
+	e := newTestEngine(t, "a", []gossip.NodeID{"b", "c"}, Params{Enabled: true})
 	for i := 0; i < 5; i++ {
 		tick(e)
 		e.OnReceive(nil, &gossip.Message{Kind: gossip.KindGossip, From: "c"})
@@ -314,6 +313,21 @@ func TestFreshnessGuardIgnoresStaleRumors(t *testing.T) {
 	}
 	if e.Stats().UpdatesIgnored != before+1 {
 		t.Fatalf("UpdatesIgnored = %d, want %d", e.Stats().UpdatesIgnored, before+1)
+	}
+
+	// The guard's length, on an engine with no one to probe: c is last
+	// heard in round 1, and the rumor applies from round 1+freshnessRounds.
+	e = newTestEngine(t, "a", nil, Params{Enabled: true})
+	tick(e)
+	e.OnReceive(nil, &gossip.Message{Kind: gossip.KindGossip, From: "c"})
+	for round := 1; round <= 1+freshnessRounds; round++ {
+		if round > 1 {
+			tick(e)
+		}
+		e.applyUpdate(gossip.MemberUpdate{Node: "c", Status: gossip.MemberConfirmed, Incarnation: 9})
+		if got, fresh := e.Status("c"), round < 1+freshnessRounds; fresh != (got == gossip.MemberAlive) {
+			t.Fatalf("round %d: c = %v, rumor should apply from round %d", round, got, 1+freshnessRounds)
+		}
 	}
 }
 
@@ -342,7 +356,7 @@ func TestPingReqRelay(t *testing.T) {
 // TestRelayedAckClearsRequesterProbe: the requester treats a relayed
 // ack as proof of the subject's liveness.
 func TestRelayedAckClearsRequesterProbe(t *testing.T) {
-	p := Params{Enabled: true, ProbeTimeoutRounds: 1, IndirectTimeoutRounds: 5, SuspicionTimeoutRounds: 2}
+	p := Params{Enabled: true, SuspicionTimeoutRounds: 2}
 	e := newTestEngine(t, "a", []gossip.NodeID{"b", "c"}, p)
 	_, outs := tick(e) // ping b
 	seq := outs[0].Msg.ProbeSeq
@@ -362,11 +376,11 @@ func TestRelayedAckClearsRequesterProbe(t *testing.T) {
 	}
 }
 
-// TestUpdateTransmitBudget: a rumor rides at most UpdateTransmits
-// outgoing messages.
+// TestUpdateTransmitBudget: a rumor rides at most updateTransmits
+// outgoing messages. The engine has no one to probe, so gossip messages
+// are the only ones that carry rumors.
 func TestUpdateTransmitBudget(t *testing.T) {
-	p := Params{Enabled: true, UpdateTransmits: 3, UpdatesPerMessage: 8, ProbePeriodRounds: 100}
-	e := newTestEngine(t, "a", nil, p)
+	e := newTestEngine(t, "a", nil, Params{Enabled: true})
 	e.queueUpdate(gossip.MemberUpdate{Node: "x", Status: gossip.MemberConfirmed, Incarnation: 1})
 	rides := 0
 	for i := 0; i < 10; i++ {
@@ -377,27 +391,31 @@ func TestUpdateTransmitBudget(t *testing.T) {
 			}
 		}
 	}
-	if rides != 3 {
-		t.Fatalf("rumor rode %d messages, want 3", rides)
+	if rides != updateTransmits {
+		t.Fatalf("rumor rode %d messages, want %d", rides, updateTransmits)
 	}
 }
 
-// TestUpdatesPerMessageBound: piggyback volume per message is capped.
+// TestUpdatesPerMessageBound: piggyback volume per message is capped
+// at updatesPerMessage, and rumors past the cap wait their turn.
 func TestUpdatesPerMessageBound(t *testing.T) {
-	p := Params{Enabled: true, UpdatesPerMessage: 2, UpdateTransmits: 1, ProbePeriodRounds: 100}
-	e := newTestEngine(t, "a", nil, p)
-	for i := 0; i < 5; i++ {
+	e := newTestEngine(t, "a", nil, Params{Enabled: true})
+	const queued = updatesPerMessage + 2
+	for i := 0; i < queued; i++ {
 		e.queueUpdate(gossip.MemberUpdate{
-			Node: gossip.NodeID([]byte{'m', byte('0' + i)}), Status: gossip.MemberSuspect,
+			Node: gossip.NodeID([]byte{'m', byte('a' + i)}), Status: gossip.MemberSuspect,
 		})
 	}
-	msg, _ := tick(e)
-	if len(msg.Updates) != 2 {
-		t.Fatalf("piggybacked %d updates, want 2", len(msg.Updates))
+	rides := 0
+	for round := 1; round <= 2*updateTransmits; round++ {
+		msg, _ := tick(e)
+		if len(msg.Updates) > updatesPerMessage || (round <= 2 && len(msg.Updates) != updatesPerMessage) {
+			t.Fatalf("round %d piggybacked %d updates, want %d", round, len(msg.Updates), updatesPerMessage)
+		}
+		rides += len(msg.Updates)
 	}
-	msg, _ = tick(e)
-	if len(msg.Updates) != 2 {
-		t.Fatalf("second round piggybacked %d updates, want 2", len(msg.Updates))
+	if rides != queued*updateTransmits {
+		t.Fatalf("%d rides in all, want every rumor's %d", rides, updateTransmits)
 	}
 }
 
@@ -434,14 +452,7 @@ func TestRejoinResetsStateAndAnnounces(t *testing.T) {
 // confirm it while never confirming each other.
 func TestGroupDetectsCrashedMember(t *testing.T) {
 	ids := []gossip.NodeID{"a", "b", "c", "d"}
-	p := Params{
-		Enabled:                true,
-		ProbeTimeoutRounds:     1,
-		IndirectTimeoutRounds:  1,
-		IndirectProbes:         2,
-		SuspicionTimeoutRounds: 2,
-		FreshnessRounds:        2,
-	}
+	p := Params{Enabled: true, SuspicionTimeoutRounds: 2}
 	engines := make(map[gossip.NodeID]*Engine, len(ids))
 	for i, id := range ids {
 		e, err := NewEngine(id, p, randPeers{ids: ids}, rand.New(rand.NewPCG(uint64(i)+1, 99)))

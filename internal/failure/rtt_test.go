@@ -47,7 +47,7 @@ func TestProbeRTTHarvest(t *testing.T) {
 // TestProbeRTTSkipsIndirectAcks: once the probe enters the indirect
 // phase the eventual ack no longer measures the direct link.
 func TestProbeRTTSkipsIndirectAcks(t *testing.T) {
-	e, err := NewEngine("a", Params{Enabled: true, ProbeTimeoutRounds: 1},
+	e, err := NewEngine("a", Params{Enabled: true},
 		staticPeers{ids: []gossip.NodeID{"b", "c", "d"}}, rand.New(rand.NewPCG(1, 2)))
 	if err != nil {
 		t.Fatal(err)

@@ -18,12 +18,12 @@ import (
 	"adaptivegossip/internal/observe"
 )
 
-// Defaults for Params fields left zero.
-const (
-	DefaultDigestsPerMessage = 4
-	DefaultRefreshRounds     = 1
-	DefaultMaxMembers        = 4096
-)
+// DefaultDigestsPerMessage is DigestsPerMessage's default.
+const DefaultDigestsPerMessage = 4
+
+// maxMembers bounds the remote-digest table; digests from further nodes
+// are counted as ignored.
+const maxMembers = 4096
 
 // Params configures the health digest engine.
 type Params struct {
@@ -34,23 +34,11 @@ type Params struct {
 	// message: the node's own plus DigestsPerMessage-1 relayed ones.
 	// Zero means DefaultDigestsPerMessage.
 	DigestsPerMessage int
-	// RefreshRounds is how many local rounds pass between re-snapshots
-	// of the node's own digest. Zero means DefaultRefreshRounds.
-	RefreshRounds int
-	// MaxMembers bounds the remote-digest table; digests from further
-	// nodes are counted as ignored. Zero means DefaultMaxMembers.
-	MaxMembers int
 }
 
 func (p Params) withDefaults() Params {
 	if p.DigestsPerMessage == 0 {
 		p.DigestsPerMessage = DefaultDigestsPerMessage
-	}
-	if p.RefreshRounds == 0 {
-		p.RefreshRounds = DefaultRefreshRounds
-	}
-	if p.MaxMembers == 0 {
-		p.MaxMembers = DefaultMaxMembers
 	}
 	return p
 }
@@ -95,9 +83,10 @@ type Engine struct {
 	// tests and simulations inject a fixed clock for determinism.
 	Now func() time.Time
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// round counts OnTick calls; own is the node's digest from the
+	// latest, set once round > 0.
 	round   uint64
-	ownSet  bool
 	own     gossip.HealthDigest
 	members map[gossip.NodeID]*memberEntry
 	order   []gossip.NodeID // sorted member ids, round-robin relay ring
@@ -116,10 +105,10 @@ func New(self gossip.NodeID, p Params, augment AugmentFunc) *Engine {
 	}
 }
 
-// OnTick refreshes the self digest on its cadence and piggybacks the
-// digest budget — self first, then a round-robin window over the known
-// members — onto the outgoing message. Steady-state it allocates
-// nothing: digests append into the message's reused Health scratch.
+// OnTick refreshes the self digest and piggybacks the digest budget —
+// self first, then a round-robin window over the known members — onto
+// the outgoing message. Steady-state it allocates nothing: digests
+// append into the message's reused Health scratch.
 func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	if !e.params.Enabled {
 		return
@@ -127,9 +116,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.round++
-	if !e.ownSet || (e.round-1)%uint64(e.params.RefreshRounds) == 0 {
-		e.refreshSelfLocked(n)
-	}
+	e.refreshSelfLocked(n)
 	out.Health = append(out.Health, e.own)
 	e.stats.DigestsSent++
 	relay := e.params.DigestsPerMessage - 1
@@ -146,7 +133,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 
 // OnReceive merges piggybacked digests into the member table. For each
 // node the freshest digest wins (higher origin Round); digests about
-// the receiver itself, empty ones, and ones past the MaxMembers bound
+// the receiver itself, empty ones, and ones past the maxMembers bound
 // are ignored.
 func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	if !e.params.Enabled || len(in.Health) == 0 {
@@ -171,7 +158,7 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 			}
 			continue
 		}
-		if len(e.members) >= e.params.MaxMembers {
+		if len(e.members) >= maxMembers {
 			e.stats.DigestsIgnored++
 			continue
 		}
@@ -214,7 +201,6 @@ func (e *Engine) refreshSelfLocked(n *gossip.Node) {
 	if e.augment != nil {
 		e.augment(&e.own)
 	}
-	e.ownSet = true
 }
 
 // Stats returns the digest traffic counters.
@@ -230,7 +216,7 @@ func (e *Engine) Members() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := len(e.members)
-	if e.ownSet {
+	if e.round > 0 {
 		n++
 	}
 	return n
@@ -250,7 +236,7 @@ func (e *Engine) Snapshot() []MemberHealth {
 			StalenessRounds: e.round - ent.updated,
 		})
 	}
-	if e.ownSet {
+	if e.round > 0 {
 		out = append(out, MemberHealth{Digest: e.own, UpdatedRound: e.round})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Digest.Node < out[j].Digest.Node })
@@ -262,7 +248,7 @@ func (e *Engine) Snapshot() []MemberHealth {
 func (e *Engine) MergedDeliverHops() (m observe.HistogramSnapshot) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ownSet {
+	if e.round > 0 {
 		m = e.own.DeliverHops
 	}
 	for _, ent := range e.members {

@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -69,12 +70,16 @@ func TestEngineAttachesSelfAndRelays(t *testing.T) {
 	}
 	seen := map[gossip.NodeID]int{}
 	for i := 0; i < 2; i++ {
+		prev := h[0].Round
 		h = n.Tick()[0].Msg.Health
 		if len(h) != 3 {
 			t.Fatalf("tick %d: want 3 digests, got %d", i, len(h))
 		}
 		if h[0].Node != "self" {
 			t.Fatalf("tick %d: own digest not first: %v", i, h[0].Node)
+		}
+		if h[0].Round <= prev {
+			t.Fatalf("tick %d: own digest not refreshed (round %d after %d)", i, h[0].Round, prev)
 		}
 		for _, d := range h[1:] {
 			seen[d.Node]++
@@ -118,12 +123,13 @@ func TestEngineMergeFreshnessWins(t *testing.T) {
 }
 
 func TestEngineMaxMembersBound(t *testing.T) {
-	e := New("self", Params{Enabled: true, MaxMembers: 2}, nil)
+	e := New("self", Params{Enabled: true}, nil)
 	n := testNode(t, "self", e)
-	for _, id := range []gossip.NodeID{"a", "b", "c"} {
+	for i := range maxMembers + 1 {
+		id := gossip.NodeID(fmt.Sprintf("m%d", i))
 		n.Receive(&gossip.Message{From: id, Health: []gossip.HealthDigest{digestFor(id, 1)}})
 	}
-	if got := e.Members(); got != 2 {
+	if got := e.Members(); got != maxMembers {
 		t.Fatalf("member table exceeded bound: %d", got)
 	}
 	if st := e.Stats(); st.DigestsIgnored != 1 {

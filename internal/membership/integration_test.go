@@ -14,9 +14,7 @@ import (
 // subscriptions — no registry anywhere — and checks that a broadcast
 // still reaches the whole group.
 func TestPartialViewDrivesGossipNodes(t *testing.T) {
-	const n = 24
-	cfg := DefaultPartialViewConfig()
-	cfg.MaxView = 6
+	const n, maxView = 24, 6
 
 	names := make([]gossip.NodeID, n)
 	for i := range names {
@@ -27,7 +25,7 @@ func TestPartialViewDrivesGossipNodes(t *testing.T) {
 	delivered := make([]int, n)
 	for i := range names {
 		// Ring seeding: node i knows only node i+1.
-		v, err := NewPartialView(names[i], []gossip.NodeID{names[(i+1)%n]}, cfg,
+		v, err := NewPartialView(names[i], []gossip.NodeID{names[(i+1)%n]}, maxView,
 			rand.New(rand.NewPCG(uint64(i), 7)))
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +83,7 @@ func TestPartialViewDrivesGossipNodes(t *testing.T) {
 		t.Fatalf("broadcast reached %d/%d nodes through partial views", reached, n)
 	}
 	for i, v := range views {
-		if v.ViewSize() > cfg.MaxView {
+		if v.ViewSize() > maxView {
 			t.Fatalf("node %d view grew to %d", i, v.ViewSize())
 		}
 	}

@@ -8,47 +8,13 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// PartialViewConfig bounds the lpbcast membership state.
-type PartialViewConfig struct {
-	// MaxView is the partial view bound (lpbcast's ℓ).
-	MaxView int
-	// MaxSubs bounds the pool of recently heard subscriptions.
-	MaxSubs int
-	// MaxUnsubs bounds the pool of recently heard unsubscriptions.
-	MaxUnsubs int
-	// SubsPerGossip is how many subscriptions ride on each outgoing
-	// gossip message (the sender itself always rides along, refreshing
-	// its own membership).
-	SubsPerGossip int
-	// UnsubsPerGossip is how many unsubscriptions ride on each message.
-	UnsubsPerGossip int
-}
-
-// DefaultPartialViewConfig mirrors lpbcast's sizing for groups of ~60
-// to a few hundred nodes.
-func DefaultPartialViewConfig() PartialViewConfig {
-	return PartialViewConfig{
-		MaxView:         15,
-		MaxSubs:         30,
-		MaxUnsubs:       30,
-		SubsPerGossip:   4,
-		UnsubsPerGossip: 4,
-	}
-}
-
-// Validate reports the first configuration error.
-func (c PartialViewConfig) Validate() error {
-	if c.MaxView <= 0 {
-		return fmt.Errorf("membership: MaxView must be positive, got %d", c.MaxView)
-	}
-	if c.MaxSubs <= 0 || c.MaxUnsubs <= 0 {
-		return fmt.Errorf("membership: pool bounds must be positive, got subs=%d unsubs=%d", c.MaxSubs, c.MaxUnsubs)
-	}
-	if c.SubsPerGossip <= 0 || c.UnsubsPerGossip < 0 {
-		return fmt.Errorf("membership: per-gossip counts invalid: subs=%d unsubs=%d", c.SubsPerGossip, c.UnsubsPerGossip)
-	}
-	return nil
-}
+// Piggybacked membership traffic per outgoing gossip message: the
+// sender itself and subsPerGossip-1 subscriptions from its pool, and
+// unsubsPerGossip unsubscriptions.
+const (
+	subsPerGossip   = 4
+	unsubsPerGossip = 1
+)
 
 // PartialView is lpbcast's partial-membership mechanism: each node
 // knows only a bounded random subset of the group, maintained purely by
@@ -60,8 +26,10 @@ func (c PartialViewConfig) Validate() error {
 // use; the node's driver serializes all calls.
 type PartialView struct {
 	self gossip.NodeID
-	cfg  PartialViewConfig
-	rng  *rand.Rand
+	// maxView bounds the view (lpbcast's ℓ) and the pools of recently
+	// heard subscriptions and unsubscriptions.
+	maxView int
+	rng     *rand.Rand
 
 	// weight is the optional proximity-biased sampling mode (see
 	// SetSampleWeights); the scratch slices below make the weighted
@@ -80,10 +48,11 @@ type PartialView struct {
 	unsubsSet map[gossip.NodeID]struct{}
 }
 
-// NewPartialView creates a view seeded with the given contacts.
-func NewPartialView(self gossip.NodeID, seeds []gossip.NodeID, cfg PartialViewConfig, rng *rand.Rand) (*PartialView, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewPartialView creates a view of at most maxView entries seeded with
+// the given contacts.
+func NewPartialView(self gossip.NodeID, seeds []gossip.NodeID, maxView int, rng *rand.Rand) (*PartialView, error) {
+	if maxView <= 0 {
+		return nil, fmt.Errorf("membership: view bound must be positive, got %d", maxView)
 	}
 	if self == "" {
 		return nil, fmt.Errorf("membership: self id must not be empty")
@@ -93,11 +62,11 @@ func NewPartialView(self gossip.NodeID, seeds []gossip.NodeID, cfg PartialViewCo
 	}
 	v := &PartialView{
 		self:      self,
-		cfg:       cfg,
+		maxView:   maxView,
 		rng:       rng,
-		viewSet:   make(map[gossip.NodeID]struct{}, cfg.MaxView),
-		subsSet:   make(map[gossip.NodeID]struct{}, cfg.MaxSubs),
-		unsubsSet: make(map[gossip.NodeID]struct{}, cfg.MaxUnsubs),
+		viewSet:   make(map[gossip.NodeID]struct{}, maxView),
+		subsSet:   make(map[gossip.NodeID]struct{}, maxView),
+		unsubsSet: make(map[gossip.NodeID]struct{}, maxView),
 	}
 	for _, s := range seeds {
 		v.addToView(s)
@@ -224,10 +193,10 @@ func (v *PartialView) appendWeighted(dst []gossip.NodeID, k int, rng *rand.Rand)
 // plus random samples of the subs and unsubs pools.
 func (v *PartialView) OnTick(n *gossip.Node, out *Message) {
 	out.Subs = append(out.Subs, v.self)
-	for _, s := range v.samplePool(v.subs, v.cfg.SubsPerGossip-1) {
+	for _, s := range v.samplePool(v.subs, subsPerGossip-1) {
 		out.Subs = append(out.Subs, s)
 	}
-	out.Unsubs = append(out.Unsubs, v.samplePool(v.unsubs, v.cfg.UnsubsPerGossip)...)
+	out.Unsubs = append(out.Unsubs, v.samplePool(v.unsubs, unsubsPerGossip)...)
 }
 
 // Message aliases gossip.Message for readability of the Extension
@@ -242,7 +211,7 @@ func (v *PartialView) OnReceive(n *gossip.Node, in *Message) {
 		}
 		v.removeFromView(u)
 		v.removeFromSubs(u)
-		v.addToPool(&v.unsubs, v.unsubsSet, u, v.cfg.MaxUnsubs)
+		v.addToPool(&v.unsubs, v.unsubsSet, u, v.maxView)
 	}
 	for _, s := range in.Subs {
 		if s == v.self {
@@ -254,7 +223,7 @@ func (v *PartialView) OnReceive(n *gossip.Node, in *Message) {
 			continue
 		}
 		v.addToView(s)
-		v.addToPool(&v.subs, v.subsSet, s, v.cfg.MaxSubs)
+		v.addToPool(&v.subs, v.subsSet, s, v.maxView)
 	}
 }
 
@@ -264,7 +233,7 @@ func (v *PartialView) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason g
 // Unsubscribe announces the local node's departure. The unsubscription
 // propagates on subsequent gossip rounds.
 func (v *PartialView) Unsubscribe() {
-	v.addToPool(&v.unsubs, v.unsubsSet, v.self, v.cfg.MaxUnsubs)
+	v.addToPool(&v.unsubs, v.unsubsSet, v.self, v.maxView)
 }
 
 // RemovePeer evicts a peer from the view and the subs pool — the
@@ -280,7 +249,7 @@ func (v *PartialView) RemovePeer(id gossip.NodeID) {
 	}
 	v.removeFromView(id)
 	v.removeFromSubs(id)
-	v.addToPool(&v.unsubs, v.unsubsSet, id, v.cfg.MaxUnsubs)
+	v.addToPool(&v.unsubs, v.unsubsSet, id, v.maxView)
 }
 
 // ReadmitPeer clears a peer's unsubscribed state and returns it to the
@@ -335,13 +304,13 @@ func (v *PartialView) addToView(id gossip.NodeID) {
 	v.viewSet[id] = struct{}{}
 	// Over capacity: demote a random member to the subs pool so the
 	// group's knowledge of it is not lost, as in lpbcast.
-	for len(v.view) > v.cfg.MaxView {
+	for len(v.view) > v.maxView {
 		i := v.rng.IntN(len(v.view))
 		demoted := v.view[i]
 		v.view[i] = v.view[len(v.view)-1]
 		v.view = v.view[:len(v.view)-1]
 		delete(v.viewSet, demoted)
-		v.addToPool(&v.subs, v.subsSet, demoted, v.cfg.MaxSubs)
+		v.addToPool(&v.subs, v.subsSet, demoted, v.maxView)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 func newView(t *testing.T, self string, seeds ...string) *PartialView {
 	t.Helper()
-	v, err := NewPartialView(gossip.NodeID(self), ids(seeds...), DefaultPartialViewConfig(),
+	v, err := NewPartialView(gossip.NodeID(self), ids(seeds...), 15,
 		rand.New(rand.NewPCG(1, uint64(len(self)))))
 	if err != nil {
 		t.Fatalf("NewPartialView: %v", err)
@@ -21,16 +21,14 @@ func newView(t *testing.T, self string, seeds ...string) *PartialView {
 
 func TestPartialViewValidation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	if _, err := NewPartialView("", nil, DefaultPartialViewConfig(), rng); err == nil {
+	if _, err := NewPartialView("", nil, 15, rng); err == nil {
 		t.Fatal("empty self: want error")
 	}
-	if _, err := NewPartialView("a", nil, DefaultPartialViewConfig(), nil); err == nil {
+	if _, err := NewPartialView("a", nil, 15, nil); err == nil {
 		t.Fatal("nil rng: want error")
 	}
-	bad := DefaultPartialViewConfig()
-	bad.MaxView = 0
-	if _, err := NewPartialView("a", nil, bad, rng); err == nil {
-		t.Fatal("bad config: want error")
+	if _, err := NewPartialView("a", nil, 0, rng); err == nil {
+		t.Fatal("view bound 0: want error")
 	}
 }
 
@@ -45,9 +43,8 @@ func TestPartialViewSeedsExcludeSelf(t *testing.T) {
 }
 
 func TestPartialViewBounded(t *testing.T) {
-	cfg := DefaultPartialViewConfig()
-	cfg.MaxView = 5
-	v, err := NewPartialView("self", nil, cfg, rand.New(rand.NewPCG(2, 3)))
+	const maxView = 5
+	v, err := NewPartialView("self", nil, maxView, rand.New(rand.NewPCG(2, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +53,11 @@ func TestPartialViewBounded(t *testing.T) {
 		subs = append(subs, gossip.NodeID(fmt.Sprintf("n%d", i)))
 	}
 	v.OnReceive(nil, &Message{Subs: subs})
-	if v.ViewSize() != 5 {
-		t.Fatalf("view size %d, want bound 5", v.ViewSize())
+	if v.ViewSize() != maxView {
+		t.Fatalf("view size %d, want bound %d", v.ViewSize(), maxView)
 	}
-	if len(v.subs) > cfg.MaxSubs {
-		t.Fatalf("subs pool %d exceeds bound %d", len(v.subs), cfg.MaxSubs)
+	if len(v.subs) > maxView {
+		t.Fatalf("subs pool %d exceeds bound %d", len(v.subs), maxView)
 	}
 }
 
@@ -146,9 +143,7 @@ func TestPartialViewUnsubscribeSelf(t *testing.T) {
 // TestPartialViewGossipConvergence wires a small group exchanging only
 // piggybacked membership and checks everyone ends up known.
 func TestPartialViewGossipConvergence(t *testing.T) {
-	const n = 20
-	cfg := DefaultPartialViewConfig()
-	cfg.MaxView = 8
+	const n, maxView = 20, 8
 	views := make([]*PartialView, n)
 	names := make([]gossip.NodeID, n)
 	for i := range views {
@@ -156,7 +151,7 @@ func TestPartialViewGossipConvergence(t *testing.T) {
 	}
 	for i := range views {
 		// Ring seeding: each node knows only its successor.
-		v, err := NewPartialView(names[i], []gossip.NodeID{names[(i+1)%n]}, cfg,
+		v, err := NewPartialView(names[i], []gossip.NodeID{names[(i+1)%n]}, maxView,
 			rand.New(rand.NewPCG(uint64(i), 99)))
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +187,7 @@ func TestPartialViewGossipConvergence(t *testing.T) {
 	}
 	// Every view stayed within bounds.
 	for i, v := range views {
-		if v.ViewSize() > cfg.MaxView {
+		if v.ViewSize() > maxView {
 			t.Fatalf("view %d size %d exceeds bound", i, v.ViewSize())
 		}
 	}
@@ -207,16 +202,11 @@ func TestPartialViewGossipConvergence(t *testing.T) {
 func TestPartialViewEvictsConfirmedDeadPeer(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 9))
 	peers := []gossip.NodeID{"p1", "p2", "p3", "dead"}
-	view, err := NewPartialView("self", peers, DefaultPartialViewConfig(), rng)
+	view, err := NewPartialView("self", peers, 15, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := failure.NewEngine("self", failure.Params{
-		Enabled:                true,
-		ProbeTimeoutRounds:     1,
-		IndirectTimeoutRounds:  1,
-		SuspicionTimeoutRounds: 2,
-	}, view, rng)
+	eng, err := failure.NewEngine("self", failure.Params{Enabled: true, SuspicionTimeoutRounds: 2}, view, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,18 @@ const (
 	DefaultRequestBudget = 64
 	DefaultRetainRounds  = 30
 	DefaultStoreCapacity = 1024
-	DefaultRetryRounds   = 2
-	DefaultGiveUpRounds  = 20
-	DefaultMaxMissing    = 512
+)
+
+// The pull's constants: how a missing event is chased.
+const (
+	// retryRounds is the number of rounds to wait for a response before
+	// re-requesting a missing event from its latest advertiser.
+	retryRounds = 2
+	// giveUpRounds bounds how long a missing event is chased; beyond it
+	// the identifier is dropped from the missing set.
+	giveUpRounds = 20
+	// maxMissing bounds the missing-event tracking set.
+	maxMissing = 512
 )
 
 // Params configures the recovery engine. The zero value of every field
@@ -61,14 +70,6 @@ type Params struct {
 	// StoreCapacity bounds the retransmission store (events). When
 	// full, the oldest stored event is evicted.
 	StoreCapacity int
-	// RetryRounds is the number of rounds to wait for a response before
-	// re-requesting a missing event from its latest advertiser.
-	RetryRounds int
-	// GiveUpRounds bounds how long a missing event is chased; beyond
-	// it the identifier is dropped from the missing set.
-	GiveUpRounds int
-	// MaxMissing bounds the missing-event tracking set.
-	MaxMissing int
 }
 
 // withDefaults fills zero-valued fields.
@@ -85,15 +86,6 @@ func (p Params) withDefaults() Params {
 	if p.StoreCapacity == 0 {
 		p.StoreCapacity = DefaultStoreCapacity
 	}
-	if p.RetryRounds == 0 {
-		p.RetryRounds = DefaultRetryRounds
-	}
-	if p.GiveUpRounds == 0 {
-		p.GiveUpRounds = DefaultGiveUpRounds
-	}
-	if p.MaxMissing == 0 {
-		p.MaxMissing = DefaultMaxMissing
-	}
 	return p
 }
 
@@ -106,8 +98,7 @@ func (p Params) Validate() error {
 	if p.RequestBudget < 0 {
 		return fmt.Errorf("recovery: request budget must be non-negative, got %d", p.RequestBudget)
 	}
-	if p.RetainRounds < 0 || p.StoreCapacity < 0 || p.RetryRounds < 0 ||
-		p.GiveUpRounds < 0 || p.MaxMissing < 0 {
+	if p.RetainRounds < 0 || p.StoreCapacity < 0 {
 		return fmt.Errorf("recovery: bounds must be non-negative")
 	}
 	return nil
@@ -125,8 +116,8 @@ type Stats struct {
 	EventsServed      uint64 // events retransmitted to requesters
 	EventsUnserved    uint64 // requested identifiers not in the store
 	EventsRecovered   uint64 // tracked-missing events obtained via responses
-	MissingGaveUp     uint64 // missing identifiers dropped after GiveUpRounds
-	MissingOverflow   uint64 // advertisements ignored because MaxMissing was hit
+	MissingGaveUp     uint64 // missing identifiers dropped after giveUpRounds
+	MissingOverflow   uint64 // advertisements ignored because maxMissing was hit
 	StoreEvicted      uint64 // store evictions (capacity and GC)
 }
 
@@ -293,9 +284,6 @@ func NewEngine(params Params) (*Engine, error) {
 	}, nil
 }
 
-// Params returns the engine's effective parameters.
-func (e *Engine) Params() Params { return e.params }
-
 // Stats returns a copy of the activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
@@ -380,7 +368,7 @@ func (e *Engine) diffDigest(n *gossip.Node, from gossip.NodeID, digest []gossip.
 			m.source = from // prefer the freshest advertiser
 			continue
 		}
-		if len(e.missing) >= e.params.MaxMissing {
+		if len(e.missing) >= maxMissing {
 			e.stats.MissingOverflow++
 			continue
 		}
@@ -415,7 +403,7 @@ func (e *Engine) serveRequest(n *gossip.Node, in *gossip.Message) {
 // buildRequests walks the missing set in advertisement order and queues
 // up to RequestBudget identifiers as request messages, batched per
 // target peer. Ids delivered in the meantime are dropped; ids chased
-// longer than GiveUpRounds are abandoned.
+// longer than giveUpRounds are abandoned.
 func (e *Engine) buildRequests(n *gossip.Node) {
 	if len(e.missing) == 0 {
 		e.compactMissOrder()
@@ -438,12 +426,12 @@ func (e *Engine) buildRequests(n *gossip.Node) {
 			delete(e.missing, id) // arrived through normal push gossip
 			continue
 		}
-		if e.round-m.firstRound >= uint64(e.params.GiveUpRounds) {
+		if e.round-m.firstRound >= giveUpRounds {
 			delete(e.missing, id)
 			e.stats.MissingGaveUp++
 			continue
 		}
-		if m.lastReq != 0 && e.round-m.lastReq < uint64(e.params.RetryRounds) {
+		if m.lastReq != 0 && e.round-m.lastReq < retryRounds {
 			continue // request outstanding, give the response time to arrive
 		}
 		m.lastReq = e.round

@@ -169,31 +169,35 @@ func TestRequestBudget(t *testing.T) {
 }
 
 // TestRetryAndGiveUp: un-answered requests are retried after
-// RetryRounds and abandoned after GiveUpRounds.
+// retryRounds and abandoned after giveUpRounds.
 func TestRetryAndGiveUp(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
-	eng := newTestEngine(t, Params{RetryRounds: 2, GiveUpRounds: 5})
+	eng := newTestEngine(t, Params{})
 	b := newTestNode(t, "b", reg, eng)
 
 	id := gossip.EventID{Origin: "a", Seq: 99}
 	b.Receive(&gossip.Message{From: "a", Digest: []gossip.EventID{id}})
 
 	requests := 0
-	for i := 0; i < 10; i++ {
+	for round := 1; round <= giveUpRounds+5; round++ {
 		b.Tick()
 		for _, out := range eng.TakeOutgoing() {
 			if out.Msg.Kind == gossip.KindRecoveryRequest {
 				requests += len(out.Msg.Request)
 			}
 		}
+		want := 1
+		if round >= giveUpRounds {
+			want = 0
+		}
+		if eng.MissingLen() != want {
+			t.Fatalf("round %d: missing set has %d, want %d (give up at round %d)", round, eng.MissingLen(), want, giveUpRounds)
+		}
 	}
-	// Advertised at round 0: rounds 1 and 3 request (retry cadence 2),
-	// round 5 gives up before a third try.
-	if requests != 2 {
-		t.Errorf("sent %d requests, want 2 (retry cadence 2, give up after 5 rounds)", requests)
-	}
-	if eng.MissingLen() != 0 {
-		t.Errorf("missing set should be empty after give-up, has %d", eng.MissingLen())
+	// Advertised at round 0: rounds 1, 3, ..., 19 request (retry
+	// cadence 2), round 20 gives up before an eleventh try.
+	if want := giveUpRounds / retryRounds; requests != want {
+		t.Errorf("sent %d requests, want %d (retry cadence %d, give up after %d rounds)", requests, want, retryRounds, giveUpRounds)
 	}
 	if eng.Stats().MissingGaveUp != 1 {
 		t.Errorf("MissingGaveUp = %d, want 1", eng.Stats().MissingGaveUp)
@@ -324,22 +328,22 @@ func TestStoreAddBorrowedAllocFree(t *testing.T) {
 }
 
 // TestMaxMissingBound: advertisement flooding cannot grow the missing
-// set beyond MaxMissing.
+// set beyond maxMissing.
 func TestMaxMissingBound(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
-	eng := newTestEngine(t, Params{MaxMissing: 5})
+	eng := newTestEngine(t, Params{})
 	b := newTestNode(t, "b", reg, eng)
 
-	digest := make([]gossip.EventID, 50)
+	digest := make([]gossip.EventID, maxMissing+5)
 	for i := range digest {
 		digest[i] = gossip.EventID{Origin: "a", Seq: uint64(i)}
 	}
 	b.Receive(&gossip.Message{From: "a", Digest: digest})
-	if eng.MissingLen() != 5 {
-		t.Errorf("missing set = %d, want MaxMissing 5", eng.MissingLen())
+	if eng.MissingLen() != maxMissing {
+		t.Errorf("missing set = %d, want maxMissing %d", eng.MissingLen(), maxMissing)
 	}
-	if eng.Stats().MissingOverflow != 45 {
-		t.Errorf("MissingOverflow = %d, want 45", eng.Stats().MissingOverflow)
+	if eng.Stats().MissingOverflow != 5 {
+		t.Errorf("MissingOverflow = %d, want 5", eng.Stats().MissingOverflow)
 	}
 }
 

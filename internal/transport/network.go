@@ -19,10 +19,8 @@ type UDPNetworkConfig struct {
 	// Loss drops outgoing datagrams with this probability (see
 	// WithUDPSendLoss).
 	Loss float64
-	// MaxDatagram and RecvQueue override DefaultMaxDatagram and
-	// DefaultRecvQueue when positive.
+	// MaxDatagram overrides DefaultMaxDatagram when positive.
 	MaxDatagram int
-	RecvQueue   int
 }
 
 // UDPNetwork is a fabric of UDPTransport endpoints in one process:
@@ -79,9 +77,6 @@ func (n *UDPNetwork) Endpoint(id gossip.NodeID) (*UDPTransport, error) {
 	var opts []UDPOption
 	if n.cfg.MaxDatagram > 0 {
 		opts = append(opts, WithMaxDatagram(n.cfg.MaxDatagram))
-	}
-	if n.cfg.RecvQueue > 0 {
-		opts = append(opts, WithUDPRecvQueue(n.cfg.RecvQueue))
 	}
 	if n.cfg.Loss > 0 {
 		seed := n.cfg.Seed + 0x1055

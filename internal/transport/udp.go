@@ -18,6 +18,20 @@ import (
 // it are split into standalone chunks (see Codec.EncodeChunks).
 const DefaultMaxDatagram = 60 * 1024
 
+// maxUDPPayload is the largest IPv4 UDP payload: 65,535 bytes less the
+// 8-byte UDP and 20-byte IPv4 headers. WriteTo rejects a larger
+// datagram, so no split threshold may exceed it.
+const maxUDPPayload = 65507
+
+// CheckMaxDatagram reports an error unless n is a usable datagram split
+// threshold: at least 512 bytes and at most the largest UDP payload.
+func CheckMaxDatagram(n int) error {
+	if n < 512 || n > maxUDPPayload {
+		return fmt.Errorf("max datagram %d outside [512, %d]", n, maxUDPPayload)
+	}
+	return nil
+}
+
 // DefaultRecvQueue is the depth of the queue between the socket read
 // loop and the handler dispatch goroutine. Overflow is dropped and
 // counted in RecvQueueDrops — gossip tolerates loss by design, and a
@@ -179,11 +193,12 @@ func WithUDPPeerTable(links *observe.PeerTable) UDPOption {
 	}
 }
 
-// WithMaxDatagram overrides the datagram split threshold.
+// WithMaxDatagram overrides the datagram split threshold (see
+// CheckMaxDatagram).
 func WithMaxDatagram(n int) UDPOption {
 	return func(t *UDPTransport) error {
-		if n < 512 {
-			return fmt.Errorf("transport: max datagram %d too small", n)
+		if err := CheckMaxDatagram(n); err != nil {
+			return fmt.Errorf("transport: %w", err)
 		}
 		t.maxDg = n
 		return nil
@@ -202,10 +217,10 @@ func WithUDPCompression(comp Compressor) UDPOption {
 	}
 }
 
-// WithUDPRecvQueue overrides the dispatch queue depth
-// (DefaultRecvQueue). Deeper queues absorb longer handler stalls;
-// overflow is dropped and counted either way.
-func WithUDPRecvQueue(depth int) UDPOption {
+// withUDPRecvQueue overrides the dispatch queue depth
+// (DefaultRecvQueue); the overflow tests shrink it. Overflow is dropped
+// and counted either way.
+func withUDPRecvQueue(depth int) UDPOption {
 	return func(t *UDPTransport) error {
 		if depth < 1 {
 			return fmt.Errorf("transport: recv queue depth %d must be at least 1", depth)

@@ -252,7 +252,7 @@ func TestUDPReadLoopBacksOffOnPersistentErrors(t *testing.T) {
 // datagrams off the socket and the bounded queue absorbs or counts the
 // overflow — no deadlock, no silent kernel-buffer loss.
 func TestUDPSlowHandlerKeepsSocketDraining(t *testing.T) {
-	b := newUDP(t, "b", WithUDPRecvQueue(2))
+	b := newUDP(t, "b", withUDPRecvQueue(2))
 	release := make(chan struct{})
 	var handled atomic.Uint64
 	b.SetHandler(func(*gossip.Message) {
@@ -295,7 +295,7 @@ func TestUDPSlowHandlerKeepsSocketDraining(t *testing.T) {
 // the backlog is discarded and counted, and only the in-flight handler
 // call is waited for.
 func TestUDPCloseDiscardsQueuedBacklog(t *testing.T) {
-	b := newUDP(t, "b", WithUDPRecvQueue(16))
+	b := newUDP(t, "b", withUDPRecvQueue(16))
 	var handled atomic.Uint64
 	b.SetHandler(func(*gossip.Message) {
 		handled.Add(1)
@@ -331,7 +331,7 @@ func TestUDPCloseDiscardsQueuedBacklog(t *testing.T) {
 }
 
 func TestUDPRecvQueueOptionValidation(t *testing.T) {
-	if _, err := NewUDPTransport("a", "127.0.0.1:0", WithUDPRecvQueue(0)); err == nil {
+	if _, err := NewUDPTransport("a", "127.0.0.1:0", withUDPRecvQueue(0)); err == nil {
 		t.Fatal("zero recv queue depth accepted")
 	}
 }

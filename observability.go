@@ -34,7 +34,7 @@ func newGroupObservability(cfg ObservabilityConfig) *groupObservability {
 		peers:  observe.NewPeerTable(observe.DefaultPeerTableCapacity),
 	}
 	if cfg.TraceSampleRate > 0 {
-		g.rec = observe.NewRecorder(cfg.TraceSampleRate, cfg.TraceBufferSize)
+		g.rec = observe.NewRecorder(cfg.TraceSampleRate, observe.DefaultTraceCapacity)
 	}
 	return g
 }

@@ -134,28 +134,14 @@ func WithBind(addr string) TransportOption {
 	}
 }
 
-// WithMaxDatagram overrides the UDP datagram split threshold.
+// WithMaxDatagram overrides the UDP datagram split threshold, in
+// [512, 65507] bytes (the largest IPv4 UDP payload).
 func WithMaxDatagram(n int) TransportOption {
 	return func(c *transportConfig) error {
-		if n < 512 {
-			return fmt.Errorf("adaptivegossip: max datagram %d too small", n)
+		if err := transport.CheckMaxDatagram(n); err != nil {
+			return fmt.Errorf("adaptivegossip: %w", err)
 		}
 		c.MaxDatagram = n
-		return nil
-	}
-}
-
-// WithRecvQueue sets the per-endpoint receive dispatch queue depth (the
-// bound on datagrams buffered between the socket read loop and the
-// consumer; overflow is dropped and counted in
-// UDPTransportStats.RecvQueueDrops). Deeper queues absorb longer
-// consumer stalls at the price of memory.
-func WithRecvQueue(depth int) TransportOption {
-	return func(c *transportConfig) error {
-		if depth < 1 {
-			return fmt.Errorf("adaptivegossip: recv queue depth %d must be at least 1", depth)
-		}
-		c.RecvQueue = depth
 		return nil
 	}
 }
@@ -193,8 +179,7 @@ type UDPTransport struct {
 }
 
 // NewUDPTransport creates a UDP fabric. Options: WithBind (single
-// endpoint only), WithLoss, WithMaxDatagram, WithRecvQueue,
-// WithTransportSeed.
+// endpoint only), WithLoss, WithMaxDatagram, WithTransportSeed.
 func NewUDPTransport(opts ...TransportOption) (*UDPTransport, error) {
 	var c transportConfig
 	for _, opt := range opts {
