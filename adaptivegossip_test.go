@@ -3,6 +3,7 @@ package adaptivegossip
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,7 +134,7 @@ func TestClusterDisseminates(t *testing.T) {
 // disseminationScenario runs a cluster over a fabric handed in through
 // WithTransport: every node publishes once, every event must reach
 // every node exactly once.
-func disseminationScenario(t *testing.T, fabric Transport) {
+func disseminationScenario(t *testing.T, fabric *UDPTransport) {
 	t.Helper()
 	const nodes = 6
 	var mu sync.Mutex
@@ -192,9 +193,9 @@ func disseminationScenario(t *testing.T, fabric Transport) {
 }
 
 // TestClusterOverMemoryAndUDPTransports runs the dissemination
-// scenario over the built-in UDP fabric, exercising the pluggable
-// Transport seam end to end. The name dates from when an in-memory
-// fabric was a second arm; UDP is now the only built-in one.
+// scenario over a UDP fabric handed in through WithTransport. The name
+// dates from when an in-memory fabric was a second arm; UDP is now the
+// only fabric.
 func TestClusterOverMemoryAndUDPTransports(t *testing.T) {
 	t.Run("udp", func(t *testing.T) {
 		fabric, err := NewUDPTransport(WithTransportSeed(17))
@@ -408,7 +409,7 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(1, fastConfig(), WithTransport(tr)); err == nil {
 		t.Fatal("1-node cluster accepted")
 	}
-	if _, err := tr.Endpoint("probe"); err == nil {
+	if _, err := tr.net.Endpoint("probe"); err == nil {
 		t.Fatal("fabric still open after failed construction")
 	}
 	tr, err = NewUDPTransport()
@@ -419,7 +420,7 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(4, fastConfig(), WithNamePrefix(""), WithTransport(tr)); err == nil {
 		t.Fatal("empty name prefix accepted")
 	}
-	if _, err := tr.Endpoint("probe"); err == nil {
+	if _, err := tr.net.Endpoint("probe"); err == nil {
 		t.Fatal("fabric still open after failed option application")
 	}
 }
@@ -441,7 +442,7 @@ func TestTransportOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("largest UDP payload rejected as max datagram: %v", err)
 	}
-	if _, err := largest.Endpoint("a"); err != nil {
+	if _, err := largest.net.Endpoint("a"); err != nil {
 		t.Fatalf("endpoint with the largest UDP payload as max datagram: %v", err)
 	}
 	largest.Close()
@@ -453,13 +454,13 @@ func TestTransportOptionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if _, err := tr.Endpoint("a"); err != nil {
+	if _, err := tr.net.Endpoint("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Endpoint("b"); err == nil {
+	if _, err := tr.net.Endpoint("b"); err == nil {
 		t.Fatal("second endpoint accepted on a WithBind fabric")
 	}
-	if _, err := tr.Endpoint("a"); err == nil {
+	if _, err := tr.net.Endpoint("a"); err == nil {
 		t.Fatal("duplicate endpoint accepted")
 	}
 	if got := tr.Addr("a"); got == "" {
@@ -671,11 +672,6 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode("x", Config{}, WithNamePrefix("n-")); err == nil {
 		t.Fatal("WithNamePrefix accepted by NewNode")
 	}
-	// WithPeers needs an address book; a custom fabric may have none.
-	if _, err := NewNode("x", Config{}, WithTransport(&stubWireTransport{}),
-		WithPeers(map[string]string{"y": "127.0.0.1:1"})); err == nil {
-		t.Fatal("WithPeers accepted on a transport without an address book")
-	}
 }
 
 // TestNodeAddPeerValidatesAddresses: AddPeer must fail loudly instead
@@ -695,22 +691,29 @@ func TestNodeAddPeerValidatesAddresses(t *testing.T) {
 	if len(udp.Members()) != 1 {
 		t.Fatalf("failed AddPeer still grew the member set: %v", udp.Members())
 	}
+}
 
-	// A custom fabric that routes by id has no address book, so a
-	// non-empty address is an error and "" is the way to add members.
-	node, err := NewNode("id-routed", Config{}, WithTransport(&stubWireTransport{}))
-	if err != nil {
-		t.Fatal(err)
+// TestWithPeersIsReproducible: WithSeed fixes gossip target selection,
+// which draws from the member list by index, so the peers of one
+// WithPeers map must join in the same order on every construction.
+func TestWithPeersIsReproducible(t *testing.T) {
+	peers := make(map[string]string)
+	for i := 0; i < 16; i++ {
+		peers[fmt.Sprintf("peer-%02d", i)] = fmt.Sprintf("127.0.0.1:%d", 9000+i)
 	}
-	defer node.Close()
-	if err := node.AddPeer("peer", "127.0.0.1:9"); err == nil {
-		t.Fatal("address accepted by a transport without an address book")
-	}
-	if err := node.AddPeer("peer", ""); err != nil {
-		t.Fatalf("id-routed AddPeer failed: %v", err)
-	}
-	if len(node.Members()) != 2 {
-		t.Fatalf("members %v", node.Members())
+	var first []NodeID
+	for i := 0; i < 5; i++ {
+		node, err := NewNode("self", Config{}, WithSeed(3), WithPeers(peers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := node.Members()
+		node.Close()
+		if i == 0 {
+			first = members
+		} else if !slices.Equal(members, first) {
+			t.Fatalf("construction %d: members %v, first construction %v", i+1, members, first)
+		}
 	}
 }
 

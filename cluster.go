@@ -10,10 +10,8 @@ import (
 )
 
 // Cluster is an in-process broadcast group: one goroutine-driven node
-// per member, connected by a pluggable message fabric — real loopback
-// UDP by default, any custom Transport via WithTransport. It is the
-// quickest way to exercise the protocol and the backbone of the
-// examples.
+// per member, connected by real loopback UDP. It is the quickest way to
+// exercise the protocol and the backbone of the examples.
 type Cluster struct {
 	g       *group
 	names   []NodeID
@@ -83,8 +81,7 @@ func (c *Cluster) Nodes() []NodeID {
 // Start launches every node. Cancelling ctx closes the cluster; a
 // closed cluster cannot be restarted. Idempotent while open — every
 // context passed to Start is watched, so cancelling any of them closes
-// the cluster. A transient endpoint failure may be retried: already
-// started endpoints are not started twice.
+// the cluster.
 func (c *Cluster) Start(ctx context.Context) error { return c.g.start(ctx) }
 
 // Close terminates every node, the fabric and every Events stream.

@@ -26,8 +26,8 @@ func TestTransportConfigValidate(t *testing.T) {
 }
 
 // TestWithCompressionOption: Config.Transport.Compression is the one way
-// to pick a compressor. Unknown names are refused, the UDP fabric takes
-// flate, and the explicit "none" is fine on a custom fabric.
+// to pick a compressor. Unknown names are refused; a handed-in UDP
+// fabric and the default one both take flate.
 func TestWithCompressionOption(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Transport.Compression = "bogus"
@@ -49,45 +49,6 @@ func TestWithCompressionOption(t *testing.T) {
 		t.Fatalf("default fabric rejected flate: %v", err)
 	}
 	cluster.Close()
-	cfg.Transport.Compression = "none"
-	cluster, err = NewCluster(3, cfg, WithTransport(&fakeSeamlessTransport{}))
-	if err != nil {
-		t.Fatalf("custom fabric rejected compression %q: %v", "none", err)
-	}
-	cluster.Close()
-}
-
-// TestConfigCompressionNeedsSeam: asking a custom fabric for
-// compression — only the built-in UDP fabric compresses — must fail
-// construction of either facade, never silently send uncompressed, and
-// the rejected fabric is closed.
-func TestConfigCompressionNeedsSeam(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Transport.Compression = "flate"
-	for facade, build := range map[string]func(Transport) error{
-		"cluster": func(tr Transport) error { _, err := NewCluster(3, cfg, WithTransport(tr)); return err },
-		"node":    func(tr Transport) error { _, err := NewNode("x", cfg, WithTransport(tr)); return err },
-	} {
-		custom := &fakeSeamlessTransport{}
-		if err := build(custom); err == nil || !strings.Contains(err.Error(), "built-in UDP fabric") {
-			t.Fatalf("%s over a custom fabric accepted compression: %v", facade, err)
-		}
-		if !custom.closed.Load() {
-			t.Fatalf("custom fabric rejected by the %s was not closed", facade)
-		}
-	}
-}
-
-// fakeSeamlessTransport is a minimal custom Transport that cannot
-// compress; its endpoints discard what they are sent.
-type fakeSeamlessTransport struct{ closed atomic.Bool }
-
-func (f *fakeSeamlessTransport) Endpoint(id NodeID) (Endpoint, error) {
-	return &stubWireEndpoint{id: id}, nil
-}
-func (f *fakeSeamlessTransport) Close() error {
-	f.closed.Store(true)
-	return nil
 }
 
 // TestClusterCompressionOverUDP runs a real cluster with

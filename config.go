@@ -172,10 +172,8 @@ type Config struct {
 type TransportConfig struct {
 	// Compression names the payload compression applied to the event
 	// section of every encoded message (wire v5): "" or "none" for
-	// uncompressed frames, "flate" for DEFLATE. Requires the built-in
-	// UDP transport; custom fabrics reject real compression at
-	// construction. Decoding always accepts compressed frames regardless
-	// of this setting.
+	// uncompressed frames, "flate" for DEFLATE. Decoding always
+	// accepts compressed frames regardless of this setting.
 	Compression string
 }
 

@@ -11,7 +11,7 @@
 // group of one) and a Cluster (a group of n) — and both facades
 // construct the same way: a Config (nested per-mechanism sub-configs), a
 // shared functional-option set (WithSeed, WithDeliver, WithTransport,
-// WithOnMemberChange, ...) and a pluggable Transport.
+// WithOnMemberChange, ...) and one UDP fabric.
 //
 // An in-process cluster with adaptation enabled:
 //
@@ -34,13 +34,12 @@
 //		adaptivegossip.WithTransport(tr),
 //		adaptivegossip.WithPeers(map[string]string{"host-2": "10.0.0.2:7946"}))
 //
-// # Transports
+// # Transport
 //
-// Transport is a public seam: the built-in fabric is NewUDPTransport
-// (real datagrams, with WithBind/WithLoss/WithMaxDatagram), the
-// default of both facades; any custom fabric — TCP, QUIC, a
-// deterministic mock — plugs in by implementing the two-method
-// Transport interface.
+// Both facades gossip over NewUDPTransport: real datagrams, one socket
+// per member, configured with WithBind, WithLoss and WithMaxDatagram
+// and handed over with WithTransport. Without it a group binds its own
+// loopback fabric.
 //
 // # Delivery streams and callbacks
 //

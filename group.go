@@ -14,6 +14,7 @@ import (
 	"adaptivegossip/internal/membership"
 	"adaptivegossip/internal/recovery"
 	"adaptivegossip/internal/runtime"
+	"adaptivegossip/internal/transport"
 )
 
 // NodeSnapshot is a point-in-time view of one node's state.
@@ -26,17 +27,16 @@ type NodeSnapshot = runtime.NodeSnapshot
 // is the only place that starts, watches and tears them down.
 type group struct {
 	opts    groupOptions
-	fabric  Transport
-	eps     []Endpoint
+	fabric  *UDPTransport
+	eps     []*transport.UDPTransport
 	runners []*runtime.Runner // runners[i] drives the machine behind eps[i]
 	hub     *streamHub
 	obs     *groupObservability // nil until open
 
-	mu        sync.Mutex
-	started   bool
-	epStarted int // endpoints [0, epStarted) have live receive loops
-	closed    bool
-	done      chan struct{}
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	done    chan struct{}
 }
 
 // errNotRunning answers calls that must run inside a member's loop
@@ -108,12 +108,12 @@ type member struct {
 // (confirmed members stop receiving fanout, members that prove alive
 // again are re-admitted) before WithOnMemberChange sees them.
 func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng *rand.Rand, phaseSeed uint64) (*member, error) {
-	ep, err := g.fabric.Endpoint(name)
+	ep, err := g.fabric.net.Endpoint(name)
 	if err != nil {
 		return nil, err
 	}
 	g.eps = append(g.eps, ep)
-	g.obs.attachLinks(ep)
+	ep.SetLinks(g.obs.peers)
 	onMember := g.opts.onMember
 	node, err := core.NewAdaptiveNode(core.NodeConfig{
 		ID:       name,
@@ -224,9 +224,7 @@ func (m *member) clusterHealth() []health.MemberHealth {
 	return view
 }
 
-// start launches every member and watches ctx. A failed endpoint start
-// leaves the group startable: the retry resumes at the endpoint that
-// failed, so none is started twice.
+// start launches every member and watches ctx.
 func (g *group) start(ctx context.Context) error {
 	if ctx == nil {
 		return fmt.Errorf("adaptivegossip: nil context")
@@ -237,11 +235,9 @@ func (g *group) start(ctx context.Context) error {
 		return fmt.Errorf("adaptivegossip: %s closed", g.opts.kind.noun())
 	}
 	if !g.started {
-		for ; g.epStarted < len(g.eps); g.epStarted++ {
-			if s, ok := g.eps[g.epStarted].(starter); ok {
-				if err := s.Start(); err != nil {
-					return err
-				}
+		for _, ep := range g.eps {
+			if err := ep.Start(); err != nil {
+				return err
 			}
 		}
 		for _, r := range g.runners {
@@ -290,7 +286,7 @@ func (g *group) fill(st *Stats) {
 		st.InboxDropped += r.Stats().InboxDropped
 	}
 	st.StreamDropped = g.hub.droppedCount()
-	st.addWire(g.fabric)
+	st.Wire = g.fabric.Stats()
 	st.addPeers(g.obs.peers)
 }
 

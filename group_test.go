@@ -2,7 +2,6 @@ package adaptivegossip
 
 import (
 	"context"
-	"errors"
 	"regexp"
 	"runtime"
 	"sync/atomic"
@@ -13,8 +12,8 @@ import (
 )
 
 // Both facades share one lifecycle (group.start / group.close), so its
-// contract is checked once, over each facade on the built-in UDP fabric
-// and on a custom fabric whose endpoints have no receive loop to start.
+// contract is checked once, over each facade on a default UDP fabric
+// and on one built with non-default TransportOptions.
 
 // facade is what the lifecycle table needs of Node and Cluster.
 type facade interface {
@@ -24,61 +23,23 @@ type facade interface {
 }
 
 var lifecycleFacades = []struct {
-	name    string
-	members int
-	build   func(tr Transport, cfg Config) (facade, error)
+	name  string
+	build func(tr *UDPTransport, cfg Config) (facade, error)
 }{
-	{"Node", 1, func(tr Transport, cfg Config) (facade, error) {
+	{"Node", func(tr *UDPTransport, cfg Config) (facade, error) {
 		return NewNode("solo", cfg, WithTransport(tr))
 	}},
-	{"Cluster", 3, func(tr Transport, cfg Config) (facade, error) {
+	{"Cluster", func(tr *UDPTransport, cfg Config) (facade, error) {
 		return NewCluster(3, cfg, WithTransport(tr))
 	}},
 }
 
 var lifecycleFabrics = []struct {
-	name  string
-	build func() (Transport, error)
+	name string
+	opts []TransportOption
 }{
-	{"custom", func() (Transport, error) { return &stubWireTransport{}, nil }},
-	{"udp", func() (Transport, error) { return NewUDPTransport() }},
-}
-
-// flakyFabric wraps a fabric so that the failAt-th endpoint it hands
-// out fails its first Start, and every endpoint counts its successful
-// starts.
-type flakyFabric struct {
-	Transport
-	failAt int
-	eps    []*flakyEndpoint
-}
-
-type flakyEndpoint struct {
-	Endpoint
-	failNext bool
-	starts   int
-}
-
-func (f *flakyFabric) Endpoint(id NodeID) (Endpoint, error) {
-	ep, err := f.Transport.Endpoint(id)
-	if err != nil {
-		return nil, err
-	}
-	fe := &flakyEndpoint{Endpoint: ep, failNext: len(f.eps) == f.failAt}
-	f.eps = append(f.eps, fe)
-	return fe, nil
-}
-
-func (e *flakyEndpoint) Start() error {
-	if e.failNext {
-		e.failNext = false
-		return errors.New("injected endpoint start failure")
-	}
-	e.starts++
-	if s, ok := e.Endpoint.(starter); ok {
-		return s.Start()
-	}
-	return nil
+	{"custom", []TransportOption{WithTransportSeed(5), WithLoss(0.2), WithMaxDatagram(512)}},
+	{"udp", nil},
 }
 
 // waitClosed reports whether the Events stream ends within the timeout.
@@ -100,14 +61,11 @@ func waitClosed(events <-chan Delivery, timeout time.Duration) bool {
 func TestGroupLifecycle(t *testing.T) {
 	for _, fc := range lifecycleFacades {
 		for _, fb := range lifecycleFabrics {
-			build := func(t *testing.T, wrap func(Transport) Transport, cfg Config) facade {
+			build := func(t *testing.T, cfg Config) facade {
 				t.Helper()
-				tr, err := fb.build()
+				tr, err := NewUDPTransport(fb.opts...)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if wrap != nil {
-					tr = wrap(tr)
 				}
 				g, err := fc.build(tr, cfg)
 				if err != nil {
@@ -120,7 +78,7 @@ func TestGroupLifecycle(t *testing.T) {
 					before := runtime.NumGoroutine()
 					cfg := fastConfig()
 					cfg.Observability.DebugAddr = "127.0.0.1:0"
-					g := build(t, nil, cfg)
+					g := build(t, cfg)
 					ctx, cancel := context.WithCancel(context.Background())
 					defer cancel()
 					events := g.Events(ctx)
@@ -147,33 +105,8 @@ func TestGroupLifecycle(t *testing.T) {
 					}
 				})
 
-				t.Run("start retry starts each endpoint once", func(t *testing.T) {
-					flaky := &flakyFabric{failAt: fc.members - 1}
-					g := build(t, func(tr Transport) Transport {
-						flaky.Transport = tr
-						return flaky
-					}, fastConfig())
-					defer g.Close()
-					if err := g.Start(context.Background()); err == nil {
-						t.Fatal("Start succeeded although an endpoint failed to start")
-					}
-					for i := 0; i < 2; i++ { // the retry, then an idempotent repeat
-						if err := g.Start(context.Background()); err != nil {
-							t.Fatalf("Start #%d after the failure: %v", i+2, err)
-						}
-					}
-					if len(flaky.eps) != fc.members {
-						t.Fatalf("%d endpoints, want %d", len(flaky.eps), fc.members)
-					}
-					for i, ep := range flaky.eps {
-						if ep.starts != 1 {
-							t.Fatalf("endpoint %d started %d times, want exactly once", i, ep.starts)
-						}
-					}
-				})
-
 				t.Run("any start context closes the group", func(t *testing.T) {
-					g := build(t, nil, fastConfig())
+					g := build(t, fastConfig())
 					defer g.Close()
 					events := g.Events(context.Background())
 					first, cancelFirst := context.WithCancel(context.Background())
@@ -195,7 +128,7 @@ func TestGroupLifecycle(t *testing.T) {
 				})
 
 				t.Run("close before start and twice", func(t *testing.T) {
-					g := build(t, nil, fastConfig())
+					g := build(t, fastConfig())
 					for i := 0; i < 2; i++ {
 						if err := g.Close(); err != nil {
 							t.Fatalf("Close #%d: %v", i+1, err)
@@ -249,12 +182,12 @@ func TestInboxOverflowIsCounted(t *testing.T) {
 		// The blocked member neither ticks nor drains; its one peer keeps
 		// sending it a round message every period. The fabric's own counter
 		// is readable without entering a loop.
-		sentAtBlock := fabric.WireStats().Sent
+		sentAtBlock := fabric.Stats().Sent
 		want := sentAtBlock + uint64(gossipruntime.DefaultInboxSize) + 64
 		deadline := time.Now().Add(20 * time.Second)
-		for fabric.WireStats().Sent < want {
+		for fabric.Stats().Sent < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("fabric moved only %d messages", fabric.WireStats().Sent-sentAtBlock)
+				t.Fatalf("fabric moved only %d messages", fabric.Stats().Sent-sentAtBlock)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}

@@ -217,7 +217,7 @@ func (r *Runner) tick() {
 // receive processes one inbound message and transmits any recovery
 // control traffic (retransmission responses) it triggered, then ends
 // the message's lease: the Machine has copied what it keeps, and the
-// transmit is synchronous (or copied) by the GroupSender contract.
+// transmit is synchronous by the Transport contract.
 func (r *Runner) receive(d delivery) {
 	now := time.Now()
 	r.send(r.node.Receive(d.msg, now))
@@ -229,9 +229,8 @@ func (r *Runner) receive(d delivery) {
 
 // send transmits a batch of outgoings through the runner's GroupSender:
 // the round's shared gossip message collapses into one SendMany so
-// encode-once transports pay the serialization cost once per round,
-// and non-ScratchSafe transports get copies, decoupling them from the
-// node's scratch reuse. The grouping scratch is reused across rounds.
+// encode-once transports pay the serialization cost once per round.
+// The grouping scratch is reused across rounds.
 func (r *Runner) send(outs []gossip.Outgoing) {
 	sent, failed := r.sender.SendGroups(r.tr, outs)
 	r.moved.Add(uint64(sent))

@@ -245,98 +245,13 @@ func TestRunnerPublishThrottlesWhenAdaptive(t *testing.T) {
 	}
 }
 
-// externalAsyncTransport models a third-party Endpoint written against
-// the pre-scratch contract: it retains every sent *Message for later
-// inspection, as an asynchronous queue-and-drain transport would. It
-// deliberately implements neither ManySender nor ScratchSafe.
-type externalAsyncTransport struct {
-	mu       sync.Mutex
-	retained []*gossip.Message
-	rounds   []uint64
-	events   []int
-}
+// nopTransport is a Transport that drops every message.
+type nopTransport struct{}
 
-func (f *externalAsyncTransport) LocalID() gossip.NodeID { return "ext" }
-
-func (f *externalAsyncTransport) Send(to gossip.NodeID, msg *gossip.Message) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.retained = append(f.retained, msg)
-	f.rounds = append(f.rounds, msg.Round)
-	f.events = append(f.events, len(msg.Events))
-	return nil
-}
-
-func (f *externalAsyncTransport) SetHandler(transport.Handler) {}
-func (f *externalAsyncTransport) Close() error                 { return nil }
-
-// TestRunnerCopiesForExternalTransports pins the scratch-lifetime
-// safety net: a transport that is not marked transport.ScratchSafe
-// receives copies of the round message, so messages it retains across
-// rounds are never rewritten by the node's next Tick.
-func TestRunnerCopiesForExternalTransports(t *testing.T) {
-	reg := membership.NewRegistry("ext", "peer")
-	node, err := core.NewAdaptiveNode(core.NodeConfig{
-		ID:     "ext",
-		Gossip: gossip.Params{Fanout: 2, Period: 5 * time.Millisecond, MaxEvents: 30, MaxAge: 8},
-		Peers:  reg,
-		RNG:    rand.New(rand.NewPCG(7, 7)),
-		Start:  time.Now(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := &externalAsyncTransport{}
-	r, err := NewRunner(Config{Node: node, Transport: tr, Period: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start()
-	defer r.Stop()
-	if !(liveNode{Runner: r, node: node}).publish([]byte("retained payload")) {
-		t.Fatal("publish rejected")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		tr.mu.Lock()
-		n := len(tr.retained)
-		tr.mu.Unlock()
-		if n >= 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d sends observed", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	r.Stop()
-
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	distinct := make(map[*gossip.Message]bool)
-	for i, msg := range tr.retained {
-		distinct[msg] = true
-		// Retention check: the message must still read exactly as it did
-		// at send time — a runner handing out the scratch pointer would
-		// have rewritten Round and Events on the next tick.
-		if msg.Round != tr.rounds[i] {
-			t.Fatalf("retained message %d mutated: Round %d, was %d at send time",
-				i, msg.Round, tr.rounds[i])
-		}
-		if len(msg.Events) != tr.events[i] {
-			t.Fatalf("retained message %d mutated: %d events, was %d at send time",
-				i, len(msg.Events), tr.events[i])
-		}
-	}
-	// Distinct rounds must arrive as distinct Message values.
-	roundsSeen := make(map[uint64]bool)
-	for _, rd := range tr.rounds {
-		roundsSeen[rd] = true
-	}
-	if len(distinct) < len(roundsSeen) {
-		t.Fatalf("%d distinct messages for %d distinct rounds — scratch pointer leaked", len(distinct), len(roundsSeen))
-	}
-}
+func (nopTransport) LocalID() gossip.NodeID                    { return "nop" }
+func (nopTransport) Send(gossip.NodeID, *gossip.Message) error { return nil }
+func (nopTransport) SetHandler(transport.Handler)              {}
+func (nopTransport) Close() error                              { return nil }
 
 // tickClock is a Machine that only records when it ticks.
 type tickClock struct {
@@ -367,7 +282,7 @@ func (m *tickClock) recorded() []time.Time {
 func TestRunnerFirstTickAtPhase(t *testing.T) {
 	const period = 200 * time.Millisecond
 	m := &tickClock{}
-	r, err := NewRunner(Config{Node: m, Transport: &externalAsyncTransport{}, Period: period, PhaseSeed: 3})
+	r, err := NewRunner(Config{Node: m, Transport: nopTransport{}, Period: period, PhaseSeed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

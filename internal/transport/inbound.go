@@ -39,7 +39,7 @@ type Inbound struct {
 type InboundHandler func(*Inbound)
 
 // InboundReceiver is the optional borrowed-receive fast path of a
-// Transport, in the mould of ManySender and ScratchSafe: a driver that
+// Transport, in the mould of ManySender: a driver that
 // can honour the lease installs an InboundHandler and receives decoded
 // messages without a per-datagram allocation. Once set, it takes the
 // place of the SetHandler callback, which keeps its owning semantics for

@@ -10,7 +10,10 @@ import "adaptivegossip/internal/gossip"
 type Handler func(*gossip.Message)
 
 // Transport moves gossip messages between nodes. The built-in
-// implementation is UDPTransport (real datagrams).
+// implementation is UDPTransport (real datagrams). Send and SendMany
+// must not retain msg, or any slice reachable from it, past their
+// return: drivers hand them a per-round scratch message (see
+// gossip.Node.Tick's lifetime contract) that the next round rewrites.
 type Transport interface {
 	// LocalID returns the node this endpoint belongs to.
 	LocalID() gossip.NodeID
@@ -35,19 +38,6 @@ type ManySender interface {
 	SendMany(targets []gossip.NodeID, msg *gossip.Message) (int, error)
 }
 
-// ScratchSafe marks Transport implementations that never retain a sent
-// *Message (or any slice reachable from it) past the return of
-// Send/SendMany — the UDP transport encodes synchronously. Drivers
-// hand their reused per-round scratch message (see gossip.Node.Tick's
-// lifetime contract) directly to ScratchSafe transports and copy it
-// first for any other implementation, so external Endpoints that queue
-// messages for asynchronous delivery keep working unchanged.
-type ScratchSafe interface {
-	// ScratchSafe is a marker; implementations promise the retention
-	// property documented on the interface.
-	ScratchSafe()
-}
-
 // GroupSender transmits a driver's outgoings. Its grouping scratch
 // (fanout entries and the flattened target list) is retained across
 // rounds, so a steady-state round groups and transmits with zero
@@ -61,11 +51,7 @@ type GroupSender struct {
 // SendGroups coalesces a batch of outgoings into per-message fanouts
 // (gossip.AppendGroupOutgoing) and transmits each through t via
 // SendMany, so encode-once transports pay the serialization cost once
-// per round. It applies the scratch-safety protocol in one place for
-// every driver: unless t is marked ScratchSafe, each message is copied
-// out of the sender's per-round scratch state (Message.CopyForSend)
-// before it reaches the transport. It returns the total targets sent
-// and failed.
+// per round. It returns the total targets sent and failed.
 func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, failed int) {
 	// Drop last round's message pointers before reuse so the scratch
 	// does not pin control messages past their round.
@@ -73,13 +59,8 @@ func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, fai
 		g.fans[i] = gossip.Fanout{}
 	}
 	g.fans, g.targets = gossip.AppendGroupOutgoing(g.fans[:0], g.targets[:0], outs)
-	_, scratchSafe := t.(ScratchSafe)
 	for _, f := range g.fans {
-		msg := f.Msg
-		if !scratchSafe {
-			msg = msg.CopyForSend()
-		}
-		n, _ := SendMany(t, f.Targets, msg)
+		n, _ := SendMany(t, f.Targets, f.Msg)
 		sent += n
 		failed += len(f.Targets) - n
 	}
@@ -88,8 +69,7 @@ func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, fai
 
 // SendMany transmits msg to every target through t, using the
 // ManySender fast path when t implements it and falling back to one
-// encode-per-peer Send per target otherwise — the shim that keeps
-// external Transport implementations working unchanged. Like the fast
+// encode-per-peer Send per target otherwise. Like the fast
 // path, the fallback is best effort per target: it attempts every
 // target and returns the number sent plus the first error.
 func SendMany(t Transport, targets []gossip.NodeID, msg *gossip.Message) (int, error) {

@@ -619,13 +619,8 @@ func (t *UDPTransport) Close() error {
 	return err
 }
 
-// ScratchSafe marks the transport as not retaining sent messages: Send
-// and SendMany encode synchronously before returning.
-func (t *UDPTransport) ScratchSafe() {}
-
 var (
 	_ Transport       = (*UDPTransport)(nil)
 	_ ManySender      = (*UDPTransport)(nil)
-	_ ScratchSafe     = (*UDPTransport)(nil)
 	_ InboundReceiver = (*UDPTransport)(nil)
 )

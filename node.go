@@ -3,15 +3,16 @@ package adaptivegossip
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand/v2"
+	"slices"
 
 	"adaptivegossip/internal/membership"
 )
 
 // Node is a single broadcast group member — the deployment shape of the
-// paper's prototype (one process per workstation). By default it
-// gossips over a UDP fabric; plug any Transport with WithTransport.
-// Create with NewNode, launch with Start, tear down with Close.
+// paper's prototype (one process per workstation), gossiping over a UDP
+// fabric. Create with NewNode, launch with Start, tear down with Close.
 type Node struct {
 	id NodeID
 	g  *group // a group of one
@@ -46,18 +47,14 @@ func NewNode(id string, cfg Config, opts ...Option) (*Node, error) {
 		return nil, g.fail(err)
 	}
 
+	// Peers join in name order: the registry draws gossip targets by
+	// index, so map order would make WithSeed runs diverge.
 	members := []NodeID{NodeID(id)}
-	if len(g.opts.peers) > 0 {
-		registrar, ok := g.fabric.(PeerRegistrar)
-		if !ok {
-			return nil, g.fail(fmt.Errorf("adaptivegossip: WithPeers needs a transport with an address book (PeerRegistrar)"))
+	for _, peer := range slices.Sorted(maps.Keys(g.opts.peers)) {
+		if err := g.fabric.Register(NodeID(peer), g.opts.peers[peer]); err != nil {
+			return nil, g.fail(err)
 		}
-		for peer, addr := range g.opts.peers {
-			if err := registrar.Register(NodeID(peer), addr); err != nil {
-				return nil, g.fail(err)
-			}
-			members = append(members, NodeID(peer))
-		}
+		members = append(members, NodeID(peer))
 	}
 	m, err := g.newMember(NodeID(id), cfg, membership.NewRegistry(members...),
 		rand.New(rand.NewPCG(uint64(seed), uint64(seed)^0xABCDEF)), uint64(seed)+7)
@@ -74,31 +71,16 @@ func NewNode(id string, cfg Config, opts ...Option) (*Node, error) {
 // ID returns the node's name.
 func (n *Node) ID() NodeID { return n.id }
 
-// Addr returns the node's bound wire address (useful with ":0" binds),
-// or "" when the transport has no address to report.
-func (n *Node) Addr() string {
-	if a, ok := n.g.eps[0].(udpAddrer); ok {
-		return a.Addr().String()
-	}
-	return ""
-}
+// Addr returns the node's bound wire address (useful with ":0" binds).
+func (n *Node) Addr() string { return n.g.eps[0].Addr().String() }
 
-// AddPeer registers a member discovered after startup: its address is
-// registered with the transport's address book and the member joins
-// the gossip target set. On custom transports without an address book
-// (PeerRegistrar), which route by id, pass addr == ""; a non-empty
-// address there is an error, and an
-// invalid address on a book-keeping transport fails rather than
-// leaving a member unreachable.
+// AddPeer registers a member discovered after startup: its address
+// joins the fabric's address book and the member joins the gossip
+// target set. An invalid address fails rather than leaving a member
+// unreachable.
 func (n *Node) AddPeer(id, addr string) error {
-	registrar, ok := n.g.fabric.(PeerRegistrar)
-	switch {
-	case ok:
-		if err := registrar.Register(NodeID(id), addr); err != nil {
-			return err
-		}
-	case addr != "":
-		return fmt.Errorf("adaptivegossip: transport has no address book to register %q with", addr)
+	if err := n.g.fabric.Register(NodeID(id), addr); err != nil {
+		return err
 	}
 	n.m.reg.Add(NodeID(id))
 	return nil
@@ -119,7 +101,7 @@ func (n *Node) Members() []NodeID {
 // Start begins gossiping. Cancelling ctx closes the node; a node that
 // has been closed cannot be restarted. Idempotent while open — every
 // context passed to Start is watched, so cancelling any of them closes
-// the node. A transient endpoint failure may be retried.
+// the node.
 func (n *Node) Start(ctx context.Context) error { return n.g.start(ctx) }
 
 // Close halts gossip, closes the transport and ends every Events

@@ -18,12 +18,6 @@ type groupObservability struct {
 	srv    *observe.Server   // nil unless DebugAddr set
 }
 
-// linkSetter is implemented by endpoints that can attribute their
-// traffic to a per-peer telemetry table (the built-in UDP fabric). The
-// install is an atomic pointer store on the endpoint, so facades may
-// attach the table after the endpoint exists, even mid-traffic.
-type linkSetter interface{ SetLinks(*observe.PeerTable) }
-
 // newGroupObservability builds the instrument blocks from cfg. The
 // debug listener is bound separately by bindServer once the facade is
 // fully constructed — a scrape must never observe a half-built group.
@@ -37,14 +31,6 @@ func newGroupObservability(cfg ObservabilityConfig) *groupObservability {
 		g.rec = observe.NewRecorder(cfg.TraceSampleRate, observe.DefaultTraceCapacity)
 	}
 	return g
-}
-
-// attachLinks installs the group's peer table on a member endpoint (a
-// no-op for custom transports without the telemetry seam).
-func (g *groupObservability) attachLinks(ep Endpoint) {
-	if ls, ok := ep.(linkSetter); ok {
-		ls.SetLinks(g.peers)
-	}
 }
 
 // bindServer binds the debug HTTP listener (no-op when addr is empty)

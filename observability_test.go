@@ -14,51 +14,25 @@ import (
 	"time"
 )
 
-// stubWireEndpoint is a do-nothing Endpoint for the stub fabric.
-type stubWireEndpoint struct{ id NodeID }
-
-func (e *stubWireEndpoint) LocalID() NodeID             { return e.id }
-func (e *stubWireEndpoint) Send(NodeID, *Message) error { return nil }
-func (e *stubWireEndpoint) SetHandler(MessageHandler)   {}
-func (e *stubWireEndpoint) Close() error                { return nil }
-
-// stubWireTransport is a Transport + WireStatser with fixed counters:
-// the aggregation identity oracle. Whatever facade wraps it must
-// surface exactly these numbers in Stats.
-type stubWireTransport struct{ wire WireStats }
-
-func (t *stubWireTransport) Endpoint(id NodeID) (Endpoint, error) {
-	return &stubWireEndpoint{id: id}, nil
-}
-func (t *stubWireTransport) Close() error         { return nil }
-func (t *stubWireTransport) WireStats() WireStats { return t.wire }
-
-// TestWireStatsIdenticalAcrossFacades: both facades fold the fabric's
+// TestWireStatsIdenticalAcrossFacades: both facades fold their fabric's
 // wire counters (sent/received messages and bytes, datagram splits and
 // every discard: send errors, injected loss, read and decode errors,
-// queue drops, datagrams with no handler) into the unified Stats snapshot
-// through the same WireStatser seam, so they report identically for an
-// identical fabric. The admission
-// counters obey the same identity on every facade: each offered publish
-// is counted once, as Published or as Throttled, matching the verdict
-// its caller got.
+// queue drops, datagrams with no handler) into the unified Stats
+// snapshot, so once traffic has stopped Stats().Wire is exactly the
+// fabric's own Stats. The admission counters obey the same identity on
+// every facade: each offered publish is counted once, as Published or
+// as Throttled, matching the verdict its caller got.
 func TestWireStatsIdenticalAcrossFacades(t *testing.T) {
-	want := WireStats{
-		Sent: 101, SentBytes: 20200, Received: 99, RecvBytes: 19800,
-		ReadErrors: 3, DecodeErrors: 11, SplitChunks: 7, RecvQueueDrops: 5,
-		SendErrors: 13, LossDropped: 17, NoHandler: 19,
-	}
 	const offered = 20 // the default bucket holds 2.5 tokens at 1 msg/s
 	type running interface {
 		Start(context.Context) error
 		Stats() Stats
 		Close() error
 	}
-	// offer starts the facade, publishes past the bucket and returns
-	// the snapshot with the number of offers admitted.
-	offer := func(g running, publish func() bool) (Stats, int) {
+	// check starts the facade, publishes past the bucket, waits for
+	// wire traffic and checks both identities around Close.
+	check := func(facade string, g running, fabric *UDPTransport, publish func() bool) {
 		t.Helper()
-		defer g.Close()
 		if err := g.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -68,35 +42,49 @@ func TestWireStatsIdenticalAcrossFacades(t *testing.T) {
 				admitted++
 			}
 		}
-		return g.Stats(), admitted
-	}
-	got := make(map[string]Stats)
-	admitted := make(map[string]int)
-
-	node, err := NewNode("wire-a", fastConfig(), WithTransport(&stubWireTransport{wire: want}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["node"], admitted["node"] = offer(node, func() bool { return node.Publish([]byte("x")) })
-
-	cluster, err := NewCluster(3, fastConfig(), WithTransport(&stubWireTransport{wire: want}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got["cluster"], admitted["cluster"] = offer(cluster, func() bool { return cluster.Publish(1, []byte("x")) })
-
-	for facade, st := range got {
-		if st.Wire != want {
-			t.Errorf("%s facade Wire = %+v, want %+v", facade, st.Wire, want)
+		if admitted == 0 || admitted == offered {
+			t.Errorf("%s facade admitted %d of %d offers; the bucket was not crossed", facade, admitted, offered)
 		}
-		if n := admitted[facade]; n == 0 || n == offered {
-			t.Errorf("%s facade admitted %d of %d offers; the bucket was not crossed", facade, n, offered)
-		}
-		if st.Published != uint64(admitted[facade]) || st.Throttled != uint64(offered-admitted[facade]) {
+		if st := g.Stats(); st.Published != uint64(admitted) || st.Throttled != uint64(offered-admitted) {
 			t.Errorf("%s facade reports %d published + %d throttled for %d admitted of %d offered",
-				facade, st.Published, st.Throttled, admitted[facade], offered)
+				facade, st.Published, st.Throttled, admitted, offered)
+		}
+		if !waitUntil(10*time.Second, func() bool { return fabric.Stats().Sent > 0 }) {
+			t.Fatalf("%s facade sent nothing", facade)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := g.Stats().Wire, fabric.Stats(); got != want {
+			t.Errorf("%s facade Wire = %+v, fabric Stats = %+v", facade, got, want)
 		}
 	}
+
+	// The node's one peer is a bare endpoint on the same fabric, so
+	// every round the node sends is counted there.
+	fabric, err := NewUDPTransport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fabric.net.Endpoint("wire-b"); err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode("wire-a", fastConfig(), WithTransport(fabric),
+		WithPeers(map[string]string{"wire-b": fabric.Addr("wire-b")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("node", node, fabric, func() bool { return node.Publish([]byte("x")) })
+
+	fabric, err = NewUDPTransport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := NewCluster(3, fastConfig(), WithTransport(fabric))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cluster", cluster, fabric, func() bool { return cluster.Publish(1, []byte("x")) })
 }
 
 // TestDecodeErrorsReachStats closes the observability hole end to end:

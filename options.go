@@ -67,7 +67,7 @@ type groupOptions struct {
 	seed     int64
 	deliver  DeliverFunc
 	onMember MemberChangeFunc
-	fabric   Transport
+	fabric   *UDPTransport
 	prefix   string
 	peers    map[string]string
 }
@@ -99,11 +99,11 @@ func WithDeliver(fn DeliverFunc) Option {
 	}
 }
 
-// WithTransport plugs a message fabric into the group: the built-in
-// NewUDPTransport or any custom Transport. The group takes ownership
-// immediately: the fabric is closed on Close and also when the
-// constructor fails. Default: a loopback UDP fabric.
-func WithTransport(tr Transport) Option {
+// WithTransport hands the group a UDP fabric built with
+// NewUDPTransport. The group takes ownership immediately: the fabric is
+// closed on Close and also when the constructor fails. Default: a
+// loopback UDP fabric.
+func WithTransport(tr *UDPTransport) Option {
 	return func(o *groupOptions) error {
 		if tr == nil {
 			return fmt.Errorf("adaptivegossip: transport must not be nil")
@@ -138,8 +138,7 @@ func WithNamePrefix(prefix string) Option {
 }
 
 // WithPeers seeds a NewNode's address book with known members
-// (name → wire address). Requires a transport with an address book
-// (PeerRegistrar — the UDP fabric). Peers can also be added later with
+// (name → wire address). Peers can also be added later with
 // Node.AddPeer.
 func WithPeers(peers map[string]string) Option {
 	return func(o *groupOptions) error {

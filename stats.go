@@ -63,9 +63,9 @@ type Stats struct {
 	// Wire carries the transport fabric's counters: messages and bytes
 	// moved, datagram splits, and every discard on the wire (send
 	// errors, injected loss, read and decode errors, receive-queue
-	// overflow, datagrams with no handler). Zero when the group's
-	// Transport does not implement WireStatser.
-	Wire WireStats
+	// overflow, datagrams with no handler). Each counter is read
+	// once, so the snapshot holds together while traffic races it.
+	Wire UDPTransportStats
 	// Peers is the per-peer link telemetry: what the group sent toward
 	// and received from each remote peer, sorted by peer id. Both
 	// facades fill it, so per-link monitoring works against either
@@ -232,26 +232,12 @@ func mergeMemberHealth(views ...[]health.MemberHealth) []health.MemberHealth {
 }
 
 // healthAugment builds the AugmentFunc that stamps a member's own
-// digest with its endpoint's wire byte counters; nil for endpoints that
-// keep none. It runs on the member's node loop against atomic counters.
-func healthAugment(ep Endpoint) health.AugmentFunc {
-	es, ok := ep.(interface{ Stats() transport.UDPStats })
-	if !ok {
-		return nil
-	}
+// digest with its endpoint's wire byte counters. It runs on the
+// member's node loop against atomic counters.
+func healthAugment(ep *transport.UDPTransport) health.AugmentFunc {
 	return func(d *gossip.HealthDigest) {
-		st := es.Stats()
+		st := ep.Stats()
 		d.BytesSent, d.BytesReceived = st.SentBytes, st.RecvBytes
-	}
-}
-
-// addWire folds the fabric's wire counters into the snapshot. Each
-// counter is read exactly once by the fabric's WireStats method (an
-// atomic load or one mutex-guarded copy per counter), so the snapshot
-// is internally consistent even while senders and receivers race.
-func (s *Stats) addWire(fabric Transport) {
-	if ws, ok := fabric.(WireStatser); ok {
-		s.Wire = ws.WireStats()
 	}
 }
 
