@@ -42,9 +42,10 @@ bench-check:
 
 # The seeded figure outputs are the refactoring oracle: a change that
 # is not meant to alter protocol behaviour must reproduce
-# cmd/gossipsim/testdata/seed1/*.txt byte for byte (~45 s, of which
-# ablations, the one run of the estimator at W ∈ {1, 4}, takes 1-2 s,
-# and figure 4, the critical-age calibration, about 9 s).
+# cmd/gossipsim/testdata/seed1/*.txt byte for byte (25-35 s on a
+# 2-core box: scale, the n = 10,000 sweep, takes 8-11 s, figure 4, the
+# critical-age calibration, 5-8 s, recovery 4-6 s, and ablations, the
+# one run of the estimator at W ∈ {1, 4}, about 1 s).
 # A PR that changes behaviour on purpose regenerates them and says why.
 FIGURES ?= 2 4 9 recovery churn scale ablations healthdigest
 .PHONY: figures-check

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -735,6 +736,10 @@ func TestSimulateFacade(t *testing.T) {
 	}
 	if _, err := Simulate(SimConfig{}); err == nil {
 		t.Fatal("invalid sim config accepted")
+	}
+	cfg.Period = 0
+	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), "period must be positive") {
+		t.Fatalf("Simulate with a zero period: got %v, want the period refused by name", err)
 	}
 }
 

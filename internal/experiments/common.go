@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -32,7 +33,7 @@ type Config struct {
 	Fanout int
 	// Period is the gossip period T (paper: 5s; virtual time, so the
 	// value does not affect wall-clock cost), and the granularity of the
-	// result series.
+	// result series. It must be positive.
 	Period time.Duration
 	// MaxAge is the purge bound k.
 	MaxAge int
@@ -41,8 +42,8 @@ type Config struct {
 	// Senders is the number of publishing nodes (the first Senders
 	// node indexes). Zero means all nodes publish.
 	Senders int
-	// OfferedRate is the aggregate offered load in msg/s, split evenly
-	// across senders.
+	// OfferedRate is the aggregate offered load in msg/s, finite and
+	// non-negative, split evenly across senders.
 	OfferedRate float64
 	// Poisson selects exponential instead of periodic inter-arrivals.
 	Poisson bool
@@ -183,8 +184,11 @@ func (c Config) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("experiments: need at least 2 nodes, got %d", c.N)
 	}
-	if c.OfferedRate < 0 {
-		return fmt.Errorf("experiments: offered rate must be non-negative, got %v", c.OfferedRate)
+	if math.IsNaN(c.OfferedRate) || math.IsInf(c.OfferedRate, 0) || c.OfferedRate < 0 {
+		return fmt.Errorf("experiments: offered rate must be finite and non-negative, got %v", c.OfferedRate)
+	}
+	if c.Period <= 0 {
+		return fmt.Errorf("experiments: period must be positive, got %v", c.Period)
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("experiments: duration must be positive, got %v", c.Duration)
@@ -365,10 +369,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 		return RunResult{}, err
 	}
 
-	names := make([]gossip.NodeID, cfg.N)
-	for i := range names {
-		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
-	}
+	names := memberNames(cfg.N)
 	w, err := newWorld(cfg, names)
 	if err != nil {
 		return RunResult{}, err
@@ -414,7 +415,7 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	from := epoch.Add(cfg.Warmup)
 	to := from.Add(cfg.Duration)
 	end := to.Add(cfg.Drain)
-	tracker := newDeliveryTracker(names, epoch)
+	tracker := newDeliveryTracker(names, epoch, w.ledgerLock())
 	allowed := newGaugeMeter(epoch, end, cfg.Period, float64(cfg.Senders))
 	truth := &truth{downSince: make(map[gossip.NodeID]time.Time, cfg.N)}
 	var region map[gossip.NodeID]int

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,41 +29,61 @@ func smallConfig() Config {
 	}
 }
 
+// TestConfigValidate: each case is refused by Validate, and by both run
+// entry points before anything runs; where want is set, the error names
+// the field. A zero period once reached the gauge's bucket division, a
+// NaN rate offered nothing and an infinite one an emission every
+// nanosecond.
 func TestConfigValidate(t *testing.T) {
+	const badRate, badPeriod = "offered rate must be finite and non-negative", "period must be positive"
 	cases := []struct {
 		name string
 		mut  func(*Config)
+		want string
 	}{
-		{"too few nodes", func(c *Config) { c.N = 1 }},
-		{"negative rate", func(c *Config) { c.OfferedRate = -1 }},
-		{"zero duration", func(c *Config) { c.Duration = 0 }},
-		{"negative warmup", func(c *Config) { c.Warmup = -time.Second }},
+		{"too few nodes", func(c *Config) { c.N = 1 }, ""},
+		{"negative rate", func(c *Config) { c.OfferedRate = -1 }, badRate},
+		{"NaN rate", func(c *Config) { c.OfferedRate = math.NaN() }, badRate},
+		{"infinite rate", func(c *Config) { c.OfferedRate = math.Inf(1) }, badRate},
+		{"negative infinite rate", func(c *Config) { c.OfferedRate = math.Inf(-1) }, badRate},
+		{"zero period", func(c *Config) { c.Period = 0 }, badPeriod},
+		{"negative period", func(c *Config) { c.Period = -time.Second }, badPeriod},
+		{"zero duration", func(c *Config) { c.Duration = 0 }, ""},
+		{"negative warmup", func(c *Config) { c.Warmup = -time.Second }, ""},
 		{"bad resize", func(c *Config) {
 			c.Resizes = []workload.Resize{{At: 0, Nodes: []int{99}, Capacity: 5}}
-		}},
-		{"bad topology", func(c *Config) { c.Topology = sim.Topology{Regions: 2} }},
-		{"negative view size", func(c *Config) { c.ViewSize = -1 }},
-		{"views with per-node registries", func(c *Config) { c.ViewSize, c.PerNodeViews = 8, true }},
+		}, ""},
+		{"bad topology", func(c *Config) { c.Topology = sim.Topology{Regions: 2} }, ""},
+		{"negative view size", func(c *Config) { c.ViewSize = -1 }, ""},
+		{"views with per-node registries", func(c *Config) { c.ViewSize, c.PerNodeViews = 8, true }, ""},
 		{"views with joins", func(c *Config) {
 			c.ViewSize = 8
 			c.Joins = []workload.Join{{At: time.Second, Nodes: []int{3}}}
-		}},
+		}, ""},
 		{"proximity weight below 1", func(c *Config) {
 			c.ViewSize, c.Topology, c.ProximityWeight = 8, twoRegions(), 0.5
-		}},
-		{"proximity weight without views", func(c *Config) { c.Topology, c.ProximityWeight = twoRegions(), 8 }},
+		}, ""},
+		{"proximity weight without views", func(c *Config) { c.Topology, c.ProximityWeight = twoRegions(), 8 }, ""},
 		{"proximity weight in one region", func(c *Config) {
 			c.ViewSize, c.ProximityWeight = 8, 8
 			c.Topology = sim.NewTwoTierTopology(1, sim.LatencyClass{Max: time.Millisecond}, sim.LatencyClass{})
-		}},
+		}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig().withDefaults()
 			tc.mut(&cfg)
-			if err := cfg.Validate(); err == nil {
-				t.Fatal("want error, got nil")
+			check := func(how string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("%s: got %v, want an error containing %q", how, err, tc.want)
+				}
 			}
+			check("Validate", cfg.Validate())
+			_, err := Run(cfg)
+			check("Run", err)
+			_, err = RunRuntime(cfg)
+			check("RunRuntime", err)
 		})
 	}
 	if err := smallConfig().withDefaults().Validate(); err != nil {

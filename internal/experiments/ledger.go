@@ -67,23 +67,26 @@ type block struct {
 // never copied; the directories are int32 slices that double, cut from
 // shared blocks that double too. Tracking allocates nothing per event.
 //
-// In a run every origin is a member, numbers its events from 0 and
-// delivers each to itself inside Broadcast before any other member can
-// see it, so an origin's directory grows one run at a time. An id the
-// directories cannot index is a bug in the run body, and the tracker
-// panics with it.
+// In a run every origin is a member, named by memberNames, numbers its
+// events from 0 and delivers each to itself inside Broadcast before any
+// other member can see it, so an origin's directory grows one run at a
+// time. The tracker finds an origin's index from the digits of its name
+// (memberIndex), not through a map. An id the directories cannot index
+// is a bug in the run body, and the tracker panics with it.
 //
-// The lock is there because members of the wall world deliver from
-// their own goroutines; run reads the fields once nothing delivers any
+// The world decides what guards the tracker: the wall world's members
+// deliver from their own goroutines, so it hands over a mutex; the
+// virtual world runs everything on one goroutine and hands over a lock
+// that does nothing. Run reads the fields once nothing delivers any
 // more.
 type deliveryTracker struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	members map[gossip.NodeID]int
-	n       int
-	need    int // members strictly above atomicityThreshold·n
-	need99  int // ⌈0.99·n⌉
-	words   int
+	mu     sync.Locker
+	epoch  time.Time
+	names  []gossip.NodeID
+	n      int
+	need   int // members strictly above atomicityThreshold·n
+	need99 int // ⌈0.99·n⌉
+	words  int
 
 	blocks     []block
 	blockShift uint      // runs per block = 1 << blockShift
@@ -97,22 +100,19 @@ type deliveryTracker struct {
 	duplicates uint64                    // deliveries of an event to a member that had it
 }
 
-// newDeliveryTracker tracks deliveries across the given group, with
-// times given as offsets from epoch.
-func newDeliveryTracker(members []gossip.NodeID, epoch time.Time) *deliveryTracker {
-	idx := make(map[gossip.NodeID]int, len(members))
-	for i, m := range members {
-		idx[m] = i
-	}
-	n := len(members)
+// newDeliveryTracker tracks deliveries across the group memberNames
+// names, with times given as offsets from epoch, every call under mu.
+func newDeliveryTracker(names []gossip.NodeID, epoch time.Time, mu sync.Locker) *deliveryTracker {
+	n := len(names)
 	t := &deliveryTracker{
-		epoch:   epoch,
-		members: idx,
-		n:       n,
-		need:    min(int(atomicityThreshold*float64(n))+1, n),
-		need99:  (99*n + 99) / 100,
-		words:   (n + 63) / 64,
-		dirs:    make([][]int32, n),
+		mu:     mu,
+		epoch:  epoch,
+		names:  names,
+		n:      n,
+		need:   min(int(atomicityThreshold*float64(n))+1, n),
+		need99: (99*n + 99) / 100,
+		words:  (n + 63) / 64,
+		dirs:   make([][]int32, n),
 	}
 	// A block holds the most runs, a power of two and at least one, that
 	// fit in blockBytes.
@@ -125,9 +125,9 @@ func newDeliveryTracker(members []gossip.NodeID, epoch time.Time) *deliveryTrack
 
 // record returns id's record and bitset, creating them at first sight.
 func (t *deliveryTracker) record(id gossip.EventID) (*msgRec, []uint64) {
-	o, ok := t.members[id.Origin]
+	o := memberIndex(t.names, id.Origin)
 	k := id.Seq / runLen
-	if !ok || k > uint64(len(t.dirs[o])) {
+	if o < 0 || k > uint64(len(t.dirs[o])) {
 		panic(fmt.Sprintf("experiments: event %s/%d is not the next of a member's events", id.Origin, id.Seq))
 	}
 	if k == uint64(len(t.dirs[o])) {
@@ -149,6 +149,40 @@ func (t *deliveryTracker) record(id gossip.EventID) (*msgRec, []uint64) {
 	b := &t.blocks[r>>t.blockShift]
 	j := (r&(1<<t.blockShift-1))*runLen + int(id.Seq%runLen)
 	return &b.recs[j], b.bits[j*t.words : (j+1)*t.words]
+}
+
+// memberNames names the n members of a run: member i is n followed by
+// i in decimal, at least three digits wide (n000, n001, …, n999, n1000).
+func memberNames(n int) []gossip.NodeID {
+	names := make([]gossip.NodeID, n)
+	for i := range names {
+		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
+	}
+	return names
+}
+
+// memberIndex is the index of the member of names called name, or -1 if
+// none is: it reads the index back from the digits memberNames wrote and
+// checks the name at that index, so a near miss (a missing or extra
+// leading zero) or an index past the group is not a member.
+func memberIndex(names []gossip.NodeID, name gossip.NodeID) int {
+	if len(name) < 2 || name[0] != 'n' {
+		return -1
+	}
+	i := 0
+	for k := 1; k < len(name); k++ {
+		c := name[k]
+		if c < '0' || c > '9' {
+			return -1
+		}
+		if i = 10*i + int(c-'0'); i >= len(names) {
+			return -1
+		}
+	}
+	if names[i] != name {
+		return -1
+	}
+	return i
 }
 
 // grow doubles origin o's directory.

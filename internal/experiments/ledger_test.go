@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,14 +18,6 @@ import (
 
 var testEpoch = time.Unix(0, 0).UTC()
 
-func testGroup(n int) []gossip.NodeID {
-	out := make([]gossip.NodeID, n)
-	for i := range out {
-		out[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
-	}
-	return out
-}
-
 func eid(seq uint64) gossip.EventID {
 	return gossip.EventID{Origin: "n000", Seq: seq}
 }
@@ -35,7 +28,7 @@ func allResults(tr *deliveryTracker) Summary {
 }
 
 func TestDeliveryTrackerCoverage(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(10), testEpoch)
+	tr := newDeliveryTracker(memberNames(10), testEpoch, noLock{})
 	// Message 0: all 10 members. Message 1: 9 members. Message 2: 5.
 	for seq, count := range []int{10, 9, 5} {
 		tr.Broadcast(eid(uint64(seq)), 0)
@@ -58,7 +51,7 @@ func TestDeliveryTrackerCoverage(t *testing.T) {
 }
 
 func TestDeliveryTrackerThresholdBoundary(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(20), testEpoch)
+	tr := newDeliveryTracker(memberNames(20), testEpoch, noLock{})
 	// Exactly 19/20 = 95%: NOT strictly more than 95%.
 	tr.Broadcast(eid(0), 0)
 	for i := 0; i < 19; i++ {
@@ -74,7 +67,7 @@ func TestDeliveryTrackerThresholdBoundary(t *testing.T) {
 }
 
 func TestDeliveryTrackerDuplicateDeliveries(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(4), testEpoch)
+	tr := newDeliveryTracker(memberNames(4), testEpoch, noLock{})
 	tr.Broadcast(eid(0), 0)
 	tr.DeliverHop(eid(0), 1, 0, -1)
 	tr.DeliverHop(eid(0), 1, 0, -1) // duplicate
@@ -87,7 +80,7 @@ func TestDeliveryTrackerDuplicateDeliveries(t *testing.T) {
 }
 
 func TestDeliveryTrackerHorizonFiltering(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(2), testEpoch)
+	tr := newDeliveryTracker(memberNames(2), testEpoch, noLock{})
 	tr.Broadcast(eid(0), 1*time.Second)
 	tr.Broadcast(eid(1), 10*time.Second)
 	tr.DeliverHop(eid(0), 0, 0, -1)
@@ -101,7 +94,7 @@ func TestDeliveryTrackerHorizonFiltering(t *testing.T) {
 }
 
 func TestDeliveryTrackerDeliverBeforeBroadcast(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(2), testEpoch)
+	tr := newDeliveryTracker(memberNames(2), testEpoch, noLock{})
 	// Origin's local delivery can reach the tracker before Broadcast.
 	tr.DeliverHop(eid(0), 0, time.Second, -1)
 	tr.Broadcast(eid(0), 0)
@@ -111,8 +104,8 @@ func TestDeliveryTrackerDeliverBeforeBroadcast(t *testing.T) {
 }
 
 func TestDeliveryTrackerSeries(t *testing.T) {
-	group := testGroup(4)
-	tr := newDeliveryTracker(group, testEpoch)
+	group := memberNames(4)
+	tr := newDeliveryTracker(group, testEpoch, noLock{})
 	// Bucket 0: one fully delivered message. Bucket 1: one message at
 	// 50%. Bucket 2: empty.
 	tr.Broadcast(eid(0), 0)
@@ -138,29 +131,152 @@ func TestDeliveryTrackerSeries(t *testing.T) {
 	}
 }
 
+// TestDeliveryTrackerConcurrent has 8 goroutines record broadcasts and
+// deliveries through the wall world's ledger lock, as its members'
+// runners do, and requires what a serial run of the same calls gives.
 func TestDeliveryTrackerConcurrent(t *testing.T) {
-	group := testGroup(8)
-	tr := newDeliveryTracker(group, testEpoch)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := gossip.EventID{Origin: group[g], Seq: uint64(i)}
-				tr.Broadcast(id, 0)
-				tr.DeliverHop(id, (g+i)%8, 0, -1)
+	group := memberNames(8)
+	w, err := newWallWorld(Config{N: len(group)}, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	// Goroutine g broadcasts its member's events and delivers each to
+	// three members, one of them twice.
+	calls := func(tr *deliveryTracker, g int) {
+		for i := range 500 {
+			id := gossip.EventID{Origin: group[g], Seq: uint64(i)}
+			tr.Broadcast(id, time.Duration(i)*time.Millisecond)
+			for _, m := range []int{g, (g + i) % 8, (g + 3) % 8, g} {
+				tr.DeliverHop(id, m, time.Duration(i+m)*time.Millisecond, m)
 			}
-		}(g)
+		}
+	}
+	serial := newDeliveryTracker(group, testEpoch, noLock{})
+	for g := range group {
+		calls(serial, g)
+	}
+	locked := newDeliveryTracker(group, testEpoch, w.ledgerLock())
+	var wg sync.WaitGroup
+	for g := range group {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			calls(locked, g)
+		}()
 	}
 	wg.Wait()
-	if got := allResults(tr).Messages; got != 4000 {
+	if got := allResults(locked).Messages; got != 4000 {
 		t.Fatalf("messages = %d, want 4000", got)
+	}
+	if got, want := allResults(locked), allResults(serial); got != want {
+		t.Fatalf("concurrent Results %+v, serial %+v", got, want)
+	}
+	if locked.latency != serial.latency || locked.hops != serial.hops || locked.duplicates != serial.duplicates {
+		t.Fatalf("concurrent distributions or duplicates (%d) differ from the serial run's (%d)", locked.duplicates, serial.duplicates)
+	}
+}
+
+// TestDeliveryTrackerLocksAlike feeds one shuffled sequence of calls to
+// a ledger under the virtual world's lock and one under the wall
+// world's: the lock decides nothing, so every report is the same.
+func TestDeliveryTrackerLocksAlike(t *testing.T) {
+	group := memberNames(60)
+	type call struct {
+		id        gossip.EventID
+		member    int
+		at        time.Duration
+		hop       int
+		broadcast bool
+	}
+	var calls []call
+	for o := range group {
+		for seq := range uint64(40) {
+			id := gossip.EventID{Origin: group[o], Seq: seq}
+			calls = append(calls, call{id: id, at: time.Duration(seq) * time.Second, broadcast: true})
+			for m := range group {
+				if (o+m+int(seq))%7 != 0 {
+					calls = append(calls, call{id: id, member: m, at: time.Duration(seq)*time.Second + time.Duration(m)*time.Millisecond, hop: m % 9})
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(7, 0x10c))
+	rng.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
+	// A seq's first sight must follow its origin's order; a stable sort
+	// by seq keeps the shuffle within each seq.
+	slices.SortStableFunc(calls, func(a, b call) int { return int(a.id.Seq) - int(b.id.Seq) })
+
+	w, err := newWallWorld(Config{N: len(group)}, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	v, err := newVirtualWorld(Config{N: len(group), Seed: 1}, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlocked := newDeliveryTracker(group, testEpoch, v.ledgerLock())
+	locked := newDeliveryTracker(group, testEpoch, w.ledgerLock())
+	for _, tr := range []*deliveryTracker{unlocked, locked} {
+		for _, c := range calls {
+			if c.broadcast {
+				tr.Broadcast(c.id, c.at)
+			} else {
+				tr.DeliverHop(c.id, c.member, c.at, c.hop)
+			}
+		}
+	}
+	if got, want := allResults(locked), allResults(unlocked); got != want || got.Messages != 60*40 {
+		t.Fatalf("locked Results %+v, unlocked %+v (want %d messages)", got, want, 60*40)
+	}
+	end := testEpoch.Add(40 * time.Second)
+	if got, want := locked.Series(testEpoch, end, 5*time.Second), unlocked.Series(testEpoch, end, 5*time.Second); !slices.Equal(got, want) {
+		t.Fatalf("locked Series %+v, unlocked %+v", got, want)
+	}
+	if locked.latency != unlocked.latency || locked.hops != unlocked.hops {
+		t.Fatal("the latency or hop distribution depends on the lock")
+	}
+}
+
+// TestDeliveryTrackerUnknownOrigins: an origin that is not a member's
+// name — near misses of one included, and digits that would overflow an
+// int — panics with the ledger's own message, never with an index out
+// of range.
+func TestDeliveryTrackerUnknownOrigins(t *testing.T) {
+	group := memberNames(60)
+	for _, origin := range []gossip.NodeID{"n60", "n0060", "n060", "n0001", "x000", "n", "", "n-01", "n12a", gossip.NodeID("n" + strings.Repeat("9", 25)), gossip.NodeID("n" + strings.Repeat("0", 24) + "1")} {
+		for _, call := range []struct {
+			name string
+			fn   func(tr *deliveryTracker, id gossip.EventID)
+		}{
+			{"Broadcast", func(tr *deliveryTracker, id gossip.EventID) { tr.Broadcast(id, 0) }},
+			{"DeliverHop", func(tr *deliveryTracker, id gossip.EventID) { tr.DeliverHop(id, 0, 0, 1) }},
+		} {
+			tr := newDeliveryTracker(group, testEpoch, noLock{})
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "experiments: event ") {
+						t.Errorf("%s of an event of %q panicked with %q, want the ledger's message", call.name, origin, msg)
+					}
+				}()
+				call.fn(tr, gossip.EventID{Origin: origin, Seq: 0})
+			}()
+		}
+	}
+	for i, name := range group {
+		if got := memberIndex(group, name); got != i {
+			t.Fatalf("memberIndex(%q) = %d, want %d", name, got, i)
+		}
+	}
+	if got := memberIndex(memberNames(1001), "n1000"); got != 1000 {
+		t.Fatalf("memberIndex(n1000) in a group of 1001 = %d, want 1000", got)
 	}
 }
 
 func TestDeliverHopDistributions(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(4), testEpoch)
+	tr := newDeliveryTracker(memberNames(4), testEpoch, noLock{})
 	tr.Broadcast(eid(1), 0)
 	tr.DeliverHop(eid(1), 0, 0, 0)              // origin: latency 0, hop 0
 	tr.DeliverHop(eid(1), 1, 8*time.Second, 2)  // 8s, 2 hops
@@ -196,7 +312,7 @@ func TestMsgRecIs16Bytes(t *testing.T) {
 }
 
 func TestDeliveryTrackerTimeTo99(t *testing.T) {
-	tr := newDeliveryTracker(testGroup(200), testEpoch) // ⌈0.99·200⌉ = 198
+	tr := newDeliveryTracker(memberNames(200), testEpoch, noLock{}) // ⌈0.99·200⌉ = 198
 	tr.Broadcast(eid(0), time.Second)
 	tr.Broadcast(eid(1), time.Second)
 	for i := range 198 {
@@ -366,7 +482,7 @@ type trackerPair struct {
 }
 
 func newTrackerPair(group []gossip.NodeID, base time.Time) *trackerPair {
-	return &trackerPair{got: newDeliveryTracker(group, base), want: newRefDeliveryTracker(group), group: group, base: base}
+	return &trackerPair{got: newDeliveryTracker(group, base, noLock{}), want: newRefDeliveryTracker(group), group: group, base: base}
 }
 
 func (p *trackerPair) broadcast(id gossip.EventID, now time.Time) {
@@ -430,7 +546,7 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 		if seed <= uint64(len(sizes)) {
 			n = sizes[seed-1]
 		}
-		group := testGroup(n)
+		group := memberNames(n)
 		base := testEpoch.Add(time.Duration(rng.IntN(60)) * time.Second)
 		p := newTrackerPair(group, base)
 		next := map[gossip.NodeID]uint64{}
@@ -468,7 +584,7 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 	}
 
 	for _, n := range sizes[2:] {
-		group := testGroup(n)
+		group := memberNames(n)
 		p := newTrackerPair(group, testEpoch.Add(40*time.Second))
 		rng := rand.New(rand.NewPCG(uint64(n), 0xb10c))
 		runsPerBlock := 1 << p.got.blockShift
@@ -509,8 +625,8 @@ func TestDeliveryTrackerMatchesReference(t *testing.T) {
 // and the directories' doublings — a few dozen objects and well under
 // 40 bytes per event for 10,000 events, not two objects per event.
 func TestDeliverHopAllocFree(t *testing.T) {
-	group := testGroup(60)
-	tr := newDeliveryTracker(group, testEpoch)
+	group := memberNames(60)
+	tr := newDeliveryTracker(group, testEpoch, noLock{})
 	known := gossip.EventID{Origin: group[0], Seq: 0}
 	tr.Broadcast(known, 0)
 	i := 0
@@ -544,14 +660,15 @@ func TestDeliverHopAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkDeliverHop records deliveries in the paper's 60-member group
-// over a part's worth of events (60 origins × 256 seqs, all broadcast
+// BenchmarkDeliverHop records deliveries in the paper's 60-member group,
+// under the virtual world's lock as in every simulated run, over a
+// part's worth of events (60 origins × 256 seqs, all broadcast
 // up front). known: each op delivers an event to a member that has not
 // had it yet, cycling through every (event, member) pair. new: each op
 // is the first sight of an event, which creates its record; the tracker
 // is rebuilt, off the clock, once every event is known.
 func BenchmarkDeliverHop(b *testing.B) {
-	group := testGroup(60)
+	group := memberNames(60)
 	const seqs = 256
 	events := make([]gossip.EventID, 0, len(group)*seqs)
 	for seq := range uint64(seqs) {
@@ -560,7 +677,7 @@ func BenchmarkDeliverHop(b *testing.B) {
 		}
 	}
 	fresh := func(broadcast bool) *deliveryTracker {
-		tr := newDeliveryTracker(group, testEpoch)
+		tr := newDeliveryTracker(group, testEpoch, noLock{})
 		if broadcast {
 			for _, id := range events {
 				tr.Broadcast(id, 0)

@@ -43,14 +43,17 @@ type world interface {
 	// runUntil lets time pass until t, running what falls due.
 	runUntil(t time.Time)
 	stats() sim.NetworkStats
+	// ledgerLock guards the delivery tracker: members deliver to it
+	// from wherever the world runs them.
+	ledgerLock() sync.Locker
 	// close stops everything still running. Idempotent.
 	close()
 }
 
 // virtual is the simulator: a discrete-event scheduler for a clock,
 // sim.Network for a fabric, Network.Drive under every member. It is
-// single-threaded, so do and publisher have nothing to serialize, and
-// deterministic per seed.
+// single-threaded, so do, publisher and ledgerLock have nothing to
+// serialize, and deterministic per seed.
 type virtual struct {
 	cfg   Config
 	names []gossip.NodeID
@@ -88,7 +91,15 @@ func (v *virtual) do(_ int, fn func())              { fn() }
 func (v *virtual) setDown(i int, down bool)         { v.net.SetDown(v.names[i], down) }
 func (v *virtual) runUntil(t time.Time)             { v.sched.RunUntil(t) }
 func (v *virtual) stats() sim.NetworkStats          { return v.net.Stats() }
+func (v *virtual) ledgerLock() sync.Locker          { return noLock{} }
 func (v *virtual) close()                           {}
+
+// noLock is the virtual world's ledger lock: everything there runs on
+// one goroutine, so there is nothing to exclude.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
 
 func (v *virtual) start(i int, m gossip.Machine) error {
 	phase := time.Duration(sim.PhaseRNG(v.cfg.Seed, i).Float64() * float64(v.cfg.Period))
@@ -118,6 +129,7 @@ type wall struct {
 	due       chan func()
 	closed    chan struct{}
 	closeOnce sync.Once
+	ledger    sync.Mutex // the delivery tracker's: members deliver from their runners
 }
 
 func newWallWorld(cfg Config, names []gossip.NodeID) (world, error) {
@@ -140,6 +152,7 @@ func newWallWorld(cfg Config, names []gossip.NodeID) (world, error) {
 func (w *wall) now() time.Time          { return time.Now() }
 func (w *wall) elapsed() time.Duration  { return time.Since(w.epoch) }
 func (w *wall) stats() sim.NetworkStats { return sim.NetworkStats{} }
+func (w *wall) ledgerLock() sync.Locker { return &w.ledger }
 
 func (w *wall) after(d time.Duration, fn func()) {
 	time.AfterFunc(d, func() {

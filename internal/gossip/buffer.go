@@ -9,6 +9,9 @@ import (
 // maxBufferAge bounds max age, and so the buckets (512 KiB at most).
 const maxBufferAge = 1 << 16
 
+// bufferIndexSpread is the index's slots per slab slot: load at most ¼.
+const bufferIndexSpread = 4
+
 // Buffer is the bounded events store of Figure 1.
 //
 // Entries are kept ordered by age (youngest first). When the buffer is
@@ -29,10 +32,16 @@ const maxBufferAge = 1 << 16
 //
 // Entries live by value in a slab whose slots are recycled through a
 // free list; an idTable of slots, keyed by the seeded id hash, finds an
-// entry by id. Slab, free list, table and eviction scratch are
-// sized for capacity+1 entries (Add holds one over capacity before it
-// evicts) when the buffer is made and when SetCapacity grows it, never
-// else, so insert, evict, reposition and expire allocate nothing.
+// entry by id. Slab, free list, table and eviction scratch are sized
+// for capacity+1 entries (Add holds one over capacity before it evicts)
+// when the buffer is made and when SetCapacity grows it, never else, so
+// insert, evict, reposition and expire allocate nothing.
+//
+// The table runs at load at most ¼ (bufferIndexSpread), not the ½
+// IDCache keeps: a full buffer evicts, and so unlinks, an entry for
+// every event it takes in, and is probed for every event received, so
+// shorter probe runs are worth twice the slots (16 to 32 bytes per
+// entry instead of 8 to 16).
 //
 // The eviction slices returned by Add, DropExpired and SetCapacity
 // share one scratch backing array: they are valid only until the next
@@ -92,7 +101,7 @@ func (b *Buffer) reserve(capacity int) {
 	b.slab = slices.Grow(b.slab, n-len(b.slab))
 	b.free = slices.Grow(b.free, n-len(b.free))
 	b.scratch = slices.Grow(b.scratch, n-len(b.scratch))
-	b.index.resize(n)
+	b.index.resize(n, bufferIndexSpread)
 	for _, bk := range b.buckets {
 		for s := bk.head; s >= 0; s = b.slab[s].next {
 			b.index.link(int(s), b.index.hashes[s])

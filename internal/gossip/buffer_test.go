@@ -228,6 +228,26 @@ func TestBufferSetCapacity(t *testing.T) {
 	if _, err := b.SetCapacity(0); err == nil {
 		t.Fatal("SetCapacity(0): want error")
 	}
+	// Growing past the capacity the buffer was made with resizes the
+	// index, at the same load, around the entries it holds.
+	if err := b.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.SetCapacity(100); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.index.hashes) <= 5 {
+		t.Fatalf("growing to 100 left the index %d positions", len(b.index.hashes))
+	}
+	for i := uint64(10); i < 110; i++ {
+		mustAdd(t, b, mkEvent("b", i, 0))
+		if err := b.checkInvariants(); err != nil {
+			t.Fatalf("after %d adds: %v", i-9, err)
+		}
+	}
+	if b.Len() != 100 {
+		t.Fatalf("len %d after 100 adds at capacity 100, want 100", b.Len())
+	}
 }
 
 func TestBufferOldestUncounted(t *testing.T) {
@@ -326,8 +346,9 @@ func TestBufferRandomOpsInvariants(t *testing.T) {
 // tail; each entry sits in bucket min(age, maxAge+1), in (age asc,
 // insertion desc) order, and no bucket above the top hint holds one;
 // the linked entries are Len, disjoint from the
-// free list and together with it the slab; and every live slot is found
-// through the index, which holds nothing else.
+// free list and together with it the slab; every live slot is found
+// through the index, which holds nothing else; and the index has at
+// least bufferIndexSpread slots per position.
 func (b *Buffer) checkInvariants() error {
 	if b.Len() > b.capacity {
 		return fmt.Errorf("len %d exceeds capacity %d", b.Len(), b.capacity)
@@ -337,6 +358,9 @@ func (b *Buffer) checkInvariants() error {
 	}
 	if len(b.slab) > len(b.index.hashes) || b.capacity >= len(b.index.hashes) {
 		return fmt.Errorf("slab %d, capacity %d: the index has %d positions", len(b.slab), b.capacity, len(b.index.hashes))
+	}
+	if slots, n := len(b.index.slots), len(b.index.hashes); slots < bufferIndexSpread*n || slots >= 2*bufferIndexSpread*n {
+		return fmt.Errorf("the index has %d slots for %d positions, want the power of two in [%d, %d)", slots, n, bufferIndexSpread*n, 2*bufferIndexSpread*n)
 	}
 	seen := make(map[int]bool, len(b.slab))
 	for k, bk := range b.buckets {

@@ -15,6 +15,11 @@ const maxIDCacheCapacity = 1 << 26
 // its capacity.
 const idCacheFirst = 64
 
+// idCacheSpread is the block table's slots per block: load at most ½.
+// A cache can hold up to a block per id, so each slot weighs on its
+// footprint, and a lookup ends on a block whose bitmap it reads anyway.
+const idCacheSpread = 2
+
 // IDCache is the bounded eventIds duplicate-suppression set of Figure 1.
 // When full, the oldest identifier is forgotten (FIFO), matching the
 // paper's "remove oldest element from eventIds".
@@ -210,7 +215,7 @@ func (c *IDCache) growBlocks() {
 	blocks := make([]idBlock, len(c.blocks), n)
 	copy(blocks, c.blocks)
 	c.blocks = blocks
-	c.index.resize(n)
+	c.index.resize(n, idCacheSpread)
 	for b := range c.blocks {
 		c.index.link(b, c.index.hashes[b])
 	}

@@ -386,8 +386,13 @@ func (c *IDCache) checkInvariants() error {
 }
 
 // checkTable requires t to hold exactly the positions in want, each
-// tagged with the bits of its hash above the position bits.
+// tagged with the bits of its hash above the position bits, at a load
+// of at most ½ and no less than ¼: TestIDCacheFootprint's arithmetic
+// counts on those slots per block.
 func checkTable(t *idTable, want map[int]bool) error {
+	if slots, n := len(t.slots), len(t.hashes); slots < 2*n || slots >= 4*n {
+		return fmt.Errorf("%d slots for %d positions, want the power of two in [%d, %d)", slots, n, 2*n, 4*n)
+	}
 	linked := 0
 	for _, e := range t.slots {
 		if e == 0 {

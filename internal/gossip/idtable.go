@@ -25,14 +25,17 @@ func idHash(oh, seq uint64) uint32 {
 }
 
 // idTable is an open-addressed table of positions in its owner's
-// storage (linear probing, load at most ½, backward-shift deletion)
-// keeping the hash of the entry at each position. IDCache indexes its
-// blocks with one, Buffer its slab. A slot holds position+1 in its low
-// bits and, above them, the bits of the entry's hash that the position
-// leaves free: a probe reads the slot array alone, and its owner
-// compares keys only where the tag matches.
-// Homes are hash & mask, so the tags do not move an entry; the hashes
-// serve deletion and relinking alone.
+// storage (linear probing, backward-shift deletion) keeping the hash of
+// the entry at each position. IDCache indexes its blocks with one,
+// Buffer its slab. The owner picks the load when it sizes the table
+// (resize's spread): a lower load shortens the probe runs that lookups
+// walk and that deletion shifts back, for 4 bytes per slot more.
+//
+// A slot holds position+1 in its low bits and, above them, the bits of
+// the entry's hash that the position leaves free: a probe reads the
+// slot array alone, and its owner compares keys only where the tag
+// matches. Homes are hash & mask, so the tags do not move an entry;
+// the hashes serve deletion and relinking alone.
 type idTable struct {
 	slots  []uint32 // tag | position+1, or 0 for an empty slot
 	hashes []uint32 // hashes[p] is the hash of the entry at position p
@@ -40,12 +43,14 @@ type idTable struct {
 	pos    uint32   // the low bits of a slot that hold position+1
 }
 
-// resize makes room for n positions and empties the table, keeping the
-// hashes of the positions it had; the owner links its live positions
-// again. Hashes and slots share one allocation.
-func (t *idTable) resize(n int) {
+// resize makes room for n positions at a load of at most 1/spread —
+// the smallest power of two of slots that is spread·n or more — and
+// empties the table, keeping the hashes of the positions it had; the
+// owner links its live positions again. Hashes and slots share one
+// allocation.
+func (t *idTable) resize(n, spread int) {
 	size := uint64(1)
-	for size < 2*uint64(n) {
+	for size < uint64(spread)*uint64(n) {
 		size <<= 1
 	}
 	words := make([]uint32, uint64(n)+size)

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
@@ -18,7 +19,8 @@ type PublishFunc func(payload []byte) bool
 
 // SenderConfig describes one publisher.
 type SenderConfig struct {
-	// Rate is the offered load in msg/s. Zero disables the sender.
+	// Rate is the offered load in msg/s, finite and non-negative. Zero
+	// disables the sender.
 	Rate float64
 	// PayloadSize is the event payload length in bytes.
 	PayloadSize int
@@ -29,8 +31,8 @@ type SenderConfig struct {
 
 // Validate reports the first configuration error.
 func (c SenderConfig) Validate() error {
-	if c.Rate < 0 {
-		return fmt.Errorf("workload: rate must be non-negative, got %v", c.Rate)
+	if math.IsNaN(c.Rate) || math.IsInf(c.Rate, 0) || c.Rate < 0 {
+		return fmt.Errorf("workload: rate must be finite and non-negative, got %v", c.Rate)
 	}
 	if c.PayloadSize < 0 {
 		return fmt.Errorf("workload: payload size must be non-negative, got %d", c.PayloadSize)

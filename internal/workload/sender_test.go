@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,14 +11,27 @@ import (
 )
 
 func TestSenderConfigValidate(t *testing.T) {
-	if err := (SenderConfig{Rate: -1}).Validate(); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if err := (SenderConfig{PayloadSize: -1}).Validate(); err == nil {
-		t.Fatal("negative payload accepted")
-	}
-	if err := (SenderConfig{Rate: 5, PayloadSize: 8}).Validate(); err != nil {
-		t.Fatal(err)
+	const badRate = "rate must be finite and non-negative"
+	for _, tc := range []struct {
+		name string
+		cfg  SenderConfig
+		want string // a part of the error; "" for a valid config
+	}{
+		{"negative rate", SenderConfig{Rate: -1}, badRate},
+		{"NaN rate", SenderConfig{Rate: math.NaN()}, badRate},
+		{"infinite rate", SenderConfig{Rate: math.Inf(1)}, badRate},
+		{"negative infinite rate", SenderConfig{Rate: math.Inf(-1)}, badRate},
+		{"negative payload", SenderConfig{PayloadSize: -1}, "payload size must be non-negative"},
+		{"zero rate", SenderConfig{}, ""},
+		{"rate and payload", SenderConfig{Rate: 5, PayloadSize: 8}, ""},
+	} {
+		err := tc.cfg.Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
