@@ -42,12 +42,13 @@ bench-check:
 
 # The seeded figure outputs are the refactoring oracle: a change that
 # is not meant to alter protocol behaviour must reproduce
-# cmd/gossipsim/testdata/seed1/*.txt byte for byte (25-35 s on a
+# cmd/gossipsim/testdata/seed1/*.txt byte for byte (35-45 s on a
 # 2-core box: scale, the n = 10,000 sweep, takes 8-11 s, figure 4, the
-# critical-age calibration, 5-8 s, recovery 4-6 s, and ablations, the
-# one run of the estimator at W ∈ {1, 4}, about 1 s).
+# critical-age calibration, 5-8 s, figure 6, which re-runs figure 4,
+# about 7 s, recovery 4-6 s, figures 7 and 8 about 1.5 s each, and
+# ablations, the one run of the estimator at W ∈ {1, 4}, about 1 s).
 # A PR that changes behaviour on purpose regenerates them and says why.
-FIGURES ?= 2 4 9 recovery churn scale ablations healthdigest
+FIGURES ?= 2 4 6 7 8 9 recovery churn scale ablations healthdigest
 .PHONY: figures-check
 figures-check:
 	$(GO) build -o $(CURDIR)/bin/gossipsim ./cmd/gossipsim
