@@ -3,6 +3,7 @@ package adaptivegossip
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -740,6 +741,11 @@ func TestSimulateFacade(t *testing.T) {
 	cfg.Period = 0
 	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), "period must be positive") {
 		t.Fatalf("Simulate with a zero period: got %v, want the period refused by name", err)
+	}
+	cfg.Period = time.Second
+	cfg.Loss = math.NaN()
+	if _, err := Simulate(cfg); err == nil || !strings.Contains(err.Error(), "loss must be a probability") {
+		t.Fatalf("Simulate with a NaN loss: got %v, want the loss refused by name", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gossipsim -figure all            # everything (minutes)
+//	gossipsim -figure all            # every figure below (minutes)
 //	gossipsim -figure 2              # reliability vs input rate
 //	gossipsim -figure 4              # max input rate vs buffer (+T1 critical age)
 //	gossipsim -figure 6              # offered/allowed/maximum rates
@@ -125,9 +125,9 @@ func run(args []string) error {
 	case "7", "8":
 		return figures78(base, buffers, *seeds, *figure)
 	case "9":
-		return figure9(base, buffers, *seeds)
+		return figure9(base, *seeds)
 	case "9rt":
-		return figure9rt(base, buffers, *seeds, *scale)
+		return figure9rt(base, *seeds, *scale)
 	case "ablations":
 		return ablations(base, *seeds)
 	case "recovery":
@@ -170,6 +170,12 @@ func run(args []string) error {
 			return err
 		}
 		if err := wirecostSweep(*fast); err != nil {
+			return err
+		}
+		if err := healthdigestSweep(*fast, *seed); err != nil {
+			return err
+		}
+		if err := scaleSweep(*fast, *seed); err != nil {
 			return err
 		}
 		fmt.Printf("\n# total wall time: %v\n", time.Since(started).Round(time.Second))
@@ -272,7 +278,7 @@ func figures78(base experiments.Config, buffers []int, seeds int, which string) 
 	return nil
 }
 
-func figure9(base experiments.Config, buffers []int, seeds int) error {
+func figure9(base experiments.Config, seeds int) error {
 	fig4, err := experiments.RunFigure4(base, []int{45, 60, 90}, 95, seeds)
 	if err != nil {
 		return err
@@ -294,7 +300,7 @@ func figure9WithFit(base experiments.Config, fig4 []experiments.Figure4Row) erro
 	return nil
 }
 
-func figure9rt(base experiments.Config, buffers []int, seeds int, scale float64) error {
+func figure9rt(base experiments.Config, seeds int, scale float64) error {
 	fig4, err := experiments.RunFigure4(base, []int{45, 60, 90}, 95, seeds)
 	if err != nil {
 		return err

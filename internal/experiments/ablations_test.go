@@ -5,70 +5,43 @@ import (
 	"testing"
 )
 
-func TestAblationTokenCheckShowsInflation(t *testing.T) {
-	base := smallConfig()
-	rows, err := RunAblationTokenCheck(base, 1)
+// TestAblationBattery runs the A1–A4 battery once: every A1/A3/A4
+// variant keeps the group admitting load, A2 without the avgTokens
+// guard inflates the allowance, and the render names each study.
+func TestAblationBattery(t *testing.T) {
+	rows, err := RunAblations(smallConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
+	studies := map[string][]AblationRow{}
+	for _, r := range rows {
+		key := r.Study[:2]
+		studies[key] = append(studies[key], r)
 	}
-	withCheck, without := rows[0], rows[1]
+	for key, want := range map[string]int{"A1": 2, "A2": 2, "A3": 3, "A4": 2} {
+		if len(studies[key]) != want {
+			t.Fatalf("%s: %d rows, want %d", key, len(studies[key]), want)
+		}
+	}
+	for _, key := range []string{"A1", "A3", "A4"} {
+		for _, r := range studies[key] {
+			if r.AllowedMean <= 0 {
+				t.Fatalf("variant dead, allowed mean empty: %+v", r)
+			}
+		}
+	}
 	// Without the guard, the unused allowance inflates well beyond the
 	// guarded variant's.
+	withCheck, without := studies["A2"][0], studies["A2"][1]
 	if without.AllowedMean < 1.5*withCheck.AllowedMean {
 		t.Fatalf("no inflation visible: with=%.2f without=%.2f",
 			withCheck.AllowedMean, without.AllowedMean)
 	}
 	var sb strings.Builder
 	RenderAblations(&sb, rows)
-	if !strings.Contains(sb.String(), "avgTokens") {
-		t.Fatal("render missing study name")
-	}
-}
-
-func TestAblationRandomizationRuns(t *testing.T) {
-	base := smallConfig()
-	base.Duration = 100 * 1e9 // 100s
-	rows, err := RunAblationRandomization(base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
-	}
 	for _, r := range rows {
-		if r.AllowedMean <= 0 {
-			t.Fatalf("allowed mean empty: %+v", r)
+		if !strings.Contains(sb.String(), r.Study) {
+			t.Fatalf("render missing study %q", r.Study)
 		}
-	}
-}
-
-func TestAblationWindowRuns(t *testing.T) {
-	base := smallConfig()
-	rows, err := RunAblationWindow(base, []int{1, 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	// Both variants keep the group functional.
-	for _, r := range rows {
-		if r.AllowedMean <= 0 {
-			t.Fatalf("window variant dead: %+v", r)
-		}
-	}
-}
-
-func TestAblationAlphaRuns(t *testing.T) {
-	base := smallConfig()
-	rows, err := RunAblationAlpha(base, []float64{0.5, 0.9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
 	}
 }

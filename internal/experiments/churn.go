@@ -61,60 +61,42 @@ const ChurnDowntime = 40
 // RunChurn sweeps the churn rate (crash events per minute) and measures
 // delivery and view accuracy with the failure detector disabled and
 // enabled. The crash/restart trace, workload and membership are
-// identical between the paired runs. Churn points and their off/on arms
-// run on the package worker pool.
+// identical between the paired runs, which are adjacent entries of one
+// sweep.
 func RunChurn(base Config, rates []float64, seeds int) ([]ChurnRow, error) {
-	rows := make([]ChurnRow, len(rates))
-	err := forEach(len(rates), func(i int) error {
-		rate := rates[i]
+	downFor := time.Duration(ChurnDowntime) * base.Period
+	cfgs := make([]Config, 0, 2*len(rates))
+	for _, rate := range rates {
 		cfg := base
-		downFor := time.Duration(ChurnDowntime) * cfg.Period
 		// Churn runs from shortly after start through the end of the
 		// measured window; restarts beyond the window land in the drain.
 		cfg.Crashes, cfg.Restarts = workload.ChurnTrace(
 			cfg.N, rate/60, downFor, cfg.Warmup/2, cfg.Warmup/2+cfg.Duration, cfg.Seed)
-
-		offRes, onRes, err := runPair(
-			func() (RunResult, error) {
-				off := cfg
-				off.FailureDetection = false
-				res, err := RunSeeds(off, seeds)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("churn experiment rate %v (off): %w", rate, err)
-				}
-				return res, nil
-			},
-			func() (RunResult, error) {
-				on := cfg
-				on.FailureDetection = true
-				res, err := RunSeeds(on, seeds)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("churn experiment rate %v (on): %w", rate, err)
-				}
-				return res, nil
-			})
-		if err != nil {
-			return err
+		for _, on := range []bool{false, true} {
+			cfg.FailureDetection = on
+			cfgs = append(cfgs, cfg)
 		}
-
-		row := ChurnRow{
-			Rate:            rate,
-			OffCoveragePct:  offRes.Summary.MeanReceiversPct,
-			OnCoveragePct:   onRes.Summary.MeanReceiversPct,
-			OffViewAccPct:   offRes.ViewAccuracyPct,
-			OnViewAccPct:    onRes.ViewAccuracyPct,
-			DetectionRounds: onRes.DetectionLatencyRounds,
-			Confirms:        onRes.Failure.Confirms,
-			FalseConfirms:   onRes.FalseConfirms,
-		}
-		if g := onRes.Network.GossipSent; g > 0 {
-			row.OverheadPct = 100 * float64(onRes.Network.ProbeSent()) / float64(g)
-		}
-		rows[i] = row
-		return nil
-	})
+	}
+	res, err := sweep(cfgs, seeds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("churn experiment: %w", err)
+	}
+	rows := make([]ChurnRow, len(rates))
+	for i, rate := range rates {
+		off, on := res[2*i], res[2*i+1]
+		rows[i] = ChurnRow{
+			Rate:            rate,
+			OffCoveragePct:  off.Summary.MeanReceiversPct,
+			OnCoveragePct:   on.Summary.MeanReceiversPct,
+			OffViewAccPct:   off.ViewAccuracyPct,
+			OnViewAccPct:    on.ViewAccuracyPct,
+			DetectionRounds: on.DetectionLatencyRounds,
+			Confirms:        on.Failure.Confirms,
+			FalseConfirms:   on.FalseConfirms,
+		}
+		if g := on.Network.GossipSent; g > 0 {
+			rows[i].OverheadPct = 100 * float64(on.Network.ProbeSent()) / float64(g)
+		}
 	}
 	return rows, nil
 }

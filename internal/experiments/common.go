@@ -75,9 +75,10 @@ type Config struct {
 	ViewSize int
 	// ProximityWeight, when non-zero, is the weight of same-region
 	// peers in partial-view sampling (cross-region peers weigh 1): Haas
-	// et al.'s topology-aware gossip. Zero samples uniformly.
+	// et al.'s topology-aware gossip, finite and at least 1. Zero
+	// samples uniformly.
 	ProximityWeight float64
-	// Loss is the iid message loss probability.
+	// Loss is the iid message loss probability, in [0, 1].
 	Loss float64
 	// Recovery enables the digest-based anti-entropy pull-repair
 	// subsystem (internal/recovery) at every node.
@@ -187,6 +188,9 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.OfferedRate) || math.IsInf(c.OfferedRate, 0) || c.OfferedRate < 0 {
 		return fmt.Errorf("experiments: offered rate must be finite and non-negative, got %v", c.OfferedRate)
 	}
+	if !(c.Loss >= 0 && c.Loss <= 1) {
+		return fmt.Errorf("experiments: loss must be a probability in [0, 1], got %v", c.Loss)
+	}
 	if c.Period <= 0 {
 		return fmt.Errorf("experiments: period must be positive, got %v", c.Period)
 	}
@@ -207,8 +211,8 @@ func (c Config) Validate() error {
 	if c.ViewSize > 0 && (c.PerNodeViews || len(c.Joins) > 0) {
 		return fmt.Errorf("experiments: partial views (ViewSize) do not combine with PerNodeViews or Joins")
 	}
-	if c.ProximityWeight != 0 && c.ProximityWeight < 1 {
-		return fmt.Errorf("experiments: proximity weight %v must be 0 or at least 1", c.ProximityWeight)
+	if w := c.ProximityWeight; math.IsNaN(w) || math.IsInf(w, 0) || (w != 0 && w < 1) {
+		return fmt.Errorf("experiments: proximity weight %v must be 0 or finite and at least 1", w)
 	}
 	if c.ProximityWeight != 0 && (c.ViewSize == 0 || c.Topology.Regions < 2) {
 		return fmt.Errorf("experiments: proximity weight needs partial views and a topology of at least 2 regions")
@@ -253,7 +257,7 @@ type RunResult struct {
 	// AvgDroppedAge is the mean age of capacity-dropped events across
 	// all nodes within the window — the §2.3 congestion signal.
 	AvgDroppedAge float64
-	// DroppedEvents counts capacity drops in the window; RunSeeds
+	// DroppedEvents counts capacity drops in the window; foldSeeds
 	// weights each seed's AvgDroppedAge by it.
 	DroppedEvents uint64
 	// AllowedRate is the aggregate allowed sending rate (adaptive runs;
@@ -296,7 +300,7 @@ type RunResult struct {
 	// over the same deliveries.
 	Hops observe.HistogramSnapshot
 	// DuplicateDeliveries counts repeated (event, member) deliveries over
-	// the whole run: 0 is exactly once, and RunSeeds refuses any other.
+	// the whole run: 0 is exactly once, and every sweep refuses any other.
 	DuplicateDeliveries uint64
 }
 
@@ -743,28 +747,15 @@ func runExactlyOnce(cfg Config) (RunResult, error) {
 }
 
 // RunSeeds runs cfg with consecutive seeds and folds the results with
-// foldSeeds.
-//
-// Seed replications are independent (each run owns its scheduler,
-// network and RNGs, all derived from its seed), so they execute on the
-// package worker pool; results are folded in seed order afterwards,
-// keeping the output identical to a sequential sweep.
+// foldSeeds: a sweep of one config, so the seed replications share the
+// package worker pool and fold in seed order, identical to a
+// sequential run.
 func RunSeeds(cfg Config, seeds int) (RunResult, error) {
-	if seeds <= 0 {
-		seeds = 1
-	}
-	results := make([]RunResult, seeds)
-	err := forEach(seeds, func(s int) error {
-		c := cfg
-		c.Seed = cfg.Seed + int64(s)
-		var err error
-		results[s], err = runExactlyOnce(c)
-		return err
-	})
+	res, err := sweep([]Config{cfg}, seeds)
 	if err != nil {
 		return RunResult{}, err
 	}
-	return foldSeeds(results), nil
+	return res[0], nil
 }
 
 // foldSeeds averages the scalar results of a seed sweep. Series come

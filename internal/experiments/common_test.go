@@ -36,6 +36,7 @@ func smallConfig() Config {
 // nanosecond.
 func TestConfigValidate(t *testing.T) {
 	const badRate, badPeriod = "offered rate must be finite and non-negative", "period must be positive"
+	const badLoss, badWeight = "loss must be a probability in [0, 1]", "proximity weight"
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -63,6 +64,15 @@ func TestConfigValidate(t *testing.T) {
 		{"proximity weight below 1", func(c *Config) {
 			c.ViewSize, c.Topology, c.ProximityWeight = 8, twoRegions(), 0.5
 		}, ""},
+		{"NaN proximity weight", func(c *Config) {
+			c.ViewSize, c.Topology, c.ProximityWeight = 8, twoRegions(), math.NaN()
+		}, badWeight},
+		{"infinite proximity weight", func(c *Config) {
+			c.ViewSize, c.Topology, c.ProximityWeight = 8, twoRegions(), math.Inf(1)
+		}, badWeight},
+		{"negative loss", func(c *Config) { c.Loss = -0.2 }, badLoss},
+		{"NaN loss", func(c *Config) { c.Loss = math.NaN() }, badLoss},
+		{"loss above 1", func(c *Config) { c.Loss = 1.5 }, badLoss},
 		{"proximity weight without views", func(c *Config) { c.Topology, c.ProximityWeight = twoRegions(), 8 }, ""},
 		{"proximity weight in one region", func(c *Config) {
 			c.ViewSize, c.ProximityWeight = 8, 8

@@ -114,9 +114,6 @@ func (c Figure9Config) runConfig(adaptive bool) Config {
 	cfg.Warmup = 0
 	cfg.Duration = c.Total
 	cfg.Resizes = c.resizeSchedule()
-	if adaptive {
-		cfg.Core = DefaultExperimentCore(cfg.OfferedRate / float64(orAll(cfg.Senders, cfg.N)))
-	}
 	return cfg
 }
 
@@ -133,29 +130,14 @@ func (c Figure9Config) bufferAt(t time.Duration) int {
 }
 
 // RunFigure9Sim runs the dynamic scenario on the discrete-event
-// simulator, once adaptive and once with the baseline (the two arms
-// fan out on the package worker pool), and assembles the Fig. 9(a)+(b)
-// series.
+// simulator, once adaptive and once with the baseline (a two-config
+// sweep), and assembles the Fig. 9(a)+(b) series.
 func RunFigure9Sim(cfg Figure9Config) (Figure9Result, error) {
-	ad, lp, err := runPair(
-		func() (RunResult, error) {
-			res, err := Run(cfg.runConfig(true))
-			if err != nil {
-				return RunResult{}, fmt.Errorf("figure 9 adaptive: %w", err)
-			}
-			return res, nil
-		},
-		func() (RunResult, error) {
-			res, err := Run(cfg.runConfig(false))
-			if err != nil {
-				return RunResult{}, fmt.Errorf("figure 9 lpbcast: %w", err)
-			}
-			return res, nil
-		})
+	res, err := sweep([]Config{cfg.runConfig(true), cfg.runConfig(false)}, 1)
 	if err != nil {
-		return Figure9Result{}, err
+		return Figure9Result{}, fmt.Errorf("figure 9: %w", err)
 	}
-	return assembleFigure9(cfg, ad, lp), nil
+	return assembleFigure9(cfg, res[0], res[1]), nil
 }
 
 func assembleFigure9(cfg Figure9Config, ad, lp RunResult) Figure9Result {

@@ -21,31 +21,29 @@ type Figure2Row struct {
 	Hops    observe.HistogramSnapshot
 }
 
-// RunFigure2 sweeps the offered rate with the baseline algorithm. The
-// rate points run on the package worker pool, assembled in input order.
+// RunFigure2 sweeps the offered rate with the baseline algorithm: one
+// sweep over the rate points, rows in input order.
 func RunFigure2(base Config, rates []float64, seeds int) ([]Figure2Row, error) {
-	rows := make([]Figure2Row, len(rates))
-	err := forEach(len(rates), func(i int) error {
-		rate := rates[i]
-		cfg := base
-		cfg.Adaptive = false
-		cfg.OfferedRate = rate
-		res, err := RunSeeds(cfg, seeds)
-		if err != nil {
-			return fmt.Errorf("figure 2 rate %v: %w", rate, err)
-		}
-		rows[i] = Figure2Row{
-			Rate:             rate,
-			AtomicityPct:     res.Summary.AtomicityPct,
-			MeanReceiversPct: res.Summary.MeanReceiversPct,
-			AvgDroppedAge:    res.AvgDroppedAge,
-			Latency:          res.Latency,
-			Hops:             res.Hops,
-		}
-		return nil
-	})
+	cfgs := make([]Config, len(rates))
+	for i, rate := range rates {
+		cfgs[i] = base
+		cfgs[i].Adaptive = false
+		cfgs[i].OfferedRate = rate
+	}
+	res, err := sweep(cfgs, seeds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure 2: %w", err)
+	}
+	rows := make([]Figure2Row, len(rates))
+	for i, r := range res {
+		rows[i] = Figure2Row{
+			Rate:             rates[i],
+			AtomicityPct:     r.Summary.AtomicityPct,
+			MeanReceiversPct: r.Summary.MeanReceiversPct,
+			AvgDroppedAge:    r.AvgDroppedAge,
+			Latency:          r.Latency,
+			Hops:             r.Hops,
+		}
 	}
 	return rows, nil
 }
@@ -74,71 +72,63 @@ type Figure4Row struct {
 
 // RunFigure4 finds, for each buffer size, the maximum aggregate rate
 // that still delivers messages to at least targetPct of members on
-// average (paper: 95%), by bisection over the offered rate. The
-// per-buffer bisections are independent and run on the package worker
-// pool; each bisection stays sequential (every probe depends on the
-// last).
+// average (paper: 95%), by bisection over the offered rate between a
+// trickle (0.5 msg/s) and buffer msg/s, since rates scale about
+// linearly with the buffer. Every probe of a bisection depends on the
+// last, so the bisections advance in lockstep: each step is one sweep
+// over the buffers still bisecting. The first step probes the trickle,
+// and a buffer that fails even that reports it as the floor; the next
+// eight probe each remaining buffer's midpoint.
 func RunFigure4(base Config, buffers []int, targetPct float64, seeds int) ([]Figure4Row, error) {
 	if targetPct <= 0 {
 		targetPct = 95
 	}
 	rows := make([]Figure4Row, len(buffers))
-	err := forEach(len(buffers), func(i int) error {
-		row, err := maxRateFor(base, buffers[i], targetPct, seeds)
-		if err != nil {
-			return fmt.Errorf("figure 4 buffer %d: %w", buffers[i], err)
+	lo := make([]float64, len(buffers))
+	hi := make([]float64, len(buffers))
+	live := make([]int, len(buffers))
+	for i, buffer := range buffers {
+		lo[i], hi[i], live[i] = 0.5, float64(buffer), i
+	}
+	for step := 0; step <= 8 && len(live) > 0; step++ {
+		cfgs := make([]Config, len(live))
+		for j, i := range live {
+			cfgs[j] = base
+			cfgs[j].Adaptive = false
+			cfgs[j].Buffer = buffers[i]
+			cfgs[j].OfferedRate = lo[i]
+			if step > 0 {
+				cfgs[j].OfferedRate = (lo[i] + hi[i]) / 2
+			}
 		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		res, err := sweep(cfgs, seeds)
+		if err != nil {
+			return nil, fmt.Errorf("figure 4: %w", err)
+		}
+		next := live[:0]
+		for j, i := range live {
+			rate, covered := cfgs[j].OfferedRate, res[j].Summary.MeanReceiversPct >= targetPct
+			if covered || step == 0 {
+				rows[i] = Figure4Row{
+					Buffer:        buffers[i],
+					MaxRate:       rate,
+					AvgDroppedAge: res[j].AvgDroppedAge,
+					CoveragePct:   res[j].Summary.MeanReceiversPct,
+				}
+			}
+			switch {
+			case covered:
+				lo[i] = rate
+			case step > 0:
+				hi[i] = rate
+			default:
+				continue // even a trickle fails: the floor stands
+			}
+			next = append(next, i)
+		}
+		live = next
 	}
 	return rows, nil
-}
-
-func maxRateFor(base Config, buffer int, targetPct float64, seeds int) (Figure4Row, error) {
-	cfg := base
-	cfg.Adaptive = false
-	cfg.Buffer = buffer
-
-	measure := func(rate float64) (RunResult, error) {
-		c := cfg
-		c.OfferedRate = rate
-		return RunSeeds(c, seeds)
-	}
-
-	// Bracket: grow hi until coverage drops below target (or a cap).
-	lo, hi := 0.5, float64(buffer) // rates scale ~linearly with buffer
-	loRes, err := measure(lo)
-	if err != nil {
-		return Figure4Row{}, err
-	}
-	if loRes.Summary.MeanReceiversPct < targetPct {
-		// Even a trickle fails: report the floor.
-		return Figure4Row{Buffer: buffer, MaxRate: lo,
-			AvgDroppedAge: loRes.AvgDroppedAge, CoveragePct: loRes.Summary.MeanReceiversPct}, nil
-	}
-	best := loRes
-	bestRate := lo
-	for iter := 0; iter < 8; iter++ {
-		mid := (lo + hi) / 2
-		res, err := measure(mid)
-		if err != nil {
-			return Figure4Row{}, err
-		}
-		if res.Summary.MeanReceiversPct >= targetPct {
-			lo, best, bestRate = mid, res, mid
-		} else {
-			hi = mid
-		}
-	}
-	return Figure4Row{
-		Buffer:        buffer,
-		MaxRate:       bestRate,
-		AvgDroppedAge: best.AvgDroppedAge,
-		CoveragePct:   best.Summary.MeanReceiversPct,
-	}, nil
 }
 
 // CriticalAge is the §2.3 calibration: the mean of the per-buffer
@@ -204,39 +194,29 @@ func RunFigure6(base Config, buffers []int, fig4 []Figure4Row, seeds int) ([]Fig
 	for _, r := range fig4 {
 		maxFor[r.Buffer] = r.MaxRate
 	}
-	rows := make([]Figure6Row, len(buffers))
-	err := forEach(len(buffers), func(i int) error {
-		buffer := buffers[i]
-		cfg := base
-		cfg.Adaptive = true
-		cfg.Buffer = buffer
-		cfg.Core = DefaultExperimentCore(cfg.OfferedRate / float64(orAll(cfg.Senders, cfg.N)))
-		res, err := RunSeeds(cfg, seeds)
-		if err != nil {
-			return fmt.Errorf("figure 6 buffer %d: %w", buffer, err)
-		}
-		rows[i] = Figure6Row{
-			Buffer:  buffer,
-			Offered: cfg.OfferedRate,
-			Allowed: res.AllowedRate,
-			Maximum: maxFor[buffer],
-			Input:   res.InputRate,
-			Latency: res.Latency,
-			Hops:    res.Hops,
-		}
-		return nil
-	})
+	cfgs := make([]Config, len(buffers))
+	for i, buffer := range buffers {
+		cfgs[i] = base
+		cfgs[i].Adaptive = true
+		cfgs[i].Buffer = buffer
+	}
+	res, err := sweep(cfgs, seeds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure 6: %w", err)
+	}
+	rows := make([]Figure6Row, len(buffers))
+	for i, r := range res {
+		rows[i] = Figure6Row{
+			Buffer:  buffers[i],
+			Offered: base.OfferedRate,
+			Allowed: r.AllowedRate,
+			Maximum: maxFor[buffers[i]],
+			Input:   r.InputRate,
+			Latency: r.Latency,
+			Hops:    r.Hops,
+		}
 	}
 	return rows, nil
-}
-
-func orAll(senders, n int) int {
-	if senders <= 0 || senders > n {
-		return n
-	}
-	return senders
 }
 
 // RenderFigure6 prints the Figure 6 series.

@@ -33,39 +33,26 @@ type Figure8Row struct {
 
 // RunFigures78 sweeps buffer sizes running the baseline and the
 // adaptive algorithm at the same constant offered load, returning both
-// figures' rows from the same runs (as the paper does). Buffer points
-// run on the package worker pool; within a point, the baseline/adaptive
-// pair fans out too.
+// figures' rows from the same runs (as the paper does). The two arms of
+// each buffer are adjacent entries of one sweep.
 func RunFigures78(base Config, buffers []int, seeds int) ([]Figure7Row, []Figure8Row, error) {
+	cfgs := make([]Config, 0, 2*len(buffers))
+	for _, buffer := range buffers {
+		cfg := base
+		cfg.Buffer = buffer
+		for _, adaptive := range []bool{false, true} {
+			cfg.Adaptive = adaptive
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	res, err := sweep(cfgs, seeds)
+	if err != nil {
+		return nil, nil, fmt.Errorf("figure 7/8: %w", err)
+	}
 	rows7 := make([]Figure7Row, len(buffers))
 	rows8 := make([]Figure8Row, len(buffers))
-	err := forEach(len(buffers), func(i int) error {
-		buffer := buffers[i]
-		lp, ad, err := runPair(
-			func() (RunResult, error) {
-				lpCfg := base
-				lpCfg.Adaptive = false
-				lpCfg.Buffer = buffer
-				res, err := RunSeeds(lpCfg, seeds)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("figure 7/8 lpbcast buffer %d: %w", buffer, err)
-				}
-				return res, nil
-			},
-			func() (RunResult, error) {
-				adCfg := base
-				adCfg.Adaptive = true
-				adCfg.Buffer = buffer
-				adCfg.Core = DefaultExperimentCore(adCfg.OfferedRate / float64(orAll(adCfg.Senders, adCfg.N)))
-				res, err := RunSeeds(adCfg, seeds)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("figure 7/8 adaptive buffer %d: %w", buffer, err)
-				}
-				return res, nil
-			})
-		if err != nil {
-			return err
-		}
+	for i, buffer := range buffers {
+		lp, ad := res[2*i], res[2*i+1]
 		rows7[i] = Figure7Row{
 			Buffer:       buffer,
 			LpInput:      lp.InputRate,
@@ -86,10 +73,6 @@ func RunFigures78(base Config, buffers []int, seeds int) ([]Figure7Row, []Figure
 			LpAtomicity:     lp.Summary.AtomicityPct,
 			AdAtomicity:     ad.Summary.AtomicityPct,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	return rows7, rows8, nil
 }

@@ -7,54 +7,37 @@ import (
 )
 
 // The sweep engine fans independent, deterministically-seeded
-// simulation runs across a bounded worker pool. Every parameter point
-// and seed replication writes its result into its own input-order slot,
-// and all aggregation walks those slots sequentially afterwards, so a
-// parallel sweep is bit-identical to the sequential one — parallelism
-// only changes wall-clock time, never output.
+// simulation runs across a bounded worker pool. Every (config, seed)
+// run writes its result into its own input-order slot, and all
+// aggregation walks those slots sequentially afterwards, so a parallel
+// sweep is bit-identical to the sequential one — parallelism only
+// changes wall-clock time, never output.
+//
+// The pool is one level deep. A figure builds its whole list of
+// configs and hands it to sweep once (Figure 4's bisections advance in
+// lockstep, one sweep per step), so no sweep starts inside another and
+// each pool needs only its own Parallelism() workers: there is no
+// process-wide slot budget to share and nothing that could deadlock.
 
-var (
-	parMu sync.RWMutex
-	// parallelism is the maximum number of simulation runs in flight at
-	// once (the caller's goroutine plus parallelism-1 pool workers).
-	parallelism = runtime.GOMAXPROCS(0)
-	// workSlots tokens gate the pool workers. Nested sweeps (a figure
-	// over buffers whose points each average seeds) share the same
-	// tokens: whoever asks first gets the free cores, everyone else
-	// degrades to inline execution, so total concurrency stays bounded
-	// and nesting cannot deadlock.
-	workSlots = newSlots(runtime.GOMAXPROCS(0))
-)
-
-func newSlots(n int) chan struct{} {
-	if n <= 1 {
-		return nil
-	}
-	return make(chan struct{}, n-1)
-}
+// parallelism is the bound SetParallelism last set; 0 means GOMAXPROCS.
+var parallelism atomic.Int64
 
 // SetParallelism bounds the number of concurrently executing
 // experiment runs. Values below 1 mean 1 (fully sequential). The
 // default is GOMAXPROCS. It only affects sweeps started afterwards.
 func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parMu.Lock()
-	parallelism = n
-	workSlots = newSlots(n)
-	parMu.Unlock()
+	parallelism.Store(int64(max(n, 1)))
 }
 
 // Parallelism reports the current worker-pool bound.
 func Parallelism() int {
-	parMu.RLock()
-	defer parMu.RUnlock()
-	return parallelism
+	if n := parallelism.Load(); n > 0 {
+		return int(n)
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(0..n-1) with the caller participating as one worker
-// and up to the free pool-slot count of extra workers, all pulling
+// forEach runs fn(0..n-1) on up to Parallelism() workers, all pulling
 // indices from a shared queue — so a worker finishing early immediately
 // picks up the next index instead of idling behind a slow sibling.
 // Each iteration owns its own output slot (closured by fn), so
@@ -63,75 +46,58 @@ func Parallelism() int {
 // return); the returned error is the lowest-index failure among the
 // iterations that ran.
 func forEach(n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	parMu.RLock()
-	slots := workSlots
-	parMu.RUnlock()
 	errs := make([]error, n)
 	var failed atomic.Bool
 	var next atomic.Int64
-	worker := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() {
-				return
-			}
-			if err := fn(i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}
-	}
-	// Recruit extra workers while free slots and unclaimed indices
-	// remain; the caller always works too, so a nil pool (parallelism
-	// 1) degrades to the plain sequential loop.
 	var wg sync.WaitGroup
-	if slots != nil {
-	recruit:
-		for extra := 0; extra < n-1; extra++ {
-			select {
-			case slots <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer func() { <-slots }()
-					worker()
-				}()
-			default:
-				break recruit
+	for range min(n, Parallelism()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed.Load() {
+					return
+				}
+				if err := fn(i); err != nil {
+					errs[i] = err
+					failed.Store(true)
+				}
 			}
-		}
+		}()
 	}
-	worker()
 	wg.Wait()
-	return firstError(errs)
-}
-
-// runPair fans an independent two-arm measurement (a baseline/treated
-// pair, an off/on pair) out on the worker pool and returns both
-// results. It is the shared shape of the paired sweeps (figures 7/8,
-// figure 9, recovery, churn).
-func runPair(a, b func() (RunResult, error)) (RunResult, RunResult, error) {
-	var resA, resB RunResult
-	err := forEach(2, func(arm int) error {
-		var err error
-		if arm == 0 {
-			resA, err = a()
-		} else {
-			resB, err = b()
-		}
-		return err
-	})
-	return resA, resB, err
-}
-
-func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// sweep runs every config in cfgs with seeds consecutive seeds (fewer
+// than 1 means 1), all (config, seed) runs in one queue, and folds each
+// config's runs in seed order with foldSeeds: result i belongs to
+// cfgs[i]. Every run goes through runExactlyOnce, so a run that
+// delivered an event twice to one member fails the sweep; the error
+// returned is the first failure in config order among the runs that
+// ran.
+func sweep(cfgs []Config, seeds int) ([]RunResult, error) {
+	seeds = max(seeds, 1)
+	runs := make([]RunResult, len(cfgs)*seeds)
+	err := forEach(len(runs), func(i int) error {
+		c := cfgs[i/seeds]
+		c.Seed += int64(i % seeds)
+		var err error
+		runs[i], err = runExactlyOnce(c)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	results := make([]RunResult, len(cfgs))
+	for i := range results {
+		results[i] = foldSeeds(runs[i*seeds : (i+1)*seeds])
+	}
+	return results, nil
 }

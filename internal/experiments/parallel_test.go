@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,40 +32,75 @@ func sweepConfig() Config {
 // TestParallelSweepBitIdentical pins the engine's core guarantee: a
 // sweep run on the worker pool produces byte-identical output to the
 // sequential engine — same rows, same rendered tables, to the last
-// bit. Every point is deterministically seeded and assembled in input
-// order, so parallelism may only change wall-clock time.
+// bit. Every (config, seed) run is deterministically seeded and folded
+// in input order, so parallelism may only change wall-clock time. The
+// inputs cover the three sweep shapes: a flat list of points (figure
+// 2), paired off/on arms (recovery) and the lockstep bisection, one
+// sweep per step (figure 4).
 func TestParallelSweepBitIdentical(t *testing.T) {
-	rates := []float64{2, 4, 6, 8}
-	seeds := 3
-
-	var seqRows, parRows []Figure2Row
-	withParallelism(1, func() {
-		rows, err := RunFigure2(sweepConfig(), rates, seeds)
-		if err != nil {
-			t.Fatalf("sequential sweep: %v", err)
-		}
-		seqRows = rows
-	})
-	withParallelism(8, func() {
-		rows, err := RunFigure2(sweepConfig(), rates, seeds)
-		if err != nil {
-			t.Fatalf("parallel sweep: %v", err)
-		}
-		parRows = rows
-	})
-
-	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Fatalf("parallel rows diverge from sequential:\nseq: %+v\npar: %+v", seqRows, parRows)
+	sweeps := []struct {
+		name   string
+		run    func() (any, error)
+		render func(w *bytes.Buffer, rows any)
+	}{
+		{"figure 2", func() (any, error) {
+			return RunFigure2(sweepConfig(), []float64{2, 4, 6, 8}, 3)
+		}, func(w *bytes.Buffer, rows any) { RenderFigure2(w, rows.([]Figure2Row)) }},
+		{"recovery", func() (any, error) {
+			cfg := recoveryTestBase()
+			cfg.Warmup, cfg.Duration = sweepConfig().Warmup, sweepConfig().Duration
+			return RunRecovery(cfg, []float64{0.1, 0.3}, 2)
+		}, func(w *bytes.Buffer, rows any) { RenderRecovery(w, rows.([]RecoveryRow)) }},
+		{"figure 4", func() (any, error) {
+			return RunFigure4(sweepConfig(), []int{10, 20}, 95, 2)
+		}, func(w *bytes.Buffer, rows any) { RenderFigure4(w, rows.([]Figure4Row)) }},
 	}
-	var seqOut, parOut bytes.Buffer
-	RenderFigure2(&seqOut, seqRows)
-	RenderFigure2(&parOut, parRows)
-	if !bytes.Equal(seqOut.Bytes(), parOut.Bytes()) {
-		t.Fatalf("rendered tables diverge:\nseq:\n%s\npar:\n%s", seqOut.String(), parOut.String())
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			var seqRows, parRows any
+			withParallelism(1, func() {
+				rows, err := sw.run()
+				if err != nil {
+					t.Fatalf("sequential sweep: %v", err)
+				}
+				seqRows = rows
+			})
+			withParallelism(8, func() {
+				rows, err := sw.run()
+				if err != nil {
+					t.Fatalf("parallel sweep: %v", err)
+				}
+				parRows = rows
+			})
+			if !reflect.DeepEqual(seqRows, parRows) {
+				t.Fatalf("parallel rows diverge from sequential:\nseq: %+v\npar: %+v", seqRows, parRows)
+			}
+			var seqOut, parOut bytes.Buffer
+			sw.render(&seqOut, seqRows)
+			sw.render(&parOut, parRows)
+			if !bytes.Equal(seqOut.Bytes(), parOut.Bytes()) {
+				t.Fatalf("rendered tables diverge:\nseq:\n%s\npar:\n%s", seqOut.String(), parOut.String())
+			}
+		})
 	}
 }
 
-// TestParallelSeedsBitIdentical covers the inner fan-out: seed
+// TestSweepNamesFailingConfig: a sweep whose second config is invalid
+// returns that config's error under the figure's label, at any
+// parallelism.
+func TestSweepNamesFailingConfig(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		withParallelism(par, func() {
+			_, err := RunFigure2(sweepConfig(), []float64{2, math.NaN(), 4}, 2)
+			if err == nil || !strings.Contains(err.Error(), "figure 2") ||
+				!strings.Contains(err.Error(), "offered rate") {
+				t.Fatalf("parallelism %d: got %v, want an error naming figure 2 and the offered rate", par, err)
+			}
+		})
+	}
+}
+
+// TestParallelSeedsBitIdentical covers a one-config sweep: seed
 // replications of one point, pooled and averaged.
 func TestParallelSeedsBitIdentical(t *testing.T) {
 	var seq, par RunResult

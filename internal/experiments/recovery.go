@@ -52,57 +52,39 @@ func DefaultRecoveryConfig(base Config) Config {
 
 // RunRecovery sweeps the loss rate and measures delivery with the
 // anti-entropy subsystem disabled and enabled. Everything else —
-// workload, seeds, membership — is identical between the paired runs.
-// Loss points and their off/on arms run on the package worker pool.
+// workload, seeds, membership — is identical between the paired runs,
+// which are adjacent entries of one sweep.
 func RunRecovery(base Config, losses []float64, seeds int) ([]RecoveryRow, error) {
-	rows := make([]RecoveryRow, len(losses))
-	err := forEach(len(losses), func(i int) error {
-		loss := losses[i]
+	cfgs := make([]Config, 0, 2*len(losses))
+	for _, loss := range losses {
 		cfg := base
 		cfg.Loss = loss
-
-		offRes, onRes, err := runPair(
-			func() (RunResult, error) {
-				off := cfg
-				off.Recovery = false
-				res, err := RunSeeds(off, seeds)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("recovery experiment loss %v (off): %w", loss, err)
-				}
-				return res, nil
-			},
-			func() (RunResult, error) {
-				on := cfg
-				on.Recovery = true
-				res, err := RunSeeds(on, seeds)
-				if err != nil {
-					return RunResult{}, fmt.Errorf("recovery experiment loss %v (on): %w", loss, err)
-				}
-				return res, nil
-			})
-		if err != nil {
-			return err
+		for _, on := range []bool{false, true} {
+			cfg.Recovery = on
+			cfgs = append(cfgs, cfg)
 		}
-
-		row := RecoveryRow{
-			Loss:            loss,
-			OffCoveragePct:  offRes.Summary.MeanReceiversPct,
-			OnCoveragePct:   onRes.Summary.MeanReceiversPct,
-			OffAtomicityPct: offRes.Summary.AtomicityPct,
-			OnAtomicityPct:  onRes.Summary.AtomicityPct,
-			EventsRecovered: onRes.Recovery.EventsRecovered,
-			IDsRequested:    onRes.Recovery.IDsRequested,
-			ServeRatio:      serveRatio(onRes.Recovery),
-		}
-		if g := onRes.Network.GossipSent; g > 0 {
-			ctrl := onRes.Network.RecoveryRequestSent + onRes.Network.RecoveryResponseSent
-			row.OverheadPct = 100 * float64(ctrl) / float64(g)
-		}
-		rows[i] = row
-		return nil
-	})
+	}
+	res, err := sweep(cfgs, seeds)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("recovery experiment: %w", err)
+	}
+	rows := make([]RecoveryRow, len(losses))
+	for i, loss := range losses {
+		off, on := res[2*i], res[2*i+1]
+		rows[i] = RecoveryRow{
+			Loss:            loss,
+			OffCoveragePct:  off.Summary.MeanReceiversPct,
+			OnCoveragePct:   on.Summary.MeanReceiversPct,
+			OffAtomicityPct: off.Summary.AtomicityPct,
+			OnAtomicityPct:  on.Summary.AtomicityPct,
+			EventsRecovered: on.Recovery.EventsRecovered,
+			IDsRequested:    on.Recovery.IDsRequested,
+			ServeRatio:      serveRatio(on.Recovery),
+		}
+		if g := on.Network.GossipSent; g > 0 {
+			ctrl := on.Network.RecoveryRequestSent + on.Network.RecoveryResponseSent
+			rows[i].OverheadPct = 100 * float64(ctrl) / float64(g)
+		}
 	}
 	return rows, nil
 }

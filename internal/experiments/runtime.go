@@ -34,9 +34,7 @@ func RunFigure9Runtime(cfg Figure9Config, scale float64) (Figure9Result, error) 
 	scaled.ChangeAt2 = shrink(cfg.ChangeAt2)
 	scaled.Total = shrink(cfg.Total)
 
-	adCfg := scaled.runConfig(true)
-	adCfg.Core = DefaultExperimentCore(adCfg.OfferedRate / float64(orAll(adCfg.Senders, adCfg.N)))
-	ad, err := RunRuntime(adCfg)
+	ad, err := RunRuntime(scaled.runConfig(true))
 	if err != nil {
 		return Figure9Result{}, fmt.Errorf("figure 9 runtime adaptive: %w", err)
 	}

@@ -92,7 +92,7 @@ func (r ScaleRow) Mode() string {
 // proximity-biased sampling. Cells are independent runs (all randomness
 // derived from the seed by node index), so they fan out on the package
 // worker pool; rows come back in input order, bit-identical to a
-// sequential sweep. Like RunSeeds, it refuses a cell that delivered an
+// sequential sweep. Like sweep, it refuses a cell that delivered an
 // event twice to one member.
 func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 	if len(cfg.Sizes) == 0 {
