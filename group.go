@@ -39,7 +39,7 @@ type group struct {
 	done    chan struct{}
 }
 
-// errNotRunning answers calls that must run inside a member's loop
+// errNotRunning answers calls that must run under a member's lock
 // before Start or after Close.
 var errNotRunning = errors.New("adaptivegossip: group is not running")
 
@@ -86,7 +86,7 @@ func (g *group) open(cfg Config, fabricSeed int64) error {
 }
 
 // deliver feeds one delivery to the Events streams and the WithDeliver
-// callback. It runs on the delivering member's loop goroutine.
+// callback. It runs under the delivering member's lock.
 func (g *group) deliver(d Delivery) {
 	g.hub.publish(d)
 	if g.opts.deliver != nil {
@@ -94,7 +94,7 @@ func (g *group) deliver(d Delivery) {
 	}
 }
 
-// member is one protocol node and the loop that owns it. After start
+// member is one protocol node and the runner that owns it. After start
 // the node is touched only inside runner.Do.
 type member struct {
 	reg    *membership.Registry
@@ -157,43 +157,21 @@ func (g *group) newMember(name NodeID, cfg Config, reg *membership.Registry, rng
 
 // publish submits a broadcast through the node's admission control,
 // reporting whether it was admitted (false also when the group is not
-// running).
-func (m *member) publish(payload []byte) bool {
-	p := publishes.Get().(*publishRequest)
-	p.node, p.payload, p.admitted = m.node, payload, false
-	m.runner.Do(p.run)
-	admitted := p.admitted
-	p.node, p.payload = nil, nil
-	publishes.Put(p)
+// running). Do runs the closure before it returns, so the closure does
+// not escape and an offered publish allocates nothing.
+func (m *member) publish(payload []byte) (admitted bool) {
+	m.runner.Do(func() { _, admitted = m.node.Publish(payload, time.Now()) })
 	return admitted
 }
 
-// publishRequest carries one publish into a member's loop and its
-// verdict back. Pooled, with run bound to the object once, so an offered
-// publish — admitted or refused — allocates nothing: a closure over the
-// payload would be one heap object per call. Do has returned before the
-// request is recycled, and a Do that reports false never runs it.
-type publishRequest struct {
-	node     *core.AdaptiveNode
-	payload  []byte
-	admitted bool
-	run      func()
-}
-
-var publishes = sync.Pool{New: func() any {
-	p := &publishRequest{}
-	p.run = func() { _, p.admitted = p.node.Publish(p.payload, time.Now()) }
-	return p
-}}
-
-// setBufferCapacity resizes the node's buffer from outside the loop.
+// setBufferCapacity resizes the node's buffer under the member's lock.
 func (m *member) setBufferCapacity(capacity int) error {
 	err := errNotRunning
 	m.runner.Do(func() { err = m.node.SetBufferCapacity(capacity) })
 	return err
 }
 
-// snapshot captures the node state, serialized with the loop; the zero
+// snapshot captures the node state under the member's lock; the zero
 // snapshot when the group is not running.
 func (m *member) snapshot() NodeSnapshot {
 	var snap NodeSnapshot
@@ -235,13 +213,15 @@ func (g *group) start(ctx context.Context) error {
 		return fmt.Errorf("adaptivegossip: %s closed", g.opts.kind.noun())
 	}
 	if !g.started {
+		// Runners first: a datagram that reaches a member before its
+		// runner is running is discarded.
+		for _, r := range g.runners {
+			r.Start()
+		}
 		for _, ep := range g.eps {
 			if err := ep.Start(); err != nil {
 				return err
 			}
-		}
-		for _, r := range g.runners {
-			r.Start()
 		}
 		g.started = true
 	}
@@ -249,7 +229,7 @@ func (g *group) start(ctx context.Context) error {
 	return nil
 }
 
-// close stops every loop, then the endpoints, the fabric, the Events
+// close stops every runner, then the endpoints, the fabric, the Events
 // streams and the debug listener, returning the first error.
 // Idempotent; later calls return nil.
 func (g *group) close() error {
@@ -278,9 +258,9 @@ func (g *group) close() error {
 	return first
 }
 
-// fill adds the counters both facades report the same way: loop inbox
-// overflow, Events stream drops, the fabric's wire counters and the
-// per-peer link rows.
+// fill adds the counters both facades report the same way: messages
+// discarded by members that were not running, Events stream drops, the
+// fabric's wire counters and the per-peer link rows.
 func (g *group) fill(st *Stats) {
 	for _, r := range g.runners {
 		st.InboxDropped += r.Stats().InboxDropped

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	gossipruntime "adaptivegossip/internal/runtime"
+	"adaptivegossip/internal/transport"
 )
 
 // Both facades share one lifecycle (group.start / group.close), so its
@@ -144,9 +144,9 @@ func TestGroupLifecycle(t *testing.T) {
 }
 
 // TestInboxOverflowIsCounted: a member whose WithDeliver callback
-// blocks stops draining its loop inbox; once more than
-// DefaultInboxSize messages have arrived the overflow is dropped,
-// counted, and visible in Stats — and the group still closes.
+// blocks stops draining its endpoint's receive queue; once more than
+// transport.DefaultRecvQueue messages have arrived the overflow is
+// dropped, counted, and visible in Stats — and the group still closes.
 func TestInboxOverflowIsCounted(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Period = time.Millisecond
@@ -181,9 +181,9 @@ func TestInboxOverflowIsCounted(t *testing.T) {
 		}
 		// The blocked member neither ticks nor drains; its one peer keeps
 		// sending it a round message every period. The fabric's own counter
-		// is readable without entering a loop.
+		// is readable without taking a member's lock.
 		sentAtBlock := fabric.Stats().Sent
-		want := sentAtBlock + uint64(gossipruntime.DefaultInboxSize) + 64
+		want := sentAtBlock + uint64(transport.DefaultRecvQueue) + 64
 		deadline := time.Now().Add(20 * time.Second)
 		for fabric.Stats().Sent < want {
 			if time.Now().After(deadline) {
@@ -192,8 +192,8 @@ func TestInboxOverflowIsCounted(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		close(release)
-		if got := c.Stats().InboxDropped; got == 0 {
-			t.Fatal("Stats.InboxDropped = 0 after the inbox overflowed")
+		if got := c.Stats().Wire.RecvQueueDrops; got == 0 {
+			t.Fatal("Stats.Wire.RecvQueueDrops = 0 after the receive queue overflowed")
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

@@ -112,7 +112,7 @@ func (v *virtual) publisher(_ int, publish workload.PublishFunc) workload.Publis
 }
 
 // wall is the prototype: wall-clock timers, one loopback UDP endpoint
-// and one runtime.Runner goroutine per member. All Config durations are
+// and one runtime.Runner per member. All Config durations are
 // real time here. after callbacks are handed to the goroutine inside
 // runUntil, so run's schedule state needs no lock, and that goroutine
 // is the only caller of do, setDown and start: a member's runner is
@@ -178,15 +178,13 @@ func (w *wall) runUntil(t time.Time) {
 
 // start binds member i's endpoint on first use — every endpoint joins
 // the mesh, so members started later are reachable at once — and runs
-// a fresh runner over it.
+// a fresh runner over it. A new endpoint starts reading once its runner
+// runs.
 func (w *wall) start(i int, m gossip.Machine) error {
-	ep := w.endpoints[i]
-	if ep == nil {
+	ep, fresh := w.endpoints[i], w.endpoints[i] == nil
+	if fresh {
 		var err error
 		if ep, err = w.net.Endpoint(w.names[i]); err != nil {
-			return err
-		}
-		if err := ep.Start(); err != nil {
 			return err
 		}
 		w.endpoints[i] = ep
@@ -202,6 +200,9 @@ func (w *wall) start(i int, m gossip.Machine) error {
 	}
 	w.machines[i], w.runners[i] = m, r
 	r.Start()
+	if fresh {
+		return ep.Start()
+	}
 	return nil
 }
 
@@ -213,7 +214,7 @@ func (w *wall) do(i int, fn func()) {
 	}
 }
 
-// setDown crashes a member by detaching its endpoint's handlers (what
+// setDown crashes a member by detaching its endpoint's handler (what
 // arrives is counted as NoHandler and dropped) and stopping its runner,
 // and revives it with a fresh runner over the same machine and
 // endpoint, as a restarted process would get. The socket stays bound
@@ -227,7 +228,6 @@ func (w *wall) setDown(i int, down bool) {
 		return
 	}
 	if r := w.runners[i]; r != nil {
-		w.endpoints[i].SetHandler(nil)
 		w.endpoints[i].SetInboundHandler(nil)
 		r.Stop()
 		w.runners[i] = nil

@@ -17,7 +17,7 @@ import (
 // checkingMachine is the Machine under the lease tests: Receive verifies
 // that every payload still carries the pattern its event id implies
 // (a buffer recycled under a live lease would not) and can be held shut
-// to back the inbox up.
+// to back the transport's receive queue up.
 type checkingMachine struct {
 	gate     chan struct{} // Receive blocks until closed
 	received atomic.Uint64
@@ -49,12 +49,13 @@ func (m *checkingMachine) Receive(msg *gossip.Message, _ time.Time) []gossip.Out
 
 // TestInboundLeaseUnderOverflowAndClose hammers one UDPTransport →
 // Runner pair through the borrowed receive path: senders blast datagrams
-// while the machine is held shut, so the inbox overflows and the runner
-// releases leases it never processed; then the machine opens and the
-// transport and runner are torn down with traffic still in flight. A
-// lease released twice panics (transport.Inbound.Release), a buffer
-// recycled while its message was still being read shows up as a corrupt
-// payload, and the loops must all exit. Run with -race -count=10.
+// while the machine is held shut, so the transport's receive queue
+// overflows and releases leases nobody processed; then the machine
+// opens and the transport and runner are torn down with traffic still
+// in flight. A lease released twice panics (transport.Inbound.Release),
+// a buffer recycled while its message was still being read shows up as
+// a corrupt payload, and the goroutines must all exit. Run with -race
+// -count=10.
 func TestInboundLeaseUnderOverflowAndClose(t *testing.T) {
 	before := goruntime.NumGoroutine()
 
@@ -115,12 +116,12 @@ func TestInboundLeaseUnderOverflowAndClose(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// Phase 1: machine shut — the inbox fills and overflows.
-	waitUntil("inbox overflow", func() bool { return r.Stats().InboxDropped > 100 })
+	// Phase 1: machine shut — the receive queue fills and overflows.
+	waitUntil("receive queue overflow", func() bool { return rx.Stats().RecvQueueDrops > 100 })
 	// Phase 2: machine open — leases are processed and released while
 	// new datagrams keep arriving.
 	close(machine.gate)
-	waitUntil("processed messages", func() bool { return machine.received.Load() > DefaultInboxSize+500 })
+	waitUntil("processed messages", func() bool { return machine.received.Load() > transport.DefaultRecvQueue+500 })
 	// Phase 3: tear down mid-traffic, transport and runner at once.
 	var down sync.WaitGroup
 	down.Add(2)
@@ -169,11 +170,11 @@ func (m *roundMachine) Receive(*gossip.Message, time.Time) []gossip.Outgoing {
 	return nil
 }
 
-// TestRunnerHandoffAllocFree: a round leaving the loop — the Tick's
+// TestRunnerHandoffAllocFree: a round leaving the runner — the Tick's
 // fanout grouped and encoded once onto a UDP socket — and a message
-// queued for the loop and taken off again — the goroutine hop every
-// received message makes — allocate nothing; the lease travels by value
-// next to the message.
+// handed in under the runner's lock — the step every received message
+// takes from the transport's delivery goroutine — allocate nothing.
+// Measured on a started runner whose first tick is an hour away.
 func TestRunnerHandoffAllocFree(t *testing.T) {
 	tr, err := transport.NewUDPTransport("rx", "127.0.0.1:0")
 	if err != nil {
@@ -202,12 +203,13 @@ func TestRunnerHandoffAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.Start()
+	defer r.Stop()
 	r.tick() // sizes the grouping scratch and the pooled send buffer
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() {
 		r.tick()
-		r.enqueue(delivery{msg: msg})
-		r.receive(<-r.inbox)
+		r.receive(msg)
 	})
 	// Under the race detector the send buffers' sync.Pool drops a quarter
 	// of what is Put.
@@ -219,11 +221,11 @@ func TestRunnerHandoffAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunnerDoAllocFree: a Do call — the hop every Publish, Stats and
-// SetBufferCapacity makes into the loop — allocates nothing once a
-// request is in the pool: no channel and no wrapper per call. Measured
-// on a started runner that is otherwise idle (AllocsPerRun counts the
-// whole process), with fn built once as the callers that matter do.
+// TestRunnerDoAllocFree: a Do call — the step every Publish, Stats and
+// SetBufferCapacity takes under the runner's lock — allocates nothing:
+// no channel and no wrapper per call. Measured on a started runner that
+// is otherwise idle (AllocsPerRun counts the whole process), with fn
+// built once as the callers that matter do.
 func TestRunnerDoAllocFree(t *testing.T) {
 	ep, err := transport.NewUDPTransport("rx", "127.0.0.1:0")
 	if err != nil {
@@ -238,15 +240,194 @@ func TestRunnerDoAllocFree(t *testing.T) {
 	defer r.Stop()
 	ran := 0
 	fn := func() { ran++ }
-	if !r.Do(fn) { // warm-up: the first request is made here
+	if !r.Do(fn) { // warm-up
 		t.Fatal("Do on a running runner reported false")
 	}
 	allocs := testing.AllocsPerRun(200, func() { r.Do(fn) })
 	if ran != 202 {
 		t.Fatalf("fn ran %d times for 202 Do calls", ran)
 	}
-	// Under the race detector sync.Pool drops a quarter of what is Put.
+	// Allocation counts are exact only without the race detector.
 	if allocs != 0 && !race.Enabled {
 		t.Fatalf("Do allocates %v times per call, want 0", allocs)
+	}
+}
+
+// exclusiveMachine counts every entry into Tick, Receive and occupy
+// (what the Do callers run) and every entry that overlapped another.
+type exclusiveMachine struct {
+	inside   atomic.Bool
+	overlaps atomic.Uint64
+	ticks    atomic.Uint64
+	receives atomic.Uint64
+	dos      atomic.Uint64
+	entries  int // unsynchronized: a data race under -race unless serialized
+}
+
+func (m *exclusiveMachine) ID() gossip.NodeID { return "rx" }
+
+func (m *exclusiveMachine) Tick(time.Time) []gossip.Outgoing {
+	m.occupy()
+	m.ticks.Add(1)
+	return nil
+}
+
+func (m *exclusiveMachine) Receive(*gossip.Message, time.Time) []gossip.Outgoing {
+	m.occupy()
+	m.receives.Add(1)
+	return nil
+}
+
+// occupy holds the machine for a moment, yielding so that an entry
+// the runner failed to serialize lands inside the window.
+func (m *exclusiveMachine) occupy() {
+	if !m.inside.CompareAndSwap(false, true) {
+		m.overlaps.Add(1)
+		return
+	}
+	m.entries++
+	goruntime.Gosched()
+	m.inside.Store(false)
+}
+
+// TestRunnerSerializesMachine: ticks (1 ms period), receives from a UDP
+// flood and four goroutines calling Do all reach the Machine, and never
+// two at a time. Run with -race -count=10.
+func TestRunnerSerializesMachine(t *testing.T) {
+	rx, err := transport.NewUDPTransport("rx", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rx.Close()
+	tx, err := transport.NewUDPTransport("tx", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	if err := tx.Register("rx", rx.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	machine := &exclusiveMachine{}
+	r, err := NewRunner(Config{Node: machine, Transport: rx, Period: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	if err := rx.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	const callers, enough = 4, 200
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1 + callers)
+	go func() {
+		defer wg.Done()
+		msg := &gossip.Message{From: "tx", Events: []gossip.Event{
+			{ID: gossip.EventID{Origin: "tx", Seq: 1}, Payload: patternPayload(1)},
+		}}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx.Send("rx", msg)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	for c := 0; c < callers; c++ {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Do(func() {
+					machine.occupy()
+					machine.dos.Add(1)
+				})
+			}
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for machine.ticks.Load() < enough/4 || machine.receives.Load() < enough || machine.dos.Load() < enough {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	r.Stop()
+
+	ticks, receives, dos := machine.ticks.Load(), machine.receives.Load(), machine.dos.Load()
+	if n := machine.overlaps.Load(); n != 0 {
+		t.Fatalf("%d of %d entries into the machine overlapped another", n, ticks+receives+dos)
+	}
+	if ticks < enough/4 || receives < enough || dos < enough {
+		t.Fatalf("only %d ticks, %d receives and %d Do calls reached the machine in 10 s", ticks, receives, dos)
+	}
+	if machine.entries != int(ticks+receives+dos) {
+		t.Fatalf("%d entries recorded for %d ticks, receives and Do calls", machine.entries, ticks+receives+dos)
+	}
+}
+
+// TestStoppedRunnerDiscardsAndCounts: a datagram that reaches a
+// runner's endpoint before Start or after Stop never reaches the
+// Machine; its lease is released at once and it is counted in
+// InboxDropped.
+func TestStoppedRunnerDiscardsAndCounts(t *testing.T) {
+	for _, state := range []string{"before Start", "after Stop"} {
+		t.Run(state, func(t *testing.T) {
+			rx, err := transport.NewUDPTransport("rx", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			tx, err := transport.NewUDPTransport("tx", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Close()
+			if err := tx.Register("rx", rx.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+			machine := &checkingMachine{gate: make(chan struct{})}
+			close(machine.gate)
+			r, err := NewRunner(Config{Node: machine, Transport: rx, Period: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if state == "after Stop" {
+				r.Start()
+				r.Stop()
+			}
+			if err := rx.Start(); err != nil {
+				t.Fatal(err)
+			}
+			msg := &gossip.Message{From: "tx", Events: []gossip.Event{
+				{ID: gossip.EventID{Origin: "tx", Seq: 1}, Payload: patternPayload(1)},
+			}}
+			const sent = 3
+			for i := 0; i < sent; i++ {
+				if err := tx.Send("rx", msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for r.Stats().InboxDropped < sent {
+				if time.Now().After(deadline) {
+					t.Fatalf("InboxDropped = %d after %d datagrams reached a runner %s (transport %+v)",
+						r.Stats().InboxDropped, sent, state, rx.Stats())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := machine.received.Load(); n != 0 {
+				t.Fatalf("the machine received %d messages %s", n, state)
+			}
+		})
 	}
 }

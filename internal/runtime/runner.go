@@ -1,6 +1,6 @@
-// Package runtime drives protocol state machines in real time: one
-// goroutine per gossip.Machine owns the (single-threaded) state, fed by
-// a gossip ticker, the transport's inbox and a command queue. This is
+// Package runtime drives protocol state machines in real time: a lock
+// per gossip.Machine serializes the (single-threaded) state between a
+// ticker goroutine, the transport's delivery goroutine and Do. This is
 // the "prototype implementation" half of the paper's evaluation — the
 // same state machine the simulator drives (sim.Network.Drive), under
 // real concurrency, timers and a real wire.
@@ -22,19 +22,14 @@ import (
 	"adaptivegossip/internal/transport"
 )
 
-// DefaultInboxSize bounds the queue between the transport's delivery
-// goroutines and the node loop. Overflow drops messages — acceptable
-// for gossip, which tolerates loss by design — and is counted.
-const DefaultInboxSize = 256
-
 // Config assembles a Runner.
 type Config struct {
 	// Node is the protocol state machine the runner owns. The caller
 	// must not touch it after Start; use Do for serialized access.
 	Node gossip.Machine
 	// Transport carries gossip to and from peers. The runner installs
-	// its handler — and, on a transport.InboundReceiver, the borrowed
-	// one that replaces it.
+	// one handler on it: the borrowed one on a transport.InboundReceiver,
+	// the owning one otherwise.
 	Transport transport.Transport
 	// Period is the gossip round interval T.
 	Period time.Duration
@@ -49,14 +44,17 @@ type Config struct {
 
 // Stats counts runner activity.
 type Stats struct {
-	Ticks         uint64
+	Ticks uint64
+	// InboxDropped counts messages the transport handed over while the
+	// runner was not running (before Start or after Stop), discarded
+	// and their leases released.
 	InboxDropped  uint64
 	SendErrors    uint64
 	MessagesMoved uint64
 }
 
 // Runner drives one Machine. Create with NewRunner, then Start; Stop
-// waits for the loop to exit.
+// waits for the ticker goroutine to exit.
 type Runner struct {
 	node    gossip.Machine
 	tr      transport.Transport
@@ -64,18 +62,15 @@ type Runner struct {
 	phase   time.Duration
 	metrics *observe.RunnerMetrics // nil = off
 
-	inbox chan delivery
-	cmds  chan *request
-	stop  chan struct{}
-	done  chan struct{}
-
-	// sender amortizes the per-round grouping scratch (only the loop
-	// goroutine touches it).
+	// mu guards the Machine and everything below it up to the counters:
+	// ticks, receives and Do calls each hold it for their whole run.
+	mu      sync.Mutex
+	running bool          // between Start and Stop
+	stopped bool          // Stop has been called; Start is then a no-op
+	stop    chan struct{} // closed by Stop to end the ticker goroutine
+	done    chan struct{} // closed by the ticker goroutine; nil until Start
+	// sender amortizes the per-round grouping scratch.
 	sender transport.GroupSender
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	started   atomic.Bool
 
 	ticks        atomic.Uint64
 	inboxDropped atomic.Uint64
@@ -83,24 +78,9 @@ type Runner struct {
 	moved        atomic.Uint64
 }
 
-// delivery is one inbox entry: a message and, when it arrived on the
-// transport's borrowed path, the lease that keeps its memory valid. The
-// lease is released once — after Machine.Receive returns, or at once if
-// the inbox is full. Entries still queued when the loop stops are never
-// released, which only forgoes their reuse.
-type delivery struct {
-	msg   *gossip.Message
-	lease *transport.Inbound
-}
-
-func (d delivery) release() {
-	if d.lease != nil {
-		d.lease.Release()
-	}
-}
-
 // NewRunner wires a runner and installs the transport handler. The
-// runner does not tick until Start.
+// runner does not tick until Start, and discards (counting
+// InboxDropped) what the transport hands it before then.
 func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Node == nil {
 		return nil, fmt.Errorf("runtime: node must not be nil")
@@ -125,69 +105,60 @@ func NewRunner(cfg Config) (*Runner, error) {
 		period:  cfg.Period,
 		phase:   time.Duration(rng.Int64N(int64(cfg.Period))),
 		metrics: cfg.Metrics,
-		inbox:   make(chan delivery, DefaultInboxSize),
-		cmds:    make(chan *request),
 		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
-	r.tr.SetHandler(func(msg *gossip.Message) { r.enqueue(delivery{msg: msg}) })
 	if ir, ok := r.tr.(transport.InboundReceiver); ok {
 		ir.SetInboundHandler(func(in *transport.Inbound) {
-			r.enqueue(delivery{msg: in.Message(), lease: in})
+			r.receive(in.Message())
+			in.Release()
 		})
+	} else {
+		r.tr.SetHandler(r.receive)
 	}
 	return r, nil
 }
 
-func (r *Runner) enqueue(d delivery) {
-	select {
-	case r.inbox <- d:
-	default:
-		r.inboxDropped.Add(1)
-		d.release()
-	}
-}
-
-// Start launches the node loop. Calling Start twice is a no-op.
+// Start launches the ticker goroutine. Calling Start twice, or after
+// Stop, is a no-op.
 func (r *Runner) Start() {
-	r.startOnce.Do(func() {
-		r.started.Store(true)
-		go r.loop()
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running || r.stopped {
+		return
+	}
+	r.running = true
+	r.done = make(chan struct{})
+	go r.loop(r.done)
 }
 
-// Stop terminates the loop and waits for it to exit. Safe to call
-// multiple times and before Start.
+// Stop ends the runner: once it returns no Tick, Receive or Do runs
+// again, and the ticker goroutine has exited. Safe to call multiple
+// times and before Start.
 func (r *Runner) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	if r.started.Load() {
-		<-r.done
+	r.mu.Lock()
+	if r.running {
+		close(r.stop)
+	}
+	r.running, r.stopped = false, true
+	done := r.done
+	r.mu.Unlock()
+	if done != nil {
+		<-done
 	}
 }
 
-func (r *Runner) loop() {
-	defer close(r.done)
-	// Random initial phase desynchronizes cluster-wide ticks: the first
-	// round runs at phase, as in sim.Network.Drive, and one every period
-	// after it. Inbox and command traffic is serviced while waiting — it
-	// must not cut the phase short, or a cluster started under load
-	// ticks in lockstep.
+// loop ticks the machine. The first round runs at the random phase, as
+// in sim.Network.Drive, and one every period after it, so a cluster
+// started at once does not tick in lockstep.
+func (r *Runner) loop(done chan struct{}) {
+	defer close(done)
 	phase := time.NewTimer(r.phase)
 	defer phase.Stop()
-waitPhase:
-	for {
-		select {
-		case <-phase.C:
-			break waitPhase
-		case <-r.stop:
-			return
-		case msg := <-r.inbox:
-			r.receive(msg)
-		case req := <-r.cmds:
-			req.run()
-		}
+	select {
+	case <-r.stop:
+		return
+	case <-phase.C:
 	}
-
 	r.tick()
 	ticker := time.NewTicker(r.period)
 	defer ticker.Stop()
@@ -197,15 +168,16 @@ waitPhase:
 			return
 		case <-ticker.C:
 			r.tick()
-		case d := <-r.inbox:
-			r.receive(d)
-		case req := <-r.cmds:
-			req.run()
 		}
 	}
 }
 
 func (r *Runner) tick() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.running {
+		return
+	}
 	r.ticks.Add(1)
 	now := time.Now()
 	r.send(r.node.Tick(now))
@@ -214,14 +186,20 @@ func (r *Runner) tick() {
 	}
 }
 
-// receive processes one inbound message and transmits any recovery
-// control traffic (retransmission responses) it triggered, then ends
-// the message's lease: the Machine has copied what it keeps, and the
-// transmit is synchronous by the Transport contract.
-func (r *Runner) receive(d delivery) {
+// receive processes one inbound message on the transport's delivery
+// goroutine and transmits any recovery control traffic (retransmission
+// responses) it triggered. When it returns the Machine has copied what
+// it keeps, and the transmit is synchronous by the Transport contract,
+// so the caller may end the message's lease.
+func (r *Runner) receive(msg *gossip.Message) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.running {
+		r.inboxDropped.Add(1)
+		return
+	}
 	now := time.Now()
-	r.send(r.node.Receive(d.msg, now))
-	d.release()
+	r.send(r.node.Receive(msg, now))
 	if r.metrics != nil {
 		r.metrics.ReceiveNanos.ObserveInt(int64(time.Since(now)))
 	}
@@ -237,45 +215,18 @@ func (r *Runner) send(outs []gossip.Outgoing) {
 	r.sendErrors.Add(uint64(failed))
 }
 
-// Do runs fn inside the node loop, serialized with ticks and receives,
-// and waits for it to finish: the only way to touch the Machine after
-// Start. It reports false if the runner stopped (or never started)
-// before fn could run.
+// Do runs fn under the runner's lock, serialized with ticks and
+// receives: the only way to touch the Machine after Start. It reports
+// false, without running fn, unless the runner is running. fn must not
+// call Do on the same runner.
 func (r *Runner) Do(fn func()) bool {
-	if !r.started.Load() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.running {
 		return false
 	}
-	req := requests.Get().(*request)
-	req.fn = fn
-	select {
-	case r.cmds <- req:
-		<-req.done
-		req.fn = nil
-		requests.Put(req)
-		return true
-	case <-r.done:
-		// Never handed over; dropped rather than recycled, so the pool
-		// holds only requests whose completion was received.
-		return false
-	}
-}
-
-// request is one Do call on its way into a loop: the function and the
-// channel its caller waits on. Requests are pooled across runners, so a
-// steady stream of Do calls allocates nothing. done has capacity 1 and is
-// never closed: the loop's completion send cannot block, and the request
-// is reusable once the caller has received it.
-type request struct {
-	fn   func()
-	done chan struct{}
-}
-
-var requests = sync.Pool{New: func() any { return &request{done: make(chan struct{}, 1)} }}
-
-// run executes the request on the loop goroutine and wakes its caller.
-func (req *request) run() {
-	req.fn()
-	req.done <- struct{}{}
+	fn()
+	return true
 }
 
 // NodeSnapshot is a point-in-time view of one single-group member's

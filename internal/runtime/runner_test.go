@@ -13,8 +13,8 @@ import (
 	"adaptivegossip/internal/transport"
 )
 
-// liveNode is a node owned by a runner loop: after Start every access
-// goes through Do, the way the facades' members do it.
+// liveNode is a node owned by a runner: after Start every access goes
+// through Do, the way the facades' members do it.
 type liveNode struct {
 	*Runner
 	node *core.AdaptiveNode
@@ -30,7 +30,7 @@ func (l liveNode) setBufferCapacity(capacity int) (err error) {
 	return err
 }
 
-// read evaluates get on the node inside the loop.
+// read evaluates get on the node under the runner's lock.
 func read[T any](l liveNode, get func(n *core.AdaptiveNode) T) (v T) {
 	l.Do(func() { v = get(l.node) })
 	return v

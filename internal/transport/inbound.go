@@ -41,9 +41,10 @@ type InboundHandler func(*Inbound)
 // InboundReceiver is the optional borrowed-receive fast path of a
 // Transport, in the mould of ManySender: a driver that
 // can honour the lease installs an InboundHandler and receives decoded
-// messages without a per-datagram allocation. Once set, it takes the
-// place of the SetHandler callback, which keeps its owning semantics for
-// every other consumer.
+// messages without a per-datagram allocation. The two handlers are one
+// slot on UDPTransport: SetHandler installs an InboundHandler that
+// clones each message before handing it on, so either call replaces
+// the other.
 type InboundReceiver interface {
 	SetInboundHandler(h InboundHandler)
 }

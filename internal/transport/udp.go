@@ -115,10 +115,10 @@ var sendBufPool = sync.Pool{
 // Receives are asynchronous: the read loop only moves datagrams into a
 // bounded dispatch queue, a separate goroutine decodes and runs the
 // handler, and overflow is counted in RecvQueueDrops rather than
-// stalling the socket. Each datagram is read into a pooled Inbound;
-// with an InboundHandler installed the message is decoded in place and
-// the envelope travels on to the consumer, otherwise the Handler gets
-// an owning Decode and the envelope is recycled at once.
+// stalling the socket. Each datagram is read into a pooled Inbound,
+// decoded in place, and the envelope travels on to the InboundHandler
+// (SetHandler installs one that clones the message and recycles the
+// envelope).
 type UDPTransport struct {
 	id    gossip.NodeID
 	conn  udpConn
@@ -128,7 +128,6 @@ type UDPTransport struct {
 
 	mu      sync.RWMutex
 	book    map[gossip.NodeID]*net.UDPAddr
-	handler Handler
 	inbound InboundHandler
 
 	lossMu   sync.Mutex
@@ -310,17 +309,23 @@ func (t *UDPTransport) peerStats(id gossip.NodeID) *observe.PeerStats {
 	return links.Get(string(id))
 }
 
-// SetHandler installs the receive callback. The handler owns every
-// message it is given and may retain it.
+// SetHandler installs an owning receive callback: the handler is given
+// a deep copy of every message, which it may retain. It replaces any
+// InboundHandler; nil detaches.
 func (t *UDPTransport) SetHandler(h Handler) {
-	t.mu.Lock()
-	t.handler = h
-	t.mu.Unlock()
+	if h == nil {
+		t.SetInboundHandler(nil)
+		return
+	}
+	t.SetInboundHandler(func(in *Inbound) {
+		msg := in.Message().Clone()
+		in.Release()
+		h(msg)
+	})
 }
 
-// SetInboundHandler installs the borrowed-receive callback, which from
-// then on is called in place of the SetHandler one; see
-// InboundReceiver.
+// SetInboundHandler installs the borrowed-receive callback, replacing
+// any earlier handler; see InboundReceiver. nil detaches.
 func (t *UDPTransport) SetInboundHandler(h InboundHandler) {
 	t.mu.Lock()
 	t.inbound = h
@@ -398,10 +403,8 @@ func (t *UDPTransport) dispatchLoop() {
 	}
 }
 
-// dispatch decodes one datagram and hands it to the consumer. With an
-// InboundHandler the message is decoded in place and the lease passes to
-// the handler; otherwise Decode copies everything the Handler's message
-// keeps, and the envelope is recycled before the handler runs.
+// dispatch decodes one datagram in place and passes the lease to the
+// InboundHandler.
 //
 // Inbound traffic is attributed to a telemetry row only when the sender
 // is in the address book: sender ids are unauthenticated and rows are
@@ -409,38 +412,27 @@ func (t *UDPTransport) dispatchLoop() {
 // table and leave every peer added later without a row.
 func (t *UDPTransport) dispatch(in *Inbound) {
 	data := in.buf[:in.n]
-	var msg *gossip.Message
-	var err error
-	t.mu.RLock()
-	h, bh := t.handler, t.inbound
-	if bh != nil {
-		msg, err = in.decode(t.codec, t.ids, data)
-	} else {
-		msg, err = t.codec.Decode(data)
-	}
-	known := err == nil && t.book[msg.From] != nil
-	t.mu.RUnlock()
+	msg, err := in.decode(t.codec, t.ids, data)
 	if err != nil {
 		t.decodeErrors.Add(1)
 		in.Release()
 		return
 	}
+	t.mu.RLock()
+	h, known := t.inbound, t.book[msg.From] != nil
+	t.mu.RUnlock()
 	if known {
 		if ps := t.peerStats(msg.From); ps != nil {
 			ps.MessagesReceived.Inc()
 			ps.BytesReceived.Add(uint64(len(data)))
 		}
 	}
-	switch {
-	case bh != nil:
-		bh(in)
-	case h != nil:
-		in.Release()
-		h(msg)
-	default:
+	if h == nil {
 		t.noHandler.Add(1)
 		in.Release()
+		return
 	}
+	h(in)
 }
 
 // Send encodes and transmits msg to one peer, splitting into multiple

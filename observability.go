@@ -50,7 +50,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 	g.srv = srv
 
 	// One Stats snapshot per scrape: every counter and gauge of a scrape
-	// comes from the same instant, and the member loops are visited once.
+	// comes from the same instant, and each member is visited once.
 	srv.PublishReading("gossip_stats", func() observe.Reading {
 		s := stats()
 		return observe.Reading{

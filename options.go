@@ -11,15 +11,15 @@ type Delivery struct {
 	Event Event
 }
 
-// DeliverFunc observes deliveries. It is invoked on the delivering
-// member's gossip goroutine: calls for one member are serialized with
-// that member's protocol processing (never concurrent with each other),
-// while different members' callbacks may run concurrently. Callbacks
-// must be fast and must not block — for a pull-based consumer use the
-// Events stream instead. In particular a callback must not call back
-// into the member it runs on: Publish, Stats, Snapshot,
-// SetBufferCapacity and ClusterHealth wait for that member's loop — the
-// goroutine the callback is running on — and never return; Stats and
+// DeliverFunc observes deliveries. It is invoked under the delivering
+// member's lock: calls for one member are serialized with that member's
+// protocol processing (never concurrent with each other), while
+// different members' callbacks may run concurrently. Callbacks must be
+// fast and must not block — for a pull-based consumer use the Events
+// stream instead. In particular a callback must not call back into the
+// member it runs on: Publish, Stats, Snapshot, SetBufferCapacity and
+// ClusterHealth wait for that member's lock, held by the goroutine
+// running the callback, and never return; Stats and
 // ClusterHealth of a Cluster visit every member, so no callback may call
 // them. Hand such work to another goroutine.
 //
@@ -32,8 +32,8 @@ type DeliverFunc func(d Delivery)
 // Config.Failure.Enabled): suspect when probes go unanswered, confirmed
 // when a member is declared crashed (it is evicted from the observer's
 // gossip targets automatically), alive when a member refutes or rejoins
-// (it is re-admitted). Like DeliverFunc it runs on the observing
-// member's gossip goroutine and must be fast.
+// (it is re-admitted). Like DeliverFunc it runs under the observing
+// member's lock and must be fast.
 type MemberChangeFunc func(node, peer NodeID, status MemberStatus)
 
 // facadeKind names the constructor applying an option, so options can

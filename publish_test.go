@@ -15,7 +15,7 @@ import (
 // TestPublishAllocFree: an offered publish costs the caller's side
 // nothing, whether the token bucket admits it (the baseline admits
 // everything) or refuses it — no channel, wrapper or closure for the
-// hop into the member's loop. The event itself is the payload the
+// step under the member's lock. The event itself is the payload the
 // caller handed over. Measured on a started group that is otherwise
 // idle (an hour-long period: AllocsPerRun counts the whole process),
 // over the UDP fabric, every extension on.
@@ -37,7 +37,7 @@ func TestPublishAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			payload := []byte("offered")
-			// Warm-up: the pooled requests exist, the bucket is empty
+			// Warm-up: the bucket is empty
 			// (refused) or buffer, id cache and recovery store are past
 			// their capacities and evicting (admitted).
 			const warmup, runs = 4096, 200
@@ -52,7 +52,7 @@ func TestPublishAllocFree(t *testing.T) {
 					admitted++
 				}
 			})
-			// Under the race detector sync.Pool drops a quarter of what is Put.
+			// Allocation counts are exact only without the race detector.
 			if allocs != 0 && !race.Enabled {
 				t.Fatalf("a Publish that is %s allocates %v times, want 0", verdict, allocs)
 			}
@@ -69,13 +69,13 @@ func TestPublishAllocFree(t *testing.T) {
 	}
 }
 
-// TestPublishConcurrentWithClose hammers the pooled hand-off into the
-// member loops: eight goroutines publish against every member while
-// another closes the cluster. Every call returns (none waits on a
-// request the loop never ran), a call that starts after Close reports
-// false, and no verdict is lost or crossed by a recycled request: each
-// admitted payload is delivered at its origin exactly once, and nothing
-// else is. Run with -race -count=10.
+// TestPublishConcurrentWithClose hammers the publish path into the
+// members: eight goroutines publish against every member while another
+// closes the cluster. Every call returns (none waits on a member that
+// has stopped), a call that starts after Close reports false, and no
+// verdict is lost or crossed between callers: each admitted payload is
+// delivered at its origin exactly once, and nothing else is. Run with
+// -race -count=10.
 func TestPublishConcurrentWithClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 

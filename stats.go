@@ -49,10 +49,11 @@ type Stats struct {
 	// StreamDropped counts deliveries lost to Events subscribers that
 	// fell more than DefaultEventStreamBuffer behind.
 	StreamDropped uint64
-	// InboxDropped counts inbound messages discarded because a member's
-	// loop inbox was full — the member's protocol processing (or a
-	// blocking WithDeliver callback) fell behind its endpoint. Summed
-	// over the group's members.
+	// InboxDropped counts inbound messages discarded because the member
+	// was not running (its endpoint handed them over after Close began).
+	// Summed over the group's members. A member that falls behind its
+	// endpoint backs up the endpoint's receive queue instead, whose
+	// overflow is Wire.RecvQueueDrops.
 	InboxDropped uint64
 	// HealthDigestsSent, HealthDigestsReceived and HealthDigestsMerged
 	// count health-digest dissemination activity (zero unless
@@ -232,8 +233,8 @@ func mergeMemberHealth(views ...[]health.MemberHealth) []health.MemberHealth {
 }
 
 // healthAugment builds the AugmentFunc that stamps a member's own
-// digest with its endpoint's wire byte counters. It runs on the
-// member's node loop against atomic counters.
+// digest with its endpoint's wire byte counters. It runs under the
+// member's lock and reads atomic counters.
 func healthAugment(ep *transport.UDPTransport) health.AugmentFunc {
 	return func(d *gossip.HealthDigest) {
 		st := ep.Stats()
