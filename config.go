@@ -171,9 +171,9 @@ type Config struct {
 // group's transport fabric.
 type TransportConfig struct {
 	// Compression names the payload compression applied to the event
-	// section of every encoded message (wire v5): "" or "none" for
-	// uncompressed frames, "flate" for DEFLATE. Decoding always
-	// accepts compressed frames regardless of this setting.
+	// section of every encoded message: "" or "none" for uncompressed
+	// frames, "flate" for DEFLATE. Decoding always accepts compressed
+	// frames regardless of this setting.
 	Compression string
 }
 

@@ -309,9 +309,6 @@ func (a *AdaptiveNode) BufferCapacity() int { return a.node.BufferCapacity() }
 // GossipStats returns the substrate's counters.
 func (a *AdaptiveNode) GossipStats() gossip.NodeStats { return a.node.Stats() }
 
-// RecoveryEnabled reports whether the anti-entropy subsystem is active.
-func (a *AdaptiveNode) RecoveryEnabled() bool { return a.recovery != nil }
-
 // RecoveryStats returns the anti-entropy counters (zero when recovery
 // is disabled).
 func (a *AdaptiveNode) RecoveryStats() recovery.Stats {
@@ -320,9 +317,6 @@ func (a *AdaptiveNode) RecoveryStats() recovery.Stats {
 	}
 	return a.recovery.Stats()
 }
-
-// FailureEnabled reports whether the failure detector is active.
-func (a *AdaptiveNode) FailureEnabled() bool { return a.failure != nil }
 
 // FailureStats returns the detector counters (zero when failure
 // detection is disabled).
@@ -352,9 +346,6 @@ func (a *AdaptiveNode) FailureRejoin() {
 	}
 }
 
-// HealthEnabled reports whether health-digest dissemination is active.
-func (a *AdaptiveNode) HealthEnabled() bool { return a.health != nil }
-
 // HealthStats returns the digest traffic counters (zero when health
 // dissemination is disabled).
 func (a *AdaptiveNode) HealthStats() health.Stats {
@@ -372,16 +363,6 @@ func (a *AdaptiveNode) ClusterHealth() []health.MemberHealth {
 		return nil
 	}
 	return a.health.Snapshot()
-}
-
-// ClusterDeliverHops folds the delivery-hop histograms of every known
-// digest into one cluster-wide snapshot (zero when dissemination is
-// disabled).
-func (a *AdaptiveNode) ClusterDeliverHops() observe.HistogramSnapshot {
-	if a.health == nil {
-		return observe.HistogramSnapshot{}
-	}
-	return a.health.MergedDeliverHops()
 }
 
 // Stats returns the adaptation counters.

@@ -26,7 +26,7 @@ import (
 // ahead (so every round fast-forwards the member's clock and refills a
 // fresh period), a recovery digest, rumors and health digests —
 // allocates nothing. It holds at κ = 1, the paper's minimum, whose
-// scalar header displaces the member's own entry, and at κ = 3, whose
+// one-entry header displaces the member's own entry, and at κ = 3, whose
 // peer sends κ entries, one of them this member's own at a smaller
 // capacity than the member holds. (An
 // event seen for the first time costs its one payload copy; that is
@@ -41,11 +41,11 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		rank    int
-		kmin    []gossip.BuffCap // the κ entries the peer advertises
+		hdr     []gossip.BuffCap // the κ entries the peer advertises
 		minBuff int              // the estimate the round's headers lead to
 	}{
-		{name: "minimum", rank: 1, minBuff: 90},
-		{name: "kmin-3", rank: 3, kmin: []gossip.BuffCap{{Node: ids[3], Cap: 90}, {Node: ids[4], Cap: 100}, {Node: self, Cap: 110}}, minBuff: 110},
+		{name: "minimum", rank: 1, hdr: []gossip.BuffCap{{Node: peer, Cap: 90}}, minBuff: 90},
+		{name: "kmin-3", rank: 3, hdr: []gossip.BuffCap{{Node: ids[3], Cap: 90}, {Node: ids[4], Cap: 100}, {Node: self, Cap: 110}}, minBuff: 110},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := DefaultParams()
@@ -74,7 +74,7 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 			// What the peer sends every round: 22 events from all origins,
 			// the ids of the same events as its recovery digest, an alive
 			// rumor and three health digests.
-			round := &gossip.Message{From: peer, Adaptive: true, MinBuff: 90, KMin: tc.kmin}
+			round := &gossip.Message{From: peer, MinBuff: tc.hdr}
 			for i := 0; i < 22; i++ {
 				ev := gossip.Event{
 					ID:      gossip.EventID{Origin: ids[i%members], Seq: uint64(i)},
@@ -334,7 +334,7 @@ func TestAdaptorOverflowScanAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A member with a quarter of this one's buffer is in the group.
-	msg := &gossip.Message{From: "tx", Adaptive: true, MinBuff: 30, Events: make([]gossip.Event, perMsg)}
+	msg := &gossip.Message{From: "tx", MinBuff: []gossip.BuffCap{{Node: "tx", Cap: 30}}, Events: make([]gossip.Event, perMsg)}
 	next := uint64(0)
 	receiveNew := func() {
 		for i := range msg.Events {

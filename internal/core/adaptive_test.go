@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,11 +124,44 @@ func TestAdaptiveNodeHeaderStamping(t *testing.T) {
 		t.Fatal("no outgoing gossip")
 	}
 	msg := outs[0].Msg
-	if !msg.Adaptive {
+	if len(msg.MinBuff) == 0 {
 		t.Fatal("adaptation header missing")
 	}
-	if msg.MinBuff != 10 {
-		t.Fatalf("header minBuff = %d, want local capacity 10", msg.MinBuff)
+	if want := (gossip.BuffCap{Node: "a", Cap: 10}); msg.MinBuff[0] != want {
+		t.Fatalf("header minBuff = %+v, want local capacity %+v", msg.MinBuff, want)
+	}
+}
+
+// TestAdaptiveNodeHeaderNamesOwner: at the paper's κ = 1 a relayed
+// header still names the member that owns the minimum. In the chain
+// A(30) → B(120) → C(120), B's round header is [(A, 30)], not B
+// itself, and C's estimate is 30.
+func TestAdaptiveNodeHeaderNamesOwner(t *testing.T) {
+	newNode := func(id gossip.NodeID, next gossip.NodeID, capacity int) *AdaptiveNode {
+		cfg := nodeConfig(id, fullPeers{id, next}, true)
+		cfg.Gossip.MaxEvents = capacity
+		n, err := NewAdaptiveNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a, b, c := newNode("A", "B", 30), newNode("B", "C", 120), newNode("C", "A", 120)
+	now := start.Add(time.Second)
+	relay := func(from, to *AdaptiveNode) []gossip.BuffCap {
+		outs := from.Tick(now)
+		if len(outs) == 0 {
+			t.Fatal("no gossip after a tick")
+		}
+		to.Receive(outs[0].Msg, now)
+		return outs[0].Msg.MinBuff
+	}
+	relay(a, b)
+	if got, want := relay(b, c), []gossip.BuffCap{{Node: "A", Cap: 30}}; !slices.Equal(got, want) {
+		t.Fatalf("B's round header = %+v, want %+v", got, want)
+	}
+	if got := c.MinBuffEstimate(); got != 30 {
+		t.Fatalf("C's estimate = %d, want 30", got)
 	}
 }
 
@@ -172,7 +206,7 @@ func TestAdaptiveNodeCongestionLowersRate(t *testing.T) {
 			seq++
 		}
 		n.Receive(&gossip.Message{
-			From: "b", Adaptive: true, SamplePeriod: 0, MinBuff: 3, Events: events,
+			From: "b", SamplePeriod: 0, MinBuff: []gossip.BuffCap{{Node: "b", Cap: 3}}, Events: events,
 		}, now)
 		// Keep the bucket drained so the unused-allowance guard stays
 		// quiet and the age signal drives the decision.
@@ -223,7 +257,7 @@ func TestAdaptiveNodeOptimisticDriftRecovers(t *testing.T) {
 	for i := range events {
 		events[i] = gossip.Event{ID: gossip.EventID{Origin: "b", Seq: uint64(i)}, Age: 0}
 	}
-	n.Receive(&gossip.Message{From: "b", Adaptive: true, MinBuff: 2, Events: events}, now)
+	n.Receive(&gossip.Message{From: "b", MinBuff: []gossip.BuffCap{{Node: "b", Cap: 2}}, Events: events}, now)
 	low := n.AvgAge()
 	for round := 0; round < 30; round++ {
 		now = now.Add(time.Second)
@@ -254,22 +288,19 @@ func TestAdaptiveNodeResizePropagatesToEstimator(t *testing.T) {
 }
 
 // TestAdaptiveNodeKMinMode: the floor clamps the estimate at every κ,
-// one tiny node does not drag a κ = 2 estimate down, and only κ > 1
-// puts KMin entries on the wire.
+// one tiny node does not drag a κ = 2 estimate down, and every κ sends
+// min(κ, known) owner entries, the smallest first.
 func TestAdaptiveNodeKMinMode(t *testing.T) {
 	for _, tc := range []struct {
 		rank int
 		hdr  *gossip.Message
 		want int
 	}{
-		// κ = 1: the tiny node's scalar header sets the minimum, which
-		// the floor lifts.
-		{rank: 1, hdr: &gossip.Message{From: "tiny", Adaptive: true, MinBuff: 1}, want: 3},
+		// κ = 1: the tiny node's header sets the minimum, which the
+		// floor lifts.
+		{rank: 1, hdr: &gossip.Message{From: "tiny", MinBuff: []MinEntry{{Node: "tiny", Cap: 1}}}, want: 3},
 		// κ = 2: one tiny node does not set the estimate; the local 10 does.
-		{rank: 2, hdr: &gossip.Message{
-			From: "tiny", Adaptive: true, MinBuff: 1,
-			KMin: []MinEntry{{Node: "tiny", Cap: 1}},
-		}, want: 10},
+		{rank: 2, hdr: &gossip.Message{From: "tiny", MinBuff: []MinEntry{{Node: "tiny", Cap: 1}}}, want: 10},
 	} {
 		t.Run(fmt.Sprintf("rank-%d", tc.rank), func(t *testing.T) {
 			cfg := nodeConfig("a", fullPeers{"a", "b"}, true)
@@ -287,8 +318,10 @@ func TestAdaptiveNodeKMinMode(t *testing.T) {
 			if len(outs) == 0 {
 				t.Fatal("no gossip after a tick")
 			}
-			if got := len(outs[0].Msg.KMin); (got > 0) != (tc.rank > 1) {
-				t.Fatalf("κ=%d header carries %d KMin entries", tc.rank, got)
+			// Two members are known: the tiny one and the local one.
+			hdr := outs[0].Msg.MinBuff
+			if len(hdr) != min(tc.rank, 2) || hdr[0] != (MinEntry{Node: "tiny", Cap: 1}) {
+				t.Fatalf("κ=%d header = %+v, want min(κ, 2) entries led by tiny", tc.rank, hdr)
 			}
 		})
 	}
@@ -395,7 +428,7 @@ func BenchmarkAdaptorOnReceive(b *testing.B) {
 			}
 		}
 		node.Receive(&gossip.Message{
-			From: "b", Adaptive: true, SamplePeriod: uint64(i / 6), MinBuff: 90,
+			From: "b", SamplePeriod: uint64(i / 6), MinBuff: []gossip.BuffCap{{Node: "b", Cap: 90}},
 			Events: events,
 		}, now)
 		now = now.Add(10 * time.Millisecond)

@@ -15,16 +15,10 @@ import (
 //
 // Adaptor is not safe for concurrent use.
 type Adaptor struct {
-	params Params
-	min    *MinBuffEstimator
-	cong   *CongestionEstimator
+	min  *MinBuffEstimator
+	cong *CongestionEstimator
 
 	samplesAtTick uint64 // congestion samples seen as of the last tick
-	driftRounds   uint64
-
-	// scalarHdr is reused scratch for reading a κ = 1 sender's scalar
-	// header as one (sender, capacity) entry without a per-receive slice.
-	scalarHdr [1]MinEntry
 
 	// overflow is reused scratch for the Figure 5(b) scan, which runs on
 	// every receive while the buffer exceeds the minBuff estimate. Empty
@@ -47,7 +41,7 @@ func NewAdaptor(id gossip.NodeID, params Params, localCap int) (*Adaptor, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptor{params: params, min: est, cong: cong}, nil
+	return &Adaptor{min: est, cong: cong}, nil
 }
 
 // MinBuff returns the working estimate of the relevant smallest buffer
@@ -60,9 +54,6 @@ func (a *Adaptor) AvgAge() float64 { return a.cong.AvgAge() }
 // SamplePeriod returns the current period s.
 func (a *Adaptor) SamplePeriod() uint64 { return a.min.Period() }
 
-// DriftRounds counts rounds in which the frozen-signal drift applied.
-func (a *Adaptor) DriftRounds() uint64 { return a.driftRounds }
-
 // CongestionSamples counts events that have fed avgAge.
 func (a *Adaptor) CongestionSamples() uint64 { return a.cong.Samples() }
 
@@ -70,18 +61,13 @@ func (a *Adaptor) CongestionSamples() uint64 { return a.cong.Samples() }
 func (a *Adaptor) SetLocalCapacity(capacity int) error { return a.min.SetLocalCapacity(capacity) }
 
 // OnTick advances the sample-period clock and stamps the adaptation
-// header (Figure 5(a), "add information to gossip message").
+// header (Figure 5(a), "add information to gossip message"): the
+// period's κ smallest entries, each naming its owner, one at the
+// paper's κ = 1. out is the node's reused round message, encoded or
+// cloned before the next tick refreshes the header.
 func (a *Adaptor) OnTick(n *gossip.Node, out *Message) {
-	out.Adaptive = true
 	a.min.OnRound()
-	period, entries := a.min.Header()
-	out.SamplePeriod, out.MinBuff = period, entries[0].Cap
-	// κ = 1 sends the paper's scalar header alone; κ > 1 adds its κ
-	// smallest entries. out is the node's reused round message, encoded
-	// or cloned before the next tick refreshes the header.
-	if a.params.MinBuffRank > 1 {
-		out.KMin = entries
-	}
+	out.SamplePeriod, out.MinBuff = a.min.Header()
 }
 
 // Message aliases gossip.Message for hook signatures.
@@ -91,14 +77,7 @@ type Message = gossip.Message
 // updates the congestion estimate from the post-receive buffer state
 // (Figure 5(a) "compute new known minimum" + Figure 5(b)).
 func (a *Adaptor) OnReceive(n *gossip.Node, in *Message) {
-	if in.Adaptive {
-		entries := in.KMin
-		if len(entries) == 0 {
-			a.scalarHdr[0] = MinEntry{Node: in.From, Cap: in.MinBuff}
-			entries = a.scalarHdr[:]
-		}
-		a.min.Observe(in.SamplePeriod, entries)
-	}
+	a.min.Observe(in.SamplePeriod, in.MinBuff)
 	if overflow := n.BufferLen() - a.cong.LostLen() - a.MinBuff(); overflow > 0 {
 		a.overflow = n.AppendOldestUncounted(a.overflow[:0], overflow, a.cong.Counted)
 		a.cong.ObserveOverflow(a.overflow)
@@ -134,7 +113,6 @@ func (a *Adaptor) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossi
 func (a *Adaptor) onRoundEnd(maxAge int) {
 	if a.cong.Samples() == a.samplesAtTick {
 		a.cong.Drift(float64(maxAge))
-		a.driftRounds++
 	}
 	a.samplesAtTick = a.cong.Samples()
 }

@@ -9,7 +9,9 @@
 //   - MinBuffEstimator (paper Figure 5(a)): distributed discovery of the
 //     smallest buffer capacity in the group, by folding a running
 //     minimum through the headers of normal data gossip, sampled in
-//     periods so stale minima age out. With Params.MinBuffRank κ > 1
+//     periods so stale minima age out. Each header entry names the
+//     member that owns its capacity, so a relayed minimum keeps its
+//     owner. With Params.MinBuffRank κ > 1
 //     it adapts to the κ-th smallest buffer instead, and
 //     Params.MinBuffFloor clamps its estimate from below at every κ:
 //     the generalization the paper sketches in its concluding remarks.

@@ -133,7 +133,7 @@ func (e *MinBuffEstimator) OnRound() bool {
 
 // Header returns the current period and its κ smallest entries, sorted
 // ascending, to piggyback on outgoing gossip; the first is the
-// paper's scalar minBuff. The slice is reused scratch: it is valid
+// paper's minBuff, named by its owner. The slice is reused scratch: it is valid
 // until the next Header call and must be copied (or encoded) before
 // then.
 func (e *MinBuffEstimator) Header() (uint64, []MinEntry) {

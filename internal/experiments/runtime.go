@@ -11,7 +11,7 @@ import (
 // paper's evaluation. All durations in cfg are wall-clock here, so
 // callers scale the paper's 5-second period down (e.g. to 50ms) to keep
 // runs short; the protocol depends on rounds, not on wall seconds. Loss
-// drops datagrams on send; LatencyMin/LatencyMax are rejected, since
+// drops datagrams on send; a Topology (Regions > 0) is rejected, since
 // latency injection is simulator-only. RunResult.Network stays zero: it
 // counts the simulated fabric.
 func RunRuntime(cfg Config) (RunResult, error) { return run(cfg, newWallWorld) }

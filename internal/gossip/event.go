@@ -59,7 +59,7 @@ type Event struct {
 
 // NextEventRun returns the end index (exclusive) of the run of
 // consecutive events sharing events[start]'s origin. Runs are the unit
-// of the columnar wire encoding (wire v5 writes each origin once per
+// of the columnar wire encoding (which writes each origin once per
 // run) and of datagram fragmentation (EncodeChunks cuts on run
 // boundaries). start must be a valid index.
 func NextEventRun(events []Event, start int) int {

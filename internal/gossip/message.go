@@ -115,23 +115,17 @@ type Message struct {
 	// Round is the sender's local round counter. Diagnostic only.
 	Round uint64
 
-	// Adaptive reports whether the adaptation header fields below are
-	// meaningful. Plain lpbcast nodes leave it false.
-	Adaptive bool
 	// SamplePeriod is the sender's current sample period s.
 	SamplePeriod uint64
-	// MinBuff is the sender's running estimate of the smallest buffer
-	// capacity in the group for SamplePeriod.
-	MinBuff int
+	// MinBuff is the sender's adaptation header for SamplePeriod: the
+	// κ smallest (owner, capacity) entries it knows, ascending, one at
+	// the paper's κ = 1. Empty when the sender does not adapt; the
+	// header is present iff the list is non-empty.
+	MinBuff []BuffCap
 
 	// Events are the sender's buffered events (its full buffer, as in
 	// Figure 1).
 	Events []Event
-
-	// KMin carries the κ-smallest extension's per-node capacity
-	// observations (empty for the paper's base mechanism, which needs
-	// only the scalar MinBuff).
-	KMin []BuffCap
 
 	// Subs and Unsubs piggyback partial-view membership churn
 	// (subscriptions and unsubscriptions) on data gossip.
@@ -183,7 +177,7 @@ type Message struct {
 }
 
 // BuffCap is one (node, buffer capacity) observation, the unit of the
-// κ-smallest extension's header.
+// adaptation header.
 type BuffCap struct {
 	Node NodeID
 	Cap  int
@@ -195,11 +189,6 @@ func (m *Message) AppendEvent(ev Event) {
 	m.Events = append(m.Events, ev)
 }
 
-// AppendEvents appends a batch of events to the message.
-func (m *Message) AppendEvents(evs ...Event) {
-	m.Events = append(m.Events, evs...)
-}
-
 // CopyForSend returns a copy of the message that is independent of the
 // sender's per-round scratch state: the Message value and every slice
 // hanging off it are copied, while event payload bytes — immutable by
@@ -209,7 +198,7 @@ func (m *Message) AppendEvents(evs ...Event) {
 func (m *Message) CopyForSend() *Message {
 	c := *m
 	c.Events = append([]Event(nil), m.Events...)
-	c.KMin = append([]BuffCap(nil), m.KMin...)
+	c.MinBuff = append([]BuffCap(nil), m.MinBuff...)
 	c.Subs = append([]NodeID(nil), m.Subs...)
 	c.Unsubs = append([]NodeID(nil), m.Unsubs...)
 	c.Digest = append([]EventID(nil), m.Digest...)

@@ -277,9 +277,8 @@ type recordingExt struct {
 
 func (r *recordingExt) OnTick(n *Node, out *Message) {
 	r.ticks++
-	out.Adaptive = true
 	out.SamplePeriod = 7
-	out.MinBuff = 42
+	out.MinBuff = []BuffCap{{Node: "a", Cap: 42}}
 }
 
 func (r *recordingExt) OnReceive(n *Node, in *Message) {
@@ -303,7 +302,7 @@ func TestExtensionHooks(t *testing.T) {
 	if ext.ticks != 1 {
 		t.Fatalf("OnTick calls = %d, want 1", ext.ticks)
 	}
-	if len(outs) == 0 || !outs[0].Msg.Adaptive || outs[0].Msg.SamplePeriod != 7 || outs[0].Msg.MinBuff != 42 {
+	if len(outs) == 0 || outs[0].Msg.SamplePeriod != 7 || len(outs[0].Msg.MinBuff) != 1 || outs[0].Msg.MinBuff[0].Cap != 42 {
 		t.Fatalf("extension header not applied: %+v", outs[0].Msg)
 	}
 

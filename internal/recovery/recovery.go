@@ -287,9 +287,6 @@ func NewEngine(params Params) (*Engine, error) {
 // Stats returns a copy of the activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// StoreLen reports the number of retained events.
-func (e *Engine) StoreLen() int { return e.store.len() }
-
 // MissingLen reports the number of tracked missing events.
 func (e *Engine) MissingLen() int { return len(e.missing) }
 

@@ -60,17 +60,6 @@ func (s NetworkStats) ProbeSent() uint64 {
 	return s.PingSent + s.PingAckSent + s.PingReqSent
 }
 
-// CrossRegionPct is the share of region-classified sends that crossed a
-// region boundary, in percent. It returns 0 when no send was classified
-// (no topology installed or no regions assigned).
-func (s NetworkStats) CrossRegionPct() float64 {
-	total := s.IntraRegionSent + s.CrossRegionSent
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(s.CrossRegionSent) / float64(total)
-}
-
 // LatencyClass bounds one link class's delivery latency: uniform in
 // [Min, Max].
 type LatencyClass struct {

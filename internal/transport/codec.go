@@ -15,24 +15,25 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// Wire format v5 (big endian fixed-width fields, unsigned varints where
+// Wire format v6 (big endian fixed-width fields, unsigned varints where
 // noted). The codec is layered: the frame and control encoding lives in
 // frame.go, the columnar event section in events.go, the compression
 // seam in compress.go; this file orchestrates them.
 //
 //	magic   [3]byte "AGB"
-//	version u8      = 5
-//	flags   u8      bit0: adaptation header present
-//	                bit2: trace context present
+//	version u8      = 6
+//	flags   u8      bit2: trace context present
 //	                bit3: event section compressed
-//	                (any other bit set, including bit1 — the retired
-//	                group tag — rejects the frame)
+//	                (any other bit set, including the retired bit0 —
+//	                adaptation header present — and bit1 — group tag —
+//	                rejects the frame)
 //	kind    u8      message kind (gossip | recovery request/response |
 //	                ping | ping-ack | ping-req)
 //	from    u16 len + bytes
 //	round   u64
-//	[if adaptive] samplePeriod u64, minBuff i32
-//	kmin    u16 count, each: node u16 len + bytes, cap i32
+//	minbuff u16 count; [count > 0] samplePeriod u64;
+//	        each: node u16 len + bytes, cap i32 (the adaptation header,
+//	        present iff count > 0)
 //	digest  u16 count, each: origin u16 len + bytes, seq u64
 //	request u16 count, each: origin u16 len + bytes, seq u64
 //	probe   u16 len + bytes
@@ -58,7 +59,7 @@ import (
 //	        bytes            columnar event rows (events.go), stored or
 //	                         compressed per comp
 //
-// Version 5 is the only version encoded or accepted: a frame carrying
+// Version 6 is the only version encoded or accepted: a frame carrying
 // any other version byte is rejected with ErrBadMagic.
 
 // Codec encodes and decodes gossip messages with hard limits that bound
@@ -227,7 +228,7 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 	if len(m.Events) > c.MaxEvents {
 		return fmt.Errorf("%w: %d events", ErrTooLarge, len(m.Events))
 	}
-	if len(m.KMin) > maxUint16 || len(m.Subs) > maxUint16 || len(m.Unsubs) > maxUint16 ||
+	if len(m.MinBuff) > maxUint16 || len(m.Subs) > maxUint16 || len(m.Unsubs) > maxUint16 ||
 		len(m.Digest) > maxUint16 || len(m.Request) > maxUint16 || len(m.Updates) > maxUint16 {
 		return fmt.Errorf("%w: header list too long", ErrTooLarge)
 	}
@@ -277,9 +278,9 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 			return fmt.Errorf("%w: health digest id %d bytes", ErrTooLarge, len(d.Node))
 		}
 	}
-	for _, e := range m.KMin {
+	for _, e := range m.MinBuff {
 		if len(e.Node) > c.MaxIDLen {
-			return fmt.Errorf("%w: kmin id %d bytes", ErrTooLarge, len(e.Node))
+			return fmt.Errorf("%w: minbuff id %d bytes", ErrTooLarge, len(e.Node))
 		}
 	}
 	for _, list := range [2][]gossip.NodeID{m.Subs, m.Unsubs} {
@@ -378,12 +379,13 @@ func (s *chunkSizer) fits(ev gossip.Event, maxSize int) bool {
 // EncodeChunks encodes m into one or more datagrams of at most maxSize
 // bytes each, splitting the event list when necessary. Fragmentation is
 // measured on the uncompressed (stored-form) encoding — compression can
-// only shrink a chunk below its budget, never grow it. Control headers
-// (adaptation, κ-entries, membership, recovery digest/request lists,
-// probe fields and failure-detection updates) ride on the first chunk
-// only; every chunk is a valid standalone message carrying the same
-// kind. A single event whose encoding cannot fit any chunk is an error,
-// never an oversized datagram.
+// only shrink a chunk below its budget, never grow it. The adaptation
+// header rides every chunk; the other control headers (membership,
+// recovery digest/request lists, probe fields and failure-detection
+// updates) ride on the first chunk only. Every chunk is a valid
+// standalone message carrying the same kind. A single event whose
+// encoding cannot fit any chunk is an error, never an oversized
+// datagram.
 func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 	c = c.limits()
 	if err := c.validateForEncode(m); err != nil {
@@ -409,8 +411,7 @@ func (c Codec) EncodeChunks(m *gossip.Message, maxSize int) ([][]byte, error) {
 			ErrTooLarge, hb, maxSize)
 	}
 	rest := gossip.Message{Kind: m.Kind, From: m.From, Round: m.Round,
-		Adaptive: m.Adaptive, SamplePeriod: m.SamplePeriod, MinBuff: m.MinBuff,
-		Traced: m.Traced}
+		SamplePeriod: m.SamplePeriod, MinBuff: m.MinBuff, Traced: m.Traced}
 
 	var chunks [][]byte
 	cur := head
@@ -495,11 +496,10 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 	}
 	*m = gossip.Message{
 		Kind:     kind,
-		Adaptive: flags&flagAdaptive != 0,
 		Traced:   flags&flagTraced != 0,
 		Borrowed: true,
 		Events:   m.Events[:0],
-		KMin:     m.KMin[:0],
+		MinBuff:  m.MinBuff[:0],
 		Subs:     m.Subs[:0],
 		Unsubs:   m.Unsubs[:0],
 		Digest:   m.Digest[:0],

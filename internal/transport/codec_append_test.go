@@ -48,12 +48,11 @@ func TestAppendEncodeRejectsInvalid(t *testing.T) {
 
 func TestEncodedSizeExact(t *testing.T) {
 	c := DefaultCodec()
-	for _, msg := range []*gossip.Message{
+	for _, msg := range append(headerSamples(),
 		sampleMessage(),
-		{From: "a"},
-		{From: "a", Kind: gossip.KindPing, Probe: "b", ProbeSeq: 9},
-	} {
-		enc, err := c.Encode(msg)
+		&gossip.Message{From: "a", Kind: gossip.KindPing, Probe: "b", ProbeSeq: 9},
+	) {
+		enc, err := c.AppendEncode(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,7 +274,7 @@ func TestCodecQuickRoundTripAllKinds(t *testing.T) {
 	}
 }
 
-// compressedFrame hand-builds a minimal v5 frame whose event section
+// compressedFrame hand-builds a minimal frame whose event section
 // claims to be flate-compressed: rawLen and wireLen as given, body as
 // the section bytes — for envelopes no encoder would write.
 func compressedFrame(tb testing.TB, rawLen, wireLen uint64, body []byte) []byte {
@@ -300,8 +300,9 @@ func wireLenOverflowFrame(tb testing.TB) []byte {
 
 // decodeCorpus is every frame shape the decoder accepts or must reject
 // cleanly: valid encodings of every kind (stored and flate-compressed),
-// malformed variants of each, and every v5 frame among them relabelled
-// as wire v3 and v4 (retired versions the decoder rejects).
+// malformed variants of each, and every current-version frame among
+// them relabelled as wire v3, v4 and v5 (retired versions the decoder
+// rejects).
 // It seeds FuzzCodecDecode and drives the borrowed-vs-owning
 // differential test.
 func decodeCorpus(tb testing.TB) [][]byte {
@@ -358,13 +359,21 @@ func decodeCorpus(tb testing.TB) [][]byte {
 		noflag[4] &^= flagCompress // compressed body, flag cleared
 		add(noflag)
 	}
+	// Adaptation headers: three entries (whole, and cut inside the
+	// third entry's capacity: frame, from "p1", round, count, period,
+	// two 8-byte entries, the third's id), and one naming an owner
+	// other than its sender.
+	three := threeEntryHeaderFrame(tb)
+	add(three)
+	add(three[:frameHdrBytes+4+8+2+8+2*8+2+len("member")+2])
+	add(forgedOwnerFrame(tb))
 	add([]byte{})
 	add([]byte("AGB"))
 	add([]byte{'A', 'G', 'B', 1}) // old version: must be rejected
 	// Spoofed digest count (0xFFFF) in a tiny datagram: the decoder
 	// must fail on truncation without committing large allocations.
 	add([]byte{'A', 'G', 'B', codecVersion, 0, 0, 0, 1, 'x', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
-	// Spoofed health count in a minimal v5 message (the health count is
+	// Spoofed health count in a minimal message (the health count is
 	// the 2 bytes before the 3-byte empty event section).
 	if data, err := c.Encode(&gossip.Message{From: "x"}); err == nil {
 		spoof := append([]byte(nil), data[:len(data)-5]...)
@@ -375,16 +384,16 @@ func decodeCorpus(tb testing.TB) [][]byte {
 	return append(corpus, retiredVersions(corpus)...)
 }
 
-// retiredVersions relabels every wire-v5 frame of corpus as wire v3 and
-// as wire v4. The decoder accepts v5 only, so each must be rejected with
-// ErrBadMagic.
+// retiredVersions relabels every current-version frame of corpus as
+// wire v3, v4 and v5. The decoder accepts codecVersion only, so each
+// must be rejected with ErrBadMagic.
 func retiredVersions(corpus [][]byte) [][]byte {
 	var out [][]byte
 	for _, data := range corpus {
 		if !bytes.HasPrefix(data, []byte{'A', 'G', 'B', codecVersion}) {
 			continue
 		}
-		for _, v := range []byte{3, 4} {
+		for _, v := range []byte{3, 4, 5} {
 			old := append([]byte(nil), data...)
 			old[3] = v
 			out = append(out, old)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,11 +17,9 @@ func sampleMessage() *gossip.Message {
 	return &gossip.Message{
 		From:         "node-1",
 		Round:        42,
-		Adaptive:     true,
 		SamplePeriod: 7,
-		MinBuff:      90,
 		Traced:       true,
-		KMin: []gossip.BuffCap{
+		MinBuff: []gossip.BuffCap{
 			{Node: "node-2", Cap: 45},
 			{Node: "node-3", Cap: 60},
 		},
@@ -64,23 +63,31 @@ func sampleHealthDigest(node gossip.NodeID) gossip.HealthDigest {
 	return d
 }
 
+// headerSamples are adaptation headers of 0, 1 and 3 entries, one
+// with a negative capacity: the codec carries any i32, and the
+// estimator drops such a header whole.
+func headerSamples() []*gossip.Message {
+	return []*gossip.Message{
+		{From: "a"},
+		{From: "a", SamplePeriod: 3, MinBuff: []gossip.BuffCap{{Node: "a", Cap: 30}}},
+		{From: "a", SamplePeriod: 1 << 40, MinBuff: []gossip.BuffCap{
+			{Node: "z", Cap: -1}, {Node: "b", Cap: 45}, {Node: "node-3", Cap: 60},
+		}},
+	}
+}
+
 func msgEqual(a, b *gossip.Message) bool {
-	if a.From != b.From || a.Round != b.Round || a.Adaptive != b.Adaptive ||
-		a.Traced != b.Traced {
+	if a.From != b.From || a.Round != b.Round || a.Traced != b.Traced {
 		return false
 	}
-	if a.Adaptive && (a.SamplePeriod != b.SamplePeriod || a.MinBuff != b.MinBuff) {
+	// The period rides the wire only with a header.
+	if !slices.Equal(a.MinBuff, b.MinBuff) || len(a.MinBuff) > 0 && a.SamplePeriod != b.SamplePeriod {
 		return false
 	}
-	if len(a.KMin) != len(b.KMin) || len(a.Events) != len(b.Events) ||
+	if len(a.Events) != len(b.Events) ||
 		len(a.Subs) != len(b.Subs) || len(a.Unsubs) != len(b.Unsubs) ||
 		len(a.Health) != len(b.Health) {
 		return false
-	}
-	for i := range a.KMin {
-		if a.KMin[i] != b.KMin[i] {
-			return false
-		}
 	}
 	for i := range a.Events {
 		if a.Events[i].ID != b.Events[i].ID || a.Events[i].Age != b.Events[i].Age ||
@@ -112,17 +119,45 @@ func msgEqual(a, b *gossip.Message) bool {
 
 func TestCodecRoundTrip(t *testing.T) {
 	c := DefaultCodec()
-	m := sampleMessage()
-	data, err := c.Encode(m)
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
+	for _, m := range append(headerSamples(), sampleMessage()) {
+		data, err := c.Encode(m)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		got, err := c.Decode(data)
+		if err != nil {
+			t.Fatalf("Decode: %v", err)
+		}
+		if !msgEqual(m, got) {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
+		}
 	}
-	got, err := c.Decode(data)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+}
+
+// TestAdaptationHeaderWireSize pins the header's cost: an absent one is
+// its 2-byte zero count inside a 44-byte header-less frame, and a
+// header adds the 8-byte period plus 2 + len(owner) + 4 bytes per entry.
+func TestAdaptationHeaderWireSize(t *testing.T) {
+	c := DefaultCodec()
+	const base = 44 // frame 6, control 29 + 6, empty event section 3
+	if got := c.EncodedSize(&gossip.Message{From: "a"}); got != base {
+		t.Fatalf("header-less frame = %d bytes, want %d", got, base)
 	}
-	if !msgEqual(m, got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", m, got)
+	for _, m := range headerSamples() {
+		want := base
+		if len(m.MinBuff) > 0 {
+			want += 8
+		}
+		for _, e := range m.MinBuff {
+			want += 2 + len(e.Node) + 4
+		}
+		data, err := c.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) != want {
+			t.Fatalf("%d-entry header: frame is %d bytes, want %d", len(m.MinBuff), len(data), want)
+		}
 	}
 }
 
@@ -144,7 +179,7 @@ func TestCodecRoundTripMinimal(t *testing.T) {
 
 func TestCodecEncodedSizeIsExact(t *testing.T) {
 	c := DefaultCodec()
-	for _, m := range []*gossip.Message{sampleMessage(), {From: "y", Adaptive: true, MinBuff: -1}} {
+	for _, m := range append(headerSamples(), sampleMessage()) {
 		data, err := c.Encode(m)
 		if err != nil {
 			t.Fatal(err)
@@ -157,14 +192,14 @@ func TestCodecEncodedSizeIsExact(t *testing.T) {
 
 func TestCodecNegativeMinBuffSurvives(t *testing.T) {
 	c := DefaultCodec()
-	m := &gossip.Message{From: "a", Adaptive: true, MinBuff: -5}
+	m := &gossip.Message{From: "a", MinBuff: []gossip.BuffCap{{Node: "a", Cap: -5}}}
 	data, _ := c.Encode(m)
 	got, err := c.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MinBuff != -5 {
-		t.Fatalf("MinBuff = %d, want -5", got.MinBuff)
+	if len(got.MinBuff) != 1 || got.MinBuff[0].Cap != -5 {
+		t.Fatalf("MinBuff = %+v, want one entry of -5", got.MinBuff)
 	}
 }
 
@@ -186,14 +221,14 @@ func TestCodecRejectsBadMagicAndVersion(t *testing.T) {
 	}
 }
 
-// TestRetiredVersionsRejected: v5 is the only wire version. Every
-// v5 corpus frame relabelled as v3 or v4 is refused with ErrBadMagic by
-// both decode entry points, and a UDP transport counts it as a decode
-// error instead of delivering it.
+// TestRetiredVersionsRejected: codecVersion is the only wire version.
+// Every corpus frame relabelled as v3, v4 or v5 is refused with
+// ErrBadMagic by both decode entry points, and a UDP transport counts
+// it as a decode error instead of delivering it.
 func TestRetiredVersionsRejected(t *testing.T) {
 	frames := retiredVersions(decodeCorpus(t))
 	if len(frames) < 100 {
-		t.Fatalf("only %d retired-version frames; the corpus lost its v5 seeds", len(frames))
+		t.Fatalf("only %d retired-version frames; the corpus lost its current-version seeds", len(frames))
 	}
 	c := DefaultCodec()
 	in, ids := &Inbound{}, newIDTable()
@@ -233,9 +268,9 @@ func checkCountedAsDecodeErrors(t *testing.T, frames [][]byte) {
 }
 
 // TestUnknownFlagsRejected: a frame with a flag bit no encoder sets —
-// bit 1, the retired group tag, or any of bits 4–7 — is refused by both
-// decode entry points, and a UDP transport counts it as a decode error
-// instead of delivering it.
+// bit 0, the retired adaptation-header flag, bit 1, the retired group
+// tag, or any of bits 4–7 — is refused by both decode entry points, and
+// a UDP transport counts it as a decode error instead of delivering it.
 func TestUnknownFlagsRejected(t *testing.T) {
 	c := DefaultCodec()
 	in, ids := &Inbound{}, newIDTable()
@@ -244,7 +279,7 @@ func TestUnknownFlagsRejected(t *testing.T) {
 		if _, err := c.Decode(data); err != nil {
 			continue
 		}
-		for _, bit := range []byte{1 << 1, 1 << 4, 1 << 5, 1 << 6, 1 << 7} {
+		for _, bit := range []byte{1 << 0, 1 << 1, 1 << 4, 1 << 5, 1 << 6, 1 << 7} {
 			bad := append([]byte(nil), data...)
 			bad[4] |= bit
 			if _, err := c.Decode(bad); err == nil {
@@ -342,8 +377,10 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 		if from == "" {
 			from = "f"
 		}
-		m := &gossip.Message{From: gossip.NodeID(from), Round: round,
-			Adaptive: adaptive, SamplePeriod: sp, MinBuff: int(mb)}
+		m := &gossip.Message{From: gossip.NodeID(from), Round: round, SamplePeriod: sp}
+		if adaptive {
+			m.MinBuff = []gossip.BuffCap{{Node: m.From, Cap: int(mb)}}
+		}
 		n := len(origins)
 		if len(seqs) < n {
 			n = len(seqs)
@@ -375,10 +412,6 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 		got, err := c.Decode(data)
 		if err != nil {
 			return false
-		}
-		if !adaptive {
-			// Non-adaptive headers do not carry sp/mb; normalize.
-			m.SamplePeriod, m.MinBuff = 0, 0
 		}
 		return msgEqual(m, got)
 	}
@@ -416,14 +449,16 @@ func TestEncodeChunksSplitsAndEachChunkDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chunk %d decode: %v", i, err)
 		}
-		if dm.From != m.From || dm.Adaptive != m.Adaptive || dm.MinBuff != m.MinBuff {
+		// The adaptation header rides every chunk; the rest of the
+		// control headers ride the first.
+		if dm.From != m.From || dm.SamplePeriod != m.SamplePeriod || !slices.Equal(dm.MinBuff, m.MinBuff) {
 			t.Fatalf("chunk %d header mismatch", i)
 		}
 		if i == 0 {
-			if len(dm.KMin) == 0 || len(dm.Subs) == 0 {
+			if len(dm.Subs) == 0 {
 				t.Fatal("first chunk lost control headers")
 			}
-		} else if len(dm.KMin) != 0 || len(dm.Subs) != 0 {
+		} else if len(dm.Subs) != 0 {
 			t.Fatalf("chunk %d duplicated control headers", i)
 		}
 		events += len(dm.Events)

@@ -7,10 +7,10 @@ import (
 	"sync"
 )
 
-// Compression layer (wire v5): the event section — the bulk of a round
+// Compression layer: the event section — the bulk of a round
 // message — may be compressed before framing. The codec negotiates per
 // frame: the flagCompress bit plus a one-byte compressor id say how the
-// section bytes were produced, so a v5 decoder needs only the matching
+// section bytes were produced, so a decoder needs only the matching
 // Compressor registered, not the same configuration. Control headers
 // are never compressed; they are small and must stay parseable even
 // when a payload codec is unavailable.
@@ -106,7 +106,7 @@ func (f *flateCompressor) Decompress(dst, src []byte, rawLen int) ([]byte, error
 	return dst, nil
 }
 
-// decompressors is the decode-side registry: every compressor a v5
+// decompressors is the decode-side registry: every compressor the
 // decoder accepts, keyed by wire id. Decoding is independent of the
 // codec's own Compression setting — a node configured without
 // compression still decodes compressed frames from peers that use it.

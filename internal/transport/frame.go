@@ -12,11 +12,10 @@ import (
 // magic, version, flags and the message kind (see codec.go for the full
 // layout).
 const (
-	codecVersion  = 5 // the one wire version (columnar events, compression seam)
-	flagAdaptive  = 1 << 0
+	codecVersion  = 6 // the one wire version (owner-named adaptation header)
 	flagTraced    = 1 << 2
 	flagCompress  = 1 << 3 // the event section is compressed
-	flagsKnown    = flagAdaptive | flagTraced | flagCompress
+	flagsKnown    = flagTraced | flagCompress
 	maxUint16     = 1<<16 - 1
 	frameHdrBytes = 3 + 1 + 1 + 1 // magic + version + flags + kind
 )
@@ -34,9 +33,6 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 	buf = append(buf, codecMagic[:]...)
 	buf = append(buf, version)
 	var flags byte
-	if m.Adaptive {
-		flags |= flagAdaptive
-	}
 	if m.Traced {
 		flags |= flagTraced
 	}
@@ -46,17 +42,16 @@ func appendFrame(buf []byte, version byte, m *gossip.Message) []byte {
 }
 
 // appendControlPre writes the leading control fields: addressing,
-// round, adaptation header, κ-entries, the recovery id lists and the
+// round, adaptation header, the recovery id lists and the
 // failure-detection fields. The trailing control fields follow.
 func appendControlPre(buf []byte, m *gossip.Message) []byte {
 	buf = appendString(buf, string(m.From))
 	buf = binary.BigEndian.AppendUint64(buf, m.Round)
-	if m.Adaptive {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.MinBuff)))
+	if len(m.MinBuff) > 0 {
 		buf = binary.BigEndian.AppendUint64(buf, m.SamplePeriod)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(m.MinBuff)))
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.KMin)))
-	for _, e := range m.KMin {
+	for _, e := range m.MinBuff {
 		buf = appendString(buf, string(e.Node))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(e.Cap)))
 	}
@@ -135,12 +130,11 @@ func appendHealthDigest(buf []byte, d *gossip.HealthDigest) []byte {
 // controlPreSize returns the exact wire size of the leading control
 // fields written by appendControlPre.
 func controlPreSize(m *gossip.Message) int {
-	n := 2 + len(m.From) + 8
-	if m.Adaptive {
-		n += 8 + 4
+	n := 2 + len(m.From) + 8 + 2
+	if len(m.MinBuff) > 0 {
+		n += 8
 	}
-	n += 2
-	for _, e := range m.KMin {
+	for _, e := range m.MinBuff {
 		n += 2 + len(e.Node) + 4
 	}
 	n += 2 + 2
@@ -336,22 +330,17 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message) error {
 	if m.Round, err = r.u64(); err != nil {
 		return err
 	}
-	if m.Adaptive {
-		if m.SamplePeriod, err = r.u64(); err != nil {
-			return err
-		}
-		mb, err := r.u32()
-		if err != nil {
-			return err
-		}
-		m.MinBuff = int(int32(mb))
-	}
 	nk, err := r.u16()
 	if err != nil {
 		return err
 	}
-	// ≥6 bytes per κ-entry, ≥10 per id, ≥11 per update.
-	m.KMin = reserve(m.KMin, r.boundedCount(int(nk), 6))
+	if nk > 0 {
+		if m.SamplePeriod, err = r.u64(); err != nil {
+			return err
+		}
+	}
+	// ≥6 bytes per adaptation entry, ≥10 per id, ≥11 per update.
+	m.MinBuff = reserve(m.MinBuff, r.boundedCount(int(nk), 6))
 	for i := 0; i < int(nk); i++ {
 		node, err := r.id(c.MaxIDLen)
 		if err != nil {
@@ -361,7 +350,7 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message) error {
 		if err != nil {
 			return err
 		}
-		m.KMin = append(m.KMin, gossip.BuffCap{Node: gossip.NodeID(node), Cap: int(int32(cp))})
+		m.MinBuff = append(m.MinBuff, gossip.BuffCap{Node: gossip.NodeID(node), Cap: int(int32(cp))})
 	}
 	for _, dst := range [2]*[]gossip.EventID{&m.Digest, &m.Request} {
 		nd, err := r.u16()

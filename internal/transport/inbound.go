@@ -93,7 +93,7 @@ func (in *Inbound) retained() int {
 	m := &in.msg
 	return cap(in.scratch) +
 		cap(m.Events)*int(unsafe.Sizeof(gossip.Event{})) +
-		cap(m.KMin)*int(unsafe.Sizeof(gossip.BuffCap{})) +
+		cap(m.MinBuff)*int(unsafe.Sizeof(gossip.BuffCap{})) +
 		(cap(m.Subs)+cap(m.Unsubs))*int(unsafe.Sizeof(gossip.NodeID(""))) +
 		(cap(m.Digest)+cap(m.Request))*int(unsafe.Sizeof(gossip.EventID{})) +
 		cap(m.Updates)*int(unsafe.Sizeof(gossip.MemberUpdate{})) +

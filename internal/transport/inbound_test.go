@@ -92,7 +92,8 @@ func TestDecodeRejectsWireLenOverflow(t *testing.T) {
 // runs, payloads of payloadLen compressible bytes, and a recovery digest
 // of digestLen ids.
 func redundantRound(events, origins, payloadLen, digestLen int) *gossip.Message {
-	m := &gossip.Message{From: "node-03", Round: 41, Adaptive: true, SamplePeriod: 3, MinBuff: 90}
+	m := &gossip.Message{From: "node-03", Round: 41, SamplePeriod: 3,
+		MinBuff: []gossip.BuffCap{{Node: "node-11", Cap: 90}}}
 	for i := 0; i < events; i++ {
 		origin := gossip.NodeID(fmt.Sprintf("node-%02d", i%origins))
 		payload := bytes.Repeat([]byte(fmt.Sprintf("event %d of %s;", i, origin)), payloadLen/12+1)[:payloadLen]

@@ -186,7 +186,8 @@ var benchTokens = []string{
 // then dictionary text — from 16 origins.
 func textRound(events, size int) *gossip.Message {
 	rng := rand.New(rand.NewPCG(22, 200))
-	m := &gossip.Message{From: "node-03", Round: 41, Adaptive: true, SamplePeriod: 3, MinBuff: 90}
+	m := &gossip.Message{From: "node-03", Round: 41, SamplePeriod: 3,
+		MinBuff: []gossip.BuffCap{{Node: "node-11", Cap: 90}}}
 	for i := 0; i < events; i++ {
 		p := make([]byte, 16, size+16)
 		for len(p) < size {

@@ -86,7 +86,29 @@ func forgedAgeFrame(tb testing.TB, id gossip.EventID) []byte {
 // math.MaxUint64: the largest period the decoder accepts.
 func hostilePeriodFrame(tb testing.TB) []byte {
 	return encodeFrame(tb, &gossip.Message{
-		From: "mallory", Adaptive: true, SamplePeriod: math.MaxUint64, MinBuff: 4,
+		From: "mallory", SamplePeriod: math.MaxUint64, MinBuff: []gossip.BuffCap{{Node: "mallory", Cap: 4}},
+	})
+}
+
+// threeEntryHeaderFrame encodes a κ = 3 adaptation header, ascending,
+// with events from two of its owners.
+func threeEntryHeaderFrame(tb testing.TB) []byte {
+	return encodeFrame(tb, &gossip.Message{
+		From: "p1", Round: 9, SamplePeriod: 2,
+		MinBuff: []gossip.BuffCap{{Node: "p2", Cap: 30}, {Node: "p1", Cap: 60}, {Node: "member", Cap: 120}},
+		Events: []gossip.Event{
+			{ID: gossip.EventID{Origin: "p1", Seq: 4}, Age: 1, Payload: []byte("a")},
+			{ID: gossip.EventID{Origin: "p2", Seq: 8}, Age: 2, Payload: []byte("b")},
+		},
+	})
+}
+
+// forgedOwnerFrame encodes an adaptation header whose one entry names
+// not its sender but the receiving member, at capacity 1: attribution
+// is a claim the header's sender makes.
+func forgedOwnerFrame(tb testing.TB) []byte {
+	return encodeFrame(tb, &gossip.Message{
+		From: "mallory", SamplePeriod: 1, MinBuff: []gossip.BuffCap{{Node: "member", Cap: 1}},
 	})
 }
 

@@ -80,7 +80,7 @@ type UDPStats struct {
 	RecvQueueDrops uint64
 	// PreCompressionBytes and PostCompressionBytes measure the event
 	// sections of encoded messages before and after the configured
-	// payload compression (wire v5). Equal counters mean compression is
+	// payload compression. Equal counters mean compression is
 	// off or never paid for itself.
 	PreCompressionBytes  uint64
 	PostCompressionBytes uint64

@@ -62,7 +62,7 @@ func TestUDPSplitLargeMessage(t *testing.T) {
 	a.Start()
 	a.Register("b", b.Addr().String())
 
-	msg := &gossip.Message{From: "a", Adaptive: true, MinBuff: 90}
+	msg := &gossip.Message{From: "a", MinBuff: []gossip.BuffCap{{Node: "a", Cap: 90}}}
 	for i := 0; i < 50; i++ {
 		msg.Events = append(msg.Events, gossip.Event{
 			ID:      gossip.EventID{Origin: "a", Seq: uint64(i)},
@@ -81,7 +81,7 @@ func TestUDPSplitLargeMessage(t *testing.T) {
 		case m := <-got:
 			chunks++
 			events += len(m.Events)
-			if m.MinBuff != 90 || !m.Adaptive {
+			if len(m.MinBuff) != 1 || m.MinBuff[0].Cap != 90 {
 				t.Fatal("chunk lost adaptation header")
 			}
 		case <-deadline:

@@ -106,9 +106,9 @@ func TestDecodeErrorsReachStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// "AGB" v5, compress flag, gossip kind, from "x", zeroed control
-	// fields, then rawLen 1, flate, wireLen MaxInt64.
-	frame := append([]byte{'A', 'G', 'B', 5, 1 << 3, 0, 0, 1, 'x'}, make([]byte, 32)...)
+	// "AGB" at the wire version (6), compress flag, gossip kind, from
+	// "x", zeroed control fields, then rawLen 1, flate, wireLen MaxInt64.
+	frame := append([]byte{'A', 'G', 'B', 6, 1 << 3, 0, 0, 1, 'x'}, make([]byte, 32)...)
 	frame = append(frame, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
 	for _, datagram := range [][]byte{frame, []byte("not gossip")} {
 		if _, err := conn.Write(datagram); err != nil {
