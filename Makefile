@@ -58,6 +58,17 @@ figures-check:
 		echo "figure $$f: byte-identical"; \
 	done
 
+# The three line counts ROADMAP.md tracks: non-test Go outside bench/
+# (examples and cmd included), test Go outside bench/, and all of
+# bench/ (a module of its own). Hidden directories (.git, the bench
+# build cache) are skipped.
+SRC_GO = find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go'
+.PHONY: loc
+loc:
+	@printf 'non-test Go outside bench/: %s\n' "$$($(SRC_GO) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'test Go outside bench/:     %s\n' "$$($(SRC_GO) -name '*_test.go' -exec cat {} + | wc -l)"
+	@printf 'bench/:                     %s\n' "$$(find bench -name '*.go' -exec cat {} + | wc -l)"
+
 .PHONY: clean
 clean:
 	rm -rf bin

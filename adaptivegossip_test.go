@@ -428,8 +428,10 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestTransportOptionValidation(t *testing.T) {
-	if _, err := NewUDPTransport(WithLoss(2)); err == nil {
-		t.Fatal("invalid loss accepted")
+	for _, p := range []float64{2, math.NaN()} {
+		if _, err := NewUDPTransport(WithLoss(p)); err == nil {
+			t.Fatalf("loss %v accepted", p)
+		}
 	}
 	if _, err := NewUDPTransport(WithBind("")); err == nil {
 		t.Fatal("empty bind address accepted")

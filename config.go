@@ -117,7 +117,7 @@ type ObservabilityConfig struct {
 
 // Validate reports the first configuration error.
 func (c ObservabilityConfig) Validate() error {
-	if c.TraceSampleRate < 0 || c.TraceSampleRate > 1 {
+	if !(c.TraceSampleRate >= 0 && c.TraceSampleRate <= 1) {
 		return fmt.Errorf("adaptivegossip: trace sample rate %v out of [0,1]", c.TraceSampleRate)
 	}
 	return nil

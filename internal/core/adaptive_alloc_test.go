@@ -27,8 +27,9 @@ import (
 // fresh period), a recovery digest, rumors and health digests —
 // allocates nothing. It holds at κ = 1, the paper's minimum, whose
 // one-entry header displaces the member's own entry, and at κ = 3, whose
-// peer sends κ entries, one of them this member's own at a smaller
-// capacity than the member holds. (An
+// peer sends κ entries that push the member's own out of the period,
+// plus a forged one naming the member below its capacity, which the
+// member skips. (An
 // event seen for the first time costs its one payload copy; that is
 // TestReceiveBorrowedAllocsPerNewEvent's subject.)
 func TestEverythingOnRoundAllocFree(t *testing.T) {
@@ -45,7 +46,7 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 		minBuff int              // the estimate the round's headers lead to
 	}{
 		{name: "minimum", rank: 1, hdr: []gossip.BuffCap{{Node: peer, Cap: 90}}, minBuff: 90},
-		{name: "kmin-3", rank: 3, hdr: []gossip.BuffCap{{Node: ids[3], Cap: 90}, {Node: ids[4], Cap: 100}, {Node: self, Cap: 110}}, minBuff: 110},
+		{name: "kmin-3", rank: 3, hdr: []gossip.BuffCap{{Node: self, Cap: 80}, {Node: ids[3], Cap: 90}, {Node: ids[4], Cap: 100}, {Node: ids[5], Cap: 110}}, minBuff: 110},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := DefaultParams()

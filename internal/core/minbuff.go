@@ -154,7 +154,9 @@ const maxPeriod = 1<<63 - 1
 // entries; older headers are ignored. A header from a period above
 // maxPeriod, or with no entry or an entry whose capacity is not
 // positive, is dropped whole, period included: a corrupt header must
-// not poison the estimate.
+// not poison the estimate. An entry naming this node is skipped: the
+// node knows its own capacity, and a peer's claim about it is at best
+// a stale copy.
 func (e *MinBuffEstimator) Observe(period uint64, entries []MinEntry) {
 	if period > maxPeriod || len(entries) == 0 {
 		return
@@ -171,7 +173,9 @@ func (e *MinBuffEstimator) Observe(period uint64, entries []MinEntry) {
 	}
 	i := e.slot(period)
 	for _, ent := range entries {
-		e.fold(i, ent)
+		if ent.Node != e.self {
+			e.fold(i, ent)
+		}
 	}
 }
 

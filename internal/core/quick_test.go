@@ -57,7 +57,8 @@ func TestQuickMinBuffEstimatorModel(t *testing.T) {
 				model[curPeriod] = append(model[curPeriod], MinEntry{Node: "self", Cap: lc})
 			default:
 				p := uint64(o.Period % 8)
-				// Five senders, one of them relaying this node's own entry.
+				// Five senders, one of them relaying an entry that names
+				// this node.
 				ent := MinEntry{Node: []gossip.NodeID{"a", "b", "c", "d", "self"}[o.Node%5], Cap: v}
 				e.Observe(p, []MinEntry{ent})
 				if v <= 0 {
@@ -66,8 +67,8 @@ func TestQuickMinBuffEstimatorModel(t *testing.T) {
 				for ; curPeriod < p; curPeriod++ { // clock sync
 					model[curPeriod+1] = []MinEntry{{Node: "self", Cap: lc}}
 				}
-				if curPeriod-p >= w {
-					continue // too old, ignored
+				if curPeriod-p >= w || ent.Node == "self" {
+					continue // too old, or a claim about this node: ignored
 				}
 				model[p] = append(model[p], ent)
 			}

@@ -100,7 +100,7 @@ type MemberUpdate struct {
 // small control headers that ride along with them. Per the paper, the
 // adaptation mechanism adds no messages of its own — the SamplePeriod
 // and MinBuff header fields are the entirety of its wire footprint
-// (Figure 5(a)), and the Subs/Unsubs fields carry lpbcast's partial-view
+// (Figure 5(a)), and the Subs field carries lpbcast's partial-view
 // membership traffic.
 //
 // A message built by Node.Tick is shared read-only between the fanout
@@ -127,10 +127,8 @@ type Message struct {
 	// Figure 1).
 	Events []Event
 
-	// Subs and Unsubs piggyback partial-view membership churn
-	// (subscriptions and unsubscriptions) on data gossip.
-	Subs   []NodeID
-	Unsubs []NodeID
+	// Subs piggybacks partial-view subscriptions on data gossip.
+	Subs []NodeID
 
 	// Digest piggybacks the identifiers of events the sender has seen
 	// recently and can retransmit — the anti-entropy advertisement
@@ -200,7 +198,6 @@ func (m *Message) CopyForSend() *Message {
 	c.Events = append([]Event(nil), m.Events...)
 	c.MinBuff = append([]BuffCap(nil), m.MinBuff...)
 	c.Subs = append([]NodeID(nil), m.Subs...)
-	c.Unsubs = append([]NodeID(nil), m.Unsubs...)
 	c.Digest = append([]EventID(nil), m.Digest...)
 	c.Request = append([]EventID(nil), m.Request...)
 	c.Updates = append([]MemberUpdate(nil), m.Updates...)

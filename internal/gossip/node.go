@@ -393,7 +393,6 @@ func (n *Node) Tick() []Outgoing {
 		Traced:  n.tracer != nil,
 		Events:  n.scratchEvents,
 		Subs:    msg.Subs[:0],
-		Unsubs:  msg.Unsubs[:0],
 		Updates: msg.Updates[:0],
 		Health:  msg.Health[:0],
 	}

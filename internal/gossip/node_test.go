@@ -394,7 +394,6 @@ func TestMessageCloneIsDeep(t *testing.T) {
 		From:   "a",
 		Events: []Event{{ID: id("a", 1), Payload: []byte{5}}},
 		Subs:   []NodeID{"x"},
-		Unsubs: []NodeID{"y"},
 	}
 	c := m.Clone()
 	c.Events[0].Payload[0] = 7

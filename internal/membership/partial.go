@@ -8,26 +8,24 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// Piggybacked membership traffic per outgoing gossip message: the
-// sender itself and subsPerGossip-1 subscriptions from its pool, and
-// unsubsPerGossip unsubscriptions.
-const (
-	subsPerGossip   = 4
-	unsubsPerGossip = 1
-)
+// subsPerGossip is the piggybacked membership traffic per outgoing
+// gossip message: the sender itself and subsPerGossip-1 subscriptions
+// from its pool.
+const subsPerGossip = 4
 
 // PartialView is lpbcast's partial-membership mechanism: each node
 // knows only a bounded random subset of the group, maintained purely by
-// piggybacking subscriptions and unsubscriptions on data gossip. It
+// piggybacking subscriptions on data gossip. No member announces a
+// departure, so lpbcast's unsubscriptions are not carried. It
 // implements both gossip.PeerSampler (targets come from the view) and
-// gossip.Extension (membership traffic rides on Message.Subs/Unsubs).
+// gossip.Extension (membership traffic rides on Message.Subs).
 //
 // PartialView is owned by a single node and is not safe for concurrent
 // use; the node's driver serializes all calls.
 type PartialView struct {
 	self gossip.NodeID
-	// maxView bounds the view (lpbcast's ℓ) and the pools of recently
-	// heard subscriptions and unsubscriptions.
+	// maxView bounds the view (lpbcast's ℓ) and the pool of recently
+	// heard subscriptions.
 	maxView int
 	rng     *rand.Rand
 
@@ -43,9 +41,6 @@ type PartialView struct {
 
 	subs    []gossip.NodeID
 	subsSet map[gossip.NodeID]struct{}
-
-	unsubs    []gossip.NodeID
-	unsubsSet map[gossip.NodeID]struct{}
 }
 
 // NewPartialView creates a view of at most maxView entries seeded with
@@ -61,12 +56,11 @@ func NewPartialView(self gossip.NodeID, seeds []gossip.NodeID, maxView int, rng 
 		return nil, fmt.Errorf("membership: rng must not be nil")
 	}
 	v := &PartialView{
-		self:      self,
-		maxView:   maxView,
-		rng:       rng,
-		viewSet:   make(map[gossip.NodeID]struct{}, maxView),
-		subsSet:   make(map[gossip.NodeID]struct{}, maxView),
-		unsubsSet: make(map[gossip.NodeID]struct{}, maxView),
+		self:    self,
+		maxView: maxView,
+		rng:     rng,
+		viewSet: make(map[gossip.NodeID]struct{}, maxView),
+		subsSet: make(map[gossip.NodeID]struct{}, maxView),
 	}
 	for _, s := range seeds {
 		v.addToView(s)
@@ -190,13 +184,10 @@ func (v *PartialView) appendWeighted(dst []gossip.NodeID, k int, rng *rand.Rand)
 }
 
 // OnTick piggybacks membership traffic: the sender's own subscription
-// plus random samples of the subs and unsubs pools.
+// plus a random sample of the subs pool.
 func (v *PartialView) OnTick(n *gossip.Node, out *Message) {
 	out.Subs = append(out.Subs, v.self)
-	for _, s := range v.samplePool(v.subs, subsPerGossip-1) {
-		out.Subs = append(out.Subs, s)
-	}
-	out.Unsubs = append(out.Unsubs, v.samplePool(v.unsubs, unsubsPerGossip)...)
+	out.Subs = append(out.Subs, v.samplePool(v.subs, subsPerGossip-1)...)
 }
 
 // Message aliases gossip.Message for readability of the Extension
@@ -205,21 +196,8 @@ type Message = gossip.Message
 
 // OnReceive merges incoming membership traffic into the local state.
 func (v *PartialView) OnReceive(n *gossip.Node, in *Message) {
-	for _, u := range in.Unsubs {
-		if u == v.self {
-			continue
-		}
-		v.removeFromView(u)
-		v.removeFromSubs(u)
-		v.addToPool(&v.unsubs, v.unsubsSet, u, v.maxView)
-	}
 	for _, s := range in.Subs {
 		if s == v.self {
-			continue
-		}
-		if _, gone := v.unsubsSet[s]; gone {
-			// Recently unsubscribed; do not resurrect until the unsub
-			// ages out of the pool.
 			continue
 		}
 		v.addToView(s)
@@ -229,48 +207,6 @@ func (v *PartialView) OnReceive(n *gossip.Node, in *Message) {
 
 // OnEvicted is a no-op; the partial view does not track events.
 func (v *PartialView) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {}
-
-// Unsubscribe announces the local node's departure. The unsubscription
-// propagates on subsequent gossip rounds.
-func (v *PartialView) Unsubscribe() {
-	v.addToPool(&v.unsubs, v.unsubsSet, v.self, v.maxView)
-}
-
-// RemovePeer evicts a peer from the view and the subs pool — the
-// eviction entry point for failure-detector confirm events, which
-// otherwise have no voice in lpbcast's subscription-driven membership
-// (a crashed node would linger in the view forever). The removed peer
-// also enters the unsubs pool so the death propagates lpbcast-style on
-// subsequent gossip, and so the peer is not immediately resurrected by
-// stale subscriptions still circulating.
-func (v *PartialView) RemovePeer(id gossip.NodeID) {
-	if id == v.self {
-		return
-	}
-	v.removeFromView(id)
-	v.removeFromSubs(id)
-	v.addToPool(&v.unsubs, v.unsubsSet, id, v.maxView)
-}
-
-// ReadmitPeer clears a peer's unsubscribed state and returns it to the
-// view — the counterpart of RemovePeer for members that prove to be
-// alive after all (detector false positives, rejoins).
-func (v *PartialView) ReadmitPeer(id gossip.NodeID) {
-	if id == v.self {
-		return
-	}
-	if _, gone := v.unsubsSet[id]; gone {
-		for i, cand := range v.unsubs {
-			if cand == id {
-				v.unsubs[i] = v.unsubs[len(v.unsubs)-1]
-				v.unsubs = v.unsubs[:len(v.unsubs)-1]
-				break
-			}
-		}
-		delete(v.unsubsSet, id)
-	}
-	v.addToView(id)
-}
 
 // samplePool draws up to k distinct elements from a pool.
 func (v *PartialView) samplePool(pool []gossip.NodeID, k int) []gossip.NodeID {
@@ -312,34 +248,6 @@ func (v *PartialView) addToView(id gossip.NodeID) {
 		delete(v.viewSet, demoted)
 		v.addToPool(&v.subs, v.subsSet, demoted, v.maxView)
 	}
-}
-
-func (v *PartialView) removeFromView(id gossip.NodeID) {
-	if _, ok := v.viewSet[id]; !ok {
-		return
-	}
-	for i, cand := range v.view {
-		if cand == id {
-			v.view[i] = v.view[len(v.view)-1]
-			v.view = v.view[:len(v.view)-1]
-			break
-		}
-	}
-	delete(v.viewSet, id)
-}
-
-func (v *PartialView) removeFromSubs(id gossip.NodeID) {
-	if _, ok := v.subsSet[id]; !ok {
-		return
-	}
-	for i, cand := range v.subs {
-		if cand == id {
-			v.subs[i] = v.subs[len(v.subs)-1]
-			v.subs = v.subs[:len(v.subs)-1]
-			break
-		}
-	}
-	delete(v.subsSet, id)
 }
 
 func (v *PartialView) addToPool(pool *[]gossip.NodeID, set map[gossip.NodeID]struct{}, id gossip.NodeID, max int) {

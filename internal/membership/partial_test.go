@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"adaptivegossip/internal/failure"
 	"adaptivegossip/internal/gossip"
 )
 
@@ -76,31 +75,6 @@ func TestPartialViewOnTickPiggybacksSelf(t *testing.T) {
 	}
 }
 
-func TestPartialViewUnsubRemovesAndPropagates(t *testing.T) {
-	v := newView(t, "a", "b", "c", "d")
-	v.OnReceive(nil, &Message{Unsubs: ids("c")})
-	if v.Contains("c") {
-		t.Fatal("c still in view after unsub")
-	}
-	// The unsub is forwarded on subsequent gossip.
-	msg := &Message{}
-	v.OnTick(nil, msg)
-	found := false
-	for _, u := range msg.Unsubs {
-		if u == "c" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("unsub for c not piggybacked: %v", msg.Unsubs)
-	}
-	// A subscription for a recently unsubscribed node is not resurrected.
-	v.OnReceive(nil, &Message{Subs: ids("c")})
-	if v.Contains("c") {
-		t.Fatal("c resurrected while unsub pending")
-	}
-}
-
 func TestPartialViewSamplePeers(t *testing.T) {
 	v := newView(t, "a", "b", "c", "d", "e")
 	rng := rand.New(rand.NewPCG(4, 5))
@@ -121,22 +95,6 @@ func TestPartialViewSamplePeers(t *testing.T) {
 	all := v.SamplePeers("a", 99, rng)
 	if len(all) != 4 {
 		t.Fatalf("oversample returned %d, want full view 4", len(all))
-	}
-}
-
-func TestPartialViewUnsubscribeSelf(t *testing.T) {
-	v := newView(t, "a", "b")
-	v.Unsubscribe()
-	msg := &Message{}
-	v.OnTick(nil, msg)
-	found := false
-	for _, u := range msg.Unsubs {
-		if u == "a" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("own unsubscription not piggybacked")
 	}
 }
 
@@ -190,74 +148,5 @@ func TestPartialViewGossipConvergence(t *testing.T) {
 		if v.ViewSize() > maxView {
 			t.Fatalf("view %d size %d exceeds bound", i, v.ViewSize())
 		}
-	}
-}
-
-// TestPartialViewEvictsConfirmedDeadPeer is the regression test for the
-// view's blind spot: lpbcast's subscription gossip never removes a
-// crashed peer, so detector confirm events must. Wiring a failure
-// engine's callback to RemovePeer evicts the dead peer from the view
-// (and spreads its death as an unsubscription); a later proof of life
-// re-admits it.
-func TestPartialViewEvictsConfirmedDeadPeer(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 9))
-	peers := []gossip.NodeID{"p1", "p2", "p3", "dead"}
-	view, err := NewPartialView("self", peers, 15, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := failure.NewEngine("self", failure.Params{Enabled: true, SuspicionTimeoutRounds: 2}, view, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetOnChange(func(id gossip.NodeID, status gossip.MemberStatus) {
-		switch status {
-		case gossip.MemberConfirmed:
-			view.RemovePeer(id)
-		case gossip.MemberAlive:
-			view.ReadmitPeer(id)
-		}
-	})
-
-	// Rounds: the engine probes view members; every peer except "dead"
-	// keeps gossiping (proof of life), so only "dead" escalates through
-	// suspect to confirm.
-	for round := 0; round < 40 && view.Contains("dead"); round++ {
-		msg := &gossip.Message{Kind: gossip.KindGossip, From: "self"}
-		eng.OnTick(nil, msg)
-		eng.TakeOutgoing()
-		for _, p := range peers[:3] {
-			eng.OnReceive(nil, &gossip.Message{Kind: gossip.KindGossip, From: p})
-		}
-	}
-	if view.Contains("dead") {
-		t.Fatalf("crashed peer still in view after detection window: view=%v", view.View())
-	}
-	for _, p := range peers[:3] {
-		if !view.Contains(p) {
-			t.Fatalf("live peer %s evicted: view=%v", p, view.View())
-		}
-	}
-	// The death propagates as an unsubscription on the next gossip.
-	out := &gossip.Message{From: "self"}
-	view.OnTick(nil, out)
-	found := false
-	for _, u := range out.Unsubs {
-		if u == "dead" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("eviction not spread as unsub: %v", out.Unsubs)
-	}
-	// Stale subscriptions must not resurrect the dead peer...
-	view.OnReceive(nil, &gossip.Message{Subs: []gossip.NodeID{"dead"}})
-	if view.Contains("dead") {
-		t.Fatal("stale subscription resurrected the evicted peer")
-	}
-	// ...but a genuine proof of life (detector alive event) re-admits.
-	eng.OnReceive(nil, &gossip.Message{Kind: gossip.KindGossip, From: "dead"})
-	if !view.Contains("dead") {
-		t.Fatal("revived peer not re-admitted to the view")
 	}
 }

@@ -174,7 +174,7 @@ func WithLatency(min, max time.Duration) NetworkOption {
 // WithLoss sets the iid message loss probability.
 func WithLoss(p float64) NetworkOption {
 	return func(n *Network) error {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("sim: loss probability %v out of [0,1]", p)
 		}
 		n.loss = p
@@ -253,14 +253,6 @@ func (n *Network) Attach(id gossip.NodeID, handler func(*gossip.Message)) {
 	n.handlers[n.intern(id)] = handler
 }
 
-// Detach removes a node from the network: subsequent sends to it count
-// as unrouted and its down state clears.
-func (n *Network) Detach(id gossip.NodeID) {
-	i := n.intern(id)
-	n.handlers[i] = nil
-	n.down[i/64] &^= 1 << (uint(i) % 64)
-}
-
 // SetDown marks a node unreachable (crash simulation). Messages to and
 // from a down node are dropped.
 func (n *Network) SetDown(id gossip.NodeID, down bool) {
@@ -282,14 +274,6 @@ func (n *Network) SetRegion(id gossip.NodeID, region int) error {
 	}
 	n.regions[n.intern(id)] = int32(region)
 	return nil
-}
-
-// Region reports a node's region, or -1 when unassigned.
-func (n *Network) Region(id gossip.NodeID) int {
-	if i, ok := n.index[id]; ok {
-		return int(n.regions[i])
-	}
-	return -1
 }
 
 // SetLinkFilter installs a predicate; links for which it returns false

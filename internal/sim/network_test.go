@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -71,8 +72,10 @@ func TestNetworkLoss(t *testing.T) {
 
 func TestNetworkInvalidOptions(t *testing.T) {
 	s := NewScheduler(Epoch)
-	if _, err := NewNetwork(s, DeriveRNG(1, 1), WithLoss(1.5)); err == nil {
-		t.Fatal("loss 1.5 accepted")
+	for _, p := range []float64{1.5, math.NaN()} {
+		if _, err := NewNetwork(s, DeriveRNG(1, 1), WithLoss(p)); err == nil {
+			t.Fatalf("loss %v accepted", p)
+		}
 	}
 	if _, err := NewNetwork(s, DeriveRNG(1, 1), WithLatency(time.Second, 0)); err == nil {
 		t.Fatal("inverted latency bounds accepted")
@@ -151,12 +154,12 @@ func TestNetworkUnroutedAndDetach(t *testing.T) {
 	if n.Stats().Unrouted != 1 {
 		t.Fatalf("Unrouted = %d", n.Stats().Unrouted)
 	}
-	n.Attach("b", func(*gossip.Message) {})
-	n.Detach("b")
+	// A node the fabric knows only as a sender has no handler either.
+	n.Send("b", "a", &gossip.Message{})
 	n.Send("a", "b", &gossip.Message{})
 	s.Drain(10)
-	if n.Stats().Unrouted != 2 {
-		t.Fatalf("Unrouted after detach = %d", n.Stats().Unrouted)
+	if n.Stats().Unrouted != 3 {
+		t.Fatalf("Unrouted for a known but unattached node = %d", n.Stats().Unrouted)
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 var Epoch = time.Unix(0, 0).UTC()
 
 // slot is one scheduled event in the value slab. Free slots are chained
-// through next; live slots sit in the heap at position pos. The
-// generation counter advances every time the slot is released, so a
-// Handle outliving its event can never touch the slot's next tenant.
+// through next.
 //
 // An event is either a callback (fn != nil) or a typed network delivery
 // record (net != nil): the simulated fabric routes one message per send
@@ -27,51 +25,16 @@ var Epoch = time.Unix(0, 0).UTC()
 type slot struct {
 	at  int64 // event instant, nanoseconds since the scheduler base
 	seq uint64
-	gen uint32
-	pos int32 // heap position; -1 while free
 	// free-list link, meaningful only while the slot is free.
 	next int32
 
-	fn func()
-
 	// Typed delivery record (fn == nil): deliver msg to the interned
 	// node to on net.
-	net *Network
 	to  int32
+	net *Network
 	msg *gossip.Message
-}
 
-// Handle allows cancelling a scheduled callback. The zero Handle is
-// valid and cancels nothing.
-//
-// Handles are generation-counted: a Handle refers to (slot, generation),
-// and the generation advances whenever the slot is released (the event
-// ran, was cancelled, or the scheduler reused the slot for a later
-// event). Cancelling a stale Handle — after its event already executed
-// or was cancelled, even if the slot now holds an unrelated event — is
-// therefore always a safe no-op, never a cancellation of the slot's new
-// tenant.
-type Handle struct {
-	s    *Scheduler
-	slot int32
-	gen  uint32
-}
-
-// Cancel prevents the callback from running and removes it from the
-// scheduler immediately, so churn/latency simulations that cancel many
-// timers do not accumulate dead heap entries until their pop time.
-// Cancelling an executed, already cancelled or zero Handle is a no-op.
-func (h Handle) Cancel() {
-	s := h.s
-	if s == nil || int(h.slot) >= len(s.slots) {
-		return
-	}
-	sl := &s.slots[h.slot]
-	if sl.gen != h.gen || sl.pos < 0 {
-		return
-	}
-	s.heapRemove(sl.pos)
-	s.release(h.slot)
+	fn func()
 }
 
 // Scheduler is a deterministic discrete-event loop. Events scheduled
@@ -104,8 +67,7 @@ func (s *Scheduler) Now() time.Time { return s.base.Add(time.Duration(s.now)) }
 // without building a time.Time.
 func (s *Scheduler) Elapsed() time.Duration { return time.Duration(s.now) }
 
-// Len reports the number of pending events. Cancelled events are
-// released at Cancel time and never count.
+// Len reports the number of pending events.
 func (s *Scheduler) Len() int { return len(s.heap) }
 
 // Executed reports the total number of events run since creation — the
@@ -113,9 +75,7 @@ func (s *Scheduler) Len() int { return len(s.heap) }
 func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // alloc takes a slot off the free list, growing the slab when none is
-// free, and stamps the event's time and sequence. The slot's generation
-// is whatever the slot carries: it advanced when the previous tenant
-// was released.
+// free, and stamps the event's time and sequence.
 func (s *Scheduler) alloc(atNs int64) int32 {
 	id := s.free
 	if id >= 0 {
@@ -131,13 +91,10 @@ func (s *Scheduler) alloc(atNs int64) int32 {
 	return id
 }
 
-// release returns a slot to the free list, bumping its generation so
-// outstanding Handles go stale, and dropping event references so the
-// slab does not retain callbacks or messages.
+// release returns a slot to the free list, dropping event references
+// so the slab does not retain callbacks or messages.
 func (s *Scheduler) release(id int32) {
 	sl := &s.slots[id]
-	sl.gen++
-	sl.pos = -1
 	sl.fn = nil
 	sl.net = nil
 	sl.msg = nil
@@ -145,35 +102,15 @@ func (s *Scheduler) release(id int32) {
 	s.free = id
 }
 
-// clampNs converts an absolute instant to slab time, clamping instants
-// in the past to "now" (they run on the next Step, as documented on At).
-func (s *Scheduler) clampNs(t time.Time) int64 {
-	ns := int64(t.Sub(s.base))
-	if ns < s.now {
-		ns = s.now
-	}
-	return ns
-}
-
-// At schedules fn to run at instant t. Instants in the past run
-// immediately on the next Step at the current time.
-func (s *Scheduler) At(t time.Time, fn func()) Handle {
-	id := s.alloc(s.clampNs(t))
-	s.slots[id].fn = fn
-	s.heapPush(id)
-	return Handle{s: s, slot: id, gen: s.slots[id].gen}
-}
-
 // After schedules fn to run d from now. Non-positive d means "next
 // step".
-func (s *Scheduler) After(d time.Duration, fn func()) Handle {
+func (s *Scheduler) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
 	id := s.alloc(s.now + int64(d))
 	s.slots[id].fn = fn
 	s.heapPush(id)
-	return Handle{s: s, slot: id, gen: s.slots[id].gen}
 }
 
 // scheduleDelivery enqueues a typed message-delivery event: the slab
@@ -198,14 +135,18 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	id := s.heap[0]
-	s.heapRemove(0)
+	n := len(s.heap) - 1
+	s.heap[0] = s.heap[n]
+	s.heap = s.heap[:n]
+	if n > 0 {
+		s.siftDown(0)
+	}
 	sl := &s.slots[id]
 	if sl.at > s.now {
 		s.now = sl.at
 	}
 	// Copy the event out and release the slot before executing: the
-	// callback may schedule new events into the just-freed slot, and a
-	// Handle to this event must already be stale while it runs.
+	// callback may schedule new events into the just-freed slot.
 	fn := sl.fn
 	net, to, msg := sl.net, sl.to, sl.msg
 	s.release(id)
@@ -262,26 +203,8 @@ func (s *Scheduler) before(a, b int32) bool {
 // indirection amortizes.
 
 func (s *Scheduler) heapPush(id int32) {
-	i := len(s.heap)
 	s.heap = append(s.heap, id)
-	s.slots[id].pos = int32(i)
-	s.siftUp(i)
-}
-
-// heapRemove excises the entry at heap position pos, restoring heap
-// order. The removed slot's pos is left for the caller to reset via
-// release.
-func (s *Scheduler) heapRemove(pos int32) {
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap = s.heap[:n]
-	if int(pos) == n {
-		return
-	}
-	s.heap[pos] = last
-	s.slots[last].pos = pos
-	s.siftDown(int(pos))
-	s.siftUp(int(s.slots[last].pos))
+	s.siftUp(len(s.heap) - 1)
 }
 
 func (s *Scheduler) siftUp(i int) {
@@ -293,11 +216,9 @@ func (s *Scheduler) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		s.slots[h[i]].pos = int32(i)
 		i = p
 	}
 	h[i] = id
-	s.slots[id].pos = int32(i)
 }
 
 func (s *Scheduler) siftDown(i int) {
@@ -323,9 +244,7 @@ func (s *Scheduler) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		s.slots[h[i]].pos = int32(i)
 		i = best
 	}
 	h[i] = id
-	s.slots[id].pos = int32(i)
 }

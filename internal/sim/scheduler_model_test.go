@@ -8,17 +8,16 @@ import (
 )
 
 // The slab scheduler is checked against a naive container/heap model:
-// both run the same random sequence of At/After/Cancel/Step/RunUntil
-// operations and must agree on the clock, the pending count and the
-// exact execution order at every step. The model is the pre-slab
-// implementation shape — pointer nodes in a binary heap with index
-// tracking — kept deliberately simple so its correctness is obvious.
+// both run the same random sequence of After/Step/RunUntil operations
+// and must agree on the clock, the pending count and the exact
+// execution order at every step. The model is the pre-slab
+// implementation shape — pointer nodes in a binary heap — kept
+// deliberately simple so its correctness is obvious.
 
 type refEvent struct {
-	at    int64 // ns since base
-	seq   uint64
-	id    int // test-assigned identity, recorded on execution
-	index int
+	at  int64 // ns since base
+	seq uint64
+	id  int // test-assigned identity, recorded on execution
 }
 
 type refHeap []*refEvent
@@ -30,16 +29,8 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *refHeap) Push(x any) {
-	ev := x.(*refEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -50,8 +41,8 @@ func (h *refHeap) Pop() any {
 }
 
 // refScheduler is the model: same observable semantics as Scheduler
-// (past instants clamp to now, FIFO within an instant, Cancel removes
-// immediately), implemented the obvious way.
+// (past instants clamp to now, FIFO within an instant), implemented the
+// obvious way.
 type refScheduler struct {
 	now  int64
 	seq  uint64
@@ -59,21 +50,12 @@ type refScheduler struct {
 	runs []int
 }
 
-func (r *refScheduler) schedule(atNs int64, id int) *refEvent {
+func (r *refScheduler) schedule(atNs int64, id int) {
 	if atNs < r.now {
 		atNs = r.now
 	}
-	ev := &refEvent{at: atNs, seq: r.seq, id: id}
+	heap.Push(&r.h, &refEvent{at: atNs, seq: r.seq, id: id})
 	r.seq++
-	heap.Push(&r.h, ev)
-	return ev
-}
-
-func (r *refScheduler) cancel(ev *refEvent) {
-	if ev.index >= 0 && ev.index < len(r.h) && r.h[ev.index] == ev {
-		heap.Remove(&r.h, ev.index)
-		ev.index = -1
-	}
 }
 
 func (r *refScheduler) step() bool {
@@ -81,7 +63,6 @@ func (r *refScheduler) step() bool {
 		return false
 	}
 	ev := heap.Pop(&r.h).(*refEvent)
-	ev.index = -1
 	if ev.at > r.now {
 		r.now = ev.at
 	}
@@ -100,52 +81,34 @@ func (r *refScheduler) runUntil(tNs int64) {
 
 // TestSchedulerAgainstModel drives random operation sequences through
 // the slab scheduler and the model, comparing clock, pending count and
-// execution order after every operation. Cancels deliberately target
-// handles of already-executed and already-cancelled events — the stale
-// half of the generation-counter contract — which must be no-ops on
-// both sides.
+// execution order after every operation. Negative delays, which both
+// sides clamp to "now", are part of the mix.
 func TestSchedulerAgainstModel(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewPCG(seed, seed^0x9E3779B9))
 		s := NewScheduler(Epoch)
 		ref := &refScheduler{}
 		var got []int
-		type pair struct {
-			h  Handle
-			ev *refEvent
-		}
-		var handles []pair
 		nextID := 0
 		sched := func(atNs int64) {
 			id := nextID
 			nextID++
-			var h Handle
-			if rng.IntN(2) == 0 {
-				h = s.At(Epoch.Add(time.Duration(atNs)), func() { got = append(got, id) })
-			} else {
-				h = s.After(time.Duration(atNs)-time.Duration(ref.now), func() { got = append(got, id) })
-				// After clamps negative d to 0, i.e. "now" — same as the
-				// model's past-instant clamp.
-			}
-			handles = append(handles, pair{h, ref.schedule(atNs, id)})
+			// After clamps negative d to 0, i.e. "now" — same as the
+			// model's past-instant clamp.
+			s.After(time.Duration(atNs-ref.now), func() { got = append(got, id) })
+			ref.schedule(atNs, id)
 		}
 		for op := 0; op < 3000; op++ {
-			switch rng.IntN(10) {
+			switch rng.IntN(8) {
 			case 0, 1, 2, 3: // schedule near now, sometimes in the past
 				sched(ref.now + rng.Int64N(2000) - 200)
 			case 4: // schedule far out
 				sched(ref.now + rng.Int64N(1_000_000))
-			case 5, 6: // cancel a random handle, fresh or stale
-				if len(handles) > 0 {
-					p := handles[rng.IntN(len(handles))]
-					p.h.Cancel()
-					ref.cancel(p.ev)
-				}
-			case 7, 8: // step
+			case 5, 6: // step
 				if s.Step() != ref.step() {
 					t.Fatalf("seed %d op %d: Step() disagreement", seed, op)
 				}
-			case 9: // run a window
+			case 7: // run a window
 				tNs := ref.now + rng.Int64N(5000)
 				s.RunUntil(Epoch.Add(time.Duration(tNs)))
 				ref.runUntil(tNs)
@@ -176,74 +139,5 @@ func TestSchedulerAgainstModel(t *testing.T) {
 		if uint64(len(got)) != s.Executed() {
 			t.Fatalf("seed %d: Executed()=%d, want %d", seed, s.Executed(), len(got))
 		}
-	}
-}
-
-// TestHandleStaleAfterSlotReuse is the regression test for the
-// generation counter: once an event's slot has been recycled for a new
-// event, cancelling the old Handle must NOT cancel the new tenant.
-func TestHandleStaleAfterSlotReuse(t *testing.T) {
-	s := NewScheduler(Epoch)
-	var ran []string
-	hA := s.At(Epoch.Add(time.Millisecond), func() { ran = append(ran, "A") })
-	if !s.Step() {
-		t.Fatal("Step ran nothing")
-	}
-	// A executed; its slot is free. B must land in the same slot.
-	hB := s.At(Epoch.Add(2*time.Millisecond), func() { ran = append(ran, "B") })
-	if hA.slot != hB.slot {
-		t.Fatalf("slot not reused: A had %d, B got %d", hA.slot, hB.slot)
-	}
-	if hA.gen == hB.gen {
-		t.Fatalf("generation did not advance across reuse (both %d)", hA.gen)
-	}
-	hA.Cancel() // stale: must not touch B
-	if s.Len() != 1 {
-		t.Fatalf("stale Cancel removed the slot's new tenant: Len=%d, want 1", s.Len())
-	}
-	s.RunUntil(Epoch.Add(time.Second))
-	if len(ran) != 2 || ran[1] != "B" {
-		t.Fatalf("ran %v, want [A B]", ran)
-	}
-
-	// Same for cancellation-driven release: cancel C, let D reuse the
-	// slot, then double-cancel C.
-	hC := s.After(time.Millisecond, func() { ran = append(ran, "C") })
-	hC.Cancel()
-	hD := s.After(time.Millisecond, func() { ran = append(ran, "D") })
-	if hC.slot != hD.slot {
-		t.Fatalf("slot not reused after Cancel: C had %d, D got %d", hC.slot, hD.slot)
-	}
-	hC.Cancel()
-	if s.Len() != 1 {
-		t.Fatalf("stale Cancel after cancellation removed new tenant: Len=%d, want 1", s.Len())
-	}
-	s.RunUntil(s.Now().Add(time.Second))
-	if len(ran) != 3 || ran[2] != "D" {
-		t.Fatalf("ran %v, want [A B D]", ran)
-	}
-}
-
-// TestHandleStaleWhileRunning pins the release-before-execute ordering:
-// by the time a callback runs, its own Handle is already stale, so a
-// callback cancelling itself (directly or via a captured Handle) is a
-// no-op and a callback's newly scheduled event may legally reuse the
-// running event's slot.
-func TestHandleStaleWhileRunning(t *testing.T) {
-	s := NewScheduler(Epoch)
-	var h Handle
-	reused := false
-	ran := 0
-	h = s.After(time.Millisecond, func() {
-		h.Cancel() // self-cancel while running: stale, must not corrupt
-		inner := s.After(time.Millisecond, func() { ran++ })
-		reused = inner.slot == h.slot
-	})
-	s.RunUntil(Epoch.Add(time.Second))
-	if !reused {
-		t.Error("running event's slot was not available for reuse inside its own callback")
-	}
-	if ran != 1 {
-		t.Errorf("inner event ran %d times, want 1", ran)
 	}
 }

@@ -15,13 +15,13 @@ import (
 	"adaptivegossip/internal/gossip"
 )
 
-// Wire format v6 (big endian fixed-width fields, unsigned varints where
+// Wire format v7 (big endian fixed-width fields, unsigned varints where
 // noted). The codec is layered: the frame and control encoding lives in
 // frame.go, the columnar event section in events.go, the compression
 // seam in compress.go; this file orchestrates them.
 //
 //	magic   [3]byte "AGB"
-//	version u8      = 6
+//	version u8      = 7
 //	flags   u8      bit2: trace context present
 //	                bit3: event section compressed
 //	                (any other bit set, including the retired bit0 —
@@ -41,7 +41,6 @@ import (
 //	updates u16 count, each: node u16 len + bytes, status u8,
 //	        incarnation u64
 //	subs    u16 count, each: u16 len + bytes
-//	unsubs  u16 count, each: u16 len + bytes
 //	health  u16 count, each:
 //	        node u16 len + bytes, round u64, wallMillis u64,
 //	        published u64, delivered u64, droppedCapacity u64,
@@ -59,7 +58,7 @@ import (
 //	        bytes            columnar event rows (events.go), stored or
 //	                         compressed per comp
 //
-// Version 6 is the only version encoded or accepted: a frame carrying
+// Version 7 is the only version encoded or accepted: a frame carrying
 // any other version byte is rejected with ErrBadMagic.
 
 // Codec encodes and decodes gossip messages with hard limits that bound
@@ -228,7 +227,7 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 	if len(m.Events) > c.MaxEvents {
 		return fmt.Errorf("%w: %d events", ErrTooLarge, len(m.Events))
 	}
-	if len(m.MinBuff) > maxUint16 || len(m.Subs) > maxUint16 || len(m.Unsubs) > maxUint16 ||
+	if len(m.MinBuff) > maxUint16 || len(m.Subs) > maxUint16 ||
 		len(m.Digest) > maxUint16 || len(m.Request) > maxUint16 || len(m.Updates) > maxUint16 {
 		return fmt.Errorf("%w: header list too long", ErrTooLarge)
 	}
@@ -283,11 +282,9 @@ func (c Codec) validateForEncode(m *gossip.Message) error {
 			return fmt.Errorf("%w: minbuff id %d bytes", ErrTooLarge, len(e.Node))
 		}
 	}
-	for _, list := range [2][]gossip.NodeID{m.Subs, m.Unsubs} {
-		for _, s := range list {
-			if len(s) > c.MaxIDLen {
-				return fmt.Errorf("%w: membership id %d bytes", ErrTooLarge, len(s))
-			}
+	for _, s := range m.Subs {
+		if len(s) > c.MaxIDLen {
+			return fmt.Errorf("%w: membership id %d bytes", ErrTooLarge, len(s))
 		}
 	}
 	return nil
@@ -501,7 +498,6 @@ func (c Codec) decodeInto(m *gossip.Message, data []byte, ids *idTable, scratch 
 		Events:   m.Events[:0],
 		MinBuff:  m.MinBuff[:0],
 		Subs:     m.Subs[:0],
-		Unsubs:   m.Unsubs[:0],
 		Digest:   m.Digest[:0],
 		Request:  m.Request[:0],
 		Updates:  m.Updates[:0],

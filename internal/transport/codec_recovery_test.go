@@ -301,8 +301,8 @@ func wireLenOverflowFrame(tb testing.TB) []byte {
 // decodeCorpus is every frame shape the decoder accepts or must reject
 // cleanly: valid encodings of every kind (stored and flate-compressed),
 // malformed variants of each, and every current-version frame among
-// them relabelled as wire v3, v4 and v5 (retired versions the decoder
-// rejects).
+// them relabelled as wire v3, v4, v5 and v6 (retired versions the
+// decoder rejects).
 // It seeds FuzzCodecDecode and drives the borrowed-vs-owning
 // differential test.
 func decodeCorpus(tb testing.TB) [][]byte {
@@ -385,15 +385,15 @@ func decodeCorpus(tb testing.TB) [][]byte {
 }
 
 // retiredVersions relabels every current-version frame of corpus as
-// wire v3, v4 and v5. The decoder accepts codecVersion only, so each
-// must be rejected with ErrBadMagic.
+// wire v3, v4, v5 and v6. The decoder accepts codecVersion only, so
+// each must be rejected with ErrBadMagic.
 func retiredVersions(corpus [][]byte) [][]byte {
 	var out [][]byte
 	for _, data := range corpus {
 		if !bytes.HasPrefix(data, []byte{'A', 'G', 'B', codecVersion}) {
 			continue
 		}
-		for _, v := range []byte{3, 4, 5} {
+		for _, v := range []byte{3, 4, 5, 6} {
 			old := append([]byte(nil), data...)
 			old[3] = v
 			out = append(out, old)

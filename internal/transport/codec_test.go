@@ -28,8 +28,7 @@ func sampleMessage() *gossip.Message {
 			{ID: gossip.EventID{Origin: "node-1", Seq: 9}, Age: 0, Hop: 0, Payload: nil},
 			{ID: gossip.EventID{Origin: "node-4", Seq: 1 << 40}, Age: 11, Hop: 7, Payload: bytes.Repeat([]byte{0xAB}, 300)},
 		},
-		Subs:   []gossip.NodeID{"node-5"},
-		Unsubs: []gossip.NodeID{"node-6", "node-7"},
+		Subs: []gossip.NodeID{"node-5", "node-6"},
 		Digest: []gossip.EventID{
 			{Origin: "node-2", Seq: 1},
 			{Origin: "node-9", Seq: 1 << 33},
@@ -85,7 +84,7 @@ func msgEqual(a, b *gossip.Message) bool {
 		return false
 	}
 	if len(a.Events) != len(b.Events) ||
-		len(a.Subs) != len(b.Subs) || len(a.Unsubs) != len(b.Unsubs) ||
+		len(a.Subs) != len(b.Subs) ||
 		len(a.Health) != len(b.Health) {
 		return false
 	}
@@ -106,11 +105,6 @@ func msgEqual(a, b *gossip.Message) bool {
 	}
 	for i := range a.Subs {
 		if a.Subs[i] != b.Subs[i] {
-			return false
-		}
-	}
-	for i := range a.Unsubs {
-		if a.Unsubs[i] != b.Unsubs[i] {
 			return false
 		}
 	}
@@ -135,11 +129,11 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestAdaptationHeaderWireSize pins the header's cost: an absent one is
-// its 2-byte zero count inside a 44-byte header-less frame, and a
+// its 2-byte zero count inside a 42-byte header-less frame, and a
 // header adds the 8-byte period plus 2 + len(owner) + 4 bytes per entry.
 func TestAdaptationHeaderWireSize(t *testing.T) {
 	c := DefaultCodec()
-	const base = 44 // frame 6, control 29 + 6, empty event section 3
+	const base = 42 // frame 6, control 29 + 4, empty event section 3
 	if got := c.EncodedSize(&gossip.Message{From: "a"}); got != base {
 		t.Fatalf("header-less frame = %d bytes, want %d", got, base)
 	}
@@ -222,7 +216,7 @@ func TestCodecRejectsBadMagicAndVersion(t *testing.T) {
 }
 
 // TestRetiredVersionsRejected: codecVersion is the only wire version.
-// Every corpus frame relabelled as v3, v4 or v5 is refused with
+// Every corpus frame relabelled as v3, v4, v5 or v6 is refused with
 // ErrBadMagic by both decode entry points, and a UDP transport counts
 // it as a decode error instead of delivering it.
 func TestRetiredVersionsRejected(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // magic, version, flags and the message kind (see codec.go for the full
 // layout).
 const (
-	codecVersion  = 6 // the one wire version (owner-named adaptation header)
+	codecVersion  = 7 // the one wire version (no unsubscription list)
 	flagTraced    = 1 << 2
 	flagCompress  = 1 << 3 // the event section is compressed
 	flagsKnown    = flagTraced | flagCompress
@@ -74,14 +74,10 @@ func appendControlPre(buf []byte, m *gossip.Message) []byte {
 }
 
 // appendControlPost writes the trailing control fields: membership
-// churn and the health-digest piggyback.
+// subscriptions and the health-digest piggyback.
 func appendControlPost(buf []byte, m *gossip.Message) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Subs)))
 	for _, s := range m.Subs {
-		buf = appendString(buf, string(s))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Unsubs)))
-	for _, s := range m.Unsubs {
 		buf = appendString(buf, string(s))
 	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Health)))
@@ -156,10 +152,6 @@ func controlPreSize(m *gossip.Message) int {
 func controlPostSize(m *gossip.Message) int {
 	n := 2
 	for _, s := range m.Subs {
-		n += 2 + len(s)
-	}
-	n += 2
-	for _, s := range m.Unsubs {
 		n += 2 + len(s)
 	}
 	n += 2
@@ -412,20 +404,17 @@ func (c Codec) decodeControlPre(r *reader, m *gossip.Message) error {
 // decodeControlPost parses the trailing control fields (membership and
 // the health-digest section) into m.
 func (c Codec) decodeControlPost(r *reader, m *gossip.Message) error {
-	for _, dst := range [2]*[]gossip.NodeID{&m.Subs, &m.Unsubs} {
-		n, err := r.u16()
+	n, err := r.u16()
+	if err != nil {
+		return err
+	}
+	m.Subs = reserve(m.Subs, r.boundedCount(int(n), 2))
+	for i := 0; i < int(n); i++ {
+		s, err := r.id(c.MaxIDLen)
 		if err != nil {
 			return err
 		}
-		list := reserve(*dst, r.boundedCount(int(n), 2))
-		for i := 0; i < int(n); i++ {
-			s, err := r.id(c.MaxIDLen)
-			if err != nil {
-				return err
-			}
-			list = append(list, gossip.NodeID(s))
-		}
-		*dst = list
+		m.Subs = append(m.Subs, gossip.NodeID(s))
 	}
 	return c.decodeHealth(r, m)
 }

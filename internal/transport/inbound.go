@@ -94,7 +94,7 @@ func (in *Inbound) retained() int {
 	return cap(in.scratch) +
 		cap(m.Events)*int(unsafe.Sizeof(gossip.Event{})) +
 		cap(m.MinBuff)*int(unsafe.Sizeof(gossip.BuffCap{})) +
-		(cap(m.Subs)+cap(m.Unsubs))*int(unsafe.Sizeof(gossip.NodeID(""))) +
+		cap(m.Subs)*int(unsafe.Sizeof(gossip.NodeID(""))) +
 		(cap(m.Digest)+cap(m.Request))*int(unsafe.Sizeof(gossip.EventID{})) +
 		cap(m.Updates)*int(unsafe.Sizeof(gossip.MemberUpdate{})) +
 		cap(m.Health)*int(unsafe.Sizeof(gossip.HealthDigest{}))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -219,6 +220,40 @@ func TestHostileSamplePeriodDoesNotCrashMember(t *testing.T) {
 			t.Fatalf("κ=%d: sample period %d after the header, want %d", rank, got, before)
 		}
 		n.checkRoundsEncode(t, 3)
+	}
+}
+
+// TestForgedSelfEntryIgnored: a header entry that names the receiving
+// member is a claim about a capacity the member knows itself.
+// forgedOwnerFrame's [(member, 1)] leaves the member (buffer 8) at
+// estimate 8, relaying [(member, 8)], under the paper's minimum and
+// under κ = 3.
+func TestForgedSelfEntryIgnored(t *testing.T) {
+	for _, rank := range []int{1, 3} {
+		n := newMember(t, rank)
+		m, err := DefaultCodec().Decode(forgedOwnerFrame(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.receive(t, m)
+		if got := n.MinBuffEstimate(); got != memberParams.MaxEvents {
+			t.Fatalf("κ=%d: estimate %d after the forged self-entry, want %d", rank, got, memberParams.MaxEvents)
+		}
+		n.now = n.now.Add(memberParams.Period)
+		want := []gossip.BuffCap{{Node: "member", Cap: memberParams.MaxEvents}}
+		gossiped := false
+		for _, out := range n.Tick(n.now) {
+			if out.Msg.Kind != gossip.KindGossip {
+				continue // probes and recovery requests carry no header
+			}
+			gossiped = true
+			if !slices.Equal(out.Msg.MinBuff, want) {
+				t.Fatalf("κ=%d: the member relays header %v, want %v", rank, out.Msg.MinBuff, want)
+			}
+		}
+		if !gossiped {
+			t.Fatalf("κ=%d: the member gossiped to no one", rank)
+		}
 	}
 }
 

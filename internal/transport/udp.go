@@ -174,7 +174,7 @@ func WithUDPCodec(c Codec) UDPOption {
 // network never drops. Dropped datagrams are counted in LossDropped.
 func WithUDPSendLoss(p float64, seed uint64) UDPOption {
 	return func(t *UDPTransport) error {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("transport: loss probability %v out of [0,1]", p)
 		}
 		t.lossRate = p

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -137,6 +138,11 @@ func TestUDPValidation(t *testing.T) {
 	}
 	if _, err := NewUDPTransport("a", "127.0.0.1:0", WithMaxDatagram(10)); err == nil {
 		t.Fatal("tiny datagram bound accepted")
+	}
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := NewUDPTransport("a", "127.0.0.1:0", WithUDPSendLoss(p, 1)); err == nil {
+			t.Fatalf("send loss %v accepted", p)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -106,9 +107,9 @@ func TestDecodeErrorsReachStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// "AGB" at the wire version (6), compress flag, gossip kind, from
+	// "AGB" at the wire version (7), compress flag, gossip kind, from
 	// "x", zeroed control fields, then rawLen 1, flate, wireLen MaxInt64.
-	frame := append([]byte{'A', 'G', 'B', 6, 1 << 3, 0, 0, 1, 'x'}, make([]byte, 32)...)
+	frame := append([]byte{'A', 'G', 'B', 7, 1 << 3, 0, 0, 1, 'x'}, make([]byte, 30)...)
 	frame = append(frame, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
 	for _, datagram := range [][]byte{frame, []byte("not gossip")} {
 		if _, err := conn.Write(datagram); err != nil {
@@ -328,10 +329,12 @@ func TestNodeDebugAddrOff(t *testing.T) {
 
 // TestObservabilityConfigValidate covers the sub-config's bounds.
 func TestObservabilityConfigValidate(t *testing.T) {
-	bad := DefaultConfig()
-	bad.Observability.TraceSampleRate = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Fatal("out-of-range trace sample rate accepted")
+	for _, rate := range []float64{1.5, math.NaN()} {
+		bad := DefaultConfig()
+		bad.Observability.TraceSampleRate = rate
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("trace sample rate %v accepted", rate)
+		}
 	}
 	good := DefaultConfig()
 	good.Observability = ObservabilityConfig{TraceSampleRate: 0.25}

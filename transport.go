@@ -32,7 +32,7 @@ func WithTransportSeed(seed int64) TransportOption {
 // where the real network never drops).
 func WithLoss(p float64) TransportOption {
 	return func(c *transportConfig) error {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("adaptivegossip: loss probability %v out of [0,1]", p)
 		}
 		c.Loss = p
