@@ -90,9 +90,10 @@ func (c *Cluster) Close() error { return c.g.close() }
 
 // Events returns a stream of every delivery in the cluster. From
 // subscription onward the stream sees every delivery the WithDeliver
-// callback sees; it is closed when ctx is cancelled or the cluster is
-// closed. A subscriber that falls more than DefaultEventStreamBuffer
-// behind loses deliveries (counted in Stats.StreamDropped).
+// callback sees (payloads as DeliverFunc says); it is closed when ctx is
+// cancelled or the cluster is closed. A subscriber that falls more than
+// DefaultEventStreamBuffer behind loses deliveries (counted in
+// Stats.StreamDropped).
 func (c *Cluster) Events(ctx context.Context) <-chan Delivery {
 	return c.g.hub.subscribe(ctx)
 }

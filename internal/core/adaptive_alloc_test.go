@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,8 +31,8 @@ import (
 // peer sends κ entries that push the member's own out of the period,
 // plus a forged one naming the member below its capacity, which the
 // member skips. (An
-// event seen for the first time costs its one payload copy; that is
-// TestReceiveBorrowedAllocsPerNewEvent's subject.)
+// event seen for the first time costs its payload copy, carved from the
+// node's arena; that is TestReceiveBorrowedAllocsPerNewEvent's subject.)
 func TestEverythingOnRoundAllocFree(t *testing.T) {
 	const members = 16
 	ids := make([]gossip.NodeID, members)
@@ -170,16 +171,29 @@ func patternPayload(dst []byte, seq uint64) []byte {
 	return dst
 }
 
+// arenaChunk is gossip.Node's payload arena chunk: payloads it copies
+// out of a datagram are carved from chunks of this size.
+const arenaChunk = 4096
+
+// chunkBound is the most a stretch of borrowed receives may allocate
+// for newBytes bytes of first-sight payloads that tile a chunk: the
+// chunks they fill, and one already begun.
+func chunkBound(newBytes int) float64 { return float64((newBytes+arenaChunk-1)/arenaChunk + 1) }
+
 // TestObserveSharesNodePayloadAllocFree: with recovery on, an event out
 // of a Borrowed message is copied out of the datagram once. The node
-// makes the copy when it meets the event; the recovery store, meeting
-// the same event a moment later, takes the node's copy (one backing
-// array under buffer and store) and makes its own only when the node
-// does not buffer the event. So a message costs one allocation per
-// event new to the member and none per duplicate — and whatever the
-// store serves later never aliases the datagram.
+// makes the copy when it meets the event, into its payload arena; the
+// recovery store, meeting the same event a moment later, takes the
+// node's copy (one backing array under buffer and store) and has the
+// node make one only when the node does not buffer the event. So a
+// stretch of messages costs about one allocation per 4 KiB of payload
+// new to the member and none per duplicate, and whatever the buffer
+// holds, the store serves or a subscriber was handed never aliases the
+// datagram.
 func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 	const bufferCap, perMsg, payloadLen = 8, 4, 32
+	const runs = 100
+	delivered := make([]gossip.Event, 0, 2*runs*perMsg) // never grows while counted
 	node, err := NewAdaptiveNode(NodeConfig{
 		ID:       "rx",
 		Gossip:   gossip.Params{Fanout: 1, Period: time.Second, MaxEvents: bufferCap, MaxEventIDs: 1 << 14, MaxAge: 10},
@@ -187,6 +201,7 @@ func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 		Peers:    membership.NewRegistry("rx", "tx"),
 		RNG:      rand.New(rand.NewPCG(18, 18)),
 		Start:    start,
+		Deliver:  func(e gossip.Event) { delivered = append(delivered, e) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -243,15 +258,26 @@ func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 	for i := 0; i < 50; i++ { // buffer, store and their scratch at working size
 		receiveNew(perMsg)
 	}
-	const runs = 100
-	if allocs := testing.AllocsPerRun(runs, func() { receiveNew(perMsg) }); allocs != perMsg {
-		t.Fatalf("a borrowed message of %d new events allocates %v times, want one payload copy each", perMsg, allocs)
+	allocs := testing.AllocsPerRun(1, func() {
+		delivered = delivered[:0]
+		for range runs {
+			receiveNew(perMsg)
+		}
+	})
+	if bound := chunkBound(runs * perMsg * payloadLen); allocs > bound {
+		t.Fatalf("%d borrowed messages of %d new %d-byte events allocate %v times, want at most %v", runs, perMsg, payloadLen, allocs, bound)
+	}
+	if len(delivered) != runs*perMsg {
+		t.Fatalf("%d events delivered, want %d", len(delivered), runs*perMsg)
 	}
 	if allocs := testing.AllocsPerRun(runs, func() { node.Receive(msg, start) }); allocs != 0 {
 		t.Fatalf("a borrowed message of duplicates allocates %v times, want 0", allocs)
 	}
 	last := append([]uint64(nil), seqs...)
 	scribble()
+	for _, ev := range delivered {
+		intact("delivered", ev.ID.Seq, ev)
+	}
 	for _, seq := range last {
 		held, ok := node.Gossip().Buffered(gossip.EventID{Origin: "tx", Seq: seq})
 		served, stored := serve(seq)
@@ -267,9 +293,14 @@ func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 	// Edge: a message larger than the buffer. Its first events are
 	// capacity-evicted inside the same Receive and reach the store
 	// through OnEvicted, already owned; the rest are shared as above.
-	if allocs := testing.AllocsPerRun(10, func() { receiveNew(bufferCap + perMsg) }); allocs != bufferCap+perMsg {
-		t.Fatalf("a borrowed message of %d new events, %d of them evicted on arrival, allocates %v times, want one each",
-			bufferCap+perMsg, perMsg, allocs)
+	allocs = testing.AllocsPerRun(1, func() {
+		for range 10 {
+			receiveNew(bufferCap + perMsg)
+		}
+	})
+	if bound := chunkBound(10 * (bufferCap + perMsg) * payloadLen); allocs > bound {
+		t.Fatalf("10 borrowed messages of %d new events, %d of each evicted on arrival, allocate %v times, want at most %v",
+			bufferCap+perMsg, perMsg, allocs, bound)
 	}
 	last = append(last[:0], seqs...)
 	scribble()
@@ -293,16 +324,18 @@ func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 	if _, stored := serve(old); stored {
 		t.Fatal("the stream's first event is still stored; the edge is not exercised")
 	}
-	delivered := node.GossipStats().Delivered
-	allocs := testing.AllocsPerRun(5, func() {
-		fill(old)
-		node.Receive(msg, start)
-		old++
+	count := node.GossipStats().Delivered
+	allocs = testing.AllocsPerRun(1, func() {
+		for range 5 {
+			fill(old)
+			node.Receive(msg, start)
+			old++
+		}
 	})
-	if allocs != 1 {
-		t.Fatalf("a duplicate the store lost allocates %v times, want its one copy", allocs)
+	if bound := chunkBound(5 * payloadLen); allocs > bound {
+		t.Fatalf("5 duplicates the store lost allocate %v times, want at most %v", allocs, bound)
 	}
-	if node.GossipStats().Delivered != delivered {
+	if node.GossipStats().Delivered != count {
 		t.Fatal("the forgotten events were delivered again")
 	}
 	scribble()
@@ -312,6 +345,111 @@ func TestObserveSharesNodePayloadAllocFree(t *testing.T) {
 			t.Fatalf("duplicate %d was not re-stored", seq)
 		}
 		intact("duplicate to the node", seq, served)
+	}
+}
+
+// TestArenaAllocPinBound: a chunk of a member's payload arena stays
+// live while any payload carved from it is referenced, so however many
+// events pass through, the member's live payload memory is at most one
+// chunk per payload it retains — buffer capacity plus store capacity,
+// the deliver callback here keeping only the previous payload — plus
+// the chunk being filled. A flood of 50,000 first-sight 32-byte events
+// in borrowed messages, led by a few payloads larger than a chunk, must
+// leave the heap within that after a collection. The callback appends
+// to the payload it kept, which must never change the event delivered
+// after it, and every buffered and stored payload must outlive the
+// datagram.
+func TestArenaAllocPinBound(t *testing.T) {
+	const (
+		bufferCap, storeCap = 8, 16
+		perMsg, payloadLen  = 16, 32
+		flood               = 50_000
+		jumbo               = 2*arenaChunk + 8 // patternPayload fills whole words
+		// slack covers what else a member grows to from empty: the
+		// eventIds set, the store's map and order, the digest cache.
+		slack = 64 << 10
+	)
+	var prev []byte
+	var corrupt []gossip.EventID
+	want := make([]byte, jumbo)
+	node, err := NewAdaptiveNode(NodeConfig{
+		ID:       "rx",
+		Gossip:   gossip.Params{Fanout: 1, Period: time.Second, MaxEvents: bufferCap, MaxEventIDs: 1 << 10, MaxAge: 10},
+		Recovery: recovery.Params{Enabled: true, StoreCapacity: storeCap},
+		Peers:    membership.NewRegistry("rx", "tx"),
+		RNG:      rand.New(rand.NewPCG(18, 18)),
+		Start:    start,
+		Deliver: func(e gossip.Event) {
+			if prev != nil {
+				_ = append(prev, 0xEE, 0xEE, 0xEE, 0xEE)
+			}
+			if !bytes.Equal(e.Payload, patternPayload(want[:len(e.Payload)], e.ID.Seq)) && len(corrupt) < 8 {
+				corrupt = append(corrupt, e.ID)
+			}
+			prev = e.Payload
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	datagram := make([]byte, jumbo+perMsg*payloadLen)
+	msg := &gossip.Message{From: "tx", Borrowed: true, Events: make([]gossip.Event, perMsg)}
+
+	// Two collections each: sync.Pool contents survive the first.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for seq := uint64(0); seq < flood; {
+		off := 0
+		for i := range msg.Events {
+			n := payloadLen
+			if seq%1000 == 0 && seq < flood/2 {
+				n = jumbo
+			}
+			msg.Events[i] = gossip.Event{
+				ID:      gossip.EventID{Origin: "tx", Seq: seq},
+				Payload: patternPayload(datagram[off:off+n], seq),
+			}
+			off += n
+			seq++
+		}
+		node.Receive(msg, start)
+		for i := range datagram[:off] {
+			datagram[i] = 0xDD
+		}
+	}
+	prev = nil
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if len(corrupt) > 0 {
+		t.Fatalf("events %v were delivered with bytes an append to the previous payload wrote", corrupt)
+	}
+	if got := node.GossipStats().Delivered; got != flood {
+		t.Fatalf("%d events delivered, want all %d", got, flood)
+	}
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64((bufferCap+storeCap+1)*arenaChunk + slack); growth > limit {
+		t.Fatalf("after %d first-sight events the live heap grew %d bytes, want at most %d", flood, growth, limit)
+	}
+	t.Logf("live heap growth after %d first-sight events: %d bytes", flood, growth)
+	request := &gossip.Message{Kind: gossip.KindRecoveryRequest, From: "tx", Request: make([]gossip.EventID, 1)}
+	for seq := uint64(flood - storeCap); seq < flood; seq++ {
+		id := gossip.EventID{Origin: "tx", Seq: seq}
+		request.Request[0] = id
+		stored := false
+		for _, out := range node.Receive(request, start) {
+			if out.Msg.Kind == gossip.KindRecoveryResponse {
+				stored = bytes.Equal(out.Msg.Events[0].Payload, patternPayload(want[:payloadLen], seq))
+			}
+		}
+		held, ok := node.Gossip().Buffered(id)
+		buffered := !ok || bytes.Equal(held.Payload, patternPayload(want[:payloadLen], seq))
+		if !stored || !buffered {
+			t.Fatalf("event %d: served intact %v, buffered intact (or gone) %v, want both", seq, stored, buffered)
+		}
 	}
 }
 

@@ -71,10 +71,9 @@ func NextEventRun(events []Event, start int) int {
 	return end
 }
 
-// Clone returns a deep copy of the event, including the payload. Events
-// exchanged through in-process transports share payload slices by
-// convention (they are read-only after Broadcast); Clone is for callers
-// that need ownership.
+// Clone returns a deep copy of the event, including the payload in an
+// allocation of its own: the copy Message.Clone and an owning decode
+// make. A Node retaining a borrowed payload uses Node.OwnPayload.
 func (e Event) Clone() Event {
 	c := e
 	if e.Payload != nil {

@@ -77,6 +77,7 @@ type Extension interface {
 }
 
 // DeliverFunc receives events exactly once each, in arrival order.
+// Payloads are shared and read-only (see OwnPayload).
 type DeliverFunc func(e Event)
 
 // Outgoing pairs a gossip message with its destination.
@@ -186,6 +187,10 @@ type Node struct {
 	metrics    *observe.NodeMetrics
 	tracer     observe.Tracer
 	traceAwait map[EventID]struct{}
+
+	// arena is the unused tail of the chunk OwnPayload carves payloads
+	// from.
+	arena []byte
 
 	// Per-round scratch state, reused across Ticks so a steady-state
 	// gossip round allocates nothing. Everything Tick returns points
@@ -451,8 +456,8 @@ func (n *Node) traceFirstSends(msg *Message) {
 // and buffered, duplicate copies raise stored ages to the maximum seen,
 // and extensions observe the message afterwards (Figure 1 receive block
 // plus the Figure 5 additions). The message is only read, and nothing
-// of it is retained past the call except event payloads — cloned first
-// when the message is Borrowed.
+// of it is retained past the call except event payloads — copied first
+// (OwnPayload) when the message is Borrowed.
 //
 // Each origin is hashed once: the buffer finds an id by the id hash
 // derived from it, eventIds its block by another. The buffer answers
@@ -489,7 +494,7 @@ func (n *Node) Receive(msg *Message) {
 			// duplicates above — most of what gossip receives — never
 			// get here. The buffer, the recovery store (Buffered) and every
 			// subscriber share this one copy.
-			ev = ev.Clone()
+			ev.Payload = n.OwnPayload(ev.Payload)
 		}
 		if n.tracer != nil && n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {
 			n.tracer.Trace(observe.TraceEvent{
@@ -512,6 +517,45 @@ func (n *Node) Receive(msg *Message) {
 	for _, ext := range n.exts {
 		ext.OnReceive(n, msg)
 	}
+}
+
+// Payload arena sizes. A chunk holds the copies of many small payloads
+// back to back, so copying a first-sight payload costs an allocation
+// per chunk, not per event; a payload larger than arenaMaxCarve keeps an
+// allocation of its own, which bounds a chunk's wasted tail to under
+// an eighth of it.
+const (
+	arenaChunk    = 4096
+	arenaMaxCarve = arenaChunk / 8
+)
+
+// OwnPayload returns a copy of p that the node owns: p is a borrowed
+// payload (Message.Borrowed) about to be retained. The copy is
+// read-only and shared by everything that retains the event. Its
+// capacity equals its length, so an append by a holder reallocates
+// rather than writing over the bytes carved after it.
+//
+// Small payloads are carved from a per-node chunk of arenaChunk bytes,
+// and a chunk stays live while any payload carved from it is
+// referenced: each payload a member retains pins at most one chunk.
+// Payloads larger than arenaMaxCarve are copied into an allocation of
+// their own. A nil p stays nil.
+func (n *Node) OwnPayload(p []byte) []byte {
+	if p == nil {
+		return nil
+	}
+	if len(p) == 0 || len(p) > arenaMaxCarve {
+		c := make([]byte, len(p))
+		copy(c, p)
+		return c
+	}
+	if len(p) > len(n.arena) {
+		n.arena = make([]byte, arenaChunk)
+	}
+	c := n.arena[:len(p):len(p)]
+	n.arena = n.arena[len(p):]
+	copy(c, p)
+	return c
 }
 
 func (n *Node) deliverLocal(ev Event) {

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -241,45 +242,145 @@ func TestNodeReceiveAllocFree(t *testing.T) {
 	}
 }
 
-// TestReceiveBorrowedAllocsPerNewEvent pins where the receive path's
-// one allocation goes when the message is on lease from a transport: a
-// payload copy per event seen for the first time, none for a message
-// of duplicates — so the copy cost follows deliveries, not the wire's
-// redundancy.
+// patternPayload fills dst with the bytes a test event of this sequence
+// number carries, so a reader can tell another event's bytes — or a
+// scribble — from the right ones.
+func patternPayload(dst []byte, seq uint64) []byte {
+	for i := range dst {
+		dst[i] = byte(seq>>(8*(i%8))) ^ byte(i)
+	}
+	return dst
+}
+
+// TestReceiveBorrowedAllocsPerNewEvent pins what the receive path
+// allocates when the message is on lease from a transport. The payload
+// of an event seen for the first time is copied out of the datagram,
+// back to back with the others into the node's arena chunks: a stretch
+// of messages allocates at most ⌈new payload bytes / 4096⌉ + 1 times
+// (16-byte payloads tile a chunk), and a message of duplicates
+// allocates nothing, so the copy cost follows deliveries, not the
+// wire's redundancy. That every retained payload is a copy is asserted
+// directly: with the datagram overwritten, every buffered and every
+// delivered payload still reads its own bytes.
 func TestReceiveBorrowedAllocsPerNewEvent(t *testing.T) {
-	node, _ := steadyNode(t, WithMetrics(&observe.NodeMetrics{}))
+	const payloadLen, msgs = 16, 100
+	delivered := make([]Event, 0, 1<<14) // never grows while counted
+	node, _ := steadyNode(t, WithMetrics(&observe.NodeMetrics{}), WithDeliver(func(e Event) { delivered = append(delivered, e) }))
 	msg := receiveMessage()
 	msg.Borrowed = true
+	datagram := make([]byte, len(msg.Events)*payloadLen)
 	iter := uint64(0)
-	for ; iter < 4; iter++ {
+	receive := func() {
 		rewriteSeqs(msg, iter)
-		node.Receive(msg)
-	}
-	const runs = 100
-	delivered := node.Stats().Delivered
-	allocs := testing.AllocsPerRun(runs, func() {
-		rewriteSeqs(msg, iter)
+		for j := range msg.Events {
+			msg.Events[j].Payload = patternPayload(datagram[j*payloadLen:(j+1)*payloadLen], msg.Events[j].ID.Seq)
+		}
 		node.Receive(msg)
 		iter++
+	}
+	for range 4 {
+		receive()
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		delivered = delivered[:0]
+		for range msgs {
+			receive()
+		}
 	})
-	// AllocsPerRun makes one warm-up call before the counted ones.
-	fresh := float64(node.Stats().Delivered-delivered) / (runs + 1)
-	if fresh < 1 {
-		t.Fatal("the stream delivers nothing new; the bound is vacuous")
+	fresh := len(delivered)
+	if fresh < msgs {
+		t.Fatalf("%d messages delivered %d new events; the bound is vacuous", msgs, fresh)
 	}
-	if allocs > fresh {
-		t.Fatalf("borrowed Receive allocates %v times for %v first-sight events, want at most one each", allocs, fresh)
+	if bound := (fresh*payloadLen+arenaChunk-1)/arenaChunk + 1; allocs > float64(bound) {
+		t.Fatalf("borrowed Receive allocates %v times for %d first-sight events of %d bytes, want at most %d", allocs, fresh, payloadLen, bound)
 	}
-	if allocs < fresh {
-		t.Fatalf("borrowed Receive allocates %v times for %v first-sight events: some payload was retained without a copy", allocs, fresh)
+	for i := range datagram {
+		datagram[i] = 0xDD
 	}
-	delivered = node.Stats().Delivered
-	allocs = testing.AllocsPerRun(runs, func() { node.Receive(msg) })
+	want := make([]byte, payloadLen)
+	for _, ev := range delivered {
+		if !bytes.Equal(ev.Payload, patternPayload(want, ev.ID.Seq)) {
+			t.Fatalf("delivered event %s reads %x after the datagram was overwritten", ev.ID, ev.Payload)
+		}
+	}
+	for _, ev := range node.buf.AppendSnapshot(nil) {
+		if ev.ID.Origin == "peer" && !bytes.Equal(ev.Payload, patternPayload(want, ev.ID.Seq)) {
+			t.Fatalf("buffered event %s reads %x after the datagram was overwritten", ev.ID, ev.Payload)
+		}
+	}
+
+	count := node.Stats().Delivered
+	allocs = testing.AllocsPerRun(msgs, func() { node.Receive(msg) })
 	if allocs != 0 {
 		t.Fatalf("borrowed Receive of an all-duplicate message allocates %v times, want 0", allocs)
 	}
-	if node.Stats().Delivered != delivered {
+	if node.Stats().Delivered != count {
 		t.Fatal("the all-duplicate message delivered events")
+	}
+}
+
+// TestArenaAllocPayloadsDoNotAlias: payloads carved back to back from
+// one chunk must not reach each other through their capacity. A
+// subscriber that appends to a payload it was handed — here, the
+// previous event's, once the next one has been carved behind it — gets
+// a fresh array and never changes the next event's bytes. Payloads over
+// the carve cut-off, up to one larger than a chunk, take allocations of
+// their own and leave the chunk alone, and every payload survives the
+// datagram being overwritten.
+func TestArenaAllocPayloadsDoNotAlias(t *testing.T) {
+	sizes := []int{1, 7, 32, 200, 0, arenaMaxCarve, arenaMaxCarve + 1, 16, 3000, 511, arenaChunk + 1, 100}
+	const perMsg, msgs = 24, 8
+	var (
+		prev      []byte
+		delivered []Event
+		corrupt   []EventID
+	)
+	want := make([]byte, arenaChunk+1)
+	node, err := NewNode("rx", benchParams(), benchPeers(2), rand.New(rand.NewPCG(3, 4)), WithDeliver(func(e Event) {
+		if prev != nil {
+			_ = append(prev, 0xEE, 0xEE, 0xEE, 0xEE)
+		}
+		if !bytes.Equal(e.Payload, patternPayload(want[:len(e.Payload)], e.ID.Seq)) || cap(e.Payload) != len(e.Payload) {
+			corrupt = append(corrupt, e.ID)
+		}
+		prev = e.Payload
+		delivered = append(delivered, e)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	datagram := make([]byte, perMsg*(arenaChunk+1))
+	msg := &Message{From: "peer", Borrowed: true, Events: make([]Event, perMsg)}
+	for m := range msgs {
+		off := 0
+		for j := range msg.Events {
+			seq := uint64(m*perMsg + j)
+			n := sizes[int(seq)%len(sizes)]
+			msg.Events[j] = Event{ID: EventID{Origin: "peer", Seq: seq}, Payload: patternPayload(datagram[off:off+n], seq)}
+			off += n
+		}
+		node.Receive(msg)
+		for i := range datagram {
+			datagram[i] = 0xDD
+		}
+	}
+	if len(corrupt) > 0 {
+		t.Fatalf("events %v were handed out with another event's bytes or with spare capacity", corrupt)
+	}
+	if len(delivered) != perMsg*msgs {
+		t.Fatalf("%d events delivered, want %d", len(delivered), perMsg*msgs)
+	}
+	for _, ev := range delivered {
+		if !bytes.Equal(ev.Payload, patternPayload(want[:len(ev.Payload)], ev.ID.Seq)) {
+			t.Fatalf("event %s reads %x after later appends and the datagram's overwrite", ev.ID, ev.Payload)
+		}
+	}
+	tail := len(node.arena)
+	if big := node.OwnPayload(make([]byte, arenaMaxCarve+1)); len(big) != arenaMaxCarve+1 || len(node.arena) != tail {
+		t.Fatalf("a payload over the cut-off was carved from the chunk (tail %d → %d)", tail, len(node.arena))
+	}
+	if node.OwnPayload(nil) != nil || node.OwnPayload([]byte{}) == nil {
+		t.Fatal("OwnPayload does not keep a nil payload nil and an empty one non-nil, as Event.Clone does")
 	}
 }
 

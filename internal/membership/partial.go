@@ -117,15 +117,24 @@ func (v *PartialView) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int
 	if v.weight != nil {
 		return v.appendWeighted(dst, k, rng)
 	}
-	base := len(dst)
 	if k >= len(v.view) {
+		base := len(dst)
 		dst = append(dst, v.view...)
 		out := dst[base:]
 		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return dst
 	}
+	return appendDistinct(dst, v.view, k, rng)
+}
+
+// appendDistinct appends k distinct elements of pool, k < len(pool), to
+// dst: uniform draws, a drawn element already appended is drawn again.
+// pool holds no duplicates, so rejecting a repeated value consumes the
+// RNG exactly as rejecting a repeated index does.
+func appendDistinct(dst, pool []gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
+	base := len(dst)
 	for len(dst)-base < k {
-		id := v.view[rng.IntN(len(v.view))]
+		id := pool[rng.IntN(len(pool))]
 		dup := false
 		for _, got := range dst[base:] {
 			if got == id {
@@ -184,10 +193,15 @@ func (v *PartialView) appendWeighted(dst []gossip.NodeID, k int, rng *rand.Rand)
 }
 
 // OnTick piggybacks membership traffic: the sender's own subscription
-// plus a random sample of the subs pool.
+// plus a random sample of up to subsPerGossip-1 entries of the subs
+// pool, appended in place (out.Subs is the node's round scratch).
 func (v *PartialView) OnTick(n *gossip.Node, out *Message) {
 	out.Subs = append(out.Subs, v.self)
-	out.Subs = append(out.Subs, v.samplePool(v.subs, subsPerGossip-1)...)
+	if k := subsPerGossip - 1; k >= len(v.subs) {
+		out.Subs = append(out.Subs, v.subs...)
+	} else {
+		out.Subs = appendDistinct(out.Subs, v.subs, k, v.rng)
+	}
 }
 
 // Message aliases gossip.Message for readability of the Extension
@@ -207,27 +221,6 @@ func (v *PartialView) OnReceive(n *gossip.Node, in *Message) {
 
 // OnEvicted is a no-op; the partial view does not track events.
 func (v *PartialView) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {}
-
-// samplePool draws up to k distinct elements from a pool.
-func (v *PartialView) samplePool(pool []gossip.NodeID, k int) []gossip.NodeID {
-	if k <= 0 || len(pool) == 0 {
-		return nil
-	}
-	if k >= len(pool) {
-		return append([]gossip.NodeID(nil), pool...)
-	}
-	out := make([]gossip.NodeID, 0, k)
-	chosen := make(map[int]struct{}, k)
-	for len(out) < k {
-		i := v.rng.IntN(len(pool))
-		if _, dup := chosen[i]; dup {
-			continue
-		}
-		chosen[i] = struct{}{}
-		out = append(out, pool[i])
-	}
-	return out
-}
 
 func (v *PartialView) addToView(id gossip.NodeID) {
 	if id == v.self {

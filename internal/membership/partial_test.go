@@ -75,6 +75,43 @@ func TestPartialViewOnTickPiggybacksSelf(t *testing.T) {
 	}
 }
 
+// TestPartialViewOnTickAllocFree: the round's subscriptions are
+// appended into the node's reused message, so a round allocates nothing
+// whether the pool is sampled (more entries than a message carries) or
+// copied whole.
+func TestPartialViewOnTickAllocFree(t *testing.T) {
+	for _, pool := range []int{2, 24} {
+		v, err := NewPartialView("self", nil, pool, rand.New(rand.NewPCG(7, 8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var subs []gossip.NodeID
+		for i := 0; i < 2*pool; i++ {
+			subs = append(subs, gossip.NodeID(fmt.Sprintf("n%d", i)))
+		}
+		v.OnReceive(nil, &Message{Subs: subs})
+		if len(v.subs) != pool {
+			t.Fatalf("subs pool holds %d, want %d", len(v.subs), pool)
+		}
+		msg := &Message{}
+		tick := func() {
+			msg.Subs = msg.Subs[:0]
+			v.OnTick(nil, msg)
+		}
+		if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+			t.Fatalf("pool of %d: OnTick allocates %v times per round, want 0", pool, allocs)
+		}
+		want := min(pool, subsPerGossip-1) + 1
+		seen := map[gossip.NodeID]bool{}
+		for _, s := range msg.Subs {
+			seen[s] = true
+		}
+		if len(msg.Subs) != want || len(seen) != want || msg.Subs[0] != "self" {
+			t.Fatalf("pool of %d: OnTick subs %v, want self then %d distinct pool entries", pool, msg.Subs, want-1)
+		}
+	}
+}
+
 func TestPartialViewSamplePeers(t *testing.T) {
 	v := newView(t, "a", "b", "c", "d", "e")
 	rng := rand.New(rand.NewPCG(4, 5))

@@ -138,9 +138,11 @@ func (s *Stats) Add(o Stats) {
 	s.StoreEvicted += o.StoreEvicted
 }
 
-// storeEntry pairs a retained event with the round it was observed.
+// storeEntry pairs a retained event's id with the round it was
+// observed. It holds no payload, so the consumed prefix of order pins
+// none.
 type storeEntry struct {
-	ev    gossip.Event
+	id    gossip.EventID
 	round uint64
 }
 
@@ -169,8 +171,8 @@ func (s *store) len() int { return len(s.entries) }
 // (gossip.Message.Borrowed): once the event is known to be new to the
 // store, the store takes the payload n's buffer holds — the copy
 // gossip.Node.Receive made when it met the event, shared from then on —
-// and makes its own only when n no longer buffers the event (a duplicate
-// to the node whose store entry was GC'd).
+// and has n.OwnPayload make one only when n no longer buffers the event
+// (a duplicate to the node whose store entry was GC'd).
 func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node) (added bool, evicted int) {
 	if s.capacity <= 0 {
 		return false, 0
@@ -182,7 +184,7 @@ func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node
 		if held, ok := n.Buffered(ev.ID); ok {
 			ev.Payload = held.Payload
 		} else {
-			ev = ev.Clone()
+			ev.Payload = n.OwnPayload(ev.Payload)
 		}
 	}
 	for len(s.entries) >= s.capacity {
@@ -190,7 +192,7 @@ func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node
 		evicted++
 	}
 	s.entries[ev.ID] = ev
-	s.order = append(s.order, storeEntry{ev: ev, round: round})
+	s.order = append(s.order, storeEntry{id: ev.ID, round: round})
 	return true, evicted
 }
 
@@ -204,8 +206,8 @@ func (s *store) popOldest() {
 	for s.head < len(s.order) {
 		e := s.order[s.head]
 		s.head++
-		if _, ok := s.entries[e.ev.ID]; ok {
-			delete(s.entries, e.ev.ID)
+		if _, ok := s.entries[e.id]; ok {
+			delete(s.entries, e.id)
 			break
 		}
 	}
@@ -220,8 +222,8 @@ func (s *store) gc(now uint64, retain int) (evicted int) {
 			break
 		}
 		s.head++
-		if _, ok := s.entries[e.ev.ID]; ok {
-			delete(s.entries, e.ev.ID)
+		if _, ok := s.entries[e.id]; ok {
+			delete(s.entries, e.id)
 			evicted++
 		}
 	}

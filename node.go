@@ -110,9 +110,10 @@ func (n *Node) Close() error { return n.g.close() }
 
 // Events returns a stream of this node's deliveries. From
 // subscription onward the stream sees every delivery the WithDeliver
-// callback sees; it is closed when ctx is cancelled or the node is
-// closed. A subscriber that falls more than DefaultEventStreamBuffer
-// behind loses deliveries (counted in Stats.StreamDropped).
+// callback sees (payloads as DeliverFunc says); it is closed when ctx is
+// cancelled or the node is closed. A subscriber that falls more than
+// DefaultEventStreamBuffer behind loses deliveries (counted in
+// Stats.StreamDropped).
 func (n *Node) Events(ctx context.Context) <-chan Delivery {
 	return n.g.hub.subscribe(ctx)
 }

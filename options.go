@@ -23,9 +23,10 @@ type Delivery struct {
 // ClusterHealth of a Cluster visit every member, so no callback may call
 // them. Hand such work to another goroutine.
 //
-// Event.Payload is shared, not copied per observer: the same bytes sit
-// in the member's buffer and recovery store and reach every callback
-// and Events subscriber. Treat it as read-only.
+// Event.Payload is shared and read-only: the same bytes sit in the
+// member's buffer and recovery store and reach every callback and
+// Events subscriber. A received payload pins the ≤ 4 KiB chunk it was
+// copied into; copy it to keep it long-term.
 type DeliverFunc func(d Delivery)
 
 // MemberChangeFunc observes failure-detector transitions (requires
