@@ -16,7 +16,6 @@
 //	gossipsim -figure recovery       # delivery vs loss, anti-entropy off/on
 //	gossipsim -figure churn          # delivery and view accuracy vs churn
 //	                                 # rate, failure detection off/on
-//	gossipsim -figure wirecost       # bytes and allocs per round vs fanout
 //	gossipsim -figure healthdigest   # health-digest convergence vs group
 //	                                 # size and digests per message
 //	gossipsim -figure scale          # n=1k/5k/10k uniform vs proximity-
@@ -47,7 +46,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("gossipsim", flag.ContinueOnError)
 	var (
-		figure   = fs.String("figure", "all", "2|4|6|7|8|9|9rt|t1|ablations|recovery|churn|wirecost|healthdigest|scale|all")
+		figure   = fs.String("figure", "all", "2|4|6|7|8|9|9rt|t1|ablations|recovery|churn|healthdigest|scale|all")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		seeds    = fs.Int("seeds", 1, "seeds to average per data point")
 		n        = fs.Int("n", 60, "group size")
@@ -134,8 +133,6 @@ func run(args []string) error {
 		return recoverySweep(base, *seeds)
 	case "churn":
 		return churnSweep(base, *seeds)
-	case "wirecost":
-		return wirecostSweep(*fast)
 	case "healthdigest":
 		return healthdigestSweep(*fast, *seed)
 	case "scale":
@@ -167,9 +164,6 @@ func run(args []string) error {
 			return err
 		}
 		if err := churnSweep(base, *seeds); err != nil {
-			return err
-		}
-		if err := wirecostSweep(*fast); err != nil {
 			return err
 		}
 		if err := healthdigestSweep(*fast, *seed); err != nil {
@@ -339,20 +333,6 @@ func churnSweep(base experiments.Config, seeds int) error {
 		return err
 	}
 	experiments.RenderChurn(os.Stdout, rows)
-	fmt.Println()
-	return nil
-}
-
-func wirecostSweep(fast bool) error {
-	cfg := experiments.DefaultWirecostConfig()
-	if fast {
-		cfg.Rounds = 50
-	}
-	rows, err := experiments.RunWirecost(cfg)
-	if err != nil {
-		return err
-	}
-	experiments.RenderWirecost(os.Stdout, cfg, rows)
 	fmt.Println()
 	return nil
 }

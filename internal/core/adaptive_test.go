@@ -16,7 +16,7 @@ var start = time.Unix(0, 0).UTC()
 // fullPeers samples from a fixed list.
 type fullPeers []gossip.NodeID
 
-func (f fullPeers) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
+func (f fullPeers) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
 	out := make([]gossip.NodeID, 0, k)
 	for _, p := range f {
 		if p != self {
@@ -27,7 +27,7 @@ func (f fullPeers) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []goss
 	if len(out) > k {
 		out = out[:k]
 	}
-	return out
+	return append(dst, out...)
 }
 
 func nodeConfig(id gossip.NodeID, peers gossip.PeerSampler, adaptive bool) NodeConfig {

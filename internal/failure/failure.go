@@ -191,10 +191,8 @@ type Engine struct {
 	// suspicionTimeout is Params.SuspicionTimeoutRounds, defaulted.
 	suspicionTimeout uint64
 	peers            gossip.PeerSampler
-	// sampleInto is peers' append-style fast path, when it has one, and
-	// candidates the slice it fills: a probe then samples without
-	// allocating. The RNG draws are the same either way.
-	sampleInto gossip.PeerAppender
+	// candidates is the scratch peers samples into, so a probe samples
+	// without allocating.
 	candidates []gossip.NodeID
 	rng        *rand.Rand
 
@@ -246,12 +244,10 @@ func NewEngine(self gossip.NodeID, params Params, peers gossip.PeerSampler, rng 
 	if rng == nil {
 		return nil, fmt.Errorf("failure: rng must not be nil")
 	}
-	sampleInto, _ := peers.(gossip.PeerAppender)
 	return &Engine{
 		self:             self,
 		suspicionTimeout: uint64(timeout),
 		peers:            peers,
-		sampleInto:       sampleInto,
 		rng:              rng,
 		now:              time.Now,
 		members:          make(map[gossip.NodeID]*memberState),
@@ -382,13 +378,9 @@ func (e *Engine) send(to gossip.NodeID, kind gossip.MessageKind, probe gossip.No
 	e.out.Queue(to, msg)
 }
 
-// sample draws up to k peers, into the engine's scratch when the sampler
-// can append.
+// sample draws up to k peers into the engine's scratch.
 func (e *Engine) sample(k int) []gossip.NodeID {
-	if e.sampleInto == nil {
-		return e.peers.SamplePeers(e.self, k, e.rng)
-	}
-	e.candidates = e.sampleInto.AppendPeers(e.candidates[:0], e.self, k, e.rng)
+	e.candidates = e.peers.AppendPeers(e.candidates[:0], e.self, k, e.rng)
 	return e.candidates
 }
 

@@ -13,24 +13,24 @@ import (
 // to pin the probe target.
 type staticPeers struct{ ids []gossip.NodeID }
 
-func (s staticPeers) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
-	out := make([]gossip.NodeID, 0, k)
+func (s staticPeers) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
+	n := 0
 	for _, id := range s.ids {
-		if id == self {
-			continue
-		}
-		out = append(out, id)
-		if len(out) == k {
+		if n == k {
 			break
 		}
+		if id != self {
+			dst = append(dst, id)
+			n++
+		}
 	}
-	return out
+	return dst
 }
 
 // randPeers samples uniformly, like membership.Registry.
 type randPeers struct{ ids []gossip.NodeID }
 
-func (s randPeers) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
+func (s randPeers) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
 	pool := make([]gossip.NodeID, 0, len(s.ids))
 	for _, id := range s.ids {
 		if id != self {
@@ -41,7 +41,7 @@ func (s randPeers) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []goss
 	if k < len(pool) {
 		pool = pool[:k]
 	}
-	return pool
+	return append(dst, pool...)
 }
 
 func newTestEngine(t *testing.T, self gossip.NodeID, peers []gossip.NodeID, p Params) *Engine {

@@ -11,25 +11,17 @@ import (
 
 // PeerSampler supplies random gossip targets. Implementations include a
 // static full-membership registry and an lpbcast-style partial view
-// (internal/membership).
+// (internal/membership). Node draws each round's targets into one
+// scratch slice it reuses across rounds.
 type PeerSampler interface {
-	// SamplePeers returns up to k distinct peers, excluding self. Fewer
-	// than k peers may be returned if the membership is small.
-	SamplePeers(self NodeID, k int, rng *rand.Rand) []NodeID
-}
-
-// PeerAppender is the allocation-free fast path of PeerSampler: the
-// same sample appended into a caller-owned slice. Node detects it at
-// construction and routes its per-round target draw through it,
-// reusing one scratch slice across rounds. Both membership
-// implementations provide it; external samplers fall back to
-// SamplePeers.
-type PeerAppender interface {
 	// AppendPeers appends up to k distinct peers, excluding self, to dst
-	// and returns the extended slice. The appended sample must match
-	// what SamplePeers would have returned for the same RNG state.
+	// and returns the extended slice. Fewer than k peers may be appended
+	// if the membership is small.
 	AppendPeers(dst []NodeID, self NodeID, k int, rng *rand.Rand) []NodeID
 }
+
+// PeerAppender is a second name for PeerSampler, for code that names both.
+type PeerAppender = PeerSampler
 
 // EvictReason says why events left the buffer.
 type EvictReason int
@@ -164,13 +156,12 @@ func (s NodeStats) AvgDroppedAge() float64 {
 // Node is not safe for concurrent use: a driver (simulator or runtime
 // loop) must serialize calls to Broadcast, Tick and Receive.
 type Node struct {
-	id         NodeID
-	params     Params
-	buf        *Buffer
-	seen       *IDCache
-	peers      PeerSampler
-	sampleInto PeerAppender // non-nil when peers implements the fast path
-	rng        *rand.Rand
+	id     NodeID
+	params Params
+	buf    *Buffer
+	seen   *IDCache
+	peers  PeerSampler
+	rng    *rand.Rand
 
 	deliver DeliverFunc
 	exts    []Extension
@@ -264,9 +255,6 @@ func NewNode(id NodeID, params Params, peers PeerSampler, rng *rand.Rand, opts .
 		peers:         peers,
 		rng:           rng,
 		scratchEvents: make([]Event, 0, params.MaxEvents),
-	}
-	if pa, ok := peers.(PeerAppender); ok {
-		n.sampleInto = pa
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -405,18 +393,12 @@ func (n *Node) Tick() []Outgoing {
 		ext.OnTick(n, msg)
 	}
 
-	var targets []NodeID
-	if n.sampleInto != nil {
-		n.scratchTargets = n.sampleInto.AppendPeers(n.scratchTargets[:0], n.id, n.params.Fanout, n.rng)
-		targets = n.scratchTargets
-	} else {
-		targets = n.peers.SamplePeers(n.id, n.params.Fanout, n.rng)
-	}
-	if len(targets) == 0 {
+	n.scratchTargets = n.peers.AppendPeers(n.scratchTargets[:0], n.id, n.params.Fanout, n.rng)
+	if len(n.scratchTargets) == 0 {
 		return nil
 	}
 	out := n.scratchOut[:0]
-	for _, t := range targets {
+	for _, t := range n.scratchTargets {
 		if t == n.id {
 			continue
 		}

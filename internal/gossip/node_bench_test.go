@@ -16,13 +16,6 @@ import (
 // without sampling noise (and without sampler allocations).
 type fixedPeers []NodeID
 
-func (s fixedPeers) SamplePeers(self NodeID, k int, rng *rand.Rand) []NodeID {
-	if k >= len(s) {
-		return s
-	}
-	return s[:k]
-}
-
 func (s fixedPeers) AppendPeers(dst []NodeID, self NodeID, k int, rng *rand.Rand) []NodeID {
 	if k > len(s) {
 		k = len(s)

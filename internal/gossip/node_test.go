@@ -9,7 +9,7 @@ import (
 // staticPeers samples uniformly from a fixed member list.
 type staticPeers []NodeID
 
-func (s staticPeers) SamplePeers(self NodeID, k int, rng *rand.Rand) []NodeID {
+func (s staticPeers) AppendPeers(dst []NodeID, self NodeID, k int, rng *rand.Rand) []NodeID {
 	candidates := make([]NodeID, 0, len(s))
 	for _, p := range s {
 		if p != self {
@@ -22,7 +22,7 @@ func (s staticPeers) SamplePeers(self NodeID, k int, rng *rand.Rand) []NodeID {
 	if len(candidates) > k {
 		candidates = candidates[:k]
 	}
-	return candidates
+	return append(dst, candidates...)
 }
 
 func testParams() Params {

@@ -13,8 +13,8 @@ import (
 // twoPeers is the test node's view: two peers, both sampled every round.
 type twoPeers struct{}
 
-func (twoPeers) SamplePeers(gossip.NodeID, int, *rand.Rand) []gossip.NodeID {
-	return []gossip.NodeID{"peer-a", "peer-b"}
+func (twoPeers) AppendPeers(dst []gossip.NodeID, _ gossip.NodeID, _ int, _ *rand.Rand) []gossip.NodeID {
+	return append(dst, "peer-a", "peer-b")
 }
 
 func testNode(t *testing.T, id gossip.NodeID, exts ...gossip.Extension) *gossip.Node {

@@ -93,23 +93,18 @@ type PeerWeight func(peer gossip.NodeID) float64
 // topology-aware gossip probability of Haas et al.'s "Gossip-Based Ad
 // Hoc Routing", where nearby (cheap) links carry most rounds while the
 // occasional long link keeps regions connected. Only target selection
-// (SamplePeers / AppendPeers) is affected; the view's membership
-// content stays uniform lpbcast. Pass nil to restore uniform sampling.
+// (AppendPeers) is affected; the view's membership content stays
+// uniform lpbcast. Pass nil to restore uniform sampling.
 //
 // The weighted draw consumes the RNG differently from the uniform one,
 // so flipping the mode mid-run changes the randomness downstream of the
 // switch.
 func (v *PartialView) SetSampleWeights(w PeerWeight) { v.weight = w }
 
-// SamplePeers draws up to k distinct targets from the partial view.
-func (v *PartialView) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
-	return v.AppendPeers(nil, self, k, rng)
-}
-
-// AppendPeers implements gossip.PeerAppender: the SamplePeers draw
-// appended into a caller-owned slice (the view holds no duplicates, so
-// deduplicating drawn entries by value matches the by-index draw). The
-// RNG consumption is identical to SamplePeers.
+// AppendPeers implements gossip.PeerSampler: it appends up to k
+// distinct targets from the partial view to a caller-owned slice (the
+// view holds no duplicates, so deduplicating drawn entries by value
+// matches a by-index draw).
 func (v *PartialView) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
 	if k <= 0 || len(v.view) == 0 {
 		return dst
@@ -260,7 +255,6 @@ func (v *PartialView) addToPool(pool *[]gossip.NodeID, set map[gossip.NodeID]str
 }
 
 var (
-	_ gossip.PeerSampler  = (*PartialView)(nil)
-	_ gossip.PeerAppender = (*PartialView)(nil)
-	_ gossip.Extension    = (*PartialView)(nil)
+	_ gossip.PeerSampler = (*PartialView)(nil)
+	_ gossip.Extension   = (*PartialView)(nil)
 )

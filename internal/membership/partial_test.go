@@ -115,7 +115,7 @@ func TestPartialViewOnTickAllocFree(t *testing.T) {
 func TestPartialViewSamplePeers(t *testing.T) {
 	v := newView(t, "a", "b", "c", "d", "e")
 	rng := rand.New(rand.NewPCG(4, 5))
-	got := v.SamplePeers("a", 3, rng)
+	got := v.AppendPeers(nil, "a", 3, rng)
 	if len(got) != 3 {
 		t.Fatalf("sample size %d, want 3", len(got))
 	}
@@ -126,10 +126,10 @@ func TestPartialViewSamplePeers(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if got := v.SamplePeers("a", 0, rng); got != nil {
+	if got := v.AppendPeers(nil, "a", 0, rng); got != nil {
 		t.Fatalf("k=0: %v", got)
 	}
-	all := v.SamplePeers("a", 99, rng)
+	all := v.AppendPeers(nil, "a", 99, rng)
 	if len(all) != 4 {
 		t.Fatalf("oversample returned %d, want full view 4", len(all))
 	}
@@ -165,7 +165,7 @@ func TestPartialViewGossipConvergence(t *testing.T) {
 	}
 	for round := 0; round < 30; round++ {
 		for i, v := range views {
-			targets := v.SamplePeers(names[i], 3, rng)
+			targets := v.AppendPeers(nil, names[i], 3, rng)
 			msg := &Message{From: names[i]}
 			v.OnTick(nil, msg)
 			for _, to := range targets {

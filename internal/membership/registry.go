@@ -98,16 +98,10 @@ func (r *Registry) IDs() []gossip.NodeID {
 	return append([]gossip.NodeID(nil), r.ids...)
 }
 
-// SamplePeers returns up to k distinct members other than self, chosen
-// uniformly at random.
-func (r *Registry) SamplePeers(self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
-	return r.AppendPeers(nil, self, k, rng)
-}
-
-// AppendPeers implements gossip.PeerAppender: the SamplePeers draw
-// appended into a caller-owned slice, so a node's per-round target
-// selection allocates nothing. The RNG consumption is identical to
-// SamplePeers.
+// AppendPeers implements gossip.PeerSampler: it appends up to k
+// distinct members other than self, chosen uniformly at random, to a
+// caller-owned slice, so a node's per-round target selection allocates
+// nothing.
 func (r *Registry) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int, rng *rand.Rand) []gossip.NodeID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -158,10 +152,7 @@ func (r *Registry) AppendPeers(dst []gossip.NodeID, self gossip.NodeID, k int, r
 	return dst
 }
 
-var (
-	_ gossip.PeerSampler  = (*Registry)(nil)
-	_ gossip.PeerAppender = (*Registry)(nil)
-)
+var _ gossip.PeerSampler = (*Registry)(nil)
 
 // String describes the registry for debugging.
 func (r *Registry) String() string {

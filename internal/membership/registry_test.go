@@ -50,7 +50,7 @@ func TestRegistrySampleExcludesSelfAndDuplicates(t *testing.T) {
 	r := NewRegistry(ids("a", "b", "c", "d", "e")...)
 	rng := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 200; trial++ {
-		got := r.SamplePeers("a", 3, rng)
+		got := r.AppendPeers(nil, "a", 3, rng)
 		if len(got) != 3 {
 			t.Fatalf("sample size %d, want 3", len(got))
 		}
@@ -70,7 +70,7 @@ func TestRegistrySampleExcludesSelfAndDuplicates(t *testing.T) {
 func TestRegistrySampleWholeGroup(t *testing.T) {
 	r := NewRegistry(ids("a", "b", "c")...)
 	rng := rand.New(rand.NewPCG(5, 6))
-	got := r.SamplePeers("a", 10, rng)
+	got := r.AppendPeers(nil, "a", 10, rng)
 	if len(got) != 2 {
 		t.Fatalf("sample = %v, want both other members", got)
 	}
@@ -79,19 +79,19 @@ func TestRegistrySampleWholeGroup(t *testing.T) {
 func TestRegistrySampleEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	empty := NewRegistry()
-	if got := empty.SamplePeers("a", 4, rng); got != nil {
+	if got := empty.AppendPeers(nil, "a", 4, rng); got != nil {
 		t.Fatalf("empty registry sample = %v", got)
 	}
 	solo := NewRegistry("a")
-	if got := solo.SamplePeers("a", 4, rng); got != nil {
+	if got := solo.AppendPeers(nil, "a", 4, rng); got != nil {
 		t.Fatalf("solo registry sample = %v", got)
 	}
 	r := NewRegistry(ids("a", "b")...)
-	if got := r.SamplePeers("a", 0, rng); got != nil {
+	if got := r.AppendPeers(nil, "a", 0, rng); got != nil {
 		t.Fatalf("k=0 sample = %v", got)
 	}
 	// Sampling from a registry that does not contain self still works.
-	if got := r.SamplePeers("zz", 2, rng); len(got) != 2 {
+	if got := r.AppendPeers(nil, "zz", 2, rng); len(got) != 2 {
 		t.Fatalf("outsider sample = %v", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestRegistrySampleIsRoughlyUniform(t *testing.T) {
 	counts := map[gossip.NodeID]int{}
 	const trials = 6000
 	for i := 0; i < trials; i++ {
-		for _, id := range r.SamplePeers("a", 2, rng) {
+		for _, id := range r.AppendPeers(nil, "a", 2, rng) {
 			counts[id]++
 		}
 	}
@@ -127,7 +127,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}()
 	rng := rand.New(rand.NewPCG(11, 12))
 	for i := 0; i < 1000; i++ {
-		r.SamplePeers("a", 2, rng)
+		r.AppendPeers(nil, "a", 2, rng)
 		r.Len()
 	}
 	<-done
@@ -166,7 +166,7 @@ func TestRegistryConcurrentJoinLeaveSample(t *testing.T) {
 						reg.Add(shared)
 					}
 				case 3:
-					got := reg.SamplePeers(churn, 4, rng)
+					got := reg.AppendPeers(nil, churn, 4, rng)
 					seen := make(map[gossip.NodeID]bool, len(got))
 					for _, id := range got {
 						if id == churn {
@@ -213,6 +213,6 @@ func BenchmarkRegistrySample(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg.SamplePeers("n000", 4, rng)
+		reg.AppendPeers(nil, "n000", 4, rng)
 	}
 }

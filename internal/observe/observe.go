@@ -1,7 +1,7 @@
 // Package observe is the protocol observability layer: an alloc-free
-// instrumentation core (atomic counters, gauges and fixed-bucket
-// histograms the gossip hot path can update without violating the
-// zero-allocation round contracts), a sampling rumor-lifecycle tracer,
+// instrumentation core (atomic counters and fixed-bucket histograms the
+// gossip hot path can update without violating the zero-allocation
+// round contracts), a sampling rumor-lifecycle tracer,
 // and an opt-in debug HTTP server exposing everything as expvar-style
 // JSON, Prometheus text format and net/http/pprof.
 //
@@ -31,16 +31,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomically settable float64 level. The zero value is
-// ready to use and reads 0.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores the current level.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Load returns the current level.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // NumBuckets is the fixed bucket count of Histogram: one bucket per
 // power-of-two magnitude of a uint64 observation (bucket i counts

@@ -169,20 +169,12 @@ func TestHistogramObserveAllocFree(t *testing.T) {
 	}
 }
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(41)
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
-	}
-	var g Gauge
-	if g.Load() != 0 {
-		t.Fatalf("zero gauge reads %v", g.Load())
-	}
-	g.Set(3.25)
-	if got := g.Load(); got != 3.25 {
-		t.Fatalf("gauge = %v, want 3.25", got)
 	}
 }
 

@@ -28,7 +28,8 @@ type PeerStats struct {
 	MessagesReceived Counter
 	// BytesReceived counts wire bytes received from the peer.
 	BytesReceived Counter
-	// FanoutSends counts times the peer was a SendMany fanout target.
+	// FanoutSends counts times the peer was a target of a send that
+	// went out: a SendMany fanout, or Send, its one-target case.
 	FanoutSends Counter
 	// Drops counts outgoing datagrams to the peer dropped by injected
 	// loss.

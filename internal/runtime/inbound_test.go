@@ -216,8 +216,8 @@ func TestRunnerHandoffAllocFree(t *testing.T) {
 	if allocs != 0 && !race.Enabled {
 		t.Fatalf("a round out and a message in allocate %v times, want 0", allocs)
 	}
-	if st := r.Stats(); st.SendErrors != 0 || st.MessagesMoved != 4*(runs+2) || machine.received != runs+1 {
-		t.Fatalf("runner %+v, %d received: the round did not go out or the messages did not come in", st, machine.received)
+	if st := tr.Stats(); st.SendErrors != 0 || st.Sent != 4*(runs+2) || machine.received != runs+1 {
+		t.Fatalf("transport %+v, %d received: the round did not go out or the messages did not come in", st, machine.received)
 	}
 }
 

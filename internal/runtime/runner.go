@@ -42,15 +42,13 @@ type Config struct {
 	Metrics *observe.RunnerMetrics
 }
 
-// Stats counts runner activity.
+// Stats counts runner activity. What the runner sends is counted by its
+// transport.
 type Stats struct {
-	Ticks uint64
 	// InboxDropped counts messages the transport handed over while the
 	// runner was not running (before Start or after Stop), discarded
 	// and their leases released.
-	InboxDropped  uint64
-	SendErrors    uint64
-	MessagesMoved uint64
+	InboxDropped uint64
 }
 
 // Runner drives one Machine. Create with NewRunner, then Start; Stop
@@ -69,13 +67,13 @@ type Runner struct {
 	stopped bool          // Stop has been called; Start is then a no-op
 	stop    chan struct{} // closed by Stop to end the ticker goroutine
 	done    chan struct{} // closed by the ticker goroutine; nil until Start
-	// sender amortizes the per-round grouping scratch.
+	// sender transmits what Tick and Receive return: the round's shared
+	// gossip message collapses into one SendMany, so encode-once
+	// transports pay the serialization cost once per round, and the
+	// grouping scratch is reused across rounds.
 	sender transport.GroupSender
 
-	ticks        atomic.Uint64
 	inboxDropped atomic.Uint64
-	sendErrors   atomic.Uint64
-	moved        atomic.Uint64
 }
 
 // NewRunner wires a runner and installs the transport handler. The
@@ -178,9 +176,8 @@ func (r *Runner) tick() {
 	if !r.running {
 		return
 	}
-	r.ticks.Add(1)
 	now := time.Now()
-	r.send(r.node.Tick(now))
+	r.sender.SendGroups(r.tr, r.node.Tick(now))
 	if r.metrics != nil {
 		r.metrics.TickNanos.ObserveInt(int64(time.Since(now)))
 	}
@@ -199,20 +196,10 @@ func (r *Runner) receive(msg *gossip.Message) {
 		return
 	}
 	now := time.Now()
-	r.send(r.node.Receive(msg, now))
+	r.sender.SendGroups(r.tr, r.node.Receive(msg, now))
 	if r.metrics != nil {
 		r.metrics.ReceiveNanos.ObserveInt(int64(time.Since(now)))
 	}
-}
-
-// send transmits a batch of outgoings through the runner's GroupSender:
-// the round's shared gossip message collapses into one SendMany so
-// encode-once transports pay the serialization cost once per round.
-// The grouping scratch is reused across rounds.
-func (r *Runner) send(outs []gossip.Outgoing) {
-	sent, failed := r.sender.SendGroups(r.tr, outs)
-	r.moved.Add(uint64(sent))
-	r.sendErrors.Add(uint64(failed))
 }
 
 // Do runs fn under the runner's lock, serialized with ticks and
@@ -246,10 +233,5 @@ type NodeSnapshot struct {
 
 // Stats returns the runner's counters.
 func (r *Runner) Stats() Stats {
-	return Stats{
-		Ticks:         r.ticks.Load(),
-		InboxDropped:  r.inboxDropped.Load(),
-		SendErrors:    r.sendErrors.Load(),
-		MessagesMoved: r.moved.Load(),
-	}
+	return Stats{InboxDropped: r.inboxDropped.Load()}
 }

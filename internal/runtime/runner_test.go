@@ -193,7 +193,7 @@ func TestRunnerTicksHappen(t *testing.T) {
 	}
 	time.Sleep(300 * time.Millisecond)
 	for i, r := range runners {
-		if r.Stats().Ticks == 0 {
+		if read(r, func(n *core.AdaptiveNode) uint64 { return n.Gossip().Round() }) == 0 {
 			t.Fatalf("runner %d never ticked", i)
 		}
 	}

@@ -11,7 +11,8 @@ import (
 // TestUDPPeerTelemetry: per-peer counters on both ends of a UDP
 // exchange — messages and bytes by peer on the sender, attribution by
 // decoded From on the receiver (for senders in its address book only),
-// fan-out counted per SendMany target.
+// fan-out counted per target of SendMany and of Send, its one-target
+// case.
 func TestUDPPeerTelemetry(t *testing.T) {
 	aLinks := observe.NewPeerTable(16)
 	bLinks := observe.NewPeerTable(16)
@@ -67,6 +68,9 @@ func TestUDPPeerTelemetry(t *testing.T) {
 	}
 	if n := bLinks.Len(); n != 1 {
 		t.Fatalf("receiver keeps %d peer rows, want the registered sender's alone", n)
+	}
+	if as.FanoutSends.Load() != 2 {
+		t.Fatalf("fanout sends = %d after a direct Send, want 2", as.FanoutSends.Load())
 	}
 
 	// Unknown peers surface as per-peer send errors.

@@ -18,8 +18,8 @@ import (
 // twoPeers samples the same two peers every round.
 type twoPeers struct{}
 
-func (twoPeers) SamplePeers(gossip.NodeID, int, *rand.Rand) []gossip.NodeID {
-	return []gossip.NodeID{"p1", "p2"}
+func (twoPeers) AppendPeers(dst []gossip.NodeID, _ gossip.NodeID, _ int, _ *rand.Rand) []gossip.NodeID {
+	return append(dst, "p1", "p2")
 }
 
 // memberParams are the small member the tests below feed decoded frames.

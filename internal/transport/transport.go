@@ -51,8 +51,9 @@ type GroupSender struct {
 // SendGroups coalesces a batch of outgoings into per-message fanouts
 // (gossip.AppendGroupOutgoing) and transmits each through t via
 // SendMany, so encode-once transports pay the serialization cost once
-// per round. It returns the total targets sent and failed.
-func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, failed int) {
+// per round. Delivery is best effort per target; the transport counts
+// what fails.
+func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) {
 	// Drop last round's message pointers before reuse so the scratch
 	// does not pin control messages past their round.
 	for i := range g.fans {
@@ -60,11 +61,8 @@ func (g *GroupSender) SendGroups(t Transport, outs []gossip.Outgoing) (sent, fai
 	}
 	g.fans, g.targets = gossip.AppendGroupOutgoing(g.fans[:0], g.targets[:0], outs)
 	for _, f := range g.fans {
-		n, _ := SendMany(t, f.Targets, f.Msg)
-		sent += n
-		failed += len(f.Targets) - n
+		SendMany(t, f.Targets, f.Msg)
 	}
-	return sent, failed
 }
 
 // SendMany transmits msg to every target through t, using the

@@ -435,27 +435,10 @@ func (t *UDPTransport) dispatch(in *Inbound) {
 	h(in)
 }
 
-// Send encodes and transmits msg to one peer, splitting into multiple
-// datagrams when it exceeds the datagram bound. Every call pays one
-// full encode; fanout traffic should go through SendMany, which
-// serializes once for all targets from a pooled buffer.
+// Send transmits msg to one peer: the one-target case of SendMany.
 func (t *UDPTransport) Send(to gossip.NodeID, msg *gossip.Message) error {
-	t.mu.RLock()
-	addr, ok := t.book[to]
-	t.mu.RUnlock()
-	if !ok {
-		t.sendErrors.Add(1)
-		if ps := t.peerStats(to); ps != nil {
-			ps.SendErrors.Inc()
-		}
-		return fmt.Errorf("transport: unknown peer %s", to)
-	}
-	chunks, err := t.codec.EncodeChunks(msg, t.maxDg)
-	if err != nil {
-		t.sendErrors.Add(1)
-		return err
-	}
-	return t.writeChunks(to, addr, chunks)
+	_, err := t.SendMany([]gossip.NodeID{to}, msg)
+	return err
 }
 
 // SendMany transmits msg to every target, encoding once: the per-round
