@@ -142,10 +142,13 @@ type Config struct {
 	// BufferCapacity bounds the events buffer (|events|max). Zero
 	// means the default.
 	BufferCapacity int
-	// IDCacheCapacity bounds the duplicate-suppression set, at most
-	// 2²⁶. Zero derives it from BufferCapacity. It may equal
-	// BufferCapacity: a buffered event is never delivered twice,
-	// whatever the set has forgotten.
+	// IDCacheCapacity bounds the memory of the duplicate-suppression
+	// set, its per-origin replay windows, at most 2²⁶. Zero derives it
+	// from BufferCapacity. It is not the exactly-once horizon, which
+	// comes from MaxAge: it caps the windows at one per unit (the least
+	// recently active origin is forgotten past that) and an origin's
+	// window at IDCacheCapacity seqs (rounded up to a power of two of
+	// 64), past which the oldest are refused as stale.
 	IDCacheCapacity int
 	// MaxAge is the age purge bound k, at most 65,536. Zero means the
 	// default.

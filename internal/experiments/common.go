@@ -330,6 +330,16 @@ func (t *truth) setDown(id gossip.NodeID, down bool, now time.Time) {
 	}
 }
 
+// downFor reports how long id has been down at now, 0 if it is up.
+func (t *truth) downFor(id gossip.NodeID, now time.Time) time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if since, down := t.downSince[id]; down {
+		return now.Sub(since)
+	}
+	return 0
+}
+
 func (t *truth) down(id gossip.NodeID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -578,16 +588,19 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	}
 
 	// Restart schedule: a crashed node comes back as a fresh process —
-	// detector state reset with a bumped incarnation, its own view
-	// re-seeded from the static member list, reachable again, and its
-	// publisher resumed.
+	// detector state reset with a bumped incarnation, its buffer aged by
+	// the rounds it missed (gossip.Node.Resume), its own view re-seeded
+	// from the static member list, reachable again, and its publisher
+	// resumed.
 	for _, rs := range cfg.Restarts {
 		w.after(rs.At, func() {
 			for _, idx := range rs.Nodes {
 				if !truth.down(names[idx]) {
 					continue
 				}
-				nodes[idx].FailureRejoin() // nothing drives a down member: no do needed
+				// Nothing drives a down member: no do needed.
+				nodes[idx].FailureRejoin()
+				nodes[idx].Gossip().Resume(int(truth.downFor(names[idx], w.now()) / cfg.Period))
 				if cfg.PerNodeViews {
 					seedMembers(regs[idx])
 				} else {

@@ -50,6 +50,31 @@ func TestRecoveryImprovesDeliveryUnderLoss(t *testing.T) {
 	}
 }
 
+// TestRecoveryDeliversExactlyOnce runs recovery where eventIds is
+// smallest against what the digests and the store remember: a buffer of
+// one round's births (4), at 0% and 10% loss. A set that forgets ids in
+// arrival order let a member pull, and deliver again, an event it had
+// forgotten while peers still advertised and stored it: 188,796 and
+// 147,150 repeated deliveries. Replay windows keep every id a peer can
+// still offer.
+func TestRecoveryDeliversExactlyOnce(t *testing.T) {
+	for _, loss := range []float64{0, 0.1} {
+		cfg := DefaultRecoveryConfig(sweepConfig())
+		cfg.Recovery, cfg.Loss = true, loss
+		if cfg.Buffer != 4 {
+			t.Fatalf("buffer %d, want one round's births, 4", cfg.Buffer)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DuplicateDeliveries != 0 || res.Recovery.EventsRecovered == 0 {
+			t.Errorf("loss %v: %d repeated deliveries, %d events recovered: want 0 and some",
+				loss, res.DuplicateDeliveries, res.Recovery.EventsRecovered)
+		}
+	}
+}
+
 // TestRecoveryExperimentDeterministic replays one sweep point and
 // expects bit-identical results — the discrete-event sim plus the
 // engine's ordered iteration must be reproducible.

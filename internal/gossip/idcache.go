@@ -20,9 +20,10 @@ const idCacheFirst = 64
 // footprint, and a lookup ends on a block whose bitmap it reads anyway.
 const idCacheSpread = 2
 
-// IDCache is the bounded eventIds duplicate-suppression set of Figure 1.
-// When full, the oldest identifier is forgotten (FIFO), matching the
-// paper's "remove oldest element from eventIds".
+// IDCache is a bounded set of recently seen identifiers: when full,
+// the oldest is forgotten (FIFO), the paper's "remove oldest element
+// from eventIds". The recovery subsystem's digests come from one; a
+// Node's own eventIds are replay windows, which forget by age instead.
 //
 // An origin's seqs are consecutive, so the ids are kept in blocks: a
 // block holds an origin, the upper bits of a seq (seq>>6) and a bitmap
@@ -80,21 +81,16 @@ func (c *IDCache) Len() int { return c.size }
 func (c *IDCache) Capacity() int { return c.capacity }
 
 // Contains reports whether id is remembered.
-func (c *IDCache) Contains(id EventID) bool { return c.contains(id, originHash(c.seed, id.Origin)) }
-
-// contains is Contains for an id whose origin hashes to oh.
-func (c *IDCache) contains(id EventID, oh uint64) bool {
-	b := c.find(id, oh)
+func (c *IDCache) Contains(id EventID) bool {
+	b := c.find(id, originHash(c.seed, id.Origin))
 	return b >= 0 && c.blocks[b].bits&(1<<(id.Seq&63)) != 0
 }
 
 // Add remembers id and reports whether it was new. Adding a known id is
 // a no-op returning false. When the cache is full the oldest identifier
 // is evicted.
-func (c *IDCache) Add(id EventID) bool { return c.add(id, originHash(c.seed, id.Origin)) }
-
-// add is Add for an id whose origin hashes to oh.
-func (c *IDCache) add(id EventID, oh uint64) bool {
+func (c *IDCache) Add(id EventID) bool {
+	oh := originHash(c.seed, id.Origin)
 	bit := uint64(1) << (id.Seq & 63)
 	b := c.find(id, oh)
 	if b >= 0 {

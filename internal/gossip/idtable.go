@@ -7,9 +7,9 @@ import (
 
 // originHash is the seeded hash of an origin: ids arrive off the wire,
 // so their origins are hashed with a per-node seed. idHash derives
-// every table's keys from it: Buffer's from (origin, seq), IDCache's
-// from (origin, seq>>6). A Node seeds both alike, so Receive hashes
-// each origin once.
+// Buffer's keys from it, (origin, seq), and IDCache's, (origin,
+// seq>>6); a Node's replay windows are keyed by the origin hash itself,
+// so Receive hashes each origin once.
 func originHash(seed maphash.Seed, origin NodeID) uint64 {
 	return maphash.String(seed, string(origin))
 }
@@ -27,9 +27,10 @@ func idHash(oh, seq uint64) uint32 {
 // idTable is an open-addressed table of positions in its owner's
 // storage (linear probing, backward-shift deletion) keeping the hash of
 // the entry at each position. IDCache indexes its blocks with one,
-// Buffer its slab. The owner picks the load when it sizes the table
-// (resize's spread): a lower load shortens the probe runs that lookups
-// walk and that deletion shifts back, for 4 bytes per slot more.
+// Buffer its slab, replay its windows. The owner picks the load when
+// it sizes the table (resize's spread): a lower load shortens the probe
+// runs that lookups walk and that deletion shifts back, for 4 bytes per
+// slot more.
 //
 // A slot holds position+1 in its low bits and, above them, the bits of
 // the entry's hash that the position leaves free: a probe reads the

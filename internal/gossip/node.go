@@ -140,6 +140,7 @@ type NodeStats struct {
 	DroppedResize     uint64 // evictions due to capacity reduction
 	DroppedAgeSum     uint64 // total age of capacity-dropped events
 	RedeliveriesAvoid uint64 // duplicate suppressed though event already left buffer
+	DroppedStale      uint64 // received events under their origin's replay floor
 }
 
 // AvgDroppedAge is the mean age of capacity-dropped events, the
@@ -159,7 +160,7 @@ type Node struct {
 	id     NodeID
 	params Params
 	buf    *Buffer
-	seen   *IDCache
+	seen   *replay
 	peers  PeerSampler
 	rng    *rand.Rand
 
@@ -243,15 +244,11 @@ func NewNode(id NodeID, params Params, peers PeerSampler, rng *rand.Rand, opts .
 	if err != nil {
 		return nil, fmt.Errorf("gossip: node %s: %w", id, err)
 	}
-	seen, err := newIDCache(params.MaxEventIDs, seed)
-	if err != nil {
-		return nil, fmt.Errorf("gossip: node %s: %w", id, err)
-	}
 	n := &Node{
 		id:            id,
 		params:        params,
 		buf:           buf,
-		seen:          seen,
+		seen:          newReplay(params.MaxEventIDs, params.MaxAge),
 		peers:         peers,
 		rng:           rng,
 		scratchEvents: make([]Event, 0, params.MaxEvents),
@@ -278,9 +275,10 @@ func (n *Node) Round() uint64 { return n.round }
 func (n *Node) Stats() NodeStats { return n.stats }
 
 // Seen reports whether the node holds the event or remembers it: it is
-// buffered, or in the eventIds duplicate-suppression set — i.e. the
-// node has delivered (or originated) it within the cache's memory
-// horizon. The recovery subsystem diffs incoming digests against this.
+// buffered, or its origin's replay window has it or has moved its floor
+// past it — i.e. the node has delivered (or originated) it, or no copy
+// of it can still arrive. The recovery subsystem diffs incoming digests
+// against this.
 func (n *Node) Seen(id EventID) bool {
 	oh := originHash(n.buf.seed, id.Origin)
 	return n.buf.find(id, idHash(oh, id.Seq)) >= 0 || n.seen.contains(id, oh)
@@ -334,7 +332,7 @@ func (n *Node) Broadcast(payload []byte) Event {
 	}
 	n.nextSeq++
 	n.stats.Broadcasts++
-	n.seen.Add(ev.ID)
+	n.seen.add(ev.ID, originHash(n.buf.seed, n.id), uint32(n.round), true)
 	if n.tracer != nil && n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {
 		n.tracer.Trace(observe.TraceEvent{
 			Origin: string(ev.ID.Origin), Seq: ev.ID.Seq,
@@ -416,6 +414,24 @@ func (n *Node) Tick() []Outgoing {
 	return out
 }
 
+// Resume accounts for rounds the node missed while it was stopped, as
+// a crashed member that restarts: the round count and the
+// age of every buffered event advance by rounds, and what passes
+// MaxAge is purged, as rounds without an emission would have done. So
+// ages keep pace with time across the stop, which the replay windows'
+// horizon relies on: a restarted member gossips no copy that peers
+// already forgot.
+func (n *Node) Resume(rounds int) {
+	n.round += uint64(rounds)
+	for range min(rounds, n.params.MaxAge+1) {
+		n.buf.IncrementAges()
+	}
+	if expired := n.buf.DropExpired(); len(expired) > 0 {
+		n.stats.DroppedExpired += uint64(len(expired))
+		n.notifyEvicted(expired, EvictExpired)
+	}
+}
+
 // traceFirstSends reports the first gossip emission of sampled
 // locally-originated events. Called only when tracing is on and at
 // least one sampled event awaits its first send, so the hot path pays
@@ -442,12 +458,18 @@ func (n *Node) traceFirstSends(msg *Message) {
 // (OwnPayload) when the message is Borrowed.
 //
 // Each origin is hashed once: the buffer finds an id by the id hash
-// derived from it, eventIds its block by another. The buffer answers
-// first — a buffered event is a duplicate even if eventIds forgot it —
-// and eventIds only for an id the buffer lacks.
+// derived from it, eventIds its origin's replay window by the hash
+// itself. The buffer answers first — a buffered event is a duplicate
+// even if eventIds forgot it — and eventIds only for an id the buffer
+// lacks: an id it accepted before is a duplicate, and an id under its
+// origin's floor is refused and counted in DroppedStale. Only a gossip
+// message's events can reset an idle window (a restarted origin):
+// recovery responses carry copies from stores that outlive the
+// horizon.
 func (n *Node) Receive(msg *Message) {
 	n.stats.MessagesReceived++
 	n.stats.EventsReceived += uint64(len(msg.Events))
+	pushed := msg.Kind == KindGossip
 	for _, ev := range msg.Events {
 		// ev is a value copy: adjust its hop count for this arrival.
 		// Senders propagating trace context carry exact hop
@@ -465,9 +487,13 @@ func (n *Node) Receive(msg *Message) {
 			n.buf.raiseAt(slot, ev.Age)
 			continue
 		}
-		if !n.seen.add(ev.ID, oh) {
-			n.stats.Duplicates++
-			n.stats.RedeliveriesAvoid++
+		if v := n.seen.add(ev.ID, oh, uint32(n.round), pushed); v != idNew {
+			if v == idSeen {
+				n.stats.Duplicates++
+				n.stats.RedeliveriesAvoid++
+			} else {
+				n.stats.DroppedStale++
+			}
 			continue
 		}
 		if msg.Borrowed {

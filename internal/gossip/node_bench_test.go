@@ -3,6 +3,7 @@ package gossip
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -413,7 +414,8 @@ func TestBufferAddAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkIDCacheAdd measures the dedup cache at steady state.
+// BenchmarkIDCacheAdd measures the recovery digest's cache at steady
+// state.
 func BenchmarkIDCacheAdd(b *testing.B) {
 	c, err := NewIDCache(3600)
 	if err != nil {
@@ -426,8 +428,8 @@ func BenchmarkIDCacheAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkIDCacheAddSparse measures the dedup cache at steady state
-// in a large group where every member sends: a 3,600-id cache whose ids
+// BenchmarkIDCacheAddSparse measures the recovery digest's cache at
+// steady state in a large group where every member sends: a 3,600-id cache whose ids
 // come from 1,000 origins in turn, 3.6 per origin in the window, so
 // nearly every block holds a few ids. The cache is full before the
 // timer starts, so every add evicts the oldest id.
@@ -499,5 +501,45 @@ func BenchmarkIDCacheContainsCold(b *testing.B) {
 	b.StopTimer()
 	if found != (b.N+1)/2 {
 		b.Fatalf("%d of %d probes found, want the even ones", found, b.N)
+	}
+}
+
+// BenchmarkReplayAdd measures the node's eventIds, its replay windows,
+// at steady state: one origin, 12 new ids a round.
+func BenchmarkReplayAdd(b *testing.B) {
+	seed := maphash.MakeSeed()
+	r := newReplay(3600, 10)
+	oh := originHash(seed, "bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.add(EventID{Origin: "bench", Seq: uint64(i)}, oh, uint32(i/12), true)
+	}
+}
+
+// BenchmarkReplayAddSparse measures the replay windows of a large group
+// where every member sends: ids from 1,000 origins in turn, 3.6 new ids
+// a round in all — the shape of BenchmarkIDCacheAddSparse — so every id
+// lands in a window of its own origin, and windows reach idleness.
+func BenchmarkReplayAddSparse(b *testing.B) {
+	const origins = 1000
+	seed := maphash.MakeSeed()
+	names := make([]NodeID, origins)
+	hashes := make([]uint64, origins)
+	for i := range names {
+		names[i] = NodeID(fmt.Sprintf("member-%03d", i))
+		hashes[i] = originHash(seed, names[i])
+	}
+	r := newReplay(3600, 10)
+	add := func(i int) {
+		r.add(EventID{Origin: names[i%origins], Seq: uint64(i / origins)}, hashes[i%origins], uint32(i/origins), true)
+	}
+	for i := range 7200 {
+		add(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		add(7200 + i)
 	}
 }

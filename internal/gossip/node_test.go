@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -153,11 +154,12 @@ func TestReceiveDeliversOnceAndSuppressesDuplicates(t *testing.T) {
 	}
 }
 
-// TestBufferedEventIsNeverRedelivered: eventIds forgets ids in arrival
-// order, the buffer evicts by age, so a young event can outlive its
-// eventIds entry when older events arrive after it. A later copy of it
-// is still a duplicate. Both routes there are covered: an eventIds set
-// no larger than the buffer, and a buffer grown past it.
+// TestBufferedEventIsNeverRedelivered: eventIds forgets the least
+// recently active origin when it holds MaxEventIDs windows, the buffer
+// evicts by age, so a young event can outlive its origin's window when
+// older events of other origins arrive after it. A later copy of it is
+// still a duplicate. Both routes there are covered: an eventIds set no
+// larger than the buffer, and a buffer grown past it.
 func TestBufferedEventIsNeverRedelivered(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -189,10 +191,10 @@ func TestBufferedEventIsNeverRedelivered(t *testing.T) {
 			own := n.Broadcast(nil)
 			older := make([]Event, tc.olderArrivals)
 			for i := range older {
-				older[i] = mkEvent("b", uint64(i), 3)
+				older[i] = mkEvent(fmt.Sprintf("b%d", i), 0, 3)
 			}
 			n.Receive(&Message{From: "b", Events: older})
-			if n.seen.Contains(own.ID) || !n.buf.Contains(own.ID) {
+			if n.seen.find(own.ID.Origin, originHash(n.buf.seed, own.ID.Origin)) >= 0 || !n.buf.Contains(own.ID) {
 				t.Fatal("set-up: want the own event buffered and gone from eventIds")
 			}
 			if !n.Seen(own.ID) {
@@ -400,5 +402,25 @@ func TestMessageCloneIsDeep(t *testing.T) {
 	c.Subs[0] = "z"
 	if m.Events[0].Payload[0] != 5 || m.Subs[0] != "x" {
 		t.Fatal("Clone shares state with original")
+	}
+}
+
+// TestResumeAgesBuffer: a node resumed after missing rounds has its
+// round count and buffered ages moved on by them, and purges what that
+// takes past MaxAge as expired, so a restarted member gossips nothing
+// its peers' replay windows may already have forgotten.
+func TestResumeAgesBuffer(t *testing.T) {
+	n := newTestNode(t, "b", staticPeers{"a", "b"})
+	n.Receive(&Message{From: "a", Events: []Event{mkEvent("a", 0, 1), mkEvent("a", 1, 4)}})
+	n.Resume(2)
+	if n.Round() != 2 || n.BufferLen() != 1 || n.Stats().DroppedExpired != 1 {
+		t.Fatalf("round %d, %d buffered, %d expired: want 2, 1 and 1", n.Round(), n.BufferLen(), n.Stats().DroppedExpired)
+	}
+	if age, ok := n.buf.Age(EventID{Origin: "a", Seq: 0}); !ok || age != 3 {
+		t.Fatalf("a/0 at age %d (buffered %v), want 3", age, ok)
+	}
+	n.Resume(1000)
+	if n.BufferLen() != 0 || n.Round() != 1002 {
+		t.Fatalf("%d buffered at round %d after a long stop: want 0 at 1002", n.BufferLen(), n.Round())
 	}
 }

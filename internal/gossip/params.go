@@ -27,9 +27,14 @@ type Params struct {
 	Period time.Duration
 	// MaxEvents bounds the events buffer (|events|max).
 	MaxEvents int
-	// MaxEventIDs bounds the duplicate-suppression set (|eventIds|max),
-	// at most 2²⁶. Zero means DefaultIDCacheMult × MaxEvents, clamped to
-	// 2²⁶.
+	// MaxEventIDs bounds the memory of the duplicate-suppression set
+	// (|eventIds|), at most 2²⁶; zero means DefaultIDCacheMult ×
+	// MaxEvents, clamped to 2²⁶. The set is per-origin replay windows,
+	// exactly-once over a horizon derived from MaxAge, and MaxEventIDs is
+	// not that horizon: it caps the windows at MaxEventIDs, forgetting
+	// the least recently active origin past that, and an origin's window
+	// at MaxEventIDs seqs (rounded up to a power of two of 64), forcing
+	// its floor up past that.
 	MaxEventIDs int
 	// MaxAge is the age k beyond which events are purged, at most 2¹⁶.
 	MaxAge int

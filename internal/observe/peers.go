@@ -28,9 +28,6 @@ type PeerStats struct {
 	MessagesReceived Counter
 	// BytesReceived counts wire bytes received from the peer.
 	BytesReceived Counter
-	// FanoutSends counts times the peer was a target of a send that
-	// went out: a SendMany fanout, or Send, its one-target case.
-	FanoutSends Counter
 	// Drops counts outgoing datagrams to the peer dropped by injected
 	// loss.
 	Drops Counter
@@ -50,7 +47,6 @@ type PeerSnapshot struct {
 	BytesSent        uint64
 	MessagesReceived uint64
 	BytesReceived    uint64
-	FanoutSends      uint64
 	Drops            uint64
 	SendErrors       uint64
 	RTT              HistogramSnapshot
@@ -138,7 +134,6 @@ func (t *PeerTable) Snapshot() []PeerSnapshot {
 			BytesSent:        ps.BytesSent.Load(),
 			MessagesReceived: ps.MessagesReceived.Load(),
 			BytesReceived:    ps.BytesReceived.Load(),
-			FanoutSends:      ps.FanoutSends.Load(),
 			Drops:            ps.Drops.Load(),
 			SendErrors:       ps.SendErrors.Load(),
 			RTT:              ps.RTTMicros.Snapshot(),

@@ -191,7 +191,6 @@ func (s *Server) serveVars(w http.ResponseWriter, _ *http.Request) {
 				"bytes_sent":        p.BytesSent,
 				"messages_received": p.MessagesReceived,
 				"bytes_received":    p.BytesReceived,
-				"fanout_sends":      p.FanoutSends,
 				"drops":             p.Drops,
 				"send_errors":       p.SendErrors,
 				"rtt_micros":        histogramSummary(p.RTT),
@@ -272,7 +271,6 @@ var peerCounterFamilies = []struct {
 	{"gossip_peer_bytes_received_total", func(p PeerSnapshot) uint64 { return p.BytesReceived }},
 	{"gossip_peer_bytes_sent_total", func(p PeerSnapshot) uint64 { return p.BytesSent }},
 	{"gossip_peer_drops_total", func(p PeerSnapshot) uint64 { return p.Drops }},
-	{"gossip_peer_fanout_sends_total", func(p PeerSnapshot) uint64 { return p.FanoutSends }},
 	{"gossip_peer_messages_received_total", func(p PeerSnapshot) uint64 { return p.MessagesReceived }},
 	{"gossip_peer_messages_sent_total", func(p PeerSnapshot) uint64 { return p.MessagesSent }},
 	{"gossip_peer_send_errors_total", func(p PeerSnapshot) uint64 { return p.SendErrors }},

@@ -11,7 +11,7 @@ import (
 // TestUDPPeerTelemetry: per-peer counters on both ends of a UDP
 // exchange — messages and bytes by peer on the sender, attribution by
 // decoded From on the receiver (for senders in its address book only),
-// fan-out counted per target of SendMany and of Send, its one-target
+// messages counted per target of SendMany and of Send, its one-target
 // case.
 func TestUDPPeerTelemetry(t *testing.T) {
 	aLinks := observe.NewPeerTable(16)
@@ -48,9 +48,6 @@ func TestUDPPeerTelemetry(t *testing.T) {
 	if as.MessagesSent.Load() != 1 || as.BytesSent.Load() == 0 {
 		t.Fatalf("sender peer stats: sent=%d bytes=%d", as.MessagesSent.Load(), as.BytesSent.Load())
 	}
-	if as.FanoutSends.Load() != 1 {
-		t.Fatalf("fanout sends = %d, want 1", as.FanoutSends.Load())
-	}
 	// Receiver attribution keys on the decoded message's From field.
 	bs := bLinks.Get(string(msg.From))
 	if bs.MessagesReceived.Load() != 1 || bs.BytesReceived.Load() != as.BytesSent.Load() {
@@ -69,8 +66,8 @@ func TestUDPPeerTelemetry(t *testing.T) {
 	if n := bLinks.Len(); n != 1 {
 		t.Fatalf("receiver keeps %d peer rows, want the registered sender's alone", n)
 	}
-	if as.FanoutSends.Load() != 2 {
-		t.Fatalf("fanout sends = %d after a direct Send, want 2", as.FanoutSends.Load())
+	if as.MessagesSent.Load() != 2 {
+		t.Fatalf("messages sent = %d after a direct Send, want 2", as.MessagesSent.Load())
 	}
 
 	// Unknown peers surface as per-peer send errors.

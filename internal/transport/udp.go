@@ -498,9 +498,6 @@ func (t *UDPTransport) SendMany(targets []gossip.NodeID, msg *gossip.Message) (i
 			}
 			continue
 		}
-		if ps := t.peerStats(to); ps != nil {
-			ps.FanoutSends.Inc()
-		}
 		sent++
 	}
 	return sent, first

@@ -61,6 +61,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 				"gossip_delivered_total":                  s.Delivered,
 				"gossip_dropped_capacity_total":           s.DroppedCapacity,
 				"gossip_dropped_expired_total":            s.DroppedExpired,
+				"gossip_dropped_stale_total":              s.DroppedStale,
 				"gossip_messages_sent_total":              s.MessagesSent,
 				"gossip_events_recovered_total":           s.EventsRecovered,
 				"gossip_probes_sent_total":                s.ProbesSent,

@@ -92,12 +92,6 @@ func TestPublishConcurrentWithClose(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Period = 2 * time.Millisecond
 	cfg.Adaptive = false // every offer is admitted while the group runs
-	// The flood evicts each event from the buffers within a few rounds,
-	// and a duplicate-suppression set that forgot an id redelivers a late
-	// copy of it: the protocol's bounded eventIds allows that. A run
-	// admits a few thousand events; a set that remembers every one of
-	// them makes a second delivery at the origin a hand-off fault only.
-	cfg.IDCacheCapacity = 1 << 18
 	cluster, err := NewCluster(members, cfg, WithSeed(18), WithDeliver(func(d Delivery) {
 		if d.Event.ID.Origin != d.Node {
 			return

@@ -32,6 +32,12 @@ type Stats struct {
 	DroppedCapacity uint64
 	// DroppedExpired counts events purged by the age bound.
 	DroppedExpired uint64
+	// DroppedStale counts received events refused because their seq is
+	// under their origin's replay-window floor: no copy of them should
+	// still arrive, so each one is a finding: a member that gossips
+	// after its clock stopped, or an origin whose live seqs span more
+	// than Config.IDCacheCapacity.
+	DroppedStale uint64
 	// MessagesSent counts outgoing gossip messages.
 	MessagesSent uint64
 	// MinAllowedRate / MaxAllowedRate / SumAllowedRate summarize the
@@ -91,9 +97,6 @@ type PeerLinkStats struct {
 	// senders in its address book, since ids are unauthenticated.
 	MessagesReceived uint64
 	BytesReceived    uint64
-	// FanoutSends counts times the peer was chosen as a gossip fan-out
-	// target.
-	FanoutSends uint64
 	// Drops counts outgoing messages to the peer dropped by injected
 	// loss; SendErrors counts failed sends (socket errors, unknown
 	// address).
@@ -122,7 +125,6 @@ func peerLinkStats(snaps []observe.PeerSnapshot) []PeerLinkStats {
 			BytesSent:        p.BytesSent,
 			MessagesReceived: p.MessagesReceived,
 			BytesReceived:    p.BytesReceived,
-			FanoutSends:      p.FanoutSends,
 			Drops:            p.Drops,
 			SendErrors:       p.SendErrors,
 			RTTSamples:       p.RTT.Count,
@@ -259,6 +261,7 @@ func (s *Stats) add(snap runtime.NodeSnapshot) {
 	s.Delivered += snap.Gossip.Delivered
 	s.DroppedCapacity += snap.Gossip.DroppedCapacity
 	s.DroppedExpired += snap.Gossip.DroppedExpired
+	s.DroppedStale += snap.Gossip.DroppedStale
 	s.MessagesSent += snap.Gossip.MessagesSent
 	s.EventsRecovered += snap.Recovery.EventsRecovered
 	s.ProbesSent += snap.Failure.ProbesSent
