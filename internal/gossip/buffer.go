@@ -37,11 +37,10 @@ const bufferIndexSpread = 4
 // when the buffer is made and when SetCapacity grows it, never else, so
 // insert, evict, reposition and expire allocate nothing.
 //
-// The table runs at load at most ¼ (bufferIndexSpread), not the ½
-// IDCache keeps: a full buffer evicts, and so unlinks, an entry for
-// every event it takes in, and is probed for every event received, so
-// shorter probe runs are worth twice the slots (16 to 32 bytes per
-// entry instead of 8 to 16).
+// The table runs at load at most ¼ (bufferIndexSpread), as IDCache's
+// does: a full buffer evicts, and so unlinks, an entry for every event
+// it takes in, and is probed for every event received, so short probe
+// runs are worth the slots (16 to 32 bytes per entry).
 //
 // The eviction slices returned by Add, DropExpired and SetCapacity
 // share one scratch backing array: they are valid only until the next

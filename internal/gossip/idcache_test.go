@@ -3,13 +3,10 @@ package gossip
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
-	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 )
 
 func mustCache(t *testing.T, capacity int) *IDCache {
@@ -44,11 +41,15 @@ func TestIDCacheAddAndContains(t *testing.T) {
 	if c.Contains(id("a", 1)) {
 		t.Fatal("empty cache contains an id")
 	}
-	if !c.Add(id("a", 1)) {
+	slot, added := c.Add(id("a", 1))
+	if !added {
 		t.Fatal("first Add returned false")
 	}
-	if c.Add(id("a", 1)) {
-		t.Fatal("duplicate Add returned true")
+	if again, added := c.Add(id("a", 1)); added || again != slot {
+		t.Fatalf("duplicate Add returned slot %d, %v; want %d, false", again, added, slot)
+	}
+	if got := c.Slot(id("a", 1)); got != slot {
+		t.Fatalf("Slot = %d, want %d", got, slot)
 	}
 	if !c.Contains(id("a", 1)) {
 		t.Fatal("Contains lost the id")
@@ -78,9 +79,11 @@ func TestIDCacheFIFOEviction(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
 	}
-	// Re-adding an evicted id works and evicts the now-oldest (a/2).
-	if !c.Add(id("a", 1)) {
-		t.Fatal("re-add of evicted id returned false")
+	// Re-adding an evicted id works and evicts the now-oldest (a/2),
+	// taking its slot.
+	oldest := c.Oldest()
+	if slot, added := c.Add(id("a", 1)); !added || slot != oldest {
+		t.Fatalf("re-add of evicted id returned slot %d, %v; want %d, true", slot, added, oldest)
 	}
 	if c.Contains(id("a", 2)) {
 		t.Fatal("a/2 should have been evicted")
@@ -99,7 +102,7 @@ func TestIDCacheRandomOps(t *testing.T) {
 	for op := 0; op < 4000; op++ {
 		if rng.IntN(10) == 9 && len(window) > 0 {
 			// Re-add a remembered id: a duplicate, nothing changes.
-			if c.Add(window[rng.IntN(len(window))]) {
+			if _, added := c.Add(window[rng.IntN(len(window))]); added {
 				t.Fatalf("op %d: re-add of a remembered id reported new", op)
 			}
 		} else {
@@ -122,85 +125,72 @@ func TestIDCacheRandomOps(t *testing.T) {
 	}
 }
 
-// refIDCache is the map-and-ring IDCache this package had before the
-// open-addressed table, verbatim but for its name and the two methods
-// the table dropped (SetCapacity, IDs). TestIDCacheMatchesReference
-// holds the new cache to its answers.
+// refIDCache is a FIFO of distinct ids in a slice, oldest first. The
+// n-th id a cache takes in, counting from 0, takes ring slot n mod
+// capacity: the slots fill in turn, and each id forgotten moves the
+// next free slot on by one.
 type refIDCache struct {
 	capacity int
-	ring     []EventID
-	head     int // index of the oldest element
-	size     int
-	set      map[EventID]struct{}
+	ids      []EventID       // remembered, oldest first
+	nth      map[EventID]int // n of each remembered id
+	adds     int
 }
 
-func newRefIDCache(capacity int) (*refIDCache, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("gossip: id cache capacity must be positive, got %d", capacity)
+func newRefIDCache(capacity int) *refIDCache {
+	return &refIDCache{capacity: capacity, nth: make(map[EventID]int)}
+}
+
+func (c *refIDCache) slot(id EventID) int {
+	if n, ok := c.nth[id]; ok {
+		return n % c.capacity
 	}
-	return &refIDCache{
-		capacity: capacity,
-		ring:     make([]EventID, capacity),
-		set:      make(map[EventID]struct{}, capacity),
-	}, nil
+	return -1
 }
 
-func (c *refIDCache) Len() int { return c.size }
-
-func (c *refIDCache) Contains(id EventID) bool {
-	_, ok := c.set[id]
-	return ok
-}
-
-func (c *refIDCache) Add(id EventID) bool {
-	if _, ok := c.set[id]; ok {
+func (c *refIDCache) add(id EventID) bool {
+	if _, ok := c.nth[id]; ok {
 		return false
 	}
-	if c.size == c.capacity {
-		oldest := c.ring[c.head]
-		delete(c.set, oldest)
-		c.ring[c.head] = id
-		c.head = (c.head + 1) % c.capacity
-	} else {
-		tail := (c.head + c.size) % c.capacity
-		c.ring[tail] = id
-		c.size++
+	if len(c.ids) == c.capacity {
+		c.popOldest()
 	}
-	c.set[id] = struct{}{}
+	c.ids = append(c.ids, id)
+	c.nth[id] = c.adds
+	c.adds++
 	return true
 }
 
-func (c *refIDCache) AppendIDs(dst []EventID) []EventID {
-	for i := 0; i < c.size; i++ {
-		dst = append(dst, c.ring[(c.head+i)%c.capacity])
+func (c *refIDCache) oldest() int {
+	if len(c.ids) == 0 {
+		return -1
 	}
-	return dst
+	return c.slot(c.ids[0])
+}
+
+func (c *refIDCache) popOldest() {
+	if len(c.ids) > 0 {
+		delete(c.nth, c.ids[0])
+		c.ids = c.ids[1:]
+	}
 }
 
 // TestIDCacheMatchesReference drives the cache and the reference with
-// the same random Add/Contains calls — fresh ids, re-adds of ids long
-// evicted, and patterns aimed at the hash and the blocks: one origin
-// whose seqs step by a power of two, or by 64 so that each id has a
-// block of its own, many origins sharing one seq, seqs on both sides of
-// a block's edge and near 2⁶⁴−1, ids whose blocks' hashes are equal in
-// every bit (so they share the tag and the probe run, and only the key
-// tells them apart: blocks of two origins with one seq>>6, and of one
-// origin with seq>>6 apart in its low or in its high bits only),
-// visiting origins whose ids all leave before they come back, and in
-// seed 1 more blocks at once than the first allocation holds — and
-// requires identical answers, lengths and oldest-first listings, and
-// the cache's invariants.
+// the same random Add/Slot/PopOldest calls — fresh ids, re-adds of ids
+// long evicted, one origin whose seqs step by a power of two, many
+// origins sharing one seq, ids whose hashes are equal in every bit (so
+// they share the tag and the probe run, and only the key tells them
+// apart), visiting origins whose ids all leave before they come back,
+// and pops that empty the cache now and then — and requires identical
+// answers, slots, lengths and oldest-first listings, and the cache's
+// invariants.
 func TestIDCacheMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x1dcace))
 		capacity := 1 + rng.IntN(4096)
 		if seed%4 == 0 {
-			capacity = 1 + rng.IntN(80) // around the first allocation's edge
+			capacity = 1 + rng.IntN(16) // the ring wraps every few ids
 		}
 		origins := make([]NodeID, 1+rng.IntN(300))
-		if seed == 1 {
-			capacity, origins = 4096, make([]NodeID, 4*idCacheFirst)
-		}
 		for i := range origins {
 			origins[i] = NodeID(fmt.Sprintf("o%03d", i))
 		}
@@ -214,13 +204,10 @@ func TestIDCacheMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := newRefIDCache(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := newRefIDCache(capacity)
 		next := make([]uint64, len(origins))
 		var added []EventID
-		var stride, sparse, shared, visits uint64
+		var stride, shared, visits uint64
 		for op := 0; op < 5000; op++ {
 			var eid EventID
 			switch k := rng.IntN(16); {
@@ -233,43 +220,48 @@ func TestIDCacheMatchesReference(t *testing.T) {
 			case k < 7: // one origin, seqs a power of two apart
 				eid = EventID{Origin: origins[0], Seq: stride * step}
 				stride++
-			case k < 8: // one origin, a block per id
-				eid = EventID{Origin: "sparse", Seq: sparse << 6}
-				sparse++
-			case k < 9: // many origins, one seq
+			case k < 8: // many origins, one seq
 				eid = EventID{Origin: origins[shared%uint64(len(origins))], Seq: shared / uint64(len(origins))}
 				shared++
-			case k < 10: // the last seq of a block or the first of the next
-				edge := uint64(1+rng.IntN(8)) << 6
-				eid = EventID{Origin: origins[rng.IntN(len(origins))], Seq: edge - uint64(rng.IntN(2))}
-			case k < 11: // the top three blocks
-				eid = EventID{Origin: origins[rng.IntN(len(origins))], Seq: math.MaxUint64 - uint64(rng.IntN(3*64))}
-			case k < 12 && len(colliding) > 0: // one hash, two keys
+			case k < 9 && len(colliding) > 0: // one hash, two keys
 				eid = colliding[rng.IntN(len(colliding))]
-			case k < 13: // a visitor: one id, then gone for a while
+			case k < 10: // a visitor: one id, then gone for a while
 				eid = EventID{Origin: NodeID(fmt.Sprintf("v%d", visits%5)), Seq: visits}
 				visits++
+			case k < 11: // the owner forgets the oldest, at times a run that may empty it
+				pops := 1
+				if rng.IntN(8) == 0 {
+					pops = 1 + rng.IntN(capacity)
+				}
+				for range pops {
+					if g, w := got.Oldest(), want.oldest(); g != w {
+						t.Fatalf("seed %d op %d: Oldest = %d, reference %d", seed, op, g, w)
+					}
+					got.PopOldest()
+					want.popOldest()
+				}
+				continue
 			default: // small random space: many hits
 				eid = EventID{Origin: origins[rng.IntN(len(origins))], Seq: uint64(rng.IntN(64))}
 			}
 			if rng.IntN(3) == 0 {
-				if g, w := got.Contains(eid), want.Contains(eid); g != w {
-					t.Fatalf("seed %d op %d: Contains(%v) = %v, reference %v", seed, op, eid, g, w)
+				if g, w := got.Slot(eid), want.slot(eid); g != w {
+					t.Fatalf("seed %d op %d: Slot(%v) = %d, reference %d", seed, op, eid, g, w)
 				}
 				continue
 			}
-			g, w := got.Add(eid), want.Add(eid)
-			if g != w {
-				t.Fatalf("seed %d op %d: Add(%v) = %v, reference %v", seed, op, eid, g, w)
+			g, w := got.Add(eid)
+			if w != want.add(eid) || g != want.slot(eid) {
+				t.Fatalf("seed %d op %d: Add(%v) = %d, %v; reference %d, %v", seed, op, eid, g, w, want.slot(eid), !w)
 			}
 			if w {
 				added = append(added, eid)
 			}
-			if got.Len() != want.Len() {
-				t.Fatalf("seed %d op %d: Len = %d, reference %d", seed, op, got.Len(), want.Len())
+			if got.Len() != len(want.ids) {
+				t.Fatalf("seed %d op %d: Len = %d, reference %d", seed, op, got.Len(), len(want.ids))
 			}
 			if op%97 == 0 {
-				if !slices.Equal(got.AppendIDs(nil), want.AppendIDs(nil)) {
+				if !slices.Equal(got.AppendIDs(nil), want.ids) {
 					t.Fatalf("seed %d op %d: AppendIDs differs from the reference", seed, op)
 				}
 				if err := got.checkInvariants(); err != nil {
@@ -277,37 +269,27 @@ func TestIDCacheMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if !slices.Equal(got.AppendIDs(nil), want.AppendIDs(nil)) {
+		if !slices.Equal(got.AppendIDs(nil), want.ids) {
 			t.Fatalf("seed %d: final AppendIDs differs from the reference", seed)
 		}
 		if err := got.checkInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if seed == 1 && cap(got.blocks) <= idCacheFirst {
-			t.Fatalf("seed 1: the cache has room for %d blocks: it never outgrew its first allocation", cap(got.blocks))
-		}
 	}
 }
 
-// collidingIDs returns ids whose blocks' hashes under seed are equal in
-// every bit, found by the birthday bound: two pairs each of blocks of
-// two origins with seq>>6 = 0 (two ids in each, so either origin can be
-// known when the other's id arrives), and of blocks of origin o whose
-// seq>>6 differ in their low 32 bits only and in their high bits only.
+// collidingIDs returns ids whose hashes under seed are equal in every
+// bit, found by the birthday bound: two pairs each of ids of two
+// origins with seq 0, and of ids of origin o.
 func collidingIDs(seed maphash.Seed, o NodeID) []EventID {
 	name := func(i uint64) NodeID { return NodeID(fmt.Sprintf("c%d", i)) }
 	oh := originHash(seed, o)
 	var ids []EventID
 	for _, p := range collisions(func(i uint64) uint32 { return idHash(originHash(seed, name(i)), 0) }) {
-		for _, i := range p {
-			ids = append(ids, EventID{Origin: name(i)}, EventID{Origin: name(i), Seq: 63})
-		}
+		ids = append(ids, EventID{Origin: name(p[0])}, EventID{Origin: name(p[1])})
 	}
 	for _, p := range collisions(func(k uint64) uint32 { return idHash(oh, k) }) {
-		ids = append(ids, EventID{Origin: o, Seq: 5 | p[0]<<6}, EventID{Origin: o, Seq: 5 | p[1]<<6})
-	}
-	for _, p := range collisions(func(k uint64) uint32 { return idHash(oh, 9|k<<32) }) {
-		ids = append(ids, EventID{Origin: o, Seq: 9<<6 | p[0]<<38}, EventID{Origin: o, Seq: 9<<6 | p[1]<<38})
+		ids = append(ids, EventID{Origin: o, Seq: p[0]}, EventID{Origin: o, Seq: p[1]})
 	}
 	return ids
 }
@@ -326,72 +308,40 @@ func collisions(hash func(uint64) uint32) [][2]uint64 {
 	return pairs
 }
 
-// checkInvariants validates the ring and the blocks: every remembered
-// id's bit is set in its block and the id is found; every block is
-// either live — as many bits set as the ring has entries in it, never
-// none, its hash its key's, found through the table — or free: empty
-// and on the free list; and the table holds the live blocks alone.
+// checkInvariants validates the ring and the table: head and size fit
+// the ring, every remembered id is found at its slot and keeps its
+// hash, and the table holds the live slots alone.
 func (c *IDCache) checkInvariants() error {
-	if c.size > len(c.ring) || c.size > c.capacity || c.size > 0 && c.head >= len(c.ring) || c.size < c.capacity && c.head != 0 {
-		return fmt.Errorf("size %d, head %d: a ring of %d for a capacity of %d", c.size, c.head, len(c.ring), c.capacity)
-	}
-	entries := make([]int, len(c.blocks))
-	for i := 0; i < c.size; i++ {
-		p := (c.head + i) % len(c.ring)
-		e := c.ring[p]
-		b := int(e >> 6)
-		if b >= len(c.blocks) || c.blocks[b].bits&(1<<(e&63)) == 0 {
-			return fmt.Errorf("ring position %d names bit %d of block %d, which is not set", p, e&63, b)
-		}
-		entries[b]++
-		k := c.blocks[b]
-		if id := (EventID{Origin: k.name, Seq: k.hi<<6 | uint64(e&63)}); !c.Contains(id) {
-			return fmt.Errorf("%s at ring position %d is not found", id, p)
-		}
-	}
-	free := make(map[int]bool)
-	for f := c.free; f != 0; f = uint32(c.blocks[f-1].hi) {
-		b := int(f - 1)
-		if b >= len(c.blocks) || free[b] {
-			return fmt.Errorf("free list: block %d out of range or listed twice", b)
-		}
-		free[b] = true
-		if k := c.blocks[b]; k.bits != 0 || k.name != "" {
-			return fmt.Errorf("free block %d holds %+v", b, k)
-		}
+	if c.size > len(c.ring) || c.head >= len(c.ring) {
+		return fmt.Errorf("size %d, head %d: a ring of %d", c.size, c.head, len(c.ring))
 	}
 	live := make(map[int]bool)
-	for b, k := range c.blocks {
-		if free[b] {
-			continue
+	for i := 0; i < c.size; i++ {
+		p := (c.head + i) % len(c.ring)
+		live[p] = true
+		id := c.ring[p]
+		if h := c.hash(id); c.index.hashes[p] != h {
+			return fmt.Errorf("%s at slot %d keeps hash %#x, want %#x", id, p, c.index.hashes[p], h)
 		}
-		live[b] = true
-		if n := bits.OnesCount64(k.bits); n == 0 || n != entries[b] {
-			return fmt.Errorf("block %q/%d (%d) has %d bits set, the ring %d entries in it", k.name, k.hi, b, n, entries[b])
-		}
-		oh := originHash(c.seed, k.name)
-		if h := c.index.hashes[b]; h != idHash(oh, k.hi) {
-			return fmt.Errorf("block %q/%d (%d) keeps hash %#x, want %#x", k.name, k.hi, b, h, idHash(oh, k.hi))
-		}
-		if got := c.find(EventID{Origin: k.name, Seq: k.hi << 6}, oh); got != b {
-			return fmt.Errorf("block %q/%d at %d is found at %d", k.name, k.hi, b, got)
+		if got := c.Slot(id); got != p {
+			return fmt.Errorf("%s at slot %d is found at %d", id, p, got)
 		}
 	}
-	if len(c.blocks) > 0 {
-		if err := checkTable(&c.index, live); err != nil {
-			return fmt.Errorf("block table: %w", err)
+	for p, id := range c.ring {
+		if !live[p] && id != (EventID{}) {
+			return fmt.Errorf("empty slot %d holds %s", p, id)
 		}
 	}
-	return nil
+	return checkTable(&c.index, live)
 }
 
 // checkTable requires t to hold exactly the positions in want, each
 // tagged with the bits of its hash above the position bits, at a load
-// of at most ½ and no less than ¼: TestIDCacheFootprint's arithmetic
-// counts on those slots per block.
+// of at most ¼ and no less than ⅛: the footprint tests count on those
+// slots per id.
 func checkTable(t *idTable, want map[int]bool) error {
-	if slots, n := len(t.slots), len(t.hashes); slots < 2*n || slots >= 4*n {
-		return fmt.Errorf("%d slots for %d positions, want the power of two in [%d, %d)", slots, n, 2*n, 4*n)
+	if slots, n := len(t.slots), len(t.hashes); slots < 4*n || slots >= 8*n {
+		return fmt.Errorf("%d slots for %d positions, want the power of two in [%d, %d)", slots, n, 4*n, 8*n)
 	}
 	linked := 0
 	for _, e := range t.slots {
@@ -413,58 +363,65 @@ func checkTable(t *idTable, want map[int]bool) error {
 	return nil
 }
 
-// TestIDCacheFootprint pins what a cache costs for what it holds: an
-// empty one almost nothing whatever its capacity, a filled one of one
-// origin 4 bytes per id plus a block per 64 seqs, reached in two growth
-// steps — the first allocation at the first id, the full ring at the
-// 65th — and nothing allocated after that, however long it keeps
-// evicting.
+// maxIDCacheBytesPerID is what a cache may cost per id of capacity: 24
+// bytes of ring, 4 of kept hash and at most 32 of table slots.
+const maxIDCacheBytesPerID = 24 + 4 + 32
+
+// idCacheFootprint is the bytes of a cache's ring and table.
+func idCacheFootprint(c *IDCache) int {
+	return 24*cap(c.ring) + 4*(len(c.index.hashes)+len(c.index.slots))
+}
+
+// TestIDCacheFootprint pins what a cache costs: NewIDCache allocates
+// its ring and table at once, within maxIDCacheBytesPerID per id of
+// capacity at the recovery digest's 128 and 256 ids, the store's 1,024
+// and the benchmarks' 3,600, and nothing after that: filling it,
+// evicting, popping and listing into a reused slice allocate nothing.
 func TestIDCacheFootprint(t *testing.T) {
-	const capacity = 3600
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c := mustCache(t, capacity)
-	runtime.ReadMemStats(&after)
-	if empty := after.TotalAlloc - before.TotalAlloc; empty > 1<<10 {
-		t.Fatalf("an empty cache of %d ids allocates %d B, want at most 1 KB", capacity, empty)
-	}
-	start := before.TotalAlloc
-	var grewAt []int
-	for i := 0; i <= idCacheFirst; i++ {
-		room := len(c.ring)
-		c.Add(id("x", uint64(i)))
-		if len(c.ring) != room {
-			grewAt = append(grewAt, i)
+	for _, capacity := range []int{128, 256, 1024, 3600} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := mustCache(t, capacity)
+		runtime.ReadMemStats(&after)
+		// The allocator rounds up: a size class, or whole pages.
+		bound := maxIDCacheBytesPerID*capacity + 4<<10
+		if total := after.TotalAlloc - before.TotalAlloc; total > uint64(bound) {
+			t.Fatalf("a cache of %d ids allocates %d B, want at most %d", capacity, total, bound)
 		}
-	}
-	if want := []int{0, idCacheFirst}; !slices.Equal(grewAt, want) {
-		t.Fatalf("the cache grew at ids %v, want only at %v", grewAt, want)
-	}
-	seq := uint64(idCacheFirst + 1)
-	allocs := testing.AllocsPerRun(2*capacity, func() {
-		c.Add(id("x", seq))
-		seq++
-	})
-	if allocs != 0 || c.Len() != capacity {
-		t.Fatalf("after its %dth id the cache allocates %v times per Add (len %d), want 0", idCacheFirst+1, allocs, c.Len())
-	}
-	runtime.ReadMemStats(&after)
-	if total := after.TotalAlloc - start; total > 24<<10 {
-		t.Fatalf("a filled cache of %d ids of one origin allocated %d B in all, want at most 24 KB", capacity, total)
+		if n := idCacheFootprint(c); n > maxIDCacheBytesPerID*capacity {
+			t.Fatalf("a cache of %d ids holds %d B, want at most %d B per id", capacity, n, maxIDCacheBytesPerID)
+		}
+		t.Logf("capacity %d: %.1f B per id", capacity, float64(idCacheFootprint(c))/float64(capacity))
+		dst := make([]EventID, 0, capacity)
+		seq := uint64(0)
+		allocs := testing.AllocsPerRun(3*capacity, func() {
+			c.Add(id("x", seq))
+			if seq%7 == 0 {
+				c.PopOldest()
+			}
+			if seq%64 == 0 {
+				dst = c.AppendIDs(dst[:0])
+			}
+			seq++
+		})
+		if allocs != 0 {
+			t.Fatalf("a cache of %d ids allocates %v times per Add, want 0", capacity, allocs)
+		}
+		if err := c.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestIDCacheForgedOrigins floods a cache with ids each in a block of
-// its own — each from a fresh origin, or all from one origin whose seqs
-// step by 64 — the worst case for the blocks: they grow to one per id
-// and no further, and the cache stays within its documented bound of 72
-// bytes per id — allocating at most twice that on the way, by doubling
-// — and allocates nothing once full, however long the flood goes on.
-// After as many ids again from one honest origin, the flood's blocks
-// are gone and a block per 64 seqs is left.
+// TestIDCacheForgedOrigins floods a cache with ids each from a fresh
+// origin, or all from one origin whose seqs step by 2³², the ids a
+// forging peer would advertise: the cache costs what it cost empty,
+// within maxIDCacheBytesPerID per id, allocates nothing however long
+// the flood goes on, and after as many ids again from one honest origin
+// holds those alone.
 func TestIDCacheForgedOrigins(t *testing.T) {
 	const capacity = 1800
-	names := make([]NodeID, 2*capacity)
+	names := make([]NodeID, 3*capacity)
 	for i := range names {
 		names[i] = NodeID(fmt.Sprintf("forged-%d", i))
 	}
@@ -473,50 +430,28 @@ func TestIDCacheForgedOrigins(t *testing.T) {
 		id   func(i int) EventID
 	}{
 		{"forged origins", func(i int) EventID { return EventID{Origin: names[i], Seq: 1} }},
-		{"one origin, seqs 64 apart", func(i int) EventID { return EventID{Origin: "sparse", Seq: uint64(i) << 6} }},
+		{"one origin, seqs 2³² apart", func(i int) EventID { return EventID{Origin: "sparse", Seq: uint64(i) << 32} }},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
 		c := mustCache(t, capacity)
-		for i := range capacity {
-			c.Add(flood.id(i))
+		empty := idCacheFootprint(c)
+		i := 0
+		if allocs := testing.AllocsPerRun(3*capacity-1, func() { c.Add(flood.id(i)); i++ }); allocs != 0 {
+			t.Fatalf("%s: a cache allocates %v times per id, want 0", flood.name, allocs)
 		}
-		runtime.ReadMemStats(&after)
-		const bound = 72 * capacity
-		if total := after.TotalAlloc - before.TotalAlloc; total > 2*bound {
-			t.Fatalf("%s: %d ids allocated %d B, want at most %d", flood.name, capacity, total, 2*bound)
+		if n := idCacheFootprint(c); n != empty || n > maxIDCacheBytesPerID*capacity {
+			t.Fatalf("%s: footprint %d B after the flood, %d empty; want at most %d B per id", flood.name, n, empty, maxIDCacheBytesPerID)
 		}
-		footprint := 4*(cap(c.ring)+len(c.index.hashes)+len(c.index.slots)) + cap(c.blocks)*int(unsafe.Sizeof(idBlock{}))
-		if footprint > bound || cap(c.blocks) > capacity {
-			t.Fatalf("%s: footprint %d B (room for %d blocks), want at most %d", flood.name, footprint, cap(c.blocks), bound)
-		}
-		t.Logf("%s: %d B per id", flood.name, footprint/capacity)
-		if n := liveBlocks(c); n != capacity {
-			t.Fatalf("%s: %d blocks live after %d ids, want %d", flood.name, n, capacity, capacity)
-		}
-		i := capacity
-		if allocs := testing.AllocsPerRun(capacity-1, func() { c.Add(flood.id(i)); i++ }); allocs != 0 {
-			t.Fatalf("%s: a full cache allocates %v times per id, want 0", flood.name, allocs)
-		}
+		t.Logf("%s: %.1f B per id", flood.name, float64(empty)/capacity)
 		for seq := range uint64(capacity) {
 			c.Add(id("honest", seq))
 		}
-		if n, want := liveBlocks(c), (capacity+63)/64; n != want {
-			t.Fatalf("%s: %d blocks live after %d ids of one origin, want %d", flood.name, n, capacity, want)
+		for _, got := range c.AppendIDs(nil) {
+			if got.Origin != "honest" {
+				t.Fatalf("%s: %s outlived %d honest ids", flood.name, got, capacity)
+			}
 		}
 		if err := c.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-// liveBlocks counts the blocks with ids in the ring.
-func liveBlocks(c *IDCache) int {
-	n := 0
-	for _, k := range c.blocks {
-		if k.bits != 0 {
-			n++
-		}
-	}
-	return n
 }

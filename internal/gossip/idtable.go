@@ -7,9 +7,9 @@ import (
 
 // originHash is the seeded hash of an origin: ids arrive off the wire,
 // so their origins are hashed with a per-node seed. idHash derives
-// Buffer's keys from it, (origin, seq), and IDCache's, (origin,
-// seq>>6); a Node's replay windows are keyed by the origin hash itself,
-// so Receive hashes each origin once.
+// Buffer's and IDCache's keys, (origin, seq), from it; a Node's replay
+// windows are keyed by the origin hash itself, so Receive hashes each
+// origin once.
 func originHash(seed maphash.Seed, origin NodeID) uint64 {
 	return maphash.String(seed, string(origin))
 }
@@ -26,7 +26,7 @@ func idHash(oh, seq uint64) uint32 {
 
 // idTable is an open-addressed table of positions in its owner's
 // storage (linear probing, backward-shift deletion) keeping the hash of
-// the entry at each position. IDCache indexes its blocks with one,
+// the entry at each position. IDCache indexes its ring with one,
 // Buffer its slab, replay its windows. The owner picks the load when
 // it sizes the table (resize's spread): a lower load shortens the probe
 // runs that lookups walk and that deletion shifts back, for 4 bytes per

@@ -112,8 +112,8 @@ func TestQuickBufferEvictionIsOldestFirst(t *testing.T) {
 }
 
 // TestQuickIDCacheModel checks the cache against a straightforward
-// newest-window reference model, over ids of two origins in eight
-// blocks each.
+// newest-window reference model, over ids of two origins, 512 seqs
+// each.
 func TestQuickIDCacheModel(t *testing.T) {
 	f := func(capacity uint8, seqs []uint16) bool {
 		capn := int(capacity)%32 + 1
@@ -131,7 +131,7 @@ func TestQuickIDCacheModel(t *testing.T) {
 					break
 				}
 			}
-			added := c.Add(id)
+			_, added := c.Add(id)
 			if added == dup {
 				return false // Add must report novelty exactly
 			}

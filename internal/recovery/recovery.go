@@ -138,47 +138,41 @@ func (s *Stats) Add(o Stats) {
 	s.StoreEvicted += o.StoreEvicted
 }
 
-// storeEntry pairs a retained event's id with the round it was
-// observed. It holds no payload, so the consumed prefix of order pins
-// none.
-type storeEntry struct {
-	id    gossip.EventID
-	round uint64
-}
-
-// store is the bounded retransmission store: a FIFO over observation
-// order with capacity- and age-based eviction. Re-observing a stored
-// event is a no-op, so the FIFO order is also round order.
+// store is the bounded retransmission store: the events observed, in
+// observation order, the oldest evicted when full or older than the GC
+// horizon. An IDCache keeps the ids and their order, and the events and
+// the rounds they were observed at sit in slices indexed by the id's
+// ring slot. Re-observing a stored event is a no-op, so the order is
+// also round order.
 type store struct {
-	capacity int
-	entries  map[gossip.EventID]gossip.Event
-	order    []storeEntry
-	head     int // index of the oldest live entry in order
+	ids    *gossip.IDCache
+	events []gossip.Event // by ring slot; an empty slot holds no payload
+	rounds []uint64       // by ring slot: the round the event was observed
 }
 
-func newStore(capacity int) *store {
-	return &store{
-		capacity: capacity,
-		entries:  make(map[gossip.EventID]gossip.Event, capacity),
+func newStore(capacity int) (*store, error) {
+	ids, err := gossip.NewIDCache(capacity)
+	if err != nil {
+		return nil, err
 	}
+	return &store{ids: ids, events: make([]gossip.Event, capacity), rounds: make([]uint64, capacity)}, nil
 }
 
-func (s *store) len() int { return len(s.entries) }
+func (s *store) len() int { return s.ids.Len() }
 
 // add retains ev, evicting the oldest entry when full. It reports
-// whether the event was new and how many entries were evicted. borrowed
+// whether the event was new and whether an entry was evicted. borrowed
 // says ev.Payload aliases a transport receive buffer
 // (gossip.Message.Borrowed): once the event is known to be new to the
 // store, the store takes the payload n's buffer holds — the copy
 // gossip.Node.Receive made when it met the event, shared from then on —
 // and has n.OwnPayload make one only when n no longer buffers the event
 // (a duplicate to the node whose store entry was GC'd).
-func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node) (added bool, evicted int) {
-	if s.capacity <= 0 {
-		return false, 0
-	}
-	if _, ok := s.entries[ev.ID]; ok {
-		return false, 0
+func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node) (added, evicted bool) {
+	full := s.ids.Len() == s.ids.Capacity()
+	slot, added := s.ids.Add(ev.ID)
+	if !added {
+		return false, false
 	}
 	if borrowed {
 		if held, ok := n.Buffered(ev.ID); ok {
@@ -187,56 +181,27 @@ func (s *store) add(ev gossip.Event, round uint64, borrowed bool, n *gossip.Node
 			ev.Payload = n.OwnPayload(ev.Payload)
 		}
 	}
-	for len(s.entries) >= s.capacity {
-		s.popOldest()
-		evicted++
-	}
-	s.entries[ev.ID] = ev
-	s.order = append(s.order, storeEntry{id: ev.ID, round: round})
-	return true, evicted
+	// A full store's oldest entry had this slot: its payload goes.
+	s.events[slot], s.rounds[slot] = ev, round
+	return true, full
 }
 
 func (s *store) get(id gossip.EventID) (gossip.Event, bool) {
-	ev, ok := s.entries[id]
-	return ev, ok
-}
-
-// popOldest removes the oldest live entry.
-func (s *store) popOldest() {
-	for s.head < len(s.order) {
-		e := s.order[s.head]
-		s.head++
-		if _, ok := s.entries[e.id]; ok {
-			delete(s.entries, e.id)
-			break
-		}
+	slot := s.ids.Slot(id)
+	if slot < 0 {
+		return gossip.Event{}, false
 	}
-	s.compact()
+	return s.events[slot], true
 }
 
 // gc drops entries observed more than retain rounds before now.
 func (s *store) gc(now uint64, retain int) (evicted int) {
-	for s.head < len(s.order) {
-		e := s.order[s.head]
-		if e.round+uint64(retain) >= now {
-			break
-		}
-		s.head++
-		if _, ok := s.entries[e.id]; ok {
-			delete(s.entries, e.id)
-			evicted++
-		}
+	for slot := s.ids.Oldest(); slot >= 0 && s.rounds[slot]+uint64(retain) < now; slot = s.ids.Oldest() {
+		s.ids.PopOldest()
+		s.events[slot] = gossip.Event{}
+		evicted++
 	}
-	s.compact()
 	return evicted
-}
-
-// compact reclaims the consumed prefix of order once it dominates.
-func (s *store) compact() {
-	if s.head > len(s.order)/2 && s.head > 32 {
-		s.order = append(s.order[:0], s.order[s.head:]...)
-		s.head = 0
-	}
 }
 
 // missingEntry tracks one event known to exist but not yet delivered.
@@ -278,10 +243,14 @@ func NewEngine(params Params) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
+	store, err := newStore(params.StoreCapacity)
+	if err != nil {
+		return nil, fmt.Errorf("recovery: %w", err)
+	}
 	return &Engine{
 		params:  params,
 		digest:  digest,
-		store:   newStore(params.StoreCapacity),
+		store:   store,
 		missing: make(map[gossip.EventID]*missingEntry),
 	}, nil
 }
@@ -296,8 +265,9 @@ func (e *Engine) MissingLen() int { return len(e.missing) }
 // the digest source. borrowed is the Borrowed flag of the message the
 // event arrived in (false for events out of the node's own buffer).
 func (e *Engine) observe(n *gossip.Node, ev gossip.Event, borrowed bool) {
-	_, evicted := e.store.add(ev, e.round, borrowed, n)
-	e.stats.StoreEvicted += uint64(evicted)
+	if _, evicted := e.store.add(ev, e.round, borrowed, n); evicted {
+		e.stats.StoreEvicted++
+	}
 	e.digest.Add(ev.ID)
 }
 
@@ -481,18 +451,5 @@ func (e *Engine) compactMissOrder() {
 // the returned messages, which are scratch until the node's next Tick or
 // Receive (gossip.Outbox).
 func (e *Engine) TakeOutgoing() []gossip.Outgoing { return e.out.Take() }
-
-// DiffDigest reports which of the advertised identifiers the node has
-// not seen. It is the read-only core of the receiver-side digest path,
-// exposed for tests and benchmarks.
-func DiffDigest(n *gossip.Node, digest []gossip.EventID) []gossip.EventID {
-	var missing []gossip.EventID
-	for _, id := range digest {
-		if !n.Seen(id) {
-			missing = append(missing, id)
-		}
-	}
-	return missing
-}
 
 var _ gossip.Extension = (*Engine)(nil)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func newTestNode(t *testing.T, id gossip.NodeID, peers gossip.PeerSampler, eng *
 	return n
 }
 
-func newTestEngine(t *testing.T, p Params) *Engine {
+func newTestEngine(t testing.TB, p Params) *Engine {
 	t.Helper()
 	p.Enabled = true
 	eng, err := NewEngine(p)
@@ -269,9 +270,19 @@ func TestStoreGC(t *testing.T) {
 	}
 }
 
-// TestStoreCapacityBound: the store never exceeds its capacity.
+func mustStore(t *testing.T, capacity int) *store {
+	t.Helper()
+	s, err := newStore(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStoreCapacityBound: the store never exceeds its capacity, and
+// taking in events past it, evicting and GC allocate nothing.
 func TestStoreCapacityBound(t *testing.T) {
-	s := newStore(4)
+	s := mustStore(t, 4)
 	for i := 0; i < 100; i++ {
 		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i), false, nil)
 		if s.len() > 4 {
@@ -284,6 +295,14 @@ func TestStoreCapacityBound(t *testing.T) {
 			t.Errorf("newest event %d missing from store", i)
 		}
 	}
+	seq := uint64(100)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: seq}}, seq, false, nil)
+		s.gc(seq, int(seq%8)) // at times the GC evicts, at times the capacity
+		seq++
+	}); allocs != 0 {
+		t.Fatalf("add and gc allocate %v times, want 0", allocs)
+	}
 }
 
 // TestStoreAddBorrowedAllocFree: the store retains received payloads
@@ -293,7 +312,7 @@ func TestStoreCapacityBound(t *testing.T) {
 // store, never for the duplicates that are most of what gossip receives —
 // only when the node no longer buffers the event.
 func TestStoreAddBorrowedAllocFree(t *testing.T) {
-	s := newStore(8)
+	s := mustStore(t, 8)
 	n := newTestNode(t, "rx", membership.NewRegistry("rx", "a"), newTestEngine(t, Params{}))
 	wire := []byte("payload in the transport's receive buffer")
 	want := string(wire)
@@ -375,41 +394,165 @@ func TestDeterministicRequests(t *testing.T) {
 	}
 }
 
+// TestDiffDigest: a received digest's ids the node has not seen, and
+// those alone, join the missing set and are pulled from the digest's
+// sender.
 func TestDiffDigest(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
-	n := newTestNode(t, "a", reg, newTestEngine(t, Params{}))
+	eng := newTestEngine(t, Params{})
+	n := newTestNode(t, "a", reg, eng)
 	have := n.Broadcast(nil)
 	want := gossip.EventID{Origin: "b", Seq: 1}
-	missing := DiffDigest(n, []gossip.EventID{have.ID, want})
-	if len(missing) != 1 || missing[0] != want {
-		t.Errorf("DiffDigest = %v, want [%v]", missing, want)
+	eng.OnReceive(n, &gossip.Message{Kind: gossip.KindGossip, From: "b", Digest: []gossip.EventID{have.ID, want}})
+	if eng.MissingLen() != 1 {
+		t.Fatalf("MissingLen = %d, want 1", eng.MissingLen())
+	}
+	n.Tick()
+	reqs := eng.TakeOutgoing()
+	if len(reqs) != 1 || reqs[0].To != "b" || !reflect.DeepEqual(reqs[0].Msg.Request, []gossip.EventID{want}) {
+		t.Fatalf("requests %+v, want [%v] from b", reqs, want)
 	}
 }
 
 // BenchmarkRecoveryDigestDiff measures the receiver-side hot path of
-// the anti-entropy subsystem: diffing an incoming digest against the
-// node's seen set. Half the digest is known, half missing — the
-// steady-state shape under loss.
+// the anti-entropy subsystem: a gossip message carrying a digest, diffed
+// against the node's seen set. Half the digest is known, half missing —
+// the steady-state shape under loss — and the missing half is tracked
+// from the first iteration on, as it stays while its pull is answered.
 func BenchmarkRecoveryDigestDiff(b *testing.B) {
 	reg := membership.NewRegistry("a", "b")
+	eng := newTestEngine(b, Params{})
 	node, err := gossip.NewNode("a",
 		gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: 120, MaxAge: 10},
-		reg, rand.New(rand.NewPCG(21, 22)))
+		reg, rand.New(rand.NewPCG(21, 22)), gossip.WithExtensions(eng))
 	if err != nil {
 		b.Fatal(err)
 	}
-	digest := make([]gossip.EventID, DefaultDigestLen)
-	for i := range digest {
-		digest[i] = gossip.EventID{Origin: "b", Seq: uint64(i)}
+	msg := &gossip.Message{Kind: gossip.KindGossip, From: "b", Digest: make([]gossip.EventID, DefaultDigestLen)}
+	for i := range msg.Digest {
+		msg.Digest[i] = gossip.EventID{Origin: "b", Seq: uint64(i)}
 		if i%2 == 0 {
-			node.Receive(&gossip.Message{From: "b", Events: []gossip.Event{{ID: digest[i]}}})
+			node.Receive(&gossip.Message{From: "b", Events: []gossip.Event{{ID: msg.Digest[i]}}})
 		}
 	}
-	b.ReportMetric(float64(len(digest)), "ids/op")
+	b.ReportMetric(float64(len(msg.Digest)), "ids/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if missing := DiffDigest(node, digest); len(missing) != len(digest)/2 {
-			b.Fatalf("expected %d missing, got %d", len(digest)/2, len(missing))
+		eng.OnReceive(node, msg)
+	}
+	b.StopTimer()
+	if eng.MissingLen() != len(msg.Digest)/2 {
+		b.Fatalf("%d ids missing, want %d", eng.MissingLen(), len(msg.Digest)/2)
+	}
+}
+
+// BenchmarkRecoveryRound measures the engine's bookkeeping of one round
+// in udp_full's shape, at the default DigestLen, 128 ids, and store of
+// 1,024 events: 12 new events a round and the 120-event buffer observed
+// 5 times — the member's own round and four received messages, nearly
+// all duplicates — the store's GC, and the digest listed for the round
+// message. Ungated: it compares the digest's and the store's cost
+// across changes of their layout.
+func BenchmarkRecoveryRound(b *testing.B) {
+	const members, buffered, births, observed = 16, 120, 12, 5
+	e := newTestEngine(b, Params{})
+	names := make([]gossip.NodeID, members)
+	for i := range names {
+		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
+	}
+	payload := make([]byte, 32)
+	// Event k of the group is seq k/members of member k%members; the
+	// buffer holds the newest 120.
+	newest := uint64(buffered)
+	round := func() {
+		e.round++
+		e.stats.StoreEvicted += uint64(e.store.gc(e.round, e.params.RetainRounds))
+		newest += births
+		for range observed {
+			for k := newest - buffered; k < newest; k++ {
+				e.observe(nil, gossip.Event{ID: gossip.EventID{Origin: names[k%members], Seq: k / members}, Payload: payload}, false)
+			}
+		}
+		e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0])
+	}
+	for range 2 * e.params.RetainRounds { // the store at its GC horizon
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}
+
+// TestStoreMatchesModel drives the store and a slice model, oldest
+// first, with the same random adds — of fresh ids and of ids added
+// before, stored or since evicted or GC'd — GCs at random horizons, and
+// gets, and requires the same answers and that the slots of the events
+// stored, and those alone, hold a payload.
+func TestStoreMatchesModel(t *testing.T) {
+	type entry struct {
+		ev    gossip.Event
+		round uint64
+	}
+	for seed := uint64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5704e))
+		capacity := 1 + rng.IntN(64)
+		s := mustStore(t, capacity)
+		var model []entry
+		added := make(map[gossip.EventID]bool)
+		var round uint64
+		readded := 0
+		for op := range 3000 {
+			id := gossip.EventID{Origin: "o", Seq: uint64(op)}
+			if rng.IntN(3) == 0 {
+				id.Seq = uint64(rng.IntN(op + 1))
+			}
+			i := slices.IndexFunc(model, func(e entry) bool { return e.ev.ID == id })
+			switch rng.IntN(5) {
+			case 0: // a round passes, and the store is GC'd
+				round++
+				retain, n := rng.IntN(8), 0
+				for n < len(model) && model[n].round+uint64(retain) < round {
+					n++
+				}
+				model = model[n:]
+				if got := s.gc(round, retain); got != n {
+					t.Fatalf("seed %d op %d: gc evicted %d, model %d", seed, op, got, n)
+				}
+			case 1:
+				if got, ok := s.get(id); ok != (i >= 0) || ok && !reflect.DeepEqual(got, model[i].ev) {
+					t.Fatalf("seed %d op %d: get(%v) = %v, %v; model holds it: %v", seed, op, id, got, ok, i >= 0)
+				}
+			default:
+				ev := gossip.Event{ID: id, Payload: []byte{byte(op)}}
+				full := len(model) == capacity
+				if i < 0 {
+					if added[id] {
+						readded++
+					}
+					added[id] = true
+					if full {
+						model = model[1:]
+					}
+					model = append(model, entry{ev, round})
+				}
+				if a, e := s.add(ev, round, false, nil); a != (i < 0) || e != (i < 0 && full) {
+					t.Fatalf("seed %d op %d: add(%v) = %v, %v; model %v, %v", seed, op, id, a, e, i < 0, i < 0 && full)
+				}
+			}
+			held := 0
+			for _, ev := range s.events {
+				if ev.Payload != nil {
+					held++
+				}
+			}
+			if s.len() != len(model) || held != len(model) {
+				t.Fatalf("seed %d op %d: %d stored, %d slots hold a payload, model %d", seed, op, s.len(), held, len(model))
+			}
+		}
+		if readded == 0 {
+			t.Fatalf("seed %d: no id was added again after the store lost it", seed)
 		}
 	}
 }
