@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/health"
 	"adaptivegossip/internal/observe"
-	"adaptivegossip/internal/ratelimit"
 	"adaptivegossip/internal/recovery"
 )
 
@@ -81,51 +79,39 @@ type AdaptiveStats struct {
 }
 
 // AdaptiveNode is the complete adaptive gossip broadcast node: the
-// lpbcast state machine, the Figure 5 adaptation stack and the Figure 3
-// token bucket. With Adaptive=false it degrades to the plain lpbcast
-// baseline (no input bound), which is how the paper's comparison runs
-// are configured.
+// lpbcast state machine and the Figure 5 adaptation loop with its
+// Figure 3 token bucket. With Adaptive=false it degrades to the plain
+// lpbcast baseline (no input bound), which is how the paper's
+// comparison runs are configured.
 //
 // AdaptiveNode is not safe for concurrent use; a driver serializes
 // Publish, Tick and Receive, passing the current time in.
 type AdaptiveNode struct {
 	node     *gossip.Node
-	adaptor  *Adaptor        // nil when not adaptive
-	ctrl     *RateController // nil when not adaptive
-	bucket   *ratelimit.Bucket
+	adaptor  *Adaptor         // nil when not adaptive
 	recovery *recovery.Engine // nil when recovery is disabled
 	failure  *failure.Engine  // nil when failure detection is disabled
 	health   *health.Engine   // nil when health digests are disabled
-	params   Params
 
 	// outs is what Tick and Receive return when a subsystem with control
 	// traffic is on: the substrate's round fanout and the subsystems'
 	// control messages gathered into one reused slice.
 	outs []gossip.Outgoing
 
-	avgTokens float64
 	published uint64
 	throttled uint64
 }
 
 // NewAdaptiveNode builds a node from cfg.
 func NewAdaptiveNode(cfg NodeConfig) (*AdaptiveNode, error) {
-	a := &AdaptiveNode{params: cfg.Core}
+	a := &AdaptiveNode{}
 	exts := make([]gossip.Extension, 0, len(cfg.Extensions)+2)
 	if cfg.Adaptive {
-		adaptor, err := NewAdaptor(cfg.ID, cfg.Core, cfg.Gossip.MaxEvents)
+		adaptor, err := NewAdaptor(cfg.ID, cfg.Core, cfg.Gossip.MaxEvents, cfg.RNG, cfg.Start)
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := NewRateController(cfg.Core, cfg.RNG)
-		if err != nil {
-			return nil, err
-		}
-		bucket, err := ratelimit.NewBucket(cfg.Core.TokenBucketMax, ctrl.Rate(), cfg.Start)
-		if err != nil {
-			return nil, err
-		}
-		a.adaptor, a.ctrl, a.bucket = adaptor, ctrl, bucket
+		a.adaptor = adaptor
 		exts = append(exts, adaptor)
 	}
 	if cfg.Recovery.Enabled {
@@ -186,7 +172,7 @@ func (a *AdaptiveNode) Adaptive() bool { return a.adaptor != nil }
 // returned bool reports whether the event was admitted. The baseline
 // node admits everything.
 func (a *AdaptiveNode) Publish(payload []byte, now time.Time) (gossip.Event, bool) {
-	if a.bucket != nil && !a.bucket.TryTake(now) {
+	if a.adaptor != nil && !a.adaptor.Admit(now) {
 		a.throttled++
 		return gossip.Event{}, false
 	}
@@ -195,25 +181,19 @@ func (a *AdaptiveNode) Publish(payload []byte, now time.Time) (gossip.Event, boo
 }
 
 // Tick runs one gossip round at time now: the rate-adaptation step of
-// Figure 5(c) followed by the Figure 1 gossip emission. With recovery
+// Figure 5(c), the Figure 1 gossip emission, then the end of the
+// adaptation round (Adaptor.EndRound). With recovery
 // enabled, the returned slice also carries this round's anti-entropy
 // pull requests; drivers transmit every entry alike. The slice and the
 // messages in it are scratch (gossip.Node.Tick's contract), valid until
 // the next Tick or Receive.
 func (a *AdaptiveNode) Tick(now time.Time) []gossip.Outgoing {
 	if a.adaptor != nil {
-		// avgTokens: EMA of bucket occupancy, sampled once per round.
-		alpha := a.params.Alpha
-		a.avgTokens = alpha*a.avgTokens + (1-alpha)*a.bucket.Tokens(now)
-		a.ctrl.Adjust(a.adaptor.AvgAge(), a.avgTokens, a.bucket.Max())
-		if err := a.bucket.SetRate(a.ctrl.Rate(), now); err != nil {
-			// Unreachable: the controller clamps to positive rates.
-			panic(fmt.Sprintf("core: %v", err))
-		}
+		a.adaptor.Adjust(now)
 	}
 	outs := a.node.Tick()
 	if a.adaptor != nil {
-		a.adaptor.onRoundEnd(a.node.Params().MaxAge)
+		a.adaptor.EndRound(a.node.Params().MaxAge)
 	}
 	if a.recovery == nil && a.failure == nil {
 		return outs
@@ -259,7 +239,7 @@ func (a *AdaptiveNode) SetBufferCapacity(capacity int) error {
 		return err
 	}
 	if a.adaptor != nil {
-		return a.adaptor.SetLocalCapacity(capacity)
+		return a.adaptor.min.SetLocalCapacity(capacity)
 	}
 	return nil
 }
@@ -268,10 +248,10 @@ func (a *AdaptiveNode) SetBufferCapacity(capacity int) error {
 // +Inf conceptually for the baseline; baseline nodes report 0 to mean
 // "unbounded".
 func (a *AdaptiveNode) AllowedRate() float64 {
-	if a.ctrl == nil {
+	if a.adaptor == nil {
 		return 0
 	}
-	return a.ctrl.Rate()
+	return a.adaptor.rate
 }
 
 // AvgAge returns the congestion estimate (0 when not adaptive).
@@ -279,7 +259,7 @@ func (a *AdaptiveNode) AvgAge() float64 {
 	if a.adaptor == nil {
 		return 0
 	}
-	return a.adaptor.AvgAge()
+	return a.adaptor.avgAge
 }
 
 // MinBuffEstimate returns the working group-minimum buffer estimate
@@ -288,7 +268,7 @@ func (a *AdaptiveNode) MinBuffEstimate() int {
 	if a.adaptor == nil {
 		return 0
 	}
-	return a.adaptor.MinBuff()
+	return a.adaptor.min.Estimate()
 }
 
 // SamplePeriod returns the adaptation sample period s (0 when not
@@ -297,7 +277,7 @@ func (a *AdaptiveNode) SamplePeriod() uint64 {
 	if a.adaptor == nil {
 		return 0
 	}
-	return a.adaptor.SamplePeriod()
+	return a.adaptor.min.Period()
 }
 
 // BufferLen reports the buffered event count.
@@ -367,13 +347,9 @@ func (a *AdaptiveNode) ClusterHealth() []health.MemberHealth {
 
 // Stats returns the adaptation counters.
 func (a *AdaptiveNode) Stats() AdaptiveStats {
-	st := AdaptiveStats{
-		Published: a.published,
-		Throttled: a.throttled,
-		AvgTokens: a.avgTokens,
-	}
-	if a.ctrl != nil {
-		st.Rate = a.ctrl.Stats()
+	st := AdaptiveStats{Published: a.published, Throttled: a.throttled}
+	if a.adaptor != nil {
+		st.Rate, st.AvgTokens = a.adaptor.stats, a.adaptor.avgTokens
 	}
 	return st
 }

@@ -497,11 +497,11 @@ func TestAdaptorOverflowScanAllocFree(t *testing.T) {
 		t.Fatalf("minBuff estimate = %d, want the advertised 30", got)
 	}
 	const runs = 100
-	samples := node.adaptor.CongestionSamples()
+	samples := node.adaptor.samples
 	if allocs := testing.AllocsPerRun(runs, receiveNew); allocs != 0 {
 		t.Fatalf("a Receive that runs the overflow scan allocates %v times, want 0", allocs)
 	}
-	if got := node.adaptor.CongestionSamples() - samples; got < perMsg*runs {
+	if got := node.adaptor.samples - samples; got < perMsg*runs {
 		t.Fatalf("%d congestion samples over %d receives of %d new events: the scan is not running", got, runs, perMsg)
 	}
 	if pinned := node.adaptor.overflow[:cap(node.adaptor.overflow)]; len(pinned) == 0 || pinned[0].ID != (gossip.EventID{}) {

@@ -2,23 +2,98 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"time"
 
 	"adaptivegossip/internal/gossip"
 )
 
-// Adaptor packages the three Figure 5 mechanisms as a gossip.Extension:
-// OnTick stamps the adaptation header onto outgoing gossip, OnReceive
-// folds received headers into the minBuff estimate and feeds the
-// congestion estimator from the post-receive buffer state, and
-// OnEvicted maintains the estimator's lost set. The rate decision
-// itself runs from AdaptiveNode.Tick, which owns time.
+// Adjustment describes a rate decision of Figure 5(c).
+type Adjustment int
+
+const (
+	// AdjustNone: thresholds not crossed; rate unchanged.
+	AdjustNone Adjustment = iota
+	// AdjustDecreaseAge: avgAge at or below the low-age mark — the
+	// group is congested.
+	AdjustDecreaseAge
+	// AdjustDecreaseUnused: the allowance is going unused (high
+	// avgTokens); it shrinks toward actual usage so it cannot inflate.
+	AdjustDecreaseUnused
+	// AdjustIncrease: resources are free (high avgAge, fully used
+	// allowance) and the randomized coin allowed an increase.
+	AdjustIncrease
+	// AdjustIncreaseSkipped: increase conditions held but the
+	// randomization deferred it to a later round.
+	AdjustIncreaseSkipped
+)
+
+// String names the adjustment.
+func (a Adjustment) String() string {
+	switch a {
+	case AdjustNone:
+		return "none"
+	case AdjustDecreaseAge:
+		return "decrease(age)"
+	case AdjustDecreaseUnused:
+		return "decrease(unused)"
+	case AdjustIncrease:
+		return "increase"
+	case AdjustIncreaseSkipped:
+		return "increase(skipped)"
+	default:
+		return fmt.Sprintf("Adjustment(%d)", int(a))
+	}
+}
+
+// RateStats counts rate decisions.
+type RateStats struct {
+	DecreasesAge    uint64
+	DecreasesUnused uint64
+	Increases       uint64
+	IncreasesSkip   uint64
+}
+
+// Message aliases gossip.Message for hook signatures.
+type Message = gossip.Message
+
+// Adaptor is one member's adaptation loop, paper Figure 5, with the
+// Figure 3 token bucket it steers:
+//
+//   - (a) min estimates the group's smallest buffer from the gossip
+//     headers OnTick stamps and OnReceive folds in.
+//   - (b) avgAge is a moving average of the age of the events a buffer
+//     of that size would have dropped, fed by OnReceive and OnEvicted.
+//   - (c) Adjust, once a round, compares avgAge with the age marks and
+//     avgTokens, the bucket's average level, with the usage marks, and
+//     cuts or raises rate, the one allowed rate at which the bucket
+//     refills. Admit takes a token per broadcast.
+//
+// The gauges of the loop are its fields. AdaptiveNode calls Admit to
+// admit a broadcast, Adjust before each substrate round and EndRound
+// after it; the substrate calls the gossip.Extension hooks.
 //
 // Adaptor is not safe for concurrent use.
 type Adaptor struct {
-	min  *MinBuffEstimator
-	cong *CongestionEstimator
+	p   Params
+	rng *rand.Rand
+	min *MinBuffEstimator
 
-	samplesAtTick uint64 // congestion samples seen as of the last tick
+	// Figure 5(b). lost holds the events already counted into avgAge
+	// that are still in the real buffer, so each counts at most once.
+	avgAge        float64
+	lost          map[gossip.EventID]struct{}
+	samples       uint64 // events that have fed avgAge
+	samplesAtTick uint64 // samples as of the last EndRound
+
+	// Figure 5(c) and the Figure 3 bucket: the allowed rate, the tokens
+	// the bucket held at its last fill, and avgTokens, the bucket's level
+	// averaged once a round.
+	rate      float64
+	tokens    float64
+	last      time.Time
+	avgTokens float64
+	stats     RateStats
 
 	// overflow is reused scratch for the Figure 5(b) scan, which runs on
 	// every receive while the buffer exceeds the minBuff estimate. Empty
@@ -26,39 +101,110 @@ type Adaptor struct {
 	overflow []gossip.Event
 }
 
-// NewAdaptor builds the estimator stack for a node with the given id
-// and local buffer capacity.
-func NewAdaptor(id gossip.NodeID, params Params, localCap int) (*Adaptor, error) {
+// NewAdaptor builds the loop of member id, whose local buffer holds
+// localCap events: its bucket starts full at start, its rate at
+// params.InitialRate, and rng draws its randomized increases.
+func NewAdaptor(id gossip.NodeID, params Params, localCap int, rng *rand.Rand, start time.Time) (*Adaptor, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid params: %w", err)
 	}
-	cong, err := NewCongestionEstimator(params.Alpha, params.TargetAge)
-	if err != nil {
-		return nil, err
+	if rng == nil {
+		return nil, fmt.Errorf("core: rng must not be nil")
 	}
 	est, err := NewMinBuffEstimator(id, params.MinBuffRank, params.MinBuffFloor,
 		params.Window, params.SamplePeriodRounds, localCap)
 	if err != nil {
 		return nil, err
 	}
-	return &Adaptor{min: est, cong: cong}, nil
+	return &Adaptor{
+		p:      params,
+		rng:    rng,
+		min:    est,
+		avgAge: params.TargetAge, // neutral until real samples arrive
+		lost:   make(map[gossip.EventID]struct{}),
+		rate:   clamp(params.InitialRate, params.MinRate, params.MaxRate),
+		tokens: params.TokenBucketMax,
+		last:   start,
+	}, nil
 }
 
-// MinBuff returns the working estimate of the relevant smallest buffer
-// in the group.
-func (a *Adaptor) MinBuff() int { return a.min.Estimate() }
+// Admit takes a token for a broadcast at now and reports whether the
+// bucket had one (Figure 3).
+func (a *Adaptor) Admit(now time.Time) bool {
+	a.fill(now)
+	if a.tokens < 1 {
+		return false
+	}
+	a.tokens--
+	return true
+}
 
-// AvgAge returns the congestion estimate.
-func (a *Adaptor) AvgAge() float64 { return a.cong.AvgAge() }
+// fill credits the bucket with what the allowed rate refilled since the
+// last fill, up to TokenBucketMax; a clock that steps back credits
+// nothing. The paper restores one token every 1000/rate milliseconds;
+// accruing rate tokens per second continuously is the fluid limit of
+// that rule, with no quantization when the rate changes midway through
+// a refill interval.
+func (a *Adaptor) fill(now time.Time) {
+	dt := now.Sub(a.last)
+	if dt <= 0 {
+		return
+	}
+	a.last = now
+	a.tokens = min(a.tokens+a.rate*dt.Seconds(), a.p.TokenBucketMax)
+}
 
-// SamplePeriod returns the current period s.
-func (a *Adaptor) SamplePeriod() uint64 { return a.min.Period() }
+// Adjust runs the rate step of Figure 5(c) at now, before the
+// substrate round: it fills the bucket at the rate of the round that
+// ends, folds the bucket's level into avgTokens and decides.
+func (a *Adaptor) Adjust(now time.Time) Adjustment {
+	a.fill(now)
+	a.avgTokens = a.ema(a.avgTokens, a.tokens)
+	return a.decide()
+}
 
-// CongestionSamples counts events that have fed avgAge.
-func (a *Adaptor) CongestionSamples() uint64 { return a.cong.Samples() }
+// decide applies the decision rule to avgAge and avgTokens, changing
+// rate multiplicatively within [MinRate, MaxRate].
+func (a *Adaptor) decide() Adjustment {
+	p := &a.p
+	// Decrease takes precedence: congestion or an unused allowance must
+	// never be masked by a simultaneous increase condition.
+	if a.avgAge <= p.LowAge {
+		a.rate = clamp(a.rate*(1-p.DecreaseFactor), p.MinRate, p.MaxRate)
+		a.stats.DecreasesAge++
+		return AdjustDecreaseAge
+	}
+	if !p.DisableTokenCheck && a.avgTokens >= p.HighTokensFrac*p.TokenBucketMax {
+		a.rate = clamp(a.rate*(1-p.DecreaseFactor), p.MinRate, p.MaxRate)
+		a.stats.DecreasesUnused++
+		return AdjustDecreaseUnused
+	}
+	if a.avgAge >= p.HighAge && (p.DisableTokenCheck || a.avgTokens <= p.LowTokensFrac*p.TokenBucketMax) {
+		if a.rng.Float64() >= p.IncreaseProb {
+			a.stats.IncreasesSkip++
+			return AdjustIncreaseSkipped
+		}
+		a.rate = clamp(a.rate*(1+p.IncreaseFactor), p.MinRate, p.MaxRate)
+		a.stats.Increases++
+		return AdjustIncrease
+	}
+	return AdjustNone
+}
 
-// SetLocalCapacity tracks a local buffer resize.
-func (a *Adaptor) SetLocalCapacity(capacity int) error { return a.min.SetLocalCapacity(capacity) }
+// EndRound runs after the substrate round: a round that fed avgAge no
+// sample drifts it one step toward maxAge, so an idle group does not
+// stay throttled forever.
+func (a *Adaptor) EndRound(maxAge int) {
+	if a.samples == a.samplesAtTick {
+		a.avgAge = a.ema(a.avgAge, float64(maxAge))
+	}
+	a.samplesAtTick = a.samples
+}
+
+// ema is one step of the moving average of avgAge and avgTokens.
+func (a *Adaptor) ema(avg, x float64) float64 {
+	return a.p.Alpha*avg + (1-a.p.Alpha)*x
+}
 
 // OnTick advances the sample-period clock and stamps the adaptation
 // header (Figure 5(a), "add information to gossip message"): the
@@ -70,51 +216,66 @@ func (a *Adaptor) OnTick(n *gossip.Node, out *Message) {
 	out.SamplePeriod, out.MinBuff = a.min.Header()
 }
 
-// Message aliases gossip.Message for hook signatures.
-type Message = gossip.Message
-
 // OnReceive folds the incoming header into the minBuff estimate and
-// updates the congestion estimate from the post-receive buffer state
-// (Figure 5(a) "compute new known minimum" + Figure 5(b)).
+// counts into avgAge the oldest uncounted events beyond the estimate in
+// the post-receive buffer (Figure 5(a) "compute new known minimum" +
+// Figure 5(b)).
 func (a *Adaptor) OnReceive(n *gossip.Node, in *Message) {
 	a.min.Observe(in.SamplePeriod, in.MinBuff)
-	if overflow := n.BufferLen() - a.cong.LostLen() - a.MinBuff(); overflow > 0 {
-		a.overflow = n.AppendOldestUncounted(a.overflow[:0], overflow, a.cong.Counted)
-		a.cong.ObserveOverflow(a.overflow)
+	if overflow := n.BufferLen() - len(a.lost) - a.min.Estimate(); overflow > 0 {
+		a.overflow = n.AppendOldestUncounted(a.overflow[:0], overflow, a.counted)
+		a.countOverflow(a.overflow)
 		clear(a.overflow)
 	}
 }
 
-// OnEvicted maintains the congestion estimate as events leave the real
-// buffer. Capacity evictions are true drops at a size ≥ minBuff, so
-// uncounted ones feed avgAge (the pre-GC accounting of Figure 5(b) —
-// see CongestionEstimator.ObserveDrop). Age expiry and resize evictions
-// only prune the lost set: expiry is the protocol's normal end of life,
-// and a resize transient is already handled by the minBuff mechanism.
-func (a *Adaptor) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
-	if reason == gossip.EvictCapacity {
-		for _, ev := range evicted {
-			if a.cong.Counted(ev.ID) {
-				a.cong.Forget(ev.ID)
-			} else {
-				a.cong.ObserveDrop(ev)
-			}
-		}
-		return
-	}
-	for _, ev := range evicted {
-		a.cong.Forget(ev.ID)
+// counted reports whether the event already fed avgAge; it is the
+// predicate handed to Buffer.AppendOldestUncounted.
+func (a *Adaptor) counted(id gossip.EventID) bool {
+	_, ok := a.lost[id]
+	return ok
+}
+
+// countOverflow feeds the events that overflow the virtual
+// minBuff-sized buffer into avgAge and marks them counted.
+func (a *Adaptor) countOverflow(events []gossip.Event) {
+	for _, ev := range events {
+		a.sample(ev)
+		a.lost[ev.ID] = struct{}{}
 	}
 }
 
-// onRoundEnd applies the optimistic drift when a whole round produced
-// no congestion samples, so an idle system does not stay throttled
-// forever. Called by AdaptiveNode after each Tick.
-func (a *Adaptor) onRoundEnd(maxAge int) {
-	if a.cong.Samples() == a.samplesAtTick {
-		a.cong.Drift(float64(maxAge))
+// sample feeds one dropped event's age into avgAge.
+func (a *Adaptor) sample(ev gossip.Event) {
+	a.avgAge = a.ema(a.avgAge, float64(ev.Age))
+	a.samples++
+}
+
+// OnEvicted keeps avgAge and the lost set as events leave the real
+// buffer. A capacity eviction is a true drop at a size ≥ minBuff, which
+// a minBuff-sized buffer would have made too, so an uncounted one feeds
+// avgAge: with the overflow scan this is the pre-garbage-collection
+// accounting of Figure 5(b) on a buffer that evicts per insertion. Age
+// expiry (the protocol's normal end of life) and resize evictions (a
+// transient the minBuff mechanism handles) only prune the lost set.
+func (a *Adaptor) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
+	for _, ev := range evicted {
+		if reason == gossip.EvictCapacity && !a.counted(ev.ID) {
+			a.sample(ev)
+		} else {
+			delete(a.lost, ev.ID)
+		}
 	}
-	a.samplesAtTick = a.cong.Samples()
+}
+
+func clamp(v, lo, hi float64) float64 {
+	if v < lo {
+		return lo
+	}
+	if v > hi {
+		return hi
+	}
+	return v
 }
 
 var _ gossip.Extension = (*Adaptor)(nil)

@@ -1,7 +1,7 @@
 package core
 
-// Property-based tests (testing/quick) on the adaptation estimators and
-// the rate controller.
+// Property-based tests (testing/quick) on the adaptation loop: the
+// minBuff estimator, avgAge and the allowed rate.
 
 import (
 	"math/rand"
@@ -135,15 +135,15 @@ func TestQuickMinBuffEstimateBounds(t *testing.T) {
 	}
 }
 
-// TestQuickRateControllerClamped: the rate stays within bounds under
-// arbitrary signal sequences.
+// TestQuickRateControllerClamped: the allowed rate stays within bounds
+// under arbitrary signal sequences.
 func TestQuickRateControllerClamped(t *testing.T) {
 	p := DefaultParams()
 	p.MinRate = 0.5
 	p.MaxRate = 50
 	p.InitialRate = 10
 	f := func(ages []float64, tokens []float64) bool {
-		c, err := NewRateController(p, mrand2.New(mrand2.NewPCG(9, 9)))
+		c, err := NewAdaptor("q", p, 60, mrand2.New(mrand2.NewPCG(9, 9)), start)
 		if err != nil {
 			return false
 		}
@@ -160,8 +160,8 @@ func TestQuickRateControllerClamped(t *testing.T) {
 			if tok < 0 {
 				tok = -tok
 			}
-			c.Adjust(age, tok, p.TokenBucketMax)
-			if c.Rate() < p.MinRate || c.Rate() > p.MaxRate {
+			decideAt(c, age, tok)
+			if c.rate < p.MinRate || c.rate > p.MaxRate {
 				return false
 			}
 		}
@@ -178,21 +178,22 @@ func TestQuickRateControllerClamped(t *testing.T) {
 func TestQuickCongestionEstimatorBounds(t *testing.T) {
 	f := func(initial uint8, ages []uint8) bool {
 		init := float64(initial % 20)
-		c, err := NewCongestionEstimator(0.9, init)
+		c, err := NewAdaptor("q", DefaultParams(), 60, mrand2.New(mrand2.NewPCG(9, 9)), start)
 		if err != nil {
 			return false
 		}
+		c.avgAge = init
 		lo, hi := init, init
 		for i, a := range ages {
 			age := int(a % 30)
-			c.ObserveOverflow([]gossip.Event{{ID: gossip.EventID{Origin: "q", Seq: uint64(i)}, Age: age}})
+			c.countOverflow([]gossip.Event{{ID: gossip.EventID{Origin: "q", Seq: uint64(i)}, Age: age}})
 			if float64(age) < lo {
 				lo = float64(age)
 			}
 			if float64(age) > hi {
 				hi = float64(age)
 			}
-			if c.AvgAge() < lo-1e-9 || c.AvgAge() > hi+1e-9 {
+			if c.avgAge < lo-1e-9 || c.avgAge > hi+1e-9 {
 				return false
 			}
 		}

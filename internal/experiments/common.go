@@ -299,9 +299,6 @@ type RunResult struct {
 	// Hops is the pooled hop-count (event age at delivery) distribution
 	// over the same deliveries.
 	Hops observe.HistogramSnapshot
-	// DuplicateDeliveries counts repeated (event, member) deliveries over
-	// the whole run: 0 is exactly once, and every sweep refuses any other.
-	DuplicateDeliveries uint64
 }
 
 // Run executes one simulated experiment: virtual time, the simulated
@@ -376,7 +373,9 @@ func (s sampled) Tick(now time.Time) []gossip.Outgoing {
 // run is the one experiment body. Everything that differs between a
 // simulated and a real-time run — the clock, the fabric, what drives a
 // member — is behind w; names, views, nodes, load, schedules, samplers,
-// window edges and the result are assembled here, once.
+// window edges and the result are assembled here, once. So is the
+// exactly-once check: a run in which a member delivered an event twice
+// returns an error naming both, with n and the seed.
 func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (RunResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -670,6 +669,9 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	// Nothing runs past this point — the scheduler has stopped, or every
 	// member loop has — so the nodes can be read directly.
 	w.close()
+	if r := tracker.repeat; r.member >= 0 {
+		return RunResult{}, fmt.Errorf("experiments: n %d, seed %d: member %s delivered event %s twice", cfg.N, cfg.Seed, names[r.member], r.id)
+	}
 
 	res := RunResult{
 		Config:      cfg,
@@ -715,7 +717,6 @@ func run(cfg Config, newWorld func(Config, []gossip.NodeID) (world, error)) (Run
 	res.AtomicitySeries = tracker.Series(epoch, end, cfg.Period)
 	res.Latency = tracker.latency
 	res.Hops = tracker.hops
-	res.DuplicateDeliveries = tracker.duplicates
 	return res, nil
 }
 
@@ -747,16 +748,6 @@ func partialView(cfg Config, names []gossip.NodeID, i int, region map[gossip.Nod
 		})
 	}
 	return view, nil
-}
-
-// runExactlyOnce is Run, refusing a run in which an event was
-// delivered twice to one member.
-func runExactlyOnce(cfg Config) (RunResult, error) {
-	res, err := Run(cfg)
-	if err == nil && res.DuplicateDeliveries > 0 {
-		err = fmt.Errorf("experiments: n %d, seed %d: %d events delivered twice to one member", cfg.N, cfg.Seed, res.DuplicateDeliveries)
-	}
-	return res, err
 }
 
 // RunSeeds runs cfg with consecutive seeds and folds the results with

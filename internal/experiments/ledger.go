@@ -95,9 +95,16 @@ type deliveryTracker struct {
 	spare      []int32   // uncut tail of the block directories are cut from
 	cut        int       // int32s cut from those blocks so far
 
-	latency    observe.HistogramSnapshot // microseconds birth → delivery
-	hops       observe.HistogramSnapshot // event age at delivery
-	duplicates uint64                    // deliveries of an event to a member that had it
+	latency observe.HistogramSnapshot // microseconds birth → delivery
+	hops    observe.HistogramSnapshot // event age at delivery
+
+	// repeat is the first delivery of an event to a member that had it
+	// (member -1 while there is none): a breach of exactly-once, which
+	// run refuses.
+	repeat struct {
+		id     gossip.EventID
+		member int
+	}
 }
 
 // newDeliveryTracker tracks deliveries across the group memberNames
@@ -114,6 +121,7 @@ func newDeliveryTracker(names []gossip.NodeID, epoch time.Time, mu sync.Locker) 
 		words:  (n + 63) / 64,
 		dirs:   make([][]int32, n),
 	}
+	t.repeat.member = -1
 	// A block holds the most runs, a power of two and at least one, that
 	// fit in blockBytes.
 	runBytes := runLen * (16 + 8*t.words)
@@ -216,8 +224,8 @@ func (t *deliveryTracker) Broadcast(id gossip.EventID, at time.Duration) {
 // hop >= 0 it also observes the delivery latency (at minus the
 // message's birth, in microseconds) and the event's age — its gossip
 // hop count — into the tracker's pooled distributions. A repeated
-// delivery of the event to the same member is counted in duplicates
-// and observed nowhere else.
+// delivery of the event to the same member is observed nowhere; the
+// first one is kept in repeat.
 func (t *deliveryTracker) DeliverHop(id gossip.EventID, i int, at time.Duration, hop int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -228,7 +236,9 @@ func (t *deliveryTracker) DeliverHop(id gossip.EventID, i int, at time.Duration,
 	}
 	w, b := i/64, uint(i%64)
 	if bits[w]&(1<<b) != 0 {
-		t.duplicates++
+		if t.repeat.member < 0 {
+			t.repeat.id, t.repeat.member = id, i
+		}
 		return
 	}
 	bits[w] |= 1 << b

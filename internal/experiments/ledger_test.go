@@ -70,12 +70,20 @@ func TestDeliveryTrackerDuplicateDeliveries(t *testing.T) {
 	tr := newDeliveryTracker(memberNames(4), testEpoch, noLock{})
 	tr.Broadcast(eid(0), 0)
 	tr.DeliverHop(eid(0), 1, 0, -1)
-	tr.DeliverHop(eid(0), 1, 0, -1) // duplicate
 	if got := allResults(tr).MeanReceiversPct; got != 25 {
 		t.Fatalf("mean = %v, want 25", got)
 	}
-	if tr.duplicates != 1 {
-		t.Fatalf("duplicates = %d, want the one repeated delivery", tr.duplicates)
+	if tr.repeat.member >= 0 {
+		t.Fatalf("repeat recorded before any repeated delivery: %+v", tr.repeat)
+	}
+	tr.DeliverHop(eid(0), 1, 0, -1) // duplicate
+	tr.DeliverHop(eid(0), 2, 0, -1)
+	tr.DeliverHop(eid(0), 2, 0, -1) // a later duplicate
+	if tr.repeat.id != eid(0) || tr.repeat.member != 1 {
+		t.Fatalf("repeat = %+v, want the first repeated delivery, %v to member 1", tr.repeat, eid(0))
+	}
+	if got := allResults(tr).MeanReceiversPct; got != 50 {
+		t.Fatalf("mean = %v after the duplicates, want 50", got)
 	}
 }
 
@@ -172,8 +180,15 @@ func TestDeliveryTrackerConcurrent(t *testing.T) {
 	if got, want := allResults(locked), allResults(serial); got != want {
 		t.Fatalf("concurrent Results %+v, serial %+v", got, want)
 	}
-	if locked.latency != serial.latency || locked.hops != serial.hops || locked.duplicates != serial.duplicates {
-		t.Fatalf("concurrent distributions or duplicates (%d) differ from the serial run's (%d)", locked.duplicates, serial.duplicates)
+	if locked.latency != serial.latency || locked.hops != serial.hops {
+		t.Fatal("concurrent distributions differ from the serial run's")
+	}
+	// Which goroutine repeats first is up to the scheduler; every repeat
+	// is an origin's second delivery to itself.
+	for _, tr := range []*deliveryTracker{serial, locked} {
+		if r := tr.repeat; r.member < 0 || group[r.member] != r.id.Origin {
+			t.Fatalf("repeat = %+v, want an origin's second delivery to itself", r)
+		}
 	}
 }
 

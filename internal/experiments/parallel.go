@@ -78,10 +78,9 @@ func forEach(n int, fn func(i int) error) error {
 // sweep runs every config in cfgs with seeds consecutive seeds (fewer
 // than 1 means 1), all (config, seed) runs in one queue, and folds each
 // config's runs in seed order with foldSeeds: result i belongs to
-// cfgs[i]. Every run goes through runExactlyOnce, so a run that
-// delivered an event twice to one member fails the sweep; the error
-// returned is the first failure in config order among the runs that
-// ran.
+// cfgs[i]. A run that fails, such as one that delivered an event twice
+// to one member, fails the sweep; the error returned is the first
+// failure in config order among the runs that ran.
 func sweep(cfgs []Config, seeds int) ([]RunResult, error) {
 	seeds = max(seeds, 1)
 	runs := make([]RunResult, len(cfgs)*seeds)
@@ -89,7 +88,7 @@ func sweep(cfgs []Config, seeds int) ([]RunResult, error) {
 		c := cfgs[i/seeds]
 		c.Seed += int64(i % seeds)
 		var err error
-		runs[i], err = runExactlyOnce(c)
+		runs[i], err = Run(c)
 		return err
 	})
 	if err != nil {

@@ -56,7 +56,7 @@ func TestRecoveryImprovesDeliveryUnderLoss(t *testing.T) {
 // arrival order let a member pull, and deliver again, an event it had
 // forgotten while peers still advertised and stored it: 188,796 and
 // 147,150 repeated deliveries. Replay windows keep every id a peer can
-// still offer.
+// still offer; Run returns an error on any repeated delivery.
 func TestRecoveryDeliversExactlyOnce(t *testing.T) {
 	for _, loss := range []float64{0, 0.1} {
 		cfg := DefaultRecoveryConfig(sweepConfig())
@@ -68,9 +68,8 @@ func TestRecoveryDeliversExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.DuplicateDeliveries != 0 || res.Recovery.EventsRecovered == 0 {
-			t.Errorf("loss %v: %d repeated deliveries, %d events recovered: want 0 and some",
-				loss, res.DuplicateDeliveries, res.Recovery.EventsRecovered)
+		if res.Recovery.EventsRecovered == 0 {
+			t.Errorf("loss %v: no event recovered", loss)
 		}
 	}
 }

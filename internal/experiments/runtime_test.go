@@ -77,7 +77,7 @@ func TestRunRuntimeInvalidConfig(t *testing.T) {
 
 // TestRunRuntimePartialViews: the wall world runs lpbcast partial views
 // too — the wire carries their subscriptions — and delivers exactly
-// once.
+// once (RunRuntime refuses a run that does not).
 func TestRunRuntimePartialViews(t *testing.T) {
 	cfg := runtimeConfig()
 	cfg.N = 12
@@ -91,9 +91,6 @@ func TestRunRuntimePartialViews(t *testing.T) {
 	}
 	if res.Summary.MeanReceiversPct < 90 {
 		t.Fatalf("mean receivers %.1f%% over partial views", res.Summary.MeanReceiversPct)
-	}
-	if res.DuplicateDeliveries != 0 {
-		t.Fatalf("%d events delivered twice to one member, want exactly once", res.DuplicateDeliveries)
 	}
 }
 

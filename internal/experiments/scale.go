@@ -112,7 +112,7 @@ func RunScale(cfg ScaleConfig) ([]ScaleRow, error) {
 			c.ProximityWeight = 0
 		}
 		started := time.Now()
-		res, err := runExactlyOnce(c)
+		res, err := Run(c)
 		if err != nil {
 			return err
 		}

@@ -321,7 +321,7 @@ func (n *Node) SetBufferCapacity(capacity int) error {
 // Broadcast originates a new event with the given payload: the event is
 // delivered locally, recorded in eventIds and buffered for gossiping
 // (the buffering half of Figure 3; rate admission is the caller's
-// concern, see internal/ratelimit and internal/core).
+// concern, see core.Adaptor).
 //
 // The payload is retained and must not be modified afterwards.
 func (n *Node) Broadcast(payload []byte) Event {
