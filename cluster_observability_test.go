@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"adaptivegossip/internal/gossip"
+	"adaptivegossip/internal/observe"
 	"adaptivegossip/internal/transport"
 )
 
@@ -446,5 +447,33 @@ func TestUDPClusterObservabilityAcceptance(t *testing.T) {
 	}) {
 		metrics := debugGet(t, "http://"+b.DebugAddr()+"/metrics")
 		t.Fatalf("b's /metrics lacks live per-peer families for a:\n%s", metrics)
+	}
+}
+
+// TestPeersRefusedIsVisible: once the per-peer link table holds its
+// bound of observe.DefaultPeerTableCapacity peers, every further peer
+// id is refused a row and counted; the count is Stats.PeersRefused and
+// the /metrics counter gossip_peers_refused_total, so a flood of forged
+// ids shows where an operator looks.
+func TestPeersRefusedIsVisible(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Observability.DebugAddr = "127.0.0.1:0"
+	n, err := NewNode("alpha", cfg, WithSeed(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const refused = 100
+	for i := range observe.DefaultPeerTableCapacity + refused {
+		n.g.obs.peers.Get(fmt.Sprintf("forged-%05d", i))
+	}
+	st := n.Stats()
+	if st.PeersRefused != refused || len(st.Peers) != observe.DefaultPeerTableCapacity {
+		t.Fatalf("Stats: %d rows, %d refused; want %d rows, %d refused",
+			len(st.Peers), st.PeersRefused, observe.DefaultPeerTableCapacity, refused)
+	}
+	metrics := debugGet(t, "http://"+n.DebugAddr()+"/metrics")
+	if want := fmt.Sprintf("gossip_peers_refused_total %d\n", refused); !strings.Contains(metrics, want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }

@@ -162,6 +162,131 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 	}
 }
 
+// TestEverythingOnReceiveAllocFree is the receive side of
+// TestEverythingOnRoundAllocFree: what an everything-on member does
+// with the control traffic that asks something of it. Every round, a
+// digest names four ids the member has not seen, which enter its
+// missing set and are requested at the next Tick; a response brings
+// half of them, and the other half are requested again and again until
+// the member gives them up; a peer requests events the member stores,
+// which it serves; a ping-req has it relay a ping and forward the
+// subject's ack; and rumors refute and then apply a suspicion of a
+// member that never speaks for itself. After warm-up none of it
+// allocates. (The recovered events carry no payload: a first-sight
+// payload's copy is TestReceiveBorrowedAllocsPerNewEvent's subject.)
+func TestEverythingOnReceiveAllocFree(t *testing.T) {
+	const members = 16
+	ids := make([]gossip.NodeID, members)
+	for i := range ids {
+		ids[i] = gossip.NodeID(fmt.Sprintf("node-%02d", i))
+	}
+	self, peer, subject, origin := ids[0], ids[1], ids[2], ids[6]
+	const silent = gossip.NodeID("node-99") // rumored about, never heard from
+	node, err := NewAdaptiveNode(NodeConfig{
+		ID:       self,
+		Gossip:   gossip.Params{Fanout: 4, Period: 50 * time.Millisecond, MaxEvents: 120, MaxAge: 10},
+		Adaptive: true,
+		Core:     DefaultParams(),
+		Recovery: recovery.Params{Enabled: true},
+		Failure:  failure.Params{Enabled: true},
+		Health:   health.Params{Enabled: true},
+		Links:    observe.NewPeerTable(64),
+		Metrics:  &observe.NodeMetrics{},
+		Peers:    membership.NewRegistry(ids...),
+		RNG:      rand.New(rand.NewPCG(16, 16)),
+		Deliver:  func(gossip.Event) {},
+		Start:    start,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	digest := &gossip.Message{From: peer, Digest: make([]gossip.EventID, 4)}
+	response := &gossip.Message{Kind: gossip.KindRecoveryResponse, From: peer, Events: make([]gossip.Event, 0, 64)}
+	request := &gossip.Message{Kind: gossip.KindRecoveryRequest, From: peer, Request: make([]gossip.EventID, 0, 64)}
+	ack := &gossip.Message{Kind: gossip.KindPingAck}
+	pingReq := &gossip.Message{Kind: gossip.KindPingReq, From: peer, Probe: subject}
+	relayedAck := &gossip.Message{Kind: gossip.KindPingAck, From: subject, Probe: subject}
+	rumors := &gossip.Message{From: peer, Updates: make([]gossip.MemberUpdate, 2)}
+
+	now, next, incarnation := start, uint64(0), uint64(0)
+	var requested, served, relayed int
+	oneRound := func() {
+		now = now.Add(50 * time.Millisecond)
+		response.Events = response.Events[:0]
+		for _, out := range node.Tick(now) {
+			switch out.Msg.Kind {
+			case gossip.KindPing:
+				ack.From, ack.ProbeSeq = out.To, out.Msg.ProbeSeq
+			case gossip.KindRecoveryRequest:
+				for _, id := range out.Msg.Request {
+					requested++
+					if id.Seq%2 == 0 {
+						response.Events = append(response.Events, gossip.Event{ID: id})
+					}
+				}
+			}
+		}
+		if ack.From != "" {
+			node.Receive(ack, now)
+			ack.From = ""
+		}
+		for i := range digest.Digest {
+			digest.Digest[i] = gossip.EventID{Origin: origin, Seq: next}
+			next++
+		}
+		digest.Round++
+		node.Receive(digest, now)
+		if len(response.Events) > 0 {
+			node.Receive(response, now)
+			request.Request = request.Request[:0]
+			for _, ev := range response.Events {
+				request.Request = append(request.Request, ev.ID)
+			}
+		}
+		for _, out := range node.Receive(request, now) {
+			if out.Msg.Kind == gossip.KindRecoveryResponse {
+				served += len(out.Msg.Events)
+			}
+		}
+		pingReq.ProbeSeq++
+		relayedAck.ProbeSeq = pingReq.ProbeSeq
+		node.Receive(pingReq, now)
+		for _, out := range node.Receive(relayedAck, now) {
+			if out.Msg.Kind == gossip.KindPingAck && out.To == peer && out.Msg.Probe == subject {
+				relayed++
+			}
+		}
+		incarnation++
+		rumors.Updates[0] = gossip.MemberUpdate{Node: silent, Status: gossip.MemberAlive, Incarnation: incarnation}
+		rumors.Updates[1] = gossip.MemberUpdate{Node: silent, Status: gossip.MemberSuspect, Incarnation: incarnation}
+		rumors.Round++
+		node.Receive(rumors, now)
+	}
+
+	// Warm-up: longer than a missing id is chased, so ids are given up
+	// in every round counted.
+	const warmup, runs = 100, 40
+	for i := 0; i < warmup; i++ {
+		oneRound()
+	}
+	rs, fs := node.RecoveryStats(), node.FailureStats()
+	requested, served, relayed = 0, 0, 0
+	if allocs := testing.AllocsPerRun(runs, oneRound); allocs != 0 {
+		t.Errorf("an everything-on member's control traffic allocates %v times a round, want 0", allocs)
+	}
+	rs2, fs2 := node.RecoveryStats(), node.FailureStats()
+	applied := func(s failure.Stats) uint64 { return s.UpdatesReceived - s.UpdatesIgnored }
+	if rs2.MissingGaveUp == rs.MissingGaveUp || rs2.EventsRecovered == rs.EventsRecovered || requested == 0 || served == 0 ||
+		relayed != runs+1 || applied(fs2)-applied(fs) != 2*(runs+1) {
+		t.Fatalf("over %d rounds: %d ids requested, %d recovered, %d given up, %d events served, %d acks relayed, %d rumors applied — the rounds are not doing what they claim",
+			runs+1, requested, rs2.EventsRecovered-rs.EventsRecovered, rs2.MissingGaveUp-rs.MissingGaveUp, served, relayed, applied(fs2)-applied(fs))
+	}
+	if got := node.MemberStatus(silent); got != gossip.MemberSuspect {
+		t.Fatalf("%s is %v after its suspicion was rumored, want suspect", silent, got)
+	}
+}
+
 // patternPayload fills dst with the payload a test event of this
 // sequence number carries, so a reader can tell another event's bytes —
 // or a scribble — from the right ones.

@@ -46,6 +46,7 @@ package failure
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"adaptivegossip/internal/gossip"
@@ -78,6 +79,22 @@ const (
 	updateTransmits = 6
 	// maxMembers bounds the per-node member-state table.
 	maxMembers = 4096
+)
+
+// The working sizes the engine's lists are made with, so that a member
+// whose detector has seen nothing unusual allocates nothing for them.
+// A burst beyond one grows that list once, to the burst's size.
+const (
+	// probeReserve covers the outstanding probes: one a round, each
+	// resolved within probeTimeoutRounds + indirectTimeoutRounds.
+	probeReserve = probeTimeoutRounds + indirectTimeoutRounds + 1
+	// sendReserve covers the messages of one drain: a round's ping and
+	// the ping-reqs of the probes going indirect, or one reply.
+	sendReserve = 1 + 2*indirectProbes
+	// relayReserve covers the ping-reqs relayed within a relay's
+	// lifetime, and rumorReserve the rumors in flight at once.
+	relayReserve = 4 * indirectProbes
+	rumorReserve = 2 * updatesPerMessage
 )
 
 // DefaultSuspicionTimeoutRounds is SuspicionTimeoutRounds' default.
@@ -244,15 +261,28 @@ func NewEngine(self gossip.NodeID, params Params, peers gossip.PeerSampler, rng 
 	if rng == nil {
 		return nil, fmt.Errorf("failure: rng must not be nil")
 	}
-	return &Engine{
+	e := &Engine{
 		self:             self,
 		suspicionTimeout: uint64(timeout),
 		peers:            peers,
+		candidates:       make([]gossip.NodeID, 0, indirectProbes+1),
 		rng:              rng,
 		now:              time.Now,
 		members:          make(map[gossip.NodeID]*memberState),
+		suspectOrder:     make([]gossip.NodeID, 0, rumorReserve),
 		probes:           make(map[gossip.NodeID]*probeState),
-	}, nil
+		probeOrder:       make([]*probeState, 0, probeReserve),
+		freeProbes:       make([]*probeState, 0, probeReserve),
+		relays:           make([]relayEntry, 0, relayReserve),
+		queue:            make([]update, 0, rumorReserve),
+	}
+	for range probeReserve {
+		e.freeProbes = append(e.freeProbes, new(probeState))
+	}
+	e.out.Reserve(sendReserve, func(m *gossip.Message) {
+		m.Updates = make([]gossip.MemberUpdate, 0, updatesPerMessage)
+	})
+	return e, nil
 }
 
 // SetOnChange installs the membership-transition callback.
@@ -295,12 +325,13 @@ func (e *Engine) Status(id gossip.NodeID) gossip.MemberStatus {
 // the node quickly.
 func (e *Engine) Rejoin() {
 	e.members = make(map[gossip.NodeID]*memberState)
-	e.suspectOrder = nil
+	e.suspectOrder = e.suspectOrder[:0]
 	e.probes = make(map[gossip.NodeID]*probeState)
-	e.probeOrder = nil
-	e.relays = nil
-	e.queue = nil
-	e.out = gossip.Outbox{}
+	e.freeProbes = append(e.freeProbes, e.probeOrder...)
+	e.probeOrder = e.probeOrder[:0]
+	e.relays = e.relays[:0]
+	e.queue = e.queue[:0]
+	e.out.Take() // what the old process queued is not sent
 	e.incarnation++
 	e.queueUpdate(gossip.MemberUpdate{Node: e.self, Status: gossip.MemberAlive, Incarnation: e.incarnation})
 }
@@ -655,8 +686,11 @@ func (e *Engine) queueUpdate(u gossip.MemberUpdate) {
 
 // attachUpdates piggybacks up to updatesPerMessage queued rumors onto
 // an outgoing message, consuming their transmission budget. Rumors are
-// taken in queue order; exhausted ones are dropped.
+// taken in queue order; exhausted ones are dropped. The message's list
+// is given room for updatesPerMessage the first time: the node's round
+// message keeps it, so a rumor, however rare, costs it nothing.
 func (e *Engine) attachUpdates(out *gossip.Message) {
+	out.Updates = slices.Grow(out.Updates, updatesPerMessage)
 	if len(e.queue) == 0 {
 		return
 	}

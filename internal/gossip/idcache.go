@@ -91,6 +91,10 @@ func (c *IDCache) Add(id EventID) (slot int, added bool) {
 	return p, true
 }
 
+// ID returns the identifier at a ring slot that Add, Slot or Oldest
+// returned and that has not been forgotten since.
+func (c *IDCache) ID(slot int) EventID { return c.ring[slot] }
+
 // Oldest returns the ring slot of the oldest identifier, or -1 when the
 // cache is empty.
 func (c *IDCache) Oldest() int {

@@ -1,5 +1,7 @@
 package gossip
 
+import "slices"
+
 // Outbox is the queue of control messages an extension hands its driver
 // between rounds: recovery pulls and responses, failure-detector pings
 // and acks. An everything-on member queues several per round, so the
@@ -27,6 +29,21 @@ func (b *Outbox) Message() *Message {
 	b.used++
 	*m = Message{Events: m.Events[:0], Request: m.Request[:0], Updates: m.Updates[:0]}
 	return m
+}
+
+// Reserve makes n messages, each passed to size (when not nil) to give
+// its lists their capacity, and room to queue them: an owner that
+// queues at most n between drains, with lists within those capacities,
+// allocates nothing for its messages after Reserve.
+func (b *Outbox) Reserve(n int, size func(*Message)) {
+	for len(b.msgs) < n {
+		m := new(Message)
+		if size != nil {
+			size(m)
+		}
+		b.msgs = append(b.msgs, m)
+	}
+	b.queued = slices.Grow(b.queued, n)
 }
 
 // Queue addresses msg, a message obtained from Message, to a peer.

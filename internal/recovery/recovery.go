@@ -204,30 +204,140 @@ func (s *store) gc(now uint64, retain int) (evicted int) {
 	return evicted
 }
 
-// missingEntry tracks one event known to exist but not yet delivered.
+// missingEntry is the pull state of one id in the missing set, kept in
+// the id's ring slot.
 type missingEntry struct {
 	source     gossip.NodeID // latest advertiser, the pull target
-	firstRound uint64        // round the id was first advertised to us
+	firstRound uint64        // round the id was last entered
 	lastReq    uint64        // round of the last request, 0 = never
+	entries    int           // times entered since a compaction last found it dead
+	live       bool          // tracked; false once recovered, seen or given up
+}
+
+// missingSet is the engine's set of events known to exist but not yet
+// delivered, in advertisement order: an IDCache ring of the ids, in the
+// order they were first entered, and each id's pull state in a slice
+// indexed by its ring slot. Both are made with the engine and never
+// grow, so tracking, requesting and settling missing events allocates
+// nothing.
+//
+// An id leaves the set (recovered, delivered by push gossip, given up)
+// by going dead in its slot, and one advertised again before the next
+// compaction is tracked afresh in that slot, keeping its place in the
+// order. A compaction drops the dead slots, rotating the live ones
+// round the ring in order; it runs at the end of a round's requests
+// once the entries since the last compaction number at least 64 and
+// twice the live ids (an id that went dead and was entered again counts
+// twice). The ring holds twice maxMissing ids, so it fills only when a
+// single round enters more ids than that compaction rule has left room
+// for; a full ring compacts before it takes a new id.
+type missingSet struct {
+	ids     *gossip.IDCache
+	state   []missingEntry // by ring slot
+	live    int            // ids tracked
+	entries int            // sum of state[*].entries over the ring
+}
+
+func newMissingSet() (*missingSet, error) {
+	ids, err := gossip.NewIDCache(2 * maxMissing)
+	if err != nil {
+		return nil, err
+	}
+	return &missingSet{ids: ids, state: make([]missingEntry, 2*maxMissing)}, nil
+}
+
+// find returns the slot of id, -1 when the ring does not hold it, and
+// whether it is live.
+func (s *missingSet) find(id gossip.EventID) (slot int, live bool) {
+	slot = s.ids.Slot(id)
+	return slot, slot >= 0 && s.state[slot].live
+}
+
+// enter tracks id, which is not live, as advertised by from in round:
+// in slot when the ring still holds it dead, at the tail otherwise.
+func (s *missingSet) enter(id gossip.EventID, slot int, from gossip.NodeID, round uint64) {
+	entries := 1
+	if slot >= 0 {
+		entries += s.state[slot].entries
+	} else {
+		if s.ids.Len() == s.ids.Capacity() {
+			s.compact()
+		}
+		slot, _ = s.ids.Add(id)
+	}
+	s.state[slot] = missingEntry{source: from, firstRound: round, entries: entries, live: true}
+	s.live++
+	s.entries++
+}
+
+// drop stops tracking the live id in slot.
+func (s *missingSet) drop(slot int) {
+	s.state[slot].live = false
+	s.live--
+}
+
+// slotAt returns the ring slot of the k-th oldest id.
+func (s *missingSet) slotAt(k int) int {
+	slot := s.ids.Oldest() + k
+	if slot >= s.ids.Capacity() {
+		slot -= s.ids.Capacity()
+	}
+	return slot
+}
+
+// maybeCompact compacts when the dead entries have come to dominate.
+func (s *missingSet) maybeCompact() {
+	if s.entries >= 64 && s.entries >= 2*s.live {
+		s.compact()
+	}
+}
+
+// compact drops the dead ids, taking each id off the head of the ring
+// and putting it back at the tail if it is live.
+func (s *missingSet) compact() {
+	s.entries = 0
+	for k := s.ids.Len(); k > 0; k-- {
+		slot := s.ids.Oldest()
+		id, st := s.ids.ID(slot), s.state[slot]
+		s.ids.PopOldest()
+		s.state[slot] = missingEntry{}
+		if st.live {
+			to, _ := s.ids.Add(id)
+			s.state[to] = st
+			s.entries += st.entries
+		}
+	}
+}
+
+// pick is one id chosen for this round's requests, with its target.
+type pick struct {
+	id  gossip.EventID
+	to  gossip.NodeID
+	req int // index of the target's message in Engine.requests
 }
 
 // Engine is the per-node anti-entropy state machine. It implements
 // gossip.Extension (digest piggybacking, digest diffing, store
 // maintenance) and queues the control messages drivers must send.
 type Engine struct {
-	params Params
-	digest *gossip.IDCache // recently-seen ids, digest source
-	store  *store
-	round  uint64
+	params  Params
+	digest  *gossip.IDCache // recently-seen ids, digest source
+	store   *store
+	missing *missingSet
+	round   uint64
 
-	missing   map[gossip.EventID]*missingEntry
-	missOrder []gossip.EventID // FIFO of advertisement order; may hold stale ids
-
-	// Per-round scratch, reused: the digest piggybacked on the round
-	// message (valid as long as that message is, see gossip.Node.Tick),
-	// and the request messages of the round being built, one per target.
+	// Scratch, made with the engine at the bounds of what it holds and
+	// reused: the digest piggybacked on the round message (valid as long
+	// as that message is, see gossip.Node.Tick); the ids picked for this
+	// round's requests, the request messages, one per target, and the one
+	// array their id lists share; and the events of the response being
+	// served. Requests and response are valid until the node's next Tick
+	// or Receive, like every queued message (gossip.Outbox).
 	digestScratch []gossip.EventID
+	picks         []pick
 	requests      []gossip.Outgoing
+	requested     []gossip.EventID
+	served        []gossip.Event
 
 	out   gossip.Outbox
 	stats Stats
@@ -247,19 +357,39 @@ func NewEngine(params Params) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
-	return &Engine{
-		params:  params,
-		digest:  digest,
-		store:   store,
-		missing: make(map[gossip.EventID]*missingEntry),
-	}, nil
+	missing, err := newMissingSet()
+	if err != nil {
+		return nil, fmt.Errorf("recovery: %w", err)
+	}
+	// A round requests at most RequestBudget ids, each missing, and a
+	// request names at most as many as the requester's budget, which a
+	// group shares.
+	perRound := min(params.RequestBudget, maxMissing)
+	e := &Engine{
+		params:        params,
+		digest:        digest,
+		store:         store,
+		missing:       missing,
+		digestScratch: make([]gossip.EventID, 0, params.DigestLen),
+		picks:         make([]pick, 0, perRound),
+		requests:      make([]gossip.Outgoing, 0, min(perRound, outboxReserve)),
+		requested:     make([]gossip.EventID, 0, perRound),
+		served:        make([]gossip.Event, 0, perRound),
+	}
+	e.out.Reserve(outboxReserve, nil)
+	return e, nil
 }
+
+// outboxReserve is the number of messages the engine's outbox is made
+// with: the requests of a round that pulls from that many advertisers,
+// or one response. A round that needs more grows the outbox once.
+const outboxReserve = 8
 
 // Stats returns a copy of the activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
 // MissingLen reports the number of tracked missing events.
-func (e *Engine) MissingLen() int { return len(e.missing) }
+func (e *Engine) MissingLen() int { return e.missing.live }
 
 // observe retains an event for retransmission and records its id in
 // the digest source. borrowed is the Borrowed flag of the message the
@@ -309,8 +439,8 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	case gossip.KindRecoveryResponse:
 		e.stats.ResponsesReceived++
 		for _, ev := range in.Events {
-			if _, tracked := e.missing[ev.ID]; tracked {
-				delete(e.missing, ev.ID)
+			if slot, tracked := e.missing.find(ev.ID); tracked {
+				e.missing.drop(slot)
 				e.stats.EventsRecovered++
 			}
 			e.observe(n, ev, in.Borrowed)
@@ -333,16 +463,16 @@ func (e *Engine) diffDigest(n *gossip.Node, from gossip.NodeID, digest []gossip.
 		if n.Seen(id) {
 			continue
 		}
-		if m, ok := e.missing[id]; ok {
-			m.source = from // prefer the freshest advertiser
+		slot, live := e.missing.find(id)
+		if live {
+			e.missing.state[slot].source = from // prefer the freshest advertiser
 			continue
 		}
-		if len(e.missing) >= maxMissing {
+		if e.missing.live >= maxMissing {
 			e.stats.MissingOverflow++
 			continue
 		}
-		e.missing[id] = &missingEntry{source: from, firstRound: e.round}
-		e.missOrder = append(e.missOrder, id)
+		e.missing.enter(id, slot, from, e.round)
 	}
 }
 
@@ -358,12 +488,14 @@ func (e *Engine) serveRequest(n *gossip.Node, in *gossip.Message) {
 		if resp == nil {
 			resp = e.out.Message()
 			resp.Kind, resp.From, resp.Round = gossip.KindRecoveryResponse, n.ID(), e.round
+			resp.Events = e.served[:0]
 		}
 		resp.Events = append(resp.Events, ev)
 	}
 	if resp == nil {
 		return
 	}
+	e.served = resp.Events // a larger request than any before grew it
 	e.stats.ResponsesSent++
 	e.stats.EventsServed += uint64(len(resp.Events))
 	e.out.Queue(in.From, resp)
@@ -371,32 +503,27 @@ func (e *Engine) serveRequest(n *gossip.Node, in *gossip.Message) {
 
 // buildRequests walks the missing set in advertisement order and queues
 // up to RequestBudget identifiers as request messages, batched per
-// target peer. Ids delivered in the meantime are dropped; ids chased
-// longer than giveUpRounds are abandoned.
+// target peer: one message per target, in the order the targets were
+// first picked, each naming its ids in the order they were picked. Ids
+// delivered in the meantime are dropped; ids chased longer than
+// giveUpRounds are abandoned.
 func (e *Engine) buildRequests(n *gossip.Node) {
-	if len(e.missing) == 0 {
-		e.compactMissOrder()
-		return
-	}
-	budget, selected := e.params.RequestBudget, 0
-	e.requests = e.requests[:0]
-	for _, id := range e.missOrder {
-		if selected >= budget {
-			break
+	s := e.missing
+	budget := e.params.RequestBudget
+	e.picks = e.picks[:0]
+	for k := 0; k < s.ids.Len() && len(e.picks) < budget; k++ {
+		slot := s.slotAt(k)
+		m := &s.state[slot]
+		if !m.live {
+			continue
 		}
-		m, ok := e.missing[id]
-		if !ok {
-			continue // stale order entry: recovered, given up, or re-added later
-		}
-		if m.lastReq == e.round {
-			continue // duplicate order entry already handled this round
-		}
+		id := s.ids.ID(slot)
 		if n.Seen(id) {
-			delete(e.missing, id) // arrived through normal push gossip
+			s.drop(slot) // arrived through normal push gossip
 			continue
 		}
 		if e.round-m.firstRound >= giveUpRounds {
-			delete(e.missing, id)
+			s.drop(slot)
 			e.stats.MissingGaveUp++
 			continue
 		}
@@ -404,46 +531,42 @@ func (e *Engine) buildRequests(n *gossip.Node) {
 			continue // request outstanding, give the response time to arrive
 		}
 		m.lastReq = e.round
-		req := e.requestTo(n, m.source)
-		req.Request = append(req.Request, id)
-		selected++
+		e.picks = append(e.picks, pick{id: id, to: m.source})
 	}
-	e.compactMissOrder()
-	for _, req := range e.requests {
+	s.maybeCompact()
+
+	e.requests = e.requests[:0]
+	for i := range e.picks {
+		e.picks[i].req = e.requestTo(n, e.picks[i].to)
+	}
+	ids := e.requested[:0]
+	for r, req := range e.requests {
+		from := len(ids)
+		for _, p := range e.picks {
+			if p.req == r {
+				ids = append(ids, p.id)
+			}
+		}
+		req.Msg.Request = ids[from:len(ids):len(ids)]
 		e.stats.RequestsSent++
 		e.stats.IDsRequested += uint64(len(req.Msg.Request))
 		e.out.Queue(req.To, req.Msg)
 	}
 }
 
-// requestTo returns this round's request message for target, starting
-// one (in first-use order, which is the order they are sent in) if there
-// is none yet. A round pulls from a handful of advertisers, so a scan
-// beats a map.
-func (e *Engine) requestTo(n *gossip.Node, target gossip.NodeID) *gossip.Message {
-	for _, req := range e.requests {
+// requestTo returns the index of this round's request message for
+// target, starting one if there is none yet. A round pulls from a
+// handful of advertisers, so a scan beats a map.
+func (e *Engine) requestTo(n *gossip.Node, target gossip.NodeID) int {
+	for i, req := range e.requests {
 		if req.To == target {
-			return req.Msg
+			return i
 		}
 	}
 	msg := e.out.Message()
 	msg.Kind, msg.From, msg.Round = gossip.KindRecoveryRequest, n.ID(), e.round
 	e.requests = append(e.requests, gossip.Outgoing{To: target, Msg: msg})
-	return msg
-}
-
-// compactMissOrder drops stale order entries once they dominate.
-func (e *Engine) compactMissOrder() {
-	if len(e.missOrder) < 64 || len(e.missOrder) < 2*len(e.missing) {
-		return
-	}
-	live := e.missOrder[:0]
-	for _, id := range e.missOrder {
-		if _, ok := e.missing[id]; ok {
-			live = append(live, id)
-		}
-	}
-	e.missOrder = live
+	return len(e.requests) - 1
 }
 
 // TakeOutgoing drains the queued control messages (requests and

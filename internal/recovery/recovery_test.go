@@ -448,41 +448,92 @@ func BenchmarkRecoveryDigestDiff(b *testing.B) {
 
 // BenchmarkRecoveryRound measures the engine's bookkeeping of one round
 // in udp_full's shape, at the default DigestLen, 128 ids, and store of
-// 1,024 events: 12 new events a round and the 120-event buffer observed
-// 5 times — the member's own round and four received messages, nearly
-// all duplicates — the store's GC, and the digest listed for the round
-// message. Ungated: it compares the digest's and the store's cost
-// across changes of their layout.
+// 1,024 events. Ungated: it compares the digest's, the store's and the
+// missing set's cost across changes of their layout.
+//
+//   - observed: 12 new events a round and the 120-event buffer observed
+//     5 times — the member's own round and four received messages,
+//     nearly all duplicates — the store's GC, and the digest listed for
+//     the round message.
+//   - unseen-digest: a digest naming 8 ids the member has not seen, from
+//     two advertisers; the round's requests; and a response bringing
+//     the even-numbered ids requested, so the odd ones are requested
+//     until they are given up, about 90 ids tracked at a time.
 func BenchmarkRecoveryRound(b *testing.B) {
 	const members, buffered, births, observed = 16, 120, 12, 5
-	e := newTestEngine(b, Params{})
 	names := make([]gossip.NodeID, members)
 	for i := range names {
 		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
 	}
-	payload := make([]byte, 32)
-	// Event k of the group is seq k/members of member k%members; the
-	// buffer holds the newest 120.
-	newest := uint64(buffered)
-	round := func() {
-		e.round++
-		e.stats.StoreEvicted += uint64(e.store.gc(e.round, e.params.RetainRounds))
-		newest += births
-		for range observed {
-			for k := newest - buffered; k < newest; k++ {
-				e.observe(nil, gossip.Event{ID: gossip.EventID{Origin: names[k%members], Seq: k / members}, Payload: payload}, false)
+	b.Run("observed", func(b *testing.B) {
+		e := newTestEngine(b, Params{})
+		payload := make([]byte, 32)
+		// Event k of the group is seq k/members of member k%members; the
+		// buffer holds the newest 120.
+		newest := uint64(buffered)
+		round := func() {
+			e.round++
+			e.stats.StoreEvicted += uint64(e.store.gc(e.round, e.params.RetainRounds))
+			newest += births
+			for range observed {
+				for k := newest - buffered; k < newest; k++ {
+					e.observe(nil, gossip.Event{ID: gossip.EventID{Origin: names[k%members], Seq: k / members}, Payload: payload}, false)
+				}
 			}
+			e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0])
 		}
-		e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0])
-	}
-	for range 2 * e.params.RetainRounds { // the store at its GC horizon
-		round()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
+		for range 2 * e.params.RetainRounds { // the store at its GC horizon
+			round()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+	b.Run("unseen-digest", func(b *testing.B) {
+		e := newTestEngine(b, Params{})
+		node, err := gossip.NewNode("self",
+			gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: buffered, MaxAge: 10},
+			membership.NewRegistry(names...), rand.New(rand.NewPCG(23, 24)), gossip.WithExtensions(e))
+		if err != nil {
+			b.Fatal(err)
+		}
+		digest := &gossip.Message{Kind: gossip.KindGossip, Digest: make([]gossip.EventID, 8)}
+		response := &gossip.Message{Kind: gossip.KindRecoveryResponse, From: names[1], Events: make([]gossip.Event, 0, 64)}
+		next := uint64(0)
+		round := func() {
+			e.round++
+			for i := range digest.Digest {
+				digest.Digest[i] = gossip.EventID{Origin: names[2], Seq: next}
+				next++
+			}
+			digest.From = names[next/8%2]
+			e.OnReceive(node, digest)
+			e.buildRequests(node)
+			response.Events = response.Events[:0]
+			for _, out := range e.TakeOutgoing() {
+				for _, id := range out.Msg.Request {
+					if id.Seq%2 == 0 {
+						response.Events = append(response.Events, gossip.Event{ID: id})
+					}
+				}
+			}
+			e.OnReceive(node, response)
+		}
+		for range 2 * giveUpRounds { // ids given up every round
+			round()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+		b.StopTimer()
+		if st := e.Stats(); st.MissingGaveUp == 0 || st.EventsRecovered == 0 {
+			b.Fatalf("no ids given up (%d) or recovered (%d)", st.MissingGaveUp, st.EventsRecovered)
+		}
+	})
 }
 
 // TestStoreMatchesModel drives the store and a slice model, oldest
@@ -572,5 +623,158 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 		if got, want := va.Field(i).Uint(), uint64(101*(i+1)); got != want {
 			t.Errorf("Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// orderListModel is the missing set as a map beside an append-only list
+// of ids in advertisement order, which may hold ids no longer tracked
+// and ids entered more than once; the list is filtered down to tracked
+// ids at the end of a round's requests once it holds at least 64
+// entries and twice the tracked ids. missingSet keeps the same order in
+// fixed memory, and TestMissingSetMatchesOrderListModel holds it to
+// this model.
+type orderListModel struct {
+	missing map[gossip.EventID]*modelEntry
+	order   []gossip.EventID
+
+	gaveUp, overflow, recovered uint64
+}
+
+type modelEntry struct {
+	source              gossip.NodeID
+	firstRound, lastReq uint64
+}
+
+func (m *orderListModel) diff(seen func(gossip.EventID) bool, from gossip.NodeID, digest []gossip.EventID, round uint64) {
+	for _, id := range digest {
+		if seen(id) {
+			continue
+		}
+		if e, ok := m.missing[id]; ok {
+			e.source = from
+			continue
+		}
+		if len(m.missing) >= maxMissing {
+			m.overflow++
+			continue
+		}
+		m.missing[id] = &modelEntry{source: from, firstRound: round}
+		m.order = append(m.order, id)
+	}
+}
+
+// requests returns the round's request messages as "target:ids".
+func (m *orderListModel) requests(seen func(gossip.EventID) bool, round uint64, budget int) []string {
+	var targets []gossip.NodeID
+	ids := map[gossip.NodeID][]gossip.EventID{}
+	selected := 0
+	for _, id := range m.order {
+		if selected >= budget {
+			break
+		}
+		e, ok := m.missing[id]
+		if !ok || e.lastReq == round {
+			continue
+		}
+		if seen(id) {
+			delete(m.missing, id)
+			continue
+		}
+		if round-e.firstRound >= giveUpRounds {
+			delete(m.missing, id)
+			m.gaveUp++
+			continue
+		}
+		if e.lastReq != 0 && round-e.lastReq < retryRounds {
+			continue
+		}
+		e.lastReq = round
+		if _, ok := ids[e.source]; !ok {
+			targets = append(targets, e.source)
+		}
+		ids[e.source] = append(ids[e.source], id)
+		selected++
+	}
+	if len(m.order) >= 64 && len(m.order) >= 2*len(m.missing) {
+		live := m.order[:0]
+		for _, id := range m.order {
+			if _, ok := m.missing[id]; ok {
+				live = append(live, id)
+			}
+		}
+		m.order = live
+	}
+	var out []string
+	for _, to := range targets {
+		out = append(out, fmt.Sprintf("%s:%v", to, ids[to]))
+	}
+	return out
+}
+
+// TestMissingSetMatchesOrderListModel drives an engine and the model
+// through the same random digests, deliveries, responses and rounds,
+// over a pool of ids small enough that ids are given up, advertised
+// again and compacted away, and large enough that the set overflows at
+// times: every round's requests, the set's size and the give-up,
+// overflow and recovery counts must agree.
+func TestMissingSetMatchesOrderListModel(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 55))
+		budget := 1 + rng.IntN(24)
+		pool := 64 + rng.IntN(1200)
+		eng := newTestEngine(t, Params{RequestBudget: budget})
+		n := newTestNode(t, "self", membership.NewRegistry("self", "p0"), eng)
+		model := &orderListModel{missing: map[gossip.EventID]*modelEntry{}}
+		randomID := func() gossip.EventID {
+			k := rng.IntN(pool)
+			return gossip.EventID{Origin: gossip.NodeID(fmt.Sprintf("o%d", k%3)), Seq: uint64(k / 3)}
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.IntN(10); {
+			case op < 5: // a digest
+				from := gossip.NodeID(fmt.Sprintf("p%d", rng.IntN(5)))
+				digest := make([]gossip.EventID, 1+rng.IntN(48))
+				for i := range digest {
+					digest[i] = randomID()
+				}
+				model.diff(n.Seen, from, digest, eng.round)
+				eng.OnReceive(n, &gossip.Message{Kind: gossip.KindGossip, From: from, Digest: digest})
+			case op < 6: // an event delivered by push gossip
+				ev := gossip.Event{ID: randomID()}
+				n.Receive(&gossip.Message{From: "p0", Events: []gossip.Event{ev}})
+			case op < 7: // a response
+				resp := &gossip.Message{Kind: gossip.KindRecoveryResponse, From: "p1"}
+				for range 1 + rng.IntN(8) {
+					id := randomID()
+					if _, ok := model.missing[id]; ok {
+						model.recovered++
+						delete(model.missing, id)
+					}
+					resp.Events = append(resp.Events, gossip.Event{ID: id})
+				}
+				eng.OnReceive(n, resp)
+			default: // a round
+				round := eng.round + 1
+				want := model.requests(n.Seen, round, budget)
+				eng.OnTick(n, &gossip.Message{})
+				var got []string
+				for _, out := range eng.TakeOutgoing() {
+					got = append(got, fmt.Sprintf("%s:%v", out.To, out.Msg.Request))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d, step %d, round %d: requests\n got %v\nwant %v", seed, step, round, got, want)
+				}
+			}
+			st := eng.Stats()
+			if eng.MissingLen() != len(model.missing) || st.MissingGaveUp != model.gaveUp ||
+				st.MissingOverflow != model.overflow || st.EventsRecovered != model.recovered {
+				t.Fatalf("seed %d, step %d: engine tracks %d (gave up %d, overflow %d, recovered %d), model %d (%d, %d, %d)",
+					seed, step, eng.MissingLen(), st.MissingGaveUp, st.MissingOverflow, st.EventsRecovered,
+					len(model.missing), model.gaveUp, model.overflow, model.recovered)
+			}
+		}
+		st := eng.Stats()
+		t.Logf("seed %d: budget %d, pool %d: %d ids requested, %d given up, %d overflowed, %d recovered",
+			seed, budget, pool, st.IDsRequested, st.MissingGaveUp, st.MissingOverflow, st.EventsRecovered)
 	}
 }

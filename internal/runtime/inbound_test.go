@@ -205,15 +205,13 @@ func TestRunnerHandoffAllocFree(t *testing.T) {
 	}
 	r.Start()
 	defer r.Stop()
-	r.tick() // sizes the grouping scratch and the pooled send buffer
+	r.tick() // sizes the grouping scratch and the endpoint's send buffer
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() {
 		r.tick()
 		r.receive(msg)
 	})
-	// Under the race detector the send buffers' sync.Pool drops a quarter
-	// of what is Put.
-	if allocs != 0 && !race.Enabled {
+	if allocs != 0 {
 		t.Fatalf("a round out and a message in allocate %v times, want 0", allocs)
 	}
 	if st := tr.Stats(); st.SendErrors != 0 || st.Sent != 4*(runs+2) || machine.received != runs+1 {

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"adaptivegossip/internal/gossip"
@@ -79,6 +78,12 @@ type Codec struct {
 	// Stats, when non-nil, accumulates pre-/post-compression event
 	// section bytes across encodes.
 	Stats *CodecStats
+
+	// sections is the codec's free list of compressor output scratch,
+	// shared by its copies; DefaultCodec makes one, and an endpoint
+	// gives one to a codec that has none. Without it a compressed
+	// encode allocates its scratch.
+	sections *freeList[[]byte]
 }
 
 // CodecStats counts event-section bytes before and after compression,
@@ -89,10 +94,25 @@ type CodecStats struct {
 	PostCompressionBytes atomic.Uint64
 }
 
-// DefaultCodec returns the limits used across the repository.
+// The limits DefaultCodec sets, and that a zero limit falls back to.
+const (
+	defaultMaxPayload = 1 << 20
+	defaultMaxIDLen   = 256
+	defaultMaxEvents  = 1 << 16
+)
+
+// DefaultCodec returns the limits used across the repository, with the
+// codec's own free list of compression scratch.
 func DefaultCodec() Codec {
-	return Codec{MaxPayload: 1 << 20, MaxIDLen: 256, MaxEvents: 1 << 16}
+	return Codec{MaxPayload: defaultMaxPayload, MaxIDLen: defaultMaxIDLen, MaxEvents: defaultMaxEvents,
+		sections: newSectionList()}
 }
+
+// maxIdleSections bounds the compressor output buffers a codec keeps
+// idle: one per encode running at once through the codec or its copies.
+const maxIdleSections = 4
+
+func newSectionList() *freeList[[]byte] { return newFreeList[[]byte](maxIdleSections) }
 
 // Errors reported by the codec.
 var (
@@ -108,25 +128,17 @@ var (
 const maxEventSectionRaw = 1 << 27
 
 func (c Codec) limits() Codec {
-	d := DefaultCodec()
 	if c.MaxPayload <= 0 {
-		c.MaxPayload = d.MaxPayload
+		c.MaxPayload = defaultMaxPayload
 	}
 	if c.MaxIDLen <= 0 {
-		c.MaxIDLen = d.MaxIDLen
+		c.MaxIDLen = defaultMaxIDLen
 	}
 	if c.MaxEvents <= 0 {
-		c.MaxEvents = d.MaxEvents
+		c.MaxEvents = defaultMaxEvents
 	}
 	return c
 }
-
-// sectionPool holds scratch buffers for the compressed encode path (raw
-// section staging and compressor output).
-var sectionPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
 
 // Encode serializes the message into a freshly allocated buffer.
 func (c Codec) Encode(m *gossip.Message) ([]byte, error) {
@@ -141,10 +153,12 @@ func (c Codec) Encode(m *gossip.Message) ([]byte, error) {
 // buf and returning the extended slice (like append, the result may
 // share backing storage with buf). When buf has at least EncodedSize(m)
 // spare capacity the call performs no allocation — the hot-path
-// contract the UDP transport's pooled send buffers rely on. That holds
-// with compression configured too: the event section is staged through
-// pooled scratch and the built-in compressor pools its own state, so
-// the trade is CPU for bandwidth only.
+// contract the UDP transport's reused send buffers rely on. That holds
+// with compression configured too, for a codec made by DefaultCodec:
+// the event section is staged in place in buf, the compressor writes
+// into scratch from the codec's free list and the built-in compressor
+// keeps its deflaters in its own, so the trade is CPU for bandwidth
+// only.
 func (c Codec) AppendEncode(buf []byte, m *gossip.Message) ([]byte, error) {
 	c = c.limits()
 	if err := c.validateForEncode(m); err != nil {
@@ -180,36 +194,31 @@ func (c Codec) appendEncode(buf []byte, m *gossip.Message) []byte {
 // appendEncodeCompressed writes a frame with the event section run
 // through the configured compressor, storing the section raw when
 // compression does not pay — which keeps the uncompressed EncodedSize
-// an upper bound for buffer sizing either way. The compress flag is
-// patched into the already-written frame header once the decision is
-// made.
+// an upper bound for buffer sizing either way. The section is first
+// written in its stored form, in place; when the compressed form is
+// smaller it overwrites it, and the compress flag and compressor id are
+// patched into the bytes already written.
 func (c Codec) appendEncodeCompressed(buf []byte, m *gossip.Message) []byte {
 	flagOff := len(buf) + 4 // magic(3) + version(1)
 	buf = appendFrame(buf, codecVersion, m)
 	buf = appendControlPre(buf, m)
 	buf = appendControlPost(buf, m)
-	sp := sectionPool.Get().(*[]byte)
-	raw := appendEventSection((*sp)[:0], m)
-	rawLen := len(raw)
-	cp := sectionPool.Get().(*[]byte)
-	comp, err := c.Compression.Compress((*cp)[:0], raw)
+	rawLen := eventSectionSize(m)
+	buf = binary.AppendUvarint(buf, uint64(rawLen))
+	idOff := len(buf)
+	buf = append(buf, compressorNone)
+	buf = appendEventSection(buf, m)
+	scratch, _ := c.sections.get()
+	comp, err := c.Compression.Compress(scratch, buf[idOff+1:])
 	post := rawLen
 	if err == nil && len(comp)+uvarintLen(uint64(len(comp))) < rawLen {
 		buf[flagOff] |= flagCompress
-		buf = binary.AppendUvarint(buf, uint64(rawLen))
-		buf = append(buf, c.Compression.ID())
-		buf = binary.AppendUvarint(buf, uint64(len(comp)))
+		buf[idOff] = c.Compression.ID()
+		buf = binary.AppendUvarint(buf[:idOff+1], uint64(len(comp)))
 		buf = append(buf, comp...)
 		post = len(comp)
-	} else {
-		buf = binary.AppendUvarint(buf, uint64(rawLen))
-		buf = append(buf, compressorNone)
-		buf = append(buf, raw...)
 	}
-	*sp = raw[:0]
-	sectionPool.Put(sp)
-	*cp = comp[:0]
-	sectionPool.Put(cp)
+	putBuf(c.sections, comp)
 	if c.Stats != nil {
 		c.Stats.PreCompressionBytes.Add(uint64(rawLen))
 		c.Stats.PostCompressionBytes.Add(uint64(post))

@@ -3,8 +3,8 @@ package transport
 import (
 	"compress/flate"
 	"fmt"
+	"runtime"
 	"slices"
-	"sync"
 )
 
 // Compression layer: the event section — the bulk of a round
@@ -39,16 +39,22 @@ const (
 
 // flateCompressor implements Compressor with DEFLATE: compress/flate's
 // writer at its default level, and this package's own one-shot decoder
-// (inflate.go). Writers are pooled — flate.NewWriter allocates ~600 KiB
-// of match tables — together with the io.Writer they write through, so
-// a Compress call allocates nothing. Decompress keeps no state at all:
-// its tables live on the caller's stack for the length of the call.
+// (inflate.go). The compressor owns a bounded free list of its
+// deflaters — flate.NewWriter allocates ~650 KB of match tables — each
+// kept together with the io.Writer it writes through, so a Compress
+// call allocates nothing once as many writers exist as compress at
+// once. A garbage collection does not empty the list; it keeps at most
+// twice GOMAXPROCS idle writers (≈650 KB each) — a goroutine can be
+// descheduled in the middle of a Compress, so more calls than
+// processors overlap at times — and a writer handed back beyond that
+// is left to the collector. Decompress keeps no state at all: its
+// tables live on the caller's stack for the length of the call.
 type flateCompressor struct {
-	writers sync.Pool // of *flateWriter
+	writers *freeList[*flateWriter]
 }
 
-// flateWriter is one pooled deflater with the append target it writes
-// to; the target lives beside the writer because flate holds it as an
+// flateWriter is one deflater with the append target it writes to; the
+// target lives beside the writer because flate holds it as an
 // io.Writer, which a stack value would escape through.
 type flateWriter struct {
 	out sliceWriter
@@ -56,9 +62,12 @@ type flateWriter struct {
 }
 
 // NewFlateCompressor returns the built-in DEFLATE compressor (wire id
-// 1). One instance is shared safely by any number of codecs.
+// 1). One instance is shared safely by any number of codecs, which
+// all reuse the deflaters on its free list: owned by the compressor,
+// so no garbage collection empties it, and bounded at twice GOMAXPROCS
+// idle deflaters of ≈650 KB.
 func NewFlateCompressor() Compressor {
-	return &flateCompressor{}
+	return &flateCompressor{writers: newFreeList[*flateWriter](2 * runtime.GOMAXPROCS(0))}
 }
 
 func (f *flateCompressor) ID() byte     { return compressorFlate }
@@ -73,8 +82,8 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 }
 
 func (f *flateCompressor) Compress(dst, src []byte) ([]byte, error) {
-	w, _ := f.writers.Get().(*flateWriter)
-	if w == nil {
+	w, ok := f.writers.get()
+	if !ok {
 		w = &flateWriter{out: sliceWriter{buf: dst}}
 		// NewWriter fails only for a level out of range.
 		w.fw, _ = flate.NewWriter(&w.out, flate.DefaultCompression)
@@ -86,7 +95,7 @@ func (f *flateCompressor) Compress(dst, src []byte) ([]byte, error) {
 	cerr := w.fw.Close()
 	out := w.out.buf
 	w.out.buf = nil
-	f.writers.Put(w)
+	f.writers.put(w)
 	if werr != nil {
 		return dst, werr
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -291,13 +292,11 @@ func (r *reader) id(maxLen int) (string, error) {
 
 // reserve returns s emptied, with room for n elements: the reused
 // message's own backing array once it has grown to the working size.
-// A list grows until it fits the traffic, then never again; an owning
-// decode starts from nil lists and pays once per list.
+// A list grows as append grows a slice, so the few steps to the
+// largest list the traffic holds are paid once, then never again; an
+// owning decode starts from nil lists and pays once per list.
 func reserve[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
+	return slices.Grow(s[:0], n)
 }
 
 // boundedCount caps a wire-declared element count by what the rest of

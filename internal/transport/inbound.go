@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -29,6 +28,7 @@ type Inbound struct {
 	n       int    // bytes of buf the socket read filled
 	scratch []byte // decompressed event section, when the frame had one
 	leased  atomic.Bool
+	home    *freeList[*Inbound] // the fabric's idle envelopes; nil keeps it out of any
 }
 
 // InboundHandler consumes a leased message. Like Handler it runs on the
@@ -55,35 +55,26 @@ const maxDatagramRead = 1 << 16
 
 // maxPooledInbound bounds the decode state (decompression scratch and
 // message lists, beyond the fixed read buffer) an Inbound may carry back
-// into the pool. Traffic within the datagram bound decodes into a
-// fraction of it; only a frame built to inflate — a spoofed event count,
-// a decompression bomb within the codec's ratio cap — exceeds it, and
-// that Inbound is dropped on Release instead of pooled.
+// into its fabric's free list. Traffic within the datagram bound
+// decodes into a fraction of it; only a frame built to inflate — a
+// spoofed event count, a decompression bomb within the codec's ratio
+// cap — exceeds it, and that Inbound is dropped on Release instead of
+// kept.
 const maxPooledInbound = 4 * DefaultMaxDatagram
-
-var inboundPool = sync.Pool{
-	New: func() any { return &Inbound{buf: make([]byte, maxDatagramRead)} },
-}
-
-// leaseInbound takes an envelope from the pool.
-func leaseInbound() *Inbound {
-	in := inboundPool.Get().(*Inbound)
-	in.leased.Store(true)
-	return in
-}
 
 // Message returns the leased message, valid until Release.
 func (in *Inbound) Message() *gossip.Message { return &in.msg }
 
-// Release ends the lease and recycles the envelope. Releasing twice is
-// a bug in the holder that would hand one buffer to two readers, so it
-// panics instead of corrupting a later message.
+// Release ends the lease and hands the envelope back to its fabric's
+// free list. Releasing twice is a bug in the holder that would hand one
+// buffer to two readers, so it panics instead of corrupting a later
+// message.
 func (in *Inbound) Release() {
 	if !in.leased.CompareAndSwap(true, false) {
 		panic("transport: Inbound released twice")
 	}
 	if in.retained() <= maxPooledInbound {
-		inboundPool.Put(in)
+		in.home.put(in)
 	}
 }
 

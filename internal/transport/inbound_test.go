@@ -113,8 +113,7 @@ func redundantRound(events, origins, payloadLen, digestLen int) *gossip.Message 
 // envelope and the intern table have seen the group's traffic, decoding
 // a datagram allocates nothing — not per event, not per id, not per
 // payload, and not per compressed section: inflate keeps its tables on
-// the stack, so this holds under the race detector too, which makes a
-// sync.Pool forget a quarter of what it is given. The same holds for
+// the stack, so this holds under the race detector too. The same holds for
 // the UDP transport's dispatch of the datagram, which adds the sender's
 // telemetry row and the hand-off to an InboundHandler.
 func TestDecodeBorrowedAllocFree(t *testing.T) {
@@ -161,7 +160,7 @@ func TestDecodeBorrowedAllocFree(t *testing.T) {
 			}
 			var handed *Inbound
 			tr.SetInboundHandler(func(in *Inbound) { handed = in })
-			env := leaseInbound()
+			env := tr.leaseInbound()
 			defer env.Release()
 			env.n = copy(env.buf, frame)
 			if allocs := testing.AllocsPerRun(200, func() { tr.dispatch(env) }); allocs != 0 {
@@ -179,9 +178,9 @@ func TestDecodeBorrowedAllocFree(t *testing.T) {
 
 // TestDecodeMemoryBound is the real-path memory bound of ROADMAP item 4:
 // whatever a peer sends, the decode state that outlives the datagram —
-// what an envelope carries back into the pool, and what the intern table
+// what an envelope carries back into its free list, and what the intern table
 // keeps — stays within a small multiple of the datagram bound. An
-// envelope a frame inflated past that is not pooled at all.
+// envelope a frame inflated past that is not kept at all.
 func TestDecodeMemoryBound(t *testing.T) {
 	c := DefaultCodec()
 	const k = 6 // read buffer (~1.1x) + maxPooledInbound (4x), rounded up

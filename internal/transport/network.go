@@ -27,10 +27,12 @@ type UDPNetworkConfig struct {
 // every endpoint it binds is meshed with the others (each learns every
 // other's bound address, both directions), and Register adds a remote
 // peer to every endpoint's address book, current and future. Endpoints
-// are handed out unstarted; the caller starts them.
+// are handed out unstarted; the caller starts them. They share the
+// fabric's free lists of receive envelopes and send buffers.
 type UDPNetwork struct {
 	mu       sync.Mutex
 	cfg      UDPNetworkConfig
+	scratch  *endpointScratch
 	comp     Compressor
 	eps      map[gossip.NodeID]*UDPTransport
 	order    []gossip.NodeID
@@ -42,9 +44,10 @@ type UDPNetwork struct {
 // NewUDPNetwork creates an empty fabric.
 func NewUDPNetwork(cfg UDPNetworkConfig) *UDPNetwork {
 	return &UDPNetwork{
-		cfg:  cfg,
-		eps:  make(map[gossip.NodeID]*UDPTransport),
-		book: make(map[gossip.NodeID]string),
+		cfg:     cfg,
+		scratch: newEndpointScratch(),
+		eps:     make(map[gossip.NodeID]*UDPTransport),
+		book:    make(map[gossip.NodeID]string),
 	}
 }
 
@@ -74,7 +77,7 @@ func (n *UDPNetwork) Endpoint(id gossip.NodeID) (*UDPTransport, error) {
 		}
 		bind = n.cfg.Bind
 	}
-	var opts []UDPOption
+	opts := []UDPOption{withScratch(n.scratch)}
 	if n.cfg.MaxDatagram > 0 {
 		opts = append(opts, WithMaxDatagram(n.cfg.MaxDatagram))
 	}

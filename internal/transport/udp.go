@@ -97,16 +97,6 @@ type udpConn interface {
 	Close() error
 }
 
-// sendBufPool recycles encode buffers across sends: with AppendEncode
-// the steady-state hot path allocates nothing once the pooled buffers
-// have grown to the working message size.
-var sendBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
-}
-
 // UDPTransport carries gossip messages as UDP datagrams — the role the
 // Ethernet LAN plays in the paper's prototype experiments. Peers are
 // registered explicitly in an address book (the examples and cmd tools
@@ -115,16 +105,22 @@ var sendBufPool = sync.Pool{
 // Receives are asynchronous: the read loop only moves datagrams into a
 // bounded dispatch queue, a separate goroutine decodes and runs the
 // handler, and overflow is counted in RecvQueueDrops rather than
-// stalling the socket. Each datagram is read into a pooled Inbound,
-// decoded in place, and the envelope travels on to the InboundHandler
-// (SetHandler installs one that clones the message and recycles the
-// envelope).
+// stalling the socket. Each datagram is read into an Inbound from the
+// endpoint's free list, decoded in place, and the envelope travels on
+// to the InboundHandler (SetHandler installs one that clones the
+// message and releases the envelope). Sends encode into a buffer from a
+// second free list. The endpoints of a UDPNetwork share both lists; an
+// endpoint made alone has its own. A garbage collection empties
+// neither: once they hold the working set, sending and receiving
+// allocate nothing.
 type UDPTransport struct {
 	id    gossip.NodeID
 	conn  udpConn
 	codec Codec
 	maxDg int
 	ids   *idTable // touched by the dispatch goroutine only
+
+	scratch *endpointScratch
 
 	mu      sync.RWMutex
 	book    map[gossip.NodeID]*net.UDPAddr
@@ -216,6 +212,14 @@ func WithUDPCompression(comp Compressor) UDPOption {
 	}
 }
 
+// withScratch makes the endpoint share a fabric's free lists.
+func withScratch(s *endpointScratch) UDPOption {
+	return func(t *UDPTransport) error {
+		t.scratch = s
+		return nil
+	}
+}
+
 // withUDPRecvQueue overrides the dispatch queue depth
 // (DefaultRecvQueue); the overflow tests shrink it. Overflow is dropped
 // and counted either way.
@@ -267,10 +271,17 @@ func newUDPTransport(id gossip.NodeID, conn udpConn, opts ...UDPOption) (*UDPTra
 	if t.recvQ == nil {
 		t.recvQ = make(chan *Inbound, DefaultRecvQueue)
 	}
+	if t.scratch == nil {
+		t.scratch = newEndpointScratch()
+	}
+	t.scratch.addEndpoint()
 	// Give the codec a stats sink (unless an override codec brought its
 	// own) so the pre-/post-compression byte counters show up in Stats.
 	if t.codec.Stats == nil {
 		t.codec.Stats = &CodecStats{}
+	}
+	if t.codec.sections == nil {
+		t.codec.sections = newSectionList()
 	}
 	return t, nil
 }
@@ -353,7 +364,7 @@ func (t *UDPTransport) readLoop() {
 	defer close(t.recvQ)
 	backoff := initialReadBackoff
 	for {
-		in := leaseInbound()
+		in := t.leaseInbound()
 		n, _, err := t.conn.ReadFromUDPAddrPort(in.buf)
 		if err != nil {
 			in.Release()
@@ -384,6 +395,17 @@ func (t *UDPTransport) readLoop() {
 			in.Release()
 		}
 	}
+}
+
+// leaseInbound takes an envelope from the fabric's free list, making
+// one when the list is empty.
+func (t *UDPTransport) leaseInbound() *Inbound {
+	in, ok := t.scratch.inbounds.get()
+	if !ok {
+		in = &Inbound{buf: make([]byte, maxDatagramRead), home: t.scratch.inbounds}
+	}
+	in.leased.Store(true)
+	return in
 }
 
 // dispatchLoop decodes queued datagrams and runs the handler, off the
@@ -460,15 +482,15 @@ func (t *UDPTransport) SendMany(targets []gossip.NodeID, msg *gossip.Message) (i
 			return 0, err
 		}
 	} else {
-		bp := sendBufPool.Get().(*[]byte)
-		defer sendBufPool.Put(bp)
-		buf, err := t.codec.AppendEncode((*bp)[:0], msg)
+		buf, _ := t.scratch.sendBufs.get()
+		buf, err := t.codec.AppendEncode(buf, msg)
 		if err != nil {
+			putBuf(t.scratch.sendBufs, buf)
 			t.sendErrors.Add(uint64(len(targets)))
 			return 0, err
 		}
-		*bp = buf
 		single = buf
+		defer putBuf(t.scratch.sendBufs, buf)
 	}
 	sent := 0
 	var first error

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adaptivegossip/internal/gossip"
-	"adaptivegossip/internal/race"
 )
 
 // benchMessage is a loaded round message: 30 events of 200 bytes, the
@@ -187,10 +186,7 @@ func TestEncodeOnceFanoutAllocs(t *testing.T) {
 				}
 			})
 			t.Logf("%s, fanout %d: %.1f allocs/round", codec.name, fanout, allocs)
-			// The race detector makes sync.Pool drop a quarter of what is
-			// Put; each drop costs the next round a new send buffer or
-			// deflater.
-			if allocs != 0 && !race.Enabled {
+			if allocs != 0 {
 				t.Errorf("%s: SendMany at fanout %d allocates %v times per round, want 0", codec.name, fanout, allocs)
 			}
 		}

@@ -81,6 +81,7 @@ func (g *groupObservability) bindServer(addr string, stats func() Stats, cluster
 				"gossip_health_digests_sent_total":        s.HealthDigestsSent,
 				"gossip_health_digests_received_total":    s.HealthDigestsReceived,
 				"gossip_health_digests_merged_total":      s.HealthDigestsMerged,
+				"gossip_peers_refused_total":              s.PeersRefused,
 			},
 			Gauges: map[string]float64{
 				"gossip_nodes":            float64(s.Nodes),

@@ -79,6 +79,11 @@ type Stats struct {
 	// deployment shape; in a Cluster the members' observations of each
 	// peer pool into one row.
 	Peers []PeerLinkStats
+	// PeersRefused counts the times a peer id was refused a Peers row
+	// because the table already held its bound of 1,024 peers; its
+	// traffic goes unattributed. Peer ids are unauthenticated, so a
+	// climbing count is the sign of a flood of forged ids.
+	PeersRefused uint64
 }
 
 // PeerLinkStats is one peer's link telemetry row in Stats.Peers: the
@@ -275,4 +280,5 @@ func (s *Stats) add(snap runtime.NodeSnapshot) {
 // peer table snapshot.
 func (s *Stats) addPeers(table *observe.PeerTable) {
 	s.Peers = peerLinkStats(table.Snapshot())
+	s.PeersRefused = table.Overflow()
 }
