@@ -258,13 +258,11 @@ func (a *Adaptor) sample(ev gossip.Event) {
 // accounting of Figure 5(b) on a buffer that evicts per insertion. Age
 // expiry (the protocol's normal end of life) and resize evictions (a
 // transient the minBuff mechanism handles) only prune the lost set.
-func (a *Adaptor) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
-	for _, ev := range evicted {
-		if reason == gossip.EvictCapacity && !a.counted(ev.ID) {
-			a.sample(ev)
-		} else {
-			delete(a.lost, ev.ID)
-		}
+func (a *Adaptor) OnEvicted(n *gossip.Node, ev gossip.Event, reason gossip.EvictReason) {
+	if reason == gossip.EvictCapacity && !a.counted(ev.ID) {
+		a.sample(ev)
+	} else {
+		delete(a.lost, ev.ID)
 	}
 }
 
@@ -278,4 +276,4 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-var _ gossip.Extension = (*Adaptor)(nil)
+var _ gossip.EvictionObserver = (*Adaptor)(nil)

@@ -90,25 +90,25 @@ func TestCongestionLostSetLifecycle(t *testing.T) {
 	if len(a.lost) != 2 {
 		t.Fatalf("lost len = %d", len(a.lost))
 	}
-	a.OnEvicted(nil, []gossip.Event{one}, gossip.EvictExpired)
+	a.OnEvicted(nil, one, gossip.EvictExpired)
 	if a.counted(one.ID) {
 		t.Fatal("forgotten event still counted")
 	}
 	if len(a.lost) != 1 {
 		t.Fatalf("lost len = %d after forget", len(a.lost))
 	}
-	a.OnEvicted(nil, []gossip.Event{evWithAge(9, 1)}, gossip.EvictResize) // unknown: no-op
+	a.OnEvicted(nil, evWithAge(9, 1), gossip.EvictResize) // unknown: no-op
 	if len(a.lost) != 1 || a.samples != 2 {
 		t.Fatalf("lost len %d, samples %d after an unknown eviction, want 1 and 2", len(a.lost), a.samples)
 	}
 	// A counted event dropped for capacity is forgotten, not counted again.
-	a.OnEvicted(nil, []gossip.Event{two}, gossip.EvictCapacity)
+	a.OnEvicted(nil, two, gossip.EvictCapacity)
 	if a.counted(two.ID) || a.samples != 2 {
 		t.Fatalf("capacity drop of a counted event: counted %v, samples %d, want false and 2", a.counted(two.ID), a.samples)
 	}
 	// An uncounted one is a sample.
 	alpha, before := a.p.Alpha, a.avgAge
-	a.OnEvicted(nil, []gossip.Event{three}, gossip.EvictCapacity)
+	a.OnEvicted(nil, three, gossip.EvictCapacity)
 	if a.counted(three.ID) || a.samples != 3 || a.avgAge != alpha*before+(1-alpha)*6 {
 		t.Fatalf("capacity drop of an uncounted event: counted %v, samples %d, avgAge %v", a.counted(three.ID), a.samples, a.avgAge)
 	}

@@ -386,9 +386,6 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	}
 }
 
-// OnEvicted is a no-op; the detector does not track events.
-func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {}
-
 // TakeOutgoing drains the queued probe messages (pings, acks and
 // ping-reqs). Drivers call it after every Tick and Receive and transmit
 // the returned messages, which are scratch until the node's next Tick or

@@ -15,9 +15,9 @@ const bufferIndexSpread = 4
 // Buffer is the bounded events store of Figure 1.
 //
 // Entries are kept ordered by age (youngest first). When the buffer is
-// over capacity the oldest event is discarded: highest age first and,
-// among equal ages, the entry that has been resident longest — the
-// paper's "remove oldest element from events" with age as the discard
+// full the oldest event is discarded: highest age first and, among
+// equal ages, the entry that has been resident longest — the paper's
+// "remove oldest element from events" with age as the discard
 // criterion.
 //
 // The order lives in maxAge+2 age buckets, each an intrusive doubly
@@ -30,21 +30,22 @@ const bufferIndexSpread = 4
 // and splices the maxAge one in front of the last; the eviction victim
 // is the tail of the highest non-empty bucket, found from a hint.
 //
-// Entries live by value in a slab whose slots are recycled through a
-// free list; an idTable of slots, keyed by the seeded id hash, finds an
-// entry by id. Slab, free list, table and eviction scratch are sized
-// for capacity+1 entries (Add holds one over capacity before it evicts)
+// Entries live by value in a slab of capacity slots; an idTable of
+// slots, keyed by the seeded id hash, finds one by id. An Add into a
+// full buffer writes the newcomer over its victim's slot and links it
+// at its bucket's head, where every new insertion goes; a newcomer
+// older than everything buffered is the victim itself and is not
+// stored. Slots that expiry and shrinking free are recycled through a
+// free list. Slab, free list and table are sized for capacity entries
 // when the buffer is made and when SetCapacity grows it, never else, so
-// insert, evict, reposition and expire allocate nothing.
+// insert, evict, reposition and expire allocate nothing. What leaves
+// the buffer is returned by value, one event at a time: at most one
+// from Add, one per DropExpired or DropOverflow call, oldest first.
 //
 // The table runs at load at most ¼ (bufferIndexSpread), as IDCache's
 // does: a full buffer evicts, and so unlinks, an entry for every event
 // it takes in, and is probed for every event received, so short probe
 // runs are worth the slots (16 to 32 bytes per entry).
-//
-// The eviction slices returned by Add, DropExpired and SetCapacity
-// share one scratch backing array: they are valid only until the next
-// mutating Buffer call. Callers that need to retain them must copy.
 //
 // Buffer is not safe for concurrent use; the owning Node serializes
 // access.
@@ -58,7 +59,6 @@ type Buffer struct {
 	index    idTable    // finds a slab slot by id
 	seed     maphash.Seed
 	nextSeq  uint64
-	scratch  []Event // reused backing for eviction returns
 }
 
 type bufEntry struct {
@@ -91,16 +91,14 @@ func newBuffer(capacity, maxAge int, seed maphash.Seed) (*Buffer, error) {
 	return b, nil
 }
 
-// reserve sizes storage for capacity+1 entries unless it has room.
+// reserve sizes storage for capacity entries unless it has room.
 func (b *Buffer) reserve(capacity int) {
-	n := capacity + 1
-	if n <= len(b.index.hashes) {
+	if capacity <= len(b.index.hashes) {
 		return
 	}
-	b.slab = slices.Grow(b.slab, n-len(b.slab))
-	b.free = slices.Grow(b.free, n-len(b.free))
-	b.scratch = slices.Grow(b.scratch, n-len(b.scratch))
-	b.index.resize(n, bufferIndexSpread)
+	b.slab = slices.Grow(b.slab, capacity-len(b.slab))
+	b.free = slices.Grow(b.free, capacity-len(b.free))
+	b.index.resize(capacity, bufferIndexSpread)
 	for _, bk := range b.buckets {
 		for s := bk.head; s >= 0; s = b.slab[s].next {
 			b.index.link(int(s), b.index.hashes[s])
@@ -151,11 +149,11 @@ func (b *Buffer) find(id EventID, h uint32) int {
 // given (stored, so non-negative) age.
 func (b *Buffer) bucketOf(age int) int { return min(age, b.maxAge+1) }
 
-// link enters the slab slot into its age bucket: before the first entry
-// that is older or was inserted earlier. A stored age is never below
-// the others of its bucket (the last bucket's are raised to maxAge+1 at
-// least), so a new insertion links at the head at once and a raised
-// entry after the newer ones of its new age.
+// link enters a raised entry into its new age's bucket: after the
+// newer entries of its age, before the first one that is older or was
+// inserted earlier. A stored age is never above the others of its
+// bucket (the last bucket's are maxAge+1 at least), so no older entry
+// precedes the place.
 func (b *Buffer) link(slot int) {
 	e := &b.slab[slot]
 	k := b.bucketOf(e.ev.Age)
@@ -178,9 +176,23 @@ func (b *Buffer) link(slot int) {
 	}
 }
 
+// linkHead enters a new insertion at the head of bucket k: it is the
+// newest entry there, and its age is not above any other's.
+func (b *Buffer) linkHead(slot, k int) {
+	bk := &b.buckets[k]
+	b.slab[slot].prev, b.slab[slot].next = -1, bk.head
+	if bk.head >= 0 {
+		b.slab[bk.head].prev = int32(slot)
+	} else {
+		bk.tail = int32(slot)
+	}
+	bk.head = int32(slot)
+	b.top = max(b.top, k)
+}
+
 // unlink removes the slab slot from its age bucket. The slot is NOT
-// freed; the caller either links it again (reposition) or releases it
-// with freeSlot.
+// freed; the caller links it again (reposition), overwrites it (a full
+// buffer's insert) or releases it (remove).
 func (b *Buffer) unlink(slot int) {
 	e := &b.slab[slot]
 	bk := &b.buckets[b.bucketOf(e.ev.Age)]
@@ -199,93 +211,70 @@ func (b *Buffer) unlink(slot int) {
 // clampAge bounds an age to what the buckets hold.
 func (b *Buffer) clampAge(age int) int { return min(max(age, 0), b.maxAge+1) }
 
-// freeSlot recycles a slab slot, dropping payload references so the
-// slab does not pin dead event payloads.
-func (b *Buffer) freeSlot(slot int) {
-	b.slab[slot] = bufEntry{}
-	b.free = append(b.free, slot)
-}
-
-// takeScratch returns the reusable eviction scratch at length zero,
-// first clearing the previous batch's entries so the scratch does not
-// pin payloads of long-gone evictions (the slab makes the same
-// guarantee via freeSlot).
-func (b *Buffer) takeScratch() []Event {
-	for i := range b.scratch {
-		b.scratch[i] = Event{}
+// oldest returns the slab slot of the oldest entry, lowering the top
+// hint to its bucket. The buffer must not be empty.
+func (b *Buffer) oldest() int {
+	for b.buckets[b.top].tail < 0 {
+		b.top--
 	}
-	return b.scratch[:0]
-}
-
-// alloc claims a slab slot for ev, recycling a free one when available.
-func (b *Buffer) alloc(ev Event) int {
-	seq := b.nextSeq
-	b.nextSeq++
-	if n := len(b.free); n > 0 {
-		slot := b.free[n-1]
-		b.free = b.free[:n-1]
-		b.slab[slot] = bufEntry{ev: ev, seq: seq}
-		return slot
-	}
-	b.slab = append(b.slab, bufEntry{ev: ev, seq: seq})
-	return len(b.slab) - 1
-}
-
-// Add inserts a new event and returns the events evicted to make room,
-// oldest first. An age above the buffer's max age is stored as max
-// age + 1, a negative one as 0. Adding an event whose ID is already
-// buffered is a programming error and reported as such; callers are
-// expected to route duplicates through RaiseAge. The returned slice is
-// only valid until the next mutating call.
-func (b *Buffer) Add(ev Event) ([]Event, error) {
-	h := b.hash(ev.ID)
-	if b.find(ev.ID, h) >= 0 {
-		return nil, fmt.Errorf("gossip: duplicate add of event %s", ev.ID)
-	}
-	return b.put(ev, h), nil
-}
-
-// put is Add for an event the caller has just failed to find.
-func (b *Buffer) put(ev Event, h uint32) []Event {
-	ev.Age = b.clampAge(ev.Age)
-	slot := b.alloc(ev)
-	b.link(slot)
-	b.index.link(slot, h)
-	return b.evictOverCapacity()
-}
-
-// evictOverCapacity removes the oldest entries until the buffer fits
-// its capacity. It returns the evicted events oldest first, nil when
-// none (Add and SetCapacity share this bookkeeping).
-func (b *Buffer) evictOverCapacity() []Event {
-	evicted := b.takeScratch()
-	for b.Len() > b.capacity {
-		if b.buckets[b.top].tail < 0 {
-			b.top--
-			continue
-		}
-		evicted = b.remove(int(b.buckets[b.top].tail), evicted)
-	}
-	return b.keepScratch(evicted)
+	return int(b.buckets[b.top].tail)
 }
 
 // remove takes the slab slot out of its bucket, the index and the slab,
-// and appends its event to evicted.
-func (b *Buffer) remove(slot int, evicted []Event) []Event {
+// and returns its event. The slot is zeroed so the slab does not pin
+// the payload.
+func (b *Buffer) remove(slot int) Event {
+	ev := b.slab[slot].ev
 	b.unlink(slot)
 	b.index.unlink(slot)
-	evicted = append(evicted, b.slab[slot].ev)
-	b.freeSlot(slot)
-	return evicted
+	b.slab[slot] = bufEntry{}
+	b.free = append(b.free, slot)
+	return ev
 }
 
-// keepScratch keeps evicted as the scratch and returns it, nil when empty.
-func (b *Buffer) keepScratch(evicted []Event) []Event {
-	b.scratch = evicted
-	if len(evicted) == 0 {
-		return nil
+// Add inserts a new event. A full buffer makes room by evicting its
+// oldest event, which Add returns with true; when the newcomer is older
+// than everything buffered, that is the newcomer itself, which is then
+// not stored. An age above the buffer's max age is stored as max age +
+// 1, a negative one as 0. Adding an event whose ID is already buffered
+// is a programming error and reported as such; callers are expected to
+// route duplicates through RaiseAge.
+func (b *Buffer) Add(ev Event) (Event, bool, error) {
+	h := b.hash(ev.ID)
+	if b.find(ev.ID, h) >= 0 {
+		return Event{}, false, fmt.Errorf("gossip: duplicate add of event %s", ev.ID)
 	}
-	return evicted
+	victim, evicted := b.put(ev, h)
+	return victim, evicted, nil
+}
+
+// put is Add for an event, hashing to h, that the caller has just
+// failed to find. A full buffer's victim leaves its bucket and the
+// index, and the newcomer is written over it in its slab slot.
+func (b *Buffer) put(ev Event, h uint32) (victim Event, evicted bool) {
+	ev.Age = b.clampAge(ev.Age)
+	k := b.bucketOf(ev.Age)
+	var slot int
+	switch n := len(b.free); {
+	case b.Len() >= b.capacity:
+		slot = b.oldest()
+		if k > b.top {
+			return ev, true
+		}
+		victim, evicted = b.slab[slot].ev, true
+		b.unlink(slot)
+		b.index.unlink(slot)
+	case n > 0:
+		slot, b.free = b.free[n-1], b.free[:n-1]
+	default:
+		slot = len(b.slab)
+		b.slab = b.slab[:slot+1]
+	}
+	b.slab[slot] = bufEntry{ev: ev, seq: b.nextSeq}
+	b.nextSeq++
+	b.linkHead(slot, k)
+	b.index.link(slot, h)
+	return victim, evicted
 }
 
 // RaiseAge updates a buffered event's age to the maximum of its current
@@ -319,7 +308,7 @@ func (b *Buffer) raiseAt(slot, age int) {
 // last bucket.
 func (b *Buffer) IncrementAges() {
 	for i := range b.slab {
-		b.slab[i].ev.Age++ // free slots too: alloc overwrites them whole
+		b.slab[i].ev.Age++ // free slots too: put overwrites them whole
 	}
 	old, last := b.buckets[b.maxAge], &b.buckets[b.maxAge+1]
 	if old.tail >= 0 {
@@ -336,29 +325,38 @@ func (b *Buffer) IncrementAges() {
 	b.top = min(b.top+1, b.maxAge+1)
 }
 
-// DropExpired removes and returns all events with age strictly greater
-// than the buffer's max age, oldest first. The returned slice is only
-// valid until the next mutating call.
-func (b *Buffer) DropExpired() []Event {
-	expired := b.takeScratch()
-	for last := &b.buckets[b.maxAge+1]; last.tail >= 0; {
-		expired = b.remove(int(last.tail), expired)
+// DropExpired removes and returns the oldest event whose age is above
+// the buffer's max age, with true; false when none is left. A round
+// calls it until it reports false.
+func (b *Buffer) DropExpired() (Event, bool) {
+	last := b.buckets[b.maxAge+1].tail
+	if last < 0 {
+		b.top = min(b.top, b.maxAge)
+		return Event{}, false
 	}
-	b.top = min(b.top, b.maxAge)
-	return b.keepScratch(expired)
+	return b.remove(int(last)), true
 }
 
-// SetCapacity changes the buffer capacity, evicting oldest events first
-// if the buffer shrinks below its current length. It returns the
-// evicted events, oldest first. The returned slice is only valid until
-// the next mutating call.
-func (b *Buffer) SetCapacity(capacity int) ([]Event, error) {
+// SetCapacity changes the buffer capacity. A buffer left holding more
+// events than that gives up the oldest ones through DropOverflow, which
+// the caller drains before the next Add.
+func (b *Buffer) SetCapacity(capacity int) error {
 	if capacity <= 0 {
-		return nil, fmt.Errorf("gossip: buffer capacity must be positive, got %d", capacity)
+		return fmt.Errorf("gossip: buffer capacity must be positive, got %d", capacity)
 	}
 	b.capacity = capacity
 	b.reserve(capacity)
-	return b.evictOverCapacity(), nil
+	return nil
+}
+
+// DropOverflow removes and returns the oldest event, with true, while
+// the buffer holds more events than its capacity — which only a
+// shrinking SetCapacity leaves it doing; false once it fits.
+func (b *Buffer) DropOverflow() (Event, bool) {
+	if b.Len() <= b.capacity {
+		return Event{}, false
+	}
+	return b.remove(b.oldest()), true
 }
 
 // AppendSnapshot appends copies of all buffered events to dst, youngest

@@ -196,7 +196,7 @@ func checkAgainstModel(t *testing.T, seed uint64, newID func(*Buffer) EventID) {
 			known = append(known, ev.ID)
 			opName = fmt.Sprintf("Add(%s age=%d)", ev.ID, ev.Age)
 			var err error
-			got, err = buf.Add(ev)
+			got, err = add(buf, ev)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %s: %v", seed, step, opName, err)
 			}
@@ -217,13 +217,13 @@ func checkAgainstModel(t *testing.T, seed uint64, newID func(*Buffer) EventID) {
 			ref.incrementAges()
 		case op < 95: // DropExpired
 			opName = "DropExpired"
-			got = buf.DropExpired()
+			got = drainExpired(buf)
 			want = ref.dropExpired()
 		default: // SetCapacity: shrinks, and grows past every size so far
 			capacity := 1 + rng.IntN(40)
 			opName = fmt.Sprintf("SetCapacity(%d)", capacity)
 			var err error
-			got, err = buf.SetCapacity(capacity)
+			got, err = setCapacity(buf, capacity)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %s: %v", seed, step, opName, err)
 			}

@@ -26,11 +26,43 @@ func mustBuffer(t *testing.T, capacity int) *Buffer {
 
 func mustAdd(t *testing.T, b *Buffer, ev Event) []Event {
 	t.Helper()
-	evicted, err := b.Add(ev)
+	evicted, err := add(b, ev)
 	if err != nil {
 		t.Fatalf("Add(%v): %v", ev.ID, err)
 	}
 	return evicted
+}
+
+// add is Add with its victim, if any, as a slice of one.
+func add(b *Buffer, ev Event) ([]Event, error) {
+	victim, evicted, err := b.Add(ev)
+	if !evicted {
+		return nil, err
+	}
+	return []Event{victim}, err
+}
+
+// drainExpired collects what DropExpired gives up, oldest first; nil
+// for nothing.
+func drainExpired(b *Buffer) []Event {
+	var expired []Event
+	for ev, ok := b.DropExpired(); ok; ev, ok = b.DropExpired() {
+		expired = append(expired, ev)
+	}
+	return expired
+}
+
+// setCapacity is SetCapacity followed by a drain of DropOverflow,
+// oldest first; nil for nothing.
+func setCapacity(b *Buffer, capacity int) ([]Event, error) {
+	if err := b.SetCapacity(capacity); err != nil {
+		return nil, err
+	}
+	var evicted []Event
+	for ev, ok := b.DropOverflow(); ok; ev, ok = b.DropOverflow() {
+		evicted = append(evicted, ev)
+	}
+	return evicted, nil
 }
 
 func TestNewBufferRejectsNonPositiveCapacity(t *testing.T) {
@@ -64,7 +96,7 @@ func TestBufferAddAndLen(t *testing.T) {
 func TestBufferDuplicateAddFails(t *testing.T) {
 	b := mustBuffer(t, 3)
 	mustAdd(t, b, mkEvent("a", 1, 0))
-	if _, err := b.Add(mkEvent("a", 1, 5)); err == nil {
+	if _, _, err := b.Add(mkEvent("a", 1, 5)); err == nil {
 		t.Fatal("duplicate Add: want error, got nil")
 	}
 }
@@ -163,7 +195,7 @@ func TestBufferDropExpired(t *testing.T) {
 	mustAdd(t, b, mkEvent("a", 4, 15)) // stored as 11
 	b.IncrementAges()
 
-	expired := b.DropExpired()
+	expired := drainExpired(b)
 	if len(expired) != 2 || expired[0].ID.Seq != 4 || expired[1].ID.Seq != 3 {
 		t.Fatalf("expired %v, want seqs 4 and 3, oldest first", expired)
 	}
@@ -173,7 +205,7 @@ func TestBufferDropExpired(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", b.Len())
 	}
-	if b.DropExpired() != nil {
+	if drainExpired(b) != nil {
 		t.Fatal("second DropExpired should remove nothing")
 	}
 }
@@ -199,7 +231,7 @@ func TestBufferClampsAges(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.IncrementAges()
-	if expired := b.DropExpired(); len(expired) != 2 || expired[0].Age != 12 || expired[1].Age != 12 {
+	if expired := drainExpired(b); len(expired) != 2 || expired[0].Age != 12 || expired[1].Age != 12 {
 		t.Fatalf("expired %v, want both forged ages at 12", expired)
 	}
 }
@@ -209,7 +241,7 @@ func TestBufferSetCapacity(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		mustAdd(t, b, mkEvent("a", i, int(i)))
 	}
-	evicted, err := b.SetCapacity(2)
+	evicted, err := setCapacity(b, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +257,7 @@ func TestBufferSetCapacity(t *testing.T) {
 	if b.Capacity() != 2 || b.Len() != 2 {
 		t.Fatalf("capacity/len = %d/%d, want 2/2", b.Capacity(), b.Len())
 	}
-	if _, err := b.SetCapacity(0); err == nil {
+	if _, err := setCapacity(b, 0); err == nil {
 		t.Fatal("SetCapacity(0): want error")
 	}
 	// Growing past the capacity the buffer was made with resizes the
@@ -233,7 +265,7 @@ func TestBufferSetCapacity(t *testing.T) {
 	if err := b.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SetCapacity(100); err != nil {
+	if _, err := setCapacity(b, 100); err != nil {
 		t.Fatal(err)
 	}
 	if len(b.index.hashes) <= 5 {
@@ -314,7 +346,7 @@ func TestBufferRandomOpsInvariants(t *testing.T) {
 		case 3:
 			b.IncrementAges()
 		case 4:
-			for _, e := range b.DropExpired() {
+			for _, e := range drainExpired(b) {
 				delete(live, e.ID)
 			}
 		}
@@ -329,7 +361,7 @@ func TestBufferRandomOpsInvariants(t *testing.T) {
 	// Eviction order: drain the buffer via capacity 1 and verify ages
 	// are non-increasing.
 	prev := int(^uint(0) >> 1)
-	evicted, err := b.SetCapacity(1)
+	evicted, err := setCapacity(b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +388,7 @@ func (b *Buffer) checkInvariants() error {
 	if len(b.buckets) != b.maxAge+2 {
 		return fmt.Errorf("%d buckets for max age %d", len(b.buckets), b.maxAge)
 	}
-	if len(b.slab) > len(b.index.hashes) || b.capacity >= len(b.index.hashes) {
+	if len(b.slab) > len(b.index.hashes) || b.capacity > len(b.index.hashes) {
 		return fmt.Errorf("slab %d, capacity %d: the index has %d positions", len(b.slab), b.capacity, len(b.index.hashes))
 	}
 	if slots, n := len(b.index.slots), len(b.index.hashes); slots < bufferIndexSpread*n || slots >= 2*bufferIndexSpread*n {

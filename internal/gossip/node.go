@@ -55,7 +55,7 @@ func (r EvictReason) String() string {
 // (internal/membership) are both Extensions.
 //
 // Hooks run synchronously on the Node's driver; they must not retain the
-// passed Message or Events beyond the call.
+// passed Message beyond the call.
 type Extension interface {
 	// OnTick runs while an outgoing gossip message is being built, after
 	// ages were advanced and expired events purged. Extensions may set
@@ -64,8 +64,18 @@ type Extension interface {
 	// OnReceive runs after the events of an incoming message have been
 	// stored and their ages updated, per Figure 5(b)'s placement.
 	OnReceive(n *Node, in *Message)
-	// OnEvicted reports events leaving the buffer and why.
-	OnEvicted(n *Node, evicted []Event, reason EvictReason)
+}
+
+// EvictionObserver is an Extension told of every event that leaves the
+// buffer (the adaptive mechanism and recovery are). A Node finds its
+// observers among its extensions when it is made.
+type EvictionObserver interface {
+	Extension
+	// OnEvicted reports one event that has left the buffer, and why:
+	// an insert's victim right after the insert, a round's expiry and a
+	// shrink one call per event, oldest first. The payload is shared
+	// and read-only.
+	OnEvicted(n *Node, ev Event, reason EvictReason)
 }
 
 // DeliverFunc receives events exactly once each, in arrival order.
@@ -164,8 +174,9 @@ type Node struct {
 	peers  PeerSampler
 	rng    *rand.Rand
 
-	deliver DeliverFunc
-	exts    []Extension
+	deliver   DeliverFunc
+	exts      []Extension
+	observers []EvictionObserver // the exts told of evictions
 
 	round   uint64
 	nextSeq uint64
@@ -256,6 +267,11 @@ func NewNode(id NodeID, params Params, peers PeerSampler, rng *rand.Rand, opts .
 	for _, opt := range opts {
 		opt(n)
 	}
+	for _, ext := range n.exts {
+		if o, ok := ext.(EvictionObserver); ok {
+			n.observers = append(n.observers, o)
+		}
+	}
 	if n.tracer != nil {
 		n.traceAwait = make(map[EventID]struct{})
 	}
@@ -305,15 +321,14 @@ func (n *Node) AppendOldestUncounted(dst []Event, limit int, counted func(EventI
 
 // SetBufferCapacity changes |events|max at runtime — the dynamic
 // resource scenario of paper §4. Evicted events are reported to
-// extensions with EvictResize.
+// eviction observers with EvictResize.
 func (n *Node) SetBufferCapacity(capacity int) error {
-	evicted, err := n.buf.SetCapacity(capacity)
-	if err != nil {
+	if err := n.buf.SetCapacity(capacity); err != nil {
 		return fmt.Errorf("gossip: node %s: %w", n.id, err)
 	}
-	if len(evicted) > 0 {
-		n.stats.DroppedResize += uint64(len(evicted))
-		n.notifyEvicted(evicted, EvictResize)
+	for ev, ok := n.buf.DropOverflow(); ok; ev, ok = n.buf.DropOverflow() {
+		n.stats.DroppedResize++
+		n.notifyEvicted(ev, EvictResize)
 	}
 	return nil
 }
@@ -341,12 +356,12 @@ func (n *Node) Broadcast(payload []byte) Event {
 		n.traceAwait[ev.ID] = struct{}{}
 	}
 	n.deliverLocal(ev)
-	evicted, err := n.buf.Add(ev)
+	victim, evicted, err := n.buf.Add(ev)
 	if err != nil {
 		// The member restarted under its old id and got its events back.
 		panic(err)
 	}
-	n.dropped(evicted)
+	n.dropped(victim, evicted)
 	return ev
 }
 
@@ -368,10 +383,7 @@ func (n *Node) Broadcast(payload []byte) Event {
 func (n *Node) Tick() []Outgoing {
 	n.round++
 	n.buf.IncrementAges()
-	if expired := n.buf.DropExpired(); len(expired) > 0 {
-		n.stats.DroppedExpired += uint64(len(expired))
-		n.notifyEvicted(expired, EvictExpired)
-	}
+	n.dropExpired()
 
 	// Rebuild the round message in place: scalar fields reset, the
 	// events snapshot and the extension-appended piggyback slices reuse
@@ -426,9 +438,14 @@ func (n *Node) Resume(rounds int) {
 	for range min(rounds, n.params.MaxAge+1) {
 		n.buf.IncrementAges()
 	}
-	if expired := n.buf.DropExpired(); len(expired) > 0 {
-		n.stats.DroppedExpired += uint64(len(expired))
-		n.notifyEvicted(expired, EvictExpired)
+	n.dropExpired()
+}
+
+// dropExpired purges the events past MaxAge, reporting each.
+func (n *Node) dropExpired() {
+	for ev, ok := n.buf.DropExpired(); ok; ev, ok = n.buf.DropExpired() {
+		n.stats.DroppedExpired++
+		n.notifyEvicted(ev, EvictExpired)
 	}
 }
 
@@ -579,38 +596,32 @@ func (n *Node) deliverLocal(ev Event) {
 	}
 }
 
-// dropped accounts for the events an insert pushed out of the buffer.
-func (n *Node) dropped(evicted []Event) {
-	if len(evicted) > 0 {
-		n.stats.DroppedCapacity += uint64(len(evicted))
-		for _, e := range evicted {
-			n.stats.DroppedAgeSum += uint64(e.Age)
-		}
-		n.notifyEvicted(evicted, EvictCapacity)
+// dropped accounts for the event an insert pushed out of the buffer, if
+// it evicted one.
+func (n *Node) dropped(ev Event, evicted bool) {
+	if !evicted {
+		return
 	}
+	n.stats.DroppedCapacity++
+	n.stats.DroppedAgeSum += uint64(ev.Age)
+	n.notifyEvicted(ev, EvictCapacity)
 }
 
-func (n *Node) notifyEvicted(evicted []Event, reason EvictReason) {
+func (n *Node) notifyEvicted(ev Event, reason EvictReason) {
 	if n.metrics != nil && reason == EvictCapacity {
-		for _, e := range evicted {
-			n.metrics.DropAge.ObserveInt(int64(e.Age))
-		}
+		n.metrics.DropAge.ObserveInt(int64(ev.Age))
 	}
 	if n.tracer != nil {
-		rs := reason.String()
-		for _, e := range evicted {
-			delete(n.traceAwait, e.ID)
-			if !n.tracer.Sampled(string(e.ID.Origin), e.ID.Seq) {
-				continue
-			}
+		delete(n.traceAwait, ev.ID)
+		if n.tracer.Sampled(string(ev.ID.Origin), ev.ID.Seq) {
 			n.tracer.Trace(observe.TraceEvent{
-				Origin: string(e.ID.Origin), Seq: e.ID.Seq,
+				Origin: string(ev.ID.Origin), Seq: ev.ID.Seq,
 				Stage: observe.StageDrop, Node: string(n.id),
-				Hop: e.Hop, Round: n.round, Reason: rs,
+				Hop: ev.Hop, Round: n.round, Reason: reason.String(),
 			})
 		}
 	}
-	for _, ext := range n.exts {
-		ext.OnEvicted(n, evicted, reason)
+	for _, o := range n.observers {
+		o.OnEvicted(n, ev, reason)
 	}
 }

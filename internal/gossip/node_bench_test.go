@@ -10,8 +10,10 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"adaptivegossip/internal/observe"
+	"adaptivegossip/internal/race"
 )
 
 // fixedPeers is a fixed-membership sampler for benchmarks: it returns
@@ -191,7 +193,7 @@ func BenchmarkBufferAdd(b *testing.B) {
 			ID:  EventID{Origin: "bench", Seq: uint64(i)},
 			Age: ages[i%len(ages)],
 		}
-		if _, err := buf.Add(ev); err != nil {
+		if _, _, err := buf.Add(ev); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,6 +326,46 @@ func TestReceiveBorrowedAllocsPerNewEvent(t *testing.T) {
 	}
 }
 
+// TestNodeFootprint pins what NewNode allocates at the paper's setting,
+// MaxEvents 120 and MaxAge 10: the buffer's slab (an entry and a free
+// list slot per event), its id index at load at most ¼, the round
+// snapshot Tick reuses, and a fixed 3 KiB for the age buckets, the
+// node, buffer and replay headers and size-class rounding. A second
+// array of the buffer's events, as an eviction scratch was, lands in an
+// 8 KiB size class and fails it. The collector is off while it counts,
+// right after a collection, as in TestReceiveBorrowedAllocsPerNewEvent.
+func TestNodeFootprint(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector pads every allocation")
+	}
+	const fixed = 3 << 10
+	params := benchParams()
+	peers, rng := benchPeers(8), rand.New(rand.NewPCG(1, 2))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewNode("a", params, peers, rng)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := uint64(params.MaxEvents)
+	slots := uint64(1)
+	for slots < bufferIndexSpread*events {
+		slots <<= 1
+	}
+	slab := events * uint64(unsafe.Sizeof(bufEntry{})+unsafe.Sizeof(int(0)))
+	index := (events + slots) * 4
+	snapshot := events * uint64(unsafe.Sizeof(Event{}))
+	total := after.TotalAlloc - before.TotalAlloc
+	if bound := slab + index + snapshot + fixed; total > bound {
+		t.Fatalf("NewNode allocates %d B, want at most %d: slab %d + index %d + snapshot %d + %d fixed",
+			total, bound, slab, index, snapshot, fixed)
+	}
+	t.Logf("NewNode allocates %d B in %d objects", total, after.Mallocs-before.Mallocs)
+}
+
 // TestArenaAllocPayloadsDoNotAlias: payloads carved back to back from
 // one chunk must not reach each other through their capacity. A
 // subscriber that appends to a payload it was handed — here, the
@@ -390,9 +432,10 @@ func TestArenaAllocPayloadsDoNotAlias(t *testing.T) {
 }
 
 // TestBufferAddAllocFree counts from an empty buffer, so the runs
-// include the first inserts, the first one that holds capacity+1
-// entries before it evicts, age raises that reposition, and expiry:
-// storage is sized when the buffer is made, and nothing grows later.
+// include the first inserts, the first insert into a full buffer, which
+// writes over its victim's slot, age raises that reposition, expiry
+// and inserts into the slots it freed: storage is sized when the buffer
+// is made, and nothing grows later.
 func TestBufferAddAllocFree(t *testing.T) {
 	var bufs []*Buffer // AllocsPerRun calls once before it counts
 	for range 2 {
@@ -407,13 +450,14 @@ func TestBufferAddAllocFree(t *testing.T) {
 		buf, bufs = bufs[0], bufs[1:]
 		for seq := uint64(0); seq < 400; seq++ {
 			ev := Event{ID: EventID{Origin: "bench", Seq: seq}, Age: int(seq % 10)}
-			if _, err := buf.Add(ev); err != nil {
+			if _, _, err := buf.Add(ev); err != nil {
 				t.Fatal(err)
 			}
 			buf.RaiseAge(EventID{Origin: "bench", Seq: seq / 2}, int(seq%12))
 			if seq%40 == 39 {
 				buf.IncrementAges()
-				buf.DropExpired()
+				for _, ok := buf.DropExpired(); ok; _, ok = buf.DropExpired() {
+				}
 			}
 		}
 	}

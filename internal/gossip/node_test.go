@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -288,11 +289,11 @@ func (r *recordingExt) OnReceive(n *Node, in *Message) {
 	r.lastMsg = in
 }
 
-func (r *recordingExt) OnEvicted(n *Node, evicted []Event, reason EvictReason) {
+func (r *recordingExt) OnEvicted(n *Node, ev Event, reason EvictReason) {
 	if r.evicted == nil {
 		r.evicted = map[EvictReason]int{}
 	}
-	r.evicted[reason] += len(evicted)
+	r.evicted[reason]++
 }
 
 func TestExtensionHooks(t *testing.T) {
@@ -331,6 +332,78 @@ func TestExtensionHooks(t *testing.T) {
 	}
 	if ext.evicted[EvictResize] == 0 {
 		t.Fatal("OnEvicted(EvictResize) never called")
+	}
+}
+
+// eviction is one event an extension was told left the buffer.
+type eviction struct {
+	id     EventID
+	age    int
+	reason EvictReason
+}
+
+// evictionRecorder is an extension that records every eviction it is
+// told of, in order.
+type evictionRecorder struct{ got []eviction }
+
+func (r *evictionRecorder) OnTick(*Node, *Message)    {}
+func (r *evictionRecorder) OnReceive(*Node, *Message) {}
+func (r *evictionRecorder) OnEvicted(_ *Node, ev Event, reason EvictReason) {
+	r.got = append(r.got, eviction{ev.ID, ev.Age, reason})
+}
+
+// TestEvictionSequence runs one script through a node of 6 events and
+// max age 10 and holds the exact (event, age, reason) sequence its
+// extension is told of: a full buffer's newcomer that is the oldest is
+// the capacity victim itself, at its clamped age; a newcomer that is
+// not pushes out the longest resident of the oldest age; a round
+// expires the events past max age, longest resident first; and a
+// shrink by 3 evicts oldest first, ties by residency.
+func TestEvictionSequence(t *testing.T) {
+	rec := &evictionRecorder{}
+	n, err := NewNode("a", Params{Fanout: 1, Period: time.Second, MaxEvents: 6, MaxAge: 10},
+		staticPeers{"a", "b"}, rand.New(rand.NewPCG(1, 2)), WithExtensions(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	receive := func(seq uint64, age int) {
+		n.Receive(&Message{From: "p", Events: []Event{mkEvent("p", seq, age)}})
+	}
+	for seq, age := range []int{10, 10, 10, 10, 2, 1} {
+		receive(uint64(seq), age)
+	}
+	if len(rec.got) != 0 || n.BufferLen() != 6 {
+		t.Fatalf("filling the buffer evicted %v, holds %d", rec.got, n.BufferLen())
+	}
+	receive(6, 50) // the oldest of all: delivered, never stored
+	receive(7, 0)  // pushes out seq 0, the first of the age-10 events
+	n.Tick()       // ages 10 → 11: seqs 1, 2 and 3 expire
+	for seq, age := range []int{5, 5, 0} {
+		receive(uint64(8+seq), age)
+	}
+	if err := n.SetBufferCapacity(3); err != nil {
+		t.Fatal(err)
+	}
+	id := func(seq uint64) EventID { return EventID{Origin: "p", Seq: seq} }
+	want := []eviction{
+		{id(6), 11, EvictCapacity},
+		{id(0), 10, EvictCapacity},
+		{id(1), 11, EvictExpired},
+		{id(2), 11, EvictExpired},
+		{id(3), 11, EvictExpired},
+		{id(8), 5, EvictResize},
+		{id(9), 5, EvictResize},
+		{id(4), 3, EvictResize},
+	}
+	if !slices.Equal(rec.got, want) {
+		t.Fatalf("evictions\n got %v\nwant %v", rec.got, want)
+	}
+	st := n.Stats()
+	if st.DroppedCapacity != 2 || st.DroppedAgeSum != 21 || st.DroppedExpired != 3 || st.DroppedResize != 3 {
+		t.Fatalf("stats %+v: want 2 capacity drops of ages summing to 21, 3 expired, 3 resized", st)
+	}
+	if n.BufferLen() != 3 || n.buf.Contains(id(6)) {
+		t.Fatalf("the buffer holds %d events, the oldest newcomer stored: %v", n.BufferLen(), n.buf.Contains(id(6)))
 	}
 }
 

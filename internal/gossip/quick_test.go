@@ -32,7 +32,7 @@ func TestQuickBufferInvariants(t *testing.T) {
 			case 0, 1:
 				ev := Event{ID: EventID{Origin: "q", Seq: seq}, Age: int(o.Age % 20)}
 				seq++
-				evicted, err := b.Add(ev)
+				evicted, err := add(b, ev)
 				if err != nil {
 					return false
 				}
@@ -46,12 +46,12 @@ func TestQuickBufferInvariants(t *testing.T) {
 			case 3:
 				b.IncrementAges()
 			case 4:
-				for _, e := range b.DropExpired() {
+				for _, e := range drainExpired(b) {
 					delete(live, e.ID)
 				}
 			case 5:
 				newCap := int(o.Arg)%64 + 1
-				evicted, err := b.SetCapacity(newCap)
+				evicted, err := setCapacity(b, newCap)
 				if err != nil {
 					return false
 				}
@@ -88,11 +88,11 @@ func TestQuickBufferEvictionIsOldestFirst(t *testing.T) {
 			return false
 		}
 		for i, a := range ages {
-			if _, err := b.Add(Event{ID: EventID{Origin: "q", Seq: uint64(i)}, Age: int(a % 30)}); err != nil {
+			if _, _, err := b.Add(Event{ID: EventID{Origin: "q", Seq: uint64(i)}, Age: int(a % 30)}); err != nil {
 				return false
 			}
 		}
-		evicted, err := b.SetCapacity(1)
+		evicted, err := setCapacity(b, 1)
 		if err != nil {
 			return false
 		}

@@ -168,9 +168,6 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 	}
 }
 
-// OnEvicted is a no-op; the engine tracks no per-event state.
-func (e *Engine) OnEvicted(*gossip.Node, []gossip.Event, gossip.EvictReason) {}
-
 func (e *Engine) insertOrderLocked(id gossip.NodeID) {
 	i := sort.Search(len(e.order), func(i int) bool { return e.order[i] >= id })
 	e.order = append(e.order, "")

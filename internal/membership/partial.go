@@ -214,9 +214,6 @@ func (v *PartialView) OnReceive(n *gossip.Node, in *Message) {
 	}
 }
 
-// OnEvicted is a no-op; the partial view does not track events.
-func (v *PartialView) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {}
-
 func (v *PartialView) addToView(id gossip.NodeID) {
 	if id == v.self {
 		return

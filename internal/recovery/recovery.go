@@ -451,10 +451,8 @@ func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
 // OnEvicted retains buffer eviction victims: an event pushed out of the
 // events buffer is exactly the kind of event that may still need to be
 // served to a peer that lost every push copy.
-func (e *Engine) OnEvicted(n *gossip.Node, evicted []gossip.Event, reason gossip.EvictReason) {
-	for _, ev := range evicted {
-		e.observe(n, ev, false)
-	}
+func (e *Engine) OnEvicted(n *gossip.Node, ev gossip.Event, reason gossip.EvictReason) {
+	e.observe(n, ev, false)
 }
 
 // diffDigest records advertised ids the node has not seen.
@@ -575,4 +573,4 @@ func (e *Engine) requestTo(n *gossip.Node, target gossip.NodeID) int {
 // Receive (gossip.Outbox).
 func (e *Engine) TakeOutgoing() []gossip.Outgoing { return e.out.Take() }
 
-var _ gossip.Extension = (*Engine)(nil)
+var _ gossip.EvictionObserver = (*Engine)(nil)
