@@ -3,6 +3,8 @@ package adaptivegossip
 // The golden API test freezes the package's exported surface: every
 // exported type (with its exported fields and interface methods),
 // function, method, constant and variable, rendered with its signature.
+// An exported alias of a struct in an internal package is rendered with
+// that struct's exported fields, since callers set and read them.
 // An accidental rename, removal or signature change fails here before
 // it breaks downstream callers; deliberate changes are recorded with
 //
@@ -95,11 +97,86 @@ func exportedSurface(t *testing.T) []string {
 				lines = append(lines, funcLines(d)...)
 			case *ast.GenDecl:
 				lines = append(lines, genLines(d)...)
+				lines = append(lines, aliasFieldLines(t, fset, f, d)...)
 			}
 		}
 	}
 	sort.Strings(lines)
 	return lines
+}
+
+// aliasFieldLines renders the exported fields of the struct each
+// exported alias in d names in an internal package of this module, as
+// the fields of the alias.
+func aliasFieldLines(t *testing.T, fset *token.FileSet, f *ast.File, d *ast.GenDecl) []string {
+	t.Helper()
+	var lines []string
+	for _, spec := range d.Specs {
+		ts, ok := spec.(*ast.TypeSpec)
+		if !ok || !ts.Assign.IsValid() || !ts.Name.IsExported() {
+			continue
+		}
+		sel, ok := ts.Type.(*ast.SelectorExpr)
+		if !ok {
+			continue
+		}
+		dir, ok := internalDir(f, sel.X.(*ast.Ident).Name)
+		if !ok {
+			continue
+		}
+		if st := internalStruct(t, fset, dir, sel.Sel.Name); st != nil {
+			lines = append(lines, fieldLines(ts.Name.Name, st)...)
+		}
+	}
+	return lines
+}
+
+// internalDir returns the directory of the package f imports as name,
+// when that is an internal package of this module.
+func internalDir(f *ast.File, name string) (string, bool) {
+	const prefix = "adaptivegossip/internal/"
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		if imp.Name != nil && imp.Name.Name == name || imp.Name == nil && filepath.Base(path) == name {
+			return strings.TrimPrefix(path, "adaptivegossip/"), true
+		}
+	}
+	return "", false
+}
+
+// internalStruct returns the struct type declared as name in the
+// non-test files of dir, nil when name is not a struct there.
+func internalStruct(t *testing.T, fset *token.FileSet, dir, name string) *ast.StructType {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				if ts := spec.(*ast.TypeSpec); ts.Name.Name == name {
+					st, _ := ts.Type.(*ast.StructType)
+					return st
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func funcLines(d *ast.FuncDecl) []string {
@@ -157,19 +234,7 @@ func typeLines(ts *ast.TypeSpec) []string {
 	}
 	switch typ := ts.Type.(type) {
 	case *ast.StructType:
-		lines := []string{fmt.Sprintf("type %s struct", name)}
-		for _, field := range typ.Fields.List {
-			ft := types.ExprString(field.Type)
-			for _, fname := range field.Names {
-				if fname.IsExported() {
-					lines = append(lines, fmt.Sprintf("field %s.%s %s", name, fname.Name, ft))
-				}
-			}
-			if len(field.Names) == 0 { // embedded
-				lines = append(lines, fmt.Sprintf("field %s.%s (embedded)", name, ft))
-			}
-		}
-		return lines
+		return append([]string{fmt.Sprintf("type %s struct", name)}, fieldLines(name, typ)...)
 	case *ast.InterfaceType:
 		lines := []string{fmt.Sprintf("type %s interface", name)}
 		for _, m := range typ.Methods.List {
@@ -184,4 +249,21 @@ func typeLines(ts *ast.TypeSpec) []string {
 	default:
 		return []string{fmt.Sprintf("type %s %s", name, types.ExprString(ts.Type))}
 	}
+}
+
+// fieldLines renders the exported fields of st as fields of name.
+func fieldLines(name string, st *ast.StructType) []string {
+	var lines []string
+	for _, field := range st.Fields.List {
+		ft := types.ExprString(field.Type)
+		for _, fname := range field.Names {
+			if fname.IsExported() {
+				lines = append(lines, fmt.Sprintf("field %s.%s %s", name, fname.Name, ft))
+			}
+		}
+		if len(field.Names) == 0 { // embedded
+			lines = append(lines, fmt.Sprintf("field %s.%s (embedded)", name, ft))
+		}
+	}
+	return lines
 }
