@@ -20,8 +20,14 @@ type (
 	Event = gossip.Event
 	// EventID uniquely identifies a broadcast event.
 	EventID = gossip.EventID
-	// AdaptationConfig holds the adaptive mechanism's parameters
-	// (paper Figure 5); see the field docs in internal/core.Params.
+	// AdaptationConfig holds the adaptive mechanism's settable
+	// parameters (paper Figure 5): the estimator's window W and κ-th
+	// smallest buffer with its floor, the averages' weight α, the
+	// increase probability, the initial and maximum rates, and the
+	// token-check ablation. Figure 5's age marks, rate factors, sample
+	// period, rate floor and token bucket are fixed from the critical
+	// age, as the paper fixes them. See the field docs in
+	// internal/core.Params.
 	AdaptationConfig = core.Params
 	// SimConfig configures a simulated or real-time experiment run.
 	SimConfig = experiments.Config

@@ -60,7 +60,7 @@ func TestEverythingOnRoundAllocFree(t *testing.T) {
 				Gossip:   gossip.Params{Fanout: 4, Period: 50 * time.Millisecond, MaxEvents: 120, MaxAge: 10},
 				Adaptive: true,
 				Core:     cp,
-				Recovery: recovery.Params{Enabled: true, RetainRounds: 1000}, // the round's events stay in the store throughout
+				Recovery: recovery.Params{Enabled: true},
 				Failure:  failure.Params{Enabled: true},
 				Health:   health.Params{Enabled: true},
 				Links:    observe.NewPeerTable(64),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -85,7 +86,7 @@ func TestAdaptiveNodeThrottlesAtBucketRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burst := int(DefaultParams().TokenBucketMax)
+	burst := int(math.Floor(bucketMax))
 	admitted := 0
 	// Offer 100 messages instantaneously: only the initial burst
 	// (bucket capacity) is admitted.
@@ -220,7 +221,7 @@ func TestAdaptiveNodeCongestionLowersRate(t *testing.T) {
 	if got := n.AllowedRate(); got >= initial {
 		t.Fatalf("allowed rate %v did not fall below initial %v under congestion", got, initial)
 	}
-	if n.AvgAge() >= DefaultParams().LowAge {
+	if n.AvgAge() >= lowAge {
 		t.Fatalf("avgAge = %v, want below low mark", n.AvgAge())
 	}
 }

@@ -103,7 +103,8 @@ type Adaptor struct {
 
 // NewAdaptor builds the loop of member id, whose local buffer holds
 // localCap events: its bucket starts full at start, its rate at
-// params.InitialRate, and rng draws its randomized increases.
+// params.InitialRate, its avgAge at the operating point, and rng draws
+// its randomized increases.
 func NewAdaptor(id gossip.NodeID, params Params, localCap int, rng *rand.Rand, start time.Time) (*Adaptor, error) {
 	if err := params.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid params: %w", err)
@@ -111,8 +112,7 @@ func NewAdaptor(id gossip.NodeID, params Params, localCap int, rng *rand.Rand, s
 	if rng == nil {
 		return nil, fmt.Errorf("core: rng must not be nil")
 	}
-	est, err := NewMinBuffEstimator(id, params.MinBuffRank, params.MinBuffFloor,
-		params.Window, params.SamplePeriodRounds, localCap)
+	est, err := NewMinBuffEstimator(id, params.MinBuffRank, params.MinBuffFloor, params.Window, localCap)
 	if err != nil {
 		return nil, err
 	}
@@ -120,10 +120,10 @@ func NewAdaptor(id gossip.NodeID, params Params, localCap int, rng *rand.Rand, s
 		p:      params,
 		rng:    rng,
 		min:    est,
-		avgAge: params.TargetAge, // neutral until real samples arrive
+		avgAge: targetAge, // neutral until real samples arrive
 		lost:   make(map[gossip.EventID]struct{}),
-		rate:   clamp(params.InitialRate, params.MinRate, params.MaxRate),
-		tokens: params.TokenBucketMax,
+		rate:   clamp(params.InitialRate, minRate, params.MaxRate),
+		tokens: bucketMax,
 		last:   start,
 	}, nil
 }
@@ -140,7 +140,7 @@ func (a *Adaptor) Admit(now time.Time) bool {
 }
 
 // fill credits the bucket with what the allowed rate refilled since the
-// last fill, up to TokenBucketMax; a clock that steps back credits
+// last fill, up to bucketMax; a clock that steps back credits
 // nothing. The paper restores one token every 1000/rate milliseconds;
 // accruing rate tokens per second continuously is the fluid limit of
 // that rule, with no quantization when the rate changes midway through
@@ -151,7 +151,7 @@ func (a *Adaptor) fill(now time.Time) {
 		return
 	}
 	a.last = now
-	a.tokens = min(a.tokens+a.rate*dt.Seconds(), a.p.TokenBucketMax)
+	a.tokens = min(a.tokens+a.rate*dt.Seconds(), bucketMax)
 }
 
 // Adjust runs the rate step of Figure 5(c) at now, before the
@@ -164,27 +164,27 @@ func (a *Adaptor) Adjust(now time.Time) Adjustment {
 }
 
 // decide applies the decision rule to avgAge and avgTokens, changing
-// rate multiplicatively within [MinRate, MaxRate].
+// rate multiplicatively within [minRate, MaxRate].
 func (a *Adaptor) decide() Adjustment {
 	p := &a.p
 	// Decrease takes precedence: congestion or an unused allowance must
 	// never be masked by a simultaneous increase condition.
-	if a.avgAge <= p.LowAge {
-		a.rate = clamp(a.rate*(1-p.DecreaseFactor), p.MinRate, p.MaxRate)
+	if a.avgAge <= lowAge {
+		a.rate = clamp(a.rate*(1-decreaseFactor), minRate, p.MaxRate)
 		a.stats.DecreasesAge++
 		return AdjustDecreaseAge
 	}
-	if !p.DisableTokenCheck && a.avgTokens >= p.HighTokensFrac*p.TokenBucketMax {
-		a.rate = clamp(a.rate*(1-p.DecreaseFactor), p.MinRate, p.MaxRate)
+	if !p.DisableTokenCheck && a.avgTokens >= highTokensFrac*bucketMax {
+		a.rate = clamp(a.rate*(1-decreaseFactor), minRate, p.MaxRate)
 		a.stats.DecreasesUnused++
 		return AdjustDecreaseUnused
 	}
-	if a.avgAge >= p.HighAge && (p.DisableTokenCheck || a.avgTokens <= p.LowTokensFrac*p.TokenBucketMax) {
+	if a.avgAge >= highAge && (p.DisableTokenCheck || a.avgTokens <= lowTokensFrac*bucketMax) {
 		if a.rng.Float64() >= p.IncreaseProb {
 			a.stats.IncreasesSkip++
 			return AdjustIncreaseSkipped
 		}
-		a.rate = clamp(a.rate*(1+p.IncreaseFactor), p.MinRate, p.MaxRate)
+		a.rate = clamp(a.rate*(1+increaseFactor), minRate, p.MaxRate)
 		a.stats.Increases++
 		return AdjustIncrease
 	}

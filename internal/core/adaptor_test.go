@@ -37,20 +37,50 @@ func TestDefaultParamsValid(t *testing.T) {
 	}
 }
 
-// ageParams starts avgAge at initial and weighs history by alpha, with
-// the age marks around initial.
-func ageParams(alpha, initial float64) Params {
+// TestFigure5Constants: Figure 5's constants keep the relations Validate
+// checked while they were Params fields, and MaxRate is still checked
+// against the rate floor.
+func TestFigure5Constants(t *testing.T) {
+	for _, c := range []struct {
+		rule string
+		ok   bool
+	}{
+		{"0 < tl ≤ ta ≤ th and tl < th", 0 < lowAge && lowAge <= targetAge && targetAge <= highAge && lowAge < highAge},
+		{"0 < δdec < 1", 0 < decreaseFactor && decreaseFactor < 1},
+		{"δinc > 0", increaseFactor > 0},
+		{"Ts ≥ 1 round", samplePeriodRounds >= 1},
+		{"bucket ≥ 1 token", bucketMax >= 1},
+		{"0 ≤ low tokens ≤ high tokens ≤ 1", 0 <= lowTokensFrac && lowTokensFrac <= highTokensFrac && highTokensFrac <= 1},
+		{"0 < minRate ≤ DefaultMaxRate", 0 < minRate && minRate <= DefaultMaxRate},
+	} {
+		if !c.ok {
+			t.Errorf("Figure 5's constants break %s", c.rule)
+		}
+	}
 	p := DefaultParams()
-	p.Alpha, p.TargetAge = alpha, initial
-	p.LowAge, p.HighAge = initial/2, initial+1
-	return p
+	if p.MaxRate = minRate; p.Validate() != nil {
+		t.Errorf("MaxRate at the floor %v refused: %v", minRate, p.Validate())
+	}
+	if p.MaxRate = minRate / 2; p.Validate() == nil {
+		t.Errorf("MaxRate %v below the floor %v accepted", p.MaxRate, minRate)
+	}
+}
+
+// newAgeAdaptor builds an adaptor that weighs history by alpha, with
+// avgAge started at initial.
+func newAgeAdaptor(t testing.TB, alpha, initial float64) *Adaptor {
+	t.Helper()
+	p := DefaultParams()
+	p.Alpha = alpha
+	a := newAdaptor(t, p)
+	a.avgAge = initial
+	return a
 }
 
 func TestCongestionValidation(t *testing.T) {
 	for name, edit := range map[string]func(*Params){
-		"alpha=1":          func(p *Params) { p.Alpha = 1 },
-		"alpha<0":          func(p *Params) { p.Alpha = -0.1 },
-		"negative initial": func(p *Params) { p.TargetAge = -1 },
+		"alpha=1": func(p *Params) { p.Alpha = 1 },
+		"alpha<0": func(p *Params) { p.Alpha = -0.1 },
 	} {
 		p := DefaultParams()
 		edit(&p)
@@ -61,7 +91,7 @@ func TestCongestionValidation(t *testing.T) {
 }
 
 func TestCongestionEMA(t *testing.T) {
-	a := newAdaptor(t, ageParams(0.5, 4))
+	a := newAgeAdaptor(t, 0.5, 4)
 	a.countOverflow([]gossip.Event{evWithAge(1, 8)})
 	// 0.5*4 + 0.5*8 = 6
 	if got := a.avgAge; got != 6 {
@@ -81,7 +111,7 @@ func TestCongestionEMA(t *testing.T) {
 // remembered until it leaves the buffer, for whatever reason; a capacity
 // drop of an uncounted event feeds avgAge without being remembered.
 func TestCongestionLostSetLifecycle(t *testing.T) {
-	a := newAdaptor(t, ageParams(0.9, 5))
+	a := newAgeAdaptor(t, 0.9, 5)
 	one, two, three := evWithAge(1, 3), evWithAge(2, 4), evWithAge(3, 6)
 	a.countOverflow([]gossip.Event{one, two})
 	if !a.counted(one.ID) {
@@ -117,7 +147,7 @@ func TestCongestionLostSetLifecycle(t *testing.T) {
 // TestCongestionDrift: rounds that feed avgAge no sample drift it to
 // the max age.
 func TestCongestionDrift(t *testing.T) {
-	a := newAdaptor(t, ageParams(0.9, 2))
+	a := newAgeAdaptor(t, 0.9, 2)
 	for i := 0; i < 50; i++ {
 		a.EndRound(10)
 	}
@@ -135,7 +165,7 @@ func TestCongestionDrift(t *testing.T) {
 // TestCongestionConvergesToSignal: feeding a constant age converges the
 // average to that age regardless of the start.
 func TestCongestionConvergesToSignal(t *testing.T) {
-	a := newAdaptor(t, ageParams(0.9, 20))
+	a := newAgeAdaptor(t, 0.9, 20)
 	for i := uint64(0); i < 200; i++ {
 		a.countOverflow([]gossip.Event{evWithAge(i, 3)})
 	}
@@ -158,21 +188,16 @@ func TestRateControllerValidation(t *testing.T) {
 	if _, err := NewAdaptor("a", DefaultParams(), 60, nil, start); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	bad := DefaultParams()
-	bad.LowAge = bad.HighAge + 1
-	if _, err := NewAdaptor("a", bad, 60, rand.New(rand.NewPCG(1, 1)), start); err == nil {
-		t.Fatal("inverted thresholds accepted")
-	}
 }
 
 func TestRateDecreaseOnLowAge(t *testing.T) {
 	p := ctrlParams()
 	c := newAdaptor(t, p)
 	// avgAge at the low mark: decrease by δdec.
-	if got := decideAt(c, p.LowAge, 0); got != AdjustDecreaseAge {
+	if got := decideAt(c, lowAge, 0); got != AdjustDecreaseAge {
 		t.Fatalf("adjustment = %v", got)
 	}
-	want := 10 * (1 - p.DecreaseFactor)
+	want := 10 * (1 - decreaseFactor)
 	if c.rate != want {
 		t.Fatalf("rate = %v, want %v", c.rate, want)
 	}
@@ -185,7 +210,7 @@ func TestRateDecreaseOnUnusedAllowance(t *testing.T) {
 	p := ctrlParams()
 	c := newAdaptor(t, p)
 	// avgAge healthy but tokens pooling up: the inflated-allowance guard.
-	if got := decideAt(c, p.TargetAge, p.HighTokensFrac*p.TokenBucketMax); got != AdjustDecreaseUnused {
+	if got := decideAt(c, targetAge, highTokensFrac*bucketMax); got != AdjustDecreaseUnused {
 		t.Fatalf("adjustment = %v", got)
 	}
 	if c.rate >= 10 {
@@ -196,34 +221,32 @@ func TestRateDecreaseOnUnusedAllowance(t *testing.T) {
 func TestRateIncreaseRequiresUsedAllowance(t *testing.T) {
 	p := ctrlParams()
 	c := newAdaptor(t, p)
-	// High age but tokens half-full (above LowTokensFrac): no increase.
-	mid := (p.LowTokensFrac + p.HighTokensFrac) / 2 * p.TokenBucketMax
-	if got := decideAt(c, p.HighAge, mid); got != AdjustNone {
+	// High age but tokens half-full (above lowTokensFrac): no increase.
+	mid := (lowTokensFrac + highTokensFrac) / 2 * bucketMax
+	if got := decideAt(c, highAge, mid); got != AdjustNone {
 		t.Fatalf("adjustment = %v, want none", got)
 	}
 	// Fully used allowance: increase fires.
-	if got := decideAt(c, p.HighAge, 0); got != AdjustIncrease {
+	if got := decideAt(c, highAge, 0); got != AdjustIncrease {
 		t.Fatalf("adjustment = %v, want increase", got)
 	}
-	want := 10 * (1 + p.IncreaseFactor)
+	want := 10 * (1 + increaseFactor)
 	if c.rate != want {
 		t.Fatalf("rate = %v, want %v", c.rate, want)
 	}
 }
 
 func TestRateDecreasePrecedence(t *testing.T) {
-	p := ctrlParams()
-	c := newAdaptor(t, p)
+	c := newAdaptor(t, ctrlParams())
 	// Both a low age and increase-enabling tokens: decrease wins.
-	if got := decideAt(c, p.LowAge, 0); got != AdjustDecreaseAge {
+	if got := decideAt(c, lowAge, 0); got != AdjustDecreaseAge {
 		t.Fatalf("adjustment = %v, want decrease", got)
 	}
 }
 
 func TestRateNeutralZoneHolds(t *testing.T) {
-	p := ctrlParams()
-	c := newAdaptor(t, p)
-	mid := (p.LowAge + p.HighAge) / 2
+	c := newAdaptor(t, ctrlParams())
+	mid := (lowAge + highAge) / 2
 	for i := 0; i < 10; i++ {
 		if got := decideAt(c, mid, 0); got != AdjustNone {
 			t.Fatalf("adjustment = %v in neutral zone", got)
@@ -241,7 +264,7 @@ func TestRateRandomizedIncrease(t *testing.T) {
 	fired, skipped := 0, 0
 	for i := 0; i < 4000; i++ {
 		c.rate = 10
-		switch decideAt(c, p.HighAge, 0) {
+		switch decideAt(c, highAge, 0) {
 		case AdjustIncrease:
 			fired++
 		case AdjustIncreaseSkipped:
@@ -258,17 +281,16 @@ func TestRateRandomizedIncrease(t *testing.T) {
 
 func TestRateClamping(t *testing.T) {
 	p := ctrlParams()
-	p.MinRate = 5
 	p.MaxRate = 12
 	c := newAdaptor(t, p)
-	for i := 0; i < 50; i++ {
-		decideAt(c, p.LowAge, 0)
+	for i := 0; i < 100; i++ { // 10·0.88¹⁰⁰ is far below the floor
+		decideAt(c, lowAge, 0)
 	}
-	if c.rate != 5 {
-		t.Fatalf("rate = %v, want clamp at MinRate 5", c.rate)
+	if c.rate != minRate {
+		t.Fatalf("rate = %v, want clamp at minRate %v", c.rate, minRate)
 	}
-	for i := 0; i < 200; i++ {
-		decideAt(c, p.HighAge, 0)
+	for i := 0; i < 400; i++ { // 0.01·1.05⁴⁰⁰ is far above the ceiling
+		decideAt(c, highAge, 0)
 	}
 	if c.rate != 12 {
 		t.Fatalf("rate = %v, want clamp at MaxRate 12", c.rate)
@@ -284,11 +306,11 @@ func TestRateDisableTokenCheck(t *testing.T) {
 	p.DisableTokenCheck = true
 	c := newAdaptor(t, p)
 	// Pooling tokens no longer force decreases.
-	if got := decideAt(c, p.TargetAge, p.TokenBucketMax); got != AdjustNone {
+	if got := decideAt(c, targetAge, bucketMax); got != AdjustNone {
 		t.Fatalf("adjustment = %v, want none with token check disabled", got)
 	}
 	// And increases no longer require a used allowance.
-	if got := decideAt(c, p.HighAge, p.TokenBucketMax); got != AdjustIncrease {
+	if got := decideAt(c, highAge, bucketMax); got != AdjustIncrease {
 		t.Fatalf("adjustment = %v, want increase", got)
 	}
 }
@@ -308,20 +330,19 @@ func TestAdjustmentString(t *testing.T) {
 	}
 }
 
-// newBucket builds an adaptor whose bucket holds max tokens and
-// refills at rate tokens per second.
-func newBucket(t testing.TB, max, rate float64) *Adaptor {
+// newBucket builds an adaptor whose bucket, full at start, refills at
+// rate tokens per second.
+func newBucket(t testing.TB, rate float64) *Adaptor {
 	t.Helper()
 	p := DefaultParams()
-	p.TokenBucketMax, p.InitialRate = max, rate
+	p.InitialRate = rate
 	p.MaxRate = math.Max(p.MaxRate, rate)
 	return newAdaptor(t, p)
 }
 
 func TestNewBucketValidation(t *testing.T) {
 	for name, edit := range map[string]func(*Params){
-		"max=0":  func(p *Params) { p.TokenBucketMax = 0 },
-		"max<0":  func(p *Params) { p.TokenBucketMax = -1 },
+		"rate=0": func(p *Params) { p.InitialRate = 0 },
 		"rate<0": func(p *Params) { p.InitialRate = -1 },
 	} {
 		p := DefaultParams()
@@ -333,8 +354,8 @@ func TestNewBucketValidation(t *testing.T) {
 }
 
 func TestBucketStartsFull(t *testing.T) {
-	b := newBucket(t, 3, 1)
-	for i := 0; i < 3; i++ {
+	b := newBucket(t, 1)
+	for i := 0; i < int(math.Floor(bucketMax)); i++ {
 		if !b.Admit(start) {
 			t.Fatalf("take %d failed on full bucket", i)
 		}
@@ -345,10 +366,8 @@ func TestBucketStartsFull(t *testing.T) {
 }
 
 func TestBucketRefill(t *testing.T) {
-	b := newBucket(t, 5, 2) // 2 tokens/s
-	for i := 0; i < 5; i++ {
-		b.Admit(start)
-	}
+	b := newBucket(t, 2) // 2 tokens/s
+	b.tokens = 0
 	if b.Admit(start.Add(400 * time.Millisecond)) {
 		t.Fatal("0.8 tokens should not allow a take")
 	}
@@ -356,13 +375,13 @@ func TestBucketRefill(t *testing.T) {
 		t.Fatal("1.2 tokens should allow a take")
 	}
 	// Refill caps at max.
-	if b.fill(start.Add(time.Hour)); b.tokens != 5 {
-		t.Fatalf("tokens after long idle = %v, want cap 5", b.tokens)
+	if b.fill(start.Add(time.Hour)); b.tokens != bucketMax {
+		t.Fatalf("tokens after long idle = %v, want cap %v", b.tokens, bucketMax)
 	}
 }
 
 func TestBucketClockGoingBackwardsIsIgnored(t *testing.T) {
-	b := newBucket(t, 2, 1)
+	b := newBucket(t, 1)
 	b.Admit(start.Add(time.Second))
 	b.fill(start.Add(time.Second))
 	before := b.tokens
@@ -374,22 +393,20 @@ func TestBucketClockGoingBackwardsIsIgnored(t *testing.T) {
 // TestBucketRefillsAtOldRateUntilAdjust: Adjust credits the refill
 // accrued at the old rate before it changes the rate.
 func TestBucketRefillsAtOldRateUntilAdjust(t *testing.T) {
-	b := newBucket(t, 10, 1)
-	for i := 0; i < 10; i++ {
-		b.Admit(start)
-	}
-	// Accrue 2s at rate 1, then a congested round cuts the rate.
-	b.avgAge = b.p.LowAge
-	if got := b.Adjust(start.Add(2 * time.Second)); got != AdjustDecreaseAge {
+	b := newBucket(t, 1)
+	b.tokens = 0
+	// Accrue 1s at rate 1, then a congested round cuts the rate.
+	b.avgAge = lowAge
+	if got := b.Adjust(start.Add(time.Second)); got != AdjustDecreaseAge {
 		t.Fatalf("adjustment = %v, want decrease(age)", got)
 	}
-	newRate := 1 - b.p.DecreaseFactor
+	newRate := 1 - decreaseFactor
 	if b.rate != newRate {
 		t.Fatalf("rate = %v, want %v", b.rate, newRate)
 	}
-	// 2 (old rate) + newRate×1s (new rate) tokens at t=3s.
-	if b.fill(start.Add(3 * time.Second)); math.Abs(b.tokens-(2+newRate)) > 1e-9 {
-		t.Fatalf("tokens = %v, want %v", b.tokens, 2+newRate)
+	// 1 (old rate) + newRate×1s (new rate) tokens at t=2s.
+	if b.fill(start.Add(2 * time.Second)); math.Abs(b.tokens-(1+newRate)) > 1e-9 {
+		t.Fatalf("tokens = %v, want %v", b.tokens, 1+newRate)
 	}
 }
 
@@ -398,10 +415,10 @@ func TestBucketRefillsAtOldRateUntilAdjust(t *testing.T) {
 // minted from nothing).
 func TestBucketConservation(t *testing.T) {
 	const (
-		max  = 4.0
+		max  = bucketMax
 		rate = 7.0
 	)
-	b := newBucket(t, max, rate)
+	b := newBucket(t, rate)
 	takes := 0
 	now := start
 	for i := 0; i < 10000; i++ {
@@ -424,7 +441,7 @@ func TestBucketConservation(t *testing.T) {
 
 // BenchmarkAdmit measures the admission fast path.
 func BenchmarkAdmit(b *testing.B) {
-	bucket := newBucket(b, 5, 1e9)
+	bucket := newBucket(b, 1e9)
 	now := start
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,6 +27,14 @@
 //     surge in lockstep). The bucket refills at that one rate and
 //     admits each broadcast.
 //
+// The paper calibrates the critical age ta once for its system (§2.3)
+// and fixes the rest of Figure 5 from it (§3.4): the age marks tl and
+// th, the sample period Ts = ta·T, the factors δdec and δinc, the rate
+// floor and the bucket with its usage marks. They are this package's
+// constants. Params holds only what a caller varies: W, α, the
+// increase probability, the initial and maximum rates, κ with its
+// floor, and the token-check ablation.
+//
 // AdaptiveNode wires an lpbcast node, an Adaptor and the optional
 // recovery, failure-detection and health subsystems into the complete
 // broadcast node.

@@ -11,7 +11,7 @@ import (
 
 func newKMin(t *testing.T, rank, floor int) *MinBuffEstimator {
 	t.Helper()
-	e, err := NewMinBuffEstimator("self", rank, floor, 2, 6, 100)
+	e, err := NewMinBuffEstimator("self", rank, floor, 2, 100)
 	if err != nil {
 		t.Fatalf("NewMinBuffEstimator: %v", err)
 	}
@@ -19,15 +19,14 @@ func newKMin(t *testing.T, rank, floor int) *MinBuffEstimator {
 }
 
 func TestKMinValidation(t *testing.T) {
-	cases := []struct{ rank, floor, w, p, c int }{
-		{0, 0, 2, 6, 100},
-		{1, -1, 2, 6, 100},
-		{1, 0, 0, 6, 100},
-		{1, 0, 2, 0, 100},
-		{1, 0, 2, 6, 0},
+	cases := []struct{ rank, floor, w, c int }{
+		{0, 0, 2, 100},
+		{1, -1, 2, 100},
+		{1, 0, 0, 100},
+		{1, 0, 2, 0},
 	}
 	for _, tc := range cases {
-		if _, err := NewMinBuffEstimator("s", tc.rank, tc.floor, tc.w, tc.p, tc.c); err == nil {
+		if _, err := NewMinBuffEstimator("s", tc.rank, tc.floor, tc.w, tc.c); err == nil {
 			t.Errorf("NewMinBuffEstimator(%+v): want error", tc)
 		}
 	}
@@ -82,18 +81,15 @@ func TestKMinHeaderIsSortedAndBounded(t *testing.T) {
 }
 
 func TestKMinPeriodRotation(t *testing.T) {
-	e, err := NewMinBuffEstimator("self", 1, 0, 2, 3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newKMin(t, 1, 0)
 	e.Observe(0, []MinEntry{{Node: "tiny", Cap: 10}})
-	for i := 0; i < 3; i++ {
+	for range samplePeriodRounds {
 		e.OnRound()
 	}
 	if got := e.Estimate(); got != 10 {
 		t.Fatalf("estimate = %d, want 10 within window", got)
 	}
-	for i := 0; i < 3; i++ {
+	for range samplePeriodRounds {
 		e.OnRound()
 	}
 	if got := e.Estimate(); got != 100 {
@@ -156,7 +152,7 @@ func TestKMinHostilePeriod(t *testing.T) {
 	for _, rank := range []int{1, 3} {
 		for _, window := range []int{2, 3} {
 			for _, period := range []uint64{1 << 63, math.MaxUint64} {
-				e, err := NewMinBuffEstimator("s", rank, 0, window, 6, 30)
+				e, err := NewMinBuffEstimator("s", rank, 0, window, 30)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,7 +19,7 @@ type MinEntry = gossip.BuffCap
 // node from throttling the whole group. κ = 1 without a floor is the
 // paper's running minimum.
 //
-// Time is divided into sample periods of SamplePeriodRounds gossip
+// Time is divided into sample periods of samplePeriodRounds gossip
 // rounds. Within each period the estimator keeps the κ smallest
 // (node, capacity) entries heard in gossip headers, one per node at its
 // smallest, seeded with the local capacity. The working estimate is the
@@ -42,7 +42,6 @@ type MinBuffEstimator struct {
 	period   uint64
 	localCap int
 	rounds   int // rounds elapsed in the current period
-	perLen   int // SamplePeriodRounds
 	advances uint64
 
 	// Reused scratch so the steady state allocates nothing. hdr backs
@@ -54,16 +53,15 @@ type MinBuffEstimator struct {
 
 // NewMinBuffEstimator creates an estimator of the rank-th smallest
 // buffer for node self, whose local buffer capacity is localCap.
-func NewMinBuffEstimator(self gossip.NodeID, rank, floor, window, samplePeriodRounds, localCap int) (*MinBuffEstimator, error) {
+func NewMinBuffEstimator(self gossip.NodeID, rank, floor, window, localCap int) (*MinBuffEstimator, error) {
 	if rank < 1 {
 		return nil, fmt.Errorf("core: rank must be at least 1, got %d", rank)
 	}
 	if floor < 0 {
 		return nil, fmt.Errorf("core: floor must be non-negative, got %d", floor)
 	}
-	if window <= 0 || samplePeriodRounds <= 0 || localCap <= 0 {
-		return nil, fmt.Errorf("core: window, sample period and capacity must be positive (got %d, %d, %d)",
-			window, samplePeriodRounds, localCap)
+	if window <= 0 || localCap <= 0 {
+		return nil, fmt.Errorf("core: window and capacity must be positive (got %d, %d)", window, localCap)
 	}
 	e := &MinBuffEstimator{
 		self:     self,
@@ -71,7 +69,6 @@ func NewMinBuffEstimator(self gossip.NodeID, rank, floor, window, samplePeriodRo
 		floor:    floor,
 		window:   make([][]MinEntry, window),
 		localCap: localCap,
-		perLen:   samplePeriodRounds,
 		hdr:      make([]MinEntry, 0, rank),
 		merged:   make([]MinEntry, 0, window*rank),
 	}
@@ -124,7 +121,7 @@ func (e *MinBuffEstimator) advanceTo(period uint64) {
 // period started.
 func (e *MinBuffEstimator) OnRound() bool {
 	e.rounds++
-	if e.rounds < e.perLen {
+	if e.rounds < samplePeriodRounds {
 		return false
 	}
 	e.advanceTo(e.period + 1)
@@ -142,7 +139,7 @@ func (e *MinBuffEstimator) Header() (uint64, []MinEntry) {
 }
 
 // maxPeriod is the last sample period a header may carry. A member
-// starts at 0 and counts one period per SamplePeriodRounds rounds, so
+// starts at 0 and counts one period per samplePeriodRounds rounds, so
 // no honest header comes near it; a higher one is forged, and
 // following it would let the counter wrap past 2⁶⁴ onto the slot it
 // just wrote.

@@ -18,9 +18,9 @@ func (e minEst) Header() (uint64, int) {
 	return s, entries[0].Cap
 }
 
-func newEst(t *testing.T, window, perRounds, localCap int) minEst {
+func newEst(t *testing.T, window, localCap int) minEst {
 	t.Helper()
-	e, err := NewMinBuffEstimator("self", 1, 0, window, perRounds, localCap)
+	e, err := NewMinBuffEstimator("self", 1, 0, window, localCap)
 	if err != nil {
 		t.Fatalf("NewMinBuffEstimator: %v", err)
 	}
@@ -28,18 +28,18 @@ func newEst(t *testing.T, window, perRounds, localCap int) minEst {
 }
 
 func TestMinBuffValidation(t *testing.T) {
-	cases := []struct{ w, p, c int }{
-		{0, 6, 100}, {-1, 6, 100}, {2, 0, 100}, {2, 6, 0}, {2, 6, -5},
+	cases := []struct{ w, c int }{
+		{0, 100}, {-1, 100}, {2, 0}, {2, -5},
 	}
 	for _, tc := range cases {
-		if _, err := NewMinBuffEstimator("self", 1, 0, tc.w, tc.p, tc.c); err == nil {
-			t.Errorf("NewMinBuffEstimator(%d,%d,%d): want error", tc.w, tc.p, tc.c)
+		if _, err := NewMinBuffEstimator("self", 1, 0, tc.w, tc.c); err == nil {
+			t.Errorf("NewMinBuffEstimator(%d,%d): want error", tc.w, tc.c)
 		}
 	}
 }
 
 func TestMinBuffInitialEstimateIsLocalCapacity(t *testing.T) {
-	e := newEst(t, 3, 6, 90)
+	e := newEst(t, 3, 90)
 	if got := e.Estimate(); got != 90 {
 		t.Fatalf("estimate = %d, want 90", got)
 	}
@@ -50,7 +50,7 @@ func TestMinBuffInitialEstimateIsLocalCapacity(t *testing.T) {
 }
 
 func TestMinBuffObserveFoldsMinimum(t *testing.T) {
-	e := newEst(t, 2, 6, 90)
+	e := newEst(t, 2, 90)
 	e.Observe(0, 45)
 	if got := e.Estimate(); got != 45 {
 		t.Fatalf("estimate = %d, want 45", got)
@@ -69,10 +69,10 @@ func TestMinBuffObserveFoldsMinimum(t *testing.T) {
 }
 
 func TestMinBuffPeriodRotationExpiresOldMinima(t *testing.T) {
-	e := newEst(t, 2, 3, 90) // W=2, Ts=3 rounds
+	e := newEst(t, 2, 90) // W=2
 	e.Observe(0, 45)
 	// Advance one period: the old minimum is still inside the window.
-	for i := 0; i < 3; i++ {
+	for range samplePeriodRounds {
 		e.OnRound()
 	}
 	if e.Period() != 1 {
@@ -82,7 +82,7 @@ func TestMinBuffPeriodRotationExpiresOldMinima(t *testing.T) {
 		t.Fatalf("estimate = %d, want 45 (still in window)", got)
 	}
 	// Advance a second period: the 45 ages out, estimate returns to 90.
-	for i := 0; i < 3; i++ {
+	for range samplePeriodRounds {
 		e.OnRound()
 	}
 	if got := e.Estimate(); got != 90 {
@@ -91,12 +91,14 @@ func TestMinBuffPeriodRotationExpiresOldMinima(t *testing.T) {
 }
 
 func TestMinBuffOnRoundSignalsPeriodStart(t *testing.T) {
-	e := newEst(t, 2, 2, 50)
-	if e.OnRound() {
-		t.Fatal("period advanced after 1 of 2 rounds")
+	e := newEst(t, 2, 50)
+	for i := 1; i < samplePeriodRounds; i++ {
+		if e.OnRound() {
+			t.Fatalf("period advanced after %d of %d rounds", i, samplePeriodRounds)
+		}
 	}
 	if !e.OnRound() {
-		t.Fatal("period did not advance after 2 rounds")
+		t.Fatalf("period did not advance after %d rounds", samplePeriodRounds)
 	}
 	if e.Advances() != 1 {
 		t.Fatalf("advances = %d", e.Advances())
@@ -104,7 +106,7 @@ func TestMinBuffOnRoundSignalsPeriodStart(t *testing.T) {
 }
 
 func TestMinBuffClockSyncJumpForward(t *testing.T) {
-	e := newEst(t, 3, 6, 90)
+	e := newEst(t, 3, 90)
 	e.Observe(0, 40)
 	// A header from period 2 fast-forwards the local clock.
 	e.Observe(2, 60)
@@ -126,7 +128,7 @@ func TestMinBuffClockSyncJumpForward(t *testing.T) {
 }
 
 func TestMinBuffStaleHeadersWithinWindowStillCount(t *testing.T) {
-	e := newEst(t, 3, 6, 90)
+	e := newEst(t, 3, 90)
 	e.Observe(5, 80) // jump to period 5
 	e.Observe(4, 30) // stale but within window (periods 3..5)
 	if got := e.Estimate(); got != 30 {
@@ -139,7 +141,7 @@ func TestMinBuffStaleHeadersWithinWindowStillCount(t *testing.T) {
 }
 
 func TestMinBuffSetLocalCapacity(t *testing.T) {
-	e := newEst(t, 2, 4, 90)
+	e := newEst(t, 2, 90)
 	// Shrink: takes effect immediately in the current period.
 	if err := e.SetLocalCapacity(45); err != nil {
 		t.Fatal(err)
@@ -154,7 +156,7 @@ func TestMinBuffSetLocalCapacity(t *testing.T) {
 	if got := e.Estimate(); got != 45 {
 		t.Fatalf("estimate = %d right after growth, want 45", got)
 	}
-	for i := 0; i < 8; i++ { // two full periods
+	for range 2 * samplePeriodRounds { // two full periods
 		e.OnRound()
 	}
 	if got := e.Estimate(); got != 120 {
@@ -172,7 +174,7 @@ func TestMinBuffGroupConvergence(t *testing.T) {
 	caps := []int{120, 90, 45, 150, 80}
 	ests := make([]minEst, len(caps))
 	for i, c := range caps {
-		ests[i] = newEst(t, 2, 6, c)
+		ests[i] = newEst(t, 2, c)
 	}
 	// Ring exchange: in each round every node sends its header to the
 	// next two nodes. Diameter considerations: 3 rounds suffice for 5
@@ -210,7 +212,7 @@ func TestMinBuffGroupConvergence(t *testing.T) {
 func TestMinBuffHostilePeriod(t *testing.T) {
 	for _, window := range []int{2, 3} {
 		for _, period := range []uint64{1 << 63, math.MaxUint64} {
-			e := newEst(t, window, 6, 30)
+			e := newEst(t, window, 30)
 			e.Observe(1, 25)
 			e.Observe(period, 4)
 			if s, mb := e.Header(); s != 1 || mb != 25 {

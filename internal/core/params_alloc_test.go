@@ -29,7 +29,8 @@ func TestParamsValidateAllocFree(t *testing.T) {
 
 	bad := core.DefaultParams()
 	bad.Window = 0
-	bad.TargetAge = 0
+	bad.IncreaseProb = 0
+	bad.MaxRate = 0
 	bad.MinBuffFloor = -1
 	bad.Alpha = math.NaN()
 	err := bad.Validate()
@@ -39,8 +40,8 @@ func TestParamsValidateAllocFree(t *testing.T) {
 	for _, want := range []string{
 		"window must be positive, got 0",
 		"alpha must be in [0,1), got NaN",
-		"target age must be positive, got 0",
-		"low-age mark 5.6 must be in (0, target 0]",
+		"increase probability must be in (0,1], got 0",
+		"max rate 0 must be at least min rate 0.01",
 		"min-buffer floor must be non-negative, got -1",
 	} {
 		if !strings.Contains(err.Error(), want) {

@@ -34,7 +34,7 @@ func TestQuickMinBuffEstimatorModel(t *testing.T) {
 		if floor%2 == 1 {
 			fl = int(floor)%150 + 1
 		}
-		e, err := NewMinBuffEstimator("self", k, fl, int(w), 3, lc)
+		e, err := NewMinBuffEstimator("self", k, fl, int(w), lc)
 		if err != nil {
 			return false
 		}
@@ -44,9 +44,9 @@ func TestQuickMinBuffEstimatorModel(t *testing.T) {
 			v := int(o.Value) % 300 // 0 is a corrupt header
 			switch {
 			case o.Advance:
-				e.OnRound()
-				e.OnRound()
-				e.OnRound() // exactly one period advance (3 rounds)
+				for range samplePeriodRounds { // exactly one period advance
+					e.OnRound()
+				}
 				curPeriod++
 				model[curPeriod] = []MinEntry{{Node: "self", Cap: lc}}
 			case o.Resize && v > 0:
@@ -113,7 +113,7 @@ func TestQuickMinBuffEstimatorModel(t *testing.T) {
 func TestQuickMinBuffEstimateBounds(t *testing.T) {
 	f := func(localCap uint8, values []uint16, rounds uint8) bool {
 		lc := int(localCap)%100 + 1
-		e, err := NewMinBuffEstimator("self", 1, 0, 2, 2, lc)
+		e, err := NewMinBuffEstimator("self", 1, 0, 2, lc)
 		if err != nil {
 			return false
 		}
@@ -139,7 +139,6 @@ func TestQuickMinBuffEstimateBounds(t *testing.T) {
 // under arbitrary signal sequences.
 func TestQuickRateControllerClamped(t *testing.T) {
 	p := DefaultParams()
-	p.MinRate = 0.5
 	p.MaxRate = 50
 	p.InitialRate = 10
 	f := func(ages []float64, tokens []float64) bool {
@@ -161,7 +160,7 @@ func TestQuickRateControllerClamped(t *testing.T) {
 				tok = -tok
 			}
 			decideAt(c, age, tok)
-			if c.rate < p.MinRate || c.rate > p.MaxRate {
+			if c.rate < minRate || c.rate > p.MaxRate {
 				return false
 			}
 		}

@@ -133,8 +133,10 @@ func RunFigure4(base Config, buffers []int, targetPct float64, seeds int) ([]Fig
 
 // CriticalAge is the §2.3 calibration: the mean of the per-buffer
 // dropped ages at the maximum rate. The paper's observation is that
-// these are all ≈ equal (5.3 hops in their system); the estimator's
-// TargetAge should be set to this value.
+// these are all ≈ equal (5.3 hops in their system). internal/core's
+// age marks are fixed from the 5.4 hops this measures at the paper's
+// n = 60; a group whose measured ta differs adapts around the wrong
+// marks.
 func CriticalAge(rows []Figure4Row) float64 {
 	if len(rows) == 0 {
 		return 0

@@ -27,8 +27,9 @@ const maxMembers = 4096
 
 // Params configures the health digest engine.
 type Params struct {
-	// Enabled turns dissemination on. A disabled engine attaches and
-	// merges nothing (all hooks are no-ops).
+	// Enabled turns dissemination on. A disabled engine is never built;
+	// the flag exists so configurations can carry health settings
+	// alongside the protocol's.
 	Enabled bool
 	// DigestsPerMessage bounds how many digests ride one gossip
 	// message: the node's own plus DigestsPerMessage-1 relayed ones.
@@ -110,9 +111,6 @@ func New(self gossip.NodeID, p Params, augment AugmentFunc) *Engine {
 // the outgoing message. Steady-state it allocates nothing: digests
 // append into the message's reused Health scratch.
 func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
-	if !e.params.Enabled {
-		return
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.round++
@@ -136,7 +134,7 @@ func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 // the receiver itself, empty ones, and ones past the maxMembers bound
 // are ignored.
 func (e *Engine) OnReceive(n *gossip.Node, in *gossip.Message) {
-	if !e.params.Enabled || len(in.Health) == 0 {
+	if len(in.Health) == 0 {
 		return
 	}
 	e.mu.Lock()

@@ -34,22 +34,6 @@ func digestFor(node gossip.NodeID, round uint64) gossip.HealthDigest {
 	return gossip.HealthDigest{Node: node, Round: round, Delivered: round * 10}
 }
 
-func TestEngineDisabledIsNoOp(t *testing.T) {
-	e := New("self", Params{}, nil)
-	n := testNode(t, "self", e)
-	out := n.Tick()
-	if len(out) == 0 {
-		t.Fatal("expected fan-out")
-	}
-	if len(out[0].Msg.Health) != 0 {
-		t.Fatalf("disabled engine attached digests: %v", out[0].Msg.Health)
-	}
-	n.Receive(&gossip.Message{From: "peer-a", Health: []gossip.HealthDigest{digestFor("peer-a", 3)}})
-	if got := e.Members(); got != 0 {
-		t.Fatalf("disabled engine merged digests: %d members", got)
-	}
-}
-
 func TestEngineAttachesSelfAndRelays(t *testing.T) {
 	e := New("self", Params{Enabled: true, DigestsPerMessage: 3}, nil)
 	e.Now = fixedClock

@@ -30,14 +30,17 @@ import (
 )
 
 // Defaults for Params. DigestLen and RequestBudget bound the per-round
-// wire overhead; RetainRounds and StoreCapacity bound the repair
+// wire overhead; StoreCapacity, with retainRounds, bounds the repair
 // memory.
 const (
 	DefaultDigestLen     = 128
 	DefaultRequestBudget = 64
-	DefaultRetainRounds  = 30
 	DefaultStoreCapacity = 1024
 )
+
+// retainRounds is the retransmission store's GC horizon: events
+// observed more than this many rounds ago are dropped.
+const retainRounds = 30
 
 // The pull's constants: how a missing event is chased.
 const (
@@ -64,9 +67,6 @@ type Params struct {
 	// RequestBudget caps the missing identifiers requested per round
 	// across all targets — the pull bandwidth bound.
 	RequestBudget int
-	// RetainRounds is the retransmission store's GC horizon: events
-	// observed more than this many rounds ago are dropped.
-	RetainRounds int
 	// StoreCapacity bounds the retransmission store (events). When
 	// full, the oldest stored event is evicted.
 	StoreCapacity int
@@ -79,9 +79,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.RequestBudget == 0 {
 		p.RequestBudget = DefaultRequestBudget
-	}
-	if p.RetainRounds == 0 {
-		p.RetainRounds = DefaultRetainRounds
 	}
 	if p.StoreCapacity == 0 {
 		p.StoreCapacity = DefaultStoreCapacity
@@ -98,8 +95,8 @@ func (p Params) Validate() error {
 	if p.RequestBudget < 0 {
 		return fmt.Errorf("recovery: request budget must be non-negative, got %d", p.RequestBudget)
 	}
-	if p.RetainRounds < 0 || p.StoreCapacity < 0 {
-		return fmt.Errorf("recovery: bounds must be non-negative")
+	if p.StoreCapacity < 0 {
+		return fmt.Errorf("recovery: store capacity must be non-negative, got %d", p.StoreCapacity)
 	}
 	return nil
 }
@@ -406,7 +403,7 @@ func (e *Engine) observe(n *gossip.Node, ev gossip.Event, borrowed bool) {
 // requests (subject to RequestBudget).
 func (e *Engine) OnTick(n *gossip.Node, out *gossip.Message) {
 	e.round++
-	e.stats.StoreEvicted += uint64(e.store.gc(e.round, e.params.RetainRounds))
+	e.stats.StoreEvicted += uint64(e.store.gc(e.round, retainRounds))
 	// The buffer snapshot passes through here every round, which is how
 	// locally-broadcast events (no OnReceive hook) enter the store.
 	for _, ev := range out.Events {

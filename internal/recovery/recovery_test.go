@@ -248,15 +248,15 @@ func TestStoreServesEvictedEvents(t *testing.T) {
 	}
 }
 
-// TestStoreGC: events older than RetainRounds are dropped and no longer
+// TestStoreGC: events older than retainRounds are dropped and no longer
 // served.
 func TestStoreGC(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
-	eng := newTestEngine(t, Params{RetainRounds: 3})
+	eng := newTestEngine(t, Params{})
 	a := newTestNode(t, "a", reg, eng)
 
 	ev := a.Broadcast([]byte("x"))
-	for i := 0; i < 12; i++ { // age the event far past RetainRounds + MaxAge
+	for range retainRounds + 12 { // age the event far past retainRounds + MaxAge
 		a.Tick()
 		eng.TakeOutgoing()
 	}
@@ -473,7 +473,7 @@ func BenchmarkRecoveryRound(b *testing.B) {
 		newest := uint64(buffered)
 		round := func() {
 			e.round++
-			e.stats.StoreEvicted += uint64(e.store.gc(e.round, e.params.RetainRounds))
+			e.stats.StoreEvicted += uint64(e.store.gc(e.round, retainRounds))
 			newest += births
 			for range observed {
 				for k := newest - buffered; k < newest; k++ {
@@ -482,7 +482,7 @@ func BenchmarkRecoveryRound(b *testing.B) {
 			}
 			e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0])
 		}
-		for range 2 * e.params.RetainRounds { // the store at its GC horizon
+		for range 2 * retainRounds { // the store at its GC horizon
 			round()
 		}
 		b.ReportAllocs()

@@ -33,12 +33,13 @@ type member struct {
 }
 
 // newMember returns a member holding three events of its own, adapting
-// to the rank-th smallest buffer (1: the paper's minimum).
+// to the rank-th smallest buffer (1: the paper's minimum). It publishes
+// them one second apart, so that its bucket, refilling at the default
+// initial rate of 1 msg/s, admits each.
 func newMember(tb testing.TB, rank int) *member {
 	tb.Helper()
 	cp := core.DefaultParams()
 	cp.MinBuffRank = rank
-	cp.TokenBucketMax = 3
 	m := &member{now: time.Unix(1_700_000_000, 0)}
 	n, err := core.NewAdaptiveNode(core.NodeConfig{
 		ID:       "member",
@@ -56,7 +57,10 @@ func newMember(tb testing.TB, rank int) *member {
 		tb.Fatal(err)
 	}
 	m.AdaptiveNode = n
-	for range 3 {
+	for i := range 3 {
+		if i > 0 {
+			m.now = m.now.Add(time.Second)
+		}
 		if _, ok := n.Publish([]byte("own"), m.now); !ok {
 			tb.Fatal("the member's own publish was refused")
 		}
