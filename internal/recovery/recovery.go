@@ -111,7 +111,7 @@ type Stats struct {
 	ResponsesSent     uint64 // response messages emitted
 	ResponsesReceived uint64 // response messages handled
 	EventsServed      uint64 // events retransmitted to requesters
-	EventsUnserved    uint64 // requested identifiers not in the store
+	EventsUnserved    uint64 // requested identifiers not served
 	EventsRecovered   uint64 // tracked-missing events obtained via responses
 	MissingGaveUp     uint64 // missing identifiers dropped after giveUpRounds
 	MissingOverflow   uint64 // advertisements ignored because maxMissing was hit
@@ -360,7 +360,7 @@ func NewEngine(params Params) (*Engine, error) {
 	}
 	// A round requests at most RequestBudget ids, each missing, and a
 	// request names at most as many as the requester's budget, which a
-	// group shares.
+	// group shares; a response serves at most as many.
 	perRound := min(params.RequestBudget, maxMissing)
 	e := &Engine{
 		params:        params,
@@ -471,12 +471,22 @@ func (e *Engine) diffDigest(n *gossip.Node, from gossip.NodeID, digest []gossip.
 	}
 }
 
-// serveRequest answers a retransmission request from the store.
+// serveRequest answers a retransmission request from the store. It
+// serves each listed id at most once, and at most as many ids as an
+// honest request names, min(RequestBudget, maxMissing), so that a
+// request buys a bounded response whatever it lists. The requester is
+// the frame's unauthenticated From, so the bound is per request. The
+// ids it refuses, like those not in the store, are counted unserved.
 func (e *Engine) serveRequest(n *gossip.Node, in *gossip.Message) {
 	var resp *gossip.Message
-	for _, id := range in.Request {
+	limit := min(e.params.RequestBudget, maxMissing)
+	for i, id := range in.Request {
+		if resp != nil && len(resp.Events) == limit {
+			e.stats.EventsUnserved += uint64(len(in.Request) - i)
+			break
+		}
 		ev, ok := e.store.get(id)
-		if !ok {
+		if !ok || resp != nil && listed(resp.Events, id) {
 			e.stats.EventsUnserved++
 			continue
 		}
@@ -490,10 +500,20 @@ func (e *Engine) serveRequest(n *gossip.Node, in *gossip.Message) {
 	if resp == nil {
 		return
 	}
-	e.served = resp.Events // a larger request than any before grew it
 	e.stats.ResponsesSent++
 	e.stats.EventsServed += uint64(len(resp.Events))
 	e.out.Queue(in.From, resp)
+}
+
+// listed reports whether events holds id. A response holds at most
+// min(RequestBudget, maxMissing) events, so a scan beats a map.
+func listed(events []gossip.Event, id gossip.EventID) bool {
+	for _, ev := range events {
+		if ev.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // buildRequests walks the missing set in advertisement order and queues

@@ -248,6 +248,58 @@ func TestStoreServesEvictedEvents(t *testing.T) {
 	}
 }
 
+// TestServeBoundedPerRequest: a request buys at most one copy of each
+// id it lists and at most RequestBudget events, however many it lists;
+// the rest are counted unserved. Served in full, one stored id listed
+// 1,000 times drew 1,000 copies, and 1,000 distinct stored ids 1,000
+// events, to a requester name nothing checks.
+func TestServeBoundedPerRequest(t *testing.T) {
+	stored := func(i int) gossip.EventID { return gossip.EventID{Origin: "o", Seq: uint64(i)} }
+	for _, tc := range []struct {
+		name    string
+		request func(i int) gossip.EventID
+		served  int
+	}{
+		{"one id listed 1,000 times", func(int) gossip.EventID { return stored(0) }, 1},
+		{"1,000 distinct ids", stored, DefaultRequestBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := newTestEngine(t, Params{})
+			a := newTestNode(t, "a", membership.NewRegistry("a", "b"), eng)
+			for i := range 1000 {
+				eng.observe(a, gossip.Event{ID: stored(i), Payload: []byte("x")}, false)
+			}
+			req := &gossip.Message{Kind: gossip.KindRecoveryRequest, From: "b"}
+			for i := range 1000 {
+				req.Request = append(req.Request, tc.request(i))
+			}
+			a.Receive(req)
+			resps := eng.TakeOutgoing()
+			if len(resps) != 1 {
+				t.Fatalf("%d responses, want 1", len(resps))
+			}
+			events := resps[0].Msg.Events
+			if len(events) != tc.served {
+				t.Fatalf("served %d events, want %d", len(events), tc.served)
+			}
+			seen := map[gossip.EventID]bool{}
+			for _, ev := range events {
+				if seen[ev.ID] {
+					t.Fatalf("%v served twice in one response", ev.ID)
+				}
+				seen[ev.ID] = true
+			}
+			st := eng.Stats()
+			if st.EventsServed != uint64(tc.served) || st.EventsUnserved != uint64(1000-tc.served) {
+				t.Fatalf("served %d, unserved %d, want %d and %d", st.EventsServed, st.EventsUnserved, tc.served, 1000-tc.served)
+			}
+			if c := cap(eng.served); c > DefaultRequestBudget {
+				t.Fatalf("response scratch grew to %d events, want at most %d", c, DefaultRequestBudget)
+			}
+		})
+	}
+}
+
 // TestStoreGC: events older than retainRounds are dropped and no longer
 // served.
 func TestStoreGC(t *testing.T) {
