@@ -79,6 +79,13 @@ const (
 	updateTransmits = 6
 	// maxMembers bounds the per-node member-state table.
 	maxMembers = 4096
+	// maxRelays bounds the live relays, and with them the pings they
+	// queue: a ping-req that finds maxRelays live is refused. The most
+	// an honest member held was 13 (the churn figure at full scale; 10
+	// with -fast, 3 on gossipbench's udp_full). The mean is at most
+	// 12, indirectProbes ping-reqs a round over a 4-round lifetime, when
+	// every probe in the group goes indirect.
+	maxRelays = 64
 )
 
 // The working sizes the engine's lists are made with, so that a member
@@ -127,6 +134,7 @@ type Stats struct {
 	AcksSent         uint64 // pings answered
 	PingReqsSent     uint64 // indirect probe requests emitted
 	PingReqsReceived uint64 // indirect probe requests handled
+	PingReqsRefused  uint64 // indirect probe requests refused at maxRelays
 	ProbesRelayed    uint64 // pings sent on another node's behalf
 	AcksRelayed      uint64 // acks forwarded back to the requester
 	Suspects         uint64 // local suspicions raised (probe timeouts)
@@ -146,6 +154,7 @@ func (s *Stats) Add(o Stats) {
 	s.AcksSent += o.AcksSent
 	s.PingReqsSent += o.PingReqsSent
 	s.PingReqsReceived += o.PingReqsReceived
+	s.PingReqsRefused += o.PingReqsRefused
 	s.ProbesRelayed += o.ProbesRelayed
 	s.AcksRelayed += o.AcksRelayed
 	s.Suspects += o.Suspects
@@ -524,7 +533,9 @@ func (e *Engine) sendPingReqs(p *probeState) {
 	}
 }
 
-// handlePingReq probes the subject on the requester's behalf.
+// handlePingReq probes the subject on the requester's behalf, unless
+// maxRelays are live. The cap is not per requester: From is a name
+// the frame carries and nothing checks, so a forger rotates it.
 func (e *Engine) handlePingReq(in *gossip.Message) {
 	subject := in.Probe
 	if subject == "" || in.From == "" {
@@ -534,6 +545,10 @@ func (e *Engine) handlePingReq(in *gossip.Message) {
 		// Degenerate: we are the subject; answer directly.
 		e.stats.AcksSent++
 		e.send(in.From, gossip.KindPingAck, e.self, in.ProbeSeq)
+		return
+	}
+	if len(e.relays) >= maxRelays {
+		e.stats.PingReqsRefused++
 		return
 	}
 	e.relays = append(e.relays, relayEntry{

@@ -1,6 +1,7 @@
 package failure
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -350,6 +351,46 @@ func TestPingReqRelay(t *testing.T) {
 	st := e.Stats()
 	if st.ProbesRelayed != 1 || st.AcksRelayed != 1 {
 		t.Fatalf("relay counters: %+v", st)
+	}
+}
+
+// TestRelaysBounded: 10,000 ping-reqs in one round, from one peer or
+// each from a forged peer of its own, leave at most maxRelays relays
+// and queue at most maxRelays pings; the rest are refused and counted.
+// Without the cap the engine held a relay and queued a ping for each.
+func TestRelaysBounded(t *testing.T) {
+	const reqs = 10_000
+	for _, tc := range []struct {
+		name string
+		from func(i int) gossip.NodeID
+	}{
+		{"one peer", func(int) gossip.NodeID { return "a" }},
+		{"forged peers", func(i int) gossip.NodeID { return gossip.NodeID(fmt.Sprintf("forged-%d", i)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, "p", []gossip.NodeID{"a", "b"}, Params{Enabled: true})
+			for i := range reqs {
+				e.OnReceive(nil, &gossip.Message{Kind: gossip.KindPingReq, From: tc.from(i), Probe: "b", ProbeSeq: uint64(i)})
+			}
+			if len(e.relays) > maxRelays {
+				t.Fatalf("%d relays live, want at most %d", len(e.relays), maxRelays)
+			}
+			if pings := kindsOf(e.TakeOutgoing())[gossip.KindPing]; pings > maxRelays {
+				t.Fatalf("%d pings queued, want at most %d", pings, maxRelays)
+			}
+			if st := e.Stats(); st.PingReqsReceived != reqs || st.ProbesRelayed != maxRelays || st.PingReqsRefused != reqs-maxRelays {
+				t.Fatalf("received %d, relayed %d, refused %d; want %d, %d and %d",
+					st.PingReqsReceived, st.ProbesRelayed, st.PingReqsRefused, reqs, maxRelays, reqs-maxRelays)
+			}
+			// The relays expire, and the engine relays again.
+			for range 5 {
+				tick(e)
+			}
+			e.OnReceive(nil, &gossip.Message{Kind: gossip.KindPingReq, From: "a", Probe: "b", ProbeSeq: reqs})
+			if pings := kindsOf(e.TakeOutgoing())[gossip.KindPing]; pings != 1 {
+				t.Fatalf("%d pings after the relays expired, want 1", pings)
+			}
+		})
 	}
 }
 
