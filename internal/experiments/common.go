@@ -83,8 +83,6 @@ type Config struct {
 	// Recovery enables the digest-based anti-entropy pull-repair
 	// subsystem (internal/recovery) at every node.
 	Recovery bool
-	// RecoveryDigestLen overrides the digest length (0 = default).
-	RecoveryDigestLen int
 	// RecoveryBudget overrides the per-round request budget (0 =
 	// default).
 	RecoveryBudget int
@@ -167,7 +165,6 @@ func (c Config) withDefaults() Config {
 func (c Config) recoveryParams() recovery.Params {
 	return recovery.Params{
 		Enabled:       c.Recovery,
-		DigestLen:     c.RecoveryDigestLen,
 		RequestBudget: c.RecoveryBudget,
 	}
 }

@@ -43,9 +43,8 @@ func DefaultRecoveryConfig(base Config) Config {
 		cfg.Buffer = births
 	}
 	cfg.MaxAge = 8
-	// Digest and budget sized to the per-round event volume so repair
-	// keeps up with loss at the sweep's upper end.
-	cfg.RecoveryDigestLen = 256
+	// Budget sized to the per-round event volume so repair keeps up
+	// with loss at the sweep's upper end.
 	cfg.RecoveryBudget = 128
 	return cfg
 }

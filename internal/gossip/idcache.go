@@ -19,9 +19,9 @@ const idCacheSpread = 4
 
 // IDCache is a bounded set of distinct identifiers: when full, the
 // oldest is forgotten (FIFO), the paper's "remove oldest element from
-// eventIds". The recovery subsystem keeps two, its digest source and
-// its retransmission store's index; a Node's own eventIds are replay
-// windows, which forget by age instead.
+// eventIds". The recovery subsystem keeps one, its retransmission
+// store's index; a Node's own eventIds are replay windows, which forget
+// by age instead.
 //
 // The ids sit in a ring, the oldest at head, and one idTable, keyed by
 // the seeded hash of (origin, seq), finds an id's ring slot: Contains
@@ -91,10 +91,6 @@ func (c *IDCache) Add(id EventID) (slot int, added bool) {
 	return p, true
 }
 
-// ID returns the identifier at a ring slot that Add, Slot or Oldest
-// returned and that has not been forgotten since.
-func (c *IDCache) ID(slot int) EventID { return c.ring[slot] }
-
 // Oldest returns the ring slot of the oldest identifier, or -1 when the
 // cache is empty.
 func (c *IDCache) Oldest() int {
@@ -116,18 +112,6 @@ func (c *IDCache) PopOldest() {
 		c.head = 0
 	}
 	c.size--
-}
-
-// AppendIDs appends the remembered identifiers, oldest to newest, to dst.
-// The recovery subsystem builds its gossip digests from a small IDCache
-// this way, into a slice it reuses.
-func (c *IDCache) AppendIDs(dst []EventID) []EventID {
-	end := c.head + c.size
-	if end <= len(c.ring) {
-		return append(dst, c.ring[c.head:end]...)
-	}
-	dst = append(dst, c.ring[c.head:]...)
-	return append(dst, c.ring[:end-len(c.ring)]...)
 }
 
 // hash returns id's hash under the cache's seed.

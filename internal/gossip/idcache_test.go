@@ -88,9 +88,18 @@ func TestIDCacheFIFOEviction(t *testing.T) {
 	if c.Contains(id("a", 2)) {
 		t.Fatal("a/2 should have been evicted")
 	}
-	if got, want := c.AppendIDs(nil), []EventID{id("a", 3), id("a", 4), id("a", 1)}; !slices.Equal(got, want) {
-		t.Fatalf("AppendIDs = %v, want %v oldest first", got, want)
+	if got, want := c.list(), []EventID{id("a", 3), id("a", 4), id("a", 1)}; !slices.Equal(got, want) {
+		t.Fatalf("ids = %v, want %v oldest first", got, want)
 	}
+}
+
+// list returns the remembered identifiers, oldest to newest.
+func (c *IDCache) list() []EventID {
+	var ids []EventID
+	for k := range c.size {
+		ids = append(ids, c.ring[(c.head+k)%len(c.ring)])
+	}
+	return ids
 }
 
 func TestIDCacheRandomOps(t *testing.T) {
@@ -261,16 +270,16 @@ func TestIDCacheMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d op %d: Len = %d, reference %d", seed, op, got.Len(), len(want.ids))
 			}
 			if op%97 == 0 {
-				if !slices.Equal(got.AppendIDs(nil), want.ids) {
-					t.Fatalf("seed %d op %d: AppendIDs differs from the reference", seed, op)
+				if !slices.Equal(got.list(), want.ids) {
+					t.Fatalf("seed %d op %d: ids differ from the reference", seed, op)
 				}
 				if err := got.checkInvariants(); err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
 			}
 		}
-		if !slices.Equal(got.AppendIDs(nil), want.ids) {
-			t.Fatalf("seed %d: final AppendIDs differs from the reference", seed)
+		if !slices.Equal(got.list(), want.ids) {
+			t.Fatalf("seed %d: final ids differ from the reference", seed)
 		}
 		if err := got.checkInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -392,15 +401,11 @@ func TestIDCacheFootprint(t *testing.T) {
 			t.Fatalf("a cache of %d ids holds %d B, want at most %d B per id", capacity, n, maxIDCacheBytesPerID)
 		}
 		t.Logf("capacity %d: %.1f B per id", capacity, float64(idCacheFootprint(c))/float64(capacity))
-		dst := make([]EventID, 0, capacity)
 		seq := uint64(0)
 		allocs := testing.AllocsPerRun(3*capacity, func() {
 			c.Add(id("x", seq))
 			if seq%7 == 0 {
 				c.PopOldest()
-			}
-			if seq%64 == 0 {
-				dst = c.AppendIDs(dst[:0])
 			}
 			seq++
 		})
@@ -445,7 +450,7 @@ func TestIDCacheForgedOrigins(t *testing.T) {
 		for seq := range uint64(capacity) {
 			c.Add(id("honest", seq))
 		}
-		for _, got := range c.AppendIDs(nil) {
+		for _, got := range c.list() {
 			if got.Origin != "honest" {
 				t.Fatalf("%s: %s outlived %d honest ids", flood.name, got, capacity)
 			}

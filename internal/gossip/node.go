@@ -78,6 +78,19 @@ type EvictionObserver interface {
 	OnEvicted(n *Node, ev Event, reason EvictReason)
 }
 
+// DeliveryObserver is an Extension told of every event the node
+// accepts for the first time — its own broadcasts and the events it
+// delivers from a message — right after delivering it (recovery is).
+// A Node finds its delivery observers among its extensions when it is
+// made.
+type DeliveryObserver interface {
+	Extension
+	// OnDeliver reports one delivered event and the message it arrived
+	// in, nil for the node's own broadcast. The payload is the node's
+	// own copy, shared and read-only.
+	OnDeliver(n *Node, ev Event, in *Message)
+}
+
 // DeliverFunc receives events exactly once each, in arrival order.
 // Payloads are shared and read-only (see OwnPayload).
 type DeliverFunc func(e Event)
@@ -174,9 +187,10 @@ type Node struct {
 	peers  PeerSampler
 	rng    *rand.Rand
 
-	deliver   DeliverFunc
-	exts      []Extension
-	observers []EvictionObserver // the exts told of evictions
+	deliver    DeliverFunc
+	exts       []Extension
+	observers  []EvictionObserver // the exts told of evictions
+	delivering []DeliveryObserver // the exts told of deliveries
 
 	round   uint64
 	nextSeq uint64
@@ -271,6 +285,9 @@ func NewNode(id NodeID, params Params, peers PeerSampler, rng *rand.Rand, opts .
 		if o, ok := ext.(EvictionObserver); ok {
 			n.observers = append(n.observers, o)
 		}
+		if o, ok := ext.(DeliveryObserver); ok {
+			n.delivering = append(n.delivering, o)
+		}
 	}
 	if n.tracer != nil {
 		n.traceAwait = make(map[EventID]struct{})
@@ -290,14 +307,23 @@ func (n *Node) Round() uint64 { return n.round }
 // Stats returns a copy of the activity counters.
 func (n *Node) Stats() NodeStats { return n.stats }
 
-// Seen reports whether the node holds the event or remembers it: it is
-// buffered, or its origin's replay window has it or has moved its floor
-// past it — i.e. the node has delivered (or originated) it, or no copy
-// of it can still arrive. The recovery subsystem diffs incoming digests
-// against this.
-func (n *Node) Seen(id EventID) bool {
-	oh := originHash(n.buf.seed, id.Origin)
-	return n.buf.find(id, idHash(oh, id.Seq)) >= 0 || n.seen.contains(id, oh)
+// AppendWatermarks appends to dst the (origin, highest accepted seq) of
+// at most k of the node's replay windows, the most recently active
+// first: what the recovery digest advertises.
+func (n *Node) AppendWatermarks(dst []EventID, k int) []EventID {
+	return n.seen.appendWatermarks(dst, k)
+}
+
+// AppendUnseen appends to dst, ascending, at most k ids of origin with
+// a seq under below that its replay window has neither accepted nor
+// moved its floor past, from the window's first word (64 seqs) up: the
+// ids a member pulls from a peer whose digest names origin at below-1.
+// An origin without a window is taken as one opened at below-1, which
+// lacks the ids of that word under below: a member that never heard an
+// origin pulls its newest word. It only reads: a digest opens no
+// window.
+func (n *Node) AppendUnseen(dst []EventID, origin NodeID, below uint64, k int) []EventID {
+	return n.seen.appendUnseen(dst, origin, originHash(n.buf.seed, origin), below, k)
 }
 
 // BufferLen reports the current number of buffered events.
@@ -307,10 +333,7 @@ func (n *Node) BufferLen() int { return n.buf.Len() }
 func (n *Node) BufferCapacity() int { return n.buf.Capacity() }
 
 // Buffered returns the event as the buffer holds it — the node's own
-// copy of the payload, read-only — and whether it is buffered. The
-// recovery store takes its payload from here, so a received event is
-// copied out of the transport's receive buffer once, not once per
-// retainer.
+// copy of the payload, read-only — and whether it is buffered.
 func (n *Node) Buffered(id EventID) (Event, bool) { return n.buf.Get(id) }
 
 // AppendOldestUncounted exposes the buffer scan used by the congestion
@@ -355,7 +378,7 @@ func (n *Node) Broadcast(payload []byte) Event {
 		})
 		n.traceAwait[ev.ID] = struct{}{}
 	}
-	n.deliverLocal(ev)
+	n.deliverLocal(ev, nil)
 	victim, evicted, err := n.buf.Add(ev)
 	if err != nil {
 		// The member restarted under its old id and got its events back.
@@ -396,6 +419,7 @@ func (n *Node) Tick() []Outgoing {
 		Traced:  n.tracer != nil,
 		Events:  n.scratchEvents,
 		Subs:    msg.Subs[:0],
+		Digest:  msg.Digest[:0],
 		Updates: msg.Updates[:0],
 		Health:  msg.Health[:0],
 	}
@@ -517,7 +541,7 @@ func (n *Node) Receive(msg *Message) {
 			// First sight of the event: take the payload out of the
 			// transport's receive buffer before anything retains it. The
 			// duplicates above — most of what gossip receives — never
-			// get here. The buffer, the recovery store (Buffered) and every
+			// get here. The buffer, the recovery store and every
 			// subscriber share this one copy.
 			ev.Payload = n.OwnPayload(ev.Payload)
 		}
@@ -527,7 +551,7 @@ func (n *Node) Receive(msg *Message) {
 				Stage: observe.StageReceive, Node: string(n.id),
 				From: string(msg.From), Hop: ev.Hop, Round: n.round,
 			})
-			n.deliverLocal(ev)
+			n.deliverLocal(ev, msg)
 			n.dropped(n.buf.put(ev, h))
 			n.tracer.Trace(observe.TraceEvent{
 				Origin: string(ev.ID.Origin), Seq: ev.ID.Seq,
@@ -536,7 +560,7 @@ func (n *Node) Receive(msg *Message) {
 			})
 			continue
 		}
-		n.deliverLocal(ev)
+		n.deliverLocal(ev, msg)
 		n.dropped(n.buf.put(ev, h))
 	}
 	for _, ext := range n.exts {
@@ -583,7 +607,9 @@ func (n *Node) OwnPayload(p []byte) []byte {
 	return c
 }
 
-func (n *Node) deliverLocal(ev Event) {
+// deliverLocal delivers ev, which arrived in msg (nil for a broadcast),
+// and tells the delivery observers.
+func (n *Node) deliverLocal(ev Event, msg *Message) {
 	n.stats.Delivered++
 	if n.metrics != nil {
 		// ev.Hop equals ev.Age unless the sender carried wire trace
@@ -593,6 +619,9 @@ func (n *Node) deliverLocal(ev Event) {
 	}
 	if n.deliver != nil {
 		n.deliver(ev)
+	}
+	for _, o := range n.delivering {
+		o.OnDeliver(n, ev, msg)
 	}
 }
 

@@ -1,5 +1,7 @@
 package gossip
 
+import "math/bits"
+
 // replayFirst is how many windows a replay set makes room for at its
 // first origin, with replayFirstWords words for their rings: the
 // paper's group of 60 fits, rings of up to two words with the garbage
@@ -156,6 +158,54 @@ func (r *replay) contains(id EventID, oh uint64) bool {
 	}
 	off, mask := w.ring()
 	return x-w.lo <= mask && r.words[off+int(x&mask)]&(1<<(id.Seq&63)) != 0
+}
+
+// appendWatermarks appends to dst the (origin, highest accepted seq) of
+// at most k windows, the most recently active first.
+func (r *replay) appendWatermarks(dst []EventID, k int) []EventID {
+	for i := int(r.head) - 1; i >= 0 && k > 0; i = int(r.links[i].next) - 1 {
+		w := &r.wins[i]
+		off, mask := w.ring()
+		x := r.highest(w)
+		if b := r.words[off+int(x&mask)]; b != 0 {
+			dst = append(dst, EventID{Origin: w.name, Seq: x<<6 | uint64(bits.Len64(b)-1)})
+			k--
+		}
+	}
+	return dst
+}
+
+// appendUnseen appends to dst, ascending, at most k seqs under below
+// that the window of origin, whose hash is oh, has neither accepted nor
+// floored, from its ring's first word up: where the member began to
+// hear the origin. An origin without a window is taken as one opened
+// at below-1, which lacks the seqs of its word under below.
+func (r *replay) appendUnseen(dst []EventID, origin NodeID, oh uint64, below uint64, k int) []EventID {
+	if below == 0 {
+		return dst
+	}
+	last := (below - 1) >> 6
+	lo, off, mask := last, 0, uint64(0)
+	ring := false
+	if i := r.find(origin, oh); i >= 0 {
+		w := &r.wins[i]
+		lo, ring = w.lo, true
+		off, mask = w.ring()
+	}
+	for x := lo; x <= last && k > 0; x++ {
+		free := ^uint64(0) // a word above the ring holds no id
+		if ring && x-lo <= mask {
+			free = ^r.words[off+int(x&mask)]
+		}
+		if x == last {
+			free &= ^uint64(0) >> (63 - (below-1)&63)
+		}
+		for ; free != 0 && k > 0; free &= free - 1 {
+			dst = append(dst, EventID{Origin: origin, Seq: x<<6 | uint64(bits.TrailingZeros64(free))})
+			k--
+		}
+	}
+	return dst
 }
 
 // add enters id, whose origin hashes to oh, at round now and returns

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,43 +35,71 @@ func newTestEngine(t testing.TB, p Params) *Engine {
 	return eng
 }
 
+// ev returns event seq of origin.
+func ev(origin gossip.NodeID, seq uint64) gossip.Event {
+	return gossip.Event{ID: gossip.EventID{Origin: origin, Seq: seq}}
+}
+
+// push hands n a gossip message from "p" carrying events of origin at
+// seqs: how a test opens or advances n's window of origin.
+func push(n *gossip.Node, origin gossip.NodeID, seqs ...uint64) {
+	msg := &gossip.Message{From: "p"}
+	for _, s := range seqs {
+		msg.Events = append(msg.Events, ev(origin, s))
+	}
+	n.Receive(msg)
+}
+
+// digest returns a gossip message from from whose digest holds marks.
+func digest(from gossip.NodeID, marks ...gossip.EventID) *gossip.Message {
+	return &gossip.Message{Kind: gossip.KindGossip, From: from, Digest: marks}
+}
+
+// requests returns the request messages of outs as "target:ids".
+func requests(outs []gossip.Outgoing) []string {
+	var got []string
+	for _, out := range outs {
+		if out.Msg.Kind == gossip.KindRecoveryRequest {
+			got = append(got, fmt.Sprintf("%s:%v", out.To, out.Msg.Request))
+		}
+	}
+	return got
+}
+
 func TestParamsValidate(t *testing.T) {
 	if err := (Params{}).Validate(); err != nil {
 		t.Errorf("zero params should validate via defaults, got %v", err)
 	}
-	if err := (Params{DigestLen: -1}).Validate(); err == nil {
-		t.Error("negative digest length should fail validation")
-	}
 	if err := (Params{RequestBudget: -2}).Validate(); err == nil {
 		t.Error("negative budget should fail validation")
 	}
+	if err := (Params{StoreCapacity: -1}).Validate(); err == nil {
+		t.Error("negative store capacity should fail validation")
+	}
 	p := Params{}.withDefaults()
-	if p.DigestLen != DefaultDigestLen || p.RequestBudget != DefaultRequestBudget {
+	if p.RequestBudget != DefaultRequestBudget || p.StoreCapacity != DefaultStoreCapacity {
 		t.Errorf("defaults not applied: %+v", p)
 	}
 }
 
-// TestDigestPiggyback: a ticking node with the engine advertises its
-// buffered events in the outgoing digest.
+// TestDigestPiggyback: a ticking node with the engine advertises the
+// watermark of each origin it accepted events of, its own included,
+// the most recently active first.
 func TestDigestPiggyback(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
 	eng := newTestEngine(t, Params{})
 	n := newTestNode(t, "a", reg, eng)
 
-	ev := n.Broadcast([]byte("x"))
+	push(n, "x", 0, 4, 2)
+	n.Broadcast([]byte("x"))
+	own := n.Broadcast([]byte("y"))
 	outs := n.Tick()
 	if len(outs) == 0 {
 		t.Fatal("expected fanout targets")
 	}
-	digest := outs[0].Msg.Digest
-	found := false
-	for _, id := range digest {
-		if id == ev.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("digest %v does not advertise broadcast event %s", digest, ev.ID)
+	want := []gossip.EventID{own.ID, {Origin: "x", Seq: 4}}
+	if got := outs[0].Msg.Digest; !slices.Equal(got, want) {
+		t.Errorf("digest %v, want %v", got, want)
 	}
 	if eng.Stats().DigestsSent != 1 {
 		t.Errorf("DigestsSent = %d, want 1", eng.Stats().DigestsSent)
@@ -78,8 +107,8 @@ func TestDigestPiggyback(t *testing.T) {
 }
 
 // TestPullRepair drives the full request/response exchange by hand:
-// node b learns of an event only via a's digest, pulls it, and a serves
-// it from the store.
+// node b, which has heard of origin a, learns of a's next event only via
+// a's digest, pulls it, and a serves it from the store.
 func TestPullRepair(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
 	engA := newTestEngine(t, Params{})
@@ -87,6 +116,7 @@ func TestPullRepair(t *testing.T) {
 	a := newTestNode(t, "a", reg, engA)
 	b := newTestNode(t, "b", reg, engB)
 
+	b.Receive(&gossip.Message{From: "a", Events: []gossip.Event{a.Broadcast([]byte("heard"))}})
 	ev := a.Broadcast([]byte("lost-event"))
 	outs := a.Tick()
 	if len(outs) == 0 {
@@ -96,11 +126,8 @@ func TestPullRepair(t *testing.T) {
 	stripped := outs[0].Msg.Clone()
 	stripped.Events = nil
 	b.Receive(stripped)
-	if b.Seen(ev.ID) {
-		t.Fatal("b should not have the event yet")
-	}
-	if engB.MissingLen() != 1 {
-		t.Fatalf("b should track 1 missing event, has %d", engB.MissingLen())
+	if got := b.AppendUnseen(nil, "a", ev.ID.Seq+1, 8); !slices.Equal(got, []gossip.EventID{ev.ID}) {
+		t.Fatalf("b lacks %v of a, want [%s]", got, ev.ID)
 	}
 
 	// b's next tick emits the pull request.
@@ -128,13 +155,19 @@ func TestPullRepair(t *testing.T) {
 		t.Fatalf("bad response: to=%s kind=%v", resp.To, resp.Msg.Kind)
 	}
 
-	// b receives the response: the event is delivered and settled.
+	// b receives the response: the event is delivered, stored and no
+	// longer pulled.
 	b.Receive(resp.Msg)
-	if !b.Seen(ev.ID) {
-		t.Error("b did not deliver the recovered event")
+	if got := b.AppendUnseen(nil, "a", ev.ID.Seq+1, 8); len(got) != 0 {
+		t.Errorf("b still lacks %v after the response", got)
 	}
-	if engB.MissingLen() != 0 {
-		t.Errorf("missing set should be empty, has %d", engB.MissingLen())
+	if _, ok := engB.store.get(ev.ID); !ok {
+		t.Error("b did not store the recovered event")
+	}
+	b.Receive(stripped)
+	b.Tick()
+	if reqs := requests(engB.TakeOutgoing()); len(reqs) != 0 {
+		t.Errorf("b pulls %v after the response", reqs)
 	}
 	if st := engB.Stats(); st.EventsRecovered != 1 {
 		t.Errorf("EventsRecovered = %d, want 1", st.EventsRecovered)
@@ -147,82 +180,65 @@ func TestPullRepair(t *testing.T) {
 // TestRequestBudget bounds the identifiers requested per round.
 func TestRequestBudget(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
-	eng := newTestEngine(t, Params{RequestBudget: 3, DigestLen: 64})
+	eng := newTestEngine(t, Params{RequestBudget: 3})
 	b := newTestNode(t, "b", reg, eng)
 
-	digest := make([]gossip.EventID, 10)
-	for i := range digest {
-		digest[i] = gossip.EventID{Origin: "a", Seq: uint64(i)}
-	}
-	b.Receive(&gossip.Message{From: "a", Digest: digest})
+	push(b, "a", 1)
+	b.Receive(digest("a", gossip.EventID{Origin: "a", Seq: 20}))
 	b.Tick()
-	outs := eng.TakeOutgoing()
-	total := 0
-	for _, out := range outs {
-		total += len(out.Msg.Request)
-	}
-	if total != 3 {
-		t.Errorf("requested %d ids, want budget 3", total)
+	want := []string{"a:[a/0 a/2 a/3]"}
+	if got := requests(eng.TakeOutgoing()); !slices.Equal(got, want) {
+		t.Errorf("requests %v, want %v", got, want)
 	}
 	if eng.Stats().IDsRequested != 3 {
 		t.Errorf("IDsRequested = %d, want 3", eng.Stats().IDsRequested)
 	}
 }
 
-// TestRetryAndGiveUp: un-answered requests are retried after
-// retryRounds and abandoned after giveUpRounds.
+// TestRetryAndGiveUp: an unanswered id is asked for again every round a
+// digest advertises a watermark above it, and given up once its
+// window's floor passes it: here when an id lands above the ring H =
+// 2·(MaxAge+1) rounds after the ring's upper word was first seen.
 func TestRetryAndGiveUp(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
 	eng := newTestEngine(t, Params{})
-	b := newTestNode(t, "b", reg, eng)
+	b := newTestNode(t, "b", reg, eng) // MaxAge 5
 
-	id := gossip.EventID{Origin: "a", Seq: 99}
-	b.Receive(&gossip.Message{From: "a", Digest: []gossip.EventID{id}})
-
-	requests := 0
-	for round := 1; round <= giveUpRounds+5; round++ {
+	const h = 2 * (5 + 1)
+	push(b, "a", 0)
+	for round := 1; round <= h+4; round++ {
+		switch round {
+		case 2:
+			push(b, "a", 64) // word 1, first seen at round 1
+		case h + 2:
+			push(b, "a", 128) // past the ring: the floor moves up to word 1
+		}
+		b.Receive(digest("a", gossip.EventID{Origin: "a", Seq: 3}))
 		b.Tick()
-		for _, out := range eng.TakeOutgoing() {
-			if out.Msg.Kind == gossip.KindRecoveryRequest {
-				requests += len(out.Msg.Request)
-			}
+		want := []string{"a:[a/1 a/2 a/3]"}
+		if round >= h+2 {
+			want = nil
 		}
-		want := 1
-		if round >= giveUpRounds {
-			want = 0
+		if got := requests(eng.TakeOutgoing()); !slices.Equal(got, want) {
+			t.Fatalf("round %d: requests %v, want %v", round, got, want)
 		}
-		if eng.MissingLen() != want {
-			t.Fatalf("round %d: missing set has %d, want %d (give up at round %d)", round, eng.MissingLen(), want, giveUpRounds)
-		}
-	}
-	// Advertised at round 0: rounds 1, 3, ..., 19 request (retry
-	// cadence 2), round 20 gives up before an eleventh try.
-	if want := giveUpRounds / retryRounds; requests != want {
-		t.Errorf("sent %d requests, want %d (retry cadence %d, give up after %d rounds)", requests, want, retryRounds, giveUpRounds)
-	}
-	if eng.Stats().MissingGaveUp != 1 {
-		t.Errorf("MissingGaveUp = %d, want 1", eng.Stats().MissingGaveUp)
 	}
 }
 
-// TestMissingSettledByPush: an event that arrives through normal push
-// gossip before the pull fires is dropped from the missing set without
-// a request.
+// TestMissingSettledByPush: ids that arrive through normal push gossip
+// before the pull fires are not requested.
 func TestMissingSettledByPush(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
 	eng := newTestEngine(t, Params{})
 	b := newTestNode(t, "b", reg, eng)
 
-	id := gossip.EventID{Origin: "a", Seq: 7}
-	b.Receive(&gossip.Message{From: "a", Digest: []gossip.EventID{id}})
-	// The event arrives via push before b's next tick.
-	b.Receive(&gossip.Message{From: "a", Events: []gossip.Event{{ID: id}}})
+	push(b, "a", 0)
+	b.Receive(digest("a", gossip.EventID{Origin: "a", Seq: 7}))
+	// The events arrive via push before b's next tick.
+	push(b, "a", 1, 2, 3, 4, 5, 6, 7)
 	b.Tick()
 	if outs := eng.TakeOutgoing(); len(outs) != 0 {
 		t.Errorf("expected no requests, got %d messages", len(outs))
-	}
-	if eng.MissingLen() != 0 {
-		t.Errorf("missing set should be empty, has %d", eng.MissingLen())
 	}
 }
 
@@ -267,7 +283,7 @@ func TestServeBoundedPerRequest(t *testing.T) {
 			eng := newTestEngine(t, Params{})
 			a := newTestNode(t, "a", membership.NewRegistry("a", "b"), eng)
 			for i := range 1000 {
-				eng.observe(a, gossip.Event{ID: stored(i), Payload: []byte("x")}, false)
+				eng.OnDeliver(a, gossip.Event{ID: stored(i), Payload: []byte("x")}, nil)
 			}
 			req := &gossip.Message{Kind: gossip.KindRecoveryRequest, From: "b"}
 			for i := range 1000 {
@@ -336,7 +352,7 @@ func mustStore(t *testing.T, capacity int) *store {
 func TestStoreCapacityBound(t *testing.T) {
 	s := mustStore(t, 4)
 	for i := 0; i < 100; i++ {
-		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i), false, nil)
+		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: uint64(i)}}, uint64(i))
 		if s.len() > 4 {
 			t.Fatalf("store grew to %d, capacity 4", s.len())
 		}
@@ -349,7 +365,7 @@ func TestStoreCapacityBound(t *testing.T) {
 	}
 	seq := uint64(100)
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: seq}}, seq, false, nil)
+		s.add(gossip.Event{ID: gossip.EventID{Origin: "a", Seq: seq}}, seq)
 		s.gc(seq, int(seq%8)) // at times the GC evicts, at times the capacity
 		seq++
 	}); allocs != 0 {
@@ -359,62 +375,74 @@ func TestStoreCapacityBound(t *testing.T) {
 
 // TestStoreAddBorrowedAllocFree: the store retains received payloads
 // beside the node's buffer, so for an event out of a Borrowed message it
-// never keeps the datagram's bytes: it shares the copy the node's buffer
-// holds, and copies for itself — once, when the event is new to the
-// store, never for the duplicates that are most of what gossip receives —
-// only when the node no longer buffers the event.
+// never keeps the datagram's bytes: it takes the copy the node made when
+// it first accepted the event, which the buffer shares, and the
+// duplicates that are most of what gossip receives neither copy nor
+// touch the store. A broadcast's payload is stored as given.
 func TestStoreAddBorrowedAllocFree(t *testing.T) {
-	s := mustStore(t, 8)
-	n := newTestNode(t, "rx", membership.NewRegistry("rx", "a"), newTestEngine(t, Params{}))
+	eng := newTestEngine(t, Params{})
+	n := newTestNode(t, "rx", membership.NewRegistry("rx", "a"), eng)
 	wire := []byte("payload in the transport's receive buffer")
 	want := string(wire)
-
-	// The node buffers event 1 (its own copy); event 2 it does not hold.
-	held := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 1}, Payload: []byte(want)}
-	n.Receive(&gossip.Message{From: "a", Events: []gossip.Event{held}})
-	shared := gossip.Event{ID: held.ID, Payload: wire}
-	absent := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 2}, Payload: wire}
-	for _, ev := range []gossip.Event{shared, absent} {
-		if added, _ := s.add(ev, 1, true, n); !added {
-			t.Fatal("first add refused")
-		}
-	}
+	id := gossip.EventID{Origin: "a", Seq: 1}
+	msg := &gossip.Message{From: "a", Borrowed: true, Events: []gossip.Event{{ID: id, Payload: wire}}}
+	n.Receive(msg)
 	for i := range wire {
 		wire[i] = 0xDD // the next datagram lands in the buffer
 	}
-	if got, _ := s.get(shared.ID); &got.Payload[0] != &held.Payload[0] {
-		t.Fatalf("store did not take the node's copy of a buffered event: %q", got.Payload)
+	held, ok := n.Buffered(id)
+	got, stored := eng.store.get(id)
+	if !ok || !stored {
+		t.Fatalf("event buffered %v, stored %v; want both", ok, stored)
 	}
-	if got, _ := s.get(absent.ID); string(got.Payload) != want {
-		t.Fatalf("store kept an alias of the receive buffer: %q", got.Payload)
+	if &got.Payload[0] != &held.Payload[0] || string(got.Payload) != want {
+		t.Fatalf("store holds %q apart from the node's copy: want the node's copy %q", got.Payload, held.Payload)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.add(absent, 2, true, n) }); allocs != 0 {
-		t.Fatalf("re-adding a stored event allocates %v times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { n.Receive(msg) }); allocs != 0 {
+		t.Fatalf("a duplicate of a stored event allocates %v times, want 0", allocs)
 	}
-	owned := gossip.Event{ID: gossip.EventID{Origin: "a", Seq: 3}, Payload: []byte("owned")}
-	s.add(owned, 2, false, nil)
-	if got, _ := s.get(owned.ID); &got.Payload[0] != &owned.Payload[0] {
-		t.Fatal("store copied a payload it was told it owns")
+	if eng.store.len() != 1 {
+		t.Fatalf("%d events stored, want 1", eng.store.len())
+	}
+	payload := []byte("own")
+	own := n.Broadcast(payload)
+	if got, _ := eng.store.get(own.ID); &got.Payload[0] != &payload[0] {
+		t.Fatal("store copied a broadcast's payload")
 	}
 }
 
-// TestMaxMissingBound: advertisement flooding cannot grow the missing
-// set beyond maxMissing.
+// TestMaxMissingBound: a digest cannot make the member chase more than
+// it can ask for. Each origin the member has a window of takes at most
+// one entry in the round's pull list, whatever the digest repeats, and
+// the list at most RequestBudget; the latest advertiser of a gap is the
+// one asked.
 func TestMaxMissingBound(t *testing.T) {
+	const budget = 4
 	reg := membership.NewRegistry("a", "b")
-	eng := newTestEngine(t, Params{})
+	eng := newTestEngine(t, Params{RequestBudget: budget})
 	b := newTestNode(t, "b", reg, eng)
 
-	digest := make([]gossip.EventID, maxMissing+5)
-	for i := range digest {
-		digest[i] = gossip.EventID{Origin: "a", Seq: uint64(i)}
+	var marks []gossip.EventID
+	for o := range 10 {
+		origin := gossip.NodeID(fmt.Sprintf("o%d", o))
+		push(b, origin, 0)
+		for range 3 {
+			marks = append(marks, gossip.EventID{Origin: origin, Seq: 5})
+		}
 	}
-	b.Receive(&gossip.Message{From: "a", Digest: digest})
-	if eng.MissingLen() != maxMissing {
-		t.Errorf("missing set = %d, want maxMissing %d", eng.MissingLen(), maxMissing)
+	b.Receive(digest("a", marks...))
+	b.Receive(digest("c", marks...))
+	if len(eng.pulls) != budget {
+		t.Fatalf("%d pulls, want the budget %d", len(eng.pulls), budget)
 	}
-	if eng.Stats().MissingOverflow != 5 {
-		t.Errorf("MissingOverflow = %d, want 5", eng.Stats().MissingOverflow)
+	for i, p := range eng.pulls {
+		if want := (pull{origin: gossip.NodeID(fmt.Sprintf("o%d", i)), from: "c", below: 6}); p != want {
+			t.Fatalf("pull %d = %+v, want %+v", i, p, want)
+		}
+	}
+	b.Tick()
+	if got, want := requests(eng.TakeOutgoing()), []string{"c:[o0/1 o0/2 o0/3 o0/4]"}; !slices.Equal(got, want) {
+		t.Fatalf("requests %v, want %v", got, want)
 	}
 }
 
@@ -425,19 +453,18 @@ func TestDeterministicRequests(t *testing.T) {
 		reg := membership.NewRegistry("a", "b", "c", "x")
 		eng := newTestEngine(t, Params{RequestBudget: 8})
 		x := newTestNode(t, "x", reg, eng)
+		var trace string
 		for round := 0; round < 4; round++ {
 			for _, from := range []gossip.NodeID{"a", "b", "c"} {
-				digest := make([]gossip.EventID, 6)
-				for i := range digest {
-					digest[i] = gossip.EventID{Origin: from, Seq: uint64(round*6 + i)}
+				push(x, from, uint64(round*6))
+				marks := make([]gossip.EventID, 3)
+				for i := range marks {
+					marks[i] = gossip.EventID{Origin: gossip.NodeID([]string{"a", "b", "c"}[i]), Seq: uint64(round*6 + 5)}
 				}
-				x.Receive(&gossip.Message{From: from, Digest: digest})
+				x.Receive(digest(from, marks...))
 			}
 			x.Tick()
-		}
-		var trace string
-		for _, out := range eng.TakeOutgoing() {
-			trace += fmt.Sprintf("%s:%v;", out.To, out.Msg.Request)
+			trace += strings.Join(requests(eng.TakeOutgoing()), ";") + "|"
 		}
 		return trace
 	}
@@ -446,31 +473,36 @@ func TestDeterministicRequests(t *testing.T) {
 	}
 }
 
-// TestDiffDigest: a received digest's ids the node has not seen, and
-// those alone, join the missing set and are pulled from the digest's
-// sender.
+// TestDiffDigest: a received digest's watermarks above ids the node
+// lacks, and those alone, enter the pull list and are pulled from the
+// digest's sender; the node's own origin and a watermark it has
+// everything under are not. Of an origin it has no window of, it pulls
+// the advertised seq's word up to it.
 func TestDiffDigest(t *testing.T) {
 	reg := membership.NewRegistry("a", "b")
 	eng := newTestEngine(t, Params{})
 	n := newTestNode(t, "a", reg, eng)
 	have := n.Broadcast(nil)
-	want := gossip.EventID{Origin: "b", Seq: 1}
-	eng.OnReceive(n, &gossip.Message{Kind: gossip.KindGossip, From: "b", Digest: []gossip.EventID{have.ID, want}})
-	if eng.MissingLen() != 1 {
-		t.Fatalf("MissingLen = %d, want 1", eng.MissingLen())
+	push(n, "b", 0)
+	push(n, "c", 0, 1)
+	eng.OnReceive(n, digest("b", gossip.EventID{Origin: have.ID.Origin, Seq: 9}, gossip.EventID{Origin: "b", Seq: 1},
+		gossip.EventID{Origin: "c", Seq: 1}, gossip.EventID{Origin: "d", Seq: 66}))
+	if len(eng.pulls) != 2 {
+		t.Fatalf("%d pulls %+v, want 2", len(eng.pulls), eng.pulls)
 	}
 	n.Tick()
-	reqs := eng.TakeOutgoing()
-	if len(reqs) != 1 || reqs[0].To != "b" || !reflect.DeepEqual(reqs[0].Msg.Request, []gossip.EventID{want}) {
-		t.Fatalf("requests %+v, want [%v] from b", reqs, want)
+	want := []string{"b:[b/1 d/64 d/65 d/66]"}
+	if got := requests(eng.TakeOutgoing()); !slices.Equal(got, want) {
+		t.Fatalf("requests %v, want %v", got, want)
 	}
 }
 
 // BenchmarkRecoveryDigestDiff measures the receiver-side hot path of
-// the anti-entropy subsystem: a gossip message carrying a digest, diffed
-// against the node's seen set. Half the digest is known, half missing —
-// the steady-state shape under loss — and the missing half is tracked
-// from the first iteration on, as it stays while its pull is answered.
+// the anti-entropy subsystem: a gossip message carrying a digest of 64
+// watermarks, diffed against the node's replay windows. The node lacks
+// an id under half of them — the steady-state shape under loss — and
+// those origins hold the round's pull list from the first iteration
+// on, as they do while their pulls are answered.
 func BenchmarkRecoveryDigestDiff(b *testing.B) {
 	reg := membership.NewRegistry("a", "b")
 	eng := newTestEngine(b, Params{})
@@ -480,59 +512,73 @@ func BenchmarkRecoveryDigestDiff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := &gossip.Message{Kind: gossip.KindGossip, From: "b", Digest: make([]gossip.EventID, DefaultDigestLen)}
+	msg := digest("b", make([]gossip.EventID, 64)...)
 	for i := range msg.Digest {
-		msg.Digest[i] = gossip.EventID{Origin: "b", Seq: uint64(i)}
+		origin := gossip.NodeID(fmt.Sprintf("n%03d", i))
+		msg.Digest[i] = gossip.EventID{Origin: origin, Seq: 40}
+		push(node, origin, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+			21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39)
 		if i%2 == 0 {
-			node.Receive(&gossip.Message{From: "b", Events: []gossip.Event{{ID: msg.Digest[i]}}})
+			push(node, origin, 40)
 		}
 	}
-	b.ReportMetric(float64(len(msg.Digest)), "ids/op")
+	b.ReportMetric(float64(len(msg.Digest)), "watermarks/op")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.OnReceive(node, msg)
 	}
 	b.StopTimer()
-	if eng.MissingLen() != len(msg.Digest)/2 {
-		b.Fatalf("%d ids missing, want %d", eng.MissingLen(), len(msg.Digest)/2)
+	if len(eng.pulls) != len(msg.Digest)/2 {
+		b.Fatalf("%d origins pulled, want %d", len(eng.pulls), len(msg.Digest)/2)
 	}
 }
 
 // BenchmarkRecoveryRound measures the engine's bookkeeping of one round
-// in udp_full's shape, at the default DigestLen, 128 ids, and store of
-// 1,024 events. Ungated: it compares the digest's, the store's and the
-// missing set's cost across changes of their layout.
+// in udp_full's shape, at the default store of 1,024 events. Ungated:
+// it compares the store's and the pulls' cost across changes of their
+// layout.
 //
-//   - observed: 12 new events a round and the 120-event buffer observed
-//     5 times — the member's own round and four received messages,
-//     nearly all duplicates — the store's GC, and the digest listed for
-//     the round message.
-//   - unseen-digest: a digest naming 8 ids the member has not seen, from
-//     two advertisers; the round's requests; and a response bringing
-//     the even-numbered ids requested, so the odd ones are requested
-//     until they are given up, about 90 ids tracked at a time.
+//   - observed: 12 new events a round from 16 origins taken into the
+//     store, the store's GC, and the digest of the 16 watermarks listed
+//     for the round message.
+//   - unseen-digest: an origin whose 8 new ids a round the member hears
+//     one of by push and the rest of from a digest, from two
+//     advertisers in turn; the round's requests; and a response
+//     bringing the even-numbered ids requested, so the odd ones are
+//     requested until the window's floor passes them.
 func BenchmarkRecoveryRound(b *testing.B) {
-	const members, buffered, births, observed = 16, 120, 12, 5
+	const members, births = 16, 12
 	names := make([]gossip.NodeID, members)
 	for i := range names {
 		names[i] = gossip.NodeID(fmt.Sprintf("n%03d", i))
 	}
+	newNode := func(b *testing.B, e *Engine) *gossip.Node {
+		node, err := gossip.NewNode("self",
+			gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: 120, MaxAge: 10},
+			membership.NewRegistry(names...), rand.New(rand.NewPCG(23, 24)), gossip.WithExtensions(e))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return node
+	}
 	b.Run("observed", func(b *testing.B) {
 		e := newTestEngine(b, Params{})
+		node := newNode(b, e)
+		for _, name := range names {
+			push(node, name, 0)
+		}
 		payload := make([]byte, 32)
-		// Event k of the group is seq k/members of member k%members; the
-		// buffer holds the newest 120.
-		newest := uint64(buffered)
+		digest := make([]gossip.EventID, 0, DigestLen)
+		// Event k of the group is seq k/members of member k%members.
+		newest := uint64(0)
 		round := func() {
 			e.round++
 			e.stats.StoreEvicted += uint64(e.store.gc(e.round, retainRounds))
-			newest += births
-			for range observed {
-				for k := newest - buffered; k < newest; k++ {
-					e.observe(nil, gossip.Event{ID: gossip.EventID{Origin: names[k%members], Seq: k / members}, Payload: payload}, false)
-				}
+			for range births {
+				e.OnDeliver(node, gossip.Event{ID: gossip.EventID{Origin: names[newest%members], Seq: newest / members}, Payload: payload}, nil)
+				newest++
 			}
-			e.digestScratch = e.digest.AppendIDs(e.digestScratch[:0])
+			digest = node.AppendWatermarks(digest[:0], DigestLen)
 		}
 		for range 2 * retainRounds { // the store at its GC horizon
 			round()
@@ -545,25 +591,20 @@ func BenchmarkRecoveryRound(b *testing.B) {
 	})
 	b.Run("unseen-digest", func(b *testing.B) {
 		e := newTestEngine(b, Params{})
-		node, err := gossip.NewNode("self",
-			gossip.Params{Fanout: 4, Period: time.Second, MaxEvents: buffered, MaxAge: 10},
-			membership.NewRegistry(names...), rand.New(rand.NewPCG(23, 24)), gossip.WithExtensions(e))
-		if err != nil {
-			b.Fatal(err)
-		}
-		digest := &gossip.Message{Kind: gossip.KindGossip, Digest: make([]gossip.EventID, 8)}
+		node := newNode(b, e)
+		marks := digest("", gossip.EventID{Origin: names[2]})
 		response := &gossip.Message{Kind: gossip.KindRecoveryResponse, From: names[1], Events: make([]gossip.Event, 0, 64)}
+		pushed := &gossip.Message{From: names[3], Events: []gossip.Event{ev(names[2], 0)}}
 		next := uint64(0)
 		round := func() {
-			e.round++
-			for i := range digest.Digest {
-				digest.Digest[i] = gossip.EventID{Origin: names[2], Seq: next}
-				next++
-			}
-			digest.From = names[next/8%2]
-			e.OnReceive(node, digest)
-			e.buildRequests(node)
+			pushed.Events[0].ID.Seq = next
+			node.Receive(pushed)
+			next += 8
+			marks.Digest[0].Seq = next - 1
+			marks.From = names[next/8%2]
+			node.Receive(marks)
 			response.Events = response.Events[:0]
+			node.Tick()
 			for _, out := range e.TakeOutgoing() {
 				for _, id := range out.Msg.Request {
 					if id.Seq%2 == 0 {
@@ -571,9 +612,9 @@ func BenchmarkRecoveryRound(b *testing.B) {
 					}
 				}
 			}
-			e.OnReceive(node, response)
+			node.Receive(response)
 		}
-		for range 2 * giveUpRounds { // ids given up every round
+		for range 30 { // ids given up every round
 			round()
 		}
 		b.ReportAllocs()
@@ -582,8 +623,8 @@ func BenchmarkRecoveryRound(b *testing.B) {
 			round()
 		}
 		b.StopTimer()
-		if st := e.Stats(); st.MissingGaveUp == 0 || st.EventsRecovered == 0 {
-			b.Fatalf("no ids given up (%d) or recovered (%d)", st.MissingGaveUp, st.EventsRecovered)
+		if st := e.Stats(); st.IDsRequested == 0 || st.EventsRecovered == 0 {
+			b.Fatalf("no ids requested (%d) or recovered (%d)", st.IDsRequested, st.EventsRecovered)
 		}
 	})
 }
@@ -640,7 +681,7 @@ func TestStoreMatchesModel(t *testing.T) {
 					}
 					model = append(model, entry{ev, round})
 				}
-				if a, e := s.add(ev, round, false, nil); a != (i < 0) || e != (i < 0 && full) {
+				if a, e := s.add(ev, round); a != (i < 0) || e != (i < 0 && full) {
 					t.Fatalf("seed %d op %d: add(%v) = %v, %v; model %v, %v", seed, op, id, a, e, i < 0, i < 0 && full)
 				}
 			}
@@ -678,155 +719,118 @@ func TestStatsAddSumsEveryField(t *testing.T) {
 	}
 }
 
-// orderListModel is the missing set as a map beside an append-only list
-// of ids in advertisement order, which may hold ids no longer tracked
-// and ids entered more than once; the list is filtered down to tracked
-// ids at the end of a round's requests once it holds at least 64
-// entries and twice the tracked ids. missingSet keeps the same order in
-// fixed memory, and TestMissingSetMatchesOrderListModel holds it to
-// this model.
+// orderListModel is the round's pull list as a map of origins beside a
+// list of them in the order they were first advertised with a gap,
+// built afresh each round, and the round's requests as the model reads
+// them off it. What a window lacks is the node's AppendUnseen, which
+// FuzzReplayWindow holds to a model of its own.
 type orderListModel struct {
-	missing map[gossip.EventID]*modelEntry
-	order   []gossip.EventID
-
-	gaveUp, overflow, recovered uint64
+	self   gossip.NodeID
+	budget int
+	order  []gossip.NodeID
+	pulls  map[gossip.NodeID]pull
 }
 
-type modelEntry struct {
-	source              gossip.NodeID
-	firstRound, lastReq uint64
-}
-
-func (m *orderListModel) diff(seen func(gossip.EventID) bool, from gossip.NodeID, digest []gossip.EventID, round uint64) {
-	for _, id := range digest {
-		if seen(id) {
+func (m *orderListModel) diff(n *gossip.Node, from gossip.NodeID, marks []gossip.EventID) {
+	for _, w := range marks {
+		if w.Origin == m.self || len(n.AppendUnseen(nil, w.Origin, w.Seq+1, 1)) == 0 {
 			continue
 		}
-		if e, ok := m.missing[id]; ok {
-			e.source = from
-			continue
+		if _, ok := m.pulls[w.Origin]; !ok {
+			if len(m.order) == m.budget {
+				continue
+			}
+			m.order = append(m.order, w.Origin)
 		}
-		if len(m.missing) >= maxMissing {
-			m.overflow++
-			continue
-		}
-		m.missing[id] = &modelEntry{source: from, firstRound: round}
-		m.order = append(m.order, id)
+		m.pulls[w.Origin] = pull{origin: w.Origin, from: from, below: w.Seq + 1}
 	}
 }
 
-// requests returns the round's request messages as "target:ids".
-func (m *orderListModel) requests(seen func(gossip.EventID) bool, round uint64, budget int) []string {
+// requests returns the round's request messages as "target:ids" and
+// empties the list.
+func (m *orderListModel) requests(n *gossip.Node) []string {
 	var targets []gossip.NodeID
 	ids := map[gossip.NodeID][]gossip.EventID{}
-	selected := 0
-	for _, id := range m.order {
-		if selected >= budget {
-			break
+	total := 0
+	for _, origin := range m.order {
+		p := m.pulls[origin]
+		if _, ok := ids[p.from]; !ok {
+			targets = append(targets, p.from)
+			ids[p.from] = nil
 		}
-		e, ok := m.missing[id]
-		if !ok || e.lastReq == round {
-			continue
-		}
-		if seen(id) {
-			delete(m.missing, id)
-			continue
-		}
-		if round-e.firstRound >= giveUpRounds {
-			delete(m.missing, id)
-			m.gaveUp++
-			continue
-		}
-		if e.lastReq != 0 && round-e.lastReq < retryRounds {
-			continue
-		}
-		e.lastReq = round
-		if _, ok := ids[e.source]; !ok {
-			targets = append(targets, e.source)
-		}
-		ids[e.source] = append(ids[e.source], id)
-		selected++
-	}
-	if len(m.order) >= 64 && len(m.order) >= 2*len(m.missing) {
-		live := m.order[:0]
-		for _, id := range m.order {
-			if _, ok := m.missing[id]; ok {
-				live = append(live, id)
-			}
-		}
-		m.order = live
 	}
 	var out []string
 	for _, to := range targets {
-		out = append(out, fmt.Sprintf("%s:%v", to, ids[to]))
+		for _, origin := range m.order {
+			if p := m.pulls[origin]; p.from == to {
+				got := n.AppendUnseen(nil, origin, p.below, m.budget-total)
+				ids[to] = append(ids[to], got...)
+				total += len(got)
+			}
+		}
+		if len(ids[to]) > 0 {
+			out = append(out, fmt.Sprintf("%s:%v", to, ids[to]))
+		}
 	}
+	m.order, m.pulls = nil, map[gossip.NodeID]pull{}
 	return out
 }
 
-// TestMissingSetMatchesOrderListModel drives an engine and the model
-// through the same random digests, deliveries, responses and rounds,
-// over a pool of ids small enough that ids are given up, advertised
-// again and compacted away, and large enough that the set overflows at
-// times: every round's requests, the set's size and the give-up,
-// overflow and recovery counts must agree.
-func TestMissingSetMatchesOrderListModel(t *testing.T) {
+// TestPullsMatchOrderListModel drives an engine and the model through
+// the same random digests, pushes, responses and rounds, over origins
+// the node has heard of, one it has not and its own, with seqs far
+// enough apart that windows reach their bound and move their floors:
+// every round's requests and the recovery count must agree.
+func TestPullsMatchOrderListModel(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 55))
 		budget := 1 + rng.IntN(24)
-		pool := 64 + rng.IntN(1200)
 		eng := newTestEngine(t, Params{RequestBudget: budget})
 		n := newTestNode(t, "self", membership.NewRegistry("self", "p0"), eng)
-		model := &orderListModel{missing: map[gossip.EventID]*modelEntry{}}
-		randomID := func() gossip.EventID {
-			k := rng.IntN(pool)
-			return gossip.EventID{Origin: gossip.NodeID(fmt.Sprintf("o%d", k%3)), Seq: uint64(k / 3)}
+		model := &orderListModel{self: "self", budget: budget, pulls: map[gossip.NodeID]pull{}}
+		origins := []gossip.NodeID{"o0", "o1", "o2", "o3", "o4", "o5", "self", "never"}
+		top := uint64(64 + rng.IntN(1200))
+		randomID := func(heard bool) gossip.EventID {
+			o := origins[rng.IntN(len(origins))]
+			if heard {
+				o = origins[rng.IntN(6)]
+			}
+			return gossip.EventID{Origin: o, Seq: uint64(rng.IntN(int(top)))}
 		}
+		recovered := uint64(0)
 		for step := 0; step < 3000; step++ {
 			switch op := rng.IntN(10); {
-			case op < 5: // a digest
+			case op < 4: // a digest
 				from := gossip.NodeID(fmt.Sprintf("p%d", rng.IntN(5)))
-				digest := make([]gossip.EventID, 1+rng.IntN(48))
-				for i := range digest {
-					digest[i] = randomID()
+				marks := make([]gossip.EventID, 1+rng.IntN(12))
+				for i := range marks {
+					marks[i] = randomID(false)
 				}
-				model.diff(n.Seen, from, digest, eng.round)
-				eng.OnReceive(n, &gossip.Message{Kind: gossip.KindGossip, From: from, Digest: digest})
-			case op < 6: // an event delivered by push gossip
-				ev := gossip.Event{ID: randomID()}
-				n.Receive(&gossip.Message{From: "p0", Events: []gossip.Event{ev}})
-			case op < 7: // a response
+				model.diff(n, from, marks)
+				n.Receive(digest(from, marks...))
+			case op < 7: // events delivered by push gossip
+				push(n, randomID(true).Origin, uint64(rng.IntN(int(top))), uint64(rng.IntN(int(top))))
+			case op < 8: // a response
 				resp := &gossip.Message{Kind: gossip.KindRecoveryResponse, From: "p1"}
 				for range 1 + rng.IntN(8) {
-					id := randomID()
-					if _, ok := model.missing[id]; ok {
-						model.recovered++
-						delete(model.missing, id)
-					}
-					resp.Events = append(resp.Events, gossip.Event{ID: id})
+					resp.Events = append(resp.Events, gossip.Event{ID: randomID(true)})
 				}
-				eng.OnReceive(n, resp)
+				delivered := n.Stats().Delivered
+				n.Receive(resp)
+				recovered += n.Stats().Delivered - delivered
 			default: // a round
-				round := eng.round + 1
-				want := model.requests(n.Seen, round, budget)
-				eng.OnTick(n, &gossip.Message{})
-				var got []string
-				for _, out := range eng.TakeOutgoing() {
-					got = append(got, fmt.Sprintf("%s:%v", out.To, out.Msg.Request))
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("seed %d, step %d, round %d: requests\n got %v\nwant %v", seed, step, round, got, want)
+				want := model.requests(n)
+				n.Tick()
+				if got := requests(eng.TakeOutgoing()); !slices.Equal(got, want) {
+					t.Fatalf("seed %d, step %d: requests\n got %v\nwant %v", seed, step, got, want)
 				}
 			}
-			st := eng.Stats()
-			if eng.MissingLen() != len(model.missing) || st.MissingGaveUp != model.gaveUp ||
-				st.MissingOverflow != model.overflow || st.EventsRecovered != model.recovered {
-				t.Fatalf("seed %d, step %d: engine tracks %d (gave up %d, overflow %d, recovered %d), model %d (%d, %d, %d)",
-					seed, step, eng.MissingLen(), st.MissingGaveUp, st.MissingOverflow, st.EventsRecovered,
-					len(model.missing), model.gaveUp, model.overflow, model.recovered)
+			if st := eng.Stats(); st.EventsRecovered != recovered {
+				t.Fatalf("seed %d, step %d: %d recovered, model %d", seed, step, st.EventsRecovered, recovered)
 			}
 		}
 		st := eng.Stats()
-		t.Logf("seed %d: budget %d, pool %d: %d ids requested, %d given up, %d overflowed, %d recovered",
-			seed, budget, pool, st.IDsRequested, st.MissingGaveUp, st.MissingOverflow, st.EventsRecovered)
+		t.Logf("seed %d: budget %d, seqs under %d: %d ids requested, %d recovered",
+			seed, budget, top, st.IDsRequested, st.EventsRecovered)
 	}
 }

@@ -88,9 +88,9 @@ func TestDecodeRejectsWireLenOverflow(t *testing.T) {
 }
 
 // redundantRound is a steady-state round message as a member of a
-// 16-node group receives it: events from origins distinct origins in
-// runs, payloads of payloadLen compressible bytes, and a recovery digest
-// of digestLen ids.
+// group receives it: events from origins distinct origins in runs,
+// payloads of payloadLen compressible bytes, and a recovery digest of
+// digestLen watermarks, one per origin, the events' origins first.
 func redundantRound(events, origins, payloadLen, digestLen int) *gossip.Message {
 	m := &gossip.Message{From: "node-03", Round: 41, SamplePeriod: 3,
 		MinBuff: []gossip.BuffCap{{Node: "node-11", Cap: 90}}}
@@ -103,7 +103,7 @@ func redundantRound(events, origins, payloadLen, digestLen int) *gossip.Message 
 	}
 	for i := 0; i < digestLen; i++ {
 		m.Digest = append(m.Digest, gossip.EventID{
-			Origin: gossip.NodeID(fmt.Sprintf("node-%02d", i%origins)), Seq: uint64(i),
+			Origin: gossip.NodeID(fmt.Sprintf("node-%02d", i)), Seq: uint64(100 + events + i),
 		})
 	}
 	return m
@@ -200,7 +200,7 @@ func TestDecodeMemoryBound(t *testing.T) {
 		for _, codec := range []Codec{c, flate} {
 			// As many 32-byte events as a datagram holds: the shape with
 			// the most list memory per wire byte that real traffic has.
-			msg := redundantRound(1200, 16, 32, recovery.DefaultDigestLen)
+			msg := redundantRound(1200, 16, 32, recovery.DigestLen)
 			chunks, err := codec.EncodeChunks(msg, DefaultMaxDatagram)
 			if err != nil {
 				t.Fatal(err)
@@ -286,15 +286,14 @@ func TestDecodeMemoryBound(t *testing.T) {
 // node retained must still be what was encoded: the payloads it
 // delivered, the ones its next round gossips, the ones its recovery
 // store serves — the same bytes the buffer gossips, one copy under both —
-// and the advertised ids it now pulls.
+// and the ids it now pulls under the advertised watermarks.
 func TestBorrowedMessageSurvivesScribble(t *testing.T) {
 	flate := DefaultCodec()
 	flate.Compression = NewFlateCompressor()
 	for name, codec := range map[string]Codec{"stored": DefaultCodec(), "flate": flate} {
 		t.Run(name, func(t *testing.T) {
 			sent := redundantRound(12, 4, 64, 0)
-			advertised := []gossip.EventID{{Origin: "node-09", Seq: 7}, {Origin: "node-10", Seq: 8}}
-			sent.Digest = advertised
+			sent.Digest = []gossip.EventID{{Origin: "node-01", Seq: 113}, {Origin: "node-02", Seq: 114}}
 			want := make(map[gossip.EventID][]byte)
 			for _, ev := range sent.Events {
 				want[ev.ID] = append([]byte(nil), ev.Payload...)
@@ -325,6 +324,11 @@ func TestBorrowedMessageSurvivesScribble(t *testing.T) {
 			}
 			now := time.Now()
 			node.Receive(msg, now)
+			advertised := node.Gossip().AppendUnseen(nil, "node-01", 114, recovery.DefaultRequestBudget)
+			advertised = node.Gossip().AppendUnseen(advertised, "node-02", 115, recovery.DefaultRequestBudget-len(advertised))
+			if advertised[len(advertised)-1].Origin != "node-02" {
+				t.Fatalf("the round pulls %v, none of node-02", advertised)
+			}
 			for i := range b {
 				b[i] = 0xDD
 			}
