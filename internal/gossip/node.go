@@ -67,7 +67,7 @@ type Extension interface {
 }
 
 // EvictionObserver is an Extension told of every event that leaves the
-// buffer (the adaptive mechanism and recovery are). A Node finds its
+// buffer (the adaptive mechanism is). A Node finds its
 // observers among its extensions when it is made.
 type EvictionObserver interface {
 	Extension

@@ -161,16 +161,15 @@ func (r *replay) contains(id EventID, oh uint64) bool {
 }
 
 // appendWatermarks appends to dst the (origin, highest accepted seq) of
-// at most k windows, the most recently active first.
+// at most k windows, the most recently active first. A window always
+// holds an id: one opens it, and a floor moves up only to a word that
+// holds one.
 func (r *replay) appendWatermarks(dst []EventID, k int) []EventID {
-	for i := int(r.head) - 1; i >= 0 && k > 0; i = int(r.links[i].next) - 1 {
+	for i := int(r.head) - 1; i >= 0 && k > 0; i, k = int(r.links[i].next)-1, k-1 {
 		w := &r.wins[i]
 		off, mask := w.ring()
 		x := r.highest(w)
-		if b := r.words[off+int(x&mask)]; b != 0 {
-			dst = append(dst, EventID{Origin: w.name, Seq: x<<6 | uint64(bits.Len64(b)-1)})
-			k--
-		}
+		dst = append(dst, EventID{Origin: w.name, Seq: x<<6 | uint64(bits.Len64(r.words[off+int(x&mask)])-1)})
 	}
 	return dst
 }

@@ -3,8 +3,10 @@ package gossip
 import (
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -395,18 +397,25 @@ func (r *replay) check() error {
 // 3, too small for the four origins and for rings past one word: then
 // windows may be forgotten and floors forced up, and only an accepted
 // id refused again, or accepted again while its window lives, fails.
+//
+// At every step the two reads recovery makes are held to the model too
+// (checkReads): the watermarks, and the unseen ids under a bound that
+// the op's seq and its top bits pick.
 func FuzzReplayWindow(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 8, 1, 0, 0, 1, 0})
 	f.Add([]byte{0, 0, 0, 24, 200, 15, 0, 1, 0, 24, 0, 0, 1, 0, 0, 2, 5, 0})
 	f.Add([]byte{1, 255, 15, 57, 0, 0, 2, 64, 0, 58, 1, 0, 3, 0, 0, 1, 255, 15})
 	f.Add([]byte{0, 5, 0, 24, 5, 0, 24, 5, 16, 0, 5, 0})
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 0, 200, 1, 0, 1, 0, 0})
+	// A restarted origin: a run with gaps, H rounds idle, seq 0 again by
+	// gossip, then reads with a bound past the old run.
+	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 0, 9, 0, 0, 70, 0, 24, 0, 0, 228, 100, 0, 0, 2, 0})
+	// A forced floor: a ring of one word, seq 200 forces it past seqs 0
+	// and 3; seqs 1 and 150 are refused stale, and the reads ask from
+	// the floor up.
+	f.Add([]byte{1, 0, 0, 0, 0, 3, 0, 0, 200, 0, 0, 1, 0, 228, 250, 0, 5, 150, 0})
 	const maxAge, h = 2, 6
-	type model struct {
-		seen   map[uint64]uint32 // seq -> round first seen
-		stale  uint64            // every seq under it was refused as stale
-		newest uint32
-	}
+	type model = replayModel
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), 3*1024+1)]
 		capacity, tight := 4096, len(ops)%3 == 1 && ops[0]&1 == 1
@@ -429,6 +438,7 @@ func FuzzReplayWindow(f *testing.F) {
 			return false
 		}
 		for len(ops) >= 3 {
+			checkReads(t, r, seed, models, ops[0], uint64(ops[1])|uint64(ops[2]&0x0f)<<8)
 			b, s := ops[0], uint64(ops[1])|uint64(ops[2]&0x0f)<<8
 			pushed := ops[2]&0x10 == 0
 			ops = ops[3:]
@@ -485,8 +495,88 @@ func FuzzReplayWindow(f *testing.F) {
 				}
 			}
 		}
+		checkReads(t, r, seed, models, 0xe0, 4095)
 		if err := r.check(); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// replayModel is FuzzReplayWindow's model of one origin's window.
+type replayModel struct {
+	seen   map[uint64]uint32 // seq -> round first seen
+	stale  uint64            // every seq under it was refused as stale
+	newest uint32
+}
+
+// checkReads holds r's watermarks and unseen ids to the models of the
+// live windows. Each watermark names one window and is its highest
+// accepted seq, the most recently active first. The unseen ids under
+// s+70, at most k = 1 + 9·(b>>5), are exactly the seqs from the ring's
+// first word up that the model has not accepted, ascending: an
+// unfloored ring starts at the word of the lowest accepted seq, and a
+// floor sits above every seq refused as stale. An origin without a
+// window yields the seqs of the bound's word under the bound, as an
+// empty window opened there would, and the reads open no window.
+func checkReads(t *testing.T, r *replay, seed maphash.Seed, models map[NodeID]*replayModel, b byte, s uint64) {
+	t.Helper()
+	windows := r.count
+	marks := r.appendWatermarks(nil, 8)
+	if len(marks) != len(models) {
+		t.Fatalf("%d watermarks %v for %d live windows", len(marks), marks, len(models))
+	}
+	for j, wm := range marks {
+		m := models[wm.Origin]
+		if m == nil {
+			t.Fatalf("watermark %v of an origin with no window", wm)
+		}
+		if j > 0 && m.newest > models[marks[j-1].Origin].newest {
+			t.Fatalf("watermarks %v are not most recently active first", marks)
+		}
+		if top := slices.Max(slices.Collect(maps.Keys(m.seen))); wm.Seq != top {
+			t.Fatalf("watermark %v, model's highest accepted seq %d", wm, top)
+		}
+	}
+	if len(marks) > 0 {
+		if one := r.appendWatermarks(nil, 1); !slices.Equal(one, marks[:1]) {
+			t.Fatalf("one watermark %v, want %v", one, marks[:1])
+		}
+	}
+	below, k := s+70, 1+9*int(b>>5)
+	for _, origin := range []NodeID{"a", "b", "c", "d"} {
+		oh := originHash(seed, origin)
+		got := r.appendUnseen(nil, origin, oh, below, k)
+		m := models[origin]
+		start := (below - 1) &^ 63
+		if m == nil {
+			if r.find(origin, oh) >= 0 {
+				t.Fatalf("%s has no model but a window", origin)
+			}
+			m = &replayModel{}
+		} else if w := &r.wins[r.find(origin, oh)]; w.meta&metaFloored == 0 {
+			start = w.lo << 6
+			if low := slices.Min(slices.Collect(maps.Keys(m.seen))); start != low&^63 {
+				t.Fatalf("%s: unfloored ring starts at seq %d, lowest accepted %d", origin, start, low)
+			}
+		} else if start = w.lo << 6; start < m.stale {
+			t.Fatalf("%s: floor %d under seq %d refused as stale", origin, start, m.stale-1)
+		}
+		var want []EventID
+		for q := start; q < below && len(want) < k; q++ {
+			if _, ok := m.seen[q]; !ok {
+				want = append(want, EventID{Origin: origin, Seq: q})
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: unseen under %d, at most %d: %v, want %v", origin, below, k, got, want)
+		}
+		for _, id := range got {
+			if id.Seq < m.stale {
+				t.Fatalf("%s: unseen %d under the floor %d", origin, id.Seq, m.stale)
+			}
+		}
+	}
+	if r.count != windows {
+		t.Fatalf("the reads took the windows from %d to %d", windows, r.count)
+	}
 }

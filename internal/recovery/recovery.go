@@ -35,7 +35,6 @@ package recovery
 
 import (
 	"fmt"
-	"math"
 
 	"adaptivegossip/internal/gossip"
 )
@@ -302,7 +301,7 @@ func (e *Engine) diffDigest(n *gossip.Node, from gossip.NodeID, digest []gossip.
 			continue
 		}
 		below := w.Seq + 1
-		if w.Seq == math.MaxUint64 {
+		if below == 0 { // the seq is 2⁶⁴−1: ask under it
 			below = w.Seq
 		}
 		if e.probe = n.AppendUnseen(e.probe[:0], w.Origin, below, 1); len(e.probe) == 0 {

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"adaptivegossip/internal/gossip"
 	"adaptivegossip/internal/membership"
@@ -699,6 +701,32 @@ func TestStoreMatchesModel(t *testing.T) {
 			t.Fatalf("seed %d: no id was added again after the store lost it", seed)
 		}
 	}
+}
+
+// TestEngineMemoryIsTheStore: recovery keeps no id set of its own, so
+// what NewEngine allocates at StoreCapacity 1,024 is the store — its
+// events, the rounds they were accepted at and its IDCache, at most 60
+// bytes per id — and scratch sized by the request budget: the pull
+// list, the requests' ids, the response's events and the outbox's
+// messages, within a stated slack of 16 KiB. Beside the store, the
+// missing ring and the digest cache this replaced held about 100 KB.
+func TestEngineMemoryIsTheStore(t *testing.T) {
+	const capacity, maxIDCacheBytesPerID, slack = 1024, 60, 16 << 10
+	store := capacity * (int(unsafe.Sizeof(gossip.Event{})) + 8 + maxIDCacheBytesPerID)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := NewEngine(Params{Enabled: true, StoreCapacity: capacity})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	if got > store+slack {
+		t.Fatalf("NewEngine at StoreCapacity %d allocates %d B, want at most the store's %d B and %d B of slack", capacity, got, store, slack)
+	}
+	t.Logf("NewEngine allocates %d B; the store's bound is %d B", got, store)
+	runtime.KeepAlive(eng)
 }
 
 // TestStatsAddSumsEveryField gives every counter a distinct value and

@@ -402,7 +402,8 @@ func retiredVersions(corpus [][]byte) [][]byte {
 	return out
 }
 
-// FuzzCodecDecode seeds the fuzzer with decodeCorpus. Neither decode
+// FuzzCodecDecode seeds the fuzzer with decodeCorpus and the hostile
+// digests of hostileDigestFrames. Neither decode
 // entry point may panic; they must accept and reject the same inputs
 // and agree on what they decode (the borrowed result, detached with
 // Clone, equals the owning one); and a successful decode must
@@ -411,6 +412,9 @@ func retiredVersions(corpus [][]byte) [][]byte {
 func FuzzCodecDecode(f *testing.F) {
 	c := DefaultCodec()
 	for _, data := range decodeCorpus(f) {
+		f.Add(data)
+	}
+	for _, data := range hostileDigestFrames(f) {
 		f.Add(data)
 	}
 	in, ids := &Inbound{}, newIDTable()

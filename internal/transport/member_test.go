@@ -129,6 +129,30 @@ func distinctOriginsFrame(tb testing.TB) []byte {
 	return encodeFrame(tb, &gossip.Message{From: "mallory", Events: events})
 }
 
+// hostileDigestFrames encodes the gossip frames from "mallory" whose
+// recovery digests name, in turn: p1 at seq 2⁶³−1; an origin the member
+// never accepted; the member itself at seq 2⁶³−1; and 10,000 entries
+// naming all three, p1 and the member at seqs counting down from 2⁶³−1.
+// The last is larger than a datagram: it can reach a member only through
+// a fabric without that bound, or in pieces.
+func hostileDigestFrames(tb testing.TB) [][]byte {
+	const top = math.MaxInt64
+	many := make([]gossip.EventID, 10_000)
+	for i := range many {
+		many[i] = []gossip.EventID{{Origin: "p1", Seq: top - uint64(i)}, {Origin: "never", Seq: uint64(i)}, {Origin: "member", Seq: top - uint64(i)}}[i%3]
+	}
+	var frames [][]byte
+	for _, digest := range [][]gossip.EventID{
+		{{Origin: "p1", Seq: top}},
+		{{Origin: "never", Seq: 70}},
+		{{Origin: "member", Seq: top}},
+		many,
+	} {
+		frames = append(frames, encodeFrame(tb, &gossip.Message{From: "mallory", Round: 1, Digest: digest}))
+	}
+	return frames
+}
+
 // checkEncodes requires every message in outs to encode and decode,
 // with every age in [0, MaxAge] and no more events than the buffer
 // holds.
@@ -261,6 +285,67 @@ func TestForgedSelfEntryIgnored(t *testing.T) {
 	}
 }
 
+// TestHostileDigestsBounded: an everything-on member that accepted p1's
+// seqs 0 and 1000, which moved p1's floor to 768 (a ring of four words),
+// reads each of hostileDigestFrames' digests without opening a replay
+// window. Every round it requests at most RequestBudget ids, none of its
+// own, none of p1's under the floor or accepted, and receiving the frame
+// and running the round allocate nothing.
+func TestHostileDigestsBounded(t *testing.T) {
+	const floor = 768
+	c := DefaultCodec()
+	for i, frame := range hostileDigestFrames(t) {
+		n := newMember(t, 1)
+		n.receive(t, &gossip.Message{From: "p1", Events: []gossip.Event{
+			{ID: gossip.EventID{Origin: "p1", Seq: 0}, Payload: []byte("a")},
+			{ID: gossip.EventID{Origin: "p1", Seq: 1000}, Payload: []byte("b")},
+		}})
+		if lacked := n.Gossip().AppendUnseen(nil, "p1", 1001, 1); lacked[0].Seq != floor {
+			t.Fatalf("set-up: p1's lowest id lacked is %v, want seq %d", lacked[0], floor)
+		}
+		origins := func() []gossip.NodeID {
+			var names []gossip.NodeID
+			for _, w := range n.Gossip().AppendWatermarks(nil, 1<<10) {
+				names = append(names, w.Origin)
+			}
+			slices.Sort(names)
+			return names
+		}
+		windows := origins()
+		msg, err := c.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() (requested int) {
+			n.Receive(msg, n.now)
+			n.now = n.now.Add(memberParams.Period)
+			for _, out := range n.Tick(n.now) {
+				if out.Msg.Kind != gossip.KindRecoveryRequest {
+					continue
+				}
+				for _, id := range out.Msg.Request {
+					if id.Origin == "member" || id.Origin == "p1" && (id.Seq < floor || id.Seq == 1000) {
+						t.Fatalf("frame %d: the member requests %v", i, id)
+					}
+				}
+				requested += len(out.Msg.Request)
+			}
+			return requested
+		}
+		for range 3 {
+			if got := round(); got == 0 && i != 2 || got > recovery.DefaultRequestBudget {
+				t.Fatalf("frame %d: %d ids requested in a round, want 1 to %d", i, got, recovery.DefaultRequestBudget)
+			}
+		}
+		if got := origins(); !slices.Equal(got, windows) {
+			t.Fatalf("frame %d: windows of %v, before the digests %v", i, got, windows)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { round() }); allocs != 0 {
+			t.Fatalf("frame %d: a digest and the round after it allocate %v times, want 0", i, allocs)
+		}
+	}
+}
+
 // FuzzMemberRoundTrip: whatever an everything-on member accepts, it
 // survives, and what it sends in reply and in its next three rounds
 // encodes and decodes, with every age in [0, MaxAge] and no more events
@@ -273,6 +358,9 @@ func FuzzMemberRoundTrip(f *testing.F) {
 	f.Add(forgedAgeFrame(f, gossip.EventID{Origin: "member", Seq: 1}))
 	f.Add(hostilePeriodFrame(f))
 	f.Add(distinctOriginsFrame(f))
+	for _, data := range hostileDigestFrames(f) {
+		f.Add(data)
+	}
 	c := DefaultCodec()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := c.Decode(data)
