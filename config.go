@@ -52,8 +52,9 @@ const DefaultPeriod = 250 * time.Millisecond
 
 // RecoveryConfig configures the anti-entropy subsystem
 // (internal/recovery): with Enabled set, every gossip round piggybacks
-// a digest of recently-seen event IDs and receivers pull events they
-// missed — repairing losses that pure push gossip cannot. Orthogonal to
+// a digest of per-origin (origin, highest sequence number received)
+// watermarks and receivers pull the events they lack under them —
+// repairing losses that pure push gossip cannot. Orthogonal to
 // Adaptive and Failure.
 type RecoveryConfig struct {
 	// Enabled turns the subsystem on.

@@ -56,9 +56,10 @@
 // # Loss recovery
 //
 // Setting Config.Recovery.Enabled turns on a digest-based anti-entropy
-// subsystem (internal/recovery): every gossip round piggybacks a
-// compact digest of recently-seen event IDs, receivers pull the events
-// they missed from the digest's sender, and senders serve the
+// subsystem (internal/recovery): every gossip round piggybacks the
+// (origin, highest sequence number received) watermark of each
+// recently active origin, receivers pull the events they lack under
+// those watermarks from the digest's sender, and senders serve the
 // retransmissions from a bounded store that outlives the events
 // buffer. This repairs losses that pure push gossip cannot — see
 // examples/udpcluster's -loss flag and gossipsim -figure recovery.
